@@ -1,6 +1,6 @@
 """Every 3-dimensional rational Lie algebra type and its nice-basis count."""
 
-from nicebasis import catalog, classify3, conjugate, fixtures
+from nicebasis import catalog, classify3, fixtures
 from nicebasis.linalg import Matrix
 from nicebasis.scalars import Q
 
@@ -15,7 +15,7 @@ def main():
     shuffle = Matrix.from_columns(
         [(Q(1), Q(2), Q(0)), (Q(0), Q(1), Q(1)), (Q(1), Q(0), Q(1))]
     )
-    scrambled = conjugate(fixtures.sl2(), shuffle)
+    scrambled = fixtures.sl2().change_basis(shuffle)
     entry = classify3(scrambled)
     print()
     print("scrambled sl2 classifies as %s with nu=%d" % (entry.name, entry.nu))

@@ -11,10 +11,9 @@ All arithmetic is exact over the rationals.
 """
 
 from .scalars import Q, rat, fmt
-from .linalg import Matrix, Poly, rational_roots, smith_normal_form
+from .linalg import Matrix, Poly, Subspace, rational_roots, smith_normal_form
 from .lie import (
     LieAlgebra,
-    Subspace,
     direct_sum,
     abelian,
     parse_lie,
@@ -26,7 +25,6 @@ from .nice import (
     NiceVerdict,
     check_nice,
     check_adapted,
-    conjugate,
     MonomialMap,
     monomial_equivalent,
     InputBasisNotNice,
@@ -44,7 +42,6 @@ from .derivations import (
     spectra_disjoint,
     nu_product_rule,
     simple_spectrum_unique,
-    nu_abelian_extension,
 )
 from .almost_abelian import (
     AlmostAbelian,

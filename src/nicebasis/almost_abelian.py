@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .scalars import Q, ZERO, ONE, rat, fmt
-from .lie import LieAlgebra, Subspace
+from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Poly,
+    Subspace,
     char_poly,
     count_real_roots,
     minimal_polynomial,
@@ -30,7 +31,7 @@ from .linalg import (
     rational_roots,
     similar,
 )
-from .nice import check_nice, conjugate
+from .nice import check_nice
 
 
 class ZeroConstantTerm(ValueError):
@@ -244,6 +245,7 @@ def _analysis(a: Matrix):
     out = {"phi": phi, "zero_mult": zero_mult, "reduced": q, "n": n}
     if zero_mult == n:
         out["nilpotent"] = True
+        out["factorizations"] = []
         return out
     out["nilpotent"] = False
     # semisimplicity of the non-nilpotent part: the minimal polynomial with
@@ -265,7 +267,10 @@ def exists_nice(a: Matrix) -> ExistsVerdict:
     yes comes with an explicit witness basis (columns, compiled algebra
     coordinates, f first), verified nice before being returned.
     """
-    data = _analysis(a)
+    return _exists(a, _analysis(a))
+
+
+def _exists(a: Matrix, data) -> ExistsVerdict:
     if data["nilpotent"]:
         witness = _witness_basis(a, None)
         return ExistsVerdict("yes", witness=witness)
@@ -292,7 +297,10 @@ def exists_nice(a: Matrix) -> ExistsVerdict:
 
 def count_nice(a: Matrix):
     """Number of nice bases up to equivalence, or None (unknown-irrational)."""
-    data = _analysis(a)
+    return _count(_analysis(a))
+
+
+def _count(data):
     if data["nilpotent"]:
         return 1
     if not data["semisimple"]:
@@ -337,7 +345,7 @@ def _witness_basis(a: Matrix, fact):
         cols.extend(tuple([ZERO] + list(v)) for v in ch)
     witness = Matrix.from_columns(cols)
     compiled = build(a).compiled
-    if not check_nice(conjugate(compiled, witness)):
+    if not check_nice(compiled.change_basis(witness)):
         raise RuntimeError("constructed witness basis is not nice")
     return witness
 
@@ -475,18 +483,24 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
 
 
 def parse_matrix(text: str) -> Matrix:
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
+    tokens = []  # (line number, token)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens.extend((lineno, tok) for tok in raw.split("#", 1)[0].split())
     if not tokens:
         raise ValueError("empty matrix file")
-    n = int(tokens[0])
-    vals = tokens[1:]
-    if len(vals) != n * n:
-        raise ValueError(f"expected {n*n} entries, got {len(vals)}")
-    return Matrix([[rat(vals[i * n + j]) for j in range(n)] for i in range(n)])
+    lineno, size = tokens[0]
+    if not size.isdigit():
+        raise ValueError(f"line {lineno}: matrix size must be a non-negative integer")
+    n = int(size)
+    if len(tokens) - 1 != n * n:
+        raise ValueError(f"expected {n*n} entries, got {len(tokens) - 1}")
+    vals = []
+    for lineno, tok in tokens[1:]:
+        try:
+            vals.append(rat(tok))
+        except ValueError as err:
+            raise ValueError(f"line {lineno}: {err}") from None
+    return Matrix([vals[i * n : (i + 1) * n] for i in range(n)])
 
 
 def serialize_matrix(a: Matrix) -> str:

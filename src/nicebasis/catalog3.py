@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
 from .lie import LieAlgebra
-from .linalg import Matrix, char_poly, is_nilpotent, rational_roots
-from .nice import check_nice, conjugate, monomial_equivalent
+from .linalg import Matrix, Subspace, char_poly, is_nilpotent, rational_roots
+from .nice import check_nice, monomial_equivalent
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
 
@@ -28,7 +28,7 @@ class CatalogEntry:
 
     def verify(self):
         for b in self.nice_bases:
-            if not check_nice(conjugate(self.algebra, b)):
+            if not check_nice(self.algebra.change_basis(b)):
                 raise RuntimeError(f"catalog basis for {self.name} is not nice")
         if len(self.nice_bases) != self.nu:
             raise RuntimeError(f"catalog entry {self.name} lists wrong basis count")
@@ -92,22 +92,22 @@ def simple_nice_bases(which: str):
         first = Matrix.identity(3)
         second = Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)])
         for b in (first, second):
-            if not check_nice(conjugate(alg, b)):
+            if not check_nice(alg.change_basis(b)):
                 raise RuntimeError("sl2 basis failed the nice check")
         if monomial_equivalent(alg, first, second) is not None:
             raise RuntimeError("sl2 bases unexpectedly equivalent")
         # the second basis is of cyclic type with mixed bracket signs, so it
         # cannot be in the uniform-sign class (which is so3's)
-        signs = cyclic_sign_pattern(conjugate(alg, second))
+        signs = cyclic_sign_pattern(alg.change_basis(second))
         if signs is None or len(set(signs)) == 1:
             raise RuntimeError("sl2 sign pattern check failed")
         return [first, second]
     if which == "so3":
         alg = fixtures.so3()
         first = Matrix.identity(3)
-        if not check_nice(conjugate(alg, first)):
+        if not check_nice(alg.change_basis(first)):
             raise RuntimeError("so3 basis failed the nice check")
-        signs = cyclic_sign_pattern(conjugate(alg, first))
+        signs = cyclic_sign_pattern(alg.change_basis(first))
         if signs is None or len(set(signs)) != 1:
             raise RuntimeError("so3 sign pattern check failed")
         return [first]
@@ -182,10 +182,7 @@ def _abelian_codim1_ideal(g: LieAlgebra, derived):
             # central derived subalgebra: extend it by each coordinate axis
             z = derived.basis()[0]
             for i in range(3):
-                e = tuple(ONE if t == i else ZERO for t in range(3))
-                from .lie import Subspace
-
-                s = Subspace(3, [z, e])
+                s = Subspace(3, [z, {i: ONE}])
                 if s.dim == 2:
                     candidates.append(s)
     for h in candidates:
@@ -195,10 +192,10 @@ def _abelian_codim1_ideal(g: LieAlgebra, derived):
 
 
 def _is_abelian_ideal(g, h):
-    basis = h.basis()
+    basis = list(h.rows.values())
     for i, u in enumerate(basis):
         for v in basis[i + 1 :]:
-            if any(x != 0 for x in g.bracket(u, v)):
+            if g.bracket_sparse(u, v):
                 return False
     return g._is_ideal(h)
 
@@ -206,20 +203,13 @@ def _is_abelian_ideal(g, h):
 def _ad_action_matrix(g: LieAlgebra, h):
     # f = first coordinate axis outside h; A = ad_f restricted to h in the
     # echelon basis of h (coordinates read off the pivots)
-    from .lie import Subspace
-
-    f = None
-    for i in range(3):
-        e = tuple(ONE if t == i else ZERO for t in range(3))
-        if not h.contains(e):
-            f = e
-            break
+    f = next(i for i in range(3) if not h.contains({i: ONE}))
     cols = []
-    for row in h.basis():
-        w = g.bracket(f, row)
+    for p in h.pivots:
+        w = g.bracket_sparse({f: ONE}, h.rows[p])
         if not h.contains(w):
             raise RuntimeError("candidate subspace is not ad-invariant")
-        cols.append(tuple(w[p] for p in h.pivots))
+        cols.append(tuple(w.get(q, ZERO) for q in h.pivots))
     return Matrix.from_columns(cols)
 
 

@@ -27,9 +27,8 @@ from .derivations import (
 )
 from .almost_abelian import (
     _analysis,
-    build,
-    exists_nice,
-    count_nice,
+    _count,
+    _exists,
     load_matrix,
     BinomialFactorization,
 )
@@ -38,7 +37,6 @@ from .graphs import (
     graph_algebra,
     nice_predicate,
     construct_nice_basis,
-    PredicateFalse,
     DimensionCapExceeded,
 )
 from .catalog3 import catalog
@@ -184,9 +182,9 @@ def cmd_nu_product(args):
 
 def cmd_aa(args):
     a = _load_matrix(args.file)
-    verdict = exists_nice(a)
-    nu = count_nice(a)
     data = _analysis(a)
+    verdict = _exists(a, data)
+    nu = _count(data)
     facts = [str(BinomialFactorization.of(t))
              for t in data["factorizations"]]
     lines = [f"exists {verdict.status}"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .scalars import Q, ZERO, ONE
 from .lie import LieAlgebra
-from .linalg import Matrix, rref, solve, sparse_nullspace
+from .linalg import Matrix, Subspace, _dot, solve, sparse
 from .nice import check_nice
 
 
@@ -26,11 +26,10 @@ class DerivationSpace:
         return len(self.basis)
 
     def contains(self, m: Matrix) -> bool:
-        rows = [[x for row in b.data for x in row] for b in self.basis]
-        flat = [x for row in m.data for x in row]
-        reduced, pivots = rref(rows + [flat])
-        base, _ = rref(rows)
-        return len(reduced) == len(base)
+        def flat(d):
+            return [x for row in d.data for x in row]
+
+        return Subspace(self.dim**2, map(flat, self.basis)).contains(flat(m))
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
                         eq.get(r, {}).get(var(m, j), ZERO) - c
                     )
             rows.extend(eq.values())
-    kernel = sparse_nullspace(rows, n * n)
+    kernel = Subspace(n * n, rows).kernel()
     basis = tuple(
         Matrix([v[r * n : (r + 1) * n] for r in range(n)]) for v in kernel
     )
@@ -96,26 +95,26 @@ def diagonal_derivations(g: LieAlgebra):
             eq = {i: ONE, j: ONE}
             eq[k] = eq.get(k, ZERO) - ONE
             rows.append(eq)
-    return sparse_nullspace(rows, n)
+    return Subspace(n, rows).kernel()
 
 
 def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
+    """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?"""
     n = g.dim
-    basis = [tuple(ONE if t == i else ZERO for t in range(n)) for i in range(n)]
+    cols = [sparse(col) for col in zip(*d.data)]
+
+    def add(out, vec, f=ONE):
+        for k, x in vec.items():
+            out[k] = out.get(k, ZERO) + f * x
+
     for i in range(n):
         for j in range(i + 1, n):
-            v = [ZERO] * n
-            for k, c in g.bracket_basis(i, j).items():
-                v[k] = c
-            lhs = d.apply(v)
-            rhs = [
-                a + b
-                for a, b in zip(
-                    g.bracket(d.apply(basis[i]), basis[j]),
-                    g.bracket(basis[i], d.apply(basis[j])),
-                )
-            ]
-            if list(lhs) != rhs:
+            diff = {}
+            for k, c in g.brackets.get((i, j), {}).items():
+                add(diff, cols[k], c)
+            add(diff, g.bracket_sparse(cols[i], {j: ONE}), -ONE)
+            add(diff, g.bracket_sparse({i: ONE}, cols[j]), -ONE)
+            if any(diff.values()):
                 return False
     return True
 
@@ -156,17 +155,15 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     is either ("not_derivation", N) or ("trace", D) with D a derivation
     violating Tr(ND) = Tr(D).
     """
-    nm = Matrix.diagonal([Q(x) for x in n_diag])
+    n_diag = [Q(x) for x in n_diag]
+    nm = Matrix.diagonal(n_diag)
     if not is_derivation(g, nm):
         return False, ("not_derivation", nm)
     for d in derivation_space(g).basis:
-        if (nm * d).trace() != d.trace():
+        # Tr(N D) for diagonal N
+        if sum((x * d[i, i] for i, x in enumerate(n_diag)), ZERO) != d.trace():
             return False, ("trace", d)
     return True, None
-
-
-def _dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), ZERO)
 
 
 def _assert_positive_definite(m: Matrix):
@@ -216,10 +213,3 @@ def simple_spectrum_unique(p: PreEinstein, has_nice: bool):
     if has_nice and all(m == 1 for m in p.multiplicities().values()):
         return 1
     return None
-
-
-def nu_abelian_extension(nu, m: int):
-    """nu of g + (abelian of dim m) equals nu of g; identity rewrite."""
-    if m < 0:
-        raise ValueError("negative abelian dimension")
-    return nu

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .scalars import ZERO, ONE
 from .lie import LieAlgebra, abelian
-from .linalg import Matrix, SparseEchelon
+from .linalg import Matrix, Subspace, _divisors, dense
 from .nice import check_nice
 
 
@@ -184,10 +184,6 @@ def witt_dimension(d, length):
     return total // length
 
 
-def _divisors(n):
-    return [k for k in range(1, n + 1) if n % k == 0]
-
-
 def _mobius(n):
     out = 1
     p = 2
@@ -226,39 +222,34 @@ def graph_algebra(g: GraphSpec):
         for b in range(a + 1, d)
         if not g.has_edge(a, b)
     ]
-    ideal = SparseEchelon()
+    ideal = Subspace(free.dim)
     queue = []
     for a, b in non_edges:
-        gen = dict(free.bracket_basis(a, b))
+        gen = free.bracket_basis(a, b)
         if gen and ideal.add(gen):
             queue.append(gen)
+    # ad of the d generators suffices: they generate the algebra and
+    # ad_[x,y] = [ad_x, ad_y], so a subspace stable under each generator's ad
+    # is stable under every ad, i.e. an ideal
     while queue:
         v = queue.pop()
-        for i in range(free.dim):
-            out = {}
-            for j, coeff in v.items():
-                for k, cc in free.bracket_basis(i, j).items():
-                    out[k] = out.get(k, ZERO) + coeff * cc
-            out = {k: x for k, x in out.items() if x != 0}
-            if out and ideal.add(out):
-                queue.append(out)
-    pivots = ideal.pivots()
-    keep = [i for i in range(free.dim) if i not in pivots]
+        for x in range(d):
+            w = free.bracket_sparse({x: ONE}, v)
+            if w and ideal.add(w):
+                queue.append(w)
+    keep = [i for i in range(free.dim) if i not in ideal.rows]
     pos = {orig: t for t, orig in enumerate(keep)}
 
     def project(vec):
-        sparse = {i: x for i, x in enumerate(vec) if x != 0}
-        res = ideal.reduce(sparse)
+        res = ideal.reduce(vec)
         return tuple(res.get(i, ZERO) for i in keep)
 
     table = {}
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
-            i, j = keep[a], keep[b]
-            res = ideal.reduce(dict(free.bracket_basis(i, j)))
-            entry = {pos[k]: x for k, x in res.items() if x != 0}
-            if entry:
-                table[(a, b)] = entry
+            res = ideal.reduce(free.brackets.get((keep[a], keep[b]), {}))
+            if res:
+                table[(a, b)] = {pos[k]: x for k, x in res.items()}
     words = tuple(basis.words[i] for i in keep)
     names = [_word_name(w) for w in words]
     alg = LieAlgebra(len(keep), table, names=names, check=False)
@@ -295,17 +286,10 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
     alg, words, _ = graph_algebra(g)
     index = {w: i for i, w in enumerate(words)}
     n = alg.dim
+    br = alg.bracket_sparse
 
-    def unit(i):
-        return tuple(ONE if t == i else ZERO for t in range(n))
-
-    def br(x, y):
-        return alg.bracket(x, y)
-
-    if g.c <= 2 or not g.edges or g.c >= 5:
-        cols = [unit(i) for i in range(n)]
-    elif g.c == 3:
-        verts = [unit(index[(v,)]) for v in range(g.vertex_count)]
+    if g.c == 3 and g.edges:
+        verts = [{index[(v,)]: ONE} for v in range(g.vertex_count)]
         edges = sorted(tuple(sorted(e)) for e in g.edges)
         cols = list(verts)
         pair_bracket = {}
@@ -323,9 +307,9 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
         for a, b in edges:
             cols.append(br(verts[a], pair_bracket[(a, b)]))
             cols.append(br(verts[b], pair_bracket[(a, b)]))
-    else:  # c == 4, matching
-        cols = [unit(i) for i in range(n)]
-    basis = Matrix.from_columns(cols)
+        basis = Matrix.from_columns([dense(col, n) for col in cols])
+    else:  # class at most 2, edgeless, or a matching at class 4
+        basis = Matrix.identity(n)
     conj = alg.change_basis(basis)
     verdict = check_nice(conj)
     if not verdict:
@@ -352,13 +336,10 @@ def carnot_check(g: LieAlgebra):
         return False, {"error": "not nilpotent"}
     layers = []
     for i in range(len(series) - 1):
-        upper = set(series[i + 1].pivots)
-        reps = [
-            row
-            for row, p in zip(series[i].rows, series[i].pivots)
-            if p not in upper
-        ]
-        layers.append(reps)
+        upper = series[i + 1].rows
+        layers.append([
+            dense(series[i].rows[p], g.dim) for p in series[i].pivots if p not in upper
+        ])
     expected = [series[i].dim - series[i + 1].dim for i in range(len(series) - 1)]
     if [len(l) for l in layers] != expected:
         return False, {"error": "layer dimension mismatch", "expected": expected}
@@ -408,16 +389,18 @@ def parse_graph(text: str) -> GraphSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "vertices":
-            vertices = int(parts[1])
-        elif parts[0] == "class":
-            klass = int(parts[1])
-        elif parts[0] == "edge":
-            a, b = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append((a, b))
+        kw, *args = line.split()
+        arity = {"vertices": 1, "class": 1, "edge": 2}.get(kw)
+        if arity is None:
+            raise ValueError(f"line {lineno}: unknown keyword {kw!r}")
+        if len(args) != arity:
+            raise ValueError(f"line {lineno}: {kw} needs {arity} value(s)")
+        if kw == "vertices":
+            vertices = int(args[0])
+        elif kw == "class":
+            klass = int(args[0])
         else:
-            raise ValueError(f"line {lineno}: unknown keyword {parts[0]!r}")
+            edges.append((int(args[0]) - 1, int(args[1]) - 1))
     if vertices is None or klass is None:
         raise ValueError("graph file needs 'vertices' and 'class' lines")
     return GraphSpec.of(vertices, edges, klass)

@@ -1,87 +1,17 @@
 """Finite dimensional Lie algebras with exact rational structure constants.
 
 A LieAlgebra stores its bracket table sparsely: brackets[(i, j)] for i < j is
-a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  Indices are 0-based in code;
-the text file format is 1-based.  The Jacobi identity and antisymmetry are
-enforced at construction time.
+a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  ad_table[i][j] holds the
+same dict for both index orders, and every structural routine evaluates
+brackets of sparse {index: coefficient} vectors through it.  Indices are
+0-based in code; the text file format is 1-based.  The Jacobi identity and
+antisymmetry are enforced at construction time.
 """
 
 from __future__ import annotations
 
 from .scalars import Q, ZERO, ONE, rat, fmt
-from .linalg import Matrix
-
-
-class Subspace:
-    """Span of a set of vectors, kept in reduced echelon form (canonical)."""
-
-    __slots__ = ("ambient", "rows", "pivots")
-
-    def __init__(self, ambient, vectors=()):
-        self.ambient = ambient
-        self.rows = []
-        self.pivots = []
-        for v in vectors:
-            self.add(v)
-
-    def add(self, vector):
-        """Add a vector to the span; returns True if the dimension grew."""
-        v = [Q(x) for x in vector]
-        if len(v) != self.ambient:
-            raise ValueError("vector length mismatch")
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
-        if piv is None:
-            return False
-        inv = 1 / v[piv]
-        v = [x * inv for x in v]
-        # back-substitute into existing rows and keep rows sorted by pivot
-        self.rows = [
-            [a - row[piv] * b for a, b in zip(row, v)] if row[piv] != 0 else row
-            for row in self.rows
-        ]
-        idx = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(idx, v)
-        self.pivots.insert(idx, piv)
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def contains(self, vector):
-        return self.reduce(vector) is not None and all(
-            x == 0 for x in self.reduce(vector)
-        )
-
-    def reduce(self, vector):
-        """Residue of vector modulo the subspace (zero iff contained)."""
-        v = [Q(x) for x in vector]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
-
-    def basis(self):
-        return [tuple(row) for row in self.rows]
-
-    def contains_subspace(self, other):
-        return all(self.contains(row) for row in other.rows)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.rows == [list(r) for r in (tuple(r) for r in other.rows)]
-            and self.pivots == other.pivots
-        )
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} in R^{self.ambient})"
+from .linalg import Matrix, Subspace, dense, sparse
 
 
 class LieAlgebra:
@@ -100,6 +30,10 @@ class LieAlgebra:
             if clean:
                 table[(i, j)] = clean
         self.brackets = table
+        self.ad_table = [{} for _ in range(dim)]
+        for (i, j), comps in table.items():
+            self.ad_table[i][j] = comps
+            self.ad_table[j][i] = {k: -c for k, c in comps.items()}
         self.names = list(names) if names else [f"e{i+1}" for i in range(dim)]
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
@@ -113,30 +47,29 @@ class LieAlgebra:
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a sparse dict, any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        return dict(self.ad_table[i].get(j, {}))
+
+    def bracket_sparse(self, x, y):
+        """[x, y] for sparse {index: coefficient} vectors; returns a sparse dict."""
+        out = {}
+        for i, a in x.items():
+            row = self.ad_table[i]
+            for j in row.keys() & y.keys():
+                f = a * y[j]
+                for k, c in row[j].items():
+                    out[k] = out.get(k, ZERO) + f * c
+        return {k: c for k, c in out.items() if c}
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y; returns a dense tuple."""
-        out = [ZERO] * self.dim
-        for (i, j), comps in self.brackets.items():
-            coeff = x[i] * y[j] - x[j] * y[i]
-            if coeff == 0:
-                continue
-            for k, c in comps.items():
-                out[k] += coeff * c
-        return tuple(out)
+        return dense(self.bracket_sparse(sparse(x), sparse(y)), self.dim)
 
     def ad(self, x):
         """Matrix of ad_x: y -> [x, y] in the given basis."""
-        cols = []
-        for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            cols.append(self.bracket(x, ej))
-        return Matrix.from_columns(cols)
+        xs = sparse(x)
+        return Matrix.from_columns(
+            [dense(self.bracket_sparse(xs, {j: ONE}), self.dim) for j in range(self.dim)]
+        )
 
     def jacobi_failures(self, limit=None):
         """Basis triples violating the Jacobi identity.
@@ -176,29 +109,30 @@ class LieAlgebra:
 
     # --- structural subspaces ---
 
+    def _kernel(self, images):
+        """Subspace of x with sum_i x_i * images[i] = 0.
+
+        images[i] is a sparse dict over any hashable coordinates; one
+        equation per coordinate.
+        """
+        eqs = {}
+        for i, img in enumerate(images):
+            for r, c in img.items():
+                eqs.setdefault(r, {})[i] = c
+        return Subspace(self.dim, Subspace(self.dim, eqs.values()).kernel())
+
     def derived_subalgebra(self):
-        s = Subspace(self.dim)
-        for (i, j), comps in self.brackets.items():
-            v = [ZERO] * self.dim
-            for k, c in comps.items():
-                v[k] = c
-            s.add(v)
-        return s
+        return Subspace(self.dim, self.brackets.values())
 
     def lower_central_series(self):
         """[g, g^1, g^2, ...] as Subspaces, ending at the first repeat."""
-        full = Subspace(
-            self.dim,
-            [tuple(ONE if t == i else ZERO for t in range(self.dim)) for i in range(self.dim)],
-        )
-        series = [full]
+        series = [Subspace(self.dim, ({i: ONE} for i in range(self.dim)))]
         while True:
             prev = series[-1]
             nxt = Subspace(self.dim)
-            for v in prev.basis():
+            for v in prev.rows.values():
                 for i in range(self.dim):
-                    ei = tuple(ONE if t == i else ZERO for t in range(self.dim))
-                    nxt.add(self.bracket(ei, v))
+                    nxt.add(self.bracket_sparse({i: ONE}, v))
             series.append(nxt)
             if nxt.dim == prev.dim:
                 return series[:-1]
@@ -209,16 +143,7 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def center(self):
-        rows = []
-        for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            rows.append(self.ad(ej).to_lists())
-        stacked = [r for block in rows for r in block]
-        # x is central iff ad_{e_j} x = 0 for all j, i.e. x in the kernel of
-        # the stacked matrix (columns act on x through each ad matrix)
-        from .linalg import nullspace
-
-        return Subspace(self.dim, nullspace(Matrix(stacked)))
+        return self._preimage_of_center(Subspace(self.dim))
 
     def upper_central_series(self):
         """[0, Z(g), Z_2(g), ...] ending at the first repeat."""
@@ -233,46 +158,31 @@ class LieAlgebra:
                 return series
 
     def _preimage_of_center(self, z: Subspace) -> Subspace:
-        # {x : [x, e_j] in z for all j}, solved as one big linear system
-        rows = []
-        for j in range(self.dim):
-            ej = tuple(ONE if t == j else ZERO for t in range(self.dim))
-            ad_cols = []
-            for i in range(self.dim):
-                ei = tuple(ONE if t == i else ZERO for t in range(self.dim))
-                ad_cols.append(z.reduce(self.bracket(ei, ej)))
-            for r in range(self.dim):
-                rows.append([ad_cols[i][r] for i in range(self.dim)])
-        from .linalg import nullspace
-
-        return Subspace(self.dim, nullspace(Matrix(rows)))
+        # {x : [x, e_j] in z for all j}: the residues of [e_i, e_j] modulo z,
+        # over all j, must combine to zero
+        return self._kernel([
+            {(j, k): c for j, comps in row.items() for k, c in z.reduce(comps).items()}
+            for row in self.ad_table
+        ])
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
-        rows = []
-        for v in vectors:
-            ad_cols = [
-                self.bracket(
-                    tuple(ONE if t == i else ZERO for t in range(self.dim)), v
-                )
-                for i in range(self.dim)
-            ]
-            for r in range(self.dim):
-                rows.append([ad_cols[i][r] for i in range(self.dim)])
-        from .linalg import nullspace
-
-        return Subspace(self.dim, nullspace(Matrix(rows)))
+        vs = [v if isinstance(v, dict) else sparse(v) for v in vectors]
+        return self._kernel([
+            {(t, k): c for t, v in enumerate(vs)
+             for k, c in self.bracket_sparse({i: ONE}, v).items()}
+            for i in range(self.dim)
+        ])
 
     def ideal_closure(self, vectors):
         """Smallest ideal containing the given vectors."""
         s = Subspace(self.dim, vectors)
-        queue = list(s.basis())
+        queue = [dict(row) for row in s.rows.values()]
         while queue:
             v = queue.pop()
             for i in range(self.dim):
-                ei = tuple(ONE if t == i else ZERO for t in range(self.dim))
-                w = self.bracket(ei, v)
-                if s.add(w):
+                w = self.bracket_sparse({i: ONE}, v)
+                if w and s.add(w):
                     queue.append(w)
         return s
 
@@ -285,57 +195,59 @@ class LieAlgebra:
         """
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        keep = [i for i in range(self.dim) if i not in ideal.pivots]
+        keep = [i for i in range(self.dim) if i not in ideal.rows]
         pos = {orig: t for t, orig in enumerate(keep)}
 
         def project(vector):
             res = ideal.reduce(vector)
-            return tuple(res[i] for i in keep)
+            return tuple(res.get(i, ZERO) for i in keep)
 
         table = {}
         for a, i in enumerate(keep):
-            for b, j in enumerate(keep[a + 1 :], start=a + 1):
-                comps = self.bracket_basis(i, keep[b])
-                v = [ZERO] * self.dim
-                for k, c in comps.items():
-                    v[k] = c
-                img = project(v)
-                entry = {t: c for t, c in enumerate(img) if c != 0}
-                if entry:
-                    table[(a, b)] = entry
+            for b in range(a + 1, len(keep)):
+                res = ideal.reduce(self.ad_table[i].get(keep[b], {}))
+                if res:
+                    table[(a, b)] = {pos[k]: res[k] for k in sorted(res)}
         names = [self.names[i] for i in keep]
         return LieAlgebra(len(keep), table, names=names), project
 
     def _is_ideal(self, s: Subspace):
-        for v in s.basis():
-            for i in range(self.dim):
-                ei = tuple(ONE if t == i else ZERO for t in range(self.dim))
-                if not s.contains(self.bracket(ei, v)):
-                    return False
-        return True
+        return all(
+            s.contains(self.bracket_sparse({i: ONE}, v))
+            for v in s.rows.values()
+            for i in range(self.dim)
+        )
 
     def killing_form(self):
         """Matrix B with B[i][j] = Tr(ad_{e_i} ad_{e_j})."""
-        ads = [
-            self.ad(tuple(ONE if t == i else ZERO for t in range(self.dim)))
-            for i in range(self.dim)
-        ]
-        return Matrix(
-            [[(ads[i] * ads[j]).trace() for j in range(self.dim)] for i in range(self.dim)]
-        )
+        t = self.ad_table
+
+        def trace(i, j):
+            # sum over m, k of [e_i, e_m]_k * [e_j, e_k]_m
+            return sum(
+                (c * t[j].get(k, {}).get(m, ZERO)
+                 for m, comps in t[i].items() for k, c in comps.items()),
+                ZERO,
+            )
+
+        return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
         """Structure constants in the basis given by the columns of p."""
-        pinv = p.inverse()
-        cols = [p.column(j) for j in range(self.dim)]
+        n = self.dim
+        cols = [sparse(p.column(j)) for j in range(n)]
+        pinv = [sparse(col) for col in zip(*p.inverse().data)]
         table = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                w = pinv.apply(self.bracket(cols[i], cols[j]))
-                entry = {k: c for k, c in enumerate(w) if c != 0}
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = {}
+                for k, x in self.bracket_sparse(cols[i], cols[j]).items():
+                    for t, y in pinv[k].items():
+                        w[t] = w.get(t, ZERO) + x * y
+                entry = {t: w[t] for t in sorted(w) if w[t]}
                 if entry:
                     table[(i, j)] = entry
-        return LieAlgebra(self.dim, table, check=False)
+        return LieAlgebra(n, table, check=False)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.brackets)})"
@@ -379,6 +291,8 @@ def parse_lie(text: str) -> LieAlgebra:
         if kw == "dim":
             if dim is not None:
                 raise ValueError(f"line {lineno}: duplicate dim")
+            if len(parts) != 2:
+                raise ValueError(f"line {lineno}: dim needs one value")
             dim = int(parts[1])
         elif kw == "names":
             names = parts[1:]

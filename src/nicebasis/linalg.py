@@ -1,9 +1,10 @@
-"""Dense rational matrices and univariate rational polynomials.
+"""Rational matrices, the sparse echelon core, and rational polynomials.
 
-Matrices are immutable row-major tuples of exact rationals.  Echelon forms
-are fully reduced and therefore canonical: identical input always yields
-identical output, which keeps golden-file tests stable.  Polynomials are
-stored dense, lowest degree first.
+Matrices are immutable row-major tuples of exact rationals.  Every echelon
+computation goes through Subspace, which keeps sparse rows in fully reduced
+form; that form is canonical, so identical input always yields identical
+output, which keeps golden-file tests stable.  Polynomials are stored
+dense, lowest degree first.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class Matrix:
         return tuple(_dot(row, v) for row in self.data)
 
     def rank(self):
-        return len(rref(self.data)[1])
+        return Subspace(self.cols, self.data).dim
 
     def det(self):
         if not self.is_square():
@@ -170,11 +171,10 @@ class Matrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        aug = [list(self.data[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        reduced, pivots = rref(aug)
-        if len(pivots) < n or any(p >= n for p in pivots):
+        aug = Subspace(2 * n, ({**sparse(row), n + i: ONE} for i, row in enumerate(self.data)))
+        if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Matrix([row[n:] for row in reduced])
+        return Matrix([[aug.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
 
     def char_poly(self):
         return char_poly(self)
@@ -191,158 +191,133 @@ def _dot(a, b):
     return s
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def sparse(vector):
+    """Nonzero entries of a dense vector as a {index: value} dict."""
+    return {i: x for i, x in enumerate(vector) if x}
 
-    Accepts an iterable of rows (sequences of rationals); returns
-    (rows, pivot_columns) with zero rows dropped.  The result is the unique
-    RREF, hence canonical.
+
+def dense(vec, n):
+    """Dense tuple of length n from a sparse {index: value} dict."""
+    return tuple(vec.get(i, ZERO) for i in range(n))
+
+
+class Subspace:
+    """Span of vectors in Q^ambient, kept in fully reduced echelon form.
+
+    rows maps each pivot column to its sparse row {col: value}: the pivot
+    entry is 1 and every other pivot column is zero in it.  That is the
+    unique reduced row echelon form of the span, hence canonical.  Vectors
+    may be given dense (sequences of length ambient) or sparse (dicts).
     """
-    work = [list(map(Q, r)) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
 
+    __slots__ = ("ambient", "rows")
 
-def nullspace(m: Matrix):
-    """Canonical kernel basis of m (column vectors as tuples).
+    def __init__(self, ambient, vectors=()):
+        self.ambient = ambient
+        self.rows = {}
+        for v in vectors:
+            self.add(v)
 
-    One vector per free column, ordered by free column index; entries read
-    off the reduced echelon form so the output is deterministic.
-    """
-    reduced, pivots = rref(m.data)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(tuple(v))
-    return basis
+    def reduce(self, vector):
+        """Residue of vector modulo the span, sparse (empty iff contained)."""
+        if isinstance(vector, dict):
+            items = vector.items()
+        elif len(vector) == self.ambient:
+            items = enumerate(vector)
+        else:
+            raise ValueError("vector length mismatch")
+        v = {c: Q(x) for c, x in items if x}
+        rows = self.rows
+        # rows vanish on each other's pivots, so one pass over the pivots
+        # present in v clears them all and creates no new ones
+        for p in [c for c in v if c in rows]:
+            f = v.pop(p)
+            for c, x in rows[p].items():
+                if c != p:
+                    y = v.get(c, ZERO) - f * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
+        return v
 
+    def add(self, vector):
+        """Add a vector to the span; returns True if the dimension grew."""
+        v = self.reduce(vector)
+        if not v:
+            return False
+        p = min(v)
+        inv = 1 / v[p]
+        v = {c: x * inv for c, x in v.items()}
+        for row in self.rows.values():
+            f = row.get(p)
+            if f:
+                for c, x in v.items():
+                    y = row.get(c, ZERO) - f * x
+                    if y:
+                        row[c] = y
+                    else:
+                        del row[c]
+        self.rows[p] = v
+        return True
 
-class SparseEchelon:
-    """Incremental row space in reduced echelon form, sparse dict rows."""
-
-    def __init__(self):
-        self.rows = {}  # pivot col -> {col: value}, fully reduced
+    def contains(self, vector):
+        return not self.reduce(vector)
 
     @property
     def dim(self):
         return len(self.rows)
 
+    @property
     def pivots(self):
-        return set(self.rows)
+        return sorted(self.rows)
 
-    def reduce(self, vec):
-        """Residue of a sparse {col: value} vector modulo the row space."""
-        v = {c: Q(x) for c, x in vec.items() if Q(x) != 0}
-        for c in sorted(v):
-            if c in v and c in self.rows and v[c] != 0:
-                f = v[c]
-                for cc, vv in self.rows[c].items():
-                    v[cc] = v.get(cc, ZERO) - f * vv
-                    if v[cc] == 0:
-                        del v[cc]
-        return {c: x for c, x in v.items() if x != 0}
+    def basis(self):
+        """The reduced rows as dense tuples, by increasing pivot."""
+        return [dense(self.rows[p], self.ambient) for p in self.pivots]
 
-    def add(self, vec):
-        """Insert a vector; returns True if the row space grew."""
-        row = self.reduce(vec)
-        if not row:
-            return False
-        p = min(row)
-        inv = 1 / row[p]
-        row = {c: v * inv for c, v in row.items()}
-        for stored in self.rows.values():
-            if p in stored:
-                f = stored[p]
-                for cc, vv in row.items():
-                    stored[cc] = stored.get(cc, ZERO) - f * vv
-                    if stored[cc] == 0:
-                        del stored[cc]
-        self.rows[p] = row
-        return True
+    def kernel(self):
+        """Canonical basis of {x : row . x = 0 for every row}.
 
-    def contains(self, vec):
-        return not self.reduce(vec)
+        One vector per free (non-pivot) column f, ordered by f, with x_f = 1
+        and x_p = -row_p[f] on the pivots.
+        """
+        n = self.ambient
+        free = [c for c in range(n) if c not in self.rows]
+        vecs = {f: [ZERO] * n for f in free}
+        for f in free:
+            vecs[f][f] = ONE
+        for p, row in self.rows.items():
+            for c, x in row.items():
+                if c != p:
+                    vecs[c][p] = -x
+        return [tuple(vecs[f]) for f in free]
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self.rows == other.rows
+        )
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim} in R^{self.ambient})"
 
 
-def sparse_nullspace(rows, ncols):
-    """Canonical kernel basis for rows given as sparse {col: value} dicts.
-
-    Same output convention as nullspace(); built for large, very sparse
-    systems (derivation equations) where dense elimination is too slow.
-    """
-    pivot_rows = {}  # pivot col -> reduced row dict
-    for raw in rows:
-        row = {c: Q(v) for c, v in raw.items() if Q(v) != 0}
-        # forward reduce against existing pivots
-        for c in sorted(row):
-            if c in row and c in pivot_rows and row[c] != 0:
-                f = row[c]
-                for cc, vv in pivot_rows[c].items():
-                    row[cc] = row.get(cc, ZERO) - f * vv
-                    if row[cc] == 0:
-                        del row[cc]
-        row = {c: v for c, v in row.items() if v != 0}
-        if not row:
-            continue
-        p = min(row)
-        inv = 1 / row[p]
-        row = {c: v * inv for c, v in row.items()}
-        # back substitute into stored rows
-        for q, stored in pivot_rows.items():
-            if p in stored:
-                f = stored[p]
-                for cc, vv in row.items():
-                    stored[cc] = stored.get(cc, ZERO) - f * vv
-                    if stored[cc] == 0:
-                        del stored[cc]
-        pivot_rows[p] = row
-    pivots = set(pivot_rows)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [ZERO] * ncols
-        v[f] = ONE
-        for p, row in pivot_rows.items():
-            if f in row:
-                v[p] = -row[f]
-        basis.append(tuple(v))
-    return basis
+def nullspace(m: Matrix):
+    """Canonical kernel basis of m (column vectors as tuples)."""
+    return Subspace(m.cols, m.data).kernel()
 
 
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
-    b = [Q(x) for x in rhs]
-    aug = [list(row) + [b[i]] for i, row in enumerate(m.data)]
-    reduced, pivots = rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    aug = Subspace(n + 1, ({**sparse(row), n: Q(b)} for row, b in zip(m.data, rhs)))
+    if n in aug.rows:
         return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][-1]
+    x = [ZERO] * n
+    for p, row in aug.rows.items():
+        x[p] = row.get(n, ZERO)
     return tuple(x)
 
 
@@ -528,11 +503,6 @@ class Poly:
         return self.divmod(other)[1]
 
 
-def poly_divide(p: Poly, q: Poly):
-    """Alias for Poly.divmod kept as a module-level operation."""
-    return p.divmod(q)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a % b
@@ -618,10 +588,10 @@ def minimal_polynomial(m: Matrix) -> Poly:
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
+    ident = Matrix.identity(n)
     result = Poly([ONE])
     for i in range(n):
-        v = tuple(ONE if j == i else ZERO for j in range(n))
-        krylov = [v]
+        krylov = [ident.row(i)]
         while True:
             # look for a dependency of the last vector on the previous ones
             cols = Matrix.from_columns(krylov[:-1]) if len(krylov) > 1 else None

@@ -55,15 +55,12 @@ def check_adapted(g: LieAlgebra):
     Returns (True, None) or (False, info) where info names the failing series
     term and its dimension versus the number of basis vectors inside it.
     """
-    basis = [
-        tuple(ONE if t == i else ZERO for t in range(g.dim)) for i in range(g.dim)
-    ]
     for label, series in (
         ("lower", g.lower_central_series()),
         ("upper", g.upper_central_series()),
     ):
         for idx, s in enumerate(series):
-            inside = sum(1 for v in basis if s.contains(v))
+            inside = sum(1 for i in range(g.dim) if s.contains({i: ONE}))
             if inside != s.dim:
                 return False, {
                     "series": label,
@@ -72,11 +69,6 @@ def check_adapted(g: LieAlgebra):
                     "basis_vectors_inside": inside,
                 }
     return True, None
-
-
-def conjugate(g: LieAlgebra, p: Matrix) -> LieAlgebra:
-    """Structure tensor of g in the basis given by the columns of p."""
-    return g.change_basis(p)
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,8 @@ def monomial_equivalent(g: LieAlgebra, basis_a: Matrix, basis_b: Matrix):
     Permutations are searched in lexicographic order and the first verified
     witness is returned, so the result is deterministic.
     """
-    ta = conjugate(g, basis_a)
-    tb = conjugate(g, basis_b)
+    ta = g.change_basis(basis_a)
+    tb = g.change_basis(basis_b)
     if not check_nice(ta):
         raise InputBasisNotNice("first basis is not nice")
     if not check_nice(tb):

@@ -20,10 +20,14 @@ ONE = Q(1)
 
 
 def rat(value, den=None):
-    """Build a rational from an int, a string like "9/32", or a pair."""
-    if den is not None:
-        return Q(value, den)
-    return Q(value)
+    """Build a rational from an int, a string like "9/32", or a pair.
+
+    A zero denominator raises ValueError, like any other malformed value.
+    """
+    try:
+        return Q(value) if den is None else Q(value, den)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def fmt(q) -> str:

@@ -7,7 +7,6 @@ from nicebasis import (
     catalog,
     check_nice,
     classify3,
-    conjugate,
     cyclic_sign_pattern,
     fixtures,
     monomial_equivalent,
@@ -53,7 +52,7 @@ class TestCatalog:
         for e in entries.values():
             assert len(e.nice_bases) == e.nu
             for b in e.nice_bases:
-                assert check_nice(conjugate(e.algebra, b))
+                assert check_nice(e.algebra.change_basis(b))
 
     def test_two_bases_inequivalent(self, entries):
         for e in entries.values():
@@ -75,7 +74,7 @@ class TestSignPattern:
     def test_sl2_second_basis_mixed(self):
         alg = fixtures.sl2()
         _, second = simple_nice_bases("sl2")
-        signs = cyclic_sign_pattern(conjugate(alg, second))
+        signs = cyclic_sign_pattern(alg.change_basis(second))
         assert signs is not None
         assert len(set(signs)) == 2
 
@@ -85,7 +84,7 @@ class TestSignPattern:
     def test_invariant_under_scaling(self):
         alg = fixtures.so3()
         p = Matrix.diagonal([rat(2), rat(3), rat(5)])
-        signs = cyclic_sign_pattern(conjugate(alg, p))
+        signs = cyclic_sign_pattern(alg.change_basis(p))
         assert signs is not None
         assert len(set(signs)) == 1
 
@@ -111,7 +110,7 @@ class TestClassify:
     def test_round_trip_under_change_of_basis(self, alg_name):
         alg = getattr(fixtures, alg_name)()
         direct = classify3(alg)
-        shuffled = classify3(conjugate(alg, SHUFFLE))
+        shuffled = classify3(alg.change_basis(SHUFFLE))
         assert direct is not None and shuffled is not None
         assert direct.name == shuffled.name
         assert direct.nu == shuffled.nu
@@ -137,6 +136,6 @@ class TestClassify:
 
     def test_rescaled_solvable(self, entries):
         e = entries["aa(A_-1)"]
-        got = classify3(conjugate(e.algebra, SHUFFLE))
+        got = classify3(e.algebra.change_basis(SHUFFLE))
         assert got is not None
         assert got.nu == 2

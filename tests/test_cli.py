@@ -161,3 +161,60 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+def _fixture_runs():
+    for path in sorted(FIX.iterdir()):
+        if path.suffix == ".lie":
+            yield from (["check", path], ["pre-einstein", path], ["nu-product", path])
+        elif path.suffix == ".mat":
+            yield ["aa", path]
+        elif path.suffix == ".graph":
+            yield from (["graph", path], ["graph", "--nice", path])
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv", list(_fixture_runs()),
+                         ids=lambda argv: " ".join(str(getattr(a, "name", a)) for a in argv))
+def test_every_fixture_every_subcommand(capsys, argv, as_json):
+    # a valid fixture gets a verdict (0 or 1), never a usage error or a crash;
+    # a command that refuses its input (pre-einstein on a basis that is not
+    # nice) says why on stderr and prints no report
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert out.strip() or (code == 1 and err.startswith("error: "))
+    if as_json and out:
+        json.loads(out)
+
+
+class TestNilpotentAA:
+    @pytest.mark.parametrize("name", ["nilpotent_c.mat", "zero_b.mat"])
+    def test_nilpotent_has_a_nice_basis(self, capsys, name):
+        code, rep, _ = run_json(capsys, "aa", FIX / name)
+        assert code == 0
+        assert rep["exists"] == "yes"
+        assert rep["nu"] == 1
+        assert rep["factorizations"] == []
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["check"], "dim\n"),
+    (["pre-einstein"], "dim 3 4\nbracket 1 2 3 1\n"),
+    (["check"], "dim 3\nbracket 1 2 3 1/0\n"),
+    (["aa"], "2\n1/0 0\n0 1\n"),
+    (["aa"], "x\n1\n"),
+    (["graph", "--nice"], "vertices 3\nclass 3\nedge 1\n"),
+    (["graph"], "vertices\nclass 3\n"),
+    (["graph"], "vertices 3\nclass 3\nedge 1 2 3\n"),
+], ids=["dim-no-value", "dim-two-values", "bracket-zero-denominator",
+        "matrix-zero-denominator", "matrix-bad-size", "edge-one-endpoint",
+        "vertices-no-value", "edge-three-endpoints"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1

@@ -11,10 +11,10 @@ from nicebasis.derivations import (
     spectra_disjoint,
     nu_product_rule,
     simple_spectrum_unique,
-    nu_abelian_extension,
     NotNiceBasis,
     PreEinstein,
 )
+from nicebasis.almost_abelian import count_nice
 from nicebasis.lie import direct_sum, abelian
 from nicebasis.linalg import Matrix
 from nicebasis.scalars import Q, rat
@@ -172,6 +172,10 @@ class TestCountingRules:
         assert simple_spectrum_unique(l5, False) is None
 
     def test_abelian_extension_rewrite(self):
-        for nu in (0, 1, 5, None):
+        # an abelian factor R^m turns A into the block-diagonal A + 0_m
+        for a, nu in ((fixtures.matrix_cyclic(4), 3), (fixtures.matrix_c(), 1)):
+            k = a.rows
             for m in (1, 2, 3):
-                assert nu_abelian_extension(nu, m) == nu
+                padded = Matrix([list(row) + [0] * m for row in a.data]
+                                + [[0] * (k + m)] * m)
+                assert count_nice(padded) == count_nice(a) == nu

@@ -7,13 +7,11 @@ from hypothesis import given, settings, strategies as st
 from nicebasis.linalg import (
     Matrix,
     Poly,
-    rref,
-    sparse_nullspace,
+    Subspace,
     nullspace,
     solve,
     char_poly,
     is_nilpotent,
-    poly_divide,
     poly_gcd,
     rational_roots,
     count_real_roots,
@@ -68,9 +66,10 @@ class TestMatrix:
 
 class TestRref:
     def test_canonical(self):
-        rows, pivots = rref([(rat(0), rat(2)), (rat(1), rat(1))])
-        assert list(pivots) == [0, 1]
-        assert list(rows) == [(rat(1), rat(0)), (rat(0), rat(1))]
+        s = Subspace(2, [(rat(0), rat(2)), (rat(1), rat(1))])
+        assert s.pivots == [0, 1]
+        assert s.basis() == [(rat(1), rat(0)), (rat(0), rat(1))]
+        assert s.rows == {0: {0: rat(1)}, 1: {1: rat(1)}}
 
     def test_rank_nullity(self):
         m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
@@ -81,7 +80,7 @@ class TestRref:
 
     def test_sparse_agrees_with_dense(self):
         rows = [{0: rat(1), 2: rat(-1)}, {1: rat(2), 2: rat(2)}]
-        vecs = sparse_nullspace(rows, 3)
+        vecs = Subspace(3, rows).kernel()
         assert len(vecs) == 1
         for row in rows:
             assert sum(c * vecs[0][j] for j, c in row.items()) == 0
@@ -148,7 +147,7 @@ class TestPoly:
         p, q = Poly(a), Poly(b)
         if q.degree < 0:
             return
-        quot, rem = poly_divide(p, q)
+        quot, rem = p.divmod(q)
         assert quot * q + rem == p
         assert rem.degree < q.degree
 

@@ -6,7 +6,6 @@ from nicebasis.linalg import Matrix
 from nicebasis.nice import (
     check_nice,
     check_adapted,
-    conjugate,
     monomial_equivalent,
     InputBasisNotNice,
 )
@@ -61,7 +60,7 @@ class TestAdapted:
         cols = [[rat(0)] * 4 for _ in range(4)]
         for i, p in enumerate(perm):
             cols[p][i] = rat(scales[i])
-        h = conjugate(g, Matrix(cols))
+        h = g.change_basis(Matrix(cols))
         assert check_nice(h).is_nice
 
 
@@ -73,7 +72,7 @@ class TestMonomialEquivalent:
         m = monomial_equivalent(g, ident, scaled)
         assert m is not None
         assert m.sigma == (0, 1, 2)
-        assert m.is_isomorphism(conjugate(g, ident), conjugate(g, scaled))
+        assert m.is_isomorphism(g.change_basis(ident), g.change_basis(scaled))
 
     def test_requires_nice_inputs(self):
         g = fixtures.n6()
@@ -97,4 +96,4 @@ class TestMonomialEquivalent:
         other = Matrix.diagonal([rat(3), rat(1), rat(3), rat(-2)])
         m = monomial_equivalent(g, ident, other)
         assert m is not None
-        assert m.is_isomorphism(conjugate(g, ident), conjugate(g, other))
+        assert m.is_isomorphism(g.change_basis(ident), g.change_basis(other))
