@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .scalars import Q, ZERO, ONE, rat, fmt
-from .lie import LieAlgebra
+from .lie import DIMENSION_CAP, LieAlgebra
 from .linalg import (
     Matrix,
     Poly,
@@ -92,7 +92,7 @@ class BinomialFactorization:
 
 
 def _binomial_divisors(p: Poly):
-    """Rational binomial divisors (d, r) of p, plus an irrational-root flag.
+    """Sorted rational binomial divisors (d, r) of p, and an irrational flag.
 
     For each degree d, the remainder of p modulo x^d - r has coefficients
     that are polynomials in r; valid constants are their common roots.  The
@@ -122,23 +122,26 @@ def _binomial_divisors(p: Poly):
                 divisors.append((d, root))
         if h.degree > 0 and count_real_roots(h) > 0:
             irrational = True
-    return divisors, irrational
+    return sorted(divisors), irrational
 
 
-def _enumerate(p: Poly, memo):
-    key = p.coeffs
-    if key in memo:
-        return memo[key]
+def _enumerate(p: Poly, divisors, start=0):
+    """Factorizations of p over divisors[start:] as sorted tuples, each once.
+
+    divisors lists, sorted, every binomial dividing the top polynomial and
+    so every binomial dividing one of its quotients; taking factors from
+    start on yields the tuples in lexicographic order.
+    """
     if p.degree == 0:
-        memo[key] = {()}
-        return memo[key]
-    out = set()
-    divisors, _ = _binomial_divisors(p)
-    for d, r in divisors:
-        quotient = p // Poly.binomial(d, r)
-        for rest in _enumerate(quotient, memo):
-            out.add(tuple(sorted(rest + ((d, r),))))
-    memo[key] = out
+        return [()]
+    out = []
+    for idx in range(start, len(divisors)):
+        d, r = divisors[idx]
+        if d > p.degree:
+            break
+        quotient, rem = p.divmod(Poly.binomial(d, r))
+        if rem.is_zero():
+            out.extend(((d, r),) + rest for rest in _enumerate(quotient, divisors, idx))
     return out
 
 
@@ -152,8 +155,8 @@ def enumerate_factorizations(p: Poly):
         raise ZeroConstantTerm("constant term must be nonzero")
     if p.coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    raw = _enumerate(p, {})
-    return [BinomialFactorization.of(t) for t in sorted(raw)]
+    divisors, _ = _binomial_divisors(p)
+    return [BinomialFactorization(t) for t in _enumerate(p, divisors)]
 
 
 def _bezout(values):
@@ -233,32 +236,32 @@ class ExistsVerdict:
         return self.status == "yes"
 
 
-def _analysis(a: Matrix):
-    """Shared existence/count analysis; returns a dict of intermediate data."""
-    n = a.rows
-    phi = char_poly(a)
-    zero_mult = 0
-    q = phi
-    while q.coeffs and q.coeffs[0] == 0:
+@dataclass(frozen=True)
+class Analysis:
+    """What existence and count read off A, computed once per matrix."""
+
+    nilpotent: bool
+    reduced: Poly  # char_poly(A) with its x-power stripped
+    semisimple: bool = True  # of the non-nilpotent part
+    factorizations: tuple = ()  # sorted BinomialFactorization of reduced
+    irrational: bool = False  # reduced may split with irrational constants
+
+
+def _analysis(a: Matrix) -> Analysis:
+    q = char_poly(a)
+    while q.coeffs[0] == 0:
         q = Poly(q.coeffs[1:])
-        zero_mult += 1
-    out = {"phi": phi, "zero_mult": zero_mult, "reduced": q, "n": n}
-    if zero_mult == n:
-        out["nilpotent"] = True
-        out["factorizations"] = []
-        return out
-    out["nilpotent"] = False
+    if q.degree == 0:
+        return Analysis(nilpotent=True, reduced=q)
     # semisimplicity of the non-nilpotent part: the minimal polynomial with
     # its x-power stripped must be squarefree
     mp = minimal_polynomial(a)
     while mp.coeffs[0] == 0:
         mp = Poly(mp.coeffs[1:])
-    out["semisimple"] = poly_gcd(mp, mp.derivative()).degree == 0
-    facts = set(_enumerate(q, {}))
-    _, irrational = _binomial_divisors(q)
-    out["factorizations"] = sorted(facts)
-    out["irrational"] = irrational
-    return out
+    semisimple = poly_gcd(mp, mp.derivative()).degree == 0
+    divisors, irrational = _binomial_divisors(q)
+    facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors))
+    return Analysis(False, q, semisimple, facts, irrational)
 
 
 def exists_nice(a: Matrix) -> ExistsVerdict:
@@ -270,23 +273,23 @@ def exists_nice(a: Matrix) -> ExistsVerdict:
     return _exists(a, _analysis(a))
 
 
-def _exists(a: Matrix, data) -> ExistsVerdict:
-    if data["nilpotent"]:
+def _exists(a: Matrix, data: Analysis) -> ExistsVerdict:
+    if data.nilpotent:
         witness = _witness_basis(a, None)
         return ExistsVerdict("yes", witness=witness)
-    if not data["semisimple"]:
+    if not data.semisimple:
         return ExistsVerdict(
             "no", reason="non-nilpotent part of A is not semisimple"
         )
-    if data["factorizations"]:
-        fact = BinomialFactorization.of(data["factorizations"][0])
+    if data.factorizations:
+        fact = data.factorizations[0]
         witness = _witness_basis(a, fact)
         return ExistsVerdict("yes", witness=witness, factorization=fact)
-    if data["irrational"]:
+    if data.irrational:
         return ExistsVerdict(
             "unknown-irrational",
             reason="characteristic polynomial may split with irrational constants",
-            numeric_hint=_numeric_hint(data["reduced"]),
+            numeric_hint=_numeric_hint(data.reduced),
         )
     return ExistsVerdict(
         "no",
@@ -300,18 +303,15 @@ def count_nice(a: Matrix):
     return _count(_analysis(a))
 
 
-def _count(data):
-    if data["nilpotent"]:
+def _count(data: Analysis):
+    if data.nilpotent:
         return 1
-    if not data["semisimple"]:
+    if not data.semisimple:
         return 0
-    if data["irrational"]:
+    if data.irrational:
         return None
-    facts = [BinomialFactorization.of(t) for t in data["factorizations"]]
-    if not facts:
-        return 0
     classes = []
-    for f in facts:
+    for f in data.factorizations:
         if not any(factorizations_equivalent(f, rep) for rep in classes):
             classes.append(f)
     return len(classes)
@@ -492,6 +492,8 @@ def parse_matrix(text: str) -> Matrix:
     if not size.isdigit():
         raise ValueError(f"line {lineno}: matrix size must be a non-negative integer")
     n = int(size)
+    if n > DIMENSION_CAP:
+        raise ValueError(f"line {lineno}: matrix size must be at most {DIMENSION_CAP}")
     if len(tokens) - 1 != n * n:
         raise ValueError(f"expected {n*n} entries, got {len(tokens) - 1}")
     vals = []

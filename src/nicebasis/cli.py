@@ -30,7 +30,6 @@ from .almost_abelian import (
     _count,
     _exists,
     load_matrix,
-    BinomialFactorization,
 )
 from .graphs import (
     load_graph,
@@ -185,8 +184,7 @@ def cmd_aa(args):
     data = _analysis(a)
     verdict = _exists(a, data)
     nu = _count(data)
-    facts = [str(BinomialFactorization.of(t))
-             for t in data["factorizations"]]
+    facts = [str(f) for f in data.factorizations]
     lines = [f"exists {verdict.status}"]
     if verdict.reason:
         lines.append(f"reason {verdict.reason}")

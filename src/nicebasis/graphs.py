@@ -15,12 +15,9 @@ import itertools
 from dataclasses import dataclass
 
 from .scalars import ZERO, ONE
-from .lie import LieAlgebra, abelian
+from .lie import DIMENSION_CAP, LieAlgebra, abelian
 from .linalg import Matrix, Subspace, _divisors, dense
 from .nice import check_nice
-
-
-DIMENSION_CAP = 256
 
 
 class DimensionCapExceeded(ValueError):
@@ -395,12 +392,16 @@ def parse_graph(text: str) -> GraphSpec:
             raise ValueError(f"line {lineno}: unknown keyword {kw!r}")
         if len(args) != arity:
             raise ValueError(f"line {lineno}: {kw} needs {arity} value(s)")
-        if kw == "vertices":
-            vertices = int(args[0])
-        elif kw == "class":
-            klass = int(args[0])
-        else:
+        if kw == "edge":
             edges.append((int(args[0]) - 1, int(args[1]) - 1))
+            continue
+        value, low = int(args[0]), (0 if kw == "vertices" else 1)
+        if not low <= value <= DIMENSION_CAP:
+            raise ValueError(f"line {lineno}: {kw} must be between {low} and {DIMENSION_CAP}")
+        if kw == "vertices":
+            vertices = value
+        else:
+            klass = value
     if vertices is None or klass is None:
         raise ValueError("graph file needs 'vertices' and 'class' lines")
     return GraphSpec.of(vertices, edges, klass)

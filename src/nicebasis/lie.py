@@ -13,6 +13,10 @@ from __future__ import annotations
 from .scalars import Q, ZERO, ONE, rat, fmt
 from .linalg import Matrix, Subspace, dense, sparse
 
+# Largest dimension (matrix size, graph vertex count or class) any input
+# file or constructed algebra may have; larger inputs are refused up front.
+DIMENSION_CAP = 256
+
 
 class LieAlgebra:
     def __init__(self, dim, brackets, names=None, check=True):
@@ -294,6 +298,8 @@ def parse_lie(text: str) -> LieAlgebra:
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: dim needs one value")
             dim = int(parts[1])
+            if not 0 <= dim <= DIMENSION_CAP:
+                raise ValueError(f"line {lineno}: dim must be between 0 and {DIMENSION_CAP}")
         elif kw == "names":
             names = parts[1:]
         elif kw == "bracket":

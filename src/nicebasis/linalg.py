@@ -176,9 +176,6 @@ class Matrix:
             raise ValueError("singular matrix")
         return Matrix([[aug.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
 
-    def char_poly(self):
-        return char_poly(self)
-
     def to_lists(self):
         return [list(row) for row in self.data]
 
@@ -321,51 +318,49 @@ def solve(m: Matrix, rhs):
     return tuple(x)
 
 
-def _is_hessenberg(m: Matrix) -> bool:
-    return all(
-        m.data[i][j] == 0 for i in range(m.rows) for j in range(i - 1)
-    )
-
-
-def _char_poly_hessenberg(h: Matrix) -> "Poly":
-    # recurrence on leading principal minors of xI - h; O(n^3) coefficient ops
-    n = h.rows
-    ps = [Poly([ONE])]
-    for k in range(1, n + 1):
-        x_minus = Poly([-h.data[k - 1][k - 1], ONE])
-        p = x_minus * ps[k - 1]
-        prod = ONE
-        for i in range(k - 1, 0, -1):
-            prod *= h.data[i][i - 1]
-            if h.data[i - 1][k - 1] != 0 and prod != 0:
-                p = p - ps[i - 1] * (prod * h.data[i - 1][k - 1])
-            if prod == 0:
-                break
-        ps.append(p)
-    return ps[n]
-
-
 def char_poly(m: Matrix) -> "Poly":
-    """Characteristic polynomial det(xI - m), monic.
+    """Characteristic polynomial det(xI - m), monic, in O(n^3) for every m.
 
-    Faddeev-LeVerrier in general; a cheaper minor recurrence when the matrix
-    is already upper Hessenberg (companion matrices, in particular).
+    m is brought to upper Hessenberg form h by exact similarity, each row
+    operation paired with the inverse column operation; the leading
+    principal minors of xI - h then follow a recurrence (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2).
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    if n > 8 and _is_hessenberg(m):
-        return _char_poly_hessenberg(m)
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    mk = Matrix.identity(n)
+    h = [list(row) for row in m.data]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[piv], h[k + 1] = h[k + 1], h[piv]
+        for row in h:
+            row[piv], row[k + 1] = row[k + 1], row[piv]
+        top = h[k + 1]
+        for i in range(k + 2, n):
+            f = h[i][k] / top[k]
+            if not f:
+                continue
+            # row_i -= f * row_{k+1}, then col_{k+1} += f * col_i
+            for j in range(k, n):
+                if top[j]:
+                    h[i][j] -= f * top[j]
+            for row in h:
+                if row[i]:
+                    row[k + 1] += f * row[i]
+    ps = [Poly([ONE])]
     for k in range(1, n + 1):
-        am = m * mk
-        ck = -am.trace() / k
-        coeffs[n - k] = ck
-        if k < n:
-            mk = am + Matrix.identity(n) * ck
-    return Poly(coeffs)
+        p = Poly([-h[k - 1][k - 1], ONE]) * ps[k - 1]
+        prod = ONE
+        for i in range(k - 1, 0, -1):
+            prod *= h[i][i - 1]
+            if prod == 0:
+                break
+            if h[i - 1][k - 1] != 0:
+                p = p - ps[i - 1] * (prod * h[i - 1][k - 1])
+        ps.append(p)
+    return ps[n]
 
 
 def is_nilpotent(m: Matrix):
@@ -619,7 +614,8 @@ def similar(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
-    if char_poly(a) != char_poly(b):
+    phi = char_poly(a)
+    if phi != char_poly(b):
         return False
     na, _ = is_nilpotent(a)
     nb, _ = is_nilpotent(b)
@@ -637,7 +633,7 @@ def similar(a: Matrix, b: Matrix):
     if a.rows <= 3:
         return True
     # weaker necessary conditions; report unknown if they all pass
-    for root, _ in rational_roots(char_poly(a)):
+    for root, _ in rational_roots(phi):
         pa = pb = Matrix.identity(a.rows)
         shift_a = a - Matrix.identity(a.rows) * root
         shift_b = b - Matrix.identity(b.rows) * root

@@ -172,10 +172,31 @@ def check_root64_witness():
             "constructed and reference cyclic witnesses both verify")
 
 
+# nu of each three-dimensional real Lie algebra, as tabulated in the paper
+CATALOG_NU = {
+    "R^3": 1,
+    "h3": 1,
+    "aa(A_-1)": 2,
+    "aa(A_lambda=-1/2)": 1,
+    "aa(A_lambda=0)": 1,
+    "aa(A_lambda=1/2)": 1,
+    "aa(A_lambda=1)": 1,
+    "aa(D)": 0,
+    "aa(E_0)": 1,
+    "aa(E_mu=1)": 0,
+    "aa(E_mu=2)": 0,
+    "sl2": 2,
+    "so3": 1,
+}
+
+
 def check_catalog_counts():
-    """Every entry of the three-dimensional catalog verifies: the listed
-    count matches a recomputation and each listed basis is nice."""
+    """Every entry of the three-dimensional catalog verifies: the computed
+    count matches the paper's table and each listed basis is nice."""
     rows = catalog()
+    if sorted(e.name for e in rows) != sorted(CATALOG_NU):
+        return ("three-dim-catalog", False,
+                "catalog rows differ from the paper's table")
     names = []
     for entry in rows:
         try:
@@ -183,9 +204,10 @@ def check_catalog_counts():
         except RuntimeError as err:
             return ("three-dim-catalog", False,
                     "%s: %s" % (entry.name, err))
-        if entry.matrix is not None and count_nice(entry.matrix) != entry.nu:
+        if entry.nu != CATALOG_NU[entry.name]:
             return ("three-dim-catalog", False,
-                    "%s: recomputed count disagrees" % entry.name)
+                    "%s: count %s, paper %s"
+                    % (entry.name, entry.nu, CATALOG_NU[entry.name]))
         names.append("%s=%s" % (entry.name, entry.nu))
     return ("three-dim-catalog", True, "; ".join(names))
 

@@ -10,6 +10,8 @@ and print as "p/q" or "p", which is the serialization used everywhere
 
 from __future__ import annotations
 
+import re
+
 try:
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
@@ -19,11 +21,19 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rat(value, den=None):
     """Build a rational from an int, a string like "9/32", or a pair.
 
-    A zero denominator raises ValueError, like any other malformed value.
+    Strings must be plain "p" or "p/q" in ASCII digits; decimals and
+    exponents ("1.5", "1e999999999") are refused before any big integer is
+    built.  A zero denominator raises ValueError, like any other malformed
+    value.
     """
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"not a rational p or p/q: {value!r}")
     try:
         return Q(value) if den is None else Q(value, den)
     except ZeroDivisionError:

@@ -4,6 +4,7 @@ import pytest
 
 from nicebasis import (
     Matrix,
+    reproduce,
     catalog,
     check_nice,
     classify3,
@@ -63,6 +64,18 @@ class TestCatalog:
     def test_dimension_three(self, entries):
         for e in entries.values():
             assert e.algebra.dim == 3
+
+
+class TestReproduceCheck:
+    def test_table_is_the_papers(self):
+        assert reproduce.CATALOG_NU == EXPECTED
+
+    def test_a_count_off_the_table_fails(self, monkeypatch):
+        monkeypatch.setitem(reproduce.CATALOG_NU, "sl2", 1)
+        name, ok, detail = reproduce.check_catalog_counts()
+        assert name == "three-dim-catalog"
+        assert not ok
+        assert detail == "sl2: count 2, paper 1"
 
 
 class TestSignPattern:

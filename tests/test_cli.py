@@ -207,9 +207,20 @@ class TestNilpotentAA:
     (["graph", "--nice"], "vertices 3\nclass 3\nedge 1\n"),
     (["graph"], "vertices\nclass 3\n"),
     (["graph"], "vertices 3\nclass 3\nedge 1 2 3\n"),
+    # sizes past DIMENSION_CAP are refused before anything is allocated
+    (["check"], "dim 1000000000\n"),
+    (["check"], "dim -1\n"),
+    (["aa"], "1000000000\n1\n"),
+    (["graph"], "vertices 1000000000\nclass 3\n"),
+    (["graph"], "vertices 2\nclass 1000000000\nedge 1 2\n"),
+    # only p and p/q: no exponent or decimal forms
+    (["check"], "dim 3\nbracket 1 2 3 1e5\n"),
+    (["aa"], "1\n1.5\n"),
 ], ids=["dim-no-value", "dim-two-values", "bracket-zero-denominator",
         "matrix-zero-denominator", "matrix-bad-size", "edge-one-endpoint",
-        "vertices-no-value", "edge-three-endpoints"])
+        "vertices-no-value", "edge-three-endpoints", "dim-over-cap",
+        "dim-negative", "matrix-size-over-cap", "vertices-over-cap",
+        "class-over-cap", "exponent-coefficient", "decimal-entry"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
