@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-from .scalars import Q, ZERO, ONE, rat, fmt
+from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
 from .lie import DIMENSION_CAP, LieAlgebra
 from .linalg import (
     Matrix,
@@ -25,6 +25,7 @@ from .linalg import (
     Subspace,
     char_poly,
     count_real_roots,
+    kernel_chain,
     minimal_polynomial,
     nullspace,
     poly_gcd,
@@ -352,14 +353,7 @@ def _witness_basis(a: Matrix, fact):
 
 def _nilpotent_chains(a: Matrix):
     n = a.rows
-    kernels = [Subspace(n)]
-    power = Matrix.identity(n)
-    while True:
-        power = power * a
-        k = Subspace(n, nullspace(power))
-        if k.dim == kernels[-1].dim:
-            break
-        kernels.append(k)
+    kernels = kernel_chain(a)
     s = len(kernels) - 1  # nilpotency index on the nilpotent part
     chains = []
     covered = Subspace(n)
@@ -406,7 +400,7 @@ def _cyclic_chain(a: Matrix, d, r, existing: Subspace):
     raise RuntimeError("no cyclic vector found for factor")
 
 
-def _numeric_hint(q: Poly, tol=1e-9):
+def _numeric_hint(q: Poly):
     """Float guess at root sets S_r^d of the reduced characteristic poly.
 
     Groups numpy roots by modulus and tests each group for being the full
@@ -418,7 +412,7 @@ def _numeric_hint(q: Poly, tol=1e-9):
     roots = sorted(np.roots(coeffs), key=abs)
     groups = []
     for z in roots:
-        if groups and abs(abs(z) - abs(groups[-1][0])) < tol * max(1.0, abs(z)):
+        if groups and abs(abs(z) - abs(groups[-1][0])) < 1e-9 * max(1.0, abs(z)):
             groups[-1].append(z)
         else:
             groups.append([z])
@@ -454,8 +448,9 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
     """Sufficient isomorphism test: is a similar to c*b for some rational c?
 
     Candidate scalars come from ratios of characteristic coefficients; the
-    similarity check is exact but incomplete for large non-nilpotent
-    matrices, so a None result means "not established", not "not isomorphic".
+    similarity check is exact but incomplete past size 3 when the spectrum
+    is not rational, so a None result means "not established", not "not
+    isomorphic".
     """
     if a.rows != b.rows:
         return None
@@ -489,11 +484,9 @@ def parse_matrix(text: str) -> Matrix:
     if not tokens:
         raise ValueError("empty matrix file")
     lineno, size = tokens[0]
-    if not size.isdigit():
-        raise ValueError(f"line {lineno}: matrix size must be a non-negative integer")
-    n = int(size)
-    if n > DIMENSION_CAP:
-        raise ValueError(f"line {lineno}: matrix size must be at most {DIMENSION_CAP}")
+    n = parse_int(size, "matrix size", lineno)
+    if not 0 <= n <= DIMENSION_CAP:
+        raise ValueError(f"line {lineno}: matrix size must be between 0 and {DIMENSION_CAP}")
     if len(tokens) - 1 != n * n:
         raise ValueError(f"expected {n*n} entries, got {len(tokens) - 1}")
     vals = []

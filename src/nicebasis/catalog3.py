@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, char_poly, is_nilpotent, rational_roots
+from .linalg import (
+    Matrix,
+    Subspace,
+    char_poly,
+    is_nilpotent,
+    is_positive_definite,
+    rational_roots,
+)
 from .nice import check_nice, monomial_equivalent
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
@@ -146,7 +153,7 @@ def classify3(g: LieAlgebra):
         return _aa_entry("R^3", fixtures.matrix_b(), [Matrix.identity(3)])
     killing = g.killing_form()
     if killing.det() != 0:
-        if _negative_definite(killing):
+        if is_positive_definite(-killing):
             return CatalogEntry(
                 "so3", None, fixtures.so3(), 1, tuple(simple_nice_bases("so3"))
             ).verify()
@@ -158,14 +165,6 @@ def classify3(g: LieAlgebra):
         return None
     a2 = _ad_action_matrix(g, h)
     return _match_2x2(a2)
-
-
-def _negative_definite(k: Matrix):
-    for t in range(1, k.rows + 1):
-        minor = Matrix([row[:t] for row in k.data[:t]]).det()
-        if sign(minor) != (-1) ** t:
-            return False
-    return True
 
 
 def _abelian_codim1_ideal(g: LieAlgebra, derived):

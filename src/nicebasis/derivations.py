@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .scalars import Q, ZERO, ONE
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _dot, solve, sparse
+from .linalg import Matrix, Subspace, _dot, is_positive_definite, solve, sparse
 from .nice import check_nice
 
 
@@ -167,10 +167,8 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
 
 
 def _assert_positive_definite(m: Matrix):
-    for k in range(1, m.rows + 1):
-        sub = Matrix([row[:k] for row in m.data[:k]])
-        if sub.det() <= 0:
-            raise RuntimeError("trace Gram matrix is not positive definite")
+    if not is_positive_definite(m):
+        raise RuntimeError("trace Gram matrix is not positive definite")
 
 
 def ln_closed_form(n: int):

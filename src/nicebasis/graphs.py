@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ZERO, ONE
+from .scalars import ZERO, ONE, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra, abelian
 from .linalg import Matrix, Subspace, _divisors, dense
 from .nice import check_nice
@@ -182,18 +182,8 @@ def witt_dimension(d, length):
 
 
 def _mobius(n):
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
+    exps = factor_int(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
 def graph_algebra(g: GraphSpec):
@@ -393,9 +383,9 @@ def parse_graph(text: str) -> GraphSpec:
         if len(args) != arity:
             raise ValueError(f"line {lineno}: {kw} needs {arity} value(s)")
         if kw == "edge":
-            edges.append((int(args[0]) - 1, int(args[1]) - 1))
+            edges.append(tuple(parse_int(t, "edge endpoint", lineno) - 1 for t in args))
             continue
-        value, low = int(args[0]), (0 if kw == "vertices" else 1)
+        value, low = parse_int(args[0], kw, lineno), (0 if kw == "vertices" else 1)
         if not low <= value <= DIMENSION_CAP:
             raise ValueError(f"line {lineno}: {kw} must be between {low} and {DIMENSION_CAP}")
         if kw == "vertices":

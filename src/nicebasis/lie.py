@@ -10,8 +10,8 @@ antisymmetry are enforced at construction time.
 
 from __future__ import annotations
 
-from .scalars import Q, ZERO, ONE, rat, fmt
-from .linalg import Matrix, Subspace, dense, sparse
+from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
+from .linalg import Matrix, Subspace, dense, kernel_of, sparse
 
 # Largest dimension (matrix size, graph vertex count or class) any input
 # file or constructed algebra may have; larger inputs are refused up front.
@@ -113,18 +113,6 @@ class LieAlgebra:
 
     # --- structural subspaces ---
 
-    def _kernel(self, images):
-        """Subspace of x with sum_i x_i * images[i] = 0.
-
-        images[i] is a sparse dict over any hashable coordinates; one
-        equation per coordinate.
-        """
-        eqs = {}
-        for i, img in enumerate(images):
-            for r, c in img.items():
-                eqs.setdefault(r, {})[i] = c
-        return Subspace(self.dim, Subspace(self.dim, eqs.values()).kernel())
-
     def derived_subalgebra(self):
         return Subspace(self.dim, self.brackets.values())
 
@@ -164,7 +152,7 @@ class LieAlgebra:
     def _preimage_of_center(self, z: Subspace) -> Subspace:
         # {x : [x, e_j] in z for all j}: the residues of [e_i, e_j] modulo z,
         # over all j, must combine to zero
-        return self._kernel([
+        return kernel_of([
             {(j, k): c for j, comps in row.items() for k, c in z.reduce(comps).items()}
             for row in self.ad_table
         ])
@@ -172,7 +160,7 @@ class LieAlgebra:
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
         vs = [v if isinstance(v, dict) else sparse(v) for v in vectors]
-        return self._kernel([
+        return kernel_of([
             {(t, k): c for t, v in enumerate(vs)
              for k, c in self.bracket_sparse({i: ONE}, v).items()}
             for i in range(self.dim)
@@ -297,7 +285,7 @@ def parse_lie(text: str) -> LieAlgebra:
                 raise ValueError(f"line {lineno}: duplicate dim")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: dim needs one value")
-            dim = int(parts[1])
+            dim = parse_int(parts[1], "dim", lineno)
             if not 0 <= dim <= DIMENSION_CAP:
                 raise ValueError(f"line {lineno}: dim must be between 0 and {DIMENSION_CAP}")
         elif kw == "names":
@@ -307,10 +295,13 @@ def parse_lie(text: str) -> LieAlgebra:
                 raise ValueError(f"line {lineno}: bracket before dim")
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: bracket needs i j k value")
-            i, j, k = int(parts[1]) - 1, int(parts[2]) - 1, int(parts[3]) - 1
+            i, j, k = (parse_int(t, "bracket index", lineno) - 1 for t in parts[1:4])
             if not i < j:
                 raise ValueError(f"line {lineno}: need i < j")
-            c = rat(parts[4])
+            try:
+                c = rat(parts[4])
+            except ValueError as err:
+                raise ValueError(f"line {lineno}: {err}") from None
             entry = table.setdefault((i, j), {})
             if k in entry:
                 raise ValueError(f"line {lineno}: duplicate component")

@@ -146,26 +146,7 @@ class Matrix:
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        # fraction-free-ish Gaussian elimination on a mutable copy
-        n = self.rows
-        m = [list(row) for row in self.data]
-        d = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f == 0:
-                    continue
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-        return d
+        return (-1) ** self.rows * char_poly(self)(ZERO)
 
     def inverse(self):
         if not self.is_square():
@@ -175,9 +156,6 @@ class Matrix:
         if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
         return Matrix([[aug.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
 
 
 def _dot(a, b):
@@ -318,6 +296,38 @@ def solve(m: Matrix, rhs):
     return tuple(x)
 
 
+def kernel_of(images) -> Subspace:
+    """Subspace of x in Q^len(images) with sum_i x_i * images[i] = 0.
+
+    images[i] is a sparse dict over any hashable coordinates; one equation
+    per coordinate.
+    """
+    eqs = {}
+    for i, img in enumerate(images):
+        for r, c in img.items():
+            eqs.setdefault(r, {})[i] = c
+    n = len(images)
+    return Subspace(n, Subspace(n, eqs.values()).kernel())
+
+
+def kernel_chain(m: Matrix):
+    """[0, ker m, ker m^2, ...] as Subspaces, ending at the first repeat.
+
+    ker m^(k+1) is the preimage of ker m^k: the x whose image sum_j x_j m_j
+    reduces to zero modulo ker m^k.  Reducing the sparse columns m_j once
+    per term gives its equations, so no power of m is formed.
+    """
+    if not m.is_square():
+        raise ValueError("kernel chain of non-square matrix")
+    cols = [sparse(m.column(j)) for j in range(m.cols)]
+    chain = [Subspace(m.rows)]
+    while True:
+        nxt = kernel_of([chain[-1].reduce(c) for c in cols])
+        if nxt.dim == chain[-1].dim:
+            return chain
+        chain.append(nxt)
+
+
 def char_poly(m: Matrix) -> "Poly":
     """Characteristic polynomial det(xI - m), monic, in O(n^3) for every m.
 
@@ -363,16 +373,27 @@ def char_poly(m: Matrix) -> "Poly":
     return ps[n]
 
 
+def is_positive_definite(m: Matrix) -> bool:
+    """Is the symmetric matrix m positive definite?
+
+    A symmetric matrix has only real eigenvalues, so by Descartes' rule of
+    signs they are all positive exactly when the coefficients of char_poly(m)
+    strictly alternate in sign.  Raises ValueError if m is not symmetric.
+    """
+    if m != m.transpose():
+        raise ValueError("definiteness of a non-symmetric matrix")
+    n = m.rows
+    return all(c * (-1) ** (n - k) > 0 for k, c in enumerate(char_poly(m).coeffs))
+
+
 def is_nilpotent(m: Matrix):
-    """(nilpotent?, index): index is the least k with m**k = 0, else None."""
-    if not m.is_square():
-        raise ValueError("nilpotency of non-square matrix")
-    power = Matrix.identity(m.rows)
-    for k in range(1, m.rows + 1):
-        power = power * m
-        if power.is_zero():
-            return True, k
-    return False, None
+    """(nilpotent?, index) read off kernel_chain(m).
+
+    index is the least k at which ker m^k stops growing; for nilpotent m
+    that is the least k with m**k = 0.
+    """
+    chain = kernel_chain(m)
+    return chain[-1].dim == m.rows, len(chain) - 1
 
 
 class Poly:
@@ -387,8 +408,8 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
-    def x_power(k, coeff=ONE):
-        return Poly([ZERO] * k + [Q(coeff)])
+    def x_power(k):
+        return Poly([ZERO] * k + [ONE])
 
     @staticmethod
     def binomial(degree, constant):
@@ -579,68 +600,59 @@ def count_real_roots(p: Poly) -> int:
 
 
 def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial via per-vector Krylov dependencies."""
+    """Monic minimal polynomial: lcm of the local ones of the unit vectors.
+
+    The Krylov vectors v_k = m^k e_i go into one Subspace, each tagged with
+    a tracking coordinate n + k.  The first v_k whose residue vanishes on
+    the first n coordinates depends on v_0..v_(k-1), and the residue's
+    tracking coordinates are the coefficients of the monic local minimal
+    polynomial of e_i, x^k included.
+    """
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
-    ident = Matrix.identity(n)
     result = Poly([ONE])
     for i in range(n):
-        krylov = [ident.row(i)]
+        krylov = Subspace(2 * n + 1)
+        v = {i: ONE}
+        k = 0
         while True:
-            # look for a dependency of the last vector on the previous ones
-            cols = Matrix.from_columns(krylov[:-1]) if len(krylov) > 1 else None
-            if cols is not None:
-                sol = solve(cols, krylov[-1])
-                if sol is not None:
-                    local = Poly(list(sol) + [Q(-1)]) * Q(-1)
-                    break
-            if len(krylov) > n:
-                raise RuntimeError("Krylov chain failed to terminate")
-            krylov.append(m.apply(krylov[-1]))
-        result = poly_lcm(result, local.monic())
+            r = krylov.reduce({**v, n + k: ONE})
+            if min(r) >= n:
+                break
+            krylov.add(r)
+            v = sparse(m.apply(dense(v, n)))
+            k += 1
+        result = poly_lcm(result, Poly([r.get(n + j, ZERO) for j in range(k + 1)]))
         if result.degree == n:
             break
     return result
 
 
 def similar(a: Matrix, b: Matrix):
-    """Exact rational similarity test.
+    """Exact rational similarity test: True, False or None (unknown).
 
-    Complete for size <= 3 (characteristic + minimal polynomial pin down the
-    invariant factors) and for nilpotent matrices (rank profile of powers).
-    For larger non-nilpotent matrices the test may return None (= unknown):
-    it is sound but not complete.
+    Beyond equal characteristic and minimal polynomials, a and b must have
+    the same kernel-chain dimensions of m - root for every rational root;
+    those count the Jordan blocks of each size.  That is complete when the
+    rational roots make up the whole spectrum, and for size <= 3 (where the
+    two polynomials pin down the invariant factors); otherwise a pass is
+    reported as None.
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
     phi = char_poly(a)
-    if phi != char_poly(b):
+    if phi != char_poly(b) or minimal_polynomial(a) != minimal_polynomial(b):
         return False
-    na, _ = is_nilpotent(a)
-    nb, _ = is_nilpotent(b)
-    if na != nb:
-        return False
-    if na:
-        pa = pb = Matrix.identity(a.rows)
-        for _ in range(a.rows):
-            pa, pb = pa * a, pb * b
-            if pa.rank() != pb.rank():
-                return False
+    n = a.rows
+    roots = rational_roots(phi)
+    for root, _ in roots:
+        shift = Matrix.identity(n) * root
+        dims_a = [k.dim for k in kernel_chain(a - shift)]
+        if dims_a != [k.dim for k in kernel_chain(b - shift)]:
+            return False
+    if n <= 3 or sum(mult for _, mult in roots) == n:
         return True
-    if minimal_polynomial(a) != minimal_polynomial(b):
-        return False
-    if a.rows <= 3:
-        return True
-    # weaker necessary conditions; report unknown if they all pass
-    for root, _ in rational_roots(phi):
-        pa = pb = Matrix.identity(a.rows)
-        shift_a = a - Matrix.identity(a.rows) * root
-        shift_b = b - Matrix.identity(b.rows) * root
-        for _ in range(a.rows):
-            pa, pb = pa * shift_a, pb * shift_b
-            if pa.rank() != pb.rank():
-                return False
     return None
 
 

@@ -22,6 +22,18 @@ ONE = Q(1)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(token: str, what: str, lineno: int) -> int:
+    """Integer from a plain ASCII-digit token of line lineno of an input file.
+
+    Any other token ("x", "1_000", "٣") raises ValueError
+    "line N: <what> must be an integer".
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"line {lineno}: {what} must be an integer, got {token!r}")
+    return int(token)
 
 
 def rat(value, den=None):

@@ -198,30 +198,37 @@ class TestNilpotentAA:
         assert rep["factorizations"] == []
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["check"], "dim\n"),
-    (["pre-einstein"], "dim 3 4\nbracket 1 2 3 1\n"),
-    (["check"], "dim 3\nbracket 1 2 3 1/0\n"),
-    (["aa"], "2\n1/0 0\n0 1\n"),
-    (["aa"], "x\n1\n"),
-    (["graph", "--nice"], "vertices 3\nclass 3\nedge 1\n"),
-    (["graph"], "vertices\nclass 3\n"),
-    (["graph"], "vertices 3\nclass 3\nedge 1 2 3\n"),
+@pytest.mark.parametrize("argv,text,line", [
+    (["check"], "dim\n", 1),
+    (["pre-einstein"], "dim 3 4\nbracket 1 2 3 1\n", 1),
+    (["check"], "dim 3\nbracket 1 2 3 1/0\n", 2),
+    (["aa"], "2\n1/0 0\n0 1\n", 2),
+    (["aa"], "x\n1\n", 1),
+    (["graph", "--nice"], "vertices 3\nclass 3\nedge 1\n", 3),
+    (["graph"], "vertices\nclass 3\n", 1),
+    (["graph"], "vertices 3\nclass 3\nedge 1 2 3\n", 3),
     # sizes past DIMENSION_CAP are refused before anything is allocated
-    (["check"], "dim 1000000000\n"),
-    (["check"], "dim -1\n"),
-    (["aa"], "1000000000\n1\n"),
-    (["graph"], "vertices 1000000000\nclass 3\n"),
-    (["graph"], "vertices 2\nclass 1000000000\nedge 1 2\n"),
+    (["check"], "dim 1000000000\n", 1),
+    (["check"], "dim -1\n", 1),
+    (["aa"], "1000000000\n1\n", 1),
+    (["graph"], "vertices 1000000000\nclass 3\n", 1),
+    (["graph"], "vertices 2\nclass 1000000000\nedge 1 2\n", 2),
     # only p and p/q: no exponent or decimal forms
-    (["check"], "dim 3\nbracket 1 2 3 1e5\n"),
-    (["aa"], "1\n1.5\n"),
+    (["check"], "dim 3\nbracket 1 2 3 1e5\n", 2),
+    (["aa"], "1\n1.5\n", 2),
+    # integers are ASCII digits only
+    (["check"], "dim x\n", 1),
+    (["check"], "dim 3\nbracket 1 y 3 1\n", 2),
+    (["graph"], "vertices 3\nclass z\n", 2),
+    (["graph"], "vertices 3\nclass 2\nedge 1 q\n", 3),
 ], ids=["dim-no-value", "dim-two-values", "bracket-zero-denominator",
         "matrix-zero-denominator", "matrix-bad-size", "edge-one-endpoint",
         "vertices-no-value", "edge-three-endpoints", "dim-over-cap",
         "dim-negative", "matrix-size-over-cap", "vertices-over-cap",
-        "class-over-cap", "exponent-coefficient", "decimal-entry"])
-def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text):
+        "class-over-cap", "exponent-coefficient", "decimal-entry",
+        "dim-not-integer", "bracket-index-not-integer", "class-not-integer",
+        "edge-endpoint-not-integer"])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text, line):
     path = tmp_path / "input.txt"
     path.write_text(text)
     code, out, err = run(capsys, *argv, path)
@@ -229,3 +236,4 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert f": line {line}: " in err

@@ -1,0 +1,280 @@
+"""Differential tests of the matrix questions linalg answers from its two
+eliminations (Subspace and char_poly): det, definiteness, kernel chains,
+nilpotency, minimal polynomials and similarity.  The references are sympy,
+explicit matrix powers, and the dense Krylov and power-rank code these
+routines replaced, kept here as written."""
+
+import random
+
+import pytest
+import sympy
+
+from nicebasis.linalg import (
+    Matrix,
+    Poly,
+    Subspace,
+    char_poly,
+    is_nilpotent,
+    is_positive_definite,
+    kernel_chain,
+    minimal_polynomial,
+    nullspace,
+    poly_lcm,
+    rational_roots,
+    similar,
+    solve,
+)
+from nicebasis.scalars import ONE, Q, ZERO
+
+
+def to_sympy(m):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for row in m.data for x in row])
+
+
+def random_matrix(rng, n, zeros=0.5):
+    """Mostly-zero rational matrix, so that singular inputs are common."""
+    return Matrix([[ZERO if rng.random() < zeros else Q(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)] for _ in range(n)])
+
+
+def unimodular(rng, n):
+    """Row-permuted product of unit lower and unit upper integer triangles."""
+    low = [[ONE if i == j else Q(rng.randint(-2, 2)) if i > j else ZERO for j in range(n)]
+           for i in range(n)]
+    up = [[ONE if i == j else Q(rng.randint(-2, 2)) if i < j else ZERO for j in range(n)]
+          for i in range(n)]
+    lu = Matrix(low) * Matrix(up)
+    perm = rng.sample(range(n), n)
+    return Matrix([lu.row(p) for p in perm])
+
+
+def jordan(blocks):
+    """Block diagonal matrix of Jordan blocks [(eigenvalue, size), ...]."""
+    n = sum(size for _, size in blocks)
+    rows = [[ZERO] * n for _ in range(n)]
+    at = 0
+    for value, size in blocks:
+        for i in range(size):
+            rows[at + i][at + i] = Q(value)
+            if i:
+                rows[at + i][at + i - 1] = ONE
+        at += size
+    return Matrix(rows)
+
+
+def conjugate(rng, m):
+    p = unimodular(rng, m.rows)
+    return p * m * p.inverse()
+
+
+def random_jordan(rng, n, values=(0, 1, -2)):
+    blocks, left = [], n
+    while left:
+        size = rng.randint(1, left)
+        blocks.append((rng.choice(values), size))
+        left -= size
+    return jordan(blocks)
+
+
+def reference_minimal_polynomial(m):
+    """Lcm of local minimal polynomials, one solve per Krylov step."""
+    n = m.rows
+    result = Poly([ONE])
+    for i in range(n):
+        krylov = [Matrix.identity(n).row(i)]
+        while True:
+            if len(krylov) > 1:
+                sol = solve(Matrix.from_columns(krylov[:-1]), krylov[-1])
+                if sol is not None:
+                    local = Poly(list(sol) + [Q(-1)]) * Q(-1)
+                    break
+            krylov.append(m.apply(krylov[-1]))
+        result = poly_lcm(result, local.monic())
+    return result
+
+
+def reference_similar(a, b):
+    """Similarity from ranks of explicit powers; None past size 3 unless nilpotent."""
+    phi = char_poly(a)
+    if phi != char_poly(b):
+        return False
+    n = a.rows
+
+    def ranks(m):
+        return [(m ** k).rank() for k in range(1, n + 1)]
+
+    if n and (a ** n).is_zero():  # equal char polys: b is nilpotent too
+        return ranks(a) == ranks(b)
+    if reference_minimal_polynomial(a) != reference_minimal_polynomial(b):
+        return False
+    if n <= 3:
+        return True
+    for root, _ in rational_roots(phi):
+        eye = Matrix.identity(n) * root
+        if ranks(a - eye) != ranks(b - eye):
+            return False
+    return None
+
+
+class TestDet:
+    @pytest.mark.parametrize("n", range(7))
+    def test_vs_sympy(self, n):
+        rng = random.Random(100 + n)
+        for trial in range(25):
+            m = random_matrix(rng, n, zeros=0.7 if trial % 2 else 0.2)
+            assert sympy.Rational(str(m.det())) == to_sympy(m).det()
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_singular_is_zero(self, n):
+        rng = random.Random(200 + n)
+        m = random_matrix(rng, n, zeros=0.2)
+        rows = list(m.data)
+        rows[-1] = tuple(2 * x for x in rows[0])
+        assert Matrix(rows).det() == 0
+        assert to_sympy(Matrix(rows)).det() == 0
+
+    def test_empty_is_one(self):
+        assert Matrix([]).det() == 1
+
+
+class TestPositiveDefinite:
+    def test_symmetric_vs_sympy(self):
+        rng = random.Random(3)
+        for n in range(1, 6):
+            for _ in range(20):
+                m = random_matrix(rng, n, zeros=0.4)
+                s = m + m.transpose()
+                assert is_positive_definite(s) == to_sympy(s).is_positive_definite
+
+    def test_gram_vs_sympy(self):
+        # B^T B is positive semidefinite; definite exactly when B has full column rank
+        rng = random.Random(5)
+        for n in range(1, 6):
+            for _ in range(20):
+                b = Matrix([[Q(rng.randint(-3, 3)) if rng.random() < 0.5 else ZERO
+                             for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
+                gram = b.transpose() * b
+                want = to_sympy(gram).is_positive_definite
+                assert is_positive_definite(gram) == want
+                assert want == (b.rank() == n)
+
+    def test_known_cases(self):
+        assert is_positive_definite(Matrix.identity(3))
+        assert is_positive_definite(Matrix([[2, -1], [-1, 2]]))
+        assert not is_positive_definite(Matrix([[1, 2], [2, 1]]))  # eigenvalues 3, -1
+        assert not is_positive_definite(Matrix([[1, 0], [0, 0]]))  # semidefinite
+        assert not is_positive_definite(-Matrix.identity(2))
+        assert is_positive_definite(Matrix([]))
+
+    def test_non_symmetric_raises(self):
+        with pytest.raises(ValueError):
+            is_positive_definite(Matrix([[2, 1], [0, 2]]))
+        with pytest.raises(ValueError):
+            is_positive_definite(Matrix([[1, 0, 0], [0, 1, 0]]))
+
+
+class TestKernelChain:
+    def test_vs_nullspaces_of_powers(self):
+        rng = random.Random(11)
+        for trial in range(120):
+            n = rng.randint(1, 6)
+            m = (random_matrix(rng, n, zeros=0.7) if trial % 2
+                 else conjugate(rng, random_jordan(rng, n)))
+            chain = kernel_chain(m)
+            for k, term in enumerate(chain):
+                assert term == Subspace(n, nullspace(m ** k))
+            # the chain stops exactly where the kernels stop growing
+            assert Subspace(n, nullspace(m ** len(chain))).dim == chain[-1].dim
+            dims = [t.dim for t in chain]
+            assert dims == sorted(set(dims))
+
+    def test_empty(self):
+        assert kernel_chain(Matrix([])) == [Subspace(0)]
+
+    def test_non_square_raises(self):
+        with pytest.raises(ValueError):
+            kernel_chain(Matrix([[1, 0]]))
+
+
+class TestIsNilpotent:
+    def test_index_is_least_vanishing_power(self):
+        rng = random.Random(13)
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            m = conjugate(rng, random_jordan(rng, n, values=(0,)))
+            least = next(k for k in range(n + 1) if (m ** k).is_zero())
+            assert is_nilpotent(m) == (True, least)
+
+    def test_non_nilpotent(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            m = conjugate(rng, jordan([(0, rng.randint(0, 4)), (1, 1)]))
+            assert is_nilpotent(m)[0] is False
+
+    def test_known_cases(self):
+        assert is_nilpotent(Matrix.zeros(2, 2)) == (True, 1)
+        assert is_nilpotent(Matrix([])) == (True, 0)
+        assert is_nilpotent(Matrix.identity(2)) == (False, 0)
+
+
+class TestMinimalPolynomial:
+    def test_vs_krylov_solve_reference(self):
+        rng = random.Random(19)
+        for trial in range(150):
+            n = rng.randint(0, 6)
+            m = (random_matrix(rng, n, zeros=0.6) if trial % 2
+                 else conjugate(rng, random_jordan(rng, n)))
+            assert minimal_polynomial(m) == reference_minimal_polynomial(m)
+
+    def test_annihilates_and_divides_char_poly(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            m = conjugate(rng, random_jordan(rng, n))
+            mp = minimal_polynomial(m)
+            assert mp.eval_matrix(m).is_zero()
+            assert (char_poly(m) % mp).is_zero()
+
+
+class TestSimilar:
+    def test_never_opposite_to_power_rank_reference(self):
+        rng = random.Random(29)
+        for trial in range(120):
+            n = rng.randint(1, 5)
+            a = conjugate(rng, random_jordan(rng, n))
+            b = (conjugate(rng, a) if trial % 3 == 0
+                 else conjugate(rng, random_jordan(rng, n)))
+            got, want = similar(a, b), reference_similar(a, b)
+            if want is not None:
+                assert got is want
+            # every spectrum here is rational, so the answer is decided
+            assert got is not None
+            if trial % 3 == 0:
+                assert got is True
+
+    def test_irrational_spectrum_stays_unknown(self):
+        # x^2 - 2 squared: companion block of (x^2 - 2)^2 vs two copies of it
+        c = Matrix([[0, 2], [1, 0]])
+        two = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
+        rng = random.Random(31)
+        assert similar(two, conjugate(rng, two)) is None
+        glued = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0]])
+        assert char_poly(glued) == char_poly(two) == char_poly(c) * char_poly(c)
+        assert similar(glued, two) is False  # minimal polynomials differ
+
+    def test_rational_spectrum_4x4_conjugates(self):
+        a = jordan([(2, 2), (-1, 1), (2, 1)])
+        b = conjugate(random.Random(37), a)
+        assert reference_similar(a, b) is None
+        assert similar(a, b) is True
+        assert similar(a, jordan([(2, 1), (-1, 1), (2, 1), (2, 1)])) is False
+        assert similar(a, jordan([(2, 3), (-1, 1)])) is False
+
+    @pytest.mark.parametrize("value", [0, 3])
+    def test_equal_polynomials_different_blocks(self, value):
+        # same characteristic and minimal polynomial; only the chains differ
+        a = jordan([(value, 2), (value, 2)])
+        b = jordan([(value, 2), (value, 1), (value, 1)])
+        assert minimal_polynomial(a) == minimal_polynomial(b)
+        assert similar(a, b) is False
+        assert similar(a, conjugate(random.Random(41), a)) is True

@@ -70,3 +70,16 @@ def test_rat_accepts_plain_forms(text, num, den):
 def test_rat_refuses_other_forms(text):
     with pytest.raises(ValueError):
         rat(text)
+
+
+@pytest.mark.parametrize("parse,text,line", [
+    (parse_lie, "dim \u0663\n", 1),
+    (parse_lie, "dim 1_000\n", 1),
+    (parse_lie, "dim 3\nbracket 1 \u0662 3 1\n", 2),
+    (parse_matrix, "\u0662\n1 0\n0 1\n", 1),
+    (parse_graph, "vertices \u0663\nclass 2\n", 1),
+    (parse_graph, "vertices 3\nclass 2\nedge 1 2_0\n", 3),
+])
+def test_integers_are_ascii_digits(parse, text, line):
+    with pytest.raises(ValueError, match=rf"^line {line}: .* must be an integer"):
+        parse(text)
