@@ -23,14 +23,17 @@ from .linalg import (
     Matrix,
     Poly,
     Subspace,
+    apply_columns,
     char_poly,
     count_real_roots,
+    dense,
     kernel_chain,
     minimal_polynomial,
-    nullspace,
     poly_gcd,
     rational_roots,
     similar,
+    sparse,
+    sparse_columns,
 )
 from .nice import check_nice
 
@@ -126,6 +129,21 @@ def _binomial_divisors(p: Poly):
     return sorted(divisors), irrational
 
 
+def _divide_binomial(p: Poly, d, r):
+    """p / (x^d - r) when the division is exact, else None.
+
+    One O(deg p) pass: p = q (x^d - r) + rem gives q_k = p_(k+d) + r q_(k+d)
+    from the top down, and rem_k = p_k + r q_k for k < d must all vanish.
+    """
+    c = p.coeffs
+    q = [ZERO] * len(c)
+    for k in range(len(c) - d - 1, -1, -1):
+        q[k] = c[k + d] + r * q[k + d] if q[k + d] else c[k + d]
+    if any(c[k] + r * q[k] for k in range(min(d, len(c)))):
+        return None
+    return Poly(q)
+
+
 def _enumerate(p: Poly, divisors, start=0):
     """Factorizations of p over divisors[start:] as sorted tuples, each once.
 
@@ -140,8 +158,8 @@ def _enumerate(p: Poly, divisors, start=0):
         d, r = divisors[idx]
         if d > p.degree:
             break
-        quotient, rem = p.divmod(Poly.binomial(d, r))
-        if rem.is_zero():
+        quotient = _divide_binomial(p, d, r)
+        if quotient is not None:
             out.extend(((d, r),) + rest for rest in _enumerate(quotient, divisors, idx))
     return out
 
@@ -326,7 +344,8 @@ def _witness_basis(a: Matrix, fact):
     ker(A^d - r).  The assembled basis is verified nice before returning.
     """
     n = a.rows
-    chains = _nilpotent_chains(a)
+    cols = sparse_columns(a)
+    chains = _nilpotent_chains(a, cols)
     span = Subspace(n)
     for ch in chains:
         for v in ch:
@@ -334,24 +353,25 @@ def _witness_basis(a: Matrix, fact):
                 raise RuntimeError("dependent nilpotent chain vectors")
     if fact is not None:
         for d, r in fact.factors:
-            chain = _cyclic_chain(a, d, r, span)
+            chain = _cyclic_chain(cols, d, r, span)
             chains.append(chain)
             for v in chain:
                 if not span.add(v):
                     raise RuntimeError("dependent cyclic chain vectors")
     if span.dim != n:
         raise RuntimeError("witness chains do not span")
-    cols = [tuple([ONE] + [ZERO] * n)]
+    basis = [tuple([ONE] + [ZERO] * n)]
     for ch in chains:
-        cols.extend(tuple([ZERO] + list(v)) for v in ch)
-    witness = Matrix.from_columns(cols)
+        basis.extend((ZERO,) + dense(v, n) for v in ch)
+    witness = Matrix.from_columns(basis)
     compiled = build(a).compiled
     if not check_nice(compiled.change_basis(witness)):
         raise RuntimeError("constructed witness basis is not nice")
     return witness
 
 
-def _nilpotent_chains(a: Matrix):
+def _nilpotent_chains(a: Matrix, cols):
+    """Jordan chains w, Aw, ... of A's nilpotent part, as sparse vectors."""
     n = a.rows
     kernels = kernel_chain(a)
     s = len(kernels) - 1  # nilpotency index on the nilpotent part
@@ -361,9 +381,9 @@ def _nilpotent_chains(a: Matrix):
         seen = Subspace(n, kernels[i - 1].basis() + covered.basis())
         for v in kernels[i].basis():
             if seen.add(v):
-                chain = [v]
+                chain = [sparse(v)]
                 for _ in range(i - 1):
-                    chain.append(a.apply(chain[-1]))
+                    chain.append(apply_columns(cols, chain[-1]))
                 chains.append(chain)
                 for w in chain:
                     covered.add(w)
@@ -371,10 +391,29 @@ def _nilpotent_chains(a: Matrix):
     return chains
 
 
-def _cyclic_chain(a: Matrix, d, r, existing: Subspace):
-    n = a.rows
-    m = a**d - Matrix.identity(n) * r
-    kernel = nullspace(m)
+def _cyclic_chain(cols, d, r, existing: Subspace):
+    """Sparse chain w, Aw, ..., A^(d-1)w in ker(A^d - r), independent of existing.
+
+    cols are A's sparse columns; those of A^d come from binary powering,
+    each product applying one column set to the other, and the kernel is
+    read off the rows of A^d - r, the same canonical basis
+    nullspace(A^d - r) returns.
+    """
+    n = len(cols)
+    power, base, k = [{j: ONE} for j in range(n)], cols, d
+    while k:
+        if k & 1:
+            power = [apply_columns(base, c) for c in power]
+        k >>= 1
+        if k:
+            base = [apply_columns(base, c) for c in base]
+    rows = [{} for _ in range(n)]
+    for j, col in enumerate(power):
+        col[j] = col.get(j, ZERO) - r
+        for i, x in col.items():
+            if x:
+                rows[i][j] = x
+    kernel = Subspace(n, rows).kernel()
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
     candidates = list(kernel)
@@ -391,10 +430,10 @@ def _cyclic_chain(a: Matrix, d, r, existing: Subspace):
         for u, v in itertools.combinations(kernel, 2)
     ]
     for w in candidates:
-        chain = [tuple(w)]
+        chain = [sparse(w)]
         for _ in range(d - 1):
-            chain.append(a.apply(chain[-1]))
-        trial = Subspace(n, existing.basis())
+            chain.append(apply_columns(cols, chain[-1]))
+        trial = Subspace(n, existing.rows.values())
         if all(trial.add(v) for v in chain):
             return chain
     raise RuntimeError("no cyclic vector found for factor")

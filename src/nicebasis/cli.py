@@ -16,7 +16,7 @@ import json
 import sys
 import time
 
-from .scalars import fmt
+from .scalars import TooLargeToFactor, fmt
 from .lie import load_lie, serialize_lie
 from .nice import check_nice
 from .derivations import (
@@ -181,7 +181,10 @@ def cmd_nu_product(args):
 
 def cmd_aa(args):
     a = _load_matrix(args.file)
-    data = _analysis(a)
+    try:
+        data = _analysis(a)
+    except TooLargeToFactor as err:
+        raise UsageError(f"{args.file}: {err}")
     verdict = _exists(a, data)
     nu = _count(data)
     facts = [str(f) for f in data.factorizations]
@@ -307,13 +310,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         code = args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    print("elapsed %.3fs" % (time.time() - t0), file=sys.stderr)
+    print("elapsed %.3fs" % (time.perf_counter() - t0), file=sys.stderr)
     return code
 
 

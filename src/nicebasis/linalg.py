@@ -10,7 +10,7 @@ dense, lowest degree first.
 from __future__ import annotations
 
 
-from .scalars import Q, ZERO, ONE, fmt
+from .scalars import Q, ZERO, ONE, factor_int, fmt
 
 
 class Matrix:
@@ -176,6 +176,28 @@ def dense(vec, n):
     return tuple(vec.get(i, ZERO) for i in range(n))
 
 
+def sparse_columns(m: Matrix):
+    """m's columns as sparse dicts, the operand of apply_columns."""
+    return [sparse(m.column(j)) for j in range(m.cols)]
+
+
+def apply_columns(cols, vec):
+    """m vec as a sparse dict, for cols = sparse_columns(m) and sparse vec.
+
+    Costs one multiply per nonzero of the columns vec selects, where
+    Matrix.apply costs rows x cols.
+    """
+    out = {}
+    for j, x in vec.items():
+        for i, y in cols[j].items():
+            s = out.get(i, ZERO) + x * y
+            if s:
+                out[i] = s
+            else:
+                del out[i]
+    return out
+
+
 class Subspace:
     """Span of vectors in Q^ambient, kept in fully reduced echelon form.
 
@@ -319,7 +341,7 @@ def kernel_chain(m: Matrix):
     """
     if not m.is_square():
         raise ValueError("kernel chain of non-square matrix")
-    cols = [sparse(m.column(j)) for j in range(m.cols)]
+    cols = sparse_columns(m)
     chain = [Subspace(m.rows)]
     while True:
         nxt = kernel_of([chain[-1].reduce(c) for c in cols])
@@ -602,8 +624,9 @@ def count_real_roots(p: Poly) -> int:
 def minimal_polynomial(m: Matrix) -> Poly:
     """Monic minimal polynomial: lcm of the local ones of the unit vectors.
 
-    The Krylov vectors v_k = m^k e_i go into one Subspace, each tagged with
-    a tracking coordinate n + k.  The first v_k whose residue vanishes on
+    The Krylov vectors v_k = m^k e_i, each stepped from the last through m's
+    sparse columns, go into one Subspace, each tagged with a tracking
+    coordinate n + k.  The first v_k whose residue vanishes on
     the first n coordinates depends on v_0..v_(k-1), and the residue's
     tracking coordinates are the coefficients of the monic local minimal
     polynomial of e_i, x^k included.
@@ -611,6 +634,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
+    cols = sparse_columns(m)
     result = Poly([ONE])
     for i in range(n):
         krylov = Subspace(2 * n + 1)
@@ -621,7 +645,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
             if min(r) >= n:
                 break
             krylov.add(r)
-            v = sparse(m.apply(dense(v, n)))
+            v = apply_columns(cols, v)
             k += 1
         result = poly_lcm(result, Poly([r.get(n + j, ZERO) for j in range(k + 1)]))
         if result.degree == n:
@@ -657,16 +681,13 @@ def similar(a: Matrix, b: Matrix):
 
 
 def _divisors(n):
+    """Sorted positive divisors of |n| ([1] for 0), from factor_int."""
     n = abs(int(n))
     if n == 0:
         return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+    out = [1]
+    for p, e in factor_int(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 
 

@@ -65,11 +65,16 @@ def sign(q) -> int:
     return 0
 
 
+class TooLargeToFactor(ValueError):
+    """An integer with a cofactor beyond the reach of factor_int."""
+
+
 def factor_int(n: int) -> dict:
     """Trial-division factorization of a nonzero integer into {prime: exp}.
 
     Structure constants in this package are small, so trial division is
-    plenty; raises on |n| beyond desk scale rather than stalling.
+    plenty; raises TooLargeToFactor on |n| beyond desk scale rather than
+    stalling.
     """
     n = int(n)
     if n == 0:
@@ -83,7 +88,7 @@ def factor_int(n: int) -> dict:
             n //= p
         p += 1 if p == 2 else 2
         if p > 10**7:
-            raise ValueError("integer too large to factor by trial division")
+            raise TooLargeToFactor("integer too large to factor by trial division")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

@@ -12,9 +12,9 @@ from nicebasis import reproduce
 
 
 def report(check, bound=None):
-    t0 = time.time()
+    t0 = time.perf_counter()
     name, ok, detail = check()
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     print("%s: %s (%s, %.2fs)" % (name, "pass" if ok else "FAIL", detail, dt))
     assert ok, detail
     if bound is not None:

@@ -1,6 +1,10 @@
 """Differential tests of the almost abelian pipeline: char_poly against sympy,
 enumerate_factorizations against a memoized reference recursion written
-here, and one binomial-divisor pass per analysis."""
+here, the one-pass binomial division against Poly.divmod, witnesses against
+the dense chain construction, and one binomial-divisor pass per analysis."""
+
+import itertools
+import random
 
 import pytest
 import sympy
@@ -9,12 +13,21 @@ from hypothesis import given, settings, strategies as st
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
     _binomial_divisors,
+    _divide_binomial,
     count_nice,
     enumerate_factorizations,
     exists_nice,
     indecomposable_family,
 )
-from nicebasis.linalg import Matrix, Poly, char_poly
+from nicebasis.linalg import (
+    Matrix,
+    Poly,
+    Subspace,
+    char_poly,
+    kernel_chain,
+    nullspace,
+    sparse,
+)
 from nicebasis.scalars import Q
 
 X = sympy.Symbol("x")
@@ -108,11 +121,150 @@ class TestEnumerateVsReference:
         assert got == sorted(reference_enumerate(p, {}))
         assert tuple(sorted(factors)) in got
 
-    @pytest.mark.parametrize("k", [1, 2, 6, 8, 12, 16])
+    @pytest.mark.parametrize("k", [1, 2, 6, 8, 12, 16, 32])
     def test_x_power_minus_one(self, k):
         p = Poly.binomial(k, 1)
         got = [f.factors for f in enumerate_factorizations(p)]
         assert got == sorted(reference_enumerate(p, {}))
+
+
+polys = st.lists(entries, max_size=12).map(Poly)
+constants = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+class TestDivideBinomial:
+    @settings(max_examples=60, deadline=None)
+    @given(polys, st.integers(1, 6), constants)
+    def test_exact_multiples(self, q, d, r):
+        assert _divide_binomial(q * Poly.binomial(d, r), d, r) == q
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys, st.integers(1, 6), constants)
+    def test_vs_divmod(self, p, d, r):
+        quotient, rem = p.divmod(Poly.binomial(d, r))
+        assert _divide_binomial(p, d, r) == (quotient if rem.is_zero() else None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(polys.filter(lambda p: not p.is_zero()), st.integers(1, 4), constants)
+    def test_degree_above_p(self, p, extra, r):
+        d = p.degree + extra
+        assert not p.divmod(Poly.binomial(d, r))[1].is_zero()
+        assert _divide_binomial(p, d, r) is None
+
+
+def reference_nilpotent_chains(a):
+    """Jordan chains of the nilpotent part, stepped with the dense apply."""
+    n = a.rows
+    kernels = kernel_chain(a)
+    chains = []
+    covered = Subspace(n)
+    for i in range(len(kernels) - 1, 0, -1):
+        seen = Subspace(n, kernels[i - 1].basis() + covered.basis())
+        for v in kernels[i].basis():
+            if seen.add(v):
+                chain = [v]
+                for _ in range(i - 1):
+                    chain.append(a.apply(chain[-1]))
+                chains.append(chain)
+                for w in chain:
+                    covered.add(w)
+                    seen.add(w)
+    return chains
+
+
+def reference_cyclic_chain(a, d, r, existing):
+    """Cyclic chain from the dense kernel of a**d - r."""
+    n = a.rows
+    kernel = nullspace(a**d - Matrix.identity(n) * r)
+    if len(kernel) < d:
+        raise RuntimeError("factor kernel too small")
+    candidates = list(kernel)
+    candidates += [
+        tuple(x + y for x, y in zip(u, v))
+        for u, v in itertools.combinations(kernel, 2)
+    ]
+    prefix = list(kernel[0])
+    for v in kernel[1:]:
+        prefix = [x + y for x, y in zip(prefix, v)]
+        candidates.append(tuple(prefix))
+    candidates += [
+        tuple(x + 2 * y for x, y in zip(u, v))
+        for u, v in itertools.combinations(kernel, 2)
+    ]
+    for w in candidates:
+        chain = [tuple(w)]
+        for _ in range(d - 1):
+            chain.append(a.apply(chain[-1]))
+        trial = Subspace(n, existing.basis())
+        if all(trial.add(v) for v in chain):
+            return chain
+    raise RuntimeError("no cyclic vector found for factor")
+
+
+def block_diagonal(blocks):
+    size = sum(b.rows for b in blocks)
+    m = [[0] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, j in itertools.product(range(b.rows), repeat=2):
+            m[offset + i][offset + j] = b[i, j]
+        offset += b.rows
+    return Matrix(m)
+
+
+def jordan_block(k):
+    return Matrix([[int(i == j + 1) for j in range(k)] for i in range(k)])
+
+
+def conjugated_blocks(seed):
+    """P B P^-1 for B nilpotent Jordan blocks plus one semisimple block."""
+    rng = random.Random(seed)
+    blocks = [jordan_block(rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+    blocks.append(rng.choice([
+        indecomposable_family(3).a,
+        Matrix([[0, 2], [1, 0]]),  # x^2 - 2: irrational roots, rational binomial
+        Matrix([[0, 0, 8], [1, 0, 0], [0, 1, 0]]),  # x^3 - 8
+        Matrix.diagonal([Q(3), Q(-1, 2)]),
+    ]))
+    b = block_diagonal(blocks)
+    while True:
+        p = Matrix([[rng.randint(-2, 2) for _ in range(b.rows)]
+                    for _ in range(b.rows)])
+        if p.det() != 0:
+            return p * b * p.inverse()
+
+
+def family_conjugate(n, seed):
+    rng = random.Random(seed)
+    base = indecomposable_family(n).a
+    size = base.rows
+    perm = list(range(size))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(size)]
+    return Matrix([[signs[i] * signs[j] * base[perm[i], perm[j]]
+                    for j in range(size)] for i in range(size)])
+
+
+class TestWitnessVsDenseReference:
+    @pytest.mark.parametrize("a", [
+        *(family_conjugate(n, n) for n in range(2, 7)),
+        *(conjugated_blocks(seed) for seed in range(6)),
+    ], ids=[f"family-{n}" for n in range(2, 7)]
+        + [f"blocks-{seed}" for seed in range(6)])
+    def test_identical_witness(self, monkeypatch, a):
+        got = exists_nice(a)
+        assert got.status == "yes"
+        monkeypatch.setattr(
+            almost_abelian, "_nilpotent_chains",
+            lambda a, cols: [[sparse(v) for v in ch]
+                             for ch in reference_nilpotent_chains(a)])
+        monkeypatch.setattr(
+            almost_abelian, "_cyclic_chain",
+            lambda cols, d, r, existing: [
+                sparse(v) for v in reference_cyclic_chain(a, d, r, existing)])
+        want = exists_nice(a)
+        assert got.factorization == want.factorization
+        assert got.witness == want.witness
 
 
 class TestOneDivisorPass:

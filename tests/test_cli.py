@@ -97,6 +97,25 @@ class TestAA:
         assert rep["nu"] == 1
         assert len(rep["witness"]) == 4
 
+    def test_large_smooth_constant_term(self, capsys, tmp_path):
+        # the rational-root candidates of x - 10^20 come from its prime
+        # factorization, not from trial division up to 10^10
+        path = tmp_path / "big.mat"
+        path.write_text("1\n100000000000000000000\n")
+        code, out, _ = run(capsys, "aa", path)
+        assert code == 0
+        assert "factorization (x - 100000000000000000000)" in out
+        assert "nu 1" in out
+
+    def test_constant_term_too_large_to_factor(self, capsys, tmp_path):
+        path = tmp_path / "prime.mat"
+        path.write_text("1\n2305843009213693951\n")  # the prime 2^61 - 1
+        code, out, err = run(capsys, "aa", path)
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [
+            f"error: {path}: integer too large to factor by trial division"]
+
 
 class TestGraph:
     def test_triangle_c3(self, capsys):

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from nicebasis.linalg import (
+    _divisors,
     Matrix,
     Poly,
     Subspace,
@@ -166,6 +167,18 @@ class TestPoly:
         expr = sympy.prod([(x - 2) ** 2, (x + sympy.Rational(1, 3))])
         for r, mult in roots:
             assert sympy.roots(expr)[sympy.Rational(str(r))] == mult
+
+    def test_rational_roots_large_constant_term(self):
+        # candidates come from the factorization of 6 * 10^18, not from
+        # trial division up to its square root
+        p = Poly([-6 * 10**18, 0, 1]) * Poly.binomial(1, rat(2))
+        assert rational_roots(p) == [(rat(2), 1)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-3000, 3000))
+    def test_divisors_vs_trial_division(self, n):
+        want = [d for d in range(1, abs(n) + 1) if n % d == 0] or [1]
+        assert _divisors(n) == want
 
     def test_real_root_count(self):
         # x^2 - 2 has two real roots, x^2 + 1 has none
