@@ -11,6 +11,7 @@ usage or input errors.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -270,7 +271,9 @@ def cmd_reproduce(args):
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The nicebase argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nicebase",
         description="decide, construct and count nice bases of rational"

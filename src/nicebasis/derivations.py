@@ -13,23 +13,21 @@ from dataclasses import dataclass
 
 from .scalars import Q, ZERO, ONE
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _dot, is_positive_definite, solve, sparse
+from .linalg import Matrix, Subspace, _dot, is_positive_definite, solve
 from .nice import check_nice
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
     dim: int  # dimension of the underlying algebra
-    basis: tuple  # tuple of Matrix, spanning Der(g)
+    basis: tuple  # sparse {(row, col): value} maps spanning Der(g)
 
     def __len__(self):
         return len(self.basis)
 
-    def contains(self, m: Matrix) -> bool:
-        def flat(d):
-            return [x for row in d.data for x in row]
-
-        return Subspace(self.dim**2, map(flat, self.basis)).contains(flat(m))
+    def contains(self, d) -> bool:
+        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?"""
+        return Subspace(self.dim**2, self.basis).contains(_entries(d))
 
 
 @dataclass(frozen=True)
@@ -49,41 +47,40 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     """Solve D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
     Unknowns are the n^2 entries of D (row-major); one sparse equation per
-    (pair, output coordinate).
+    (pair, output coordinate).  Only nonzero brackets contribute terms, so
+    assembly costs O(n^2 + n nnz).  The basis is Subspace.sparse_kernel's
+    canonical one: a vector per free entry of D, in row-major order.
     """
     n = g.dim
-
-    def var(r, c):
-        return r * n + c
-
+    ad = g.ad_table
     rows = []
+
+    def term(eq, r, var, c):
+        row = eq.setdefault(r, {})
+        row[var] = row.get(var, ZERO) + c
+
     for i in range(n):
+        adi = ad[i]
         for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
-            # row for output coordinate r: coefficients on D entries
-            eq = {}
-            for k, c in cij.items():
+            adj = ad[j]
+            eq = {}  # output coordinate r -> coefficients on D's entries
+            # D[e_i, e_j]: sum_k c_k D e_k
+            for k, c in adi.get(j, {}).items():
                 for r in range(n):
-                    eq.setdefault(r, {})[var(r, k)] = (
-                        eq.get(r, {}).get(var(r, k), ZERO) + c
-                    )
-            for m in range(n):
-                cmj = g.bracket_basis(m, j)
-                for r, c in cmj.items():
-                    eq.setdefault(r, {})[var(m, i)] = (
-                        eq.get(r, {}).get(var(m, i), ZERO) - c
-                    )
-                cim = g.bracket_basis(i, m)
-                for r, c in cim.items():
-                    eq.setdefault(r, {})[var(m, j)] = (
-                        eq.get(r, {}).get(var(m, j), ZERO) - c
-                    )
+                    term(eq, r, r * n + k, c)
+            # -[D e_i, e_j] = [e_j, D e_i]: sum_m D[m][i] [e_j, e_m]
+            for m, comps in adj.items():
+                for r, c in comps.items():
+                    term(eq, r, m * n + i, c)
+            # -[e_i, D e_j]: -sum_m D[m][j] [e_i, e_m]
+            for m, comps in adi.items():
+                for r, c in comps.items():
+                    term(eq, r, m * n + j, -c)
             rows.extend(eq.values())
-    kernel = Subspace(n * n, rows).kernel()
-    basis = tuple(
-        Matrix([v[r * n : (r + 1) * n] for r in range(n)]) for v in kernel
+    kernel = Subspace(n * n, rows).sparse_kernel()
+    return DerivationSpace(
+        n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
     )
-    return DerivationSpace(n, basis)
 
 
 def diagonal_derivations(g: LieAlgebra):
@@ -98,10 +95,22 @@ def diagonal_derivations(g: LieAlgebra):
     return Subspace(n, rows).kernel()
 
 
-def is_derivation(g: LieAlgebra, d: Matrix) -> bool:
-    """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?"""
+def _entries(d):
+    """A Matrix or a sparse {(row, col): value} map as the sparse map."""
+    if isinstance(d, Matrix):
+        return {(r, c): x for r, row in enumerate(d.data) for c, x in enumerate(row) if x}
+    return d
+
+
+def is_derivation(g: LieAlgebra, d) -> bool:
+    """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
+
+    d is a Matrix or a sparse {(row, col): value} map.
+    """
     n = g.dim
-    cols = [sparse(col) for col in zip(*d.data)]
+    cols = [{} for _ in range(n)]
+    for (r, c), x in _entries(d).items():
+        cols[c][r] = x
 
     def add(out, vec, f=ONE):
         for k, x in vec.items():
@@ -156,12 +165,15 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     violating Tr(ND) = Tr(D).
     """
     n_diag = [Q(x) for x in n_diag]
-    nm = Matrix.diagonal(n_diag)
-    if not is_derivation(g, nm):
-        return False, ("not_derivation", nm)
+    if not is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
+        return False, ("not_derivation", Matrix.diagonal(n_diag))
     for d in derivation_space(g).basis:
-        # Tr(N D) for diagonal N
-        if sum((x * d[i, i] for i, x in enumerate(n_diag)), ZERO) != d.trace():
+        trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
+        for (r, c), x in d.items():
+            if r == c:
+                trace += x
+                trace_nd += n_diag[r] * x
+        if trace_nd != trace:
             return False, ("trace", d)
     return True, None
 

@@ -99,7 +99,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("negative matrix power")
         result = Matrix.identity(self.rows)
         base = self
         while k:
@@ -127,11 +127,6 @@ class Matrix:
 
     def is_square(self):
         return self.rows == self.cols
-
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), ZERO)
 
     def apply(self, vector):
         """Matrix-vector product as a tuple."""
@@ -205,13 +200,18 @@ class Subspace:
     entry is 1 and every other pivot column is zero in it.  That is the
     unique reduced row echelon form of the span, hence canonical.  Vectors
     may be given dense (sequences of length ambient) or sparse (dicts).
+
+    _occ is the column index of rows: it maps each non-pivot column to the
+    set of pivots whose row is nonzero there, so a new pivot is eliminated
+    from exactly the rows that hold it.
     """
 
-    __slots__ = ("ambient", "rows")
+    __slots__ = ("ambient", "rows", "_occ")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
         self.rows = {}
+        self._occ = {}
         for v in vectors:
             self.add(v)
 
@@ -223,7 +223,7 @@ class Subspace:
             items = enumerate(vector)
         else:
             raise ValueError("vector length mismatch")
-        v = {c: Q(x) for c, x in items if x}
+        v = {c: x if isinstance(x, Q) else Q(x) for c, x in items if x}
         rows = self.rows
         # rows vanish on each other's pivots, so one pass over the pivots
         # present in v clears them all and creates no new ones
@@ -244,17 +244,30 @@ class Subspace:
         if not v:
             return False
         p = min(v)
-        inv = 1 / v[p]
-        v = {c: x * inv for c, x in v.items()}
-        for row in self.rows.values():
-            f = row.get(p)
-            if f:
-                for c, x in v.items():
-                    y = row.get(c, ZERO) - f * x
-                    if y:
-                        row[c] = y
-                    else:
-                        del row[c]
+        if v[p] != 1:
+            inv = 1 / v[p]
+            v = {c: x * inv for c, x in v.items()}
+        occ = self._occ
+        for q in occ.pop(p, ()):
+            row = self.rows[q]
+            f = row.pop(p)
+            for c, x in v.items():
+                if c == p:
+                    continue
+                y = row.get(c, ZERO) - f * x
+                if not y:
+                    del row[c]
+                    holders = occ[c]
+                    holders.discard(q)
+                    if not holders:
+                        del occ[c]
+                else:
+                    if c not in row:
+                        occ.setdefault(c, set()).add(q)
+                    row[c] = y
+        for c in v:
+            if c != p:
+                occ.setdefault(c, set()).add(p)
         self.rows[p] = v
         return True
 
@@ -274,21 +287,27 @@ class Subspace:
         return [dense(self.rows[p], self.ambient) for p in self.pivots]
 
     def kernel(self):
-        """Canonical basis of {x : row . x = 0 for every row}.
+        """Canonical basis of {x : row . x = 0 for every row}, dense.
 
         One vector per free (non-pivot) column f, ordered by f, with x_f = 1
         and x_p = -row_p[f] on the pivots.
         """
-        n = self.ambient
-        free = [c for c in range(n) if c not in self.rows]
-        vecs = {f: [ZERO] * n for f in free}
-        for f in free:
-            vecs[f][f] = ONE
-        for p, row in self.rows.items():
-            for c, x in row.items():
-                if c != p:
-                    vecs[c][p] = -x
-        return [tuple(vecs[f]) for f in free]
+        return [dense(v, self.ambient) for v in self.sparse_kernel()]
+
+    def sparse_kernel(self):
+        """kernel() as sparse dicts, each keyed by increasing pivot, then f.
+
+        The pivots p with row_p[f] != 0 are read off the column index, and
+        all lie below f.
+        """
+        rows, occ = self.rows, self._occ
+        out = []
+        for f in range(self.ambient):
+            if f not in rows:
+                v = {p: -rows[p][f] for p in sorted(occ.get(f, ()))}
+                v[f] = ONE
+                out.append(v)
+        return out
 
     def __eq__(self, other):
         return (
@@ -329,7 +348,7 @@ def kernel_of(images) -> Subspace:
         for r, c in img.items():
             eqs.setdefault(r, {})[i] = c
     n = len(images)
-    return Subspace(n, Subspace(n, eqs.values()).kernel())
+    return Subspace(n, Subspace(n, eqs.values()).sparse_kernel())
 
 
 def kernel_chain(m: Matrix):

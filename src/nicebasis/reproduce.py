@@ -292,7 +292,7 @@ def check_structure_facts():
             return ("structure-facts", False, "not adapted: %s" % (info,))
         space = derivation_space(g)
         for d in space.basis:
-            diag = Matrix.diagonal([d[i, i] for i in range(g.dim)])
+            diag = {(r, c): x for (r, c), x in d.items() if r == c}
             if not is_derivation(g, diag):
                 return ("structure-facts", False,
                         "diagonal part is not a derivation")

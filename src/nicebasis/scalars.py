@@ -69,12 +69,42 @@ class TooLargeToFactor(ValueError):
     """An integer with a cofactor beyond the reach of factor_int."""
 
 
-def factor_int(n: int) -> dict:
-    """Trial-division factorization of a nonzero integer into {prime: exp}.
+# Miller-Rabin with these bases is exact below _MR_BOUND (about 3.3e24).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
-    Structure constants in this package are small, so trial division is
-    plenty; raises TooLargeToFactor on |n| beyond desk scale rather than
-    stalling.
+
+def _certified_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: True only for primes below _MR_BOUND."""
+    if n < 2 or n >= _MR_BOUND:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def factor_int(n: int) -> dict:
+    """Factorization of a nonzero integer into {prime: exp}.
+
+    Trial division, which stops as soon as the cofactor is a certified
+    prime (tested up front and after each prime divided out).  Structure
+    constants in this package are small, so this is plenty; a cofactor
+    beyond its reach (two prime factors above 10^7, or a prime beyond the
+    Miller-Rabin bound) raises TooLargeToFactor rather than stalling.
     """
     n = int(n)
     if n == 0:
@@ -82,10 +112,13 @@ def factor_int(n: int) -> dict:
     n = abs(n)
     out = {}
     p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    prime = _certified_prime(n)
+    while not prime and p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            prime = _certified_prime(n)
         p += 1 if p == 2 else 2
         if p > 10**7:
             raise TooLargeToFactor("integer too large to factor by trial division")

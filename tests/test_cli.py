@@ -107,9 +107,19 @@ class TestAA:
         assert "factorization (x - 100000000000000000000)" in out
         assert "nu 1" in out
 
-    def test_constant_term_too_large_to_factor(self, capsys, tmp_path):
+    def test_prime_constant_term_answers(self, capsys, tmp_path):
+        # the prime 2^61 - 1 is certified up front, not trial-divided to 10^7
         path = tmp_path / "prime.mat"
-        path.write_text("1\n2305843009213693951\n")  # the prime 2^61 - 1
+        path.write_text("1\n2305843009213693951\n")
+        code, out, _ = run(capsys, "aa", path)
+        assert code == 0
+        assert "factorization (x - 2305843009213693951)" in out
+        assert "nu 1" in out
+
+    def test_constant_term_too_large_to_factor(self, capsys, tmp_path):
+        path = tmp_path / "semiprime.mat"
+        # two primes above the trial-division limit 10^7
+        path.write_text(f"1\n{10000019 * 10000079}\n")
         code, out, err = run(capsys, "aa", path)
         assert code == 2
         assert out == ""
@@ -180,6 +190,16 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        # main builds its parser once per process; options of one call
+        # (--nice, --json) must not leak into the next
+        plain = [FIX / "p3_c3.graph"]
+        _, first, _ = run(capsys, "graph", *plain)
+        run(capsys, "graph", "--nice", "--json", *plain)
+        _, second, _ = run(capsys, "graph", *plain)
+        assert first == second
+        assert "basis" not in second
 
 
 def _fixture_runs():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nicebasis import fixtures
 from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, free_nilpotent, graph_algebra
-from nicebasis.linalg import Matrix, Subspace, sparse
+from nicebasis.linalg import Matrix, Subspace, dense, sparse
 from nicebasis.scalars import Q
 
 # mostly zeros, so that rank drops and sparse paths are exercised
@@ -77,6 +77,46 @@ class TestSubspaceVsSympy:
         inside = to_sympy(Matrix(list(m.data) + [v])).rank() == to_sympy(m).rank()
         assert s.contains(v) == inside
         assert not set(s.reduce(v)) & set(s.pivots)
+
+
+nonzero_q = st.builds(Q, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def sparse_batches(draw):
+    """An ambient size and a list of sparse rational vectors in it."""
+    n = draw(st.integers(1, 9))
+    vec = st.dictionaries(st.integers(0, n - 1), nonzero_q, max_size=4)
+    return n, draw(st.lists(vec, min_size=1, max_size=12))
+
+
+def occupancy(s):
+    """The column index of s recomputed from its rows."""
+    occ = {}
+    for p, row in s.rows.items():
+        for c in row:
+            if c != p:
+                occ.setdefault(c, set()).add(p)
+    return occ
+
+
+class TestColumnIndex:
+    @given(sparse_batches())
+    @settings(max_examples=150)
+    def test_index_and_rows_after_random_adds(self, batch):
+        n, vecs = batch
+        s = Subspace(n)
+        for v in vecs:
+            s.add(v)
+            assert s._occ == occupancy(s)
+        m = to_sympy(Matrix([dense(v, n) for v in vecs]))
+        reduced, pivots = m.rref()
+        assert s.pivots == list(pivots)
+        assert s.basis() == [from_sympy(reduced.row(i)) for i in range(len(pivots))]
+        # the canonical kernel basis is sympy's, vector for vector
+        want = [from_sympy(v) for v in m.nullspace()]
+        assert s.kernel() == want
+        assert [sparse(v) for v in want] == s.sparse_kernel()
 
 
 def dense_bracket(g, x, y):
@@ -149,12 +189,17 @@ def test_is_derivation_matches_dense_check(name, data):
     der = derivation_space(g).basis
     # a random combination of derivations, sometimes perturbed by a random matrix
     coeffs = data.draw(st.lists(entries, min_size=len(der), max_size=len(der)))
-    d = Matrix.zeros(n, n)
+    entries_d = [[Q(0)] * n for _ in range(n)]
     for c, b in zip(coeffs, der):
-        d = d + b * c
+        for (r, k), x in b.items():
+            entries_d[r][k] += c * x
+    d = Matrix(entries_d)
     if data.draw(st.booleans()):
         d = d + Matrix([data.draw(vectors(n)) for _ in range(n)])
-    assert is_derivation(g, d) == dense_is_derivation(g, d)
+    want = dense_is_derivation(g, d)
+    assert is_derivation(g, d) == want
+    as_map = {(r, k): d[r, k] for r in range(n) for k in range(n) if d[r, k]}
+    assert is_derivation(g, as_map) == want
 
 
 def _graph_representatives(v):

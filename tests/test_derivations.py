@@ -1,3 +1,5 @@
+import random
+
 import pytest
 import sympy
 
@@ -15,9 +17,10 @@ from nicebasis.derivations import (
     PreEinstein,
 )
 from nicebasis.almost_abelian import count_nice
-from nicebasis.lie import direct_sum, abelian
-from nicebasis.linalg import Matrix
-from nicebasis.scalars import Q, rat
+from nicebasis.graphs import GraphSpec, graph_algebra
+from nicebasis.lie import LieAlgebra, direct_sum, abelian
+from nicebasis.linalg import Matrix, Subspace
+from nicebasis.scalars import Q, ZERO, rat
 from nicebasis import fixtures
 
 
@@ -47,6 +50,88 @@ def sympy_derivation_dim(g):
     return n * n - m.rank()
 
 
+def dense_derivation_space(g):
+    """Der(g) by the dense construction that derivation_space replaced.
+
+    Every m runs through the equation loop, the kernel comes back dense and
+    each derivation is an n x n Matrix.  Kept here as the oracle that pins
+    the sparse construction to the same canonical basis.
+    """
+    n = g.dim
+
+    def var(r, c):
+        return r * n + c
+
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = g.bracket_basis(i, j)
+            eq = {}
+            for k, c in cij.items():
+                for r in range(n):
+                    eq.setdefault(r, {})[var(r, k)] = (
+                        eq.get(r, {}).get(var(r, k), ZERO) + c
+                    )
+            for m in range(n):
+                cmj = g.bracket_basis(m, j)
+                for r, c in cmj.items():
+                    eq.setdefault(r, {})[var(m, i)] = (
+                        eq.get(r, {}).get(var(m, i), ZERO) - c
+                    )
+                cim = g.bracket_basis(i, m)
+                for r, c in cim.items():
+                    eq.setdefault(r, {})[var(m, j)] = (
+                        eq.get(r, {}).get(var(m, j), ZERO) - c
+                    )
+            rows.extend(eq.values())
+    kernel = Subspace(n * n, rows).kernel()
+    return [Matrix([v[r * n:(r + 1) * n] for r in range(n)]) for v in kernel]
+
+
+def signed_filiform(sizes, seed):
+    """L_a + L_b + ... with its basis rescaled by seeded signs."""
+    rng = random.Random(seed)
+    signs = [1] + [rng.choice((1, -1)) for _ in range(sum(sizes) - 1)]
+    table, offset = {}, 0
+    for n in sizes:
+        for i in range(offset + 1, offset + n - 1):
+            table[(offset, i)] = {i + 1: signs[offset] * signs[i] * signs[i + 1]}
+        offset += n
+    return LieAlgebra(offset, table)
+
+
+ORACLE_ALGEBRAS = {
+    **{f"L{n}": (lambda n=n: signed_filiform((n,), n)) for n in range(5, 13)},
+    "L4+L5": lambda: signed_filiform((4, 5), 1),
+    "L5+L6": lambda: signed_filiform((5, 6), 2),
+    "path3-class3": lambda: graph_algebra(GraphSpec.of(3, [(0, 1), (1, 2)], 3))[0],
+    "square-class2": lambda: graph_algebra(
+        GraphSpec.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2))[0],
+    "sl2": fixtures.sl2,
+    "so3": fixtures.so3,
+}
+
+
+class TestSparseMatchesDenseOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_same_canonical_basis(self, name):
+        g = ORACLE_ALGEBRAS[name]()
+        n = g.dim
+        space = derivation_space(g)
+        assert all(x and 0 <= r < n and 0 <= c < n
+                   for d in space.basis for (r, c), x in d.items())
+        as_matrices = [
+            Matrix([[d.get((r, c), ZERO) for c in range(n)] for r in range(n)])
+            for d in space.basis
+        ]
+        assert as_matrices == dense_derivation_space(g)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+    def test_dimension_is_sympy_corank(self, name):
+        g = ORACLE_ALGEBRAS[name]()
+        assert len(derivation_space(g)) == sympy_derivation_dim(g)
+
+
 class TestDerivationSpace:
     @pytest.mark.parametrize("make", [
         fixtures.heisenberg3,
@@ -70,6 +155,9 @@ class TestDerivationSpace:
         d = Matrix.diagonal([rat(1), rat(1), rat(2)])
         assert space.contains(d)
         assert not space.contains(Matrix.diagonal([rat(1), rat(1), rat(1)]))
+        # the sparse form is accepted as well
+        assert space.contains({(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
+        assert not space.contains({(0, 0): rat(1)})
 
     def test_diagonal_subspace(self):
         g = fixtures.standard_filiform(4)

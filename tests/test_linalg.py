@@ -48,6 +48,8 @@ class TestMatrix:
         a = Matrix([[0, 1], [0, 0]])
         assert (a ** 2).is_zero()
         assert a ** 0 == Matrix.identity(2)
+        with pytest.raises(ValueError):
+            Matrix.identity(2) ** -1
 
     def test_inverse(self):
         a = Matrix([[2, 1], [1, 1]])
