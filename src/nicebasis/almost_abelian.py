@@ -32,7 +32,6 @@ from .linalg import (
     poly_gcd,
     rational_roots,
     similar,
-    sparse,
     sparse_columns,
 )
 from .nice import check_nice
@@ -378,10 +377,10 @@ def _nilpotent_chains(a: Matrix, cols):
     chains = []
     covered = Subspace(n)
     for i in range(s, 0, -1):
-        seen = Subspace(n, kernels[i - 1].basis() + covered.basis())
-        for v in kernels[i].basis():
+        seen = Subspace(n, [k.rows[p] for k in (kernels[i - 1], covered) for p in k.pivots])
+        for v in (kernels[i].rows[p] for p in kernels[i].pivots):
             if seen.add(v):
-                chain = [sparse(v)]
+                chain = [v]
                 for _ in range(i - 1):
                     chain.append(apply_columns(cols, chain[-1]))
                 chains.append(chain)
@@ -413,30 +412,30 @@ def _cyclic_chain(cols, d, r, existing: Subspace):
         for i, x in col.items():
             if x:
                 rows[i][j] = x
-    kernel = Subspace(n, rows).kernel()
+    kernel = Subspace(n, rows).sparse_kernel()
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
-    candidates = list(kernel)
-    candidates += [
-        tuple(x + y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
-    ]
-    prefix = list(kernel[0])
-    for v in kernel[1:]:
-        prefix = [x + y for x, y in zip(prefix, v)]
-        candidates.append(tuple(prefix))
-    candidates += [
-        tuple(x + 2 * y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
-    ]
-    for w in candidates:
-        chain = [sparse(w)]
+    for w in _cyclic_candidates(kernel):
+        chain = [w]
         for _ in range(d - 1):
             chain.append(apply_columns(cols, chain[-1]))
         trial = Subspace(n, existing.rows.values())
         if all(trial.add(v) for v in chain):
             return chain
     raise RuntimeError("no cyclic vector found for factor")
+
+
+def _cyclic_candidates(kernel):
+    """Kernel vectors, then every u + v, the prefix sums, every u + 2v, lazily."""
+    yield from kernel
+    for uv in itertools.combinations(kernel, 2):
+        yield apply_columns(uv, {0: ONE, 1: ONE})
+    prefix = kernel[0]
+    for v in kernel[1:]:
+        prefix = apply_columns((prefix, v), {0: ONE, 1: ONE})
+        yield prefix
+    for uv in itertools.combinations(kernel, 2):
+        yield apply_columns(uv, {0: ONE, 1: Q(2)})
 
 
 def _numeric_hint(q: Poly):

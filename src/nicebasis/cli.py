@@ -40,7 +40,7 @@ from .graphs import (
     DimensionCapExceeded,
 )
 from .catalog3 import catalog
-from .reproduce import run_all
+from .reproduce import ALL_CHECKS
 
 
 class UsageError(Exception):
@@ -261,7 +261,11 @@ def cmd_catalog3(args):
 
 
 def cmd_reproduce(args):
-    rows = run_all()
+    rows = []
+    for check in ALL_CHECKS:
+        t0 = time.perf_counter()
+        rows.append(check())
+        print("%s %.2fs" % (rows[-1][0], time.perf_counter() - t0), file=sys.stderr)
     lines = ["%s %s -- %s" % ("PASS" if ok else "FAIL", name, detail)
              for name, ok, detail in rows]
     report = _report(args, {

@@ -34,21 +34,6 @@ def n6() -> LieAlgebra:
     )
 
 
-def n6_central_extension() -> LieAlgebra:
-    """7-dim algebra with 2-dim center whose quotient by X6 - X7 is n6."""
-    return LieAlgebra(
-        7,
-        {
-            (0, 1): {3: 1},
-            (0, 3): {4: 1},
-            (0, 4): {5: 1},
-            (1, 2): {5: 1},
-            (1, 3): {6: 1},
-        },
-        names=[f"X{i+1}" for i in range(7)],
-    )
-
-
 def sl2() -> LieAlgebra:
     """[e1,e2] = 2e2, [e1,e3] = -2e3, [e2,e3] = e1."""
     return LieAlgebra(

@@ -11,7 +11,7 @@ antisymmetry are enforced at construction time.
 from __future__ import annotations
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
-from .linalg import Matrix, Subspace, dense, kernel_of, sparse
+from .linalg import Matrix, Subspace, dense, kernel_of, sparse, sparse_columns
 
 # Largest dimension (matrix size, graph vertex count or class) any input
 # file or constructed algebra may have; larger inputs are refused up front.
@@ -225,20 +225,19 @@ class LieAlgebra:
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
-        """Structure constants in the basis given by the columns of p."""
+        """Structure constants in the basis of p's columns.  Column j is tagged with
+        coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j)."""
         n = self.dim
-        cols = [sparse(p.column(j)) for j in range(n)]
-        pinv = [sparse(col) for col in zip(*p.inverse().data)]
+        cols = sparse_columns(p)
+        tagged = Subspace(2 * n, ({**c, n + j: ONE} for j, c in enumerate(cols)))
+        if (p.rows, p.cols) != (n, n) or tagged.pivots != list(range(n)):
+            raise ValueError("change of basis needs an invertible n x n matrix")
         table = {}
         for i in range(n):
             for j in range(i + 1, n):
-                w = {}
-                for k, x in self.bracket_sparse(cols[i], cols[j]).items():
-                    for t, y in pinv[k].items():
-                        w[t] = w.get(t, ZERO) + x * y
-                entry = {t: w[t] for t in sorted(w) if w[t]}
-                if entry:
-                    table[(i, j)] = entry
+                r = tagged.reduce(self.bracket_sparse(cols[i], cols[j]))
+                if r:
+                    table[(i, j)] = {t - n: -r[t] for t in sorted(r)}
         return LieAlgebra(n, table, check=False)
 
     def __repr__(self):

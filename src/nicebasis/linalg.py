@@ -9,6 +9,7 @@ dense, lowest degree first.
 
 from __future__ import annotations
 
+import math
 
 from .scalars import Q, ZERO, ONE, factor_int, fmt
 
@@ -521,12 +522,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zeros(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + Matrix.identity(m.rows) * c
-        return acc
-
     def derivative(self):
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
@@ -592,7 +587,7 @@ def rational_roots(p: Poly):
         return roots
     denom_lcm = 1
     for c in p.coeffs:
-        denom_lcm = _lcm_int(denom_lcm, int(c.denominator))
+        denom_lcm = math.lcm(denom_lcm, int(c.denominator))
     ints = [int(c * denom_lcm) for c in p.coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
     for num in _divisors(a0):
@@ -708,12 +703,6 @@ def _divisors(n):
     for p, e in factor_int(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
-
-
-def _lcm_int(a, b):
-    import math
-
-    return a * b // math.gcd(a, b)
 
 
 # --- integer linear systems (used by the monomial-equivalence search) ---

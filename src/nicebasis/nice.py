@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO, ONE, factor_rat
+from .scalars import Q, ONE, factor_rat
 from .lie import LieAlgebra
 from .linalg import Matrix, solve_integer_system, solve_gf2_system
 
@@ -77,13 +77,6 @@ class MonomialMap:
 
     sigma: tuple
     scales: tuple
-
-    def matrix(self) -> Matrix:
-        n = len(self.sigma)
-        m = [[ZERO] * n for _ in range(n)]
-        for i, (s, t) in enumerate(zip(self.sigma, self.scales)):
-            m[s][i] = Q(t)
-        return Matrix(m)
 
     def is_isomorphism(self, a: LieAlgebra, b: LieAlgebra) -> bool:
         """Does the map send tensor a to tensor b?

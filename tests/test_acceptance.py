@@ -4,7 +4,9 @@ Each test runs its check, prints a single pass/fail line (visible with
 pytest -s) and asserts the verdict.  Timing bounds live inside the checks.
 """
 
+import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,3 +57,16 @@ def test_free_dimensions():
 
 def test_structure_facts():
     report(reproduce.check_structure_facts)
+
+
+@pytest.mark.parametrize("check", [reproduce.check_filiform_closed_form,
+                                   reproduce.check_almost_abelian_counts])
+def test_timed_row_does_not_depend_on_the_clock(monkeypatch, check):
+    rows = []
+    for step in (0.001, 1.0):
+        ticks = itertools.count()
+        clock = SimpleNamespace(perf_counter=lambda: next(ticks) * step)
+        monkeypatch.setattr(reproduce, "time", clock)
+        rows.append(check())
+    assert rows[0] == rows[1]
+    assert rows[0][1]

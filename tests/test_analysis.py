@@ -267,6 +267,51 @@ class TestWitnessVsDenseReference:
         assert got.witness == want.witness
 
 
+def reference_candidates(kernel):
+    """The eager, dense candidate list _cyclic_chain tried in order."""
+    candidates = list(kernel)
+    candidates += [
+        tuple(x + y for x, y in zip(u, v))
+        for u, v in itertools.combinations(kernel, 2)
+    ]
+    prefix = list(kernel[0])
+    for v in kernel[1:]:
+        prefix = [x + y for x, y in zip(prefix, v)]
+        candidates.append(tuple(prefix))
+    candidates += [
+        tuple(x + 2 * y for x, y in zip(u, v))
+        for u, v in itertools.combinations(kernel, 2)
+    ]
+    return candidates
+
+
+class TestCandidateOrder:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lazy_matches_eager_list(self, seed):
+        rng = random.Random(seed)
+        rank = rng.randint(1, 3)
+        n = rank + rng.randint(4, 6)
+        left = Matrix([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)])
+        right = Matrix([[rng.choice((0, 0, 1, -1, Q(1, 2))) for _ in range(n)]
+                        for _ in range(rank)])
+        m = left * right
+        kernel = Subspace(n, m.data).sparse_kernel()
+        assert len(kernel) >= 4
+        want = [sparse(w) for w in reference_candidates(nullspace(m))]
+        got = list(almost_abelian._cyclic_candidates(kernel))
+        assert got == want
+        assert len(got) == len(kernel) ** 2 + len(kernel) - 1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_family_factor_kernels(self, n):
+        a = indecomposable_family(n).a
+        for d, r in exists_nice(a).factorization.factors:
+            m = a**d - Matrix.identity(a.rows) * r
+            kernel = Subspace(a.rows, m.data).sparse_kernel()
+            want = [sparse(w) for w in reference_candidates(nullspace(m))]
+            assert list(almost_abelian._cyclic_candidates(kernel)) == want
+
+
 class TestOneDivisorPass:
     @pytest.fixture
     def calls(self, monkeypatch):

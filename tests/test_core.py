@@ -153,7 +153,7 @@ def test_bracket_sparse_matches_dense_formula(name, data):
     assert g.bracket(x, y) == want
 
 
-@pytest.mark.parametrize("name", ["sl2", "h3", "l5"])
+@pytest.mark.parametrize("name", ["sl2", "h3", "l5", "free-2-4"])
 @given(data=st.data())
 @settings(max_examples=25)
 def test_change_basis_matches_dense_reference(name, data):

@@ -106,3 +106,13 @@ class TestIO:
                     [0, 0, 0, 0, 0, 1]])
         h = g.change_basis(p).change_basis(p.inverse())
         assert h.brackets == g.brackets
+
+    @pytest.mark.parametrize("p", [
+        Matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]),  # dependent columns
+        Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),  # zero row
+        Matrix([[1, 0], [0, 1]]),  # wrong size
+        Matrix([[1, 0, 0], [0, 1, 0]]),  # not square
+    ], ids=["dependent", "zero-row", "wrong-size", "not-square"])
+    def test_change_basis_rejects_singular(self, p):
+        with pytest.raises(ValueError):
+            fixtures.sl2().change_basis(p)

@@ -27,6 +27,14 @@ from nicebasis.scalars import Q, rat
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
 
 
+def horner(p, m):
+    """p(m) by Horner's rule on dense matrices."""
+    acc = Matrix.zeros(m.rows, m.cols)
+    for c in reversed(p.coeffs):
+        acc = acc * m + Matrix.identity(m.rows) * c
+    return acc
+
+
 def square(n, entries):
     return Matrix([[entries[i * n + j] for j in range(n)] for i in range(n)])
 
@@ -105,7 +113,7 @@ class TestCharPoly:
     @settings(max_examples=60)
     def test_cayley_hamilton_3x3(self, entries):
         m = square(3, entries)
-        assert char_poly(m).eval_matrix(m).is_zero()
+        assert horner(char_poly(m), m).is_zero()
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=40)
@@ -113,7 +121,7 @@ class TestCharPoly:
         entries = data.draw(st.lists(st.integers(-5, 5),
                                      min_size=n * n, max_size=n * n))
         m = square(n, [rat(x) for x in entries])
-        assert char_poly(m).eval_matrix(m).is_zero()
+        assert horner(char_poly(m), m).is_zero()
 
     def test_vs_sympy(self):
         rng = random.Random(7)
@@ -198,7 +206,7 @@ class TestMinimalPolynomial:
         m = Matrix.diagonal([rat(2), rat(2), rat(3)])
         mp = minimal_polynomial(m)
         assert mp.degree == 2
-        assert mp.eval_matrix(m).is_zero()
+        assert horner(mp, m).is_zero()
 
 
 class TestSmith:
