@@ -351,8 +351,9 @@ def _witness_basis(a: Matrix, fact):
             if not span.add(v):
                 raise RuntimeError("dependent nilpotent chain vectors")
     if fact is not None:
+        squares = [cols]  # A^(2^k), shared by the factors' powers
         for d, r in fact.factors:
-            chain = _cyclic_chain(cols, d, r, span)
+            chain = _cyclic_chain(squares, d, r, span)
             chains.append(chain)
             for v in chain:
                 if not span.add(v):
@@ -390,28 +391,35 @@ def _nilpotent_chains(a: Matrix, cols):
     return chains
 
 
-def _cyclic_chain(cols, d, r, existing: Subspace):
+def _cyclic_chain(squares, d, r, existing: Subspace):
     """Sparse chain w, Aw, ..., A^(d-1)w in ker(A^d - r), independent of existing.
 
-    cols are A's sparse columns; those of A^d come from binary powering,
-    each product applying one column set to the other, and the kernel is
-    read off the rows of A^d - r, the same canonical basis
+    squares[k] holds the sparse columns of A^(2^k); squares[0] are A's, and
+    the list grows as needed, so one witness squares A at most log2(n)
+    times in all.  A^d is the product of the squares its binary digits
+    select, each product applying one column set to the other, and the
+    kernel is read off the rows of A^d - r, the same canonical basis
     nullspace(A^d - r) returns.
     """
+    cols = squares[0]
     n = len(cols)
-    power, base, k = [{j: ONE} for j in range(n)], cols, d
+    power, k, t = None, d, 0
     while k:
+        if t == len(squares):
+            squares.append([apply_columns(squares[-1], c) for c in squares[-1]])
         if k & 1:
-            power = [apply_columns(base, c) for c in power]
+            power = squares[t] if power is None else [apply_columns(squares[t], c) for c in power]
         k >>= 1
-        if k:
-            base = [apply_columns(base, c) for c in base]
+        t += 1
     rows = [{} for _ in range(n)]
     for j, col in enumerate(power):
-        col[j] = col.get(j, ZERO) - r
         for i, x in col.items():
-            if x:
-                rows[i][j] = x
+            rows[i][j] = x
+        x = rows[j].get(j, ZERO) - r
+        if x:
+            rows[j][j] = x
+        else:
+            rows[j].pop(j, None)
     kernel = Subspace(n, rows).sparse_kernel()
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
@@ -419,7 +427,7 @@ def _cyclic_chain(cols, d, r, existing: Subspace):
         chain = [w]
         for _ in range(d - 1):
             chain.append(apply_columns(cols, chain[-1]))
-        trial = Subspace(n, existing.rows.values())
+        trial = existing.copy()
         if all(trial.add(v) for v in chain):
             return chain
     raise RuntimeError("no cyclic vector found for factor")

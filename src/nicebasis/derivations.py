@@ -8,6 +8,7 @@ against the full derivation space.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -48,16 +49,18 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
 
     Unknowns are the n^2 entries of D (row-major); one sparse equation per
     (pair, output coordinate).  Only nonzero brackets contribute terms, so
-    assembly costs O(n^2 + n nnz).  The basis is Subspace.sparse_kernel's
-    canonical one: a vector per free entry of D, in row-major order.
+    assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
+    assembled from the integer table of _integer_ad and eliminated in ints.
+    The basis is Subspace.sparse_kernel's canonical one: a vector per free
+    entry of D, in row-major order.
     """
     n = g.dim
-    ad = g.ad_table
+    ad = _integer_ad(g)
     rows = []
 
     def term(eq, r, var, c):
         row = eq.setdefault(r, {})
-        row[var] = row.get(var, ZERO) + c
+        row[var] = row.get(var, 0) + c
 
     for i in range(n):
         adi = ad[i]
@@ -83,14 +86,26 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     )
 
 
+def _integer_ad(g: LieAlgebra):
+    """g.ad_table times the lcm of its denominators, as ints."""
+    den = math.lcm(*[
+        c.denominator for row in g.ad_table for comps in row.values() for c in comps.values()
+    ])
+    return [
+        {m: {r: c.numerator * (den // c.denominator) for r, c in comps.items()}
+         for m, comps in row.items()}
+        for row in g.ad_table
+    ]
+
+
 def diagonal_derivations(g: LieAlgebra):
     """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
     n = g.dim
     rows = []
     for (i, j), comps in g.brackets.items():
         for k in comps:
-            eq = {i: ONE, j: ONE}
-            eq[k] = eq.get(k, ZERO) - ONE
+            eq = {i: 1, j: 1}
+            eq[k] = eq.get(k, 0) - 1
             rows.append(eq)
     return Subspace(n, rows).kernel()
 

@@ -1,10 +1,10 @@
 """Rational matrices, the sparse echelon core, and rational polynomials.
 
 Matrices are immutable row-major tuples of exact rationals.  Every echelon
-computation goes through Subspace, which keeps sparse rows in fully reduced
-form; that form is canonical, so identical input always yields identical
-output, which keeps golden-file tests stable.  Polynomials are stored
-dense, lowest degree first.
+computation goes through Subspace, which keeps sparse integer rows in fully
+reduced form; that form is canonical, so identical input always yields
+identical output, which keeps golden-file tests stable.  Polynomials are
+stored dense, lowest degree first.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, entries):
-        data = tuple(tuple(Q(x) for x in row) for row in entries)
+        data = tuple(
+            tuple([x if isinstance(x, Q) else Q(x) for x in row]) for row in entries
+        )
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
@@ -197,65 +199,142 @@ def apply_columns(cols, vec):
 class Subspace:
     """Span of vectors in Q^ambient, kept in fully reduced echelon form.
 
-    rows maps each pivot column to its sparse row {col: value}: the pivot
-    entry is 1 and every other pivot column is zero in it.  That is the
-    unique reduced row echelon form of the span, hence canonical.  Vectors
-    may be given dense (sequences of length ambient) or sparse (dicts).
+    Inside, each row is a primitive integer vector {col: int}: its entries
+    have gcd 1, its pivot entry is positive, and every other pivot column is
+    zero in it.  Divided by its pivot entry it is a row of the unique reduced
+    row echelon form of the span, so the rows are canonical.  Elimination is
+    fraction-free (v <- a v - f row, then division by the gcd content, the
+    simplest form of Bareiss, Math. Comp. 1968); a vector, dense (a sequence
+    of length ambient) or sparse (a dict), is scaled to integers once by the
+    lcm of its denominators.  Q appears only at the boundary: rows, reduce,
+    basis and the kernels.
 
-    _occ is the column index of rows: it maps each non-pivot column to the
-    set of pivots whose row is nonzero there, so a new pivot is eliminated
-    from exactly the rows that hold it.
+    _occ is the column index of the rows: it maps each non-pivot column to
+    the set of pivots whose row is nonzero there, so a new pivot is
+    eliminated from exactly the rows that hold it.
     """
 
-    __slots__ = ("ambient", "rows", "_occ")
+    __slots__ = ("ambient", "_rows", "_occ", "_view")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        self.rows = {}
+        self._rows = {}
         self._occ = {}
+        self._view = None
         for v in vectors:
             self.add(v)
 
+    def copy(self):
+        """An independent Subspace with the same rows, built without arithmetic."""
+        s = Subspace(self.ambient)
+        s._rows = {p: dict(row) for p, row in self._rows.items()}
+        s._occ = {c: set(holders) for c, holders in self._occ.items()}
+        s._view = self._view
+        return s
+
+    @property
+    def rows(self):
+        """The reduced rows over Q, {pivot: {col: value}} with pivot entry 1.
+
+        Read-only; built on first use after the span last grew.
+        """
+        if self._view is None:
+            self._view = {}
+            for p, row in self._rows.items():
+                a = row[p]
+                self._view[p] = (
+                    {c: Q(x) for c, x in row.items()} if a == 1
+                    else {c: Q(x, a) for c, x in row.items()}
+                )
+        return self._view
+
+    def _entries(self, vector):
+        """The (col, value) pairs of a dense or sparse vector."""
+        if isinstance(vector, dict):
+            return vector.items()
+        if len(vector) == self.ambient:
+            return enumerate(vector)
+        raise ValueError("vector length mismatch")
+
+    def _residue(self, v, hits):
+        """(w, den): the residue of v modulo the span is w / den, w integer.
+
+        v maps columns to nonzero ints or Q, and hits lists its pivot
+        columns.  Rows vanish on each other's pivots, so one pass over the
+        hits clears them all and creates no new ones.
+        """
+        den = math.lcm(*[x.denominator for x in v.values()])
+        if den == 1:
+            w = {c: x.numerator for c, x in v.items()}
+        else:
+            w = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+        rows = self._rows
+        for p in hits:
+            row = rows[p]
+            a, f = row[p], w.pop(p)
+            if a != 1:
+                g = math.gcd(a, f)
+                a, f = a // g, f // g
+                if a != 1:
+                    den *= a
+                    for c in w:
+                        w[c] *= a
+            for c, x in row.items():
+                if c != p:
+                    y = w.get(c, 0) - f * x
+                    if y:
+                        w[c] = y
+                    else:
+                        del w[c]
+        return w, den
+
     def reduce(self, vector):
-        """Residue of vector modulo the span, sparse (empty iff contained)."""
+        """Residue of vector modulo the span, sparse over Q (empty iff contained)."""
         if isinstance(vector, dict):
             items = vector.items()
-        elif len(vector) == self.ambient:
-            items = enumerate(vector)
         else:
-            raise ValueError("vector length mismatch")
+            items = self._entries(vector)
         v = {c: x if isinstance(x, Q) else Q(x) for c, x in items if x}
-        rows = self.rows
-        # rows vanish on each other's pivots, so one pass over the pivots
-        # present in v clears them all and creates no new ones
-        for p in [c for c in v if c in rows]:
-            f = v.pop(p)
-            for c, x in rows[p].items():
-                if c != p:
-                    y = v.get(c, ZERO) - f * x
-                    if y:
-                        v[c] = y
-                    else:
-                        del v[c]
-        return v
+        rows = self._rows
+        hits = [c for c in v if c in rows]
+        if not hits:
+            return v
+        w, den = self._residue(v, hits)
+        if den == 1:
+            return {c: Q(x) for c, x in w.items()}
+        return {c: Q(x, den) for c, x in w.items()}
 
     def add(self, vector):
         """Add a vector to the span; returns True if the dimension grew."""
-        v = self.reduce(vector)
-        if not v:
+        v = {
+            c: x if type(x) is int or isinstance(x, Q) else Q(x)
+            for c, x in self._entries(vector) if x
+        }
+        rows = self._rows
+        w, _ = self._residue(v, [c for c in v if c in rows])
+        if not w:
             return False
-        p = min(v)
-        if v[p] != 1:
-            inv = 1 / v[p]
-            v = {c: x * inv for c, x in v.items()}
+        p = min(w)
+        g = math.gcd(*w.values())
+        if w[p] < 0:
+            g = -g
+        if g != 1:
+            w = {c: x // g for c, x in w.items()}
+        a = w[p]
         occ = self._occ
         for q in occ.pop(p, ()):
-            row = self.rows[q]
+            row = rows[q]
             f = row.pop(p)
-            for c, x in v.items():
+            if a != 1:
+                g = math.gcd(a, f)
+                m, f = a // g, f // g
+                if m != 1:
+                    for c in row:
+                        row[c] *= m
+            for c, x in w.items():
                 if c == p:
                     continue
-                y = row.get(c, ZERO) - f * x
+                y = row.get(c, 0) - f * x
                 if not y:
                     del row[c]
                     holders = occ[c]
@@ -266,10 +345,17 @@ class Subspace:
                     if c not in row:
                         occ.setdefault(c, set()).add(q)
                     row[c] = y
-        for c in v:
+            # the content divides the pivot entry, so a pivot of 1 means none
+            if row[q] != 1:
+                g = math.gcd(*row.values())
+                if g != 1:
+                    for c in row:
+                        row[c] //= g
+        for c in w:
             if c != p:
                 occ.setdefault(c, set()).add(p)
-        self.rows[p] = v
+        rows[p] = w
+        self._view = None
         return True
 
     def contains(self, vector):
@@ -277,21 +363,22 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def pivots(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def basis(self):
         """The reduced rows as dense tuples, by increasing pivot."""
-        return [dense(self.rows[p], self.ambient) for p in self.pivots]
+        rows = self.rows
+        return [dense(rows[p], self.ambient) for p in self.pivots]
 
     def kernel(self):
         """Canonical basis of {x : row . x = 0 for every row}, dense.
 
         One vector per free (non-pivot) column f, ordered by f, with x_f = 1
-        and x_p = -row_p[f] on the pivots.
+        and x_p = -row_p[f] on the pivots (row_p scaled to pivot entry 1).
         """
         return [dense(v, self.ambient) for v in self.sparse_kernel()]
 
@@ -301,11 +388,11 @@ class Subspace:
         The pivots p with row_p[f] != 0 are read off the column index, and
         all lie below f.
         """
-        rows, occ = self.rows, self._occ
+        rows, occ = self._rows, self._occ
         out = []
         for f in range(self.ambient):
             if f not in rows:
-                v = {p: -rows[p][f] for p in sorted(occ.get(f, ()))}
+                v = {p: Q(-rows[p][f], rows[p][p]) for p in sorted(occ.get(f, ()))}
                 v[f] = ONE
                 out.append(v)
         return out
@@ -314,7 +401,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __repr__(self):
@@ -444,7 +531,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Q(c) for c in coeffs]
+        cs = [c if isinstance(c, Q) else Q(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)

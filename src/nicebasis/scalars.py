@@ -1,21 +1,16 @@
 """Exact rational scalars.
 
-All arithmetic in this package is exact.  We use gmpy2's mpq when it is
-available (it is considerably faster on large dense eliminations) and fall
-back to the standard library Fraction otherwise.  Both types are hash- and
-comparison-compatible, always stored reduced with a positive denominator,
-and print as "p/q" or "p", which is the serialization used everywhere
-(files, CLI output, reports).
+All arithmetic in this package is exact.  Q is the standard library
+Fraction: always stored reduced with a positive denominator, and printed as
+"p/q" or "p", which is the serialization used everywhere (files, CLI
+output, reports).  The echelon core works on integer rows and meets Q only
+at its boundary (see linalg.Subspace).
 """
 
 from __future__ import annotations
 
 import re
-
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Q
+from fractions import Fraction as Q
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -111,6 +111,9 @@ ORACLE_ALGEBRAS = {
         GraphSpec.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2))[0],
     "sl2": fixtures.sl2,
     "so3": fixtures.so3,
+    # basis rescaled by 1/3: structure constants 1/3, cleared before elimination
+    "L7/3": lambda: signed_filiform((7,), 7).change_basis(
+        Matrix.identity(7) * Q(1, 3)),
 }
 
 
