@@ -206,8 +206,8 @@ class Subspace:
     fraction-free (v <- a v - f row, then division by the gcd content, the
     simplest form of Bareiss, Math. Comp. 1968); a vector, dense (a sequence
     of length ambient) or sparse (a dict), is scaled to integers once by the
-    lcm of its denominators.  Q appears only at the boundary: rows, reduce,
-    basis and the kernels.
+    lcm of its denominators, so its entries must be ints or Q.  Q appears
+    only at the boundary: rows, reduce, basis and the kernels.
 
     _occ is the column index of the rows: it maps each non-pivot column to
     the set of pivots whose row is nonzero there, so a new pivot is
@@ -239,13 +239,9 @@ class Subspace:
         Read-only; built on first use after the span last grew.
         """
         if self._view is None:
-            self._view = {}
-            for p, row in self._rows.items():
-                a = row[p]
-                self._view[p] = (
-                    {c: Q(x) for c, x in row.items()} if a == 1
-                    else {c: Q(x, a) for c, x in row.items()}
-                )
+            self._view = {
+                p: {c: Q(x, row[p]) for c, x in row.items()} for p, row in self._rows.items()
+            }
         return self._view
 
     def _entries(self, vector):
@@ -306,10 +302,7 @@ class Subspace:
 
     def add(self, vector):
         """Add a vector to the span; returns True if the dimension grew."""
-        v = {
-            c: x if type(x) is int or isinstance(x, Q) else Q(x)
-            for c, x in self._entries(vector) if x
-        }
+        v = {c: x for c, x in self._entries(vector) if x}
         rows = self._rows
         w, _ = self._residue(v, [c for c in v if c in rows])
         if not w:
