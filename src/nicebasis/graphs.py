@@ -224,7 +224,7 @@ def graph_algebra(g: GraphSpec):
             w = free.bracket_sparse({x: ONE}, v)
             if w and ideal.add(w):
                 queue.append(w)
-    keep = [i for i in range(free.dim) if i not in ideal.rows]
+    keep = sorted(set(range(free.dim)).difference(ideal.pivots))
     pos = {orig: t for t, orig in enumerate(keep)}
 
     def project(vec):

@@ -286,6 +286,8 @@ class Subspace:
 
     def reduce(self, vector):
         """Residue of vector modulo the span, sparse over Q (empty iff contained)."""
+        # the hot call of graph_algebra's projections, mostly on vectors that
+        # hold no pivot: a dict skips _entries, and Q(x) skips Q(x, 1)'s gcd
         if isinstance(vector, dict):
             items = vector.items()
         else:
