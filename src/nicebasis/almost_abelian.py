@@ -248,7 +248,6 @@ class ExistsVerdict:
     witness: Matrix | None = None  # basis columns for the compiled algebra
     reason: str | None = None
     factorization: BinomialFactorization | None = None
-    numeric_hint: tuple | None = None
 
     def __bool__(self):
         return self.status == "yes"
@@ -258,11 +257,48 @@ class ExistsVerdict:
 class Analysis:
     """What existence and count read off A, computed once per matrix."""
 
+    a: Matrix
     nilpotent: bool
-    reduced: Poly  # char_poly(A) with its x-power stripped
     semisimple: bool = True  # of the non-nilpotent part
-    factorizations: tuple = ()  # sorted BinomialFactorization of reduced
-    irrational: bool = False  # reduced may split with irrational constants
+    factorizations: tuple = ()  # sorted BinomialFactorization of char_poly(A) / x^k
+    irrational: bool = False  # char_poly(A) / x^k may split with irrational constants
+
+    def exists(self) -> ExistsVerdict:
+        """yes with a verified witness, no with a reason, or unknown-irrational."""
+        if self.nilpotent:
+            return ExistsVerdict("yes", witness=_witness_basis(self.a, None))
+        if not self.semisimple:
+            return ExistsVerdict(
+                "no", reason="non-nilpotent part of A is not semisimple"
+            )
+        if self.factorizations:
+            fact = self.factorizations[0]
+            witness = _witness_basis(self.a, fact)
+            return ExistsVerdict("yes", witness=witness, factorization=fact)
+        if self.irrational:
+            return ExistsVerdict(
+                "unknown-irrational",
+                reason="characteristic polynomial may split with irrational constants",
+            )
+        return ExistsVerdict(
+            "no",
+            reason="nonzero spectrum is not a union of full root sets"
+            " (no real binomial factorization exists)",
+        )
+
+    def count(self):
+        """Nice bases up to equivalence, or None (unknown-irrational)."""
+        if self.nilpotent:
+            return 1
+        if not self.semisimple:
+            return 0
+        if self.irrational:
+            return None
+        classes = []
+        for f in self.factorizations:
+            if not any(factorizations_equivalent(f, rep) for rep in classes):
+                classes.append(f)
+        return len(classes)
 
 
 def _analysis(a: Matrix) -> Analysis:
@@ -270,7 +306,7 @@ def _analysis(a: Matrix) -> Analysis:
     while q.coeffs[0] == 0:
         q = Poly(q.coeffs[1:])
     if q.degree == 0:
-        return Analysis(nilpotent=True, reduced=q)
+        return Analysis(a, nilpotent=True)
     # semisimplicity of the non-nilpotent part: the minimal polynomial with
     # its x-power stripped must be squarefree
     mp = minimal_polynomial(a)
@@ -279,7 +315,7 @@ def _analysis(a: Matrix) -> Analysis:
     semisimple = poly_gcd(mp, mp.derivative()).degree == 0
     divisors, irrational = _binomial_divisors(q)
     facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors))
-    return Analysis(False, q, semisimple, facts, irrational)
+    return Analysis(a, False, semisimple, facts, irrational)
 
 
 def exists_nice(a: Matrix) -> ExistsVerdict:
@@ -288,51 +324,12 @@ def exists_nice(a: Matrix) -> ExistsVerdict:
     yes comes with an explicit witness basis (columns, compiled algebra
     coordinates, f first), verified nice before being returned.
     """
-    return _exists(a, _analysis(a))
-
-
-def _exists(a: Matrix, data: Analysis) -> ExistsVerdict:
-    if data.nilpotent:
-        witness = _witness_basis(a, None)
-        return ExistsVerdict("yes", witness=witness)
-    if not data.semisimple:
-        return ExistsVerdict(
-            "no", reason="non-nilpotent part of A is not semisimple"
-        )
-    if data.factorizations:
-        fact = data.factorizations[0]
-        witness = _witness_basis(a, fact)
-        return ExistsVerdict("yes", witness=witness, factorization=fact)
-    if data.irrational:
-        return ExistsVerdict(
-            "unknown-irrational",
-            reason="characteristic polynomial may split with irrational constants",
-            numeric_hint=_numeric_hint(data.reduced),
-        )
-    return ExistsVerdict(
-        "no",
-        reason="nonzero spectrum is not a union of full root sets"
-        " (no real binomial factorization exists)",
-    )
+    return _analysis(a).exists()
 
 
 def count_nice(a: Matrix):
     """Number of nice bases up to equivalence, or None (unknown-irrational)."""
-    return _count(_analysis(a))
-
-
-def _count(data: Analysis):
-    if data.nilpotent:
-        return 1
-    if not data.semisimple:
-        return 0
-    if data.irrational:
-        return None
-    classes = []
-    for f in data.factorizations:
-        if not any(factorizations_equivalent(f, rep) for rep in classes):
-            classes.append(f)
-    return len(classes)
+    return _analysis(a).count()
 
 
 def _witness_basis(a: Matrix, fact):
@@ -444,36 +441,6 @@ def _cyclic_candidates(kernel):
         yield prefix
     for uv in itertools.combinations(kernel, 2):
         yield apply_columns(uv, {0: ONE, 1: Q(2)})
-
-
-def _numeric_hint(q: Poly):
-    """Float guess at root sets S_r^d of the reduced characteristic poly.
-
-    Groups numpy roots by modulus and tests each group for being the full
-    set of d-th roots of a common constant.  Never certified.
-    """
-    import numpy as np
-
-    coeffs = [float(c) for c in reversed(q.coeffs)]
-    roots = sorted(np.roots(coeffs), key=abs)
-    groups = []
-    for z in roots:
-        if groups and abs(abs(z) - abs(groups[-1][0])) < 1e-9 * max(1.0, abs(z)):
-            groups[-1].append(z)
-        else:
-            groups.append([z])
-    hint = []
-    for grp in groups:
-        d = len(grp)
-        consts = [z**d for z in grp]
-        ref = consts[0]
-        if all(abs(c - ref) < 1e-6 * max(1.0, abs(ref)) for c in consts) and abs(
-            ref.imag
-        ) < 1e-6:
-            hint.append((d, float(ref.real)))
-        else:
-            return None
-    return tuple(hint)
 
 
 def indecomposable_family(n: int) -> AlmostAbelian:

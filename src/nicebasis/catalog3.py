@@ -96,8 +96,8 @@ def simple_nice_bases(which: str):
     or so3 (one)."""
     if which == "sl2":
         alg = fixtures.sl2()
-        first = Matrix.identity(3)
-        second = Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)])
+        # the two nice bases of aa(A_-1) are nice for sl2 as well
+        first, second = _two_bases_a_minus1()
         for b in (first, second):
             if not check_nice(alg.change_basis(b)):
                 raise RuntimeError("sl2 basis failed the nice check")

@@ -24,14 +24,10 @@ from .derivations import (
     pre_einstein_nice,
     nu_product_rule,
     simple_spectrum_unique,
+    spectra_disjoint,
     NotNiceBasis,
 )
-from .almost_abelian import (
-    _analysis,
-    _count,
-    _exists,
-    load_matrix,
-)
+from .almost_abelian import _analysis, load_matrix
 from .graphs import (
     load_graph,
     graph_algebra,
@@ -160,7 +156,7 @@ def cmd_nu_product(args):
         })
     result = nu_product_rule(parts)
     if result is None and any(
-            set(a.spectrum) & set(b.spectrum)
+            not spectra_disjoint(a, b)
             for i, (a, _) in enumerate(parts)
             for b, _ in parts[i + 1:]):
         outcome, code = "inapplicable (spectra overlap)", 1
@@ -186,8 +182,8 @@ def cmd_aa(args):
         data = _analysis(a)
     except TooLargeToFactor as err:
         raise UsageError(f"{args.file}: {err}")
-    verdict = _exists(a, data)
-    nu = _count(data)
+    verdict = data.exists()
+    nu = data.count()
     facts = [str(f) for f in data.factorizations]
     lines = [f"exists {verdict.status}"]
     if verdict.reason:
@@ -208,7 +204,6 @@ def cmd_aa(args):
         "factorizations": facts,
         "nu": nu,
         "witness": witness,
-        "numeric_hint": verdict.numeric_hint,
     }, [args.file])
     _emit(args, report, lines)
     return 0 if verdict.status == "yes" else 1

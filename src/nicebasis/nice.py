@@ -3,8 +3,8 @@
 A basis is nice when (1) each bracket [e_i, e_j] is a multiple of a single
 basis vector, and (2) two index pairs feeding the same basis vector are
 either equal or disjoint.  Equivalence of bases is tested within monomial
-maps X_i -> t_i X_{sigma(i)}; a negative answer therefore means "not
-monomially equivalent".
+maps X_i -> t_i X_{sigma(i)} with rational scales t_i; a negative answer
+means "not monomially equivalent over Q", not over R.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class InputBasisNotNice(ValueError):
 
 
 def monomial_equivalent(g: LieAlgebra, basis_a: Matrix, basis_b: Matrix):
-    """Monomial map identifying the two nice bases of g, or None.
+    """Monomial map with rational scales identifying two nice bases of g, or None.
 
     basis_a/basis_b hold the basis vectors as columns in g's coordinates.
     Permutations are searched in lexicographic order and the first verified

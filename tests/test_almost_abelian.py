@@ -124,7 +124,8 @@ class TestExistence:
         a = Matrix([[0, 1], [1, 1]])
         v = exists_nice(a)
         assert v.status == "unknown-irrational"
-        assert v.numeric_hint is not None
+        assert v.reason == (
+            "characteristic polynomial may split with irrational constants")
 
     def test_counts(self):
         assert count_nice(fixtures.matrix_cyclic(4)) == 3

@@ -5,12 +5,13 @@ the dense chain construction, and one binomial-divisor pass per analysis."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nicebasis import almost_abelian
+from nicebasis import almost_abelian, cli
 from nicebasis.almost_abelian import (
     _binomial_divisors,
     _divide_binomial,
@@ -339,3 +340,10 @@ class TestOneDivisorPass:
     def test_none_for_nilpotent(self, calls):
         almost_abelian._analysis(Matrix([[0, 1], [0, 0]]))
         assert calls == []
+
+    def test_once_per_cli_aa(self, calls, capsys):
+        # nicebase aa reads existence and count off one shared analysis
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "cyclic4.mat"
+        assert cli.main(["aa", str(fixture)]) == 0
+        assert "nu 3" in capsys.readouterr().out
+        assert len(calls) == 1

@@ -1,13 +1,21 @@
 """End-to-end command line checks, driving cli.main directly."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from nicebasis.cli import main
 
-FIX = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIX = ROOT / "fixtures"
+
+# the two unknown-irrational examples: x^2 - x - 1 and x^4 - 4x^2 + 1
+GOLDEN = "2\n0 1\n1 1\n"
+QUARTIC = "4\n0 0 0 -1\n1 0 0 0\n0 1 0 4\n0 0 1 0\n"
 
 
 def run(capsys, *argv):
@@ -202,6 +210,17 @@ class TestDeterminism:
         assert "basis" not in second
 
 
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
 def _fixture_runs():
     for path in sorted(FIX.iterdir()):
         if path.suffix == ".lie":
@@ -224,7 +243,8 @@ def test_every_fixture_every_subcommand(capsys, argv, as_json):
     assert "Traceback" not in err
     assert out.strip() or (code == 1 and err.startswith("error: "))
     if as_json and out:
-        json.loads(out)
+        # exact arithmetic only: no report carries a float
+        assert list(_floats(json.loads(out))) == []
 
 
 class TestNilpotentAA:
@@ -276,3 +296,30 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text, lin
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert f": line {line}: " in err
+
+
+@pytest.mark.parametrize("text", [GOLDEN, QUARTIC], ids=["golden", "quartic"])
+def test_irrational_aa_report_is_exact(capsys, tmp_path, text):
+    # the unknown verdict carries no numeric estimate of the roots
+    path = tmp_path / "irrational.mat"
+    path.write_text(text)
+    code, rep, _ = run_json(capsys, "aa", path)
+    assert code == 1
+    assert rep["exists"] == "unknown-irrational"
+    assert rep["nu"] is None
+    assert list(_floats(rep)) == []
+
+
+def test_aa_runs_without_numpy(tmp_path):
+    path = tmp_path / "golden.mat"
+    path.write_text(GOLDEN)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from nicebasis import cli\n"
+            f"sys.exit(cli.main(['aa', {str(path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "exists unknown-irrational" in proc.stdout.splitlines()
+    assert "Traceback" not in proc.stderr
