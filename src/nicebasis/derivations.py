@@ -8,7 +8,6 @@ against the full derivation space.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -50,12 +49,12 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     Unknowns are the n^2 entries of D (row-major); one sparse equation per
     (pair, output coordinate).  Only nonzero brackets contribute terms, so
     assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
-    assembled from the integer table of _integer_ad and eliminated in ints.
+    assembled from g.integer_ad() and eliminated in ints.
     The basis is Subspace.sparse_kernel's canonical one: a vector per free
     entry of D, in row-major order.
     """
     n = g.dim
-    ad = _integer_ad(g)
+    ad = g.integer_ad()
     rows = []
 
     def term(eq, r, var, c):
@@ -84,18 +83,6 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
     return DerivationSpace(
         n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
     )
-
-
-def _integer_ad(g: LieAlgebra):
-    """g.ad_table times the lcm of its denominators, as ints."""
-    den = math.lcm(*[
-        c.denominator for row in g.ad_table for comps in row.values() for c in comps.values()
-    ])
-    return [
-        {m: {r: c.numerator * (den // c.denominator) for r, c in comps.items()}
-         for m, comps in row.items()}
-        for row in g.ad_table
-    ]
 
 
 def diagonal_derivations(g: LieAlgebra):

@@ -209,10 +209,13 @@ def graph_algebra(g: GraphSpec):
         for b in range(a + 1, d)
         if not g.has_edge(a, b)
     ]
+    # the ideal is closed in integers: its generators are the integer table's
+    # rows, which span the same lines as the brackets they scale
+    iad = free.integer_ad()
     ideal = Subspace(free.dim)
     queue = []
     for a, b in non_edges:
-        gen = free.bracket_basis(a, b)
+        gen = iad[a].get(b)
         if gen and ideal.add(gen):
             queue.append(gen)
     # ad of the d generators suffices: they generate the algebra and
@@ -221,7 +224,7 @@ def graph_algebra(g: GraphSpec):
     while queue:
         v = queue.pop()
         for x in range(d):
-            w = free.bracket_sparse({x: ONE}, v)
+            w = free.bracket_int(x, v)
             if w and ideal.add(w):
                 queue.append(w)
     keep = sorted(set(range(free.dim)).difference(ideal.pivots))
@@ -231,12 +234,13 @@ def graph_algebra(g: GraphSpec):
         res = ideal.reduce(vec)
         return tuple(res.get(i, ZERO) for i in keep)
 
+    # free.brackets is keyed in (i, j) order, so the table is too
     table = {}
-    for a in range(len(keep)):
-        for b in range(a + 1, len(keep)):
-            res = ideal.reduce(free.brackets.get((keep[a], keep[b]), {}))
+    for (i, j), comps in free.brackets.items():
+        if i in pos and j in pos:
+            res = ideal.reduce(comps)
             if res:
-                table[(a, b)] = {pos[k]: x for k, x in res.items()}
+                table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
     words = tuple(basis.words[i] for i in keep)
     names = [_word_name(w) for w in words]
     alg = LieAlgebra(len(keep), table, names=names, check=False)
@@ -295,9 +299,9 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
             cols.append(br(verts[a], pair_bracket[(a, b)]))
             cols.append(br(verts[b], pair_bracket[(a, b)]))
         basis = Matrix.from_columns([dense(col, n) for col in cols])
-    else:  # class at most 2, edgeless, or a matching at class 4
-        basis = Matrix.identity(n)
-    conj = alg.change_basis(basis)
+        conj = alg.change_basis(basis)
+    else:  # class at most 2, edgeless, or a matching at class 4: as defined
+        basis, conj = Matrix.identity(n), alg
     verdict = check_nice(conj)
     if not verdict:
         raise RuntimeError(f"constructed basis is not nice: {verdict.violations}")

@@ -3,12 +3,16 @@
 A LieAlgebra stores its bracket table sparsely: brackets[(i, j)] for i < j is
 a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  ad_table[i][j] holds the
 same dict for both index orders, and every structural routine evaluates
-brackets of sparse {index: coefficient} vectors through it.  Indices are
+brackets of sparse {index: coefficient} vectors through it.  integer_ad()
+is the same table cleared of denominators, for the questions that a common
+scale does not change: spans, kernels, the Jacobi identity.  Indices are
 0-based in code; the text file format is 1-based.  The Jacobi identity and
 antisymmetry are enforced at construction time.
 """
 
 from __future__ import annotations
+
+import math
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
 from .linalg import Matrix, Subspace, dense, kernel_of, sparse, sparse_columns
@@ -38,6 +42,7 @@ class LieAlgebra:
         for (i, j), comps in table.items():
             self.ad_table[i][j] = comps
             self.ad_table[j][i] = {k: -c for k, c in comps.items()}
+        self._iad = None
         self.names = list(names) if names else [f"e{i+1}" for i in range(dim)]
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
@@ -64,6 +69,34 @@ class LieAlgebra:
                     out[k] = out.get(k, ZERO) + f * c
         return {k: c for k, c in out.items() if c}
 
+    def integer_ad(self):
+        """ad_table times the lcm of its denominators, as ints.
+
+        Built on first use and shared by every caller: read-only."""
+        if self._iad is None:
+            den = math.lcm(*[
+                c.denominator for comps in self.brackets.values() for c in comps.values()
+            ])
+            self._iad = [
+                {m: {r: c.numerator * (den // c.denominator) for r, c in comps.items()}
+                 for m, comps in row.items()}
+                for row in self.ad_table
+            ]
+        return self._iad
+
+    def bracket_int(self, i, v):
+        """[e_i, v] times the scale of integer_ad(), for a sparse int vector v.
+
+        Pairs are visited as in bracket_sparse, so a closure run on either
+        adds its vectors to a Subspace in the same order."""
+        row = self.integer_ad()[i]
+        out = {}
+        for j in row.keys() & v.keys():
+            f = v[j]
+            for k, c in row[j].items():
+                out[k] = out.get(k, 0) + f * c
+        return {k: c for k, c in out.items() if c}
+
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y; returns a dense tuple."""
         return dense(self.bracket_sparse(sparse(x), sparse(y)), self.dim)
@@ -80,32 +113,27 @@ class LieAlgebra:
 
         Only triples whose first two slots touch the bracket support can
         fail, so we iterate support pairs against every third index instead
-        of all dim**3 triples, working on sparse components throughout.
+        of all dim**3 triples.  The cyclic sum is read off integer_ad(): it is
+        homogeneous of degree 2 in the constants, so scaling them all by one
+        factor leaves its zero set unchanged.
         """
-
-        def double(i, j, m):
-            # [[e_i, e_j], e_m] as a sparse dict
-            out = {}
-            for k, c in self.bracket_basis(i, j).items():
-                for t, d in self.bracket_basis(k, m).items():
-                    out[t] = out.get(t, ZERO) + c * d
-            return out
-
+        iad = self.integer_ad()
         seen = set()
         bad = []
         for (i, j) in self.brackets:
             for m in range(self.dim):
                 trip = tuple(sorted((i, j, m)))
-                if len(set(trip)) < 3 or trip in seen:
+                if m == i or m == j or trip in seen:
                     continue
                 seen.add(trip)
                 a, b, c = trip
-                total = double(a, b, c)
-                for t, d in double(b, c, a).items():
-                    total[t] = total.get(t, ZERO) + d
-                for t, d in double(c, a, b).items():
-                    total[t] = total.get(t, ZERO) + d
-                if any(x != 0 for x in total.values()):
+                # [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b]
+                total = {}
+                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                    for k, f in iad[x].get(y, {}).items():
+                        for t, d in iad[k].get(z, {}).items():
+                            total[t] = total.get(t, 0) + f * d
+                if any(total.values()):
                     bad.append(trip)
                     if limit and len(bad) >= limit:
                         return bad
@@ -167,13 +195,23 @@ class LieAlgebra:
         ])
 
     def ideal_closure(self, vectors):
-        """Smallest ideal containing the given vectors."""
-        s = Subspace(self.dim, vectors)
-        queue = [dict(row) for row in s.rows.values()]
+        """Smallest ideal containing the given vectors.
+
+        Each vector is scaled to integers by the lcm of its denominators, which
+        leaves its span alone, and then bracketed through the integer table.
+        """
+        s = Subspace(self.dim)
+        queue = []
+        for v in vectors:
+            v = v if isinstance(v, dict) else sparse(v)
+            den = math.lcm(*[x.denominator for x in v.values()])
+            v = {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
+            if v and s.add(v):
+                queue.append(v)
         while queue:
             v = queue.pop()
             for i in range(self.dim):
-                w = self.bracket_sparse({i: ONE}, v)
+                w = self.bracket_int(i, v)
                 if w and s.add(w):
                     queue.append(w)
         return s
@@ -187,19 +225,20 @@ class LieAlgebra:
         """
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        keep = [i for i in range(self.dim) if i not in ideal.rows]
+        keep = sorted(set(range(self.dim)).difference(ideal.pivots))
         pos = {orig: t for t, orig in enumerate(keep)}
 
         def project(vector):
             res = ideal.reduce(vector)
             return tuple(res.get(i, ZERO) for i in keep)
 
+        # only nonzero brackets of two kept vectors survive, keyed in order
         table = {}
-        for a, i in enumerate(keep):
-            for b in range(a + 1, len(keep)):
-                res = ideal.reduce(self.ad_table[i].get(keep[b], {}))
+        for (i, j), comps in sorted(self.brackets.items()):
+            if i in pos and j in pos:
+                res = ideal.reduce(comps)
                 if res:
-                    table[(a, b)] = {pos[k]: res[k] for k in sorted(res)}
+                    table[(pos[i], pos[j])] = {pos[k]: res[k] for k in sorted(res)}
         names = [self.names[i] for i in keep]
         return LieAlgebra(len(keep), table, names=names), project
 

@@ -1,0 +1,352 @@
+"""LieAlgebra.integer_ad() against the Fraction code that it replaced.
+
+graph_algebra's ideal closure, LieAlgebra.jacobi_failures, ideal_closure and
+quotient now run on the integer structure-constant table, and the quotients
+iterate the nonzero brackets instead of every pair of kept indices.  The
+reference_* functions below are the Fraction versions they replaced; every
+output is compared with them, down to value types and key order.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nicebasis import fixtures, graphs
+from nicebasis.derivations import derivation_space
+from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
+from nicebasis.lie import LieAlgebra, abelian, direct_sum
+from nicebasis.linalg import Matrix, Subspace, sparse
+from nicebasis.nice import check_nice
+from nicebasis.scalars import Q, ZERO, ONE
+
+
+# --- the Fraction references ------------------------------------------------
+
+def reference_graph_algebra(g):
+    """graph_algebra with a Fraction closure and a loop over all kept pairs."""
+    d, c = g.vertex_count, g.c
+    if not g.edges or c == 1:
+        return abelian(d), tuple((v,) for v in range(d)), lambda vec: tuple(vec[:d])
+    free, basis = free_nilpotent(d, c)
+    ideal = Subspace(free.dim)
+    queue = []
+    for a, b in itertools.combinations(range(d), 2):
+        if not g.has_edge(a, b):
+            gen = free.bracket_basis(a, b)
+            if gen and ideal.add(gen):
+                queue.append(gen)
+    while queue:
+        v = queue.pop()
+        for x in range(d):
+            w = free.bracket_sparse({x: ONE}, v)
+            if w and ideal.add(w):
+                queue.append(w)
+    keep = sorted(set(range(free.dim)).difference(ideal.pivots))
+    pos = {orig: t for t, orig in enumerate(keep)}
+
+    def project(vec):
+        res = ideal.reduce(vec)
+        return tuple(res.get(i, ZERO) for i in keep)
+
+    table = {}
+    for a in range(len(keep)):
+        for b in range(a + 1, len(keep)):
+            res = ideal.reduce(free.brackets.get((keep[a], keep[b]), {}))
+            if res:
+                table[(a, b)] = {pos[k]: x for k, x in res.items()}
+    words = tuple(basis.words[i] for i in keep)
+    names = [graphs._word_name(w) for w in words]
+    return LieAlgebra(len(keep), table, names=names, check=False), words, project
+
+
+def reference_jacobi_failures(g, limit=None):
+    """jacobi_failures on Fraction copies of the basis brackets."""
+
+    def double(i, j, m):
+        out = {}
+        for k, c in g.bracket_basis(i, j).items():
+            for t, d in g.bracket_basis(k, m).items():
+                out[t] = out.get(t, ZERO) + c * d
+        return out
+
+    seen = set()
+    bad = []
+    for (i, j) in g.brackets:
+        for m in range(g.dim):
+            trip = tuple(sorted((i, j, m)))
+            if len(set(trip)) < 3 or trip in seen:
+                continue
+            seen.add(trip)
+            a, b, c = trip
+            total = double(a, b, c)
+            for t, d in double(b, c, a).items():
+                total[t] = total.get(t, ZERO) + d
+            for t, d in double(c, a, b).items():
+                total[t] = total.get(t, ZERO) + d
+            if any(x != 0 for x in total.values()):
+                bad.append(trip)
+                if limit and len(bad) >= limit:
+                    return bad
+    return bad
+
+
+def reference_ideal_closure(g, vectors):
+    s = Subspace(g.dim, vectors)
+    queue = [dict(row) for row in s.rows.values()]
+    while queue:
+        v = queue.pop()
+        for i in range(g.dim):
+            w = g.bracket_sparse({i: ONE}, v)
+            if w and s.add(w):
+                queue.append(w)
+    return s
+
+
+def reference_quotient(g, ideal):
+    keep = [i for i in range(g.dim) if i not in ideal.rows]
+    pos = {orig: t for t, orig in enumerate(keep)}
+
+    def project(vector):
+        res = ideal.reduce(vector)
+        return tuple(res.get(i, ZERO) for i in keep)
+
+    table = {}
+    for a, i in enumerate(keep):
+        for b in range(a + 1, len(keep)):
+            res = ideal.reduce(g.ad_table[i].get(keep[b], {}))
+            if res:
+                table[(a, b)] = {pos[k]: res[k] for k in sorted(res)}
+    names = [g.names[i] for i in keep]
+    return LieAlgebra(len(keep), table, names=names), project
+
+
+# --- comparisons -------------------------------------------------------------
+
+def assert_same_algebra(got, want):
+    """Same dim, names, bracket keys and components in the same order, all Fraction."""
+    assert (got.dim, got.names) == (want.dim, want.names)
+    assert list(got.brackets) == list(want.brackets)
+    for key, comps in want.brackets.items():
+        assert list(got.brackets[key].items()) == list(comps.items()), key
+        assert all(type(x) is Fraction for x in got.brackets[key].values())
+
+
+def assert_same_projection(got, want, dim, rng):
+    vectors = [tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)]
+    vectors.append(tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)))
+    for vec in vectors:
+        a, b = got(vec), want(vec)
+        assert a == b
+        assert [type(x) for x in a] == [type(x) for x in b]
+
+
+def every_graph(v):
+    pairs = list(itertools.combinations(range(v), 2))
+    for bits in range(1 << len(pairs)):
+        yield [p for k, p in enumerate(pairs) if bits >> k & 1]
+
+
+def seeded_graphs(v, classes, count, seed):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(v), 2))
+    return [(v, sorted(rng.sample(pairs, rng.randint(1, len(pairs)))), rng.choice(classes))
+            for _ in range(count)]
+
+
+SMALL_GRAPHS = [(v, edges, c) for v in range(1, 5) for edges in every_graph(v) for c in (2, 3, 4)]
+SEEDED_GRAPHS = seeded_graphs(5, (2, 3, 4), 6, 5) + seeded_graphs(6, (2, 3), 4, 6)
+
+
+class TestGraphAlgebraMatchesFractionReference:
+    @pytest.mark.parametrize("v", [1, 2, 3, 4])
+    def test_every_small_graph(self, v):
+        rng = random.Random(v)
+        for n, edges, c in SMALL_GRAPHS:
+            if n == v:
+                self.check(GraphSpec.of(n, edges, c), rng)
+
+    @pytest.mark.parametrize("n,edges,c", SEEDED_GRAPHS)
+    def test_seeded_larger_graphs(self, n, edges, c):
+        self.check(GraphSpec.of(n, edges, c), random.Random(n * 10 + c))
+
+    @staticmethod
+    def check(g, rng):
+        alg, words, project = graph_algebra(g)
+        ref, ref_words, ref_project = reference_graph_algebra(g)
+        assert words == ref_words
+        assert_same_algebra(alg, ref)
+        free_dim = g.vertex_count if not g.edges or g.c == 1 else free_nilpotent(
+            g.vertex_count, g.c)[0].dim
+        assert_same_projection(project, ref_project, free_dim, rng)
+
+
+class TestIdentityBranch:
+    @pytest.mark.parametrize("n,edges,c", [
+        (4, [(0, 1), (1, 2), (2, 3)], 2), (5, [(0, 1), (2, 3)], 4), (4, [], 5), (3, [(0, 2)], 1)])
+    def test_defining_basis_is_its_own_identity_change(self, n, edges, c):
+        # construct_nice_basis checks alg itself where it once checked
+        # alg.change_basis(I); the two tables are the same
+        g = GraphSpec.of(n, edges, c)
+        alg = graph_algebra(g)[0]
+        assert construct_nice_basis(g) == Matrix.identity(alg.dim)
+        same = alg.change_basis(Matrix.identity(alg.dim))
+        assert same.brackets == alg.brackets
+        assert bool(check_nice(same)) and bool(check_nice(alg))
+
+
+# --- Jacobi --------------------------------------------------------------------
+
+def scaled(g, factor):
+    """g with every structure constant times factor: a Lie algebra again."""
+    return LieAlgebra(g.dim, {key: {k: c * factor for k, c in comps.items()}
+                              for key, comps in g.brackets.items()})
+
+
+def sl2_with_halves():
+    # [h, e] = e/2, [h, f] = -f/2, [e, f] = h/3: sl2 in a rescaled basis
+    return LieAlgebra(3, {(0, 1): {1: Q(1, 2)}, (0, 2): {2: Q(-1, 2)}, (1, 2): {0: Q(1, 3)}})
+
+
+LIE_ALGEBRAS = {
+    "sl2/2,3": sl2_with_halves,
+    "L7/3": lambda: scaled(fixtures.standard_filiform(7), Q(1, 3)),
+    "n6": fixtures.n6,
+    "so3+L5/2": lambda: direct_sum(fixtures.so3(), scaled(fixtures.standard_filiform(5), Q(1, 2))),
+    "free-3-3": lambda: free_nilpotent(3, 3)[0],
+}
+
+
+class TestJacobiMatchesFractionReference:
+    @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+    def test_lie_algebras_pass(self, name):
+        g = LIE_ALGEBRAS[name]()
+        assert g.jacobi_failures() == reference_jacobi_failures(g) == []
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_failing_triples_in_the_same_order(self, data):
+        n = data.draw(st.integers(3, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        value = st.sampled_from([Q(1), Q(-1), Q(2), Q(1, 2), Q(-1, 3), Q(2, 3)])
+        table = {}
+        for key in data.draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True)):
+            targets = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                                         unique=True))
+            table[key] = {k: data.draw(value) for k in targets}
+        g = LieAlgebra(n, table, check=False)
+        want = reference_jacobi_failures(g)
+        assert g.jacobi_failures() == want
+        assert g.jacobi_failures(limit=1) == want[:1]
+        if want:
+            i, j, k = want[0]
+            with pytest.raises(ValueError) as err:
+                LieAlgebra(n, table)
+            assert str(err.value) == f"Jacobi identity fails on basis triple ({i+1}, {j+1}, {k+1})"
+        else:
+            LieAlgebra(n, table)
+
+    def test_known_violation(self):
+        table = {(0, 1): {2: Q(1, 2)}, (0, 2): {0: Q(1, 3)}}
+        g = LieAlgebra(3, table, check=False)
+        assert g.jacobi_failures() == reference_jacobi_failures(g) == [(0, 1, 2)]
+        with pytest.raises(ValueError, match=r"basis triple \(1, 2, 3\)"):
+            LieAlgebra(3, table)
+
+
+# --- the table itself ------------------------------------------------------------
+
+class TestIntegerTable:
+    @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+    def test_is_ad_table_times_lcm_of_denominators(self, name):
+        g = LIE_ALGEBRAS[name]()
+        den = math.lcm(*[c.denominator for row in g.ad_table
+                         for comps in row.values() for c in comps.values()])
+        iad = g.integer_ad()
+        assert len(iad) == g.dim
+        for row, irow in zip(g.ad_table, iad):
+            assert list(irow) == list(row)
+            for m, comps in row.items():
+                assert list(irow[m]) == list(comps)
+                assert all(type(x) is int and x == c * den
+                           for x, c in zip(irow[m].values(), comps.values()))
+
+    def test_denominators_2_and_3_give_scale_6(self):
+        g = sl2_with_halves()
+        iad = g.integer_ad()
+        assert all(iad[i][j][k] == 6 * c for (i, j), comps in g.brackets.items()
+                   for k, c in comps.items())
+
+    def test_built_once_and_kept(self):
+        g = scaled(fixtures.standard_filiform(6), Q(1, 2))
+        assert g.integer_ad() is g.integer_ad()
+        assert abelian(3).integer_ad() == [{}, {}, {}]
+
+    def test_bracket_int_is_scaled_bracket(self):
+        g = sl2_with_halves()
+        v = {0: 3, 1: -2, 2: 5}
+        for i in range(g.dim):
+            want = g.bracket_sparse({i: ONE}, {k: Q(x) for k, x in v.items()})
+            got = g.bracket_int(i, v)
+            assert all(type(x) is int for x in got.values())
+            assert got == {k: 6 * x for k, x in want.items()}
+
+
+class Unreadable:
+    def __getattr__(self, name):
+        raise AssertionError("ad_table read after the integer table was built")
+
+    def __iter__(self):
+        raise AssertionError("ad_table read after the integer table was built")
+
+    def __getitem__(self, index):
+        raise AssertionError("ad_table read after the integer table was built")
+
+
+def test_derivation_space_reads_one_table_per_algebra():
+    g = LieAlgebra(7, scaled(fixtures.standard_filiform(7), Q(1, 3)).brackets, check=False)
+    first = derivation_space(g)
+    table = g.integer_ad()
+    g.ad_table = Unreadable()
+    assert derivation_space(g) == first
+    assert g.integer_ad() is table
+
+
+# --- ideal_closure and quotient --------------------------------------------------
+
+QUOTIENTS = {
+    "h3/center": lambda: (fixtures.heisenberg3(), lambda g: g.center()),
+    "L6/g^2": lambda: (fixtures.standard_filiform(6), lambda g: g.lower_central_series()[2]),
+    "n6/center": lambda: (fixtures.n6(), lambda g: g.center()),
+    "sl2+a2/a2": lambda: (direct_sum(sl2_with_halves(), abelian(2)),
+                          lambda g: Subspace(5, [{3: ONE}, {4: ONE}])),
+    "free-3-3/[v1,v3]": lambda: (free_nilpotent(3, 3)[0],
+                                 lambda g: g.ideal_closure([g.bracket_basis(0, 2)])),
+}
+
+
+class TestQuotientMatchesFractionReference:
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_same_quotient(self, name):
+        g, make_ideal = QUOTIENTS[name]()
+        ideal = make_ideal(g)
+        q, project = g.quotient(ideal)
+        ref, ref_project = reference_quotient(g, ideal)
+        assert_same_algebra(q, ref)
+        assert_same_projection(project, ref_project, g.dim, random.Random(0))
+
+    @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_same_ideal_closure(self, name, data):
+        g = LIE_ALGEBRAS[name]()
+        entry = st.sampled_from([ZERO, ZERO, ZERO, ONE, Q(-2), Q(1, 2), Q(2, 3)])
+        vectors = data.draw(st.lists(st.lists(entry, min_size=g.dim, max_size=g.dim),
+                                     min_size=1, max_size=2))
+        dense = [tuple(v) for v in vectors]
+        want = reference_ideal_closure(g, dense)
+        assert g.ideal_closure(dense) == want
+        assert g.ideal_closure([sparse(v) for v in dense]) == want
