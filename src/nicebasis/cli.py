@@ -217,8 +217,7 @@ def cmd_graph(args):
     try:
         alg, words, _ = graph_algebra(g)
     except DimensionCapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        raise UsageError(f"{args.file}: {err}") from None
     payload["dimension"] = alg.dim
     lines.append(f"dimension {alg.dim}")
     if args.nice and ok:

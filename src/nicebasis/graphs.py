@@ -2,11 +2,13 @@
 
 The free class-c nilpotent algebra on d generators has a basis indexed by
 Lyndon words of length at most c; structure constants come from expanding
-bracketed words in the truncated free associative algebra and decomposing
-back (the expansion of a Lyndon bracketing starts with the word itself,
-coefficient 1, so greedy extraction of the smallest word terminates).  The
-algebra of a graph is the quotient by the ideal generated by the brackets of
-non-adjacent vertices.
+bracketed words in the free associative algebra, with int coefficients, and
+decomposing back: the expansion of a Lyndon bracketing is the word itself,
+coefficient 1, plus greater words of its length, so greedy extraction of the
+smallest word terminates and reads off every coordinate.  The algebra of a
+graph is the quotient by the ideal generated by the brackets of non-adjacent
+vertices; the last quotient built is kept for the next request on an equal
+graph.
 """
 
 from __future__ import annotations
@@ -87,26 +89,14 @@ def standard_factorization(w):
     return w[:best], w[best:]
 
 
-def _word_mul(p1, p2, c):
+def _commutator(p, q):
+    """pq - qp in the free associative algebra, for int polynomials {word: coeff}."""
     out = {}
-    for w1, c1 in p1.items():
-        for w2, c2 in p2.items():
-            if len(w1) + len(w2) > c:
-                continue
-            w = w1 + w2
-            out[w] = out.get(w, ZERO) + c1 * c2
-            if out[w] == 0:
-                del out[w]
-    return out
-
-
-def _poly_sub(p1, p2):
-    out = dict(p1)
-    for w, c in p2.items():
-        out[w] = out.get(w, ZERO) - c
-        if out[w] == 0:
-            del out[w]
-    return out
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+            out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
+    return {w: x for w, x in out.items() if x}
 
 
 _free_cache = {}
@@ -118,50 +108,50 @@ def free_nilpotent(d, c):
         raise ValueError("need d >= 1 and c >= 1")
     if (d, c) in _free_cache:
         return _free_cache[(d, c)]
-    dims = [witt_dimension(d, m) for m in range(1, c + 1)]
-    if sum(dims) > DIMENSION_CAP:
-        raise DimensionCapExceeded(f"dimension {sum(dims)} exceeds {DIMENSION_CAP}")
+    total = 0
+    for m in range(1, c + 1):
+        total += witt_dimension(d, m)
+        if total > DIMENSION_CAP:
+            raise DimensionCapExceeded(f"dimension exceeds {DIMENSION_CAP} at class {m}")
     words = lyndon_words(d, c)
     index = {w: i for i, w in enumerate(words)}
     fact = {}
     expansion = {}
     for w in words:
         if len(w) == 1:
-            expansion[w] = {w: ONE}
+            expansion[w] = {w: 1}
         else:
             u, v = standard_factorization(w)
             fact[w] = (u, v)
-            expansion[w] = _poly_sub(
-                _word_mul(expansion[u], expansion[v], c),
-                _word_mul(expansion[v], expansion[u], c),
-            )
+            expansion[w] = _commutator(expansion[u], expansion[v])
+    # words are sorted by (length, word): end[m] is one past the last of length m
+    end = {len(w): t + 1 for t, w in enumerate(words)}
 
-    def decompose(poly):
-        # greedy: smallest word present is Lyndon with its exact coefficient
+    def decompose(u, v):
+        # the commutator is homogeneous, so its least word is least by
+        # (length, word): a Lyndon word w, whose expansion is w plus greater
+        # words, and whose coordinate is therefore its coefficient
+        poly = _commutator(expansion[u], expansion[v])
         coords = {}
-        poly = dict(poly)
         while poly:
-            w = min(poly, key=lambda t: (len(t), t))
-            coeff = poly[w]
-            coords[index[w]] = coeff
-            poly = _poly_sub(poly, {u: coeff * x for u, x in expansion[w].items()})
+            w = min(poly)
+            coeff = coords[index[w]] = poly[w]
+            for x, y in expansion[w].items():
+                z = poly.get(x, 0) - coeff * y
+                if z:
+                    poly[x] = z
+                else:
+                    del poly[x]
         return coords
 
     table = {}
-    n = len(words)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if len(words[i]) + len(words[j]) > c:
-                continue
-            comm = _poly_sub(
-                _word_mul(expansion[words[i]], expansion[words[j]], c),
-                _word_mul(expansion[words[j]], expansion[words[i]], c),
-            )
-            coords = decompose(comm)
+    for i, u in enumerate(words):
+        for j in range(i + 1, end.get(c - len(u), 0)):
+            coords = decompose(u, words[j])
             if coords:
                 table[(i, j)] = coords
     names = [_word_name(w) for w in words]
-    alg = LieAlgebra(n, table, names=names)
+    alg = LieAlgebra(len(words), table, names=names)
     result = (alg, LyndonBasis(tuple(words), fact))
     _free_cache[(d, c)] = result
     return result
@@ -186,12 +176,18 @@ def _mobius(n):
     return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
 
+# the last quotient built: construct_nice_basis(g) right after graph_algebra(g)
+# reuses it instead of closing the same ideal again
+_quotient_memo = {}
+
+
 def graph_algebra(g: GraphSpec):
     """(LieAlgebra, kept Lyndon words, projection) of the graph quotient.
 
     projection maps a coordinate vector of the free algebra to quotient
     coordinates.  Edgeless graphs short-circuit to the abelian algebra (the
-    ideal is everything past degree 1) so high classes stay cheap.
+    ideal is everything past degree 1) so high classes stay cheap.  The
+    result is shared with the next call on an equal spec: read-only.
     """
     d, c = g.vertex_count, g.c
     if not g.edges or c == 1:
@@ -202,6 +198,8 @@ def graph_algebra(g: GraphSpec):
             return tuple(vec[:d])
 
         return alg, words, project_abelian
+    if g in _quotient_memo:
+        return _quotient_memo[g]
     free, basis = free_nilpotent(d, c)
     non_edges = [
         (a, b)
@@ -243,8 +241,9 @@ def graph_algebra(g: GraphSpec):
                 table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
     words = tuple(basis.words[i] for i in keep)
     names = [_word_name(w) for w in words]
-    alg = LieAlgebra(len(keep), table, names=names, check=False)
-    return alg, words, project
+    _quotient_memo.clear()
+    _quotient_memo[g] = LieAlgebra(len(keep), table, names=names, check=False), words, project
+    return _quotient_memo[g]
 
 
 def nice_predicate(g: GraphSpec):

@@ -31,7 +31,7 @@ class LieAlgebra:
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
             if i >= j:
                 raise ValueError(f"bracket keys must have i < j, got ({i}, {j})")
-            clean = {k: Q(c) for k, c in comps.items() if Q(c) != 0}
+            clean = {k: q for k, c in comps.items() if (q := Q(c)) != 0}
             for k in clean:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target out of range: {k}")
@@ -111,33 +111,37 @@ class LieAlgebra:
     def jacobi_failures(self, limit=None):
         """Basis triples violating the Jacobi identity.
 
-        Only triples whose first two slots touch the bracket support can
-        fail, so we iterate support pairs against every third index instead
-        of all dim**3 triples.  The cyclic sum is read off integer_ad(): it is
-        homogeneous of degree 2 in the constants, so scaling them all by one
-        factor leaves its zero set unchanged.
+        A triple can fail only if some [[e_x, e_y], e_z] in it is nonzero:
+        (x, y) in the bracket support, z in the row of a component of
+        [e_x, e_y].  Only those triples are checked, and failures are listed
+        in the order of a scan of support pairs against every third index.
+        The cyclic sum is read off integer_ad(): it is homogeneous of degree
+        2 in the constants, so scaling them all by one factor leaves its zero
+        set unchanged.
         """
         iad = self.integer_ad()
-        seen = set()
+        rank = {pair: n for n, pair in enumerate(self.brackets)}
+        reachable = {tuple(sorted((i, j, z))) for (i, j), comps in self.brackets.items()
+                     for k in comps for z in iad[k] if z != i and z != j}
         bad = []
-        for (i, j) in self.brackets:
-            for m in range(self.dim):
-                trip = tuple(sorted((i, j, m)))
-                if m == i or m == j or trip in seen:
-                    continue
-                seen.add(trip)
-                a, b, c = trip
-                # [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b]
-                total = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for k, f in iad[x].get(y, {}).items():
-                        for t, d in iad[k].get(z, {}).items():
-                            total[t] = total.get(t, 0) + f * d
-                if any(total.values()):
-                    bad.append(trip)
-                    if limit and len(bad) >= limit:
-                        return bad
-        return bad
+        for trip in reachable:
+            a, b, c = trip
+            # [[e_a, e_b], e_c] + [[e_b, e_c], e_a] + [[e_c, e_a], e_b]
+            total = {}
+            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                for k, f in iad[x].get(y, {}).items():
+                    for t, d in iad[k].get(z, {}).items():
+                        total[t] = total.get(t, 0) + f * d
+            if any(total.values()):
+                bad.append(trip)
+
+        def first_visit(t):  # (support pair's rank, third index), least first
+            a, b, c = t
+            return min((rank[p], m) for p, m in (((a, b), c), ((a, c), b), ((b, c), a))
+                       if p in rank)
+
+        bad.sort(key=first_visit)
+        return bad[:limit] if limit else bad
 
     # --- structural subspaces ---
 

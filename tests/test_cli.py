@@ -147,6 +147,34 @@ class TestGraph:
         assert code == 0
         assert "dimension 10" in out
 
+    @pytest.mark.parametrize("name,code,expected", [
+        ("p3_c2", 0, "nice (class-at-most-2)\ndimension 5\n"
+         + "".join("basis " + " ".join("1" if i == j else "0" for i in range(5)) + "\n"
+                   for j in range(5))),
+        ("p3_c3", 0, "nice (triangle-free)\ndimension 10\n"
+         "basis 1 0 0 0 0 0 0 0 0 0\nbasis 0 1 0 0 0 0 0 0 0 0\n"
+         "basis 0 0 1 0 0 0 0 0 0 0\nbasis 0 0 0 1 0 0 0 0 0 0\n"
+         "basis 0 0 0 0 1 0 0 0 0 0\nbasis 0 0 0 0 0 0 0 1 0 0\n"
+         "basis 0 0 0 0 0 1 0 0 0 0\nbasis 0 0 0 0 0 0 -1 0 0 0\n"
+         "basis 0 0 0 0 0 0 0 0 1 0\nbasis 0 0 0 0 0 0 0 0 0 -1\n"),
+        ("p3_c4", 1, "not nice (contains-path-on-3-vertices)\ndimension 20\n"),
+        ("p3_c5", 1, "not nice (has-edge-in-class-5-or-more)\ndimension 44\n"),
+        ("triangle_c3", 1, "not nice (contains-3-cycle)\ndimension 14\n"),
+    ])
+    def test_nice_stdout_is_pinned(self, capsys, name, code, expected):
+        # graph --nice builds the quotient once and prints what two builds did
+        assert run(capsys, "graph", "--nice", FIX / f"{name}.graph")[:2] == (code, expected)
+
+    def test_dimension_cap_error_is_one_short_line(self, capsys, tmp_path, monkeypatch):
+        # the free algebra on 256 letters passes the cap at class 2; the
+        # message names that class, not a 600-digit dimension
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.graph").write_text("vertices 256\nclass 256\nedge 1 2\n")
+        code, out, err = run(capsys, "graph", "big.graph")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: big.graph: dimension exceeds 256 at class 2"]
+        assert len(err) < 120
+
     def test_emit_algebra(self, capsys, tmp_path):
         out_file = tmp_path / "p3.lie"
         code, _, _ = run(

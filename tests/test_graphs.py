@@ -14,6 +14,7 @@ from nicebasis import (
     free_nice_predicate,
     free_nilpotent,
     graph_algebra,
+    graphs,
     lyndon_words,
     nice_predicate,
     parse_graph,
@@ -96,8 +97,11 @@ class TestFreeNilpotent:
         assert series[-1].dim == 0
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionCapExceeded):
+        with pytest.raises(DimensionCapExceeded, match=r"^dimension exceeds 256 at class 5$"):
             free_nilpotent(5, 5)
+        # summing stops at the class that passes the cap
+        with pytest.raises(DimensionCapExceeded, match=r"^dimension exceeds 256 at class 11$"):
+            free_nilpotent(2, 10**6)
 
     @pytest.mark.parametrize(
         "d,c,ok",
@@ -143,6 +147,47 @@ class TestGraphAlgebra:
         for k, c in free.bracket_basis(0, 2).items():
             vec[k] = c
         assert all(x == 0 for x in project(vec))
+
+
+class TestQuotientMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count quotient builds: each one reads the free algebra once."""
+        calls = []
+        real = graphs.free_nilpotent
+
+        def counted(d, c):
+            calls.append((d, c))
+            return real(d, c)
+
+        monkeypatch.setattr(graphs, "free_nilpotent", counted)
+        monkeypatch.setattr(graphs, "_quotient_memo", {})
+        return calls
+
+    def test_nice_basis_reuses_the_quotient(self, builds):
+        g = spec(4, [(0, 1), (1, 2), (2, 3)], 3)
+        alg = graph_algebra(g)[0]
+        basis = construct_nice_basis(g)
+        assert builds == [(4, 3)]
+        assert graph_algebra(spec(4, [(2, 3), (0, 1), (1, 2)], 3))[0] is alg
+        assert builds == [(4, 3)]
+        assert check_nice(alg.change_basis(basis))
+
+    @pytest.mark.parametrize("other", [
+        spec(4, [(0, 1), (1, 2), (2, 3)], 4),  # another class
+        spec(4, [(0, 1), (1, 2)], 3),  # one edge fewer
+        spec(4, [(0, 1), (1, 2), (2, 3), (0, 3)], 3),  # one edge more
+        spec(4, [(0, 1), (1, 2), (1, 3)], 3),  # one edge moved
+    ])
+    def test_another_spec_builds_its_own(self, builds, other):
+        g = spec(4, [(0, 1), (1, 2), (2, 3)], 3)
+        alg = graph_algebra(g)[0]
+        got = graph_algebra(other)[0]
+        assert len(builds) == 2 and got is not alg
+        assert got.brackets != alg.brackets
+        # the memo now holds the other spec, so g is built again
+        assert graph_algebra(g)[0] is not alg
+        assert len(builds) == 3
 
 
 class TestNicePredicate:

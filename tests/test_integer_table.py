@@ -2,9 +2,11 @@
 
 graph_algebra's ideal closure, LieAlgebra.jacobi_failures, ideal_closure and
 quotient now run on the integer structure-constant table, and the quotients
-iterate the nonzero brackets instead of every pair of kept indices.  The
-reference_* functions below are the Fraction versions they replaced; every
-output is compared with them, down to value types and key order.
+iterate the nonzero brackets instead of every pair of kept indices.
+jacobi_failures checks only the triples that some support pair reaches, and
+free_nilpotent expands Lyndon words with int coefficients.  The reference_*
+functions below are the Fraction versions they replaced; every output is
+compared with them, down to value types and key order.
 """
 
 import itertools
@@ -25,6 +27,63 @@ from nicebasis.scalars import Q, ZERO, ONE
 
 
 # --- the Fraction references ------------------------------------------------
+
+def reference_free_nilpotent(d, c):
+    """free_nilpotent's table by Fraction word expansion and greedy decomposition."""
+
+    def word_mul(p1, p2):
+        out = {}
+        for w1, c1 in p1.items():
+            for w2, c2 in p2.items():
+                if len(w1) + len(w2) > c:
+                    continue
+                w = w1 + w2
+                out[w] = out.get(w, ZERO) + c1 * c2
+                if out[w] == 0:
+                    del out[w]
+        return out
+
+    def poly_sub(p1, p2):
+        out = dict(p1)
+        for w, x in p2.items():
+            out[w] = out.get(w, ZERO) - x
+            if out[w] == 0:
+                del out[w]
+        return out
+
+    words = graphs.lyndon_words(d, c)
+    index = {w: i for i, w in enumerate(words)}
+    expansion = {}
+    for w in words:
+        if len(w) == 1:
+            expansion[w] = {w: ONE}
+        else:
+            u, v = graphs.standard_factorization(w)
+            expansion[w] = poly_sub(word_mul(expansion[u], expansion[v]),
+                                    word_mul(expansion[v], expansion[u]))
+
+    def decompose(poly):
+        coords = {}
+        poly = dict(poly)
+        while poly:
+            w = min(poly, key=lambda t: (len(t), t))
+            coeff = poly[w]
+            coords[index[w]] = coeff
+            poly = poly_sub(poly, {u: coeff * x for u, x in expansion[w].items()})
+        return coords
+
+    table = {}
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            if len(words[i]) + len(words[j]) > c:
+                continue
+            coords = decompose(poly_sub(word_mul(expansion[words[i]], expansion[words[j]]),
+                                        word_mul(expansion[words[j]], expansion[words[i]])))
+            if coords:
+                table[(i, j)] = coords
+    names = [graphs._word_name(w) for w in words]
+    return LieAlgebra(len(words), table, names=names, check=False), words
+
 
 def reference_graph_algebra(g):
     """graph_algebra with a Fraction closure and a loop over all kept pairs."""
@@ -161,6 +220,33 @@ SMALL_GRAPHS = [(v, edges, c) for v in range(1, 5) for edges in every_graph(v) f
 SEEDED_GRAPHS = seeded_graphs(5, (2, 3, 4), 6, 5) + seeded_graphs(6, (2, 3), 4, 6)
 
 
+def free_sizes(most):
+    """Every (d, c) with d, c <= most whose free algebra has dimension <= most."""
+    for d in range(1, most + 1):
+        total = 0
+        for c in range(1, most + 1):
+            total += graphs.witt_dimension(d, c)
+            if total > most:
+                break
+            yield d, c
+
+
+class TestFreeNilpotentMatchesFractionReference:
+    def test_every_size_up_to_dimension_100(self):
+        for d, c in free_sizes(100):
+            alg, basis = free_nilpotent(d, c)
+            ref, words = reference_free_nilpotent(d, c)
+            assert basis.words == tuple(words), (d, c)
+            assert_same_algebra(alg, ref)
+
+    def test_sizes_cover_every_free_algebra_up_to_dimension_100(self):
+        sizes = set(free_sizes(100))
+        assert {(2, 8), (3, 5), (4, 4), (6, 3), (13, 2), (100, 1), (1, 100)} <= sizes
+        assert not {(2, 9), (3, 6), (4, 5), (7, 3), (14, 2)} & sizes
+        # d = 1: c <= 100; d = 2..6: c <= 8, 5, 4, 3, 3; d = 7..13: c <= 2; then c = 1
+        assert len(sizes) == 100 + (8 + 5 + 4 + 3 + 3) + 7 * 2 + 87
+
+
 class TestGraphAlgebraMatchesFractionReference:
     @pytest.mark.parametrize("v", [1, 2, 3, 4])
     def test_every_small_graph(self, v):
@@ -217,6 +303,8 @@ LIE_ALGEBRAS = {
     "n6": fixtures.n6,
     "so3+L5/2": lambda: direct_sum(fixtures.so3(), scaled(fixtures.standard_filiform(5), Q(1, 2))),
     "free-3-3": lambda: free_nilpotent(3, 3)[0],
+    "free-2-5": lambda: free_nilpotent(2, 5)[0],
+    "L8": lambda: fixtures.standard_filiform(8),
 }
 
 
@@ -248,6 +336,29 @@ class TestJacobiMatchesFractionReference:
             assert str(err.value) == f"Jacobi identity fails on basis triple ({i+1}, {j+1}, {k+1})"
         else:
             LieAlgebra(n, table)
+
+    # (algebra, i, j, k): the constant of e_k in [e_i, e_j] goes up by 1.  Where
+    # lexicographic is False, some failing triple's least pair is outside the
+    # support, so the scan meets it after lexicographically greater triples
+    @pytest.mark.parametrize("name,i,j,k,lexicographic", [
+        ("free-3-3", 0, 1, 3, True), ("free-3-3", 2, 3, 2, True), ("free-3-3", 9, 10, 2, False),
+        ("free-2-5", 1, 6, 1, True), ("free-2-5", 11, 12, 1, False), ("free-2-5", 10, 12, 1, False),
+        ("L8", 0, 6, 0, True), ("L8", 0, 1, 0, True), ("L8", 1, 2, 4, True),
+    ])
+    def test_perturbed_larger_tables(self, name, i, j, k, lexicographic):
+        g = LIE_ALGEBRAS[name]()
+        table = {key: dict(comps) for key, comps in g.brackets.items()}
+        comps = table.setdefault((i, j), {})
+        comps[k] = comps.get(k, ZERO) + 1
+        bad = LieAlgebra(g.dim, table, check=False)
+        want = reference_jacobi_failures(bad)
+        assert want and (want == sorted(want)) == lexicographic
+        assert bad.jacobi_failures() == want
+        assert bad.jacobi_failures(limit=1) == want[:1]
+        a, b, c = want[0]
+        with pytest.raises(ValueError) as err:
+            LieAlgebra(g.dim, table)
+        assert str(err.value) == f"Jacobi identity fails on basis triple ({a+1}, {b+1}, {c+1})"
 
     def test_known_violation(self):
         table = {(0, 1): {2: Q(1, 2)}, (0, 2): {0: Q(1, 3)}}
