@@ -7,7 +7,10 @@ semisimple and its characteristic polynomial to split into such binomials;
 the count is the number of factorization classes under the real-rescaling
 equivalence.  Constants are searched over the rationals; when an irrational
 real constant could occur the answer degrades honestly to
-"unknown-irrational" instead of guessing.
+"unknown-irrational" instead of guessing.  The search runs on Python ints:
+integer gcds of the residue classes give the divisors, and factorizations
+are enumerated on the monic integer transform of the polynomial, each
+quotient split once per call.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .linalg import (
     char_poly,
     count_real_roots,
     dense,
+    int_gcd,
     kernel_chain,
     minimal_polynomial,
-    poly_gcd,
+    primitive,
     rational_roots,
     similar,
     sparse_columns,
@@ -98,69 +102,74 @@ def _binomial_divisors(p: Poly):
     """Sorted rational binomial divisors (d, r) of p, and an irrational flag.
 
     For each degree d, the remainder of p modulo x^d - r has coefficients
-    that are polynomials in r; valid constants are their common roots.  The
-    flag records whether any common root is real but irrational, in which
+    that are polynomials in r, one per nonzero residue class of exponents;
+    valid constants are the roots of their integer gcd, taken on p's
+    primitive integer multiple and stopped once it reaches degree 0.  The
+    flag records whether a common root is real but irrational, in which
     case the rational enumeration misses real factorizations.
     """
-    divisors = []
-    irrational = False
-    for d in range(1, p.degree + 1):
-        residues = [[] for _ in range(d)]
-        for k, c in enumerate(p.coeffs):
-            lst = residues[k % d]
-            t = k // d
-            while len(lst) <= t:
-                lst.append(ZERO)
-            lst[t] = lst[t] + c
-        g = Poly([])
-        for lst in residues:
-            g = poly_gcd(g, Poly(lst))
-        if g.is_zero() or g.degree == 0:
-            continue
-        h = g
-        for root, mult in rational_roots(g):
-            for _ in range(mult):
-                h = h // Poly([-root, ONE])
-            if root != 0:
-                divisors.append((d, root))
-        if h.degree > 0 and count_real_roots(h) > 0:
-            irrational = True
+    c = primitive(p.coeffs)
+    support = [k for k, x in enumerate(c) if x]
+    divisors, irrational = [], False
+    for d in range(1, len(c)):
+        classes = {}
+        for k in support:
+            classes.setdefault(k % d, [0] * ((len(c) - 1 - k % d) // d + 1))[k // d] = c[k]
+        g = []
+        for cls in classes.values():
+            g = int_gcd(g, cls)
+            if len(g) == 1:
+                break
+        if len(g) > 1:
+            g = Poly(g)
+            roots = rational_roots(g)
+            divisors += [(d, r) for r, _ in roots if r]
+            if sum(m for _, m in roots) < g.degree and count_real_roots(g) > len(roots):
+                irrational = True
     return sorted(divisors), irrational
 
 
-def _divide_binomial(p: Poly, d, r):
-    """p / (x^d - r) when the division is exact, else None.
+def _divide_binomial(c, d, r):
+    """c / (x^d - r) on int coefficients, lowest first, when exact, else None.
 
-    One O(deg p) pass: p = q (x^d - r) + rem gives q_k = p_(k+d) + r q_(k+d)
-    from the top down, and rem_k = p_k + r q_k for k < d must all vanish.
+    One pass from the top: q_k = c_(k+d) + r q_(k+d); the remainder terms
+    c_k + r q_k, k < d, must all vanish, and the first one that does not
+    ends the test.
     """
-    c = p.coeffs
-    q = [ZERO] * len(c)
-    for k in range(len(c) - d - 1, -1, -1):
-        q[k] = c[k + d] + r * q[k + d] if q[k + d] else c[k + d]
-    if any(c[k] + r * q[k] for k in range(min(d, len(c)))):
+    q = list(c[d:])
+    for k in range(len(q) - d - 1, -1, -1):
+        q[k] += r * q[k + d]
+    if any(c[k] + r * q[k] if k < len(q) else c[k] for k in range(min(d, len(c)))):
         return None
-    return Poly(q)
+    return tuple(q)
 
 
-def _enumerate(p: Poly, divisors, start=0):
-    """Factorizations of p over divisors[start:] as sorted tuples, each once.
+def _enumerate(p: Poly, divisors):
+    """Factorizations of monic p over divisors as sorted tuples, each once.
 
-    divisors lists, sorted, every binomial dividing the top polynomial and
-    so every binomial dividing one of its quotients; taking factors from
-    start on yields the tuples in lexicographic order.
+    divisors lists, sorted, every binomial dividing p.  The work runs on the
+    monic integer L^n p(y/L), L the lcm of p's denominators, where x^d - r
+    becomes y^d - L^d r, an integer binomial by Gauss's lemma.  Each
+    quotient's factorizations are found once per call; factor i takes the
+    tails from index i on, so the tuples come out in lexicographic order.
     """
-    if p.degree == 0:
-        return [()]
-    out = []
-    for idx in range(start, len(divisors)):
-        d, r = divisors[idx]
-        if d > p.degree:
-            break
-        quotient = _divide_binomial(p, d, r)
-        if quotient is not None:
-            out.extend(((d, r),) + rest for rest in _enumerate(quotient, divisors, idx))
-    return out
+    n, scale = p.degree, math.lcm(*(c.denominator for c in p.coeffs))
+    binomials = [(d, int(r * scale**d)) for d, r in divisors]
+    memo = {(1,): [()]}
+
+    def walk(c):
+        if c not in memo:
+            out = memo[c] = []
+            for i, (d, r) in enumerate(binomials):
+                if d >= len(c):
+                    break
+                q = _divide_binomial(c, d, r)
+                if q is not None:
+                    out.extend((i,) + t for t in walk(q) if not t or t[0] >= i)
+        return memo[c]
+
+    top = tuple(int(x * scale ** (n - k)) for k, x in enumerate(p.coeffs))
+    return [tuple(divisors[i] for i in t) for t in walk(top)]
 
 
 def enumerate_factorizations(p: Poly):
@@ -217,6 +226,11 @@ def factorizations_equivalent(f1: BinomialFactorization, f2: BinomialFactorizati
     """Same factorization up to rescaling the basis by a real eta."""
     if f1.product() != f2.product():
         raise DegreeMismatchWithTarget("factorizations have different targets")
+    return _same_class(f1, f2)
+
+
+def _same_class(f1, f2) -> bool:
+    """factorizations_equivalent for two factorizations of one polynomial."""
     if f1.factors == f2.factors:
         return True
     deg1 = sorted(d for d, _ in f1.factors)
@@ -296,7 +310,7 @@ class Analysis:
             return None
         classes = []
         for f in self.factorizations:
-            if not any(factorizations_equivalent(f, rep) for rep in classes):
+            if not any(_same_class(f, rep) for rep in classes):
                 classes.append(f)
         return len(classes)
 
@@ -312,7 +326,7 @@ def _analysis(a: Matrix) -> Analysis:
     mp = minimal_polynomial(a)
     while mp.coeffs[0] == 0:
         mp = Poly(mp.coeffs[1:])
-    semisimple = poly_gcd(mp, mp.derivative()).degree == 0
+    semisimple = len(int_gcd(mp.coeffs, mp.derivative().coeffs)) == 1
     divisors, irrational = _binomial_divisors(q)
     facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors))
     return Analysis(a, False, semisimple, facts, irrational)

@@ -4,11 +4,13 @@ Matrices are immutable row-major tuples of exact rationals.  Every echelon
 computation goes through Subspace, which keeps sparse integer rows in fully
 reduced form; that form is canonical, so identical input always yields
 identical output, which keeps golden-file tests stable.  Polynomials are
-stored dense, lowest degree first.
+stored dense, lowest degree first; their roots are found on integer
+coefficient lists (primitive pseudo-remainders, integer Sturm chains).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .scalars import Q, ZERO, ONE, factor_int, fmt
@@ -144,7 +146,7 @@ class Matrix:
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        return (-1) ** self.rows * char_poly(self)(ZERO)
+        return (-1) ** self.rows * char_poly(self).coeffs[0]
 
     def inverse(self):
         if not self.is_square():
@@ -598,12 +600,6 @@ class Poly:
     def __neg__(self):
         return self * Q(-1)
 
-    def __call__(self, x):
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self):
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
@@ -649,72 +645,100 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     return ((a * b) // poly_gcd(a, b)).monic()
 
 
+def primitive(coeffs) -> list:
+    """The primitive integer multiple of rational coefficients, lowest first:
+    denominators cleared and the content divided out, sign kept; [] for 0."""
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    den = math.lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = math.gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
+def int_prem(a, b) -> list:
+    """Primitive part of the remainder of |lc(b)|^k a by b (int lists, b
+    nonzero): a positive multiple of a mod b, so its signs are kept."""
+    r, n, scale = list(a), len(b) - 1, abs(b[-1])
+    while len(r) > n:
+        f = r.pop() if b[-1] > 0 else -r.pop()
+        if f:
+            off = len(r) - n
+            if scale != 1:
+                r = [scale * x for x in r]
+            for j in range(n):
+                r[off + j] -= f * b[j]
+    return primitive(r)
+
+
+def int_gcd(a, b) -> list:
+    """Primitive gcd, up to sign, of two polynomials (rational or int
+    coefficients, lowest first) by the primitive remainder sequence."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, int_prem(a, b)
+    return a
+
+
+def _deflate(c, num, den):
+    """c / (den x - num) if exact in Z[x], which for coprime num, den (by
+    Gauss's lemma) is when num/den is a root; else None, at the first
+    inexact step."""
+    q, acc = [0] * (len(c) - 1), 0
+    for k in range(len(c) - 1, 0, -1):
+        acc, rem = divmod(c[k] + num * acc, den)
+        if rem:
+            return None
+        q[k - 1] = acc
+    return q if c[0] + num * acc == 0 else None
+
+
 def rational_roots(p: Poly):
     """All rational roots of p with multiplicities, as [(root, mult)].
 
-    Candidates are read off divisors of the trailing and leading integer
-    coefficients after clearing denominators.
+    With denominators cleared, the candidates are ±num/den for num | a_0 and
+    den | a_n, num outermost; each is tested and divided out by exact integer
+    synthetic division by den·x - num.  Sorted by denominator, then value.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
-    roots = []
-    # strip x^k factor: root 0
-    k = 0
-    while p.coeffs[k] == 0:
-        k += 1
-    if k:
-        roots.append((ZERO, k))
-        p = Poly(p.coeffs[k:])
-    if p.degree == 0:
-        return roots
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = math.lcm(denom_lcm, int(c.denominator))
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for s in (1, -1):
-                cand = Q(s * num, den)
-                if p(cand) == 0:
-                    mult = 0
-                    while p(cand) == 0:
-                        p = p // Poly([-cand, ONE])
-                        mult += 1
-                    roots.append((cand, mult))
-                if p.degree == 0:
-                    roots.sort(key=lambda t: (t[0].denominator, t[0]))
-                    return roots
+    scale = math.lcm(*(x.denominator for x in p.coeffs))
+    c = [x.numerator * (scale // x.denominator) for x in p.coeffs]
+    k = next(i for i, x in enumerate(c) if x)  # x^k: the root 0
+    roots, c = [(ZERO, k)] if k else [], c[k:]
+    if len(c) > 1:
+        for num, den, s in itertools.product(_divisors(c[0]), _divisors(c[-1]), (1, -1)):
+            if len(c) == 1:
+                break
+            mult = 0
+            while (q := _deflate(c, s * num, den)) is not None:
+                c, mult = q, mult + 1
+            if mult:
+                roots.append((Q(s * num, den), mult))
     roots.sort(key=lambda t: (t[0].denominator, t[0]))
     return roots
 
 
 def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots of p, by Sturm's theorem (exact)."""
+    """Number of distinct real roots of p, by Sturm's theorem in integers:
+    the squarefree part (through int_gcd with p'), its derivative, then
+    negated sign-preserving pseudo-remainders down to a constant; the count
+    is the sign variations at -inf less those at +inf."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return 0
-    p = (p // poly_gcd(p, p.derivative())).monic()  # squarefree part
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-
-    def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-    def sign_at_inf(q, positive):
-        lead = q.coeffs[-1]
-        s = 1 if lead > 0 else -1
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        return s
-
-    at_minus = [sign_at_inf(q, False) for q in chain]
-    at_plus = [sign_at_inf(q, True) for q in chain]
-    return variations(at_minus) - variations(at_plus)
+    c, g = primitive(p.coeffs), int_gcd(p.coeffs, p.derivative().coeffs)
+    if len(g) > 1:  # exact: c and g are primitive, so c / g is in Z[x]
+        r, n, c = c, len(g) - 1, [0] * (len(c) - len(g) + 1)
+        for k in range(len(c) - 1, -1, -1):
+            c[k] = r[k + n] // g[-1]
+            for j in range(n):
+                r[k + j] -= c[k] * g[j]
+    chain = [c, [k * x for k, x in enumerate(c) if k]]
+    while len(chain[-1]) > 1:
+        chain.append([-x for x in int_prem(chain[-2], chain[-1])])
+    signs = [(q[-1] > 0, (q[-1] > 0) == (len(q) % 2 == 1)) for q in chain if q]
+    return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
 
 
 def minimal_polynomial(m: Matrix) -> Poly:

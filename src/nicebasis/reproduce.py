@@ -34,7 +34,6 @@ from .graphs import (
     construct_nice_basis,
     free_nilpotent,
     witt_dimension,
-    PredicateFalse,
 )
 from .catalog3 import catalog
 from . import fixtures
@@ -219,27 +218,37 @@ def _all_graphs(n):
         yield frozenset(p for i, p in enumerate(all_pairs) if bits >> i & 1)
 
 
+def _class_criterion(n, edges, c):
+    """Is the class-c algebra of the graph nice?  Read off the edge set alone:
+    any class <= 2, triangle-free at 3, degrees <= 1 at 4, edgeless from 5."""
+    if c <= 2 or not edges:
+        return True
+    if c == 3:
+        return not any({frozenset(p) for p in combinations(t, 2)} <= edges
+                       for t in combinations(range(n), 3))
+    return c == 4 and all(sum(v in e for e in edges) <= 1 for v in range(n))
+
+
 def check_graph_sweep():
-    """For every simple graph on at most 5 labelled vertices
-    and every nilpotency class in 2..5, the niceness predicate agrees
-    with whether the constructive routine succeeds; the path on three
-    vertices gives dimensions 10 (class 3) and 20 (class 4)."""
+    """For every simple graph on at most 5 labelled vertices and every
+    nilpotency class in 2..5, the niceness predicate agrees with the class
+    criterion recomputed from the edges, and the constructive routine gives
+    a nice basis when they say nice; the path on three vertices gives
+    dimensions 10 (class 3) and 20 (class 4)."""
     t0 = time.perf_counter()
     checked = 0
     for n in range(1, 6):
         for edges in _all_graphs(n):
             for c in (2, 3, 4, 5):
                 g = GraphSpec.of(n, edges, c)
+                want = _class_criterion(n, edges, c)
                 pred, tag = nice_predicate(g)
-                try:
-                    construct_nice_basis(g)
-                    built = True
-                except PredicateFalse:
-                    built = False
-                if pred != built:
+                if pred != want:
                     return ("graph-sweep", False,
                             "disagreement: n=%d c=%d edges=%s (%s)"
                             % (n, c, sorted(map(sorted, edges)), tag))
+                if want:
+                    construct_nice_basis(g)  # raises unless check_nice passes
                 checked += 1
     path3 = frozenset({frozenset({0, 1}), frozenset({1, 2})})
     for c, want in ((3, 10), (4, 20)):

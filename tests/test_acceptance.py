@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from nicebasis import reproduce
+from nicebasis import graphs, reproduce
 
 
 def report(check, bound=None):
@@ -49,6 +49,24 @@ def test_catalog_counts():
 
 def test_graph_sweep():
     report(reproduce.check_graph_sweep, bound=60)
+
+
+@pytest.mark.parametrize("flip", [(1, frozenset(), 2), (3, frozenset(
+    frozenset(e) for e in ((0, 1), (1, 2), (0, 2))), 3)], ids=["nice", "not-nice"])
+def test_graph_sweep_catches_a_wrong_predicate(monkeypatch, flip):
+    # the predicate is wrong on one graph, for the construction as well: only
+    # the criterion recomputed from the edges can tell
+    right = graphs.nice_predicate
+
+    def wrong(g):
+        ok, tag = right(g)
+        return (not ok, tag) if (g.vertex_count, g.edges, g.c) == flip else (ok, tag)
+
+    monkeypatch.setattr(graphs, "nice_predicate", wrong)
+    monkeypatch.setattr(reproduce, "nice_predicate", wrong)
+    name, ok, detail = reproduce.check_graph_sweep()
+    assert not ok
+    assert detail.startswith("disagreement: n=%d c=%d" % (flip[0], flip[2]))
 
 
 def test_free_dimensions():

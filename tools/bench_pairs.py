@@ -1,0 +1,173 @@
+"""Alternating benchmark pairs, parent against change, kept in BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
+        --pairs K --seed S [--trace-runs N] [--label L]
+
+DIR is a source checkout; each side runs its own `perfbench/run.py`, which
+imports that checkout's `src/`, for the `run_seconds` of the change's
+BENCHMARK.json.  Pair i uses seed S + i; the parent runs first in even
+pairs and the change first in odd ones, so drift of the host falls on both
+sides alike.  Of each run the tool keeps the last line of standard output
+(the JSON result) and the `env {...}` line.
+
+The workload's entry in `BENCH_<label>.json` at the root of this
+repository (label defaults to the workload; the file is created when
+missing) is replaced by the new one: per side the environment, the seeds,
+every run's metrics, their medians and quartiles (inclusive method) and
+the failure counts; the pairs won per metric (lower is better, higher for
+success_ratio); and, with `--trace-runs N`, the medians of N traced runs
+per side on seed 5, alternating sides.  An entry it replaces moves, medians
+only, to the front of `earlier_sets`.  Entries of other workloads are kept.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HIGHER_IS_BETTER = {"success_ratio"}
+TRACE_SEED = 5
+METHOD = (
+    "tools/bench_pairs.py: perfbench/run.py run from a parent checkout and a change"
+    " checkout; trace 0 runs alternate sides, the first side flipping each pair;"
+    " medians and quartiles (inclusive method) over those runs; a pair is won when"
+    " the change's value is better (lower, higher for success_ratio).  trace1 rows"
+    " are medians of traced runs on one seed, alternating sides.  Times are run.py's"
+    " normalised values (raw times are in its per-run reports)."
+)
+
+
+def run(checkout, workload, seed, seconds, trace):
+    """(env, result) of one perfbench/run.py run in checkout."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return env, json.loads(lines[-1])
+
+
+def summary(values):
+    """Median and [q1, median, q3] of a list of numbers."""
+    if len(values) < 2:
+        return values[0], [values[0]] * 3
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[1], q
+
+
+def side_record(env, seeds, results):
+    metrics = list(results[0]["metrics"])
+    runs = {m: [r["metrics"][m]["value"] for r in results] for m in metrics}
+    stats = {m: summary(v) for m, v in runs.items()}
+    return {
+        "commit": env.get("commit"),
+        "backend": env.get("backend"),
+        "nproc": env.get("nproc"),
+        "src_lines": env.get("src_lines"),
+        "env": {k: v for k, v in env.items() if k != "seed"},
+        "trace0": {
+            "seeds": seeds,
+            "median": {m: s[0] for m, s in stats.items()},
+            "quartiles": {m: s[1] for m, s in stats.items()},
+            "failed": [r["failed"] for r in results],
+            "runs": runs,
+        },
+    }
+
+
+def won(parent, change):
+    """Per metric, the pairs in which the change's value is better."""
+    out = {}
+    for m in parent[0]["metrics"]:
+        sign = -1 if m in HIGHER_IS_BETTER else 1
+        out[m] = sum(sign * c["metrics"][m]["value"] < sign * p["metrics"][m]["value"]
+                     for p, c in zip(parent, change))
+    return out
+
+
+def measure(args, seconds):
+    sides = {"parent": args.parent, "change": args.change}
+    results = {name: [] for name in sides}
+    envs = {}
+    seeds = [args.seed + i for i in range(args.pairs)]
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for name in order:
+            env, result = run(sides[name], args.workload, seed, seconds, 0)
+            envs.setdefault(name, env)
+            results[name].append(result)
+            wall = result["metrics"]["wall_s"]["value"]
+            print(f"{args.workload} seed {seed} {name}: wall_s {wall:.4f}"
+                  f" failed {result['failed']}", file=sys.stderr)
+    entry = {"workload": args.workload, "pairs": args.pairs}
+    for name in sides:
+        entry[name] = side_record(envs[name], seeds, results[name])
+    entry["pairs_won"] = won(results["parent"], results["change"])
+    if args.trace_runs:
+        traced = {name: [] for name in sides}
+        for i in range(args.trace_runs):
+            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                traced[name].append(run(sides[name], args.workload, TRACE_SEED, seconds, 1)[1])
+        for name, rows in traced.items():
+            entry[name]["trace1"] = {"seed": TRACE_SEED, "runs": args.trace_runs}
+            for m in rows[0]["metrics"]:
+                values = [r["metrics"][m]["value"] for r in rows]
+                entry[name]["trace1"][m] = statistics.median(values)
+    return entry
+
+
+def earlier(entry):
+    """An entry reduced to the medians kept in earlier_sets."""
+    return {
+        "label": "replaced entry",
+        "workload": entry["workload"],
+        "seeds": entry["parent"]["trace0"]["seeds"],
+        "pairs": entry["pairs"],
+        "pairs_won": entry["pairs_won"],
+        "median": {name: entry[name]["trace0"]["median"] for name in ("parent", "change")},
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--trace-runs", type=int, default=0)
+    parser.add_argument("--label")
+    args = parser.parse_args(argv)
+    label = args.label or args.workload
+    path = os.path.join(ROOT, f"BENCH_{label}.json")
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
+    command = f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0|1"
+    doc = {"label": label, "command": command, "method": METHOD, "host": None,
+           "workloads": [], "earlier_sets": {"note": "medians of earlier sets, newest first",
+                                             "sets": []}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            doc.update(json.load(fh))
+    entry = measure(args, seconds)
+    doc["host"] = f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}"
+    for old in [w for w in doc["workloads"] if w["workload"] == args.workload]:
+        doc["earlier_sets"]["sets"].insert(0, earlier(old))
+    doc["workloads"] = [w for w in doc["workloads"] if w["workload"] != args.workload] + [entry]
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(json.dumps({"file": path, "workload": args.workload, "pairs_won": entry["pairs_won"],
+                      "median_wall_s": {n: entry[n]["trace0"]["median"]["wall_s"]
+                                        for n in ("parent", "change")}}))
+
+
+if __name__ == "__main__":
+    main()
