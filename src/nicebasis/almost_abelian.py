@@ -4,13 +4,14 @@ Nice-basis existence and the exact count of nice bases up to equivalence are
 controlled by binomial factorizations x^d - r of the characteristic
 polynomial of A: existence needs the non-nilpotent part of A to be
 semisimple and its characteristic polynomial to split into such binomials;
-the count is the number of factorization classes under the real-rescaling
-equivalence.  Constants are searched over the rationals; when an irrational
-real constant could occur the answer degrades honestly to
-"unknown-irrational" instead of guessing.  The search runs on Python ints:
-integer gcds of the residue classes give the divisors, and factorizations
-are enumerated on the monic integer transform of the polynomial, each
-quotient split once per call.
+the count is the number of such factorizations, because a real rescaling
+can map a factorization only to itself (the lemma in
+factorizations_equivalent).  Constants are searched over the rationals;
+when an irrational real constant could occur the answer degrades honestly
+to "unknown-irrational" instead of guessing.  The search runs on Python
+ints: integer gcds of the residue classes give the divisors, and
+factorizations are enumerated on the monic integer transform of the
+polynomial, each quotient split once per call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
 from .lie import DIMENSION_CAP, LieAlgebra
@@ -176,7 +176,7 @@ def enumerate_factorizations(p: Poly):
     """All factorizations of p into rational-constant binomials.
 
     p must be monic with nonzero constant term.  Returned as a sorted list
-    of BinomialFactorization (raw multisets, before equivalence grouping).
+    of BinomialFactorization, each multiset once.
     """
     if p.is_zero() or p.coeffs[0] == 0:
         raise ZeroConstantTerm("constant term must be nonzero")
@@ -186,74 +186,20 @@ def enumerate_factorizations(p: Poly):
     return [BinomialFactorization(t) for t in _enumerate(p, divisors)]
 
 
-def _bezout(values):
-    """Coefficients a_i with sum a_i * values_i = gcd(values)."""
-    g, coeffs = values[0], [1] + [0] * (len(values) - 1)
-    for idx in range(1, len(values)):
-        g, x, y = _ext_gcd(g, values[idx])
-        coeffs = [c * x for c in coeffs]
-        coeffs[idx] = y
-    return g, coeffs
-
-
-def _ext_gcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _eta_exists(pairs):
-    """Is there a real eta with eta**n_i == q_i for every (n_i, q_i)?
-
-    Exact: with g = gcd(n_i) and m_i = n_i/g, any solution has tau = eta**g
-    rational, recoverable by a Bezout combination of the q_i.
-    """
-    ns = [n for n, _ in pairs]
-    qs = [q for _, q in pairs]
-    g = reduce(math.gcd, ns)
-    ms = [n // g for n in ns]
-    _, coeffs = _bezout(ms)
-    tau = ONE
-    for q, a in zip(qs, coeffs):
-        tau *= Q(q) ** a
-    if any(tau**m != q for m, q in zip(ms, qs)):
-        return False
-    return g % 2 == 1 or tau > 0
-
-
 def factorizations_equivalent(f1: BinomialFactorization, f2: BinomialFactorization) -> bool:
-    """Same factorization up to rescaling the basis by a real eta."""
+    """Same factorization up to rescaling the basis by a real eta.
+
+    Only equal multisets are equivalent.  If r1 = eta^d r2 factor by factor,
+    then p(x) = eta^n p(x/eta), so eta permutes the roots of p and, as
+    p(0) != 0, |eta| = 1.  For eta = -1 only odd-degree constants change
+    sign; after the common even factors, each root modulus rho gives, with
+    x = rho y, y^d - 1 = prod_(e|d) Phi_e and y^d + 1 = prod_(e|d) Phi_2e for
+    odd d.  Equal multiplicities of Phi_e and Phi_2e for each odd e give, by
+    Moebius inversion, as many +r as -r factors of each degree: f1 = f2.
+    """
     if f1.product() != f2.product():
         raise DegreeMismatchWithTarget("factorizations have different targets")
-    return _same_class(f1, f2)
-
-
-def _same_class(f1, f2) -> bool:
-    """factorizations_equivalent for two factorizations of one polynomial."""
-    if f1.factors == f2.factors:
-        return True
-    deg1 = sorted(d for d, _ in f1.factors)
-    deg2 = sorted(d for d, _ in f2.factors)
-    if deg1 != deg2:
-        return False
-    by_deg1, by_deg2 = {}, {}
-    for d, r in f1.factors:
-        by_deg1.setdefault(d, []).append(r)
-    for d, r in f2.factors:
-        by_deg2.setdefault(d, []).append(r)
-    degrees = sorted(by_deg1)
-    perms_per_degree = [
-        list(itertools.permutations(range(len(by_deg2[d])))) for d in degrees
-    ]
-    for combo in itertools.product(*perms_per_degree):
-        pairs = []
-        for d, perm in zip(degrees, combo):
-            for i, r1 in enumerate(by_deg1[d]):
-                pairs.append((d, r1 / by_deg2[d][perm[i]]))
-        if _eta_exists(pairs):
-            return True
-    return False
+    return f1.factors == f2.factors
 
 
 @dataclass(frozen=True)
@@ -308,11 +254,7 @@ class Analysis:
             return 0
         if self.irrational:
             return None
-        classes = []
-        for f in self.factorizations:
-            if not any(_same_class(f, rep) for rep in classes):
-                classes.append(f)
-        return len(classes)
+        return len(self.factorizations)
 
 
 def _analysis(a: Matrix) -> Analysis:

@@ -140,9 +140,6 @@ class Matrix:
             raise ValueError("vector length mismatch")
         return tuple(_dot(row, v) for row in self.data)
 
-    def rank(self):
-        return Subspace(self.cols, self.data).dim
-
     def det(self):
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
@@ -532,10 +529,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def x_power(k):
-        return Poly([ZERO] * k + [ONE])
 
     @staticmethod
     def binomial(degree, constant):

@@ -47,7 +47,7 @@ class TestFactorizations:
 
     def test_rejects_zero_constant_term(self):
         with pytest.raises(ZeroConstantTerm):
-            enumerate_factorizations(Poly.x_power(2))
+            enumerate_factorizations(Poly.binomial(2, 0))
 
     def test_every_factorization_multiplies_back(self):
         p = Poly.binomial(2, rat(1)) * Poly.binomial(2, rat(4))

@@ -1,0 +1,69 @@
+"""tools/bench_pairs.py: the statistics it writes, on made-up run results."""
+
+import importlib.util
+import os
+
+import pytest
+
+PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", PATH)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def result(**values):
+    """A perfbench/run.py result holding only metric values."""
+    return {"failed": 0, "metrics": {m: {"value": v} for m, v in values.items()}}
+
+
+class TestSummary:
+    def test_one_value(self):
+        assert bench_pairs.summary([0.5]) == (0.5, [0.5, 0.5, 0.5])
+
+    def test_odd_count(self):
+        assert bench_pairs.summary([5, 1, 3, 2, 4]) == (3, [2, 3, 4])
+
+    def test_even_count_interpolates(self):
+        median, quartiles = bench_pairs.summary([1, 2, 3, 4])
+        assert median == 2.5
+        assert quartiles == [1.75, 2.5, 3.25]
+
+
+class TestWon:
+    def test_lower_is_better_for_times(self):
+        parent = [result(wall_s=1.0), result(wall_s=1.0), result(wall_s=1.0)]
+        change = [result(wall_s=0.9), result(wall_s=1.0), result(wall_s=1.1)]
+        assert bench_pairs.won(parent, change) == {"wall_s": 1}
+
+    def test_success_ratio_is_higher_is_better(self):
+        parent = [result(wall_s=1.0, success_ratio=0.9)] * 2
+        change = [result(wall_s=0.5, success_ratio=1.0),
+                  result(wall_s=2.0, success_ratio=0.8)]
+        assert bench_pairs.won(parent, change) == {"wall_s": 1, "success_ratio": 1}
+
+    def test_pairs_are_matched_in_order(self):
+        parent = [result(wall_s=1.0), result(wall_s=3.0)]
+        change = [result(wall_s=2.0), result(wall_s=2.0)]
+        assert bench_pairs.won(parent, change) == {"wall_s": 1}
+
+
+class TestEarlier:
+    @pytest.fixture
+    def entry(self):
+        seeds = [5, 6]
+        runs = [result(wall_s=1.0), result(wall_s=3.0)]
+        entry = {"workload": "aa-family", "pairs": 2, "pairs_won": {"wall_s": 2}}
+        for name in ("parent", "change"):
+            entry[name] = bench_pairs.side_record({"commit": name, "seed": 5}, seeds, runs)
+        return entry
+
+    def test_keeps_medians_only(self, entry):
+        assert bench_pairs.earlier(entry) == {
+            "label": "replaced entry",
+            "workload": "aa-family",
+            "seeds": [5, 6],
+            "pairs": 2,
+            "pairs_won": {"wall_s": 2},
+            "median": {"parent": {"wall_s": 2.0}, "change": {"wall_s": 2.0}},
+        }

@@ -85,7 +85,7 @@ class TestRref:
     def test_rank_nullity(self):
         m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
         null = nullspace(m)
-        assert m.rank() + len(null) == 3
+        assert Subspace(m.cols, m.data).dim + len(null) == 3
         for v in null:
             assert all(x == 0 for x in m.apply(v))
 
@@ -142,7 +142,7 @@ class TestCharPoly:
             rows[i][i - 1] = rat(1)
         rows[0][n - 1] = rat(1)
         p = char_poly(Matrix(rows))
-        expect = Poly.x_power(n) - Poly([rat(1)])
+        expect = Poly.binomial(n, 1)
         assert p == expect
 
     def test_nilpotency_index(self):
@@ -161,6 +161,12 @@ class TestPoly:
         quot, rem = p.divmod(q)
         assert quot * q + rem == p
         assert rem.degree < q.degree
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_binomial_with_zero_constant_is_x_power(self, k):
+        p = Poly.binomial(k, 0)
+        assert p == Poly([0] * k + [1])
+        assert p.degree == k
 
     def test_gcd(self):
         p = Poly.binomial(2, rat(1)) * Poly.binomial(1, rat(3))
@@ -200,7 +206,7 @@ class TestMinimalPolynomial:
     def test_divides_char_poly(self):
         m = Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
         mp = minimal_polynomial(m)
-        assert mp == Poly.x_power(2)
+        assert mp == Poly.binomial(2, 0)
 
     def test_diagonal_repeats_collapse(self):
         m = Matrix.diagonal([rat(2), rat(2), rat(3)])

@@ -109,7 +109,7 @@ def reference_similar(a, b):
     n = a.rows
 
     def ranks(m):
-        return [(m ** k).rank() for k in range(1, n + 1)]
+        return [Subspace(n, (m ** k).data).dim for k in range(1, n + 1)]
 
     if n and (a ** n).is_zero():  # equal char polys: b is nilpotent too
         return ranks(a) == ranks(b)
@@ -164,7 +164,7 @@ class TestPositiveDefinite:
                 gram = b.transpose() * b
                 want = to_sympy(gram).is_positive_definite
                 assert is_positive_definite(gram) == want
-                assert want == (b.rank() == n)
+                assert want == (Subspace(b.cols, b.data).dim == n)
 
     def test_known_cases(self):
         assert is_positive_definite(Matrix.identity(3))

@@ -7,21 +7,28 @@ chains), and _enumerate works on the monic integer transform with a memo of
 quotients.  The reference_* functions below are the Fraction versions they
 replaced, kept verbatim apart from evaluating p through a helper; every
 output is compared with them in order, and the real-root count also with
-sympy.
+sympy.  Analysis.count is the number of factorizations; reference_count
+groups them by the real-rescaling search (_same_class and its helpers) that
+it replaced, and TestRescalingLemma checks that the search merges nothing.
 """
 
+import itertools
 import math
 import random
+from collections import Counter
+from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _analysis,
     _binomial_divisors,
+    count_nice,
+    enumerate_factorizations,
     factorizations_equivalent,
     indecomposable_family,
 )
@@ -163,8 +170,71 @@ def reference_enumerate(p: Poly, divisors, start=0):
     return out
 
 
+def _bezout(values):
+    """Coefficients a_i with sum a_i * values_i = gcd(values)."""
+    g, coeffs = values[0], [1] + [0] * (len(values) - 1)
+    for idx in range(1, len(values)):
+        g, x, y = _ext_gcd(g, values[idx])
+        coeffs = [c * x for c in coeffs]
+        coeffs[idx] = y
+    return g, coeffs
+
+
+def _ext_gcd(a, b):
+    if b == 0:
+        return a, 1, 0
+    g, x, y = _ext_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def _eta_exists(pairs):
+    """Is there a real eta with eta**n_i == q_i for every (n_i, q_i)?
+
+    Exact: with g = gcd(n_i) and m_i = n_i/g, any solution has tau = eta**g
+    rational, recoverable by a Bezout combination of the q_i.
+    """
+    ns = [n for n, _ in pairs]
+    qs = [q for _, q in pairs]
+    g = reduce(math.gcd, ns)
+    ms = [n // g for n in ns]
+    _, coeffs = _bezout(ms)
+    tau = ONE
+    for q, a in zip(qs, coeffs):
+        tau *= Q(q) ** a
+    if any(tau**m != q for m, q in zip(ms, qs)):
+        return False
+    return g % 2 == 1 or tau > 0
+
+
+def _same_class(f1, f2) -> bool:
+    """factorizations_equivalent for two factorizations of one polynomial."""
+    if f1.factors == f2.factors:
+        return True
+    deg1 = sorted(d for d, _ in f1.factors)
+    deg2 = sorted(d for d, _ in f2.factors)
+    if deg1 != deg2:
+        return False
+    by_deg1, by_deg2 = {}, {}
+    for d, r in f1.factors:
+        by_deg1.setdefault(d, []).append(r)
+    for d, r in f2.factors:
+        by_deg2.setdefault(d, []).append(r)
+    degrees = sorted(by_deg1)
+    perms_per_degree = [
+        list(itertools.permutations(range(len(by_deg2[d])))) for d in degrees
+    ]
+    for combo in itertools.product(*perms_per_degree):
+        pairs = []
+        for d, perm in zip(degrees, combo):
+            for i, r1 in enumerate(by_deg1[d]):
+                pairs.append((d, r1 / by_deg2[d][perm[i]]))
+        if _eta_exists(pairs):
+            return True
+    return False
+
+
 def reference_count(analysis):
-    """Analysis.count with every pair compared through the public test."""
+    """Analysis.count grouping factorizations by the real-rescaling search."""
     if analysis.nilpotent:
         return 1
     if not analysis.semisimple:
@@ -173,7 +243,7 @@ def reference_count(analysis):
         return None
     classes = []
     for f in analysis.factorizations:
-        if not any(factorizations_equivalent(f, rep) for rep in classes):
+        if not any(_same_class(f, rep) for rep in classes):
             classes.append(f)
     return len(classes)
 
@@ -317,3 +387,61 @@ class TestFamilyPins:
         divisors, _ = reference_binomial_divisors(p)
         want = [BinomialFactorization(t) for t in reference_enumerate(p, divisors)]
         assert list(_analysis(indecomposable_family(n).a).factorizations) == want
+
+
+# --- Analysis.count is the number of factorizations -------------------------
+
+
+def cyclic(k):
+    """The k x k cyclic shift, char_poly x^k - 1."""
+    return Matrix([[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)])
+
+
+def search_size(facts):
+    """Matchings the reference search may try over all pairs of facts."""
+    size = 0
+    for f1, f2 in itertools.combinations(facts, 2):
+        degrees = Counter(d for d, _ in f1.factors)
+        if degrees == Counter(d for d, _ in f2.factors):
+            size += math.prod(math.factorial(c) for c in degrees.values())
+    return size
+
+
+constants = [Q(s) * c for c in (1, 2, 3, 4, Q(1, 2), 8, 9) for s in (1, -1)]
+binomial_lists = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(constants)),
+                          min_size=1, max_size=5)
+
+# not in fixtures/, which the tests iterate over: the reference search takes
+# about 14 s on it
+DIAGONAL_16 = [1, 1, 1, -1, -1, -1, 2, -2, 4, -4]
+
+
+class TestRescalingLemma:
+    @settings(max_examples=150, deadline=None)
+    @given(binomial_lists)
+    def test_search_merges_no_two_factorizations(self, binomials):
+        p = Poly([1])
+        for d, r in binomials:
+            p = p * Poly.binomial(d, r)
+        facts = enumerate_factorizations(p)
+        # the search is factorial in the factors of one degree; the lemma
+        # covers the larger products, the pins below some of them
+        assume(search_size(facts) <= 5040)
+        for f1, f2 in itertools.combinations(facts, 2):
+            assert not _same_class(f1, f2)
+            assert not factorizations_equivalent(f1, f2)
+        assert all(factorizations_equivalent(f, f) for f in facts)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_x_power_minus_one(self, k):
+        analysis = _analysis(cyclic(k))
+        assert analysis.count() == reference_count(analysis) == len(analysis.factorizations)
+
+    def test_repeated_diagonal(self):
+        a = Matrix.diagonal([Q(x) for x in (1, 1, -1, -1, 2, 2, -2, -2)])
+        analysis = _analysis(a)
+        assert analysis.count() == reference_count(analysis) == 9
+
+    def test_sixteen_factorizations(self):
+        a = Matrix.diagonal([Q(x) for x in DIAGONAL_16])
+        assert count_nice(a) == 16 == len(_analysis(a).factorizations)
