@@ -77,7 +77,10 @@ class BinomialFactorization:
 
     @staticmethod
     def of(pairs):
-        return BinomialFactorization(tuple(sorted((int(d), Q(r)) for d, r in pairs)))
+        factors = tuple(sorted((int(d), Q(r)) for d, r in pairs))
+        if any(d < 1 for d, _ in factors):
+            raise ValueError("binomial factors need degree at least 1")
+        return BinomialFactorization(factors)
 
     def product(self) -> Poly:
         p = Poly([ONE])

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
-from .scalars import Q, ZERO, ONE
+from .scalars import Q, ZERO
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, _dot, is_positive_definite, solve
 from .nice import check_nice
@@ -20,7 +22,7 @@ from .nice import check_nice
 @dataclass(frozen=True)
 class DerivationSpace:
     dim: int  # dimension of the underlying algebra
-    basis: tuple  # sparse {(row, col): value} maps spanning Der(g)
+    basis: tuple  # sparse {(row, col): value} maps spanning Der(g), or Der(g)_0
 
     def __len__(self):
         return len(self.basis)
@@ -43,23 +45,32 @@ class NotNiceBasis(ValueError):
     pass
 
 
-def derivation_space(g: LieAlgebra) -> DerivationSpace:
+def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     """Solve D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
-    Unknowns are the n^2 entries of D (row-major); one sparse equation per
-    (pair, output coordinate).  Only nonzero brackets contribute terms, so
-    assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
-    assembled from g.integer_ad() and eliminated in ints.
-    The basis is Subspace.sparse_kernel's canonical one: a vector per free
-    entry of D, in row-major order.
+    Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
+    with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
+    numbered densely in row-major order; one sparse equation per (pair,
+    output coordinate).  Only nonzero brackets contribute terms, so assembly
+    costs O(n^2 + n nnz).  The system is homogeneous, so it is assembled from
+    g.integer_ad() and eliminated in ints.  The basis is sparse_kernel's
+    canonical one: a vector per free unknown, in row-major order.
     """
     n = g.dim
     ad = g.integer_ad()
+    weights = [ZERO] * n if weights is None else weights
+    same = {}  # weight -> indices of that weight, increasing
+    for i, w in enumerate(weights):
+        same.setdefault(w, []).append(i)
+    unknowns = [(m, i) for m in range(n) for i in same[weights[m]]]
+    var = {e: v for v, e in enumerate(unknowns)}
     rows = []
 
-    def term(eq, r, var, c):
-        row = eq.setdefault(r, {})
-        row[var] = row.get(var, 0) + c
+    def term(eq, r, e, c):
+        v = var.get(e)
+        if v is not None:
+            row = eq.setdefault(r, {})
+            row[v] = row.get(v, 0) + c
 
     for i in range(n):
         adi = ad[i]
@@ -68,21 +79,19 @@ def derivation_space(g: LieAlgebra) -> DerivationSpace:
             eq = {}  # output coordinate r -> coefficients on D's entries
             # D[e_i, e_j]: sum_k c_k D e_k
             for k, c in adi.get(j, {}).items():
-                for r in range(n):
-                    term(eq, r, r * n + k, c)
+                for r in same[weights[k]]:
+                    term(eq, r, (r, k), c)
             # -[D e_i, e_j] = [e_j, D e_i]: sum_m D[m][i] [e_j, e_m]
             for m, comps in adj.items():
                 for r, c in comps.items():
-                    term(eq, r, m * n + i, c)
+                    term(eq, r, (m, i), c)
             # -[e_i, D e_j]: -sum_m D[m][j] [e_i, e_m]
             for m, comps in adi.items():
                 for r, c in comps.items():
-                    term(eq, r, m * n + j, -c)
+                    term(eq, r, (m, j), -c)
             rows.extend(eq.values())
-    kernel = Subspace(n * n, rows).sparse_kernel()
-    return DerivationSpace(
-        n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
-    )
+    kernel = Subspace(len(unknowns), rows).sparse_kernel()
+    return DerivationSpace(n, tuple({unknowns[v]: x for v, x in vec.items()} for vec in kernel))
 
 
 def diagonal_derivations(g: LieAlgebra):
@@ -107,27 +116,31 @@ def _entries(d):
 def is_derivation(g: LieAlgebra, d) -> bool:
     """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
 
-    d is a Matrix or a sparse {(row, col): value} map.
+    d is a Matrix or a sparse {(row, col): value} map.  The differences are
+    summed from the nonzero brackets and columns of D only: O(nnz) if diagonal.
     """
-    n = g.dim
-    cols = [{} for _ in range(n)]
+    cols = {}
     for (r, c), x in _entries(d).items():
-        cols[c][r] = x
+        cols.setdefault(c, {})[r] = x
+    diff = {}  # (i, j) with i < j -> D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
 
-    def add(out, vec, f=ONE):
+    def add(i, j, vec, f):
+        if i > j:  # the difference of (j, i) is minus that of (i, j)
+            i, j, f = j, i, -f
+        out = diff.setdefault((i, j), {})
         for k, x in vec.items():
             out[k] = out.get(k, ZERO) + f * x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = {}
-            for k, c in g.brackets.get((i, j), {}).items():
-                add(diff, cols[k], c)
-            add(diff, g.bracket_sparse(cols[i], {j: ONE}), -ONE)
-            add(diff, g.bracket_sparse({i: ONE}, cols[j]), -ONE)
-            if any(diff.values()):
-                return False
-    return True
+    for (i, j), comps in g.brackets.items():
+        for k, c in comps.items():
+            if k in cols:
+                add(i, j, cols[k], c)
+    for i, col in cols.items():
+        for m, x in col.items():
+            for j, comps in g.ad_table[m].items():  # -D[m][i] [e_m, e_j]
+                if j != i:
+                    add(i, j, comps, -x)
+    return not any(any(out.values()) for out in diff.values())
 
 
 def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
@@ -143,20 +156,16 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     if not diag:
         n_diag = [ZERO] * g.dim
     else:
-        gram = Matrix(
-            [[_dot(a, b) for b in diag] for a in diag]
-        )
-        _assert_positive_definite(gram)
+        gram = Matrix([[_dot(a, b) for b in diag] for a in diag])
+        if not is_positive_definite(gram):
+            raise RuntimeError("trace Gram matrix is not positive definite")
         rhs = [sum(v, ZERO) for v in diag]  # Tr(Dg(v)) = sum of entries
         coeffs = solve(gram, rhs)
-        n_diag = [
-            sum((c * v[i] for c, v in zip(coeffs, diag)), ZERO) for i in range(g.dim)
-        ]
-    nm = Matrix.diagonal(n_diag)
+        n_diag = [sum((c * v[i] for c, v in zip(coeffs, diag)), ZERO) for i in range(g.dim)]
     ok, bad = pre_einstein_general_check(g, n_diag)
     if not ok:
         raise RuntimeError(f"trace certification failed: {bad!r}")
-    return PreEinstein(nm, tuple(sorted(n_diag)))
+    return PreEinstein(Matrix.diagonal(n_diag), tuple(sorted(n_diag)))
 
 
 def pre_einstein_general_check(g: LieAlgebra, n_diag):
@@ -165,11 +174,19 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     Returns (True, None) or (False, counterexample) where the counterexample
     is either ("not_derivation", N) or ("trace", D) with D a derivation
     violating Tr(ND) = Tr(D).
+
+    The trace test runs on Der(g)_0 = derivation_space(g, w) only.  Lemma:
+    if N = diag(w) is a derivation, every nonzero c_ij^k has w_k = w_i + w_j,
+    so each equation (i, j, r) of Der(g) involves only unknowns D[m][i] (and
+    D[m][j]) of one weight w_m - w_i = w_r - w_i - w_j.  So Der(g) is the
+    direct sum of its weight blocks, and Tr(D), Tr(ND) read only diagonal
+    entries, of weight 0: Tr(ND) = Tr(D) holds on Der(g) iff on Der(g)_0
+    (the ad_N grading of Nikolayevsky, Trans. AMS 363, 2011).
     """
     n_diag = [Q(x) for x in n_diag]
     if not is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
         return False, ("not_derivation", Matrix.diagonal(n_diag))
-    for d in derivation_space(g).basis:
+    for d in derivation_space(g, n_diag).basis:
         trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
         for (r, c), x in d.items():
             if r == c:
@@ -178,11 +195,6 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
         if trace_nd != trace:
             return False, ("trace", d)
     return True, None
-
-
-def _assert_positive_definite(m: Matrix):
-    if not is_positive_definite(m):
-        raise RuntimeError("trace Gram matrix is not positive definite")
 
 
 def ln_closed_form(n: int):
@@ -204,20 +216,14 @@ def nu_product_rule(parts):
     (rule inapplicable, no conclusion).  A factor nu of None makes the
     result None as well unless some factor has nu = 0.
     """
-    pes = [p for p, _ in parts]
-    for i in range(len(pes)):
-        for j in range(i + 1, len(pes)):
-            if not spectra_disjoint(pes[i], pes[j]):
-                return None
+    if not all(spectra_disjoint(a, b) for (a, _), (b, _) in combinations(parts, 2)):
+        return None
     nus = [v for _, v in parts]
     if any(v == 0 for v in nus):
         return 0
     if any(v is None for v in nus):
         return None
-    out = 1
-    for v in nus:
-        out *= v
-    return out
+    return prod(nus)
 
 
 def simple_spectrum_unique(p: PreEinstein, has_nice: bool):

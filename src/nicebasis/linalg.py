@@ -532,8 +532,9 @@ class Poly:
 
     @staticmethod
     def binomial(degree, constant):
-        """x**degree - constant."""
-        cs = [-Q(constant)] + [ZERO] * (degree - 1) + [ONE]
+        """x**degree - constant (the constant 1 - constant at degree 0)."""
+        cs = [-Q(constant)] + [ZERO] * degree
+        cs[degree] += ONE
         return Poly(cs)
 
     @property

@@ -78,11 +78,36 @@ class TestEquivalence:
                     factorizations_equivalent(g, h):
                 assert factorizations_equivalent(f, h)
 
-    def test_rescaling_identifies_signs(self):
-        # x^2 - 4 = (x-2)(x+2); rescaling by -1 swaps the linear roots
-        f1 = BinomialFactorization.of(((1, rat(2)), (1, rat(-2))))
-        f2 = BinomialFactorization.of(((1, rat(-2)), (1, rat(2))))
+    def test_distinct_factorizations_of_one_target_are_inequivalent(self):
+        # x^2 - 4 = (x - 2)(x + 2): rescaling by -1 swaps the linear roots,
+        # yet no rescaling relates the two factorizations
+        linear = BinomialFactorization.of(((1, rat(2)), (1, rat(-2))))
+        quadratic = BinomialFactorization.of(((2, rat(4)),))
+        assert linear.product() == quadratic.product()
+        assert not factorizations_equivalent(linear, quadratic)
+        assert not factorizations_equivalent(quadratic, linear)
+        for p in [Poly.binomial(k, rat(1)) for k in range(1, 13)] + [
+                Poly.binomial(4, rat(16)), Poly.binomial(2, rat(4)) * Poly.binomial(2, rat(1))]:
+            for f, g in itertools.combinations(enumerate_factorizations(p), 2):
+                assert not factorizations_equivalent(f, g)
+
+    def test_equal_multisets_are_equivalent(self):
+        f1 = BinomialFactorization.of(((1, rat(2)), (1, rat(-2)), (2, rat(3))))
+        f2 = BinomialFactorization.of(((2, rat(3)), (1, rat(-2)), (1, rat(2))))
+        assert f1 == f2
         assert factorizations_equivalent(f1, f2)
+
+
+class TestBinomialFactorization:
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_refuses_degree_below_one(self, degree):
+        with pytest.raises(ValueError):
+            BinomialFactorization.of(((1, rat(2)), (degree, rat(3))))
+
+    @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4)), max_size=5))
+    def test_product_degree_is_degree(self, pairs):
+        f = BinomialFactorization.of(pairs)
+        assert f.product().degree == f.degree
 
 
 class TestExistence:

@@ -1,0 +1,329 @@
+"""The pre-Einstein certification on Der(g)_0 against the full-space code
+that it replaced.
+
+pre_einstein_general_check now runs the trace test on the derivations that
+commute with N = diag(w), derivation_space(g, w), and is_derivation sums
+the defining difference from the nonzero brackets and columns only.  The
+reference_* functions below are the full-space versions they replaced,
+kept verbatim apart from their names: the sparse derivation_space over all
+n^2 entries, the all-pairs is_derivation and the check that runs the trace
+test on every derivation.  Verdicts are compared on the fixture algebras,
+sign-rescaled filiform algebras and their sums, n6, abelian factors, graph
+algebras and Hypothesis draws; Der(g)_0 is compared with the zero-weight
+part of the full Der(g), cut out by linear algebra that does not use the
+weight-block lemma.
+"""
+
+import glob
+import os
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nicebasis import fixtures
+from nicebasis.almost_abelian import build, load_matrix
+from nicebasis.derivations import (
+    DerivationSpace,
+    _entries,
+    derivation_space,
+    diagonal_derivations,
+    is_derivation,
+    pre_einstein_general_check,
+    pre_einstein_nice,
+    NotNiceBasis,
+)
+from nicebasis.graphs import GraphSpec, graph_algebra, load_graph
+from nicebasis.lie import LieAlgebra, abelian, direct_sum, load_lie
+from nicebasis.linalg import Matrix, Subspace
+from nicebasis.scalars import Q, ZERO, ONE
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+# --- the full-space references ----------------------------------------------
+
+
+def reference_derivation_space(g: LieAlgebra) -> DerivationSpace:
+    """Solve D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
+
+    Unknowns are the n^2 entries of D (row-major); one sparse equation per
+    (pair, output coordinate).  Only nonzero brackets contribute terms, so
+    assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
+    assembled from g.integer_ad() and eliminated in ints.
+    The basis is Subspace.sparse_kernel's canonical one: a vector per free
+    entry of D, in row-major order.
+    """
+    n = g.dim
+    ad = g.integer_ad()
+    rows = []
+
+    def term(eq, r, var, c):
+        row = eq.setdefault(r, {})
+        row[var] = row.get(var, 0) + c
+
+    for i in range(n):
+        adi = ad[i]
+        for j in range(i + 1, n):
+            adj = ad[j]
+            eq = {}  # output coordinate r -> coefficients on D's entries
+            # D[e_i, e_j]: sum_k c_k D e_k
+            for k, c in adi.get(j, {}).items():
+                for r in range(n):
+                    term(eq, r, r * n + k, c)
+            # -[D e_i, e_j] = [e_j, D e_i]: sum_m D[m][i] [e_j, e_m]
+            for m, comps in adj.items():
+                for r, c in comps.items():
+                    term(eq, r, m * n + i, c)
+            # -[e_i, D e_j]: -sum_m D[m][j] [e_i, e_m]
+            for m, comps in adi.items():
+                for r, c in comps.items():
+                    term(eq, r, m * n + j, -c)
+            rows.extend(eq.values())
+    kernel = Subspace(n * n, rows).sparse_kernel()
+    return DerivationSpace(
+        n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
+    )
+
+
+def reference_is_derivation(g: LieAlgebra, d) -> bool:
+    """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
+
+    d is a Matrix or a sparse {(row, col): value} map.
+    """
+    n = g.dim
+    cols = [{} for _ in range(n)]
+    for (r, c), x in _entries(d).items():
+        cols[c][r] = x
+
+    def add(out, vec, f=ONE):
+        for k, x in vec.items():
+            out[k] = out.get(k, ZERO) + f * x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = {}
+            for k, c in g.brackets.get((i, j), {}).items():
+                add(diff, cols[k], c)
+            add(diff, g.bracket_sparse(cols[i], {j: ONE}), -ONE)
+            add(diff, g.bracket_sparse({i: ONE}, cols[j]), -ONE)
+            if any(diff.values()):
+                return False
+    return True
+
+
+def reference_general_check(g: LieAlgebra, n_diag):
+    """Certify a claimed diagonal pre-Einstein derivation.
+
+    Returns (True, None) or (False, counterexample) where the counterexample
+    is either ("not_derivation", N) or ("trace", D) with D a derivation
+    violating Tr(ND) = Tr(D).
+    """
+    n_diag = [Q(x) for x in n_diag]
+    if not reference_is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
+        return False, ("not_derivation", Matrix.diagonal(n_diag))
+    for d in reference_derivation_space(g).basis:
+        trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
+        for (r, c), x in d.items():
+            if r == c:
+                trace += x
+                trace_nd += n_diag[r] * x
+        if trace_nd != trace:
+            return False, ("trace", d)
+    return True, None
+
+
+# --- the algebras -------------------------------------------------------------
+
+
+def signed_filiform(sizes, seed):
+    """L_a + L_b + ... with its basis rescaled by seeded signs."""
+    rng = random.Random(seed)
+    signs = [1] + [rng.choice((1, -1)) for _ in range(sum(sizes) - 1)]
+    table, offset = {}, 0
+    for n in sizes:
+        for i in range(offset + 1, offset + n - 1):
+            table[(offset, i)] = {i + 1: signs[offset] * signs[i] * signs[i + 1]}
+        offset += n
+    return LieAlgebra(offset, table)
+
+
+def load_fixture(path):
+    if path.endswith(".lie"):
+        return load_lie(path)
+    if path.endswith(".graph"):
+        return graph_algebra(load_graph(path))[0]
+    return build(load_matrix(path)).compiled
+
+
+FIXTURES = {os.path.basename(p): (lambda p=p: load_fixture(p))
+            for p in sorted(glob.glob(os.path.join(ROOT, "fixtures", "*")))}
+FILIFORM = {
+    **{f"L{n}": (lambda n=n: signed_filiform((n,), n)) for n in range(3, 15)},
+    **{f"L{a}+L{b}": (lambda a=a, b=b: signed_filiform((a, b), a * b))
+       for a, b in ((3, 4), (4, 4), (4, 5), (5, 7), (6, 6), (3, 9))},
+}
+ABELIAN = {
+    "R1": lambda: abelian(1),
+    "R4": lambda: abelian(4),
+    "h3+R2": lambda: direct_sum(fixtures.heisenberg3(), abelian(2)),
+    "L5+R1": lambda: direct_sum(fixtures.standard_filiform(5), abelian(1)),
+}
+GRAPHS = {
+    "path3-class3": lambda: graph_algebra(GraphSpec.of(3, [(0, 1), (1, 2)], 3))[0],
+    "square-class2": lambda: graph_algebra(
+        GraphSpec.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2))[0],
+    "star4-class3": lambda: graph_algebra(GraphSpec.of(4, [(0, 1), (0, 2), (0, 3)], 3))[0],
+    "path4-class3": lambda: graph_algebra(GraphSpec.of(4, [(0, 1), (1, 2), (2, 3)], 3))[0],
+    "edge+vertex-class4": lambda: graph_algebra(GraphSpec.of(3, [(0, 1)], 4))[0],
+}
+ALGEBRAS = {**FIXTURES, **FILIFORM, **ABELIAN, **GRAPHS}
+
+
+def candidates(g):
+    """Diagonals to certify: the pre-Einstein one when the basis is nice, its
+    double, each diagonal derivation, their sum, zero, and all ones."""
+    n = g.dim
+    diag = [list(v) for v in diagonal_derivations(g)]
+    out = diag + [[Q(0)] * n, [Q(1)] * n]
+    if diag:
+        out.append([sum(col, ZERO) for col in zip(*diag)])
+    try:
+        pe = pre_einstein_nice(g)
+    except NotNiceBasis:
+        return out
+    n_diag = [pe.matrix[i, i] for i in range(n)]
+    return out + [n_diag, [2 * x for x in n_diag]]
+
+
+def assert_same_verdict(g, n_diag):
+    ok, why = pre_einstein_general_check(g, n_diag)
+    ref_ok, ref_why = reference_general_check(g, n_diag)
+    assert ok == ref_ok
+    if ok:
+        assert why is None
+        return
+    assert why[0] == ref_why[0]
+    if why[0] == "not_derivation":
+        assert why[1] == ref_why[1]
+        return
+    d = why[1]
+    assert reference_is_derivation(g, d)
+    assert all(n_diag[r] == n_diag[c] for r, c in d)
+    trace = sum((x for (r, c), x in d.items() if r == c), ZERO)
+    trace_nd = sum((n_diag[r] * x for (r, c), x in d.items() if r == c), ZERO)
+    assert trace != trace_nd
+
+
+class TestSameVerdict:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_candidates(self, name):
+        g = ALGEBRAS[name]()
+        for n_diag in candidates(g):
+            assert_same_verdict(g, n_diag)
+
+    @pytest.mark.parametrize("scale, ok", [(Q(9, 32), True), (ONE, False)])
+    def test_n6_repeated_weights(self, scale, ok):
+        g = fixtures.n6()
+        n_diag = [scale * k for k in (1, 2, 3, 3, 4, 5)]
+        assert pre_einstein_general_check(g, n_diag)[0] is ok
+        assert_same_verdict(g, n_diag)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_abelian_weights_all_equal(self, k):
+        # N = cI: every entry has weight 0, so Der(g)_0 is all of Der(g) = gl(k)
+        g = abelian(k)
+        for c in (ONE, Q(2), Q(-1, 3)):
+            assert derivation_space(g, [c] * k) == derivation_space(g)
+            assert_same_verdict(g, [c] * k)
+        assert pre_einstein_general_check(g, [ONE] * k) == (True, None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(set(ALGEBRAS) - {"p3_c5.graph"})),
+           st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                    min_size=1, max_size=5),
+           st.integers(0, 1))
+    def test_random_diagonal_derivations(self, name, coeffs, with_pe):
+        g = ALGEBRAS[name]()
+        diag = [list(v) for v in diagonal_derivations(g)]
+        n_diag = [sum((c * v[i] for c, v in zip(coeffs, diag)), ZERO) for i in range(g.dim)]
+        if with_pe and g.dim:
+            try:
+                pe = pre_einstein_nice(g)
+            except NotNiceBasis:
+                pass
+            else:
+                n_diag = [x + pe.matrix[i, i] for i, x in enumerate(n_diag)]
+        assert is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x})
+        assert_same_verdict(g, n_diag)
+
+
+def zero_weight_part(g, weights):
+    """Der(g) cut down to the entries D[r][c] with w_r = w_c, by solving for
+    the combinations of the full basis that vanish on every other entry."""
+    n = g.dim
+    full = reference_derivation_space(g).basis
+    off = {(r, c) for r in range(n) for c in range(n) if weights[r] != weights[c]}
+    rows = [{j: d[e] for j, d in enumerate(full) if e in d} for e in off]
+    vectors = []
+    for combo in Subspace(len(full), rows).kernel():
+        v = {}
+        for a, d in zip(combo, full):
+            for (r, c), x in d.items():
+                v[r * n + c] = v.get(r * n + c, ZERO) + a * x
+        vectors.append({k: x for k, x in v.items() if x})
+    return Subspace(n * n, vectors)
+
+
+class TestZeroWeightSpace:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_spans_the_zero_weight_part(self, name):
+        g = ALGEBRAS[name]()
+        n = g.dim
+        for weights in candidates(g):
+            space = derivation_space(g, weights)
+            assert isinstance(space, DerivationSpace) and space.dim == n
+            assert all(x and weights[r] == weights[c]
+                       for d in space.basis for (r, c), x in d.items())
+            mine = Subspace(n * n, [{r * n + c: x for (r, c), x in d.items()}
+                                    for d in space.basis])
+            assert mine.dim == len(space)
+            assert mine == zero_weight_part(g, weights)
+
+    @pytest.mark.parametrize("name", sorted(FILIFORM))
+    def test_no_weights_is_the_full_space(self, name):
+        g = FILIFORM[name]()
+        assert derivation_space(g).basis == reference_derivation_space(g).basis
+
+
+class TestSparseIsDerivation:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_full_basis_and_its_perturbations(self, name):
+        g = ALGEBRAS[name]()
+        n = g.dim
+        rng = random.Random(n)
+        for d in reference_derivation_space(g).basis[:12]:
+            assert is_derivation(g, d)
+            bent = dict(d)
+            e = (rng.randrange(n), rng.randrange(n))
+            bent[e] = bent.get(e, ZERO) + 1
+            assert is_derivation(g, bent) == reference_is_derivation(g, bent)
+            m = Matrix([[bent.get((r, c), ZERO) for c in range(n)] for r in range(n)])
+            assert is_derivation(g, m) == reference_is_derivation(g, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(set(ALGEBRAS) - {"p3_c5.graph"})), st.data())
+    def test_random_sparse_maps(self, name, data):
+        g = ALGEBRAS[name]()
+        n = g.dim
+        index = st.integers(0, n - 1)
+        entries = data.draw(st.dictionaries(
+            st.tuples(index, index), st.fractions(min_value=-2, max_value=2, max_denominator=3),
+            max_size=6))
+        basis = reference_derivation_space(g).basis
+        if basis and data.draw(st.booleans()):  # a derivation, perhaps bent
+            d = dict(basis[data.draw(st.integers(0, len(basis) - 1))])
+            for e, x in entries.items():
+                d[e] = d.get(e, ZERO) + x
+            entries = d
+        assert is_derivation(g, entries) == reference_is_derivation(g, entries)

@@ -168,6 +168,13 @@ class TestPoly:
         assert p == Poly([0] * k + [1])
         assert p.degree == k
 
+    @pytest.mark.parametrize("c", [0, 1, 3, Q(-2, 5)])
+    def test_binomial_of_degree_zero_is_a_constant(self, c):
+        # x^0 - c = 1 - c, not x - c
+        p = Poly.binomial(0, c)
+        assert p == Poly([1 - Q(c)])
+        assert p.degree == (-1 if c == 1 else 0)
+
     def test_gcd(self):
         p = Poly.binomial(2, rat(1)) * Poly.binomial(1, rat(3))
         q = Poly.binomial(2, rat(1)) * Poly.binomial(1, rat(5))

@@ -18,7 +18,9 @@ the failure counts; the pairs won per metric (lower is better, higher for
 success_ratio); and, with `--trace-runs N`, the medians of N traced runs
 per side on seed 5, alternating sides.  An entry it replaces moves, medians
 only, to the front of `earlier_sets`.  Entries of other workloads are kept.
-Standard library only.
+A file in the older hand-written schema (one workload, with top-level
+`parent`/`change` keys) is migrated: its medians go to the end of
+`earlier_sets` and its own keys are dropped.  Standard library only.
 """
 
 from __future__ import annotations
@@ -135,6 +137,36 @@ def earlier(entry):
     }
 
 
+def legacy(old):
+    """The earlier_sets entry of a file in the hand-written one-workload schema."""
+    sides = ("parent", "change")
+    return {
+        "label": "legacy entry",
+        "workload": old["workload"],
+        "method": old.get("method"),
+        "commits": {name: old[name].get("commit") for name in sides},
+        "seeds": old["parent"]["trace0"]["seeds"],
+        "pairs": len(old["parent"]["trace0"]["seeds"]),
+        "pairs_won": {"wall_s": old.get("pairs_won_wall_s")},
+        "median": {name: old[name]["trace0"]["median"] for name in sides},
+    }
+
+
+def load(path, label, command):
+    """The document at path, or a new one; a legacy file comes back migrated."""
+    doc = {"label": label, "command": command, "method": METHOD, "host": None,
+           "workloads": [], "earlier_sets": {"note": "medians of earlier sets, newest first",
+                                             "sets": []}}
+    if os.path.exists(path):
+        with open(path) as fh:
+            old = json.load(fh)
+        if "parent" in old:
+            doc["earlier_sets"]["sets"].append(legacy(old))
+        else:
+            doc.update(old)
+    return doc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
@@ -150,12 +182,7 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         seconds = json.load(fh)["run_seconds"]
     command = f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0|1"
-    doc = {"label": label, "command": command, "method": METHOD, "host": None,
-           "workloads": [], "earlier_sets": {"note": "medians of earlier sets, newest first",
-                                             "sets": []}}
-    if os.path.exists(path):
-        with open(path) as fh:
-            doc.update(json.load(fh))
+    doc = load(path, label, command)
     entry = measure(args, seconds)
     doc["host"] = f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}"
     for old in [w for w in doc["workloads"] if w["workload"] == args.workload]:
