@@ -4,25 +4,17 @@ Walks the reference 2x2 matrices, the 4x4 cyclic permutation, and the
 indecomposable family whose member number n has exactly n nice bases.
 """
 
-from nicebasis import (
-    build,
-    count_nice,
-    enumerate_factorizations,
-    exists_nice,
-    fixtures,
-    indecomposable_family,
-)
-from nicebasis.linalg import Matrix, char_poly
+from nicebasis import analyze, build, count_nice, fixtures, indecomposable_family
+from nicebasis.linalg import Matrix
 from nicebasis.scalars import Q
 
 
 def show(label, m):
-    verdict = exists_nice(m)
-    nu = count_nice(m)
-    print("%-22s exists=%-3s nu=%s" % (label, verdict.status, nu))
-    p = char_poly(m)
-    if verdict.status == "yes" and p.coeffs[0] != 0:
-        for f in enumerate_factorizations(p):
+    analysis = analyze(m)  # one analysis for existence, count and factorizations
+    verdict = analysis.exists()
+    print("%-22s exists=%-3s nu=%s" % (label, verdict.status, analysis.count()))
+    if verdict.status == "yes":
+        for f in analysis.factorizations:
             print("   factorization: %s" % f)
 
 

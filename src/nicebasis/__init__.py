@@ -45,6 +45,7 @@ from .derivations import (
 )
 from .almost_abelian import (
     AlmostAbelian,
+    analyze,
     build,
     BinomialFactorization,
     enumerate_factorizations,

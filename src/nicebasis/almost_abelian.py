@@ -260,7 +260,7 @@ class Analysis:
         return len(self.factorizations)
 
 
-def _analysis(a: Matrix) -> Analysis:
+def analyze(a: Matrix) -> Analysis:
     q = char_poly(a)
     while q.coeffs[0] == 0:
         q = Poly(q.coeffs[1:])
@@ -277,18 +277,21 @@ def _analysis(a: Matrix) -> Analysis:
     return Analysis(a, False, semisimple, facts, irrational)
 
 
+_analysis = analyze  # the earlier name, which perfbench/tracing.py wraps
+
+
 def exists_nice(a: Matrix) -> ExistsVerdict:
     """Does R f + R^n built on a admit a nice basis?
 
     yes comes with an explicit witness basis (columns, compiled algebra
     coordinates, f first), verified nice before being returned.
     """
-    return _analysis(a).exists()
+    return analyze(a).exists()
 
 
 def count_nice(a: Matrix):
     """Number of nice bases up to equivalence, or None (unknown-irrational)."""
-    return _analysis(a).count()
+    return analyze(a).count()
 
 
 def _witness_basis(a: Matrix, fact):

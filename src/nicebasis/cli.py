@@ -27,7 +27,7 @@ from .derivations import (
     spectra_disjoint,
     NotNiceBasis,
 )
-from .almost_abelian import _analysis, load_matrix
+from .almost_abelian import analyze, load_matrix
 from .graphs import (
     load_graph,
     graph_algebra,
@@ -179,7 +179,7 @@ def cmd_nu_product(args):
 def cmd_aa(args):
     a = _load_matrix(args.file)
     try:
-        data = _analysis(a)
+        data = analyze(a)
     except TooLargeToFactor as err:
         raise UsageError(f"{args.file}: {err}")
     verdict = data.exists()

@@ -269,18 +269,27 @@ class LieAlgebra:
 
     def change_basis(self, p: Matrix):
         """Structure constants in the basis of p's columns.  Column j is tagged with
-        coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j)."""
+        coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j).
+        [e_a, e_b] reaches [p_i, p_j] only if p_ai, p_bj != 0: no zero pair is formed."""
         n = self.dim
+        if (p.rows, p.cols) != (n, n):  # first: rows past n would land on the tag columns
+            raise ValueError("change of basis needs an invertible n x n matrix")
         cols = sparse_columns(p)
         tagged = Subspace(2 * n, ({**c, n + j: ONE} for j, c in enumerate(cols)))
-        if (p.rows, p.cols) != (n, n) or tagged.pivots != list(range(n)):
+        if tagged.pivots != list(range(n)):
             raise ValueError("change of basis needs an invertible n x n matrix")
-        table = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = tagged.reduce(self.bracket_sparse(cols[i], cols[j]))
-                if r:
-                    table[(i, j)] = {t - n: -r[t] for t in sorted(r)}
+        occ = [sparse(row).items() for row in p.data]  # row a -> (j, p_aj) over its nonzeros
+        images = {}
+        for (a, b), comps in self.brackets.items():
+            for i, x in occ[a]:
+                for j, y in occ[b]:
+                    if i != j:
+                        f, key = (x * y, (i, j)) if i < j else (-x * y, (j, i))
+                        img = images.setdefault(key, {})
+                        for k, c in comps.items():
+                            img[k] = img.get(k, ZERO) + f * c
+        table = {key: {t - n: -r[t] for t in sorted(r)} for key in sorted(images)
+                 if (r := tagged.reduce(images[key]))}
         return LieAlgebra(n, table, check=False)
 
     def __repr__(self):
@@ -338,6 +347,8 @@ def parse_lie(text: str) -> LieAlgebra:
             if len(parts) != 5:
                 raise ValueError(f"line {lineno}: bracket needs i j k value")
             i, j, k = (parse_int(t, "bracket index", lineno) - 1 for t in parts[1:4])
+            if bad := [t + 1 for t in (i, j, k) if not 0 <= t < dim]:
+                raise ValueError(f"line {lineno}: bracket index {bad[0]} out of range 1..{dim}")
             if not i < j:
                 raise ValueError(f"line {lineno}: need i < j")
             try:

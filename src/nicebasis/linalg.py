@@ -175,7 +175,7 @@ def dense(vec, n):
 
 def sparse_columns(m: Matrix):
     """m's columns as sparse dicts, the operand of apply_columns."""
-    return [sparse(m.column(j)) for j in range(m.cols)]
+    return [sparse(c) for c in zip(*m.data)]  # a Matrix with no rows has no columns
 
 
 def apply_columns(cols, vec):

@@ -340,14 +340,14 @@ class TestOneDivisorPass:
         Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]]),  # nilpotent block plus 3
     ], ids=["family-4", "diagonal", "mixed"])
     def test_once_per_analysis(self, calls, a):
-        almost_abelian._analysis(a)
+        almost_abelian.analyze(a)
         assert len(calls) == 1
         count_nice(a)
         exists_nice(a)
         assert len(calls) == 3
 
     def test_none_for_nilpotent(self, calls):
-        almost_abelian._analysis(Matrix([[0, 1], [0, 0]]))
+        almost_abelian.analyze(Matrix([[0, 1], [0, 0]]))
         assert calls == []
 
     def test_once_per_cli_aa(self, calls, capsys):

@@ -112,7 +112,8 @@ class TestIO:
         Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]]),  # zero row
         Matrix([[1, 0], [0, 1]]),  # wrong size
         Matrix([[1, 0, 0], [0, 1, 0]]),  # not square
-    ], ids=["dependent", "zero-row", "wrong-size", "not-square"])
+        Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]),  # rows past n, on the tags
+    ], ids=["dependent", "zero-row", "wrong-size", "not-square", "more-rows"])
     def test_change_basis_rejects_singular(self, p):
         with pytest.raises(ValueError):
             fixtures.sl2().change_basis(p)

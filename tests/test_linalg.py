@@ -20,6 +20,7 @@ from nicebasis.linalg import (
     smith_normal_form,
     solve_integer_system,
     solve_gf2_system,
+    sparse_columns,
 )
 from nicebasis.scalars import Q, rat
 
@@ -68,6 +69,14 @@ class TestMatrix:
     def test_apply_matches_column_combination(self):
         a = Matrix([[1, 2], [3, 4]])
         assert a.apply((rat(1), rat(0))) == a.column(0)
+
+    @pytest.mark.parametrize("m", [
+        Matrix([[1, 0, 2], [0, 0, 3]]), Matrix([[0, 0]]), Matrix.identity(3), Matrix([]),
+    ], ids=["2x3", "zero-row", "identity", "empty"])
+    def test_sparse_columns_are_the_columns(self, m):
+        cols = sparse_columns(m)
+        assert len(cols) == m.cols
+        assert cols == [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.cols)]
 
     @given(st.lists(rationals, min_size=4, max_size=4))
     def test_det_vs_sympy(self, entries):

@@ -4,6 +4,7 @@ ValueError (which the command line turns into exit 2), never anything else."""
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from nicebasis import cli
 from nicebasis.almost_abelian import parse_matrix
 from nicebasis.graphs import parse_graph
 from nicebasis.lie import DIMENSION_CAP, parse_lie
@@ -83,3 +84,19 @@ def test_rat_refuses_other_forms(text):
 def test_integers_are_ascii_digits(parse, text, line):
     with pytest.raises(ValueError, match=rf"^line {line}: .* must be an integer"):
         parse(text)
+
+
+@pytest.mark.parametrize("text,index", [
+    ("dim 2\nbracket 1 2 3 1\n", 3),
+    ("dim 2\nbracket 1 2 0 1\n", 0),
+    ("dim 3\nbracket 1 5 2 1\n", 5),
+], ids=["target-past-dim", "target-zero", "index-past-dim"])
+def test_bracket_index_errors_name_the_line_and_index(capsys, tmp_path, text, index):
+    # indices are reported as written in the file, 1-based, with the line
+    path = tmp_path / "input.lie"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: line 2: bracket index {index} out of range 1..{text[4]}"]

@@ -25,8 +25,8 @@ from hypothesis import assume, given, settings, strategies as st
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
     BinomialFactorization,
-    _analysis,
     _binomial_divisors,
+    analyze,
     count_nice,
     enumerate_factorizations,
     factorizations_equivalent,
@@ -356,11 +356,11 @@ def corpus():
 class TestVerdictCorpus:
     @pytest.mark.parametrize("a", corpus())
     def test_analysis_matches_reference_pipeline(self, monkeypatch, a):
-        got = _analysis(a)
+        got = analyze(a)
         got_exists = got.exists()
         monkeypatch.setattr(almost_abelian, "_binomial_divisors", reference_binomial_divisors)
         monkeypatch.setattr(almost_abelian, "_enumerate", reference_enumerate)
-        want = _analysis(a)
+        want = analyze(a)
         want_exists = want.exists()
         assert got.factorizations == want.factorizations
         assert all(isinstance(r, Q) for f in got.factorizations for _, r in f.factors)
@@ -370,14 +370,14 @@ class TestVerdictCorpus:
         assert got.count() == reference_count(want)
 
     def test_corpus_covers_every_verdict(self):
-        statuses = {_analysis(a).exists().status for a in corpus()}
+        statuses = {analyze(a).exists().status for a in corpus()}
         assert statuses == {"yes", "no", "unknown-irrational"}
 
 
 class TestFamilyPins:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_count_and_existence(self, n):
-        analysis = _analysis(indecomposable_family(n).a)
+        analysis = analyze(indecomposable_family(n).a)
         assert analysis.count() == n
         assert analysis.exists().status == "yes"
 
@@ -386,7 +386,7 @@ class TestFamilyPins:
         p = Poly.binomial(2 ** (n - 1), 1)
         divisors, _ = reference_binomial_divisors(p)
         want = [BinomialFactorization(t) for t in reference_enumerate(p, divisors)]
-        assert list(_analysis(indecomposable_family(n).a).factorizations) == want
+        assert list(analyze(indecomposable_family(n).a).factorizations) == want
 
 
 # --- Analysis.count is the number of factorizations -------------------------
@@ -434,14 +434,14 @@ class TestRescalingLemma:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_x_power_minus_one(self, k):
-        analysis = _analysis(cyclic(k))
+        analysis = analyze(cyclic(k))
         assert analysis.count() == reference_count(analysis) == len(analysis.factorizations)
 
     def test_repeated_diagonal(self):
         a = Matrix.diagonal([Q(x) for x in (1, 1, -1, -1, 2, 2, -2, -2)])
-        analysis = _analysis(a)
+        analysis = analyze(a)
         assert analysis.count() == reference_count(analysis) == 9
 
     def test_sixteen_factorizations(self):
         a = Matrix.diagonal([Q(x) for x in DIAGONAL_16])
-        assert count_nice(a) == 16 == len(_analysis(a).factorizations)
+        assert count_nice(a) == 16 == len(analyze(a).factorizations)
