@@ -70,8 +70,6 @@ from .graphs import (
     graph_algebra,
     nice_predicate,
     construct_nice_basis,
-    free_nice_predicate,
-    carnot_check,
     PredicateFalse,
     DimensionCapExceeded,
     parse_graph,

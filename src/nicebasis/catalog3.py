@@ -7,6 +7,7 @@ entries carry theorem-backed counts with every listed basis re-verified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scalars import Q, ZERO, ONE, sign
@@ -51,44 +52,39 @@ def _aa_entry(name, m, bases, parameter=None):
     ).verify()
 
 
-def _two_bases_a_minus1():
-    ident = Matrix.identity(3)
-    second = Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)])
-    return ident, second
+_I3 = Matrix.identity(3)
+# the two nice bases of aa(A_-1), which are nice for sl2 as well
+_A_MINUS1_BASES = (_I3, Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)]))
+
+
+def _a_lambda_row(lam):
+    name, bases = ("aa(A_-1)", _A_MINUS1_BASES) if lam == -1 else (f"aa(A_lambda={lam})", [_I3])
+    return _aa_entry(name, fixtures.matrix_a_lambda(lam), bases, lam)
+
+
+def _e_mu_row(mu):
+    name, bases = ("aa(E_0)", [_I3]) if mu == 0 else (f"aa(E_mu={mu})", [])
+    return _aa_entry(name, fixtures.matrix_e(mu), bases, mu)
+
+
+def _simple_row(name):
+    """sl2 or so3 with its theorem-backed count, 2 or 1."""
+    alg, nu = (fixtures.sl2(), 2) if name == "sl2" else (fixtures.so3(), 1)
+    return CatalogEntry(name, None, alg, nu, tuple(simple_nice_bases(name))).verify()
 
 
 def catalog():
-    """All nine rows: solvable families at rational parameter samples, then
-    the simple algebras."""
-    entries = []
-    entries.append(_aa_entry("R^3", fixtures.matrix_b(), [Matrix.identity(3)]))
-    entries.append(_aa_entry("h3", fixtures.matrix_c(), [Matrix.identity(3)]))
-    entries.append(
-        _aa_entry("aa(A_-1)", fixtures.matrix_a_lambda(-1), _two_bases_a_minus1(), Q(-1))
-    )
-    for lam in (Q(-1, 2), ZERO, Q(1, 2), ONE):
-        entries.append(
-            _aa_entry(
-                f"aa(A_lambda={lam})",
-                fixtures.matrix_a_lambda(lam),
-                [Matrix.identity(3)],
-                lam,
-            )
-        )
-    entries.append(_aa_entry("aa(D)", fixtures.matrix_d(), []))
-    entries.append(_aa_entry("aa(E_0)", fixtures.matrix_e(0), [Matrix.identity(3)], ZERO))
-    for mu in (ONE, Q(2)):
-        entries.append(_aa_entry(f"aa(E_mu={mu})", fixtures.matrix_e(mu), [], mu))
-    sl2_alg = fixtures.sl2()
-    sl2_bases = simple_nice_bases("sl2")
-    entries.append(
-        CatalogEntry("sl2", None, sl2_alg, 2, tuple(sl2_bases)).verify()
-    )
-    so3_alg = fixtures.so3()
-    entries.append(
-        CatalogEntry("so3", None, so3_alg, 1, tuple(simple_nice_bases("so3"))).verify()
-    )
-    return entries
+    """All thirteen rows: solvable families at rational parameter samples,
+    then the simple algebras."""
+    return [
+        _aa_entry("R^3", fixtures.matrix_b(), [_I3]),
+        _aa_entry("h3", fixtures.matrix_c(), [_I3]),
+        *(_a_lambda_row(lam) for lam in (Q(-1), Q(-1, 2), ZERO, Q(1, 2), ONE)),
+        _aa_entry("aa(D)", fixtures.matrix_d(), []),
+        *(_e_mu_row(mu) for mu in (ZERO, ONE, Q(2))),
+        _simple_row("sl2"),
+        _simple_row("so3"),
+    ]
 
 
 def simple_nice_bases(which: str):
@@ -96,8 +92,7 @@ def simple_nice_bases(which: str):
     or so3 (one)."""
     if which == "sl2":
         alg = fixtures.sl2()
-        # the two nice bases of aa(A_-1) are nice for sl2 as well
-        first, second = _two_bases_a_minus1()
+        first, second = _A_MINUS1_BASES
         for b in (first, second):
             if not check_nice(alg.change_basis(b)):
                 raise RuntimeError("sl2 basis failed the nice check")
@@ -111,7 +106,7 @@ def simple_nice_bases(which: str):
         return [first, second]
     if which == "so3":
         alg = fixtures.so3()
-        first = Matrix.identity(3)
+        first = _I3
         if not check_nice(alg.change_basis(first)):
             raise RuntimeError("so3 basis failed the nice check")
         signs = cyclic_sign_pattern(alg.change_basis(first))
@@ -150,16 +145,10 @@ def classify3(g: LieAlgebra):
         raise ValueError("classify3 needs dimension 3")
     derived = g.derived_subalgebra()
     if derived.dim == 0:
-        return _aa_entry("R^3", fixtures.matrix_b(), [Matrix.identity(3)])
+        return _aa_entry("R^3", fixtures.matrix_b(), [_I3])
     killing = g.killing_form()
     if killing.det() != 0:
-        if is_positive_definite(-killing):
-            return CatalogEntry(
-                "so3", None, fixtures.so3(), 1, tuple(simple_nice_bases("so3"))
-            ).verify()
-        return CatalogEntry(
-            "sl2", None, fixtures.sl2(), 2, tuple(simple_nice_bases("sl2"))
-        ).verify()
+        return _simple_row("so3" if is_positive_definite(-killing) else "sl2")
     h = _abelian_codim1_ideal(g, derived)
     if h is None:
         return None
@@ -216,8 +205,8 @@ def _match_2x2(a: Matrix):
     nil, _ = is_nilpotent(a)
     if nil:
         if a.is_zero():
-            return _aa_entry("R^3", fixtures.matrix_b(), [Matrix.identity(3)])
-        return _aa_entry("h3", fixtures.matrix_c(), [Matrix.identity(3)])
+            return _aa_entry("R^3", fixtures.matrix_b(), [_I3])
+        return _aa_entry("h3", fixtures.matrix_c(), [_I3])
     p = char_poly(a)  # x^2 - tr x + det
     tr, det = p.coeffs[1] * -1, p.coeffs[0]
     disc = tr * tr - 4 * det
@@ -229,35 +218,20 @@ def _match_2x2(a: Matrix):
         for r, m in roots:
             eigs.extend([r] * m)
         e1, e2 = sorted(eigs, key=lambda x: -abs(x))
-        lam = e2 / e1  # |lam| <= 1, nonzero denominator since not nilpotent
-        rep = fixtures.matrix_a_lambda(lam)
-        if iso_test_almost_abelian(a, rep) is None:
-            return None
-        if lam == -1:
-            return _aa_entry("aa(A_-1)", rep, _two_bases_a_minus1(), lam)
-        return _aa_entry(f"aa(A_lambda={lam})", rep, [Matrix.identity(3)], lam)
-    if disc == 0:
+        # |lam| <= 1, nonzero denominator since not nilpotent
+        entry = _a_lambda_row(e2 / e1)
+    elif disc == 0:
         # repeated nonzero eigenvalue, not diagonalizable
-        rep = fixtures.matrix_d()
-        if iso_test_almost_abelian(a, rep) is None:
+        entry = _aa_entry("aa(D)", fixtures.matrix_d(), [])
+    else:
+        # complex pair alpha +- beta i with beta != 0; mu = |alpha/beta|
+        alpha = tr / 2
+        beta_sq = -disc / 4  # beta^2
+        mu = _rational_sqrt(alpha * alpha / beta_sq)
+        if mu is None:
             return None
-        return _aa_entry("aa(D)", rep, [])
-    # complex pair alpha +- beta i with beta != 0; mu = |alpha/beta|
-    alpha = tr / 2
-    beta_sq = -disc / 4  # beta^2
-    mu_sq = alpha * alpha / beta_sq
-    mu = _rational_sqrt(mu_sq)
-    if mu is None:
-        return None
-    if mu == 0:
-        rep = fixtures.matrix_e(0)
-        if iso_test_almost_abelian(a, rep) is None:
-            return None
-        return _aa_entry("aa(E_0)", rep, [Matrix.identity(3)], ZERO)
-    rep = fixtures.matrix_e(mu)
-    if iso_test_almost_abelian(a, rep) is None:
-        return None
-    return _aa_entry(f"aa(E_mu={mu})", rep, [], mu)
+        entry = _e_mu_row(mu)
+    return entry if iso_test_almost_abelian(a, entry.matrix) is not None else None
 
 
 def _is_scalar(a: Matrix):
@@ -265,20 +239,6 @@ def _is_scalar(a: Matrix):
 
 
 def _rational_sqrt(q):
-    if q < 0:
-        return None
-    if q == 0:
-        return ZERO
-    num, den = int(q.numerator), int(q.denominator)
-    rn = _isqrt_exact(num)
-    rd = _isqrt_exact(den)
-    if rn is None or rd is None:
-        return None
-    return Q(rn, rd)
-
-
-def _isqrt_exact(n):
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
+    """The rational square root of q >= 0, or None when it is irrational."""
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Q(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None

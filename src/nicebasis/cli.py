@@ -18,7 +18,7 @@ import sys
 import time
 
 from .scalars import TooLargeToFactor, fmt
-from .lie import load_lie, serialize_lie
+from .lie import load_lie, save_lie
 from .nice import check_nice
 from .derivations import (
     pre_einstein_nice,
@@ -160,16 +160,13 @@ def cmd_nu_product(args):
             for i, (a, _) in enumerate(parts)
             for b, _ in parts[i + 1:]):
         outcome, code = "inapplicable (spectra overlap)", 1
-        value = None
     elif result is None:
         outcome, code = "unknown (a factor count is undetermined)", 1
-        value = None
     else:
         outcome, code = f"nu = {result}", 0
-        value = result
     report = _report(args, {
         "factors": factors,
-        "nu": value,
+        "nu": result,
         "outcome": outcome,
     }, args.files)
     _emit(args, report, [outcome])
@@ -228,8 +225,10 @@ def cmd_graph(args):
         for col in cols:
             lines.append("basis " + " ".join(col))
     if args.emit_algebra:
-        with open(args.emit_algebra, "w") as fh:
-            fh.write(serialize_lie(alg))
+        try:
+            save_lie(alg, args.emit_algebra)
+        except OSError as err:
+            raise UsageError(f"{args.emit_algebra}: {err}") from None
         print(f"wrote {args.emit_algebra}", file=sys.stderr)
     report = _report(args, payload, [args.file])
     _emit(args, report, lines)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ZERO, ONE, factor_int, parse_int
+from .scalars import ONE, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra, abelian
 from .linalg import Matrix, Subspace, _divisors, dense
 from .nice import check_nice
@@ -225,22 +225,9 @@ def graph_algebra(g: GraphSpec):
             w = free.bracket_int(x, v)
             if w and ideal.add(w):
                 queue.append(w)
-    keep = sorted(set(range(free.dim)).difference(ideal.pivots))
-    pos = {orig: t for t, orig in enumerate(keep)}
-
-    def project(vec):
-        res = ideal.reduce(vec)
-        return tuple(res.get(i, ZERO) for i in keep)
-
-    # free.brackets is keyed in (i, j) order, so the table is too
-    table = {}
-    for (i, j), comps in free.brackets.items():
-        if i in pos and j in pos:
-            res = ideal.reduce(comps)
-            if res:
-                table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
+    keep, table, project = free._quotient_table(ideal)
     words = tuple(basis.words[i] for i in keep)
-    names = [_word_name(w) for w in words]
+    names = [free.names[i] for i in keep]
     _quotient_memo.clear()
     _quotient_memo[g] = LieAlgebra(len(keep), table, names=names, check=False), words, project
     return _quotient_memo[g]
@@ -305,62 +292,6 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
     if not verdict:
         raise RuntimeError(f"constructed basis is not nice: {verdict.violations}")
     return basis
-
-
-def free_nice_predicate(d, c):
-    """Does the free class-c algebra on d generators have a nice basis?"""
-    if d == 1:
-        return True
-    return c <= 2 or (d == 2 and c <= 4)
-
-
-def carnot_check(g: LieAlgebra):
-    """Build the associated graded algebra of the lower central series.
-
-    Returns (ok, car_algebra_or_info): checks layer dimensions against the
-    central-series quotients and validates the Jacobi identity on the graded
-    bracket.
-    """
-    series = g.lower_central_series()
-    if series[-1].dim != 0:
-        return False, {"error": "not nilpotent"}
-    layers = []
-    for i in range(len(series) - 1):
-        upper = series[i + 1].rows
-        layers.append([
-            dense(series[i].rows[p], g.dim) for p in series[i].pivots if p not in upper
-        ])
-    expected = [series[i].dim - series[i + 1].dim for i in range(len(series) - 1)]
-    if [len(l) for l in layers] != expected:
-        return False, {"error": "layer dimension mismatch", "expected": expected}
-    reps = [tuple(v) for layer in layers for v in layer]
-    p = Matrix.from_columns(reps)
-    graded = g.change_basis(p)
-    # layer index of each new basis vector
-    layer_of = []
-    for li, layer in enumerate(layers):
-        layer_of.extend([li] * len(layer))
-    offsets = []
-    acc = 0
-    for layer in layers:
-        offsets.append(acc)
-        acc += len(layer)
-    table = {}
-    for (i, j), comps in graded.brackets.items():
-        target_layer = layer_of[i] + layer_of[j] + 1
-        if target_layer >= len(layers):
-            continue
-        lo = offsets[target_layer]
-        hi = lo + len(layers[target_layer])
-        entry = {k: c for k, c in comps.items() if lo <= k < hi}
-        if entry:
-            table[(i, j)] = entry
-    try:
-        car = LieAlgebra(g.dim, table)
-    except ValueError as exc:
-        return False, {"error": f"graded bracket fails Jacobi: {exc}"}
-    car_layer_dims = [len(l) for l in layers]
-    return True, {"car": car, "layer_dims": car_layer_dims}
 
 
 # --- graph file format ---

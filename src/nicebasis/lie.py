@@ -229,6 +229,16 @@ class LieAlgebra:
         """
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
+        keep, table, project = self._quotient_table(ideal)
+        return LieAlgebra(len(keep), table, names=[self.names[i] for i in keep]), project
+
+    def _quotient_table(self, ideal: Subspace):
+        """(kept indices, bracket table, project) of the quotient by an ideal.
+
+        The kept indices are the non-pivots of the ideal.  Only nonzero
+        brackets of two kept vectors survive, in key order, each reduced
+        modulo the ideal with its components in residue order.
+        """
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
         pos = {orig: t for t, orig in enumerate(keep)}
 
@@ -236,15 +246,11 @@ class LieAlgebra:
             res = ideal.reduce(vector)
             return tuple(res.get(i, ZERO) for i in keep)
 
-        # only nonzero brackets of two kept vectors survive, keyed in order
         table = {}
         for (i, j), comps in sorted(self.brackets.items()):
-            if i in pos and j in pos:
-                res = ideal.reduce(comps)
-                if res:
-                    table[(pos[i], pos[j])] = {pos[k]: res[k] for k in sorted(res)}
-        names = [self.names[i] for i in keep]
-        return LieAlgebra(len(keep), table, names=names), project
+            if i in pos and j in pos and (res := ideal.reduce(comps)):
+                table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
+        return keep, table, project
 
     def _is_ideal(self, s: Subspace):
         return all(

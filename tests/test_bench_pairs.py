@@ -1,8 +1,11 @@
-"""tools/bench_pairs.py: the statistics it writes, on made-up run results."""
+"""tools/bench_pairs.py: the statistics it writes, on made-up run results, and its
+mark of uncommitted checkouts, on temporary git repositories."""
 
+import argparse
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -113,3 +116,50 @@ class TestLoad:
         stored["workloads"] = [{"workload": "aa-family"}]
         path.write_text(json.dumps(stored))
         assert bench_pairs.load(str(path), "x", "new") == stored
+
+
+class TestDirty:
+    @staticmethod
+    def git(repo, *args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    @pytest.fixture
+    def repo(self, tmp_path):
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text("x = 1\n")
+        (tmp_path / "README").write_text("r\n")
+        self.git(tmp_path, "init", "-q")
+        self.git(tmp_path, "add", "-A")
+        self.git(tmp_path, "commit", "-q", "-m", "init")
+        return tmp_path
+
+    def test_clean_checkout(self, repo):
+        assert bench_pairs.dirty(str(repo)) is False
+
+    def test_changes_outside_src_and_perfbench_do_not_count(self, repo):
+        (repo / "README").write_text("edited\n")
+        assert bench_pairs.dirty(str(repo)) is False
+
+    def test_edited_source(self, repo):
+        (repo / "src" / "mod.py").write_text("x = 2\n")
+        assert bench_pairs.dirty(str(repo)) is True
+
+    def test_untracked_benchmark_file(self, repo):
+        (repo / "perfbench").mkdir()
+        (repo / "perfbench" / "new.py").write_text("")
+        assert bench_pairs.dirty(str(repo)) is True
+
+    def test_outside_git(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert bench_pairs.dirty(str(tmp_path)) is None
+
+    def test_each_side_env_is_marked(self, monkeypatch):
+        monkeypatch.setattr(bench_pairs, "run", lambda checkout, workload, seed, seconds, trace:
+                            ({"commit": "head", "seed": seed}, result(wall_s=1.0)))
+        monkeypatch.setattr(bench_pairs, "dirty", lambda checkout: checkout == "work")
+        args = argparse.Namespace(parent="clone", change="work", workload="aa-family",
+                                  pairs=2, seed=7, trace_runs=0)
+        entry = bench_pairs.measure(args, 1)
+        assert entry["parent"]["env"] == {"commit": "head", "dirty": False}
+        assert entry["change"]["env"] == {"commit": "head", "dirty": True}

@@ -4,6 +4,7 @@ import pytest
 
 from nicebasis import (
     Matrix,
+    build,
     reproduce,
     catalog,
     check_nice,
@@ -152,3 +153,34 @@ class TestClassify:
         got = classify3(e.algebra.change_basis(SHUFFLE))
         assert got is not None
         assert got.nu == 2
+
+
+# 2x2 matrices off the catalog's sample parameters: (A, row name, nu), None
+# when classify3 finds no row (irrational eigenvalues, irrational mu, or
+# eigenvalues +-sqrt(2) i, which no rational multiple of E_0 has)
+OFF_SAMPLES = [
+    (Matrix.diagonal([2, 6]), "aa(A_lambda=1/3)", 1),
+    (Matrix.diagonal([1, -2]), "aa(A_lambda=-1/2)", 1),
+    (Matrix.diagonal([5, 5]), "aa(A_lambda=1)", 1),
+    (Matrix([[3, 1], [0, 3]]), "aa(D)", 0),
+    (fixtures.matrix_e(3), "aa(E_mu=3)", 0),
+    (fixtures.matrix_e(rat(1, 2)), "aa(E_mu=1/2)", 0),
+    (Matrix([[0, -1], [1, 0]]), "aa(E_0)", 1),
+    (Matrix([[0, 2], [1, 0]]), None, None),
+    (Matrix([[1, -1], [2, 1]]), None, None),
+    (Matrix([[0, 2], [-1, 0]]), None, None),
+]
+
+
+class TestClassifyOffTheSamples:
+    @pytest.mark.parametrize("a,name,nu", OFF_SAMPLES, ids=[
+        "diag-2-6", "diag-1-m2", "scalar-5", "jordan-3", "e-3", "e-1-2", "rotation",
+        "irrational-real", "irrational-mu", "irrational-rotation"])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["plain", "shuffled"])
+    def test_row(self, a, name, nu, shuffled):
+        alg = build(a).compiled
+        got = classify3(alg.change_basis(SHUFFLE) if shuffled else alg)
+        if name is None:
+            assert got is None
+        else:
+            assert (got.name, got.nu) == (name, nu)

@@ -326,6 +326,17 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text, lin
     assert f": line {line}: " in err
 
 
+
+def test_unwritable_emit_path_exits_2_with_one_line(capsys, tmp_path):
+    path = tmp_path / "no_such_dir" / "x.lie"
+    code, out, err = run(capsys, "graph", FIX / "p3_c3.graph", "--emit-algebra", path)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {path}: ")
+    assert not path.parent.exists()
+
 @pytest.mark.parametrize("text", [GOLDEN, QUARTIC], ids=["golden", "quartic"])
 def test_irrational_aa_report_is_exact(capsys, tmp_path, text):
     # the unknown verdict carries no numeric estimate of the roots

@@ -1,5 +1,7 @@
 """Graph-attached nilpotent algebras and the free-nilpotent machinery."""
 
+import itertools
+
 import pytest
 import sympy
 
@@ -7,11 +9,8 @@ from nicebasis import (
     DimensionCapExceeded,
     GraphSpec,
     PredicateFalse,
-    carnot_check,
     check_nice,
     construct_nice_basis,
-    fixtures,
-    free_nice_predicate,
     free_nilpotent,
     graph_algebra,
     graphs,
@@ -22,6 +21,7 @@ from nicebasis import (
     standard_factorization,
     witt_dimension,
 )
+from nicebasis.lie import DIMENSION_CAP
 
 
 def is_lyndon(w):
@@ -39,8 +39,6 @@ class TestLyndon:
         assert len(set(words)) == len(words)
         assert all(is_lyndon(w) for w in words)
         # brute force: every Lyndon word of length <= c shows up
-        import itertools
-
         brute = sum(
             1
             for l in range(1, c + 1)
@@ -108,8 +106,18 @@ class TestFreeNilpotent:
         [(1, 9, True), (2, 2, True), (2, 4, True), (2, 5, False),
          (3, 2, True), (3, 3, False), (4, 5, False)],
     )
-    def test_free_nice_predicate(self, d, c, ok):
-        assert free_nice_predicate(d, c) is ok
+    def test_complete_graph(self, d, c, ok):
+        # the free class-c algebra on d generators is the algebra of K_d
+        k = GraphSpec.of(d, itertools.combinations(range(d), 2), c)
+        assert nice_predicate(k)[0] is ok
+        if sum(witt_dimension(d, m) for m in range(1, c + 1)) > DIMENSION_CAP:
+            with pytest.raises(DimensionCapExceeded):
+                graph_algebra(k)
+            return
+        alg, free = graph_algebra(k)[0], free_nilpotent(d, c)[0]
+        assert (alg.dim, alg.brackets) == (free.dim, free.brackets)
+        if k.edges:  # an edgeless graph takes the abelian short cut, named e1..ed
+            assert alg.names == free.names
 
 
 def spec(n, edges, c):
@@ -223,24 +231,6 @@ class TestNicePredicate:
         alg, _, _ = graph_algebra(g)
         assert p.rows == alg.dim == 10
         assert check_nice(alg.change_basis(p))
-
-
-class TestCarnot:
-    def test_filiform_layers(self):
-        ok, info = carnot_check(fixtures.standard_filiform(5))
-        assert ok
-        assert info["layer_dims"] == [2, 1, 1, 1]
-
-    def test_n6_layers(self):
-        ok, info = carnot_check(fixtures.n6())
-        assert ok
-        assert info["layer_dims"] == [3, 1, 1, 1]
-        assert info["car"].dim == 6
-
-    def test_not_nilpotent(self):
-        ok, info = carnot_check(fixtures.sl2())
-        assert not ok
-        assert info["error"] == "not nilpotent"
 
 
 class TestGraphIO:

@@ -436,6 +436,9 @@ QUOTIENTS = {
                           lambda g: Subspace(5, [{3: ONE}, {4: ONE}])),
     "free-3-3/[v1,v3]": lambda: (free_nilpotent(3, 3)[0],
                                  lambda g: g.ideal_closure([g.bracket_basis(0, 2)])),
+    # brackets stored in reverse key order: the quotient's are still in key order
+    "n6-reversed/center": lambda: (LieAlgebra(6, dict(reversed(fixtures.n6().brackets.items()))),
+                                   lambda g: g.center()),
 }
 
 

@@ -7,8 +7,8 @@ from nicebasis.lie import (
     parse_lie,
     serialize_lie,
 )
-from nicebasis.linalg import Matrix
-from nicebasis.scalars import Q, rat
+from nicebasis.linalg import Matrix, Subspace
+from nicebasis.scalars import ONE, Q, rat
 from nicebasis import fixtures
 
 
@@ -73,6 +73,18 @@ class TestQuotient:
         q, project = g.quotient(g.center())
         assert q.dim == 2
         assert all(not v for v in q.brackets.values()) or not q.brackets
+
+    def test_refuses_a_subspace_that_is_not_an_ideal(self):
+        g = fixtures.heisenberg3()  # [e1, e2] = e3 leaves the span of e1
+        with pytest.raises(ValueError, match="not an ideal"):
+            g.quotient(Subspace(3, [{0: ONE}]))
+
+    def test_checks_the_jacobi_identity_of_the_result(self):
+        # [e1, e2] = e3, [e2, e3] = e1, [e1, e3] = e1 fails Jacobi; the zero
+        # subspace is an ideal, so the quotient is the same table
+        g = LieAlgebra(3, {(0, 1): {2: ONE}, (1, 2): {0: ONE}, (0, 2): {0: ONE}}, check=False)
+        with pytest.raises(ValueError, match="Jacobi"):
+            g.quotient(Subspace(3))
 
     def test_ideal_closure(self):
         g = fixtures.standard_filiform(4)

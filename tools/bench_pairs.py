@@ -8,7 +8,9 @@ imports that checkout's `src/`, for the `run_seconds` of the change's
 BENCHMARK.json.  Pair i uses seed S + i; the parent runs first in even
 pairs and the change first in odd ones, so drift of the host falls on both
 sides alike.  Of each run the tool keeps the last line of standard output
-(the JSON result) and the `env {...}` line.
+(the JSON result) and the `env {...}` line; each side's env gains `dirty`,
+whether git lists uncommitted changes under `src` or `perfbench` in that
+checkout (None outside git), since run.py's `commit` is the checkout's HEAD.
 
 The workload's entry in `BENCH_<label>.json` at the root of this
 repository (label defaults to the workload; the file is created when
@@ -54,6 +56,16 @@ def run(checkout, workload, seed, seconds, trace):
     lines = out.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return env, json.loads(lines[-1])
+
+
+def dirty(checkout):
+    """True if `git status` lists changes under src or perfbench, None outside git."""
+    try:
+        out = subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                             cwd=checkout, capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(out.stdout) if out.returncode == 0 else None
 
 
 def summary(values):
@@ -103,7 +115,8 @@ def measure(args, seconds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
             env, result = run(sides[name], args.workload, seed, seconds, 0)
-            envs.setdefault(name, env)
+            if name not in envs:
+                envs[name] = {**env, "dirty": dirty(sides[name])}
             results[name].append(result)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"{args.workload} seed {seed} {name}: wall_s {wall:.4f}"
