@@ -423,9 +423,9 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
     """Sufficient isomorphism test: is a similar to c*b for some rational c?
 
     Candidate scalars come from ratios of characteristic coefficients; the
-    similarity check is exact but incomplete past size 3 when the spectrum
-    is not rational, so a None result means "not established", not "not
-    isomorphic".
+    similarity check is exact but can be undecided when char_poly / minimal
+    polynomial is not squarefree and the spectrum is not rational, so a None
+    result means "not established", not "not isomorphic".
     """
     if a.rows != b.rows:
         return None

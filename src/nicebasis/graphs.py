@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .scalars import ONE, factor_int, parse_int
-from .lie import DIMENSION_CAP, LieAlgebra, abelian
+from .lie import DIMENSION_CAP, LieAlgebra
 from .linalg import Matrix, Subspace, _divisors, dense
 from .nice import check_nice
 
@@ -191,8 +191,8 @@ def graph_algebra(g: GraphSpec):
     """
     d, c = g.vertex_count, g.c
     if not g.edges or c == 1:
-        alg = abelian(d)
         words = tuple((v,) for v in range(d))
+        alg = LieAlgebra(d, {}, names=[_word_name(w) for w in words])
 
         def project_abelian(vec):
             return tuple(vec[:d])

@@ -1,11 +1,12 @@
 """Rational matrices, the sparse echelon core, and rational polynomials.
 
-Matrices are immutable row-major tuples of exact rationals.  Every echelon
-computation goes through Subspace, which keeps sparse integer rows in fully
-reduced form; that form is canonical, so identical input always yields
-identical output, which keeps golden-file tests stable.  Polynomials are
-stored dense, lowest degree first; their roots are found on integer
-coefficient lists (primitive pseudo-remainders, integer Sturm chains).
+Matrices are immutable row-major tuples of exact rationals.  Every
+elimination over Q goes through Subspace, which keeps sparse integer rows in
+fully reduced form; that form is canonical, so identical input always yields
+identical output, which keeps golden-file tests stable.  The characteristic
+and minimal polynomials are read off tagged Krylov vectors in a Subspace.
+Polynomials are stored dense, lowest degree first; their roots are found on
+integer coefficient lists (primitive pseudo-remainders, integer Sturm chains).
 """
 
 from __future__ import annotations
@@ -452,48 +453,22 @@ def kernel_chain(m: Matrix):
 
 
 def char_poly(m: Matrix) -> "Poly":
-    """Characteristic polynomial det(xI - m), monic, in O(n^3) for every m.
+    """Characteristic polynomial det(xI - m), monic.
 
-    m is brought to upper Hessenberg form h by exact similarity, each row
-    operation paired with the inverse column operation; the leading
-    principal minors of xI - h then follow a recurrence (Cohen, A Course in
-    Computational Algebraic Number Theory, 2.2).
+    The Krylov blocks e_i, m e_i, ... of the unit vectors in turn go into one
+    Subspace, each block until its vectors depend on all earlier ones.  In
+    that basis m is block upper triangular with companion blocks, so det(xI -
+    m) is the product of the blocks' relative minimal polynomials
+    (Keller-Gehrig, TCS 36, 1985).
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    h = [list(row) for row in m.data]
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
-        if piv is None:
-            continue
-        h[piv], h[k + 1] = h[k + 1], h[piv]
-        for row in h:
-            row[piv], row[k + 1] = row[k + 1], row[piv]
-        top = h[k + 1]
-        for i in range(k + 2, n):
-            f = h[i][k] / top[k]
-            if not f:
-                continue
-            # row_i -= f * row_{k+1}, then col_{k+1} += f * col_i
-            for j in range(k, n):
-                if top[j]:
-                    h[i][j] -= f * top[j]
-            for row in h:
-                if row[i]:
-                    row[k + 1] += f * row[i]
-    ps = [Poly([ONE])]
-    for k in range(1, n + 1):
-        p = Poly([-h[k - 1][k - 1], ONE]) * ps[k - 1]
-        prod = ONE
-        for i in range(k - 1, 0, -1):
-            prod *= h[i][i - 1]
-            if prod == 0:
-                break
-            if h[i - 1][k - 1] != 0:
-                p = p - ps[i - 1] * (prod * h[i - 1][k - 1])
-        ps.append(p)
-    return ps[n]
+    cols = sparse_columns(m)
+    space = Subspace(2 * n + 1)
+    # one block per unit vector, while the blocks so far do not span Q^n
+    blocks = [_krylov(cols, i, space, n + space.dim) for i in range(n) if space.dim < n]
+    return math.prod(blocks[1:], start=blocks[0]) if blocks else Poly([ONE])
 
 
 def is_positive_definite(m: Matrix) -> bool:
@@ -735,33 +710,35 @@ def count_real_roots(p: Poly) -> int:
     return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
 
 
-def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial: lcm of the local ones of the unit vectors.
+def _krylov(cols, i, space, t):
+    """Monic f of least degree with f(m) e_i in space, m given by its sparse
+    columns; space gains e_i, m e_i, ..., m^(k-1) e_i.
 
-    The Krylov vectors v_k = m^k e_i, each stepped from the last through m's
-    sparse columns, go into one Subspace, each tagged with a tracking
-    coordinate n + k.  The first v_k whose residue vanishes on
-    the first n coordinates depends on v_0..v_(k-1), and the residue's
-    tracking coordinates are the coefficients of the monic local minimal
-    polynomial of e_i, x^k included.
+    Each m^k e_i, stepped from the last, is reduced tagged with a tracking
+    coordinate t + k.  The first residue that vanishes on the first n
+    coordinates holds f's coefficients in t..t+k, x^k included.
     """
+    n = len(cols)
+    v, k = {i: ONE}, 0
+    while True:
+        r = space.reduce({**v, t + k: ONE})
+        if min(r) >= n:
+            return Poly([r.get(t + j, ZERO) for j in range(k + 1)])
+        space.add(r)
+        v = apply_columns(cols, v)
+        k += 1
+
+
+def minimal_polynomial(m: Matrix) -> Poly:
+    """Monic minimal polynomial: lcm of the local ones of the unit vectors,
+    each from _krylov on a fresh Subspace."""
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
     cols = sparse_columns(m)
     result = Poly([ONE])
     for i in range(n):
-        krylov = Subspace(2 * n + 1)
-        v = {i: ONE}
-        k = 0
-        while True:
-            r = krylov.reduce({**v, n + k: ONE})
-            if min(r) >= n:
-                break
-            krylov.add(r)
-            v = apply_columns(cols, v)
-            k += 1
-        result = poly_lcm(result, Poly([r.get(n + j, ZERO) for j in range(k + 1)]))
+        result = poly_lcm(result, _krylov(cols, i, Subspace(2 * n + 1), n))
         if result.degree == n:
             break
     return result
@@ -770,18 +747,20 @@ def minimal_polynomial(m: Matrix) -> Poly:
 def similar(a: Matrix, b: Matrix):
     """Exact rational similarity test: True, False or None (unknown).
 
-    Beyond equal characteristic and minimal polynomials, a and b must have
-    the same kernel-chain dimensions of m - root for every rational root;
-    those count the Jordan blocks of each size.  That is complete when the
-    rational roots make up the whole spectrum, and for size <= 3 (where the
-    two polynomials pin down the invariant factors); otherwise a pass is
-    reported as None.
+    Equal invariant factors of xI - m decide.  The last is the minimal
+    polynomial mu and their product is phi = char_poly, so a squarefree
+    phi / mu makes them 1, ..., 1, phi / mu, mu.  Else the kernel-chain
+    dimensions of m - root, which count the Jordan blocks, must agree for
+    every rational root; they decide when those roots make up the spectrum.
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
     phi = char_poly(a)
-    if phi != char_poly(b) or minimal_polynomial(a) != minimal_polynomial(b):
+    if phi != char_poly(b) or (mu := minimal_polynomial(a)) != minimal_polynomial(b):
         return False
+    cofactor = phi // mu
+    if len(int_gcd(cofactor.coeffs, cofactor.derivative().coeffs)) == 1:
+        return True
     n = a.rows
     roots = rational_roots(phi)
     for root, _ in roots:
@@ -789,9 +768,7 @@ def similar(a: Matrix, b: Matrix):
         dims_a = [k.dim for k in kernel_chain(a - shift)]
         if dims_a != [k.dim for k in kernel_chain(b - shift)]:
             return False
-    if n <= 3 or sum(mult for _, mult in roots) == n:
-        return True
-    return None
+    return True if sum(mult for _, mult in roots) == n else None
 
 
 def _divisors(n):

@@ -63,8 +63,9 @@ class TestCharPolyVsSympy:
     @settings(max_examples=30, deadline=None)
     @given(square(st.integers(3, 9)), st.data())
     def test_zero_subdiagonal_columns(self, rows, data):
-        # a column with nothing below the diagonal is skipped; one with a
-        # zero subdiagonal entry but a nonzero entry further down needs a swap
+        # a column zero below the diagonal, or zero on the subdiagonal with a
+        # nonzero entry further down: sparse inputs whose Krylov pass may
+        # split into several blocks
         n = len(rows)
         k = data.draw(st.integers(0, n - 3))
         for i in range(k + 1, n):

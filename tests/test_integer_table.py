@@ -89,7 +89,9 @@ def reference_graph_algebra(g):
     """graph_algebra with a Fraction closure and a loop over all kept pairs."""
     d, c = g.vertex_count, g.c
     if not g.edges or c == 1:
-        return abelian(d), tuple((v,) for v in range(d)), lambda vec: tuple(vec[:d])
+        names = [f"v{v + 1}" for v in range(d)]  # the generators' names in free_nilpotent
+        words = tuple((v,) for v in range(d))
+        return LieAlgebra(d, {}, names=names), words, lambda vec: tuple(vec[:d])
     free, basis = free_nilpotent(d, c)
     ideal = Subspace(free.dim)
     queue = []

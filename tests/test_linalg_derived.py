@@ -1,8 +1,9 @@
-"""Differential tests of the matrix questions linalg answers from its two
-eliminations (Subspace and char_poly): det, definiteness, kernel chains,
-nilpotency, minimal polynomials and similarity.  The references are sympy,
-explicit matrix powers, and the dense Krylov and power-rank code these
-routines replaced, kept here as written."""
+"""Differential tests of the matrix questions linalg answers from its one
+elimination (Subspace, with the Krylov char_poly and minimal_polynomial on
+it): det, definiteness, kernel chains, nilpotency, minimal polynomials and
+similarity.  The references are sympy, explicit matrix powers, and the dense
+Krylov, power-rank and rational-roots similarity code these routines
+replaced, kept here as written."""
 
 import random
 
@@ -122,6 +123,43 @@ def reference_similar(a, b):
         if ranks(a - eye) != ranks(b - eye):
             return False
     return None
+
+
+def rational_roots_similar(a, b):
+    """similar as it was before the squarefree cofactor rule: decided for
+    size <= 3 and for a rational spectrum, else None."""
+    if a.rows != b.rows or not a.is_square() or not b.is_square():
+        return False
+    phi = char_poly(a)
+    if phi != char_poly(b) or minimal_polynomial(a) != minimal_polynomial(b):
+        return False
+    n = a.rows
+    roots = rational_roots(phi)
+    for root, _ in roots:
+        shift = Matrix.identity(n) * root
+        dims_a = [k.dim for k in kernel_chain(a - shift)]
+        if dims_a != [k.dim for k in kernel_chain(b - shift)]:
+            return False
+    if n <= 3 or sum(mult for _, mult in roots) == n:
+        return True
+    return None
+
+
+def companion(p):
+    """Companion matrix of the monic Poly p: ones below the diagonal, -p in the last column."""
+    n = p.degree
+    return Matrix([[ONE if i == j + 1 else -p.coeffs[i] if j == n - 1 else ZERO
+                    for j in range(n)] for i in range(n)])
+
+
+def block_diagonal(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows, at = [[ZERO] * n for _ in range(n)], 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[at + i][at:at + b.rows] = b.row(i)
+        at += b.rows
+    return Matrix(rows)
 
 
 class TestDet:
@@ -261,14 +299,38 @@ class TestSimilar:
                 assert got is True
 
     def test_irrational_spectrum_stays_unknown(self):
-        # x^2 - 2 squared: companion block of (x^2 - 2)^2 vs two copies of it
+        # two copies of x^2 - 2: phi / mu = x^2 - 2 is squarefree, which decides
         c = Matrix([[0, 2], [1, 0]])
         two = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
         rng = random.Random(31)
-        assert similar(two, conjugate(rng, two)) is None
+        assert similar(two, conjugate(rng, two)) is True
         glued = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0]])
         assert char_poly(glued) == char_poly(two) == char_poly(c) * char_poly(c)
         assert similar(glued, two) is False  # minimal polynomials differ
+        # C + C against C + c + c, C the companion of (x^2 - 2)^2 and c of
+        # x^2 - 2: equal phi and mu, but phi / mu = (x^2 - 2)^2 is not
+        # squarefree and no root is rational, so the answer stays unknown
+        big = companion(char_poly(c) * char_poly(c))
+        cc, ccc = block_diagonal(big, big), block_diagonal(big, c, c)
+        assert char_poly(cc) == char_poly(ccc)
+        assert minimal_polynomial(cc) == minimal_polynomial(ccc) == char_poly(big)
+        assert similar(cc, ccc) is None
+        assert similar(cc, conjugate(rng, cc)) is None
+
+    def test_random_integer_corpus_is_decided(self):
+        # 200 matrices of each size 4 and 5, entries -3..3, from one generator
+        draw = random.Random(1)
+        corpus = [Matrix([[draw.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+                  for n in (4, 5) for _ in range(200)]
+        rng = random.Random(2)
+        for a, other in zip(corpus, corpus[1:] + corpus[:1]):
+            for b, same in ((a, True), (conjugate(rng, a), True), (other, None)):
+                got, before = similar(a, b), rational_roots_similar(a, b)
+                assert got is not None
+                if same:
+                    assert got is True
+                if before is not None:
+                    assert got is before
 
     def test_rational_spectrum_4x4_conjugates(self):
         a = jordan([(2, 2), (-1, 1), (2, 1)])
