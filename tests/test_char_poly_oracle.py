@@ -151,14 +151,6 @@ def test_signed_permutation_conjugates_of_the_family(n):
         assert char_poly(m) == hessenberg_char_poly(m) == Poly.binomial(m.rows, 1)
 
 
-def test_scaled_family_and_shifts():
-    # c A + d I has phi(x) = c^k phi_A((x - d) / c): one Krylov block each
-    base = indecomposable_family(4).a
-    for c, d in [(Q(2), ZERO), (Q(-1, 3), Q(5)), (ONE, Q(-7, 2))]:
-        m = base * c + Matrix.identity(base.rows) * d
-        assert char_poly(m) == hessenberg_char_poly(m)
-
-
 def test_non_square_raises():
     with pytest.raises(ValueError):
         char_poly(Matrix([[1, 2]]))
