@@ -11,7 +11,7 @@ All arithmetic is exact over the rationals.
 """
 
 from .scalars import Q, rat, fmt
-from .linalg import Matrix, Poly, Subspace, rational_roots, smith_normal_form
+from .linalg import Matrix, Poly, Subspace, rational_roots
 from .lie import (
     LieAlgebra,
     direct_sum,

@@ -422,10 +422,9 @@ def indecomposable_family(n: int) -> AlmostAbelian:
 def iso_test_almost_abelian(a: Matrix, b: Matrix):
     """Sufficient isomorphism test: is a similar to c*b for some rational c?
 
-    Candidate scalars come from ratios of characteristic coefficients; the
-    similarity check is exact but can be undecided when char_poly / minimal
-    polynomial is not squarefree and the spectrum is not rational, so a None
-    result means "not established", not "not isomorphic".
+    Candidate scalars come from ratios of characteristic coefficients, and
+    each is decided by the exact similarity test.  Only rational c are
+    tried, so a None result means "not established", not "not isomorphic".
     """
     if a.rows != b.rows:
         return None
@@ -444,7 +443,7 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
         candidates = {ONE}  # both nilpotent: scaling preserves Jordan type
     # positive scalars first, then by magnitude, for a stable simplest witness
     for c in sorted(candidates, key=lambda x: (x < 0, abs(x))):
-        if similar(a, b * c) is True:
+        if similar(a, b * c):
             return c, "similar"
     return None
 

@@ -7,6 +7,8 @@ identical output, which keeps golden-file tests stable.  The characteristic
 and minimal polynomials are read off tagged Krylov vectors in a Subspace.
 Polynomials are stored dense, lowest degree first; their roots are found on
 integer coefficient lists (primitive pseudo-remainders, integer Sturm chains).
+The one elimination over Z, solve_integer_system (extended-gcd column
+echelon form), solves the scale exponents of monomial equivalence.
 """
 
 from __future__ import annotations
@@ -744,14 +746,14 @@ def minimal_polynomial(m: Matrix) -> Poly:
     return result
 
 
-def similar(a: Matrix, b: Matrix):
-    """Exact rational similarity test: True, False or None (unknown).
+def similar(a: Matrix, b: Matrix) -> bool:
+    """Exact rational similarity test.
 
     Equal invariant factors of xI - m decide.  The last is the minimal
     polynomial mu and their product is phi = char_poly, so a squarefree
-    phi / mu makes them 1, ..., 1, phi / mu, mu.  Else the kernel-chain
-    dimensions of m - root, which count the Jordan blocks, must agree for
-    every rational root; they decide when those roots make up the spectrum.
+    phi / mu makes them 1, ..., 1, phi / mu, mu.  Else a ~ b iff the spaces
+    {X : a X = X b} of a with a, a with b and b with b have one dimension
+    (Byrnes and Gauger, Linear Multilinear Algebra 5, 1977).
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
@@ -761,14 +763,21 @@ def similar(a: Matrix, b: Matrix):
     cofactor = phi // mu
     if len(int_gcd(cofactor.coeffs, cofactor.derivative().coeffs)) == 1:
         return True
+    return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)
+
+
+def _intertwiners(a: Matrix, b: Matrix) -> int:
+    """dim {X : a X = X b}: n^2 less the rank of X -> a X - X b, whose value
+    at the matrix unit E_kl is column k of a put in column l, less row l of b
+    put in row k (X flattened row by row)."""
     n = a.rows
-    roots = rational_roots(phi)
-    for root, _ in roots:
-        shift = Matrix.identity(n) * root
-        dims_a = [k.dim for k in kernel_chain(a - shift)]
-        if dims_a != [k.dim for k in kernel_chain(b - shift)]:
-            return False
-    return True if sum(mult for _, mult in roots) == n else None
+    images = Subspace(n * n)
+    for k, l in itertools.product(range(n), repeat=2):
+        v = {i * n + l: x for i, x in enumerate(a.column(k)) if x}
+        for j, x in enumerate(b.row(l)):
+            v[k * n + j] = v.get(k * n + j, ZERO) - x
+        images.add(v)
+    return n * n - images.dim
 
 
 def _divisors(n):
@@ -782,142 +791,48 @@ def _divisors(n):
     return sorted(out)
 
 
-# --- integer linear systems (used by the monomial-equivalence search) ---
+# --- integer linear systems (the scale exponents of monomial_equivalent) ---
 
 
-def smith_normal_form(a):
-    """Smith normal form of an integer matrix.
-
-    Returns (d, u, v) with u*a*v = d, u and v unimodular, d diagonal with
-    d[i][i] | d[i+1][i+1].  Plain lists of ints; sizes here are tiny.
-    """
-    a = [list(map(int, row)) for row in a]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-
-    def diagonalize():
-        t = 0
-        while t < min(m, n):
-            piv = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    if a[i][j] != 0:
-                        piv = (i, j)
-                        break
-                if piv:
-                    break
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            while True:
-                done = True
-                for i in range(t + 1, m):
-                    if a[i][t] % a[t][t] != 0:
-                        add_row(t, i, -(a[i][t] // a[t][t]))
-                        swap_rows(t, i)
-                        done = False
-                    elif a[i][t] != 0:
-                        add_row(t, i, -(a[i][t] // a[t][t]))
-                for j in range(t + 1, n):
-                    if a[t][j] % a[t][t] != 0:
-                        add_col(t, j, -(a[t][j] // a[t][t]))
-                        swap_cols(t, j)
-                        done = False
-                    elif a[t][j] != 0:
-                        add_col(t, j, -(a[t][j] // a[t][t]))
-                if done and all(a[i][t] == 0 for i in range(t + 1, m)) and all(
-                    a[t][j] == 0 for j in range(t + 1, n)
-                ):
-                    break
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
-            t += 1
-        return t
-
-    while True:
-        t = diagonalize()
-        fixed = True
-        for i in range(t - 1):
-            if a[i + 1][i + 1] % a[i][i] != 0:
-                add_col(i + 1, i, 1)
-                fixed = False
-                break
-        if fixed:
-            break
-    return a, u, v
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def solve_integer_system(a, b):
-    """One integer solution x of a x = b, or None.
+    """One integer solution x of a x = b (a: integer rows, b: integers), or None.
 
-    a: list of integer rows, b: integer vector.
+    Row by row, unimodular extended-gcd column operations gather the row's
+    entries outside the pivot columns found so far into the next pivot
+    column, which brings a to column echelon form h = a v.  h y = b is
+    solved by forward substitution in the same pass, with y = 0 on the
+    columns that get no pivot, and x = v y.  A congruence a x = b (mod q)
+    is the system [a | q I] (x, z) = b.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    d, u, v = smith_normal_form(a)
-    c = [sum(u[i][k] * int(b[k]) for k in range(m)) for i in range(m)]
-    y = [0] * n
-    for i in range(min(m, n)):
-        dii = d[i][i]
-        if dii == 0:
-            if c[i] != 0:
+    m, n = len(a), len(a[0]) if a else 0
+    # column j of a stacked on column j of v, which starts as the identity
+    cols = [[int(row[j]) for row in a] + [int(i == j) for i in range(n)] for j in range(n)]
+    y = []
+    for r in range(m):
+        k = len(y)
+        rest = int(b[r]) - sum(cols[j][r] * y[j] for j in range(k))
+        for c in range(k + 1, n):
+            p, q = cols[k][r], cols[c][r]
+            if q:
+                g, s, t = _xgcd(p, q)
+                u, w = cols[k], cols[c]
+                cols[k] = [s * x + t * z for x, z in zip(u, w)]
+                cols[c] = [p // g * z - q // g * x for x, z in zip(u, w)]
+        pivot = cols[k][r] if k < n else 0
+        if pivot:
+            quo, rem = divmod(rest, pivot)
+            if rem:
                 return None
-        else:
-            if c[i] % dii != 0:
-                return None
-            y[i] = c[i] // dii
-    for i in range(min(m, n), m):
-        if c[i] != 0:
+            y.append(quo)
+        elif rest:
             return None
-    return [sum(v[i][k] * y[k] for k in range(n)) for i in range(n)]
-
-
-def solve_gf2_system(rows, b):
-    """One solution over GF(2) of rows . x = b, or None."""
-    rows = [list(r) + [bb] for r, bb in zip(rows, b)]
-    n = len(rows[0]) - 1 if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][-1]:
-            return None
-    x = [0] * n
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
-    return x
+    return [sum(cols[j][m + i] * yj for j, yj in enumerate(y)) for i in range(n)]

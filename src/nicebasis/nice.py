@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .scalars import Q, ONE, factor_rat
 from .lie import LieAlgebra
-from .linalg import Matrix, solve_integer_system, solve_gf2_system
+from .linalg import Matrix, solve_integer_system
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,13 @@ def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
 def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
     """Nonzero rational scales t with t_i t_j c'_{s(i)s(j)}^{s(k)} = t_k c_{ij}^k.
 
-    Solved multiplicatively: one integer linear system per prime appearing in
-    any required ratio, plus one system over GF(2) for the signs.
+    Solved multiplicatively, t_i = prod_p p^(x_ip) over the primes p of the
+    required ratios and p = -1: one integer system A x_p = b_p per prime, and
+    for the signs, whose exponents count mod 2, [A | 2I] (x_-1, z) = b_-1.
     """
     n = ta.dim
     rows = []  # exponent-coefficient rows over the scale exponents
-    ratios = []
+    factored = []  # (sign, {prime: exponent}) of each required ratio
     for (i, j), comps in ta.brackets.items():
         cb = tb.bracket_basis(sigma[i], sigma[j])
         for k, ca in comps.items():
@@ -192,32 +193,17 @@ def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
             row[j] += 1
             row[k] -= 1
             rows.append(row)
-            ratios.append(ca / cb[tk])
+            factored.append(factor_rat(ca / cb[tk]))
     if not rows:
         return MonomialMap(sigma, tuple([ONE] * n))
-    signs = []
-    prime_exps = []
-    primes = set()
-    for r in ratios:
-        s, f = factor_rat(r)
-        signs.append(0 if s > 0 else 1)
-        prime_exps.append(f)
-        primes.update(f)
-    per_prime = {}
-    for p in sorted(primes):
-        sol = solve_integer_system(rows, [f.get(p, 0) for f in prime_exps])
-        if sol is None:
+    primes = sorted({p for _, f in factored for p in f})
+    systems = [(p, rows, [f.get(p, 0) for _, f in factored]) for p in primes]
+    two_eye = [row + [2 * (q == r) for q in range(len(rows))] for r, row in enumerate(rows)]
+    systems.append((-1, two_eye, [int(s < 0) for s, _ in factored]))
+    scales = [ONE] * n
+    for p, a, b in systems:
+        x = solve_integer_system(a, b)
+        if x is None:
             return None
-        per_prime[p] = sol
-    sign_sol = solve_gf2_system([[x & 1 for x in row] for row in rows], signs)
-    if sign_sol is None:
-        return None
-    scales = []
-    for i in range(n):
-        t = ONE
-        for p, sol in per_prime.items():
-            t *= Q(p) ** sol[i]
-        if sign_sol[i]:
-            t = -t
-        scales.append(t)
+        scales = [t * Q(p) ** e for t, e in zip(scales, x)]
     return MonomialMap(sigma, tuple(scales))

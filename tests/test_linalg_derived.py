@@ -6,6 +6,7 @@ Krylov, power-rank and rational-roots similarity code these routines
 replaced, kept here as written."""
 
 import random
+import time
 
 import pytest
 import sympy
@@ -298,7 +299,7 @@ class TestSimilar:
             if trial % 3 == 0:
                 assert got is True
 
-    def test_irrational_spectrum_stays_unknown(self):
+    def test_irrational_spectrum_is_decided(self):
         # two copies of x^2 - 2: phi / mu = x^2 - 2 is squarefree, which decides
         c = Matrix([[0, 2], [1, 0]])
         two = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]])
@@ -309,13 +310,37 @@ class TestSimilar:
         assert similar(glued, two) is False  # minimal polynomials differ
         # C + C against C + c + c, C the companion of (x^2 - 2)^2 and c of
         # x^2 - 2: equal phi and mu, but phi / mu = (x^2 - 2)^2 is not
-        # squarefree and no root is rational, so the answer stays unknown
+        # squarefree and no root is rational; the intertwiner dimensions decide
         big = companion(char_poly(c) * char_poly(c))
         cc, ccc = block_diagonal(big, big), block_diagonal(big, c, c)
         assert char_poly(cc) == char_poly(ccc)
         assert minimal_polynomial(cc) == minimal_polynomial(ccc) == char_poly(big)
-        assert similar(cc, ccc) is None
-        assert similar(cc, conjugate(rng, cc)) is None
+        assert similar(cc, ccc) is False
+        assert similar(cc, conjugate(rng, cc)) is True
+
+    def test_semiprime_spectrum_needs_no_factoring(self):
+        # C + C + C, C the companion of x^2 - N with N a product of two
+        # primes near 10^7: phi / mu = (x^2 - N)^2 is not squarefree, and the
+        # answer must not wait on factoring N (rational_roots would)
+        c = companion(Poly([-10000019 * 10000079, 0, 1]))
+        a = block_diagonal(c, c, c)
+        start = time.perf_counter()
+        assert similar(a, a) is True
+        assert time.perf_counter() - start < 0.1
+        assert similar(a, conjugate(random.Random(43), a)) is True
+
+    def test_equal_polynomials_unequal_commutant_pairing(self):
+        # P1^2 + P1^2 + P2^2 + P2 + P2 against P1^2 + P1 + P1 + P2^2 + P2^2
+        # (companions, P1 = x^2 - 2, P2 = x^2 - 3): equal phi and mu, and both
+        # commutants have dimension 36; only {X : a X = X b} (32) tells them apart
+        p1, p2 = Poly([-2, 0, 1]), Poly([-3, 0, 1])
+        a = block_diagonal(*map(companion, (p1 * p1, p1 * p1, p2 * p2, p2, p2)))
+        b = block_diagonal(*map(companion, (p1 * p1, p1, p1, p2 * p2, p2 * p2)))
+        assert char_poly(a) == char_poly(b)
+        assert minimal_polynomial(a) == minimal_polynomial(b)
+        assert similar(a, b) is False
+        assert similar(b, a) is False
+        assert similar(a, a) is True and similar(b, b) is True
 
     def test_random_integer_corpus_is_decided(self):
         # 200 matrices of each size 4 and 5, entries -3..3, from one generator

@@ -8,9 +8,11 @@ from nicebasis.nice import (
     check_adapted,
     monomial_equivalent,
     InputBasisNotNice,
+    _monomial_search,
 )
 from nicebasis.scalars import Q, rat
 from nicebasis import fixtures
+from nicebasis.almost_abelian import build
 
 
 class TestCheckNice:
@@ -97,3 +99,43 @@ class TestMonomialEquivalent:
         m = monomial_equivalent(g, ident, other)
         assert m is not None
         assert m.is_isomorphism(g.change_basis(ident), g.change_basis(other))
+
+
+def aa(a, b):
+    """The almost abelian algebra of [[0, b], [a, 0]]: [f, e1] = a e2, [f, e2] = b e1."""
+    return build(Matrix([[0, b], [a, 0]])).compiled
+
+
+def cyclic(a):
+    """[e2, e3] = a e1, [e3, e1] = e2, [e1, e2] = e3."""
+    return LieAlgebra(3, {(1, 2): {0: rat(a)}, (0, 2): {1: rat(-1)}, (0, 1): {2: rat(1)}})
+
+
+class TestScaleSolver:
+    """Pairs of nice tensors on which the scale systems decide the answer."""
+
+    @pytest.mark.parametrize("ta, tb", [
+        (aa(2, 1), aa(1, 1)),  # t_f^2 = 2: a rational, not an integer, exponent
+        (aa(1, 1), aa(1, -1)),  # the sign system is inconsistent
+        (cyclic(1), cyclic(2)),
+        (cyclic(1), cyclic(-1)),
+    ], ids=["aa-ratio-2", "aa-sign", "cyclic-2", "cyclic-minus-1"])
+    def test_no_rational_scales(self, ta, tb):
+        assert check_nice(ta) and check_nice(tb)
+        assert _monomial_search(ta, tb) is None
+
+    @pytest.mark.parametrize("ta, tb", [
+        (aa(1, 1), aa(-1, -1)),
+        (aa(4, 1), aa(1, 1)),
+        (aa(3, 6), aa(1, 2)),
+        (cyclic(1), cyclic(4)),
+        # f acting by a 3-cycle with sign product +1 against -1: the sign
+        # exponents sum to 3 s_f = 1, solvable mod 2 but not over Z
+        (build(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])).compiled,
+         build(Matrix([[0, 0, 1], [-1, 0, 0], [0, 1, 0]])).compiled),
+    ], ids=["aa-signs", "aa-square", "aa-two-primes", "cyclic-4", "aa-3-cycle-sign"])
+    def test_witness_is_isomorphism(self, ta, tb):
+        m = _monomial_search(ta, tb)
+        assert m is not None
+        assert m.is_isomorphism(ta, tb)
+
