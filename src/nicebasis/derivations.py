@@ -2,8 +2,9 @@
 
 The pre-Einstein derivation N of g is the unique solution of
 Tr(N D) = Tr(D) for all derivations D.  When the defining basis is nice it
-can be found inside the diagonal derivations alone and then certified
-against the full derivation space.
+can be found inside the diagonal derivations alone and then certified on
+Der(g)_0, the derivations commuting with N, which decides it for all of
+Der(g) (see pre_einstein_general_check).
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     numbered densely in row-major order; one sparse equation per (pair,
     output coordinate).  Only nonzero brackets contribute terms, so assembly
     costs O(n^2 + n nnz).  The system is homogeneous, so it is assembled from
-    g.integer_ad() and eliminated in ints.  The basis is sparse_kernel's
+    g's int table and eliminated in ints.  The basis is sparse_kernel's
     canonical one: a vector per free unknown, in row-major order.
     """
     n = g.dim
-    ad = g.integer_ad()
+    ad = g.table
     weights = [ZERO] * n if weights is None else weights
     same = {}  # weight -> indices of that weight, increasing
     for i, w in enumerate(weights):
@@ -118,7 +119,9 @@ def is_derivation(g: LieAlgebra, d) -> bool:
 
     d is a Matrix or a sparse {(row, col): value} map.  The differences are
     summed from the nonzero brackets and columns of D only: O(nnz) if diagonal.
+    Both terms are read off g's int table: one common scale, one zero test.
     """
+    t = g.table
     cols = {}
     for (r, c), x in _entries(d).items():
         cols.setdefault(c, {})[r] = x
@@ -131,13 +134,13 @@ def is_derivation(g: LieAlgebra, d) -> bool:
         for k, x in vec.items():
             out[k] = out.get(k, ZERO) + f * x
 
-    for (i, j), comps in g.brackets.items():
-        for k, c in comps.items():
+    for i, j in g.brackets:
+        for k, c in t[i][j].items():
             if k in cols:
                 add(i, j, cols[k], c)
     for i, col in cols.items():
         for m, x in col.items():
-            for j, comps in g.ad_table[m].items():  # -D[m][i] [e_m, e_j]
+            for j, comps in t[m].items():  # -D[m][i] [e_m, e_j]
                 if j != i:
                     add(i, j, comps, -x)
     return not any(any(out.values()) for out in diff.values())
@@ -147,8 +150,8 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     """Pre-Einstein derivation of a nicely-based algebra.
 
     Restricts the defining trace condition to diagonal derivations, solves
-    the (positive definite) Gram system there, then certifies the result
-    against the full derivation space.
+    the (positive definite) Gram system there, then certifies the result on
+    Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")

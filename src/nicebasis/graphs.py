@@ -207,9 +207,9 @@ def graph_algebra(g: GraphSpec):
         for b in range(a + 1, d)
         if not g.has_edge(a, b)
     ]
-    # the ideal is closed in integers: its generators are the integer table's
+    # the ideal is closed in integers: its generators are the int table's
     # rows, which span the same lines as the brackets they scale
-    iad = free.integer_ad()
+    iad = free.table
     ideal = Subspace(free.dim)
     queue = []
     for a, b in non_edges:
@@ -303,9 +303,8 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
 
 
 def parse_graph(text: str) -> GraphSpec:
-    vertices = None
-    klass = None
-    edges = []
+    header = {}  # 'vertices' and 'class' -> value
+    edges = []  # (line number, endpoint, endpoint), 0-based endpoints
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -317,18 +316,23 @@ def parse_graph(text: str) -> GraphSpec:
         if len(args) != arity:
             raise ValueError(f"line {lineno}: {kw} needs {arity} value(s)")
         if kw == "edge":
-            edges.append(tuple(parse_int(t, "edge endpoint", lineno) - 1 for t in args))
+            edges.append((lineno, *(parse_int(t, "edge endpoint", lineno) - 1 for t in args)))
             continue
+        if kw in header:
+            raise ValueError(f"line {lineno}: duplicate {kw}")
         value, low = parse_int(args[0], kw, lineno), (0 if kw == "vertices" else 1)
         if not low <= value <= DIMENSION_CAP:
             raise ValueError(f"line {lineno}: {kw} must be between {low} and {DIMENSION_CAP}")
-        if kw == "vertices":
-            vertices = value
-        else:
-            klass = value
-    if vertices is None or klass is None:
+        header[kw] = value
+    if len(header) < 2:
         raise ValueError("graph file needs 'vertices' and 'class' lines")
-    return GraphSpec.of(vertices, edges, klass)
+    n = header["vertices"]
+    for lineno, a, b in edges:
+        if a == b:
+            raise ValueError(f"line {lineno}: loops are not allowed")
+        if bad := [t + 1 for t in (a, b) if not 0 <= t < n]:
+            raise ValueError(f"line {lineno}: edge endpoint {bad[0]} out of range 1..{n}")
+    return GraphSpec.of(n, [e[1:] for e in edges], header["class"])
 
 
 def serialize_graph(g: GraphSpec) -> str:

@@ -1,13 +1,13 @@
 """Finite dimensional Lie algebras with exact rational structure constants.
 
 A LieAlgebra stores its bracket table sparsely: brackets[(i, j)] for i < j is
-a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  ad_table[i][j] holds the
-same dict for both index orders, and every structural routine evaluates
-brackets of sparse {index: coefficient} vectors through it.  integer_ad()
-is the same table cleared of denominators, for the questions that a common
-scale does not change: spans, kernels, the Jacobi identity.  Indices are
-0-based in code; the text file format is 1-based.  The Jacobi identity and
-antisymmetry are enforced at construction time.
+a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  Next to it, table[i][j]
+holds den * [e_i, e_j] as ints for both index orders, den being the lcm of
+the denominators; every structural routine evaluates brackets of sparse
+{index: coefficient} vectors through it, and those that need true values
+divide by den.  Indices are 0-based in code; the text file format is
+1-based.  The Jacobi identity and antisymmetry are enforced at construction
+time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ DIMENSION_CAP = 256
 class LieAlgebra:
     def __init__(self, dim, brackets, names=None, check=True):
         self.dim = dim
-        table = {}
+        kept = {}
         for (i, j), comps in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
@@ -36,13 +36,13 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target out of range: {k}")
             if clean:
-                table[(i, j)] = clean
-        self.brackets = table
-        self.ad_table = [{} for _ in range(dim)]
-        for (i, j), comps in table.items():
-            self.ad_table[i][j] = comps
-            self.ad_table[j][i] = {k: -c for k, c in comps.items()}
-        self._iad = None
+                kept[(i, j)] = clean
+        self.brackets = kept
+        den = math.lcm(*[c.denominator for comps in kept.values() for c in comps.values()])
+        self.den, self.table = den, [{} for _ in range(dim)]
+        for (i, j), comps in kept.items():
+            row = {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
+            self.table[i][j], self.table[j][i] = row, {k: -x for k, x in row.items()}
         self.names = list(names) if names else [f"e{i+1}" for i in range(dim)]
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
@@ -56,40 +56,21 @@ class LieAlgebra:
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a sparse dict, any index order."""
-        return dict(self.ad_table[i].get(j, {}))
+        if i > j:
+            return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
+        return dict(self.brackets.get((i, j), {}))
 
     def bracket_sparse(self, x, y):
         """[x, y] for sparse {index: coefficient} vectors; returns a sparse dict."""
         out = {}
         for i, a in x.items():
-            row = self.ad_table[i]
-            for j in row.keys() & y.keys():
-                f = a * y[j]
-                for k, c in row[j].items():
-                    out[k] = out.get(k, ZERO) + f * c
-        return {k: c for k, c in out.items() if c}
-
-    def integer_ad(self):
-        """ad_table times the lcm of its denominators, as ints.
-
-        Built on first use and shared by every caller: read-only."""
-        if self._iad is None:
-            den = math.lcm(*[
-                c.denominator for comps in self.brackets.values() for c in comps.values()
-            ])
-            self._iad = [
-                {m: {r: c.numerator * (den // c.denominator) for r, c in comps.items()}
-                 for m, comps in row.items()}
-                for row in self.ad_table
-            ]
-        return self._iad
+            for k, c in self.bracket_int(i, y).items():
+                out[k] = out.get(k, ZERO) + a * c
+        return {k: c / self.den for k, c in out.items() if c}
 
     def bracket_int(self, i, v):
-        """[e_i, v] times the scale of integer_ad(), for a sparse int vector v.
-
-        Pairs are visited as in bracket_sparse, so a closure run on either
-        adds its vectors to a Subspace in the same order."""
-        row = self.integer_ad()[i]
+        """den * [e_i, v] for a sparse vector v of ints or Q, in v's type."""
+        row = self.table[i]
         out = {}
         for j in row.keys() & v.keys():
             f = v[j]
@@ -115,11 +96,11 @@ class LieAlgebra:
         (x, y) in the bracket support, z in the row of a component of
         [e_x, e_y].  Only those triples are checked, and failures are listed
         in the order of a scan of support pairs against every third index.
-        The cyclic sum is read off integer_ad(): it is homogeneous of degree
+        The cyclic sum is read off the int table: it is homogeneous of degree
         2 in the constants, so scaling them all by one factor leaves its zero
         set unchanged.
         """
-        iad = self.integer_ad()
+        iad = self.table
         rank = {pair: n for n, pair in enumerate(self.brackets)}
         reachable = {tuple(sorted((i, j, z))) for (i, j), comps in self.brackets.items()
                      for k in comps for z in iad[k] if z != i and z != j}
@@ -156,7 +137,7 @@ class LieAlgebra:
             nxt = Subspace(self.dim)
             for v in prev.rows.values():
                 for i in range(self.dim):
-                    nxt.add(self.bracket_sparse({i: ONE}, v))
+                    nxt.add(self.bracket_int(i, v))
             series.append(nxt)
             if nxt.dim == prev.dim:
                 return series[:-1]
@@ -186,7 +167,7 @@ class LieAlgebra:
         # over all j, must combine to zero
         return kernel_of([
             {(j, k): c for j, comps in row.items() for k, c in z.reduce(comps).items()}
-            for row in self.ad_table
+            for row in self.table
         ])
 
     def centralizer(self, vectors):
@@ -194,23 +175,17 @@ class LieAlgebra:
         vs = [v if isinstance(v, dict) else sparse(v) for v in vectors]
         return kernel_of([
             {(t, k): c for t, v in enumerate(vs)
-             for k, c in self.bracket_sparse({i: ONE}, v).items()}
+             for k, c in self.bracket_int(i, v).items()}
             for i in range(self.dim)
         ])
 
     def ideal_closure(self, vectors):
-        """Smallest ideal containing the given vectors.
-
-        Each vector is scaled to integers by the lcm of its denominators, which
-        leaves its span alone, and then bracketed through the integer table.
-        """
+        """Smallest ideal containing the given vectors."""
         s = Subspace(self.dim)
         queue = []
         for v in vectors:
             v = v if isinstance(v, dict) else sparse(v)
-            den = math.lcm(*[x.denominator for x in v.values()])
-            v = {k: x.numerator * (den // x.denominator) for k, x in v.items() if x}
-            if v and s.add(v):
+            if s.add(v):
                 queue.append(v)
         while queue:
             v = queue.pop()
@@ -254,22 +229,19 @@ class LieAlgebra:
 
     def _is_ideal(self, s: Subspace):
         return all(
-            s.contains(self.bracket_sparse({i: ONE}, v))
+            s.contains(self.bracket_int(i, v))
             for v in s.rows.values()
             for i in range(self.dim)
         )
 
     def killing_form(self):
         """Matrix B with B[i][j] = Tr(ad_{e_i} ad_{e_j})."""
-        t = self.ad_table
+        t = self.table
 
         def trace(i, j):
-            # sum over m, k of [e_i, e_m]_k * [e_j, e_k]_m
-            return sum(
-                (c * t[j].get(k, {}).get(m, ZERO)
-                 for m, comps in t[i].items() for k, c in comps.items()),
-                ZERO,
-            )
+            # sum over m, k of [e_i, e_m]_k * [e_j, e_k]_m; both factors carry den
+            return Q(sum(c * t[j].get(k, {}).get(m, 0)
+                         for m, comps in t[i].items() for k, c in comps.items()), self.den**2)
 
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
@@ -329,7 +301,7 @@ def abelian(dim):
 
 def parse_lie(text: str) -> LieAlgebra:
     dim = None
-    names = None
+    names = names_line = None
     table = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -346,7 +318,9 @@ def parse_lie(text: str) -> LieAlgebra:
             if not 0 <= dim <= DIMENSION_CAP:
                 raise ValueError(f"line {lineno}: dim must be between 0 and {DIMENSION_CAP}")
         elif kw == "names":
-            names = parts[1:]
+            if names_line:
+                raise ValueError(f"line {lineno}: duplicate names")
+            names_line, names = lineno, parts[1:]
         elif kw == "bracket":
             if dim is None:
                 raise ValueError(f"line {lineno}: bracket before dim")
@@ -369,6 +343,8 @@ def parse_lie(text: str) -> LieAlgebra:
             raise ValueError(f"line {lineno}: unknown keyword {kw!r}")
     if dim is None:
         raise ValueError("missing dim line")
+    if names and len(names) != dim:
+        raise ValueError(f"line {names_line}: wrong number of basis names")
     return LieAlgebra(dim, table, names=names)
 
 

@@ -469,7 +469,7 @@ def char_poly(m: Matrix) -> "Poly":
     cols = sparse_columns(m)
     space = Subspace(2 * n + 1)
     # one block per unit vector, while the blocks so far do not span Q^n
-    blocks = [_krylov(cols, i, space, n + space.dim) for i in range(n) if space.dim < n]
+    blocks = [_krylov(cols, {i: ONE}, space, n + space.dim) for i in range(n) if space.dim < n]
     return math.prod(blocks[1:], start=blocks[0]) if blocks else Poly([ONE])
 
 
@@ -604,18 +604,6 @@ class Poly:
         return self.divmod(other)[1]
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly([])
-    return ((a * b) // poly_gcd(a, b)).monic()
-
-
 def primitive(coeffs) -> list:
     """The primitive integer multiple of rational coefficients, lowest first:
     denominators cleared and the content divided out, sign kept; [] for 0."""
@@ -712,16 +700,16 @@ def count_real_roots(p: Poly) -> int:
     return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
 
 
-def _krylov(cols, i, space, t):
-    """Monic f of least degree with f(m) e_i in space, m given by its sparse
-    columns; space gains e_i, m e_i, ..., m^(k-1) e_i.
+def _krylov(cols, v, space, t):
+    """Monic f of least degree with f(m) v in space, for a sparse vector v
+    and m given by its sparse columns; space gains v, m v, ..., m^(k-1) v.
 
-    Each m^k e_i, stepped from the last, is reduced tagged with a tracking
+    Each m^k v, stepped from the last, is reduced tagged with a tracking
     coordinate t + k.  The first residue that vanishes on the first n
     coordinates holds f's coefficients in t..t+k, x^k included.
     """
     n = len(cols)
-    v, k = {i: ONE}, 0
+    k = 0
     while True:
         r = space.reduce({**v, t + k: ONE})
         if min(r) >= n:
@@ -732,17 +720,27 @@ def _krylov(cols, i, space, t):
 
 
 def minimal_polynomial(m: Matrix) -> Poly:
-    """Monic minimal polynomial: lcm of the local ones of the unit vectors,
-    each from _krylov on a fresh Subspace."""
+    """Monic minimal polynomial, the lcm of the unit vectors' local ones: with
+    mu the product so far and g the local one of e_i, _krylov on a fresh
+    Subspace from mu(m) e_i (by Horner's rule) gives g / gcd(g, mu), and mu
+    times it is lcm(mu, g).  No polynomial gcd is taken."""
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
     cols = sparse_columns(m)
     result = Poly([ONE])
     for i in range(n):
-        result = poly_lcm(result, _krylov(cols, i, Subspace(2 * n + 1), n))
-        if result.degree == n:
-            break
+        v = {}
+        for c in reversed(result.coeffs):
+            v = apply_columns(cols, v)
+            if x := v.get(i, ZERO) + c:
+                v[i] = x
+            else:
+                v.pop(i, None)
+        if v:
+            result = result * _krylov(cols, v, Subspace(2 * n + 1), n)
+            if result.degree == n:
+                break
     return result
 
 

@@ -50,12 +50,12 @@ def reference_derivation_space(g: LieAlgebra) -> DerivationSpace:
     Unknowns are the n^2 entries of D (row-major); one sparse equation per
     (pair, output coordinate).  Only nonzero brackets contribute terms, so
     assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
-    assembled from g.integer_ad() and eliminated in ints.
+    assembled from g.table and eliminated in ints.
     The basis is Subspace.sparse_kernel's canonical one: a vector per free
     entry of D, in row-major order.
     """
     n = g.dim
-    ad = g.integer_ad()
+    ad = g.table
     rows = []
 
     def term(eq, r, var, c):

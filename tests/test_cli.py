@@ -308,13 +308,21 @@ class TestNilpotentAA:
     (["check"], "dim 3\nbracket 1 y 3 1\n", 2),
     (["graph"], "vertices 3\nclass z\n", 2),
     (["graph"], "vertices 3\nclass 2\nedge 1 q\n", 3),
+    # a header keyword once; edges and names checked against it wherever it is
+    (["graph"], "vertices 2\nvertices 3\nclass 3\nedge 1 3\nedge 2 3\n", 2),
+    (["graph"], "vertices 3\nclass 3\nclass 2\n", 3),
+    (["check"], "dim 2\nnames a b\nnames c d\n", 3),
+    (["graph"], "edge 1 4\nvertices 3\nclass 2\n", 1),
+    (["graph"], "vertices 3\nclass 2\nedge 1 2\nedge 2 2\n", 4),
+    (["check"], "names a b c\ndim 2\n", 1),
 ], ids=["dim-no-value", "dim-two-values", "bracket-zero-denominator",
         "matrix-zero-denominator", "matrix-bad-size", "edge-one-endpoint",
         "vertices-no-value", "edge-three-endpoints", "dim-over-cap",
         "dim-negative", "matrix-size-over-cap", "vertices-over-cap",
         "class-over-cap", "exponent-coefficient", "decimal-entry",
         "dim-not-integer", "bracket-index-not-integer", "class-not-integer",
-        "edge-endpoint-not-integer"])
+        "edge-endpoint-not-integer", "vertices-repeated", "class-repeated",
+        "names-repeated", "edge-endpoint-out-of-range", "edge-loop", "names-wrong-count"])
 def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv, text, line):
     path = tmp_path / "input.txt"
     path.write_text(text)

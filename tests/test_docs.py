@@ -14,3 +14,12 @@ def test_reexport_paragraph_names_are_exported():
     names = re.findall(r"`(\w+)`", text[start:text.index("\n\n", start)])
     assert names
     assert [name for name in names if name not in nicebasis.__all__] == []
+
+
+def test_layout_lists_every_module_of_the_package():
+    text = README.read_text()
+    start = text.index("## Layout")
+    listed = re.findall(r"`(\w+\.py)`", text[start:text.index("\n- `tests/`", start)])
+    package = README.parent / "src" / "nicebasis"
+    assert sorted(listed) == sorted(p.name for p in package.glob("*.py"))
+    assert len(listed) == len(set(listed))

@@ -1,12 +1,16 @@
-"""LieAlgebra.integer_ad() against the Fraction code that it replaced.
+"""LieAlgebra.table, the one int bracket table, against the Fraction code
+that it replaced.
 
-graph_algebra's ideal closure, LieAlgebra.jacobi_failures, ideal_closure and
-quotient now run on the integer structure-constant table, and the quotients
-iterate the nonzero brackets instead of every pair of kept indices.
-jacobi_failures checks only the triples that some support pair reaches, and
-free_nilpotent expands Lyndon words with int coefficients.  The reference_*
-functions below are the Fraction versions they replaced; every output is
-compared with them, down to value types and key order.
+Every LieAlgebra keeps brackets times den, the lcm of their denominators, as
+ints in both index orders, and brackets vectors through it with bracket_int.
+graph_algebra's ideal closure, jacobi_failures, ideal_closure, quotient,
+is_derivation and derivation_space read it directly; bracket_sparse and
+killing_form divide by den and den^2.  The quotients iterate the nonzero
+brackets instead of every pair of kept indices, jacobi_failures checks only
+the triples that some support pair reaches, and free_nilpotent expands
+Lyndon words with int coefficients.  The reference_* functions below are the
+Fraction versions they replaced; every output is compared with them, down to
+value types and key order.
 """
 
 import itertools
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicebasis import fixtures, graphs
-from nicebasis.derivations import derivation_space
+from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace, sparse
@@ -27,6 +31,59 @@ from nicebasis.scalars import Q, ZERO, ONE
 
 
 # --- the Fraction references ------------------------------------------------
+
+def reference_ad_table(g):
+    """The Fraction table the int one replaced: [e_i, e_j] in both orders."""
+    t = [{} for _ in range(g.dim)]
+    for (i, j), comps in g.brackets.items():
+        t[i][j] = comps
+        t[j][i] = {k: -c for k, c in comps.items()}
+    return t
+
+
+def reference_bracket_sparse(g, x, y):
+    """bracket_sparse as it read the Fraction table."""
+    out = {}
+    for i, a in x.items():
+        row = reference_ad_table(g)[i]
+        for j in row.keys() & y.keys():
+            f = a * y[j]
+            for k, c in row[j].items():
+                out[k] = out.get(k, ZERO) + f * c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_killing_form(g):
+    """Tr(ad_{e_i} ad_{e_j}) from dense ad matrices, ad_i[k][m] = [e_i, e_m]_k."""
+    t, n = reference_ad_table(g), g.dim
+    ad = [[[t[i].get(m, {}).get(k, ZERO) for m in range(n)] for k in range(n)]
+          for i in range(n)]
+    return Matrix([[sum((ad[i][k][m] * ad[j][m][k] for k in range(n) for m in range(n)), ZERO)
+                    for j in range(n)] for i in range(n)])
+
+
+def reference_is_derivation(g, d):
+    """D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] on every pair, in Fractions."""
+    n = g.dim
+    cols = [{r: x for r in range(n) if (x := d.get((r, c), ZERO))} for c in range(n)]
+
+    def apply(vec):
+        out = {}
+        for c, x in vec.items():
+            for r, y in cols[c].items():
+                out[r] = out.get(r, ZERO) + x * y
+        return out
+
+    for i, j in itertools.combinations(range(n), 2):
+        lhs = apply(reference_bracket_sparse(g, {i: ONE}, {j: ONE}))
+        for vec in (reference_bracket_sparse(g, cols[i], {j: ONE}),
+                    reference_bracket_sparse(g, {i: ONE}, cols[j])):
+            for k, x in vec.items():
+                lhs[k] = lhs.get(k, ZERO) - x
+        if any(lhs.values()):
+            return False
+    return True
+
 
 def reference_free_nilpotent(d, c):
     """free_nilpotent's table by Fraction word expansion and greedy decomposition."""
@@ -178,7 +235,7 @@ def reference_quotient(g, ideal):
     table = {}
     for a, i in enumerate(keep):
         for b in range(a + 1, len(keep)):
-            res = ideal.reduce(g.ad_table[i].get(keep[b], {}))
+            res = ideal.reduce(g.bracket_basis(i, keep[b]))
             if res:
                 table[(a, b)] = {pos[k]: res[k] for k in sorted(res)}
     names = [g.names[i] for i in keep]
@@ -376,11 +433,12 @@ class TestIntegerTable:
     @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
     def test_is_ad_table_times_lcm_of_denominators(self, name):
         g = LIE_ALGEBRAS[name]()
-        den = math.lcm(*[c.denominator for row in g.ad_table
+        ref = reference_ad_table(g)
+        den = math.lcm(*[c.denominator for row in ref
                          for comps in row.values() for c in comps.values()])
-        iad = g.integer_ad()
-        assert len(iad) == g.dim
-        for row, irow in zip(g.ad_table, iad):
+        assert g.den == den
+        assert len(g.table) == g.dim
+        for row, irow in zip(ref, g.table):
             assert list(irow) == list(row)
             for m, comps in row.items():
                 assert list(irow[m]) == list(comps)
@@ -389,14 +447,19 @@ class TestIntegerTable:
 
     def test_denominators_2_and_3_give_scale_6(self):
         g = sl2_with_halves()
-        iad = g.integer_ad()
-        assert all(iad[i][j][k] == 6 * c for (i, j), comps in g.brackets.items()
+        assert g.den == 6
+        assert all(g.table[i][j][k] == 6 * c for (i, j), comps in g.brackets.items()
                    for k, c in comps.items())
 
     def test_built_once_and_kept(self):
         g = scaled(fixtures.standard_filiform(6), Q(1, 2))
-        assert g.integer_ad() is g.integer_ad()
-        assert abelian(3).integer_ad() == [{}, {}, {}]
+        table = g.table
+        for call in (g.lower_central_series, g.center, g.killing_form, g.jacobi_failures,
+                     lambda: g.ideal_closure([{5: ONE}]), lambda: derivation_space(g),
+                     lambda: is_derivation(g, Matrix.identity(6))):
+            call()
+            assert g.table is table
+        assert (abelian(3).table, abelian(3).den) == ([{}, {}, {}], 1)
 
     def test_bracket_int_is_scaled_bracket(self):
         g = sl2_with_halves()
@@ -406,26 +469,107 @@ class TestIntegerTable:
             got = g.bracket_int(i, v)
             assert all(type(x) is int for x in got.values())
             assert got == {k: 6 * x for k, x in want.items()}
+            # Q vectors go through as they come, and come back in Q
+            got = g.bracket_int(i, {k: Q(x, 5) for k, x in v.items()})
+            assert all(type(x) is Fraction for x in got.values())
+            assert got == {k: Q(6, 5) * x for k, x in want.items()}
 
 
 class Unreadable:
     def __getattr__(self, name):
-        raise AssertionError("ad_table read after the integer table was built")
+        raise AssertionError("brackets read by derivation_space")
 
     def __iter__(self):
-        raise AssertionError("ad_table read after the integer table was built")
+        raise AssertionError("brackets read by derivation_space")
 
     def __getitem__(self, index):
-        raise AssertionError("ad_table read after the integer table was built")
+        raise AssertionError("brackets read by derivation_space")
 
 
 def test_derivation_space_reads_one_table_per_algebra():
+    # L7/3: [e1, e_i] = e_(i+1)/3 for i = 2..6, so den = 3 and every entry is 1
     g = LieAlgebra(7, scaled(fixtures.standard_filiform(7), Q(1, 3)).brackets, check=False)
+    assert g.den == 3
+    assert g.table == [{j: {j + 1: 1} for j in range(1, 6)}] + [
+        {0: {j + 1: -1}} for j in range(1, 6)] + [{}]
     first = derivation_space(g)
-    table = g.integer_ad()
-    g.ad_table = Unreadable()
+    table = g.table
+    g.brackets = Unreadable()
     assert derivation_space(g) == first
-    assert g.integer_ad() is table
+    assert g.table is table
+
+
+# --- one table: values on rational tables ---------------------------------------
+
+FRACTIONAL = st.sampled_from([Q(1, 2), Q(-1, 2), Q(1, 3), Q(-2, 3), Q(1, 6), Q(-5, 6),
+                              Q(3, 2), ONE, Q(-2)])
+
+
+@st.composite
+def rational_tables(draw):
+    """A bracket table with denominators from 2, 3 and 6; Jacobi not required."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    table = {key: {k: draw(FRACTIONAL) for k in draw(st.lists(
+                st.integers(0, n - 1), min_size=1, max_size=3, unique=True))}
+             for key in draw(st.lists(st.sampled_from(pairs), max_size=6, unique=True))}
+    return LieAlgebra(n, table, check=False)
+
+
+def sparse_vectors(n):
+    entry = st.sampled_from([ZERO, ZERO, ONE, Q(-1), Q(2), Q(1, 2), Q(-2, 3), Q(5, 6)])
+    return st.lists(entry, min_size=n, max_size=n).map(sparse)
+
+
+class TestOneTableMatchesFractionReference:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_table_is_brackets_times_den_in_both_orders(self, data):
+        g = data.draw(rational_tables())
+        den = math.lcm(*[c.denominator for comps in g.brackets.values() for c in comps.values()])
+        assert g.den == den
+        ref = reference_ad_table(g)
+        for i, j in itertools.product(range(g.dim), repeat=2):
+            row = g.table[i].get(j, {})
+            assert row == {k: c * den for k, c in ref[i].get(j, {}).items()}
+            assert row == {k: -x for k, x in g.table[j].get(i, {}).items()}
+            assert list(g.bracket_basis(i, j).items()) == list(ref[i].get(j, {}).items())
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_sparse(self, data):
+        g = data.draw(rational_tables())
+        x, y = data.draw(sparse_vectors(g.dim)), data.draw(sparse_vectors(g.dim))
+        got = g.bracket_sparse(x, y)
+        assert got == reference_bracket_sparse(g, x, y)
+        assert all(type(c) is Fraction for c in got.values())
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_killing_form(self, data):
+        g = data.draw(rational_tables())
+        got = g.killing_form()
+        assert got == reference_killing_form(g)
+        assert all(type(c) is Fraction for row in got.data for c in row)
+
+    @pytest.mark.parametrize("name", ["L7/3", "sl2/2,3", "so3+L5/2"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_is_derivation(self, name, data):
+        g = LIE_ALGEBRAS[name]()
+        basis = derivation_space(g).basis
+        d = {}
+        for vec in data.draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3)):
+            f = data.draw(FRACTIONAL)
+            for e, x in vec.items():
+                d[e] = d.get(e, ZERO) + f * x
+        if data.draw(st.booleans()):  # perturb one entry: mostly a non-derivation
+            e = (data.draw(st.integers(0, g.dim - 1)), data.draw(st.integers(0, g.dim - 1)))
+            d[e] = d.get(e, ZERO) + data.draw(FRACTIONAL)
+        want = reference_is_derivation(g, d)
+        assert is_derivation(g, d) == want
+        assert is_derivation(g, Matrix([[d.get((r, c), ZERO) for c in range(g.dim)]
+                                        for r in range(g.dim)])) == want
 
 
 # --- ideal_closure and quotient --------------------------------------------------

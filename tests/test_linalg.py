@@ -13,7 +13,6 @@ from nicebasis.linalg import (
     solve,
     char_poly,
     is_nilpotent,
-    poly_gcd,
     rational_roots,
     count_real_roots,
     minimal_polynomial,
@@ -181,12 +180,6 @@ class TestPoly:
         p = Poly.binomial(0, c)
         assert p == Poly([1 - Q(c)])
         assert p.degree == (-1 if c == 1 else 0)
-
-    def test_gcd(self):
-        p = Poly.binomial(2, rat(1)) * Poly.binomial(1, rat(3))
-        q = Poly.binomial(2, rat(1)) * Poly.binomial(1, rat(5))
-        g = poly_gcd(p, q)
-        assert g.monic() == Poly.binomial(2, rat(1))
 
     def test_rational_roots_vs_sympy(self):
         p = Poly.binomial(1, rat(2)) * Poly.binomial(1, Q(-1, 3)) \

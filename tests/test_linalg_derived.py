@@ -10,7 +10,9 @@ import time
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import invariant_factors
 
+from nicebasis import linalg
 from nicebasis.linalg import (
     Matrix,
     Poly,
@@ -21,7 +23,6 @@ from nicebasis.linalg import (
     kernel_chain,
     minimal_polynomial,
     nullspace,
-    poly_lcm,
     rational_roots,
     similar,
     solve,
@@ -84,6 +85,16 @@ def random_jordan(rng, n, values=(0, 1, -2)):
         blocks.append((rng.choice(values), size))
         left -= size
     return jordan(blocks)
+
+
+def poly_lcm(a, b):
+    """Monic lcm by the Euclidean gcd over Q."""
+    if a.is_zero() or b.is_zero():
+        return Poly([])
+    g, r = a, b
+    while not r.is_zero():
+        g, r = r, g % r
+    return ((a * b) // g).monic()
 
 
 def reference_minimal_polynomial(m):
@@ -364,6 +375,33 @@ class TestSimilar:
         assert similar(a, b) is True
         assert similar(a, jordan([(2, 1), (-1, 1), (2, 1), (2, 1)])) is False
         assert similar(a, jordan([(2, 3), (-1, 1)])) is False
+
+    @pytest.mark.parametrize("p", [Poly([-1, 1]), Poly([-2, 0, 1]), Poly([1, 0, 1])],
+                             ids=["x-1", "x^2-2", "x^2+1"])
+    def test_byrnes_gauger_branch_vs_sympy_invariant_factors(self, monkeypatch, p):
+        # phi / mu is not squarefree in every pair, so _intertwiners decides;
+        # equal invariant factors of xI - a over Q[x] are the reference
+        calls = []
+        intertwiners = linalg._intertwiners
+        monkeypatch.setattr(linalg, "_intertwiners",
+                            lambda a, b: calls.append((a, b)) or intertwiners(a, b))
+        c, c2 = companion(p), companion(p * p)
+        ppp, p2pp, p2p2 = block_diagonal(c, c, c), block_diagonal(c2, c, c), block_diagonal(c2, c2)
+        rng = random.Random(47)
+        pairs = [(ppp, conjugate(rng, ppp), True), (conjugate(rng, ppp), conjugate(rng, ppp), True),
+                 (p2pp, p2p2, False), (conjugate(rng, p2pp), conjugate(rng, p2p2), False),
+                 (conjugate(rng, p2p2), p2pp, False), (p2pp, conjugate(rng, p2pp), True),
+                 (conjugate(rng, p2p2), conjugate(rng, p2p2), True)]
+        x = sympy.Symbol("x")
+
+        def factors(m):
+            return invariant_factors(x * sympy.eye(m.rows) - to_sympy(m), domain=sympy.QQ[x])
+
+        for a, b, want in pairs:
+            before = len(calls)
+            assert similar(a, b) is want
+            assert len(calls) > before
+            assert (factors(a) == factors(b)) is want
 
     @pytest.mark.parametrize("value", [0, 3])
     def test_equal_polynomials_different_blocks(self, value):

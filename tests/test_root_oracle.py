@@ -39,7 +39,6 @@ from nicebasis.linalg import (
     count_real_roots,
     int_gcd,
     int_prem,
-    poly_gcd,
     primitive,
     rational_roots,
 )
@@ -49,6 +48,13 @@ X = sympy.Symbol("x")
 
 
 # --- the Fraction references ------------------------------------------------
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd by the Euclidean algorithm over Q."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 def _evaluate(p, x):
