@@ -4,10 +4,10 @@ A LieAlgebra stores its bracket table sparsely: brackets[(i, j)] for i < j is
 a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  Next to it, table[i][j]
 holds den * [e_i, e_j] as ints for both index orders, den being the lcm of
 the denominators; every structural routine evaluates brackets of sparse
-{index: coefficient} vectors through it, and those that need true values
-divide by den.  Indices are 0-based in code; the text file format is
-1-based.  The Jacobi identity and antisymmetry are enforced at construction
-time.
+{index: coefficient} vectors through it, those that need true values divide
+by den, and change_basis makes Fractions only for its output.  Indices are
+0-based in code; the text file format is 1-based.  The Jacobi identity and
+antisymmetry are enforced at construction time.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
-from .linalg import Matrix, Subspace, dense, kernel_of, sparse, sparse_columns
+from .linalg import Matrix, Subspace, dense, kernel_of, sparse
 
 # Largest dimension (matrix size, graph vertex count or class) any input
 # file or constructed algebra may have; larger inputs are refused up front.
@@ -31,7 +31,7 @@ class LieAlgebra:
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
             if i >= j:
                 raise ValueError(f"bracket keys must have i < j, got ({i}, {j})")
-            clean = {k: q for k, c in comps.items() if (q := Q(c)) != 0}
+            clean = {k: q for k, c in comps.items() if (q := c if type(c) is Q else Q(c)) != 0}
             for k in clean:
                 if not 0 <= k < dim:
                     raise ValueError(f"bracket target out of range: {k}")
@@ -165,10 +165,11 @@ class LieAlgebra:
     def _preimage_of_center(self, z: Subspace) -> Subspace:
         # {x : [x, e_j] in z for all j}: the residues of [e_i, e_j] modulo z,
         # over all j, must combine to zero
-        return kernel_of([
-            {(j, k): c for j, comps in row.items() for k, c in z.reduce(comps).items()}
-            for row in self.table
-        ])
+        def residues(row):  # ints where d == 1: kernel_of takes ints and Q alike
+            pairs = ((j, z.residue(comps)) for j, comps in row.items())
+            return {(j, k): x if d == 1 else Q(x, d) for j, (w, d) in pairs for k, x in w.items()}
+
+        return kernel_of([residues(row) for row in self.table])
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
@@ -246,28 +247,36 @@ class LieAlgebra:
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
-        """Structure constants in the basis of p's columns.  Column j is tagged with
-        coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j).
-        [e_a, e_b] reaches [p_i, p_j] only if p_ai, p_bj != 0: no zero pair is formed."""
+        """Structure constants in the basis of p's columns, in ints until the output.
+        With D the lcm of p's denominators, column j of D p is tagged with coordinate n + j
+        in one Subspace.  The image den D^2 [p_i, p_j] = den D sum c_k D p_k, summed from the
+        int table over the pairs p_ai p_bj != 0 only, reduces to -den D sum c_k e_(n+k)."""
         n = self.dim
         if (p.rows, p.cols) != (n, n):  # first: rows past n would land on the tag columns
             raise ValueError("change of basis needs an invertible n x n matrix")
-        cols = sparse_columns(p)
-        tagged = Subspace(2 * n, ({**c, n + j: ONE} for j, c in enumerate(cols)))
+        occ = [[(j, x) for j, x in enumerate(row) if x] for row in p.data]  # p's one scan
+        D = math.lcm(*[x.denominator for row in occ for _, x in row])
+        occ = [[(j, x.numerator * (D // x.denominator)) for j, x in row] for row in occ]
+        cols = [{n + j: 1} for j in range(n)]
+        for a, row in enumerate(occ):
+            for j, x in row:
+                cols[j][a] = x
+        tagged = Subspace(2 * n, cols)
         if tagged.pivots != list(range(n)):
             raise ValueError("change of basis needs an invertible n x n matrix")
-        occ = [sparse(row).items() for row in p.data]  # row a -> (j, p_aj) over its nonzeros
         images = {}
-        for (a, b), comps in self.brackets.items():
+        for a, b in self.brackets:
+            comps = self.table[a][b]
             for i, x in occ[a]:
                 for j, y in occ[b]:
                     if i != j:
                         f, key = (x * y, (i, j)) if i < j else (-x * y, (j, i))
                         img = images.setdefault(key, {})
                         for k, c in comps.items():
-                            img[k] = img.get(k, ZERO) + f * c
-        table = {key: {t - n: -r[t] for t in sorted(r)} for key in sorted(images)
-                 if (r := tagged.reduce(images[key]))}
+                            img[k] = img.get(k, 0) + f * c
+        residues = ((key, tagged.residue(images[key])) for key in sorted(images))
+        table = {key: {t - n: Q(-w[t], d * self.den * D) for t in sorted(w)}
+                 for key, (w, d) in residues if w}
         return LieAlgebra(n, table, check=False)
 
     def __repr__(self):

@@ -182,19 +182,20 @@ def sparse_columns(m: Matrix):
 
 
 def apply_columns(cols, vec):
-    """m vec as a sparse dict, for cols = sparse_columns(m) and sparse vec.
+    """m vec as a sparse dict with no zeros, for cols = sparse_columns(m), sparse vec.
 
     Costs one multiply per nonzero of the columns vec selects, where
-    Matrix.apply costs rows x cols.
+    Matrix.apply costs rows x cols; a zero entry of vec is skipped.
     """
     out = {}
     for j, x in vec.items():
-        for i, y in cols[j].items():
-            s = out.get(i, ZERO) + x * y
-            if s:
-                out[i] = s
-            else:
-                del out[i]
+        if x:
+            for i, y in cols[j].items():
+                s = out.get(i, ZERO) + x * y
+                if s:
+                    out[i] = s
+                else:
+                    del out[i]
     return out
 
 
@@ -304,11 +305,16 @@ class Subspace:
             return {c: Q(x) for c, x in w.items()}
         return {c: Q(x, den) for c, x in w.items()}
 
+    def residue(self, vector):
+        """(w, d), the residue of vector modulo the span as w / d: w a sparse dict of
+        nonzero ints (empty iff contained), d a positive int; reduce returns w / d."""
+        v = {c: x for c, x in self._entries(vector) if x}
+        return self._residue(v, [c for c in v if c in self._rows])
+
     def add(self, vector):
         """Add a vector to the span; returns True if the dimension grew."""
-        v = {c: x for c, x in self._entries(vector) if x}
+        w, _ = self.residue(vector)
         rows = self._rows
-        w, _ = self._residue(v, [c for c in v if c in rows])
         if not w:
             return False
         p = min(w)

@@ -1,5 +1,5 @@
-"""tools/bench_pairs.py: the statistics it writes, on made-up run results, and its
-mark of uncommitted checkouts, on temporary git repositories."""
+"""tools/bench_pairs.py: the statistics and verdicts it writes, on made-up run
+results, and its mark of uncommitted checkouts, on temporary git repositories."""
 
 import argparse
 import importlib.util
@@ -50,6 +50,63 @@ class TestWon:
         parent = [result(wall_s=1.0), result(wall_s=3.0)]
         change = [result(wall_s=2.0), result(wall_s=2.0)]
         assert bench_pairs.won(parent, change) == {"wall_s": 1}
+
+
+def paired(values, spec):
+    """An entry holding the trace 0 runs of one metric: values = (parent, change)."""
+    entry = {}
+    for name, runs in zip(("parent", "change"), values):
+        results = [result(**{spec["name"]: v}) for v in runs]
+        entry[name] = bench_pairs.side_record({}, list(range(len(runs))), results)
+    return entry
+
+
+WALL = {"name": "wall_s", "better": "lower", "bound": 0.15}
+SUCCESS = {"name": "success_ratio", "better": "higher", "bound": 0.005}
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("parent, change, want", [
+        # 10/10 won, median gap 0.2 against a parent IQR of 0.02
+        ([1.0, 1.01, 0.99, 1.02, 0.98] * 2, [0.8] * 10, "gain"),
+        # 9/10 won is still a gain
+        ([1.0] * 10, [0.8] * 9 + [1.0], "gain"),
+        # 8/10 won: the large median gap alone is no gain
+        ([1.0] * 10, [0.5] * 8 + [1.1] * 2, "held"),
+        # 10/10 won, but the median gap 0.01 is inside the parent's IQR of 0.02
+        ([1.0, 1.01, 0.99, 1.02, 0.98] * 2, [0.99] * 10, "held"),
+        # median 1.16 against 1.0 x (1 + 0.15)
+        ([1.0] * 10, [1.16] * 10, "regression"),
+        ([1.0] * 10, [1.14] * 10, "held"),
+        # parent IQR 0.4 is wider than 0.15 x 1.0, and the change wins only some pairs
+        ([0.6, 0.8, 1.0, 1.2, 1.4], [1.1, 0.7, 1.05, 1.0, 1.3], "unresolved"),
+        # as wide, but every change run beats every parent run: no gain (gap 0.6 < IQR
+        # 0.8), and held rather than unresolved
+        ([1.0, 1.1, 1.5, 1.9, 2.0], [0.9] * 5, "held"),
+    ], ids=["gain", "gain-9-of-10", "8-of-10", "gap-inside-iqr", "regression",
+            "worse-within-bound", "unresolved", "wide-but-every-run-better"])
+    def test_lower_is_better(self, parent, change, want):
+        entry = paired((parent, change), WALL)
+        assert bench_pairs.verdicts(entry, [WALL]) == {"wall_s": want}
+
+    @pytest.mark.parametrize("change, want", [
+        ([1.0] * 5, "held"), ([0.99] * 5, "regression"), ([0.996] * 5, "held"),
+    ])
+    def test_higher_is_better(self, change, want):
+        entry = paired(([1.0] * 5, change), SUCCESS)
+        assert bench_pairs.verdicts(entry, [SUCCESS]) == {"success_ratio": want}
+
+    def test_higher_is_better_gain(self):
+        entry = paired(([0.9] * 10, [1.0] * 10), SUCCESS)
+        assert bench_pairs.verdicts(entry, [SUCCESS]) == {"success_ratio": "gain"}
+
+    def test_one_verdict_per_end_to_end_metric(self):
+        results = {"parent": [result(wall_s=1.0, success_ratio=1.0, other=1.0)] * 3,
+                   "change": [result(wall_s=2.0, success_ratio=1.0, other=9.0)] * 3}
+        entry = {name: bench_pairs.side_record({}, [1, 2, 3], rows)
+                 for name, rows in results.items()}
+        assert bench_pairs.verdicts(entry, [WALL, SUCCESS]) == {
+            "wall_s": "regression", "success_ratio": "held"}
 
 
 class TestEarlier:

@@ -1,29 +1,33 @@
 """change_basis summed over the bracket support against the all-pairs loop.
 
 reference_change_basis is the earlier implementation, kept verbatim: it
-brackets every pair of columns and reduces each bracket through the tagged
-Subspace.  The support-driven change_basis must return the same table, with
-the same key order, the same values and every value a Fraction.
+brackets every pair of columns in Fractions and reduces each bracket
+through the tagged Subspace.  change_basis sums the images from the int
+table and scales p by the lcm of its denominators, so it is run on tables
+with den > 1 and on p with fractional entries too.  It must return the same
+table, with the same key order, the same values and every value a Fraction,
+and refuse the same matrices.
 """
 
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nicebasis import (
     GraphSpec,
     catalog,
     construct_nice_basis,
+    fixtures,
     graph_algebra,
     indecomposable_family,
     load_lie,
 )
 from nicebasis.almost_abelian import _witness_basis, analyze, build
-from nicebasis.lie import LieAlgebra
+from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace, sparse_columns
-from nicebasis.scalars import ONE
+from nicebasis.scalars import Q, ONE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LIE_FILES = sorted(FIXTURES.glob("*.lie"))
@@ -64,6 +68,9 @@ def signed_permutation(n):
     return Matrix(rows)
 
 
+ENTRY = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
+
+
 @pytest.mark.parametrize("path", LIE_FILES, ids=[p.stem for p in LIE_FILES])
 class TestFixtures:
     def test_identity(self, path):
@@ -80,8 +87,7 @@ class TestFixtures:
     def test_rational_matrices(self, path, data):
         g = load_lie(path)
         n = g.dim
-        entry = st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(-2, 3)]))
-        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+        rows = data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
                                   min_size=n, max_size=n))
         # invertible: make it diagonally dominant
         for i in range(n):
@@ -133,3 +139,61 @@ def test_catalog_bases():
             compared += 1
     assert compared > 0
 
+
+
+def scaled(g, factor):
+    return LieAlgebra(g.dim, {key: {k: c * factor for k, c in comps.items()}
+                              for key, comps in g.brackets.items()})
+
+
+# the rational tables of test_integer_table: den = 6, 3 and 2
+RATIONAL = {
+    "sl2/2,3": lambda: LieAlgebra(3, {(0, 1): {1: Q(1, 2)}, (0, 2): {2: Q(-1, 2)},
+                                      (1, 2): {0: Q(1, 3)}}),
+    "L7/3": lambda: scaled(fixtures.standard_filiform(7), Q(1, 3)),
+    "so3+L5/2": lambda: direct_sum(fixtures.so3(), scaled(fixtures.standard_filiform(5), Q(1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+class TestRationalTables:
+    def test_identity_and_signed_permutation(self, name):
+        g = RATIONAL[name]()
+        assert g.den > 1
+        assert assert_same_table(g, Matrix.identity(g.dim)).brackets == g.brackets
+        assert_same_table(g, signed_permutation(g.dim))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_invertible_rational_matrices(self, name, data):
+        g = RATIONAL[name]()
+        n = g.dim
+        p = Matrix(data.draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+        assume(p.det() != 0)
+        assert_same_table(g, p)
+
+
+def h3():
+    return fixtures.heisenberg3()  # [e1, e2] = e3
+
+
+REFUSED = {
+    "3x2": (h3, Matrix([[1, 0], [0, 1], [0, 0]])),
+    "2x3": (h3, Matrix([[1, 0, 0], [0, 1, 0]])),
+    "4x4": (h3, Matrix.identity(4)),
+    # singular, and no image leaves the columns' span: only the pivot check refuses
+    "singular": (h3, Matrix([[1, 1, 0], [0, 0, 0], [0, 1, 1]])),
+    "singular-abelian": (lambda: abelian(3), Matrix([[1, 2, 0], [1, 2, 0], [0, 0, 1]])),
+    "zero-column": (h3, Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])),
+    "zero-column-rational": (RATIONAL["sl2/2,3"], Matrix([[Q(1, 2), 0, 0], [0, 0, 0], [0, 0, 1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_refused_matrices(name):
+    make, p = REFUSED[name]
+    g = make()
+    for change in (g.change_basis, lambda p: reference_change_basis(g, p)):
+        with pytest.raises(ValueError, match="invertible n x n"):
+            change(p)

@@ -25,7 +25,7 @@ from nicebasis import fixtures, graphs
 from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
-from nicebasis.linalg import Matrix, Subspace, sparse
+from nicebasis.linalg import Matrix, Subspace, kernel_of, sparse
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, ONE
 
@@ -570,6 +570,62 @@ class TestOneTableMatchesFractionReference:
         assert is_derivation(g, d) == want
         assert is_derivation(g, Matrix([[d.get((r, c), ZERO) for c in range(g.dim)]
                                         for r in range(g.dim)])) == want
+
+
+# --- center and upper_central_series ----------------------------------------------
+
+def reference_preimage_of_center(g, z):
+    """_preimage_of_center as it reduced the int table rows over Q."""
+    return kernel_of([
+        {(j, k): c for j, comps in row.items() for k, c in z.reduce(comps).items()}
+        for row in g.table
+    ])
+
+
+def reference_upper_central_series(g):
+    series = [Subspace(g.dim)]
+    while True:
+        nxt = reference_preimage_of_center(g, series[-1])
+        if nxt.dim == series[-1].dim:
+            return series
+        series.append(nxt)
+        if nxt.dim == g.dim:
+            return series
+
+
+def bidiagonal(n, f):
+    return Matrix([[1 if i == j else f if j == i + 1 else 0 for j in range(n)] for i in range(n)])
+
+
+CENTRAL = {
+    **LIE_ALGEBRAS,
+    # rows of pivot entry 16, 8 and 4 in its upper central series: residues carry d > 1
+    "L5+h3 in I + 2N": lambda: direct_sum(fixtures.standard_filiform(5), fixtures.heisenberg3())
+                              .change_basis(bidiagonal(8, 2)),
+    "L5+h3 in I + N/2": lambda: direct_sum(fixtures.standard_filiform(5), fixtures.heisenberg3())
+                               .change_basis(bidiagonal(8, Q(1, 2))),
+}
+
+
+class TestCentralSeriesMatchesFractionReference:
+    @pytest.mark.parametrize("name", sorted(CENTRAL))
+    def test_upper_central_series(self, name):
+        g = CENTRAL[name]()
+        want = reference_upper_central_series(g)
+        for z in want:  # step by step first: a wrong step fails here instead of looping
+            assert g._preimage_of_center(z) == reference_preimage_of_center(g, z)
+        got = g.upper_central_series()
+        assert got == want
+        assert [s.rows for s in got] == [s.rows for s in want]
+        assert g.center() == reference_preimage_of_center(g, Subspace(g.dim))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_center(self, data):
+        g = data.draw(rational_tables())
+        z = g.center()
+        assert z == reference_preimage_of_center(g, Subspace(g.dim))
+        assert all(type(x) is Fraction for v in z.sparse_kernel() for x in v.values())
 
 
 # --- ideal_closure and quotient --------------------------------------------------

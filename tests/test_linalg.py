@@ -18,8 +18,9 @@ from nicebasis.linalg import (
     minimal_polynomial,
     solve_integer_system,
     sparse_columns,
+    apply_columns,
 )
-from nicebasis.scalars import Q, rat
+from nicebasis.scalars import Q, ZERO, ONE, rat
 
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
@@ -74,6 +75,16 @@ class TestMatrix:
         cols = sparse_columns(m)
         assert len(cols) == m.cols
         assert cols == [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.cols)]
+
+    @pytest.mark.parametrize("m, vec, want", [
+        (Matrix.identity(2), {0: ZERO}, {}),
+        (Matrix.identity(2), {0: ONE, 1: ZERO}, {0: ONE}),
+        (Matrix([[1, 0], [3, 1]]), {1: ZERO, 0: Q(2)}, {0: Q(2), 1: Q(6)}),
+    ], ids=["zero", "one-and-zero", "zero-first"])
+    def test_apply_columns_skips_zero_coefficients(self, m, vec, want):
+        got = apply_columns(sparse_columns(m), vec)
+        assert got == want
+        assert all(got.values())
 
     @given(st.lists(rationals, min_size=4, max_size=4))
     def test_det_vs_sympy(self, entries):

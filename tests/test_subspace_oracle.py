@@ -4,7 +4,8 @@ FractionSubspace is the previous echelon core, kept verbatim as the oracle:
 it eliminates over Q with Fraction rows scaled to pivot 1.  Both are driven
 with the same vectors; after every add the canonical rows, pivots, column
 index, residues and kernels must agree, and every value handed out must be
-a Fraction.
+a Fraction, except the int residue (w, d) of Subspace.residue, which must
+be reduce's residue times d.
 """
 
 import math
@@ -154,6 +155,10 @@ def assert_same(s, ref, probes):
         got = s.reduce(probe)
         assert got == ref.reduce(probe)
         assert all_fractions(got.values())
+        w, d = s.residue(probe)
+        assert type(d) is int and d > 0
+        assert all(type(x) is int and x for x in w.values())
+        assert {c: Q(x, d) for c, x in w.items()} == got
 
 
 class TestAgainstFractionSubspace:
@@ -199,3 +204,11 @@ class TestAgainstFractionSubspace:
         got = s.reduce((3, 0, 7))
         assert got == {1: Q(-6), 2: Q(7)}
         assert all_fractions(got.values())
+
+    def test_residue_is_reduce_in_ints(self):
+        s = Subspace(3, [(2, 3, 0)])
+        w, d = s.residue({0: 1, 1: Q(1, 2), 2: 0})
+        assert (w, d) == ({1: -2}, 2)  # (1, 1/2, 0) - (1/2)(2, 3, 0) = (0, -1, 0)
+        assert s.reduce({0: 1, 1: Q(1, 2)}) == {1: Q(-1)}
+        assert s.residue((4, 6, 0)) == ({}, 1)
+        assert s.residue({1: 5}) == ({1: 5}, 1)

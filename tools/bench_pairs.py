@@ -17,12 +17,14 @@ repository (label defaults to the workload; the file is created when
 missing) is replaced by the new one: per side the environment, the seeds,
 every run's metrics, their medians and quartiles (inclusive method) and
 the failure counts; the pairs won per metric (lower is better, higher for
-success_ratio); and, with `--trace-runs N`, the medians of N traced runs
-per side on seed 5, alternating sides.  An entry it replaces moves, medians
-only, to the front of `earlier_sets`.  Entries of other workloads are kept.
-A file in the older hand-written schema (one workload, with top-level
-`parent`/`change` keys) is migrated: its medians go to the end of
-`earlier_sets` and its own keys are dropped.  Standard library only.
+success_ratio); the verdict per end-to-end metric of the change's
+BENCHMARK.json (see `verdicts`); and, with `--trace-runs N`, the medians
+of N traced runs per side on seed 5, alternating sides.  An entry it
+replaces moves, medians only, to the front of `earlier_sets`.  Entries of
+other workloads are kept.  A file in the older hand-written schema (one
+workload, with top-level `parent`/`change` keys) is migrated: its medians
+go to the end of `earlier_sets` and its own keys are dropped.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -103,6 +105,38 @@ def won(parent, change):
         sign = -1 if m in HIGHER_IS_BETTER else 1
         out[m] = sum(sign * c["metrics"][m]["value"] < sign * p["metrics"][m]["value"]
                      for p, c in zip(parent, change))
+    return out
+
+
+def verdicts(entry, end_to_end):
+    """Per end-to-end metric (BENCHMARK.json's `end_to_end` list: name, better,
+    bound), the verdict on the paired trace 0 runs of entry, first that holds:
+
+    gain        the change wins at least 9 of every 10 pairs (ties count for
+                neither) and its median beats the parent's by more than the
+                parent's interquartile range;
+    regression  the change's median is worse than the parent's by more than
+                bound times the parent's median;
+    unresolved  the parent's interquartile range is wider than bound times
+                its median, and not every change run beats every parent run;
+    held        anything else.
+    """
+    out = {}
+    for spec in end_to_end:
+        m, bound = spec["name"], spec["bound"]
+        sign = -1 if spec["better"] == "higher" else 1  # sign * value: lower is better
+        p = [sign * x for x in entry["parent"]["trace0"]["runs"][m]]
+        c = [sign * x for x in entry["change"]["trace0"]["runs"][m]]
+        (p1, pm, p3), cm = summary(p)[1], summary(c)[0]
+        wins = sum(y < x for x, y in zip(p, c))
+        if 10 * wins >= 9 * len(p) and pm - cm > p3 - p1:
+            out[m] = "gain"
+        elif cm - pm > bound * abs(pm):
+            out[m] = "regression"
+        elif p3 - p1 > bound * abs(pm) and not max(c) < min(p):
+            out[m] = "unresolved"
+        else:
+            out[m] = "held"
     return out
 
 
@@ -193,10 +227,12 @@ def main(argv=None):
     label = args.label or args.workload
     path = os.path.join(ROOT, f"BENCH_{label}.json")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
     command = f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0|1"
     doc = load(path, label, command)
     entry = measure(args, seconds)
+    entry["verdict"] = verdicts(entry, bench["end_to_end"])
     doc["host"] = f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}"
     for old in [w for w in doc["workloads"] if w["workload"] == args.workload]:
         doc["earlier_sets"]["sets"].insert(0, earlier(old))
@@ -205,6 +241,7 @@ def main(argv=None):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
     print(json.dumps({"file": path, "workload": args.workload, "pairs_won": entry["pairs_won"],
+                      "verdict": entry["verdict"],
                       "median_wall_s": {n: entry[n]["trace0"]["median"]["wall_s"]
                                         for n in ("parent", "change")}}))
 
