@@ -126,8 +126,13 @@ class TestEarlier:
             "seeds": [5, 6],
             "pairs": 2,
             "pairs_won": {"wall_s": 2},
+            "verdict": None,
             "median": {"parent": {"wall_s": 2.0}, "change": {"wall_s": 2.0}},
         }
+
+    def test_keeps_the_verdict(self, entry):
+        entry["verdict"] = {"wall_s": "held"}
+        assert bench_pairs.earlier(entry)["verdict"] == {"wall_s": "held"}
 
 
 class TestLoad:

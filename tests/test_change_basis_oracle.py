@@ -174,15 +174,14 @@ class TestRationalTables:
         assert_same_table(g, p)
 
 
-def h3():
-    return fixtures.heisenberg3()  # [e1, e2] = e3
-
+h3 = fixtures.heisenberg3  # [e1, e2] = e3
 
 REFUSED = {
     "3x2": (h3, Matrix([[1, 0], [0, 1], [0, 0]])),
     "2x3": (h3, Matrix([[1, 0, 0], [0, 1, 0]])),
     "4x4": (h3, Matrix.identity(4)),
-    # singular, and no image leaves the columns' span: only the pivot check refuses
+    # singular p below: no image leaves the columns' span, so only the pivot check
+    # refuses them
     "singular": (h3, Matrix([[1, 1, 0], [0, 0, 0], [0, 1, 1]])),
     "singular-abelian": (lambda: abelian(3), Matrix([[1, 2, 0], [1, 2, 0], [0, 0, 1]])),
     "zero-column": (h3, Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])),

@@ -20,11 +20,11 @@ the failure counts; the pairs won per metric (lower is better, higher for
 success_ratio); the verdict per end-to-end metric of the change's
 BENCHMARK.json (see `verdicts`); and, with `--trace-runs N`, the medians
 of N traced runs per side on seed 5, alternating sides.  An entry it
-replaces moves, medians only, to the front of `earlier_sets`.  Entries of
-other workloads are kept.  A file in the older hand-written schema (one
-workload, with top-level `parent`/`change` keys) is migrated: its medians
-go to the end of `earlier_sets` and its own keys are dropped.  Standard
-library only.
+replaces moves, its medians, pairs won and verdicts only, to the front of
+`earlier_sets`.  Entries of other workloads are kept.  A file in the older
+hand-written schema (one workload, with top-level `parent`/`change` keys)
+is migrated: its medians go to the end of `earlier_sets` and its own keys
+are dropped.  Standard library only.
 """
 
 from __future__ import annotations
@@ -173,13 +173,14 @@ def measure(args, seconds):
 
 
 def earlier(entry):
-    """An entry reduced to the medians kept in earlier_sets."""
+    """An entry reduced to the medians, pairs won and verdicts kept in earlier_sets."""
     return {
         "label": "replaced entry",
         "workload": entry["workload"],
         "seeds": entry["parent"]["trace0"]["seeds"],
         "pairs": entry["pairs"],
         "pairs_won": entry["pairs_won"],
+        "verdict": entry.get("verdict"),  # None for entries written before verdicts
         "median": {name: entry[name]["trace0"]["median"] for name in ("parent", "change")},
     }
 
