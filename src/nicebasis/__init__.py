@@ -58,7 +58,6 @@ from .almost_abelian import (
     parse_matrix,
     serialize_matrix,
     load_matrix,
-    save_matrix,
 )
 from .graphs import (
     GraphSpec,
@@ -75,7 +74,6 @@ from .graphs import (
     parse_graph,
     serialize_graph,
     load_graph,
-    save_graph,
 )
 from .catalog3 import (
     CatalogEntry,

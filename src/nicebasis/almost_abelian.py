@@ -482,8 +482,3 @@ def serialize_matrix(a: Matrix) -> str:
 def load_matrix(path) -> Matrix:
     with open(path) as fh:
         return parse_matrix(fh.read())
-
-
-def save_matrix(a: Matrix, path):
-    with open(path, "w") as fh:
-        fh.write(serialize_matrix(a))

@@ -2,31 +2,41 @@
 
 The pre-Einstein derivation N of g is the unique solution of
 Tr(N D) = Tr(D) for all derivations D.  When the defining basis is nice it
-can be found inside the diagonal derivations alone and then certified on
-Der(g)_0, the derivations commuting with N, which decides it for all of
-Der(g) (see pre_einstein_general_check).
+can be found inside the diagonal derivations alone, by a Gram system of int
+kernel vectors, and then certified on Der(g)_0 = ker A, the derivations
+commuting with N, which decides it for all of Der(g).  There Tr(N D) - Tr(D)
+is a functional that vanishes on ker A iff it lies in row A = (ker A)^perp
+(see pre_einstein_general_check).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _dot, is_positive_definite, solve
+from .linalg import Matrix, Subspace, is_positive_definite, solve
 from .nice import check_nice
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
     dim: int  # dimension of the underlying algebra
-    basis: tuple  # sparse {(row, col): value} maps spanning Der(g), or Der(g)_0
+    unknowns: dict  # entry (m, i) of D solved for -> its number, in row-major order
+    system: Subspace  # the eliminated equations over the numbered unknowns
+
+    @cached_property
+    def basis(self):
+        """Sparse {(row, col): value} maps spanning the space, built on first read."""
+        keys = list(self.unknowns)
+        return tuple({keys[v]: x for v, x in vec.items()} for vec in self.system.sparse_kernel())
 
     def __len__(self):
-        return len(self.basis)
+        return len(self.unknowns) - self.system.dim
 
     def contains(self, d) -> bool:
         """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?"""
@@ -51,60 +61,55 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
 
     Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
     with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
-    numbered densely in row-major order; one sparse equation per (pair,
-    output coordinate).  Only nonzero brackets contribute terms, so assembly
-    costs O(n^2 + n nnz).  The system is homogeneous, so it is assembled from
-    g's int table and eliminated in ints.  The basis is sparse_kernel's
-    canonical one: a vector per free unknown, in row-major order.
+    numbered densely in row-major order; one sparse equation per (pair i < j,
+    output coordinate r), read off g's int table and assembled from the
+    unknowns: D[m][i] walks the brackets of e_m and those with an e_i term,
+    so no pair without a term is visited.  The system is eliminated in ints;
+    the basis, built on first read, is sparse_kernel's canonical one: a
+    vector per free unknown, in order.
     """
     n = g.dim
-    ad = g.table
+    t = g.table
     weights = [ZERO] * n if weights is None else weights
-    same = {}  # weight -> indices of that weight, increasing
+    block = {}  # weight -> indices of that weight, increasing
     for i, w in enumerate(weights):
-        same.setdefault(w, []).append(i)
-    unknowns = [(m, i) for m in range(n) for i in same[weights[m]]]
-    var = {e: v for v, e in enumerate(unknowns)}
-    rows = []
-
-    def term(eq, r, e, c):
-        v = var.get(e)
-        if v is not None:
-            row = eq.setdefault(r, {})
-            row[v] = row.get(v, 0) + c
-
+        block.setdefault(w, []).append(i)
+    unknowns = {e: v for v, e in enumerate((m, i) for m in range(n) for i in block[weights[m]])}
+    into = {}  # k -> (i n + j) n and c_ij^k of each bracket [e_i, e_j], i < j, with an e_k term
     for i in range(n):
-        adi = ad[i]
-        for j in range(i + 1, n):
-            adj = ad[j]
-            eq = {}  # output coordinate r -> coefficients on D's entries
-            # D[e_i, e_j]: sum_k c_k D e_k
-            for k, c in adi.get(j, {}).items():
-                for r in same[weights[k]]:
-                    term(eq, r, (r, k), c)
-            # -[D e_i, e_j] = [e_j, D e_i]: sum_m D[m][i] [e_j, e_m]
-            for m, comps in adj.items():
+        for j, comps in t[i].items():
+            if j > i:
+                for k, c in comps.items():
+                    into.setdefault(k, []).append(((i * n + j) * n, c))
+    eqs = {}  # (i n + j) n + r -> {unknown: coefficient} of equation (i, j, r)
+    for (m, i), v in unknowns.items():
+        # -[D e_i, e_j] = -sum_m D[m][i] [e_m, e_j]; the pair (j, i) holds +[e_m, e_j].
+        # Each (j, r) is met once, so set; the terms of D[e_a, e_b] below add in
+        for j, comps in t[m].items():
+            if j != i:
+                f, base = (-1, (i * n + j) * n) if j > i else (1, (j * n + i) * n)
                 for r, c in comps.items():
-                    term(eq, r, (m, i), c)
-            # -[e_i, D e_j]: -sum_m D[m][j] [e_i, e_m]
-            for m, comps in adi.items():
-                for r, c in comps.items():
-                    term(eq, r, (m, j), -c)
-            rows.extend(eq.values())
-    kernel = Subspace(len(unknowns), rows).sparse_kernel()
-    return DerivationSpace(n, tuple({unknowns[v]: x for v, x in vec.items()} for vec in kernel))
+                    eqs.setdefault(base + r, {})[v] = f * c
+        for base, c in into.get(i, ()):  # D[e_a, e_b] = sum_k c_k D e_k, at coordinate m
+            row = eqs.setdefault(base + m, {})
+            row[v] = row.get(v, 0) + c
+    return DerivationSpace(n, unknowns, Subspace(len(unknowns), (eqs[e] for e in sorted(eqs))))
 
 
-def diagonal_derivations(g: LieAlgebra):
-    """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
-    n = g.dim
+def _diagonal_system(g: LieAlgebra) -> Subspace:
+    """The equations x_i + x_j = x_k, one per nonzero c_ij^k, of Dg(x) a derivation."""
     rows = []
     for (i, j), comps in g.brackets.items():
         for k in comps:
             eq = {i: 1, j: 1}
             eq[k] = eq.get(k, 0) - 1
             rows.append(eq)
-    return Subspace(n, rows).kernel()
+    return Subspace(g.dim, rows)
+
+
+def diagonal_derivations(g: LieAlgebra):
+    """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
+    return _diagonal_system(g).kernel()
 
 
 def _entries(d):
@@ -117,14 +122,17 @@ def _entries(d):
 def is_derivation(g: LieAlgebra, d) -> bool:
     """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
 
-    d is a Matrix or a sparse {(row, col): value} map.  The differences are
-    summed from the nonzero brackets and columns of D only: O(nnz) if diagonal.
-    Both terms are read off g's int table: one common scale, one zero test.
+    d is a Matrix or a sparse {(row, col): value} map of ints or Q, scaled
+    once to ints by the lcm of its denominators.  The differences are summed
+    from the nonzero brackets and columns of D only (O(nnz) if diagonal), off
+    g's int table: one common scale, int sums, one zero test.
     """
     t = g.table
+    entries = _entries(d)
+    den = lcm(*[x.denominator for x in entries.values()])
     cols = {}
-    for (r, c), x in _entries(d).items():
-        cols.setdefault(c, {})[r] = x
+    for (r, c), x in entries.items():
+        cols.setdefault(c, {})[r] = x.numerator * (den // x.denominator)
     diff = {}  # (i, j) with i < j -> D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
 
     def add(i, j, vec, f):
@@ -132,7 +140,7 @@ def is_derivation(g: LieAlgebra, d) -> bool:
             i, j, f = j, i, -f
         out = diff.setdefault((i, j), {})
         for k, x in vec.items():
-            out[k] = out.get(k, ZERO) + f * x
+            out[k] = out.get(k, 0) + f * x
 
     for i, j in g.brackets:
         for k, c in t[i][j].items():
@@ -152,19 +160,20 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     Restricts the defining trace condition to diagonal derivations, solves
     the (positive definite) Gram system there, then certifies the result on
     Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
+    The Gram system is built from int kernel vectors (rescaling a basis leaves
+    N unchanged), so Fractions appear only in the k x k solve and in N.
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
-    diag = diagonal_derivations(g)
+    diag = _diagonal_system(g).int_kernel()
     if not diag:
         n_diag = [ZERO] * g.dim
     else:
-        gram = Matrix([[_dot(a, b) for b in diag] for a in diag])
+        gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
         if not is_positive_definite(gram):
             raise RuntimeError("trace Gram matrix is not positive definite")
-        rhs = [sum(v, ZERO) for v in diag]  # Tr(Dg(v)) = sum of entries
-        coeffs = solve(gram, rhs)
-        n_diag = [sum((c * v[i] for c, v in zip(coeffs, diag)), ZERO) for i in range(g.dim)]
+        coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
+        n_diag = [sum(c * v.get(i, 0) for c, v in zip(coeffs, diag)) for i in range(g.dim)]
     ok, bad = pre_einstein_general_check(g, n_diag)
     if not ok:
         raise RuntimeError(f"trace certification failed: {bad!r}")
@@ -184,20 +193,21 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     D[m][j]) of one weight w_m - w_i = w_r - w_i - w_j.  So Der(g) is the
     direct sum of its weight blocks, and Tr(D), Tr(ND) read only diagonal
     entries, of weight 0: Tr(ND) = Tr(D) holds on Der(g) iff on Der(g)_0
-    (the ad_N grading of Nikolayevsky, Trans. AMS 363, 2011).
+    (the ad_N grading of Nikolayevsky, Trans. AMS 363, 2011).  On Der(g)_0 =
+    ker A, Tr(ND) - Tr(D) = l(D) with l = sum_r (w_r - 1) D[r][r], and l
+    vanishes on ker A iff l is in row A = (ker A)^perp: one Subspace.residue
+    in ints.  Only if it is not is the basis built, for its first D with
+    l(D) != 0.  (pre_einstein_nice's N comes from an int Gram system.)
     """
     n_diag = [Q(x) for x in n_diag]
     if not is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
         return False, ("not_derivation", Matrix.diagonal(n_diag))
-    for d in derivation_space(g, n_diag).basis:
-        trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
-        for (r, c), x in d.items():
-            if r == c:
-                trace += x
-                trace_nd += n_diag[r] * x
-        if trace_nd != trace:
-            return False, ("trace", d)
-    return True, None
+    space = derivation_space(g, n_diag)
+    gap = {space.unknowns[(r, r)]: x - 1 for r, x in enumerate(n_diag) if x != 1}
+    if not space.system.residue(gap)[0]:
+        return True, None
+    return False, ("trace", next(d for d in space.basis
+                                 if sum((n_diag[r] - 1) * x for (r, c), x in d.items() if r == c)))
 
 
 def ln_closed_form(n: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .scalars import ONE, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra
-from .linalg import Matrix, Subspace, _divisors, dense
+from .linalg import Matrix, _divisors, dense
 from .nice import check_nice
 
 
@@ -207,24 +207,10 @@ def graph_algebra(g: GraphSpec):
         for b in range(a + 1, d)
         if not g.has_edge(a, b)
     ]
-    # the ideal is closed in integers: its generators are the int table's
-    # rows, which span the same lines as the brackets they scale
+    # closed in ints under the ad of the d generators: its generators are the
+    # int table's rows, which span the same lines as the brackets they scale
     iad = free.table
-    ideal = Subspace(free.dim)
-    queue = []
-    for a, b in non_edges:
-        gen = iad[a].get(b)
-        if gen and ideal.add(gen):
-            queue.append(gen)
-    # ad of the d generators suffices: they generate the algebra and
-    # ad_[x,y] = [ad_x, ad_y], so a subspace stable under each generator's ad
-    # is stable under every ad, i.e. an ideal
-    while queue:
-        v = queue.pop()
-        for x in range(d):
-            w = free.bracket_int(x, v)
-            if w and ideal.add(w):
-                queue.append(w)
+    ideal = free.ideal_closure([iad[a][b] for a, b in non_edges if b in iad[a]], range(d))
     keep, table, project = free._quotient_table(ideal)
     words = tuple(basis.words[i] for i in keep)
     names = [free.names[i] for i in keep]
@@ -345,8 +331,3 @@ def serialize_graph(g: GraphSpec) -> str:
 def load_graph(path) -> GraphSpec:
     with open(path) as fh:
         return parse_graph(fh.read())
-
-
-def save_graph(g: GraphSpec, path):
-    with open(path, "w") as fh:
-        fh.write(serialize_graph(g))

@@ -135,7 +135,7 @@ class LieAlgebra:
         while True:
             prev = series[-1]
             nxt = Subspace(self.dim)
-            for v in prev.rows.values():
+            for v in prev._rows.values():
                 for i in range(self.dim):
                     nxt.add(self.bracket_int(i, v))
             series.append(nxt)
@@ -180,17 +180,23 @@ class LieAlgebra:
             for i in range(self.dim)
         ])
 
-    def ideal_closure(self, vectors):
-        """Smallest ideal containing the given vectors."""
+    def ideal_closure(self, vectors, generators=None):
+        """Smallest ideal containing the given vectors.
+
+        generators, indices of basis vectors that generate the algebra, may
+        stand in for the whole basis: ad_[x,y] = [ad_x, ad_y], so a subspace
+        stable under each generator's ad is stable under every ad.
+        """
         s = Subspace(self.dim)
         queue = []
         for v in vectors:
             v = v if isinstance(v, dict) else sparse(v)
             if s.add(v):
                 queue.append(v)
+        gens = range(self.dim) if generators is None else generators
         while queue:
             v = queue.pop()
-            for i in range(self.dim):
+            for i in gens:
                 w = self.bracket_int(i, v)
                 if w and s.add(w):
                     queue.append(w)
@@ -231,7 +237,7 @@ class LieAlgebra:
     def _is_ideal(self, s: Subspace):
         return all(
             s.contains(self.bracket_int(i, v))
-            for v in s.rows.values()
+            for v in s._rows.values()
             for i in range(self.dim)
         )
 

@@ -400,6 +400,16 @@ class Subspace:
                 out.append(v)
         return out
 
+    def int_kernel(self):
+        """sparse_kernel() with each vector scaled to ints by the lcm of its pivot entries."""
+        rows, out = self._rows, []
+        for f in range(self.ambient):
+            if f not in rows:
+                hits = sorted(self._occ.get(f, ()))
+                den = math.lcm(*[rows[p][p] for p in hits])
+                out.append({**{p: -rows[p][f] * (den // rows[p][p]) for p in hits}, f: den})
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

@@ -225,3 +225,40 @@ class TestDirty:
         entry = bench_pairs.measure(args, 1)
         assert entry["parent"]["env"] == {"commit": "head", "dirty": False}
         assert entry["change"]["env"] == {"commit": "head", "dirty": True}
+
+
+class TestLoadAverage:
+    def test_each_run_records_the_load_read_just_before_it(self, monkeypatch, capsys):
+        loads = iter([0.5, 1.25, 3.0, 0.75])
+        calls = []
+
+        def getloadavg():
+            calls.append("load")
+            return next(loads), 9.0, 9.0
+
+        def fake_run(checkout, workload, seed, seconds, trace):
+            calls.append(checkout)
+            return {"commit": checkout}, result(wall_s=1.0)
+
+        monkeypatch.setattr(bench_pairs.os, "getloadavg", getloadavg)
+        monkeypatch.setattr(bench_pairs, "run", fake_run)
+        monkeypatch.setattr(bench_pairs, "dirty", lambda checkout: False)
+        args = argparse.Namespace(parent="p", change="c", workload="aa-family",
+                                  pairs=2, seed=7, trace_runs=0)
+        entry = bench_pairs.measure(args, 1)
+        # pair 0 runs the parent first, pair 1 the change first
+        assert calls == ["load", "p", "load", "c", "load", "c", "load", "p"]
+        assert entry["parent"]["trace0"]["load_1m"] == [0.5, 0.75]
+        assert entry["change"]["trace0"]["load_1m"] == [1.25, 3.0]
+        assert entry["parent"]["trace0"]["runs"] == {"wall_s": [1.0, 1.0]}
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [
+            "aa-family seed 7 parent: wall_s 1.0000 load_1m 0.50 failed 0",
+            "aa-family seed 7 change: wall_s 1.0000 load_1m 1.25 failed 0",
+            "aa-family seed 8 change: wall_s 1.0000 load_1m 3.00 failed 0",
+            "aa-family seed 8 parent: wall_s 1.0000 load_1m 0.75 failed 0",
+        ]
+
+    def test_results_without_a_load_record_none(self):
+        record = bench_pairs.side_record({}, [1], [result(wall_s=1.0)])
+        assert record["trace0"]["load_1m"] == [None]

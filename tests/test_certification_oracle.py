@@ -1,13 +1,19 @@
-"""The pre-Einstein certification on Der(g)_0 against the full-space code
-that it replaced.
+"""The pre-Einstein certification against the code that it replaced.
 
-pre_einstein_general_check now runs the trace test on the derivations that
-commute with N = diag(w), derivation_space(g, w), and is_derivation sums
-the defining difference from the nonzero brackets and columns only.  The
-reference_* functions below are the full-space versions they replaced,
-kept verbatim apart from their names: the sparse derivation_space over all
-n^2 entries, the all-pairs is_derivation and the check that runs the trace
-test on every derivation.  Verdicts are compared on the fixture algebras,
+pre_einstein_general_check runs the trace test on the derivations that
+commute with N = diag(w), derivation_space(g, w), as one membership: the
+functional Tr(ND) - Tr(D) lies in the row space of the eliminated system.
+derivation_space assembles its equations from the unknowns and builds its
+basis on first read, and is_derivation sums in ints.  The reference_*
+functions below are the versions they replaced, kept verbatim apart from
+their names and their Space result:
+- reference_derivation_space, reference_is_derivation and
+  reference_general_check: the full-space code over all n^2 entries, with
+  an all-pairs is_derivation and the trace test on every derivation;
+- reference_weighted_derivation_space, reference_sparse_is_derivation and
+  reference_zero_weight_check: the pair-by-pair weighted assembly, the
+  Fraction is_derivation and the trace loop over a basis of Der(g)_0.
+Verdicts, counterexamples and bases are compared on the fixture algebras,
 sign-rescaled filiform algebras and their sums, n6, abelian factors, graph
 algebras and Hypothesis draws; Der(g)_0 is compared with the zero-weight
 part of the full Der(g), cut out by linear algebra that does not use the
@@ -15,8 +21,10 @@ weight-block lemma.
 """
 
 import glob
+import math
 import os
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +37,7 @@ from nicebasis.derivations import (
     derivation_space,
     diagonal_derivations,
     is_derivation,
+    ln_closed_form,
     pre_einstein_general_check,
     pre_einstein_nice,
     NotNiceBasis,
@@ -43,8 +52,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # --- the full-space references ----------------------------------------------
 
+Space = namedtuple("Space", "dim basis")  # what the references return
 
-def reference_derivation_space(g: LieAlgebra) -> DerivationSpace:
+
+def reference_derivation_space(g: LieAlgebra) -> Space:
     """Solve D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
 
     Unknowns are the n^2 entries of D (row-major); one sparse equation per
@@ -81,7 +92,7 @@ def reference_derivation_space(g: LieAlgebra) -> DerivationSpace:
                     term(eq, r, m * n + j, -c)
             rows.extend(eq.values())
     kernel = Subspace(n * n, rows).sparse_kernel()
-    return DerivationSpace(
+    return Space(
         n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
     )
 
@@ -123,6 +134,119 @@ def reference_general_check(g: LieAlgebra, n_diag):
     if not reference_is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
         return False, ("not_derivation", Matrix.diagonal(n_diag))
     for d in reference_derivation_space(g).basis:
+        trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
+        for (r, c), x in d.items():
+            if r == c:
+                trace += x
+                trace_nd += n_diag[r] * x
+        if trace_nd != trace:
+            return False, ("trace", d)
+    return True, None
+
+
+# --- the Der(g)_0 references ------------------------------------------------
+
+
+def reference_weighted_derivation_space(g: LieAlgebra, weights=None) -> Space:
+    """Solve D[x,y] = [Dx,y] + [x,Dy] on all basis pairs.
+
+    Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
+    with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
+    numbered densely in row-major order; one sparse equation per (pair,
+    output coordinate).  Only nonzero brackets contribute terms, so assembly
+    costs O(n^2 + n nnz).  The system is homogeneous, so it is assembled from
+    g's int table and eliminated in ints.  The basis is sparse_kernel's
+    canonical one: a vector per free unknown, in row-major order.
+    """
+    n = g.dim
+    ad = g.table
+    weights = [ZERO] * n if weights is None else weights
+    same = {}  # weight -> indices of that weight, increasing
+    for i, w in enumerate(weights):
+        same.setdefault(w, []).append(i)
+    unknowns = [(m, i) for m in range(n) for i in same[weights[m]]]
+    var = {e: v for v, e in enumerate(unknowns)}
+    rows = []
+
+    def term(eq, r, e, c):
+        v = var.get(e)
+        if v is not None:
+            row = eq.setdefault(r, {})
+            row[v] = row.get(v, 0) + c
+
+    for i in range(n):
+        adi = ad[i]
+        for j in range(i + 1, n):
+            adj = ad[j]
+            eq = {}  # output coordinate r -> coefficients on D's entries
+            # D[e_i, e_j]: sum_k c_k D e_k
+            for k, c in adi.get(j, {}).items():
+                for r in same[weights[k]]:
+                    term(eq, r, (r, k), c)
+            # -[D e_i, e_j] = [e_j, D e_i]: sum_m D[m][i] [e_j, e_m]
+            for m, comps in adj.items():
+                for r, c in comps.items():
+                    term(eq, r, (m, i), c)
+            # -[e_i, D e_j]: -sum_m D[m][j] [e_i, e_m]
+            for m, comps in adi.items():
+                for r, c in comps.items():
+                    term(eq, r, (m, j), -c)
+            rows.extend(eq.values())
+    kernel = Subspace(len(unknowns), rows).sparse_kernel()
+    return Space(n, tuple({unknowns[v]: x for v, x in vec.items()} for vec in kernel))
+
+
+def reference_sparse_is_derivation(g: LieAlgebra, d) -> bool:
+    """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
+
+    d is a Matrix or a sparse {(row, col): value} map.  The differences are
+    summed from the nonzero brackets and columns of D only: O(nnz) if diagonal.
+    Both terms are read off g's int table: one common scale, one zero test.
+    """
+    t = g.table
+    cols = {}
+    for (r, c), x in _entries(d).items():
+        cols.setdefault(c, {})[r] = x
+    diff = {}  # (i, j) with i < j -> D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+
+    def add(i, j, vec, f):
+        if i > j:  # the difference of (j, i) is minus that of (i, j)
+            i, j, f = j, i, -f
+        out = diff.setdefault((i, j), {})
+        for k, x in vec.items():
+            out[k] = out.get(k, ZERO) + f * x
+
+    for i, j in g.brackets:
+        for k, c in t[i][j].items():
+            if k in cols:
+                add(i, j, cols[k], c)
+    for i, col in cols.items():
+        for m, x in col.items():
+            for j, comps in t[m].items():  # -D[m][i] [e_m, e_j]
+                if j != i:
+                    add(i, j, comps, -x)
+    return not any(any(out.values()) for out in diff.values())
+
+
+def reference_zero_weight_check(g: LieAlgebra, n_diag):
+    """Certify a claimed diagonal pre-Einstein derivation.
+
+    Returns (True, None) or (False, counterexample) where the counterexample
+    is either ("not_derivation", N) or ("trace", D) with D a derivation
+    violating Tr(ND) = Tr(D).
+
+    The trace test runs on Der(g)_0 = derivation_space(g, w) only.  Lemma:
+    if N = diag(w) is a derivation, every nonzero c_ij^k has w_k = w_i + w_j,
+    so each equation (i, j, r) of Der(g) involves only unknowns D[m][i] (and
+    D[m][j]) of one weight w_m - w_i = w_r - w_i - w_j.  So Der(g) is the
+    direct sum of its weight blocks, and Tr(D), Tr(ND) read only diagonal
+    entries, of weight 0: Tr(ND) = Tr(D) holds on Der(g) iff on Der(g)_0
+    (the ad_N grading of Nikolayevsky, Trans. AMS 363, 2011).
+    """
+    n_diag = [Q(x) for x in n_diag]
+    if not reference_sparse_is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
+        return False, ("not_derivation", Matrix.diagonal(n_diag))
+    for d in reference_weighted_derivation_space(g, n_diag).basis:
         trace = trace_nd = ZERO  # Tr(D) and Tr(N D), N diagonal
         for (r, c), x in d.items():
             if r == c:
@@ -327,3 +451,111 @@ class TestSparseIsDerivation:
                 d[e] = d.get(e, ZERO) + x
             entries = d
         assert is_derivation(g, entries) == reference_is_derivation(g, entries)
+
+
+# --- the row-space trace test and the int code against the Der(g)_0 references
+
+
+def ordered(d):
+    """A sparse map's items in key order, so that equality checks the order too."""
+    return list(d.items())
+
+
+class TestSameAsZeroWeightReference:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_bases_equal_in_value_and_order(self, name):
+        g = ALGEBRAS[name]()
+        for weights in [None] + candidates(g):
+            space = derivation_space(g, weights)
+            ref = reference_weighted_derivation_space(g, weights).basis
+            assert [ordered(d) for d in space.basis] == [ordered(d) for d in ref]
+            assert len(space) == len(ref)
+
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_verdicts_and_counterexamples_equal(self, name):
+        g = ALGEBRAS[name]()
+        for n_diag in candidates(g):
+            got = pre_einstein_general_check(g, n_diag)
+            want = reference_zero_weight_check(g, n_diag)
+            assert got == want
+            if not got[0] and got[1][0] == "trace":
+                assert ordered(got[1][1]) == ordered(want[1][1])
+
+
+class SparseKernelCalled(AssertionError):
+    pass
+
+
+def refuse_sparse_kernel(self):
+    raise SparseKernelCalled("the kernel basis was built")
+
+
+def closed_form_diagonal(n):
+    d1, d2 = ln_closed_form(n)
+    return [d1, d2] + [k * d1 + d2 for k in range(1, n - 1)]
+
+
+GUARDED = {
+    "L28": lambda: (signed_filiform((28,), 28), closed_form_diagonal(28)),
+    "n6": lambda: (fixtures.n6(), [Q(9, 32) * k for k in (1, 2, 3, 3, 4, 5)]),
+}
+
+
+class TestCertificationBuildsNoBasis:
+    """A certification that succeeds decides the trace test by the residue alone."""
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_certifies_with_sparse_kernel_refused(self, name, monkeypatch):
+        g, w = GUARDED[name]()
+        monkeypatch.setattr(Subspace, "sparse_kernel", refuse_sparse_kernel)
+        assert pre_einstein_general_check(g, w) == (True, None)
+        if name == "L28":  # nice: the Gram solve reads int kernel vectors only
+            assert pre_einstein_nice(g).spectrum == tuple(sorted(w))
+        # 2w fails the trace test, and only then is the basis built
+        with pytest.raises(SparseKernelCalled):
+            pre_einstein_general_check(g, [2 * x for x in w])
+
+    @pytest.mark.parametrize("name", sorted(GUARDED))
+    def test_double_has_a_zero_weight_counterexample(self, name):
+        g, w = GUARDED[name]()
+        w2 = [2 * x for x in w]
+        ok, (kind, d) = pre_einstein_general_check(g, w2)
+        assert (ok, kind) == (False, "trace")
+        assert d and all(w2[r] == w2[c] for r, c in d)
+        assert reference_is_derivation(g, d)
+        assert sum((w2[r] - 1) * x for (r, c), x in d.items() if r == c) != 0
+        assert (ok, (kind, d)) == reference_zero_weight_check(g, w2)
+
+
+def as_matrix(d, n):
+    return Matrix([[d.get((r, c), ZERO) for c in range(n)] for r in range(n)])
+
+
+class TestIntIsDerivation:
+    @pytest.mark.parametrize("name", sorted(ALGEBRAS))
+    def test_ints_mixed_denominators_matrices_and_the_empty_map(self, name):
+        g = ALGEBRAS[name]()
+        n = g.dim
+        rng = random.Random(n)
+        assert is_derivation(g, {}) and is_derivation(g, Matrix.zeros(n, n))
+        basis = reference_derivation_space(g).basis[:8]
+        maps = [dict(d) for d in basis]
+        if len(basis) >= 2:  # a derivation with mixed denominators
+            mixed = {}
+            for d, f in zip(basis, (Q(1, 2), Q(-2, 3), Q(5, 7), Q(1, 11))):
+                for e, x in d.items():
+                    mixed[e] = mixed.get(e, ZERO) + f * x
+            maps.append({e: x for e, x in mixed.items() if x})
+        for d in maps:
+            den = math.lcm(*[x.denominator for x in d.values()])
+            ints = {e: x.numerator * (den // x.denominator) for e, x in d.items()}
+            assert all(type(x) is int for x in ints.values())
+            e = (rng.randrange(n), rng.randrange(n))
+            bent = {**d, e: d.get(e, ZERO) + Q(1, rng.choice((2, 3, 5)))}
+            bent_ints = {**ints, e: ints.get(e, 0) + 1}
+            for m in (d, ints, bent, bent_ints):
+                want = reference_sparse_is_derivation(g, m)
+                assert want == reference_is_derivation(g, m)
+                assert is_derivation(g, m) == want
+                assert is_derivation(g, as_matrix(m, n)) == want
+            assert is_derivation(g, d) and is_derivation(g, ints)

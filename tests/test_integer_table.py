@@ -607,6 +607,26 @@ CENTRAL = {
 }
 
 
+def reference_lower_central_series(g):
+    """lower_central_series as it bracketed the Fraction rows of each term."""
+    series = [Subspace(g.dim, ({i: ONE} for i in range(g.dim)))]
+    while True:
+        prev = series[-1]
+        nxt = Subspace(g.dim)
+        for v in prev.rows.values():
+            for i in range(g.dim):
+                nxt.add(g.bracket_int(i, v))
+        series.append(nxt)
+        if nxt.dim == prev.dim:
+            return series[:-1]
+        if nxt.dim == 0:
+            return series
+
+
+def reference_is_ideal(g, s):
+    return all(s.contains(g.bracket_int(i, v)) for v in s.rows.values() for i in range(g.dim))
+
+
 class TestCentralSeriesMatchesFractionReference:
     @pytest.mark.parametrize("name", sorted(CENTRAL))
     def test_upper_central_series(self, name):
@@ -618,6 +638,24 @@ class TestCentralSeriesMatchesFractionReference:
         assert got == want
         assert [s.rows for s in got] == [s.rows for s in want]
         assert g.center() == reference_preimage_of_center(g, Subspace(g.dim))
+
+    @pytest.mark.parametrize("name", sorted(CENTRAL))
+    def test_lower_central_series_and_ideal_test(self, name):
+        g = CENTRAL[name]()
+        got, want = g.lower_central_series(), reference_lower_central_series(g)
+        assert got == want
+        assert [s.rows for s in got] == [s.rows for s in want]
+        # every term is an ideal; a line through one basis vector mostly is not
+        lines = [Subspace(g.dim, [{i: ONE}]) for i in range(g.dim)]
+        for s in got + g.upper_central_series() + lines:
+            assert g._is_ideal(s) == reference_is_ideal(g, s)
+        assert all(g._is_ideal(s) for s in got)
+
+    def test_lower_central_series_of_a_large_filiform_algebra(self):
+        g = scaled(fixtures.standard_filiform(40), Q(2, 3))
+        got = g.lower_central_series()
+        assert got == reference_lower_central_series(g)
+        assert [s.dim for s in got] == [40] + list(range(38, -1, -1))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)

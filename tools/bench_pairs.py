@@ -15,11 +15,13 @@ checkout (None outside git), since run.py's `commit` is the checkout's HEAD.
 The workload's entry in `BENCH_<label>.json` at the root of this
 repository (label defaults to the workload; the file is created when
 missing) is replaced by the new one: per side the environment, the seeds,
-every run's metrics, their medians and quartiles (inclusive method) and
-the failure counts; the pairs won per metric (lower is better, higher for
-success_ratio); the verdict per end-to-end metric of the change's
-BENCHMARK.json (see `verdicts`); and, with `--trace-runs N`, the medians
-of N traced runs per side on seed 5, alternating sides.  An entry it
+every run's metrics, the host's 1-minute load average read just before each
+run (`load_1m`, so that a run disturbed by another process shows), the
+metrics' medians and quartiles (inclusive method) and the failure counts;
+the pairs won per metric (lower is better, higher for success_ratio); the
+verdict per end-to-end metric of the change's BENCHMARK.json (see
+`verdicts`); and, with `--trace-runs N`, the medians of N traced runs per
+side on seed 5, alternating sides.  An entry it
 replaces moves, its medians, pairs won and verdicts only, to the front of
 `earlier_sets`.  Entries of other workloads are kept.  A file in the older
 hand-written schema (one workload, with top-level `parent`/`change` keys)
@@ -94,6 +96,7 @@ def side_record(env, seeds, results):
             "quartiles": {m: s[1] for m, s in stats.items()},
             "failed": [r["failed"] for r in results],
             "runs": runs,
+            "load_1m": [r.get("load_1m") for r in results],
         },
     }
 
@@ -148,13 +151,15 @@ def measure(args, seconds):
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for name in order:
+            load = os.getloadavg()[0]
             env, result = run(sides[name], args.workload, seed, seconds, 0)
+            result["load_1m"] = load
             if name not in envs:
                 envs[name] = {**env, "dirty": dirty(sides[name])}
             results[name].append(result)
             wall = result["metrics"]["wall_s"]["value"]
             print(f"{args.workload} seed {seed} {name}: wall_s {wall:.4f}"
-                  f" failed {result['failed']}", file=sys.stderr)
+                  f" load_1m {load:.2f} failed {result['failed']}", file=sys.stderr)
     entry = {"workload": args.workload, "pairs": args.pairs}
     for name in sides:
         entry[name] = side_record(envs[name], seeds, results[name])
