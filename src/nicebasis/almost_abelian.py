@@ -29,14 +29,12 @@ from .linalg import (
     apply_columns,
     char_poly,
     count_real_roots,
-    dense,
     int_gcd,
     kernel_chain,
     minimal_polynomial,
     primitive,
     rational_roots,
     similar,
-    sparse_columns,
 )
 from .nice import check_nice
 
@@ -60,11 +58,8 @@ def build(a: Matrix) -> AlmostAbelian:
     if not a.is_square():
         raise ValueError("matrix must be square")
     n = a.rows
-    table = {}
-    for i in range(n):
-        col = {k + 1: a.data[k][i] for k in range(n) if a.data[k][i] != 0}
-        if col:
-            table[(0, i + 1)] = col
+    table = {(0, i + 1): {k + 1: x for k, x in col.items()}
+             for i, col in enumerate(a.columns) if col}
     names = ["f"] + [f"X{i+1}" for i in range(n)]
     return AlmostAbelian(a, LieAlgebra(n + 1, table, names=names))
 
@@ -302,7 +297,7 @@ def _witness_basis(a: Matrix, fact):
     ker(A^d - r).  The assembled basis is verified nice before returning.
     """
     n = a.rows
-    cols = sparse_columns(a)
+    cols = a.columns
     chains = _nilpotent_chains(a, cols)
     span = Subspace(n)
     for ch in chains:
@@ -319,10 +314,8 @@ def _witness_basis(a: Matrix, fact):
                     raise RuntimeError("dependent cyclic chain vectors")
     if span.dim != n:
         raise RuntimeError("witness chains do not span")
-    basis = [tuple([ONE] + [ZERO] * n)]
-    for ch in chains:
-        basis.extend((ZERO,) + dense(v, n) for v in ch)
-    witness = Matrix.from_columns(basis)
+    basis = [{0: ONE}] + [{k + 1: x for k, x in v.items()} for ch in chains for v in ch]
+    witness = Matrix.from_columns(basis, n + 1)
     compiled = build(a).compiled
     if not check_nice(compiled.change_basis(witness)):
         raise RuntimeError("constructed witness basis is not nice")
@@ -411,12 +404,8 @@ def indecomposable_family(n: int) -> AlmostAbelian:
         raise ValueError("need n >= 2")
     if n > 8:
         raise ValueError("family capped at n = 8 (matrix size 128)")
-    size = 2 ** (n - 1)
-    m = [[ZERO] * size for _ in range(size)]
-    for i in range(1, size):
-        m[i][i - 1] = ONE
-    m[0][size - 1] = ONE
-    return build(Matrix(m))
+    size = 2 ** (n - 1)  # e_j -> e_(j+1), the last back to e_1
+    return build(Matrix.from_columns([{(j + 1) % size: ONE} for j in range(size)], size))
 
 
 def iso_test_almost_abelian(a: Matrix, b: Matrix):

@@ -235,7 +235,7 @@ def _match_2x2(a: Matrix):
 
 
 def _is_scalar(a: Matrix):
-    return a.data[0][1] == 0 and a.data[1][0] == 0 and a.data[0][0] == a.data[1][1]
+    return a[0, 1] == 0 and a[1, 0] == 0 and a[0, 0] == a[1, 1]
 
 
 def _rational_sqrt(q):

@@ -115,7 +115,7 @@ def diagonal_derivations(g: LieAlgebra):
 def _entries(d):
     """A Matrix or a sparse {(row, col): value} map as the sparse map."""
     if isinstance(d, Matrix):
-        return {(r, c): x for r, row in enumerate(d.data) for c, x in enumerate(row) if x}
+        return {(r, c): x for c, col in enumerate(d.columns) for r, x in col.items()}
     return d
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .scalars import ONE, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra
-from .linalg import Matrix, _divisors, dense
+from .linalg import Matrix, _divisors
 from .nice import check_nice
 
 
@@ -270,7 +270,7 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
         for a, b in edges:
             cols.append(br(verts[a], pair_bracket[(a, b)]))
             cols.append(br(verts[b], pair_bracket[(a, b)]))
-        basis = Matrix.from_columns([dense(col, n) for col in cols])
+        basis = Matrix.from_columns(cols, n)
         conj = alg.change_basis(basis)
     else:  # class at most 2, edgeless, or a matching at class 4: as defined
         basis, conj = Matrix.identity(n), alg

@@ -85,9 +85,8 @@ class LieAlgebra:
     def ad(self, x):
         """Matrix of ad_x: y -> [x, y] in the given basis."""
         xs = sparse(x)
-        return Matrix.from_columns(
-            [dense(self.bracket_sparse(xs, {j: ONE}), self.dim) for j in range(self.dim)]
-        )
+        columns = [self.bracket_sparse(xs, {j: ONE}) for j in range(self.dim)]
+        return Matrix.from_columns(columns, self.dim)
 
     def jacobi_failures(self, limit=None):
         """Basis triples violating the Jacobi identity.
@@ -260,14 +259,13 @@ class LieAlgebra:
         n = self.dim
         if (p.rows, p.cols) != (n, n):  # first: rows past n would land on the tag columns
             raise ValueError("change of basis needs an invertible n x n matrix")
-        occ = [[(j, x) for j, x in enumerate(row) if x] for row in p.data]  # p's one scan
-        D = math.lcm(*[x.denominator for row in occ for _, x in row])
-        occ = [[(j, x.numerator * (D // x.denominator)) for j, x in row] for row in occ]
-        cols = [{n + j: 1} for j in range(n)]
-        for a, row in enumerate(occ):
-            for j, x in row:
-                cols[j][a] = x
-        tagged = Subspace(2 * n, cols)
+        D = math.lcm(*[x.denominator for col in p.columns for x in col.values()])
+        cols = [{a: x.numerator * (D // x.denominator) for a, x in c.items()} for c in p.columns]
+        occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
+        for j, col in enumerate(cols):
+            for a, x in col.items():
+                occ[a].append((j, x))
+        tagged = Subspace(2 * n, ({**col, n + j: 1} for j, col in enumerate(cols)))
         if tagged.pivots != list(range(n)):
             raise ValueError("change of basis needs an invertible n x n matrix")
         images = {}

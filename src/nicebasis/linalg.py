@@ -1,9 +1,10 @@
 """Rational matrices, the sparse echelon core, and rational polynomials.
 
-Matrices are immutable row-major tuples of exact rationals.  Every
-elimination over Q goes through Subspace, which keeps sparse integer rows in
-fully reduced form; that form is canonical, so identical input always yields
-identical output, which keeps golden-file tests stable.  The characteristic
+A Matrix is immutable and kept as its sparse columns of exact rationals,
+which products and Krylov steps read directly.  Every elimination over Q
+goes through Subspace, which keeps sparse integer rows in fully reduced
+form; that form is canonical, so identical input always yields identical
+output, which keeps golden-file tests stable.  The characteristic
 and minimal polynomials are read off tagged Krylov vectors in a Subspace.
 Polynomials are stored dense, lowest degree first; their roots are found on
 integer coefficient lists (primitive pseudo-remainders, integer Sturm chains).
@@ -20,83 +21,97 @@ from .scalars import Q, ZERO, ONE, factor_int, fmt
 
 
 class Matrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable matrix over the rationals, kept as its sparse columns.
 
-    __slots__ = ("rows", "cols", "data")
+    columns[j] is column j as a dict {row: Fraction} without zeros, the
+    operand of apply_columns; rows and cols keep the shape, n x 0 and 0 x n
+    included.  data, the dense rows, is a read-only view built on first read.
+    """
+
+    __slots__ = ("rows", "cols", "columns", "_data")
 
     def __init__(self, entries):
-        data = tuple(
-            tuple([x if isinstance(x, Q) else Q(x) for x in row]) for row in entries
-        )
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
+        rows = [list(row) for row in entries]
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged matrix")
+        self.rows, self.cols, self._data = len(rows), cols, None
+        self.columns = tuple(_column(enumerate(col)) for col in zip(*rows))
+
+    @staticmethod
+    def _of(rows, columns):
+        """The matrix with these zero-free Fraction columns, taken as they are."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.columns, m._data = rows, len(columns), tuple(columns), None
+        return m
 
     @staticmethod
     def zeros(rows, cols):
-        return Matrix([[ZERO] * cols for _ in range(rows)])
+        return Matrix._of(rows, [{} for _ in range(cols)])
 
     @staticmethod
     def identity(n):
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of(n, [{i: ONE} for i in range(n)])
 
     @staticmethod
     def diagonal(values):
-        vals = [Q(v) for v in values]
-        n = len(vals)
-        return Matrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._of(len(values), [_column([(i, v)]) for i, v in enumerate(values)])
 
     @staticmethod
-    def from_columns(columns):
-        cols = [list(c) for c in columns]
-        n = len(cols[0])
-        return Matrix([[cols[j][i] for j in range(len(cols))] for i in range(n)])
+    def from_columns(columns, rows=None):
+        """The matrix with these columns: dense sequences, which fix the number
+        of rows, or sparse {row: value} dicts of a matrix with the given rows."""
+        out = []
+        for c in columns:
+            if not isinstance(c, dict):
+                rows = len(c) if rows is None else rows
+                if len(c) != rows:
+                    raise ValueError("ragged matrix")
+                c = dict(enumerate(c))
+            out.append(_column(c.items()))
+        rows = rows or 0
+        if any(not 0 <= i < rows for c in out for i in c):
+            raise ValueError("row index out of range")
+        return Matrix._of(rows, out)
+
+    @property
+    def data(self):
+        if self._data is None:
+            cols = self.columns
+            self._data = tuple(tuple(c.get(i, ZERO) for c in cols) for i in range(self.rows))
+        return self._data
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.columns[j].get(range(self.rows)[i], ZERO)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.data == other.data
+        return (isinstance(other, Matrix) and self.rows == other.rows
+                and self.columns == other.columns)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.rows, tuple(frozenset(c.items()) for c in self.columns)))
 
     def __repr__(self):
-        return "Matrix([%s])" % ", ".join(
-            "[%s]" % ", ".join(fmt(x) for x in row) for row in self.data
-        )
+        return "Matrix([%s])" % ", ".join("[%s]" % ", ".join(map(fmt, r)) for r in self.data)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        return Matrix._of(self.rows, [apply_columns(ab, {0: ONE, 1: ONE})
+                                      for ab in zip(self.columns, other.columns)])
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            bt = list(zip(*other.data))
-            return Matrix(
-                [[_dot(row, col) for col in bt] for row in self.data]
-            )
-        return Matrix([[a * Q(other) for a in row] for row in self.data])
+            return Matrix._of(self.rows, [apply_columns(self.columns, c) for c in other.columns])
+        f = Q(other)
+        return Matrix._of(self.rows, [{i: x * f for i, x in c.items()} if f else {}
+                                      for c in self.columns])
 
     __rmul__ = __mul__
 
@@ -108,8 +123,7 @@ class Matrix:
             raise ValueError("power of non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        result = Matrix.identity(self.rows)
-        base = self
+        result, base = Matrix.identity(self.rows), self
         while k:
             if k & 1:
                 result = result * base
@@ -117,21 +131,21 @@ class Matrix:
             k >>= 1
         return result
 
-    def _same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def transpose(self):
-        return Matrix(list(zip(*self.data))) if self.data else self
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return Matrix._of(self.cols, out)
 
     def column(self, j):
-        return tuple(row[j] for row in self.data)
+        return dense(self.columns[j], self.rows)
 
     def row(self, i):
         return self.data[i]
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(self.columns)
 
     def is_square(self):
         return self.rows == self.cols
@@ -141,7 +155,7 @@ class Matrix:
         v = [Q(x) for x in vector]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(row, v) for row in self.data)
+        return dense(apply_columns(self.columns, sparse(v)), self.rows)
 
     def det(self):
         if not self.is_square():
@@ -151,19 +165,17 @@ class Matrix:
     def inverse(self):
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = Subspace(2 * n, ({**sparse(row), n + i: ONE} for i, row in enumerate(self.data)))
+        n, rows = self.rows, self.transpose().columns
+        aug = Subspace(2 * n, ({**row, n + i: ONE} for i, row in enumerate(rows)))
         if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Matrix([[aug.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
+        rows = [{j - n: x for j, x in aug.rows[i].items() if j >= n} for i in range(n)]
+        return Matrix._of(n, rows).transpose()
 
 
-def _dot(a, b):
-    s = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            s += x * y
-    return s
+def _column(entries):
+    """A sparse column from (row, value) pairs: values as Q, zeros dropped."""
+    return {i: q for i, x in entries if (q := x if isinstance(x, Q) else Q(x))}
 
 
 def sparse(vector):
@@ -176,17 +188,9 @@ def dense(vec, n):
     return tuple(vec.get(i, ZERO) for i in range(n))
 
 
-def sparse_columns(m: Matrix):
-    """m's columns as sparse dicts, the operand of apply_columns."""
-    return [sparse(c) for c in zip(*m.data)]  # a Matrix with no rows has no columns
-
-
 def apply_columns(cols, vec):
-    """m vec as a sparse dict with no zeros, for cols = sparse_columns(m), sparse vec.
-
-    Costs one multiply per nonzero of the columns vec selects, where
-    Matrix.apply costs rows x cols; a zero entry of vec is skipped.
-    """
+    """m vec as a sparse dict with no zeros, for cols = m.columns and a sparse vec:
+    one multiply per nonzero of the columns vec selects; zeros of vec are skipped."""
     out = {}
     for j, x in vec.items():
         if x:
@@ -423,19 +427,16 @@ class Subspace:
 
 def nullspace(m: Matrix):
     """Canonical kernel basis of m (column vectors as tuples)."""
-    return Subspace(m.cols, m.data).kernel()
+    return Subspace(m.cols, m.transpose().columns).kernel()
 
 
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
     n = m.cols
-    aug = Subspace(n + 1, ({**sparse(row), n: Q(b)} for row, b in zip(m.data, rhs)))
+    aug = Subspace(n + 1, ({**row, n: Q(b)} for row, b in zip(m.transpose().columns, rhs)))
     if n in aug.rows:
         return None
-    x = [ZERO] * n
-    for p, row in aug.rows.items():
-        x[p] = row.get(n, ZERO)
-    return tuple(x)
+    return dense({p: row.get(n, ZERO) for p, row in aug.rows.items()}, n)
 
 
 def kernel_of(images) -> Subspace:
@@ -461,7 +462,7 @@ def kernel_chain(m: Matrix):
     """
     if not m.is_square():
         raise ValueError("kernel chain of non-square matrix")
-    cols = sparse_columns(m)
+    cols = m.columns
     chain = [Subspace(m.rows)]
     while True:
         nxt = kernel_of([chain[-1].reduce(c) for c in cols])
@@ -482,7 +483,7 @@ def char_poly(m: Matrix) -> "Poly":
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    cols = sparse_columns(m)
+    cols = m.columns
     space = Subspace(2 * n + 1)
     # one block per unit vector, while the blocks so far do not span Q^n
     blocks = [_krylov(cols, {i: ONE}, space, n + space.dim) for i in range(n) if space.dim < n]
@@ -564,9 +565,7 @@ class Poly:
         return Poly([(a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO) for i in range(n)])
 
     def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else ZERO) - (b[i] if i < len(b) else ZERO) for i in range(n)])
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -743,7 +742,7 @@ def minimal_polynomial(m: Matrix) -> Poly:
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
     n = m.rows
-    cols = sparse_columns(m)
+    cols = m.columns
     result = Poly([ONE])
     for i in range(n):
         v = {}
@@ -784,11 +783,11 @@ def _intertwiners(a: Matrix, b: Matrix) -> int:
     """dim {X : a X = X b}: n^2 less the rank of X -> a X - X b, whose value
     at the matrix unit E_kl is column k of a put in column l, less row l of b
     put in row k (X flattened row by row)."""
-    n = a.rows
+    n, b_rows = a.rows, b.transpose().columns
     images = Subspace(n * n)
     for k, l in itertools.product(range(n), repeat=2):
-        v = {i * n + l: x for i, x in enumerate(a.column(k)) if x}
-        for j, x in enumerate(b.row(l)):
+        v = {i * n + l: x for i, x in a.columns[k].items()}
+        for j, x in b_rows[l].items():
             v[k * n + j] = v.get(k * n + j, ZERO) - x
         images.add(v)
     return n * n - images.dim

@@ -309,8 +309,7 @@ def check_structure_facts():
         k = base.rows
         for m in range(1, 4):
             # A + 0_m acts on R^(k+m): the algebra of A plus an abelian factor
-            padded = Matrix([list(row) + [0] * m for row in base.data]
-                            + [[0] * (k + m)] * m)
+            padded = Matrix.from_columns(base.columns + ({},) * m, k + m)
             if count_nice(padded) != nu:
                 return ("structure-facts", False,
                         "abelian extension changed the count")

@@ -262,3 +262,37 @@ class TestLoadAverage:
     def test_results_without_a_load_record_none(self):
         record = bench_pairs.side_record({}, [1], [result(wall_s=1.0)])
         assert record["trace0"]["load_1m"] == [None]
+
+
+class TestSrcLinesByModule:
+    @staticmethod
+    def checkout(root, modules):
+        package = root / "src" / "nicebasis"
+        package.mkdir(parents=True)
+        for name, text in modules.items():
+            (package / name).write_text(text)
+        return str(root)
+
+    def test_counts_each_module(self, tmp_path):
+        root = self.checkout(tmp_path, {"linalg.py": "a\nb\nc\n", "lie.py": "x = 1\n",
+                                        "__init__.py": "", "notes.txt": "n\n"})
+        assert bench_pairs.src_lines_by_module(root) == {"__init__": 0, "lie": 1, "linalg": 3}
+
+    def test_last_line_without_newline_counts(self, tmp_path):
+        root = self.checkout(tmp_path, {"cli.py": "a\nb"})
+        assert bench_pairs.src_lines_by_module(root) == {"cli": 2}
+
+    def test_no_package(self, tmp_path):
+        assert bench_pairs.src_lines_by_module(str(tmp_path)) == {}
+
+    def test_each_side_records_its_own_modules(self, tmp_path, monkeypatch):
+        parent = self.checkout(tmp_path / "parent", {"linalg.py": "a\nb\n"})
+        change = self.checkout(tmp_path / "change", {"linalg.py": "a\n", "lie.py": "b\n"})
+        monkeypatch.setattr(bench_pairs, "run", lambda checkout, workload, seed, seconds, trace:
+                            ({"commit": checkout}, result(wall_s=1.0)))
+        monkeypatch.setattr(bench_pairs, "dirty", lambda checkout: False)
+        args = argparse.Namespace(parent=parent, change=change, workload="aa-family",
+                                  pairs=2, seed=7, trace_runs=0)
+        entry = bench_pairs.measure(args, 1)
+        assert entry["parent"]["src_lines_by_module"] == {"linalg": 2}
+        assert entry["change"]["src_lines_by_module"] == {"lie": 1, "linalg": 1}

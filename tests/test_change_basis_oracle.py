@@ -26,7 +26,7 @@ from nicebasis import (
 )
 from nicebasis.almost_abelian import _witness_basis, analyze, build
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
-from nicebasis.linalg import Matrix, Subspace, sparse_columns
+from nicebasis.linalg import Matrix, Subspace
 from nicebasis.scalars import Q, ONE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -37,7 +37,7 @@ def reference_change_basis(self, p: Matrix):
     """Structure constants in the basis of p's columns.  Column j is tagged with
     coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j)."""
     n = self.dim
-    cols = sparse_columns(p)
+    cols = p.columns
     tagged = Subspace(2 * n, ({**c, n + j: ONE} for j, c in enumerate(cols)))
     if (p.rows, p.cols) != (n, n) or tagged.pivots != list(range(n)):
         raise ValueError("change of basis needs an invertible n x n matrix")

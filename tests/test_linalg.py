@@ -17,9 +17,9 @@ from nicebasis.linalg import (
     count_real_roots,
     minimal_polynomial,
     solve_integer_system,
-    sparse_columns,
     apply_columns,
 )
+from nicebasis.lie import abelian
 from nicebasis.scalars import Q, ZERO, ONE, rat
 
 
@@ -72,9 +72,9 @@ class TestMatrix:
         Matrix([[1, 0, 2], [0, 0, 3]]), Matrix([[0, 0]]), Matrix.identity(3), Matrix([]),
     ], ids=["2x3", "zero-row", "identity", "empty"])
     def test_sparse_columns_are_the_columns(self, m):
-        cols = sparse_columns(m)
+        cols = m.columns
         assert len(cols) == m.cols
-        assert cols == [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.cols)]
+        assert list(cols) == [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.cols)]
 
     @pytest.mark.parametrize("m, vec, want", [
         (Matrix.identity(2), {0: ZERO}, {}),
@@ -82,7 +82,7 @@ class TestMatrix:
         (Matrix([[1, 0], [3, 1]]), {1: ZERO, 0: Q(2)}, {0: Q(2), 1: Q(6)}),
     ], ids=["zero", "one-and-zero", "zero-first"])
     def test_apply_columns_skips_zero_coefficients(self, m, vec, want):
-        got = apply_columns(sparse_columns(m), vec)
+        got = apply_columns(m.columns, vec)
         assert got == want
         assert all(got.values())
 
@@ -90,6 +90,31 @@ class TestMatrix:
     def test_det_vs_sympy(self, entries):
         m = square(2, entries)
         assert sympy.Rational(str(m.det())) == to_sympy(m).det()
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Matrix.zeros(0, 2), (0, 2)),
+        (lambda: Matrix.zeros(2, 0).transpose(), (0, 2)),
+        (lambda: Matrix.zeros(2, 0) * Matrix.zeros(0, 3), (2, 3)),
+        (lambda: Matrix.from_columns([]), (0, 0)),
+        (lambda: abelian(0).ad(()), (0, 0)),
+    ], ids=["zeros-0x2", "transpose-2x0", "product-through-0", "no-columns", "ad-in-dim-0"])
+    def test_shape_at_empty_dimensions(self, make, shape):
+        m = make()
+        assert (m.rows, m.cols) == shape
+        assert m == Matrix.zeros(*shape)
+
+    def test_equality_sees_the_columns_of_an_empty_matrix(self):
+        assert Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
+
+    @pytest.mark.parametrize("columns, rows, message", [
+        ([(1, 2), (3,)], None, "ragged matrix"),
+        ([(1,), (2,)], 2, "ragged matrix"),
+        ([{2: 1}], 2, "row index out of range"),
+        ([{0: 1}], None, "row index out of range"),
+    ], ids=["dense", "dense-against-rows", "sparse-past-the-rows", "sparse-without-rows"])
+    def test_from_columns_refuses_ragged_columns(self, columns, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Matrix.from_columns(columns, rows)
 
 
 class TestRref:

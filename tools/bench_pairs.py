@@ -10,7 +10,9 @@ pairs and the change first in odd ones, so drift of the host falls on both
 sides alike.  Of each run the tool keeps the last line of standard output
 (the JSON result) and the `env {...}` line; each side's env gains `dirty`,
 whether git lists uncommitted changes under `src` or `perfbench` in that
-checkout (None outside git), since run.py's `commit` is the checkout's HEAD.
+checkout (None outside git), since run.py's `commit` is the checkout's HEAD,
+and each side gains `src_lines_by_module`, the line count of each module of
+that checkout's `src/nicebasis`, so a module that grew shows per side.
 
 The workload's entry in `BENCH_<label>.json` at the root of this
 repository (label defaults to the workload; the file is created when
@@ -32,6 +34,7 @@ are dropped.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -70,6 +73,15 @@ def dirty(checkout):
     except OSError:
         return None
     return bool(out.stdout) if out.returncode == 0 else None
+
+
+def src_lines_by_module(checkout):
+    """{module: lines} over the checkout's src/nicebasis/*.py ({} if there are none)."""
+    out = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "nicebasis", "*.py"))):
+        with open(path) as fh:
+            out[os.path.basename(path)[:-3]] = sum(1 for _ in fh)
+    return out
 
 
 def summary(values):
@@ -163,6 +175,7 @@ def measure(args, seconds):
     entry = {"workload": args.workload, "pairs": args.pairs}
     for name in sides:
         entry[name] = side_record(envs[name], seeds, results[name])
+        entry[name]["src_lines_by_module"] = src_lines_by_module(sides[name])
     entry["pairs_won"] = won(results["parent"], results["change"])
     if args.trace_runs:
         traced = {name: [] for name in sides}
