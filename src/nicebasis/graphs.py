@@ -1,24 +1,43 @@
 """Free nilpotent Lie algebras on Lyndon-word bases and graph quotients.
 
-The free class-c nilpotent algebra on d generators has a basis indexed by
+The free class-c nilpotent algebra F on d generators has a basis indexed by
 Lyndon words of length at most c; structure constants come from expanding
 bracketed words in the free associative algebra, with int coefficients, and
 decomposing back: the expansion of a Lyndon bracketing is the word itself,
 coefficient 1, plus greater words of its length, so greedy extraction of the
-smallest word terminates and reads off every coordinate.  The algebra of a
-graph is the quotient by the ideal generated by the brackets of non-adjacent
-vertices; the last quotient built is kept for the next request on an equal
-graph.
+smallest word terminates and reads off every coordinate.
+
+The algebra of a graph G on the vertices 0..d-1 is F/I, I the ideal
+generated by the brackets [v_a, v_b] of non-adjacent vertices.  F and I are
+graded by multidegree, the multiset alpha of letters of a word, and I is
+spanned by the iterated brackets [v_x, [v_y, .., [v_a, v_b]]] of generators
+with a non-edge bracket, since ad_[x,y] = [ad_x, ad_y].  Lemma (after
+Duchamp and Krob, Adv. Math. 95, 1992): if alpha has the vertex set S,
+- G[S] disconnected: I_alpha = F_alpha.  Split S into A and B with no edge
+  between them.  In F/I each v_a (a in A) commutes with each v_b (b in B),
+  so the centralizer of the v_b, a subalgebra, holds the subalgebra L_A
+  generated by the v_a, and then the centralizer of L_A holds L_B.  So
+  L_A + L_B is the subalgebra generated by the v_s (s in S), and it holds
+  the image of F_alpha.  But it lives in multidegrees with letters in A
+  only or in B only, and alpha has both.
+- S a clique: I_alpha = 0.  Each spanning bracket of I has the letters a
+  and b of a non-edge, so its vertex set is no clique.
+- otherwise: I_alpha is the sum over a of [v_a, I_(alpha - e_a)], e_a the
+  multidegree of v_a, for the same spanning set; S then has at least three
+  vertices, so |alpha| >= 3 and no relator lies in degree alpha.
+graph_algebra builds the quotient by this lemma; the last quotient built is
+kept for the next request on an equal graph.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ONE, factor_int, parse_int
+from .scalars import ONE, ZERO, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra
-from .linalg import Matrix, _divisors
+from .linalg import Matrix, Subspace, _divisors
 from .nice import check_nice
 
 
@@ -177,17 +196,56 @@ def _mobius(n):
 
 
 # the last quotient built: construct_nice_basis(g) right after graph_algebra(g)
-# reuses it instead of closing the same ideal again
+# reuses it instead of building the same quotient again
 _quotient_memo = {}
+
+# what the graph decides about the ideal on the words with letter set S
+_CLIQUE, _APART, _OPEN = range(3)
+
+
+@functools.cache
+def _supports(words):
+    """The vertex bitmask of the letters of each word."""
+    return tuple(sum(1 << a for a in set(w)) for w in words)
+
+
+def _block_kind(s, nbr):
+    """_CLIQUE, _APART (a disconnected induced subgraph) or _OPEN for the
+    vertex bitmask s; nbr[a] is the bitmask of a's neighbours."""
+    verts = [a for a in range(s.bit_length()) if s >> a & 1]
+    if all(s & ~nbr[a] == 1 << a for a in verts):
+        return _CLIQUE
+    seen, grown = 0, s & -s
+    while grown != seen:
+        seen = grown
+        for a in verts:
+            if seen >> a & 1:
+                grown |= nbr[a] & s
+    return _OPEN if seen == s else _APART
 
 
 def graph_algebra(g: GraphSpec):
     """(LieAlgebra, kept Lyndon words, projection) of the graph quotient.
 
-    projection maps a coordinate vector of the free algebra to quotient
+    projection maps a coordinate vector of the free algebra F to quotient
     coordinates.  Edgeless graphs short-circuit to the abelian algebra (the
     ideal is everything past degree 1) so high classes stay cheap.  The
     result is shared with the next call on an equal spec: read-only.
+
+    The Lyndon words are grouped by their vertex set S, disjoint sets of
+    coordinates, and the module's lemma decides each group (block):
+    - G[S] disconnected: the whole block lies in I;
+    - S a clique: I meets the block in 0;
+    - otherwise the block is undecided: I_alpha = sum [v_a, I_(alpha-e_a)].
+    So the reduced echelon of I is the sum of the per-block echelons: the
+    unit rows of the disconnected blocks and the rows of one Subspace that
+    holds only the undecided blocks, filled degree by degree from the
+    previous degree's ideal vectors (unit vectors of disconnected blocks,
+    vectors added for undecided ones) bracketed with each v_a.  Kept are the
+    clique blocks and the non-pivots of the undecided ones.  A kept pair
+    whose joint vertex set is disconnected brackets to 0; any other is
+    reduced by the Subspace, which leaves a clique pair's bracket unchanged.
+    Only the vertex sets of words are classified, never all 2^d subsets.
     """
     d, c = g.vertex_count, g.c
     if not g.edges or c == 1:
@@ -201,17 +259,32 @@ def graph_algebra(g: GraphSpec):
     if g in _quotient_memo:
         return _quotient_memo[g]
     free, basis = free_nilpotent(d, c)
-    non_edges = [
-        (a, b)
-        for a in range(d)
-        for b in range(a + 1, d)
-        if not g.has_edge(a, b)
-    ]
-    # closed in ints under the ad of the d generators: its generators are the
-    # int table's rows, which span the same lines as the brackets they scale
-    iad = free.table
-    ideal = free.ideal_closure([iad[a][b] for a, b in non_edges if b in iad[a]], range(d))
-    keep, table, project = free._quotient_table(ideal)
+    nbr = [sum(1 << b for b in range(d) if g.has_edge(a, b)) for a in range(d)]
+    support = _supports(basis.words)
+    kind = {s: _block_kind(s, nbr) for s in set(support)}
+    ideal = Subspace(free.dim)
+    added = []  # (support, int vector) added to ideal in the previous degree
+    for k in range(3, c + 1):
+        gens, added = [(s, {i: 1}) for i, s in enumerate(support) if kind[s] == _APART
+                       and len(basis.words[i]) == k - 1] + added, []
+        for s, v in gens:
+            for a in range(d):
+                t = s | 1 << a
+                if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal.add(w):
+                    added.append((t, w))
+    pivots = set(ideal.pivots)
+    keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in pivots]
+    pos = {orig: t for t, orig in enumerate(keep)}
+
+    def project(vector):
+        res = ideal.reduce(vector)
+        return tuple(res.get(i, ZERO) for i in keep)
+
+    table = {}
+    for (i, j), comps in free.brackets.items():  # in key order, as free_nilpotent builds them
+        if (i in pos and j in pos and kind[support[i] | support[j]] != _APART
+                and (res := ideal.reduce(comps))):
+            table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
     words = tuple(basis.words[i] for i in keep)
     names = [free.names[i] for i in keep]
     _quotient_memo.clear()

@@ -179,23 +179,17 @@ class LieAlgebra:
             for i in range(self.dim)
         ])
 
-    def ideal_closure(self, vectors, generators=None):
-        """Smallest ideal containing the given vectors.
-
-        generators, indices of basis vectors that generate the algebra, may
-        stand in for the whole basis: ad_[x,y] = [ad_x, ad_y], so a subspace
-        stable under each generator's ad is stable under every ad.
-        """
+    def ideal_closure(self, vectors):
+        """Smallest ideal containing the given vectors."""
         s = Subspace(self.dim)
         queue = []
         for v in vectors:
             v = v if isinstance(v, dict) else sparse(v)
             if s.add(v):
                 queue.append(v)
-        gens = range(self.dim) if generators is None else generators
         while queue:
             v = queue.pop()
-            for i in gens:
+            for i in range(self.dim):
                 w = self.bracket_int(i, v)
                 if w and s.add(w):
                     queue.append(w)
@@ -206,20 +200,12 @@ class LieAlgebra:
 
         Returns (algebra, project) where project maps an ambient vector to
         its coordinates in the quotient basis (images of the standard basis
-        vectors whose index is not an echelon pivot of the ideal).
+        vectors whose index is not an echelon pivot of the ideal).  Only
+        nonzero brackets of two kept vectors survive, in key order, each
+        reduced modulo the ideal with its components in residue order.
         """
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
-        keep, table, project = self._quotient_table(ideal)
-        return LieAlgebra(len(keep), table, names=[self.names[i] for i in keep]), project
-
-    def _quotient_table(self, ideal: Subspace):
-        """(kept indices, bracket table, project) of the quotient by an ideal.
-
-        The kept indices are the non-pivots of the ideal.  Only nonzero
-        brackets of two kept vectors survive, in key order, each reduced
-        modulo the ideal with its components in residue order.
-        """
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
         pos = {orig: t for t, orig in enumerate(keep)}
 
@@ -231,7 +217,7 @@ class LieAlgebra:
         for (i, j), comps in sorted(self.brackets.items()):
             if i in pos and j in pos and (res := ideal.reduce(comps)):
                 table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
-        return keep, table, project
+        return LieAlgebra(len(keep), table, names=[self.names[i] for i in keep]), project
 
     def _is_ideal(self, s: Subspace):
         return all(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,19 @@ class TestGraph:
     def test_nice_stdout_is_pinned(self, capsys, name, code, expected):
         # graph --nice builds the quotient once and prints what two builds did
         assert run(capsys, "graph", "--nice", FIX / f"{name}.graph")[:2] == (code, expected)
+
+    def test_widest_graph_under_the_cap(self, capsys, tmp_path):
+        # the 22-vertex path at class 2: its free algebra (22 + 231 = 253)
+        # is the widest under DIMENSION_CAP, and the quotient keeps the
+        # letters and the 21 edge brackets.  Classifying every vertex subset
+        # instead of the supports that occur would take many seconds.
+        path = tmp_path / "p22.graph"
+        edges = "".join(f"edge {a} {a + 1}\n" for a in range(1, 22))
+        path.write_text("vertices 22\nclass 2\n" + edges)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "graph", "--nice", path)
+        assert time.perf_counter() - start < 2
+        assert code == 0 and out.splitlines()[:2] == ["nice (class-at-most-2)", "dimension 43"]
 
     def test_dimension_cap_error_is_one_short_line(self, capsys, tmp_path, monkeypatch):
         # the free algebra on 256 letters passes the cap at class 2; the

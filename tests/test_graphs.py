@@ -1,6 +1,7 @@
 """Graph-attached nilpotent algebras and the free-nilpotent machinery."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 import sympy
@@ -14,6 +15,7 @@ from nicebasis import (
     free_nilpotent,
     graph_algebra,
     graphs,
+    load_graph,
     lyndon_words,
     nice_predicate,
     parse_graph,
@@ -22,6 +24,8 @@ from nicebasis import (
     witt_dimension,
 )
 from nicebasis.lie import DIMENSION_CAP
+
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def is_lyndon(w):
@@ -153,6 +157,91 @@ class TestGraphAlgebra:
         for k, c in free.bracket_basis(0, 2).items():
             vec[k] = c
         assert all(x == 0 for x in project(vec))
+
+
+def graph_classes(v):
+    """One edge list per isomorphism class of graphs on v labelled vertices."""
+    pairs = list(itertools.combinations(range(v), 2))
+    perms = list(itertools.permutations(range(v)))
+    seen, reps = set(), []
+    for bits in range(1 << len(pairs)):
+        edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
+        form = min(tuple(sorted(tuple(sorted((s[a], s[b]))) for a, b in edges)) for s in perms)
+        if form not in seen:
+            seen.add(form)
+            reps.append(edges)
+    return reps
+
+
+# one graph per isomorphism class on at most 5 vertices, at classes 2..4
+REPRESENTATIVES = [spec(v, edges, c) for v in range(1, 6) for edges in graph_classes(v)
+                   for c in (2, 3, 4)]
+FIXTURE_GRAPHS = sorted(FIX.glob("*.graph"))
+
+
+def label(g):
+    return f"v{g.vertex_count}-c{g.c}-" + "".join(
+        f"[{a + 1}{b + 1}]" for a, b in sorted(tuple(sorted(e)) for e in g.edges))
+
+
+def connected(g, vertices):
+    """Whether the subgraph of g induced on a nonempty vertex set is connected."""
+    seen, todo = set(), [min(vertices)]
+    while todo:
+        a = todo.pop()
+        seen.add(a)
+        todo += [b for b in vertices if b not in seen and g.has_edge(a, b)]
+    return seen == set(vertices)
+
+
+def independence_polynomial(g):
+    """Coefficients of I_G(x): the number of independent vertex sets of each size."""
+    n = g.vertex_count
+    return [sum(1 for s in itertools.combinations(range(n), r)
+                if not any(g.has_edge(a, b) for a, b in itertools.combinations(s, 2)))
+            for r in range(n + 1)]
+
+
+class TestGradedDimensionOracle:
+    """prod_k (1 - t^k)^l_k = I_G(-t) for the free partially commutative Lie
+    algebra of G, l_k its dimension in degree k (the PBW basis of its
+    enveloping algebra, the partially commutative monoid algebra, whose
+    Hilbert series is 1 / I_G(-t)); the class-c quotient agrees with it in
+    degrees up to c.  Nothing here reads how graph_algebra builds it."""
+
+    def test_representatives_cover_every_class(self):
+        assert [len(graph_classes(v)) for v in range(1, 6)] == [1, 2, 4, 11, 34]
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=label(g)) for g in REPRESENTATIVES]
+                             + [pytest.param(load_graph(p), id=p.stem) for p in FIXTURE_GRAPHS])
+    def test_kept_lengths_match_the_independence_polynomial(self, g):
+        c = g.c
+        product = [1] + [0] * c
+        for w in graph_algebra(g)[1]:
+            k = len(w)  # multiply by 1 - t^k, mod t^(c + 1)
+            product = [x - (product[m - k] if m >= k else 0) for m, x in enumerate(product)]
+        indep = independence_polynomial(g) + [0] * c
+        assert product == [(-1) ** m * indep[m] for m in range(c + 1)]
+
+    def test_fixtures_are_all_read(self):
+        assert len(FIXTURE_GRAPHS) == 5
+
+
+class TestBlockLemma:
+    """The kept words of graph_algebra against the lemma it is built on: a
+    word on a disconnected vertex set lies in the ideal, one on a clique
+    meets it in 0."""
+
+    @pytest.mark.parametrize("g", REPRESENTATIVES, ids=label)
+    def test_no_kept_word_has_a_disconnected_support(self, g):
+        assert all(connected(g, set(w)) for w in graph_algebra(g)[1])
+
+    @pytest.mark.parametrize("g", REPRESENTATIVES, ids=label)
+    def test_every_clique_word_is_kept(self, g):
+        kept = set(graph_algebra(g)[1])
+        clique = [w for w in lyndon_words(g.vertex_count, g.c)
+                  if all(g.has_edge(a, b) for a, b in itertools.combinations(set(w), 2))]
+        assert set(clique) <= kept
 
 
 class TestQuotientMemo:

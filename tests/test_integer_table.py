@@ -3,7 +3,7 @@ that it replaced.
 
 Every LieAlgebra keeps brackets times den, the lcm of their denominators, as
 ints in both index orders, and brackets vectors through it with bracket_int.
-graph_algebra's ideal closure, jacobi_failures, ideal_closure, quotient,
+graph_algebra's block elimination, jacobi_failures, ideal_closure, quotient,
 is_derivation and derivation_space read it directly; bracket_sparse and
 killing_form divide by den and den^2.  The quotients iterate the nonzero
 brackets instead of every pair of kept indices, jacobi_failures checks only
@@ -277,6 +277,11 @@ def seeded_graphs(v, classes, count, seed):
 
 SMALL_GRAPHS = [(v, edges, c) for v in range(1, 5) for edges in every_graph(v) for c in (2, 3, 4)]
 SEEDED_GRAPHS = seeded_graphs(5, (2, 3, 4), 6, 5) + seeded_graphs(6, (2, 3), 4, 6)
+# disconnected graphs: a triangle beside an edge, the 3-edge matching, K_1,3
+# beside an isolated vertex
+DISCONNECTED_GRAPHS = [(5, [(0, 1), (0, 2), (1, 2), (3, 4)], 4),
+                       (6, [(0, 1), (2, 3), (4, 5)], 3),
+                       (5, [(0, 1), (0, 2), (0, 3)], 4)]
 
 
 def free_sizes(most):
@@ -316,6 +321,10 @@ class TestGraphAlgebraMatchesFractionReference:
 
     @pytest.mark.parametrize("n,edges,c", SEEDED_GRAPHS)
     def test_seeded_larger_graphs(self, n, edges, c):
+        self.check(GraphSpec.of(n, edges, c), random.Random(n * 10 + c))
+
+    @pytest.mark.parametrize("n,edges,c", DISCONNECTED_GRAPHS)
+    def test_disconnected_graphs(self, n, edges, c):
         self.check(GraphSpec.of(n, edges, c), random.Random(n * 10 + c))
 
     @staticmethod
