@@ -65,25 +65,17 @@ def _emit(args, report, lines):
             print(line)
 
 
-def _load_lie(path):
-    try:
-        return load_lie(path)
-    except (OSError, ValueError) as err:
-        raise UsageError(f"{path}: {err}")
+def _loader(read):
+    """read(path), with an unreadable or malformed file raised as a UsageError."""
+    def load(path):
+        try:
+            return read(path)
+        except (OSError, ValueError) as err:
+            raise UsageError(f"{path}: {err}")
+    return load
 
 
-def _load_matrix(path):
-    try:
-        return load_matrix(path)
-    except (OSError, ValueError) as err:
-        raise UsageError(f"{path}: {err}")
-
-
-def _load_graph(path):
-    try:
-        return load_graph(path)
-    except (OSError, ValueError) as err:
-        raise UsageError(f"{path}: {err}")
+_load_lie, _load_matrix, _load_graph = map(_loader, (load_lie, load_matrix, load_graph))
 
 
 def _fmt_violation(v):

@@ -99,8 +99,8 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
 def _diagonal_system(g: LieAlgebra) -> Subspace:
     """The equations x_i + x_j = x_k, one per nonzero c_ij^k, of Dg(x) a derivation."""
     rows = []
-    for (i, j), comps in g.brackets.items():
-        for k in comps:
+    for i, j in g.pairs:
+        for k in g.table[i][j]:
             eq = {i: 1, j: 1}
             eq[k] = eq.get(k, 0) - 1
             rows.append(eq)
@@ -142,7 +142,7 @@ def is_derivation(g: LieAlgebra, d) -> bool:
         for k, x in vec.items():
             out[k] = out.get(k, 0) + f * x
 
-    for i, j in g.brackets:
+    for i, j in g.pairs:
         for k, c in t[i][j].items():
             if k in cols:
                 add(i, j, cols[k], c)

@@ -35,7 +35,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ONE, ZERO, factor_int, parse_int
+from .scalars import ONE, factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra
 from .linalg import Matrix, Subspace, _divisors
 from .nice import check_nice
@@ -168,9 +168,9 @@ def free_nilpotent(d, c):
         for j in range(i + 1, end.get(c - len(u), 0)):
             coords = decompose(u, words[j])
             if coords:
-                table[(i, j)] = coords
+                table[(i, j)] = coords, 1
     names = [_word_name(w) for w in words]
-    alg = LieAlgebra(len(words), table, names=names)
+    alg = LieAlgebra._from_table(len(words), table, 1, names, check=True)
     result = (alg, LyndonBasis(tuple(words), fact))
     _free_cache[(d, c)] = result
     return result
@@ -250,12 +250,8 @@ def graph_algebra(g: GraphSpec):
     d, c = g.vertex_count, g.c
     if not g.edges or c == 1:
         words = tuple((v,) for v in range(d))
-        alg = LieAlgebra(d, {}, names=[_word_name(w) for w in words])
-
-        def project_abelian(vec):
-            return tuple(vec[:d])
-
-        return alg, words, project_abelian
+        names = [_word_name(w) for w in words]
+        return LieAlgebra(d, {}, names=names), words, lambda vec: tuple(vec[:d])
     if g in _quotient_memo:
         return _quotient_memo[g]
     free, basis = free_nilpotent(d, c)
@@ -274,21 +270,10 @@ def graph_algebra(g: GraphSpec):
                     added.append((t, w))
     pivots = set(ideal.pivots)
     keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in pivots]
-    pos = {orig: t for t, orig in enumerate(keep)}
-
-    def project(vector):
-        res = ideal.reduce(vector)
-        return tuple(res.get(i, ZERO) for i in keep)
-
-    table = {}
-    for (i, j), comps in free.brackets.items():  # in key order, as free_nilpotent builds them
-        if (i in pos and j in pos and kind[support[i] | support[j]] != _APART
-                and (res := ideal.reduce(comps))):
-            table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
-    words = tuple(basis.words[i] for i in keep)
-    names = [free.names[i] for i in keep]
+    pairs = (p for p in free.pairs if kind[support[p[0]] | support[p[1]]] != _APART)
+    alg, project = free._quotient(ideal, keep, pairs, check=False)
     _quotient_memo.clear()
-    _quotient_memo[g] = LieAlgebra(len(keep), table, names=names, check=False), words, project
+    _quotient_memo[g] = alg, tuple(basis.words[i] for i in keep), project
     return _quotient_memo[g]
 
 

@@ -1,17 +1,18 @@
 """Finite dimensional Lie algebras with exact rational structure constants.
 
-A LieAlgebra stores its bracket table sparsely: brackets[(i, j)] for i < j is
-a dict {k: c} meaning [e_i, e_j] = sum c * e_k.  Next to it, table[i][j]
-holds den * [e_i, e_j] as ints for both index orders, den being the lcm of
-the denominators; every structural routine evaluates brackets of sparse
-{index: coefficient} vectors through it, those that need true values divide
-by den, and change_basis makes Fractions only for its output.  Indices are
-0-based in code; the text file format is 1-based.  The Jacobi identity and
-antisymmetry are enforced at construction time.
+A LieAlgebra is built from one int table: table[i][j] = den * [e_i, e_j] as a
+sparse dict {k: int}, for both index orders, den the lcm of the reduced
+denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
+order.  The constructor clears the denominators of a Fraction table once; the
+builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints.
+Every structural routine reads the table; brackets, {(i, j): {k: c}} over Q, is
+a view built when first read.  Indices are 0-based in code, 1-based in the text
+format, and checked at construction; the Jacobi identity is checked by default.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
@@ -24,26 +25,45 @@ DIMENSION_CAP = 256
 
 class LieAlgebra:
     def __init__(self, dim, brackets, names=None, check=True):
-        self.dim = dim
-        kept = {}
-        for (i, j), comps in brackets.items():
+        kept = {key: {k: q for k, c in comps.items() if (q := c if type(c) is Q else Q(c)) != 0}
+                for key, comps in brackets.items()}
+        den = math.lcm(*[c.denominator for comps in kept.values() for c in comps.values()])
+        rows = {key: {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
+                for key, comps in kept.items()}
+        self._setup(dim, rows, den, names, check)
+
+    @classmethod
+    def _from_table(cls, dim, rows, den, names=None, check=False):
+        """The algebra with [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a
+        nonzero sparse int vector, i < j: the setup gets them over the lcm of the d."""
+        lcm = math.lcm(*[d for _, d in rows.values()])
+        g = cls.__new__(cls)
+        g._setup(dim, {key: w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
+                       for key, (w, d) in rows.items()}, den * lcm, names, check)
+        return g
+
+    def _setup(self, dim, rows, den, names, check):
+        """The one setup: [e_i, e_j] = rows[(i, j)] / den.  Checks the indices, keeps
+        the nonzero rows as the table, in key order, and divides den and the entries
+        by their gcd: den is the lcm of the reduced denominators, however cleared."""
+        f = den if den == 1 else math.gcd(den, *[x for c in rows.values() for x in c.values()])
+        self.dim, self.den, self.table = dim, den // f, [{} for _ in range(dim)]
+        pairs = []
+        for (i, j), comps in rows.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ValueError(f"bracket index out of range: ({i}, {j})")
             if i >= j:
                 raise ValueError(f"bracket keys must have i < j, got ({i}, {j})")
-            clean = {k: q for k, c in comps.items() if (q := c if type(c) is Q else Q(c)) != 0}
-            for k in clean:
-                if not 0 <= k < dim:
-                    raise ValueError(f"bracket target out of range: {k}")
-            if clean:
-                kept[(i, j)] = clean
-        self.brackets = kept
-        den = math.lcm(*[c.denominator for comps in kept.values() for c in comps.values()])
-        self.den, self.table = den, [{} for _ in range(dim)]
-        for (i, j), comps in kept.items():
-            row = {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
+            if not comps:
+                continue
+            if not (0 <= min(comps) and max(comps) < dim):
+                bad = next(k for k in comps if not 0 <= k < dim)
+                raise ValueError(f"bracket target out of range: {bad}")
+            row = comps if f == 1 else {k: x // f for k, x in comps.items()}
             self.table[i][j], self.table[j][i] = row, {k: -x for k, x in row.items()}
-        self.names = list(names) if names else [f"e{i+1}" for i in range(dim)]
+            pairs.append((i, j))
+        self.pairs = tuple(pairs)
+        self.names = [f"e{i+1}" for i in range(dim)] if names is None else list(names)
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
         if check:
@@ -51,6 +71,13 @@ class LieAlgebra:
             if bad:
                 i, j, k = bad[0]
                 raise ValueError(f"Jacobi identity fails on basis triple ({i+1}, {j+1}, {k+1})")
+
+    @functools.cached_property
+    def brackets(self):
+        """{(i, j): {k: c}} for i < j, [e_i, e_j] = sum c e_k over Q: the table over
+        den, in key order.  Read-only; built on first read."""
+        t, den = self.table, self.den
+        return {(i, j): {k: Q(x, den) for k, x in t[i][j].items()} for i, j in self.pairs}
 
     # --- bracket evaluation ---
 
@@ -100,9 +127,9 @@ class LieAlgebra:
         set unchanged.
         """
         iad = self.table
-        rank = {pair: n for n, pair in enumerate(self.brackets)}
-        reachable = {tuple(sorted((i, j, z))) for (i, j), comps in self.brackets.items()
-                     for k in comps for z in iad[k] if z != i and z != j}
+        rank = {pair: n for n, pair in enumerate(self.pairs)}
+        reachable = {tuple(sorted((i, j, z))) for i, j in self.pairs
+                     for k in iad[i][j] for z in iad[k] if z != i and z != j}
         bad = []
         for trip in reachable:
             a, b, c = trip
@@ -126,7 +153,7 @@ class LieAlgebra:
     # --- structural subspaces ---
 
     def derived_subalgebra(self):
-        return Subspace(self.dim, self.brackets.values())
+        return Subspace(self.dim, (self.table[i][j] for i, j in self.pairs))
 
     def lower_central_series(self):
         """[g, g^1, g^2, ...] as Subspaces, ending at the first repeat."""
@@ -196,28 +223,29 @@ class LieAlgebra:
         return s
 
     def quotient(self, ideal: Subspace):
-        """Quotient algebra by an ideal.
-
-        Returns (algebra, project) where project maps an ambient vector to
-        its coordinates in the quotient basis (images of the standard basis
-        vectors whose index is not an echelon pivot of the ideal).  Only
-        nonzero brackets of two kept vectors survive, in key order, each
-        reduced modulo the ideal with its components in residue order.
-        """
+        """Quotient algebra by an ideal: (algebra, project), project mapping an ambient
+        vector to its coordinates on the kept indices, those that are no echelon pivot
+        of the ideal.  The nonzero brackets of two kept indices survive, in key order."""
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
+        return self._quotient(ideal, keep, sorted(self.pairs), check=True)
+
+    def _quotient(self, ideal, keep, pairs, check):
+        """(algebra, project) on the indices keep: the brackets of the pairs of kept
+        indices in pairs, in that order, reduced modulo ideal; their components are
+        in the order of Subspace.residue."""
         pos = {orig: t for t, orig in enumerate(keep)}
+        residues = {(pos[i], pos[j]): ({pos[k]: x for k, x in w.items()}, d)
+                    for i, j in pairs if i in pos and j in pos
+                    for w, d in [ideal.residue(self.table[i][j])] if w}
 
         def project(vector):
             res = ideal.reduce(vector)
             return tuple(res.get(i, ZERO) for i in keep)
 
-        table = {}
-        for (i, j), comps in sorted(self.brackets.items()):
-            if i in pos and j in pos and (res := ideal.reduce(comps)):
-                table[(pos[i], pos[j])] = {pos[k]: x for k, x in res.items()}
-        return LieAlgebra(len(keep), table, names=[self.names[i] for i in keep]), project
+        names = [self.names[i] for i in keep]
+        return LieAlgebra._from_table(len(keep), residues, self.den, names, check), project
 
     def _is_ideal(self, s: Subspace):
         return all(
@@ -238,7 +266,7 @@ class LieAlgebra:
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
-        """Structure constants in the basis of p's columns, in ints until the output.
+        """Structure constants in the basis of p's columns, in ints throughout.
         With D the lcm of p's denominators, column j of D p is tagged with coordinate n + j
         in one Subspace.  The image den D^2 [p_i, p_j] = den D sum c_k D p_k, summed from the
         int table over the pairs p_ai p_bj != 0 only, reduces to -den D sum c_k e_(n+k)."""
@@ -255,7 +283,7 @@ class LieAlgebra:
         if tagged.pivots != list(range(n)):
             raise ValueError("change of basis needs an invertible n x n matrix")
         images = {}
-        for a, b in self.brackets:
+        for a, b in self.pairs:
             comps = self.table[a][b]
             for i, x in occ[a]:
                 for j, y in occ[b]:
@@ -264,24 +292,22 @@ class LieAlgebra:
                         img = images.setdefault(key, {})
                         for k, c in comps.items():
                             img[k] = img.get(k, 0) + f * c
-        residues = ((key, tagged.residue(images[key])) for key in sorted(images))
-        table = {key: {t - n: Q(-w[t], d * self.den * D) for t in sorted(w)}
-                 for key, (w, d) in residues if w}
-        return LieAlgebra(n, table, check=False)
+        residues = {key: ({t - n: -w[t] for t in sorted(w)}, d)
+                    for key in sorted(images) for w, d in [tagged.residue(images[key])] if w}
+        return LieAlgebra._from_table(n, residues, self.den * D)
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self.brackets)})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self.pairs)})"
 
 
 def direct_sum(*algebras, names=None):
-    dim = sum(g.dim for g in algebras)
-    table = {}
-    offset = 0
+    den, offset, rows = math.lcm(*[g.den for g in algebras]), 0, {}
     for g in algebras:
-        for (i, j), comps in g.brackets.items():
-            table[(i + offset, j + offset)] = {k + offset: c for k, c in comps.items()}
+        for i, j in g.pairs:
+            row = {k + offset: x * (den // g.den) for k, x in g.table[i][j].items()}
+            rows[(i + offset, j + offset)] = row, 1
         offset += g.dim
-    return LieAlgebra(dim, table, names=names, check=False)
+    return LieAlgebra._from_table(offset, rows, den, names)
 
 
 def abelian(dim):
@@ -342,7 +368,7 @@ def parse_lie(text: str) -> LieAlgebra:
             raise ValueError(f"line {lineno}: unknown keyword {kw!r}")
     if dim is None:
         raise ValueError("missing dim line")
-    if names and len(names) != dim:
+    if names is not None and len(names) != dim:
         raise ValueError(f"line {names_line}: wrong number of basis names")
     return LieAlgebra(dim, table, names=names)
 

@@ -293,8 +293,7 @@ class Subspace:
 
     def reduce(self, vector):
         """Residue of vector modulo the span, sparse over Q (empty iff contained)."""
-        # the hot call of graph_algebra's projections, mostly on vectors that
-        # hold no pivot: a dict skips _entries, and Q(x) skips Q(x, 1)'s gcd
+        # most vectors hold no pivot: a dict skips _entries, and Q(x) skips Q(x, 1)'s gcd
         if isinstance(vector, dict):
             items = vector.items()
         else:
@@ -313,6 +312,8 @@ class Subspace:
         """(w, d), the residue of vector modulo the span as w / d: w a sparse dict of
         nonzero ints (empty iff contained), d a positive int; reduce returns w / d."""
         v = {c: x for c, x in self._entries(vector) if x}
+        if self._rows.keys().isdisjoint(v) and {*map(type, v.values())} <= {int}:
+            return v, 1  # no pivot met and only ints: most of graph_algebra's brackets
         return self._residue(v, [c for c in v if c in self._rows])
 
     def add(self, vector):
@@ -366,7 +367,7 @@ class Subspace:
         return True
 
     def contains(self, vector):
-        return not self.reduce(vector)
+        return not self.residue(vector)[0]
 
     @property
     def dim(self):

@@ -30,8 +30,8 @@ def check_nice(g: LieAlgebra) -> NiceVerdict:
     """Check the defining basis of g; reports every violation, 0-based indices."""
     violations = []
     targets = {}  # k -> list of pairs hitting it
-    for (i, j) in sorted(g.brackets):
-        comps = g.brackets[(i, j)]
+    for (i, j) in sorted(g.pairs):
+        comps = g.table[i][j]
         if len(comps) > 1:
             violations.append(
                 {"kind": "CONDITION_1", "pair": (i, j), "targets": tuple(sorted(comps))}
@@ -122,9 +122,7 @@ def monomial_equivalent(g: LieAlgebra, basis_a: Matrix, basis_b: Matrix):
 def _support_profile(t: LieAlgebra, i):
     """Permutation-invariant local data of index i, for pruning."""
     as_left = sorted(len(t.bracket_basis(i, j)) for j in range(t.dim) if j != i)
-    as_target = sum(
-        1 for comps in t.brackets.values() for k in comps if k == i
-    )
+    as_target = sum(i in t.table[a][b] for a, b in t.pairs)
     return tuple(as_left), as_target
 
 

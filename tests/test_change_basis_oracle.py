@@ -28,6 +28,7 @@ from nicebasis.almost_abelian import _witness_basis, analyze, build
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace
 from nicebasis.scalars import Q, ONE
+from test_integer_table import assert_rebuilds
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LIE_FILES = sorted(FIXTURES.glob("*.lie"))
@@ -57,6 +58,7 @@ def assert_same_table(g, p):
     for comps in got.brackets.values():
         assert list(comps) == sorted(comps)
         assert all(type(x) is Fraction for x in comps.values())
+    assert_rebuilds(got)
     return got
 
 

@@ -24,6 +24,7 @@ from nicebasis import (
     witt_dimension,
 )
 from nicebasis.lie import DIMENSION_CAP
+from test_integer_table import assert_rebuilds
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -225,6 +226,12 @@ class TestGradedDimensionOracle:
 
     def test_fixtures_are_all_read(self):
         assert len(FIXTURE_GRAPHS) == 5
+
+
+@pytest.mark.parametrize("g", [pytest.param(g, id=label(g)) for g in REPRESENTATIVES]
+                         + [pytest.param(load_graph(p), id=p.stem) for p in FIXTURE_GRAPHS])
+def test_int_table_is_the_validating_constructors(g):
+    assert_rebuilds(graph_algebra(g)[0])
 
 
 class TestBlockLemma:

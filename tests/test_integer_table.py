@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicebasis import fixtures, graphs
-from nicebasis.derivations import derivation_space, is_derivation
+from nicebasis.derivations import derivation_space, is_derivation, pre_einstein_nice
 from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace, kernel_of, sparse
@@ -253,6 +253,21 @@ def assert_same_algebra(got, want):
         assert all(type(x) is Fraction for x in got.brackets[key].values())
 
 
+def rows_in_order(g):
+    """g's int table with the order of every row and component."""
+    return [[(j, list(comps.items())) for j, comps in row.items()] for row in g.table]
+
+
+def assert_rebuilds(alg):
+    """alg, built from ints, is what the validating constructor builds from its
+    Fraction view: same brackets, table and den, in the same key and component order."""
+    ref = LieAlgebra(alg.dim, alg.brackets, names=alg.names)
+    assert alg.pairs == ref.pairs == tuple(alg.brackets)
+    assert_same_algebra(alg, ref)
+    assert alg.den == ref.den
+    assert rows_in_order(alg) == rows_in_order(ref)
+
+
 def assert_same_projection(got, want, dim, rng):
     vectors = [tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)]
     vectors.append(tuple(Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)))
@@ -302,6 +317,7 @@ class TestFreeNilpotentMatchesFractionReference:
             ref, words = reference_free_nilpotent(d, c)
             assert basis.words == tuple(words), (d, c)
             assert_same_algebra(alg, ref)
+            assert_rebuilds(alg)
 
     def test_sizes_cover_every_free_algebra_up_to_dimension_100(self):
         sizes = set(free_sizes(100))
@@ -333,6 +349,7 @@ class TestGraphAlgebraMatchesFractionReference:
         ref, ref_words, ref_project = reference_graph_algebra(g)
         assert words == ref_words
         assert_same_algebra(alg, ref)
+        assert_rebuilds(alg)
         free_dim = g.vertex_count if not g.edges or g.c == 1 else free_nilpotent(
             g.vertex_count, g.c)[0].dim
         assert_same_projection(project, ref_project, free_dim, rng)
@@ -506,6 +523,59 @@ def test_derivation_space_reads_one_table_per_algebra():
     g.brackets = Unreadable()
     assert derivation_space(g) == first
     assert g.table is table
+
+
+def l7_thirds():
+    """L7/3 built from a literal table, so that building it reads no brackets."""
+    return LieAlgebra(7, {(0, i): {i + 1: Q(1, 3)} for i in range(1, 6)})
+
+
+def same_table(g):
+    return g.dim, g.pairs, rows_in_order(g), g.den, g.names
+
+
+PATH_P3 = GraphSpec.of(3, [(0, 1), (1, 2)], 3)  # class 3 with edges: a change of basis
+# each hot call builds its own inputs, and returns what can be compared by value
+HOT_CALLS = {
+    "graph_algebra": lambda: (same_table(graph_algebra(PATH_P3)[0]), graph_algebra(PATH_P3)[1]),
+    "construct_nice_basis": lambda: construct_nice_basis(PATH_P3),
+    "change_basis": lambda: same_table(sl2_with_halves().change_basis(
+        Matrix([[1, Q(1, 2), 0], [0, 2, 1], [Q(-1, 3), 0, 1]]))),
+    "check_nice": lambda: (check_nice(fixtures.n6()), check_nice(l7_thirds())),
+    "jacobi_failures": lambda: (
+        LieAlgebra(3, {(0, 1): {2: Q(1, 2)}, (0, 2): {0: Q(1, 3)}}, check=False).jacobi_failures(),
+        free_nilpotent(3, 3)[0].jacobi_failures()),
+    "is_derivation": lambda: [is_derivation(l7_thirds(), {(i, i): Q(i + 1, 2) for i in range(7)}),
+                              is_derivation(l7_thirds(), {(i, i): Q(i, 2) for i in range(7)})],
+    "pre_einstein_nice": lambda: pre_einstein_nice(l7_thirds()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOT_CALLS))
+def test_hot_paths_never_build_the_fraction_view(name, monkeypatch):
+    def fresh_caches():
+        monkeypatch.setattr(graphs, "_free_cache", {})
+        monkeypatch.setattr(graphs, "_quotient_memo", {})
+
+    fresh_caches()
+    want = HOT_CALLS[name]()
+    fresh_caches()
+    # a data descriptor on the class: even an instance that cached its view cannot
+    # read it, and pytest.fail is no Exception that the code under test could catch
+    monkeypatch.setattr(LieAlgebra, "brackets",
+                        property(lambda g: pytest.fail(f"{name} read LieAlgebra.brackets")))
+    assert HOT_CALLS[name]() == want
+
+
+def test_view_keeps_the_key_and_component_order_of_the_input():
+    # keys and components neither sorted nor reversed; den = 6
+    table = {(1, 2): {0: Q(1, 3), 3: ONE}, (0, 3): {2: Q(-1, 2)}, (0, 1): {3: 2, 1: ZERO, 2: 1}}
+    g = LieAlgebra(4, table, check=False)
+    assert g.pairs == ((1, 2), (0, 3), (0, 1))
+    assert rows_in_order(g)[0] == [(3, [(2, -3)]), (1, [(3, 12), (2, 6)])]
+    assert [(key, list(c.items())) for key, c in g.brackets.items()] == [
+        ((1, 2), [(0, Q(1, 3)), (3, ONE)]), ((0, 3), [(2, Q(-1, 2))]), ((0, 1), [(3, 2), (2, 1)])]
+    assert g.brackets is g.brackets  # built once, on first read
 
 
 # --- one table: values on rational tables ---------------------------------------
@@ -699,6 +769,7 @@ class TestQuotientMatchesFractionReference:
         q, project = g.quotient(ideal)
         ref, ref_project = reference_quotient(g, ideal)
         assert_same_algebra(q, ref)
+        assert_rebuilds(q)
         assert_same_projection(project, ref_project, g.dim, random.Random(0))
 
     @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))

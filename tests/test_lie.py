@@ -17,6 +17,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LieAlgebra(3, {(0, 1): {2: rat(1)}, (0, 2): {0: rat(1)}})
 
+    @pytest.mark.parametrize("names", [[], ["x"], ["x", "y", "z"]], ids=["none", "short", "long"])
+    def test_names_must_name_every_basis_vector(self, names):
+        # an empty list is a list of names, not a request for e1, e2
+        with pytest.raises(ValueError, match="^wrong number of basis names$"):
+            LieAlgebra(2, {}, names=names)
+        assert LieAlgebra(2, {}).names == ["e1", "e2"]
+        assert LieAlgebra(0, {}, names=[]).names == []
+
     def test_bracket_bilinear(self):
         g = fixtures.heisenberg3()
         x, y = (rat(1), rat(2), rat(0)), (rat(0), rat(1), rat(1))

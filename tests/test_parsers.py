@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nicebasis import cli
 from nicebasis.almost_abelian import parse_matrix
 from nicebasis.graphs import parse_graph
-from nicebasis.lie import DIMENSION_CAP, parse_lie
+from nicebasis.lie import DIMENSION_CAP, abelian, parse_lie, serialize_lie
 from nicebasis.scalars import rat
 
 numbers = st.one_of(
@@ -100,3 +100,27 @@ def test_bracket_index_errors_name_the_line_and_index(capsys, tmp_path, text, in
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: {path}: line 2: bracket index {index} out of range 1..{text[4]}"]
+
+
+@pytest.mark.parametrize("text,line", [
+    ("dim 2\nnames\nbracket 1 2 1 1\n", 2),
+    ("dim 3\nbracket 1 2 3 1\nnames   # no names\n", 3),
+    ("dim 1\nnames X Y\n", 2),
+], ids=["empty-names", "empty-names-after-brackets", "too-many-names"])
+def test_names_line_must_name_every_basis_vector(capsys, tmp_path, text, line):
+    # an empty names line is a names line: it no longer falls back to e1, e2, ...
+    path = tmp_path / "input.lie"
+    path.write_text(text)
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {path}: line {line}: wrong number of basis names"]
+
+
+def test_dimension_zero_round_trips_its_empty_names_line():
+    text = serialize_lie(abelian(0))
+    assert text == "dim 0\nnames \n"
+    g = parse_lie(text)
+    assert (g.dim, g.names, g.pairs) == (0, [], ())
+    assert serialize_lie(g) == text
