@@ -1,8 +1,9 @@
 """LieAlgebra.table, the one int bracket table, against the Fraction code
 that it replaced.
 
-Every LieAlgebra keeps brackets times den, the lcm of their denominators, as
-ints in both index orders, and brackets vectors through it with bracket_int.
+Every LieAlgebra is built from its brackets times den, the lcm of their
+denominators, as ints in both index orders, and brackets vectors through it
+with bracket_int; brackets is a Fraction view of that table, built when read.
 graph_algebra's block elimination, jacobi_failures, ideal_closure, quotient,
 is_derivation and derivation_space read it directly; bracket_sparse and
 killing_form divide by den and den^2.  The quotients iterate the nonzero
