@@ -49,7 +49,6 @@ from .almost_abelian import (
     build,
     BinomialFactorization,
     enumerate_factorizations,
-    factorizations_equivalent,
     ExistsVerdict,
     exists_nice,
     count_nice,

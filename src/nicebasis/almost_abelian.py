@@ -6,7 +6,7 @@ polynomial of A: existence needs the non-nilpotent part of A to be
 semisimple and its characteristic polynomial to split into such binomials;
 the count is the number of such factorizations, because a real rescaling
 can map a factorization only to itself (the lemma in
-factorizations_equivalent).  Constants are searched over the rationals;
+Analysis.count).  Constants are searched over the rationals;
 when an irrational real constant could occur the answer degrades honestly
 to "unknown-irrational" instead of guessing.  The search runs on Python
 ints: integer gcds of the residue classes give the divisors, and
@@ -40,10 +40,6 @@ from .nice import check_nice
 
 
 class ZeroConstantTerm(ValueError):
-    pass
-
-
-class DegreeMismatchWithTarget(ValueError):
     pass
 
 
@@ -184,22 +180,6 @@ def enumerate_factorizations(p: Poly):
     return [BinomialFactorization(t) for t in _enumerate(p, divisors)]
 
 
-def factorizations_equivalent(f1: BinomialFactorization, f2: BinomialFactorization) -> bool:
-    """Same factorization up to rescaling the basis by a real eta.
-
-    Only equal multisets are equivalent.  If r1 = eta^d r2 factor by factor,
-    then p(x) = eta^n p(x/eta), so eta permutes the roots of p and, as
-    p(0) != 0, |eta| = 1.  For eta = -1 only odd-degree constants change
-    sign; after the common even factors, each root modulus rho gives, with
-    x = rho y, y^d - 1 = prod_(e|d) Phi_e and y^d + 1 = prod_(e|d) Phi_2e for
-    odd d.  Equal multiplicities of Phi_e and Phi_2e for each odd e give, by
-    Moebius inversion, as many +r as -r factors of each degree: f1 = f2.
-    """
-    if f1.product() != f2.product():
-        raise DegreeMismatchWithTarget("factorizations have different targets")
-    return f1.factors == f2.factors
-
-
 @dataclass(frozen=True)
 class ExistsVerdict:
     status: str  # "yes" | "no" | "unknown-irrational"
@@ -245,7 +225,18 @@ class Analysis:
         )
 
     def count(self):
-        """Nice bases up to equivalence, or None (unknown-irrational)."""
+        """Nice bases up to equivalence, or None (unknown-irrational): the
+        number of binomial factorizations of p = char_poly(A) / x^k, since a
+        real rescaling eta of the basis maps a factorization only to itself.
+
+        Only equal multisets are equivalent.  If r1 = eta^d r2 factor by factor,
+        then p(x) = eta^n p(x/eta), so eta permutes the roots of p and, as
+        p(0) != 0, |eta| = 1.  For eta = -1 only odd-degree constants change
+        sign; after the common even factors, each root modulus rho gives, with
+        x = rho y, y^d - 1 = prod_(e|d) Phi_e and y^d + 1 = prod_(e|d) Phi_2e for
+        odd d.  Equal multiplicities of Phi_e and Phi_2e for each odd e give, by
+        Moebius inversion, as many +r as -r factors of each degree: f1 = f2.
+        """
         if self.nilpotent:
             return 1
         if not self.semisimple:

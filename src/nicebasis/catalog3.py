@@ -163,12 +163,12 @@ def _abelian_codim1_ideal(g: LieAlgebra, derived):
     if derived.dim == 2:
         candidates.append(derived)
     if derived.dim >= 1:
-        cent = g.centralizer(derived.basis())
+        cent = g.centralizer(derived.rows.values())
         if cent.dim == 2:
             candidates.append(cent)
         if cent.dim == 3 and derived.dim == 1:
             # central derived subalgebra: extend it by each coordinate axis
-            z = derived.basis()[0]
+            z = derived.rows[derived.pivots[0]]
             for i in range(3):
                 s = Subspace(3, [z, {i: ONE}])
                 if s.dim == 2:

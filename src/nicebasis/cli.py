@@ -139,7 +139,7 @@ def cmd_nu_product(args):
                   file=sys.stderr)
             return 1
         pe = pre_einstein_nice(g)
-        nu = simple_spectrum_unique(pe, True)
+        nu = simple_spectrum_unique(pe)
         parts.append((pe, nu))
         factors.append({
             "file": str(path),

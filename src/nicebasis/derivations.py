@@ -19,7 +19,7 @@ from math import lcm, prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, is_positive_definite, solve
+from .linalg import Matrix, Subspace, dense, is_positive_definite, solve
 from .nice import check_nice
 
 
@@ -109,7 +109,7 @@ def _diagonal_system(g: LieAlgebra) -> Subspace:
 
 def diagonal_derivations(g: LieAlgebra):
     """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
-    return _diagonal_system(g).kernel()
+    return [dense(v, g.dim) for v in _diagonal_system(g).sparse_kernel()]
 
 
 def _entries(d):
@@ -239,8 +239,8 @@ def nu_product_rule(parts):
     return prod(nus)
 
 
-def simple_spectrum_unique(p: PreEinstein, has_nice: bool):
-    """nu = 1 when the spectrum is simple and a nice basis exists; else None."""
-    if has_nice and all(m == 1 for m in p.multiplicities().values()):
+def simple_spectrum_unique(p: PreEinstein):
+    """nu = 1 for a simple spectrum, else None; p is from pre_einstein_nice, so g is nice."""
+    if all(m == 1 for m in p.multiplicities().values()):
         return 1
     return None

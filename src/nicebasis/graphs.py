@@ -31,7 +31,6 @@ kept for the next request on an equal graph.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -79,7 +78,7 @@ class GraphSpec:
 @dataclass(frozen=True)
 class LyndonBasis:
     words: tuple  # tuple of tuples of letters, ordered by (length, lex)
-    factorization: dict  # word -> (left word, right word), len >= 2 only
+    supports: tuple  # the vertex bitmask of the letters of each word
 
 
 def lyndon_words(d, c):
@@ -134,14 +133,12 @@ def free_nilpotent(d, c):
             raise DimensionCapExceeded(f"dimension exceeds {DIMENSION_CAP} at class {m}")
     words = lyndon_words(d, c)
     index = {w: i for i, w in enumerate(words)}
-    fact = {}
     expansion = {}
     for w in words:
         if len(w) == 1:
             expansion[w] = {w: 1}
         else:
             u, v = standard_factorization(w)
-            fact[w] = (u, v)
             expansion[w] = _commutator(expansion[u], expansion[v])
     # words are sorted by (length, word): end[m] is one past the last of length m
     end = {len(w): t + 1 for t, w in enumerate(words)}
@@ -171,7 +168,8 @@ def free_nilpotent(d, c):
                 table[(i, j)] = coords, 1
     names = [_word_name(w) for w in words]
     alg = LieAlgebra._from_table(len(words), table, 1, names, check=True)
-    result = (alg, LyndonBasis(tuple(words), fact))
+    supports = tuple(sum(1 << a for a in set(w)) for w in words)
+    result = (alg, LyndonBasis(tuple(words), supports))
     _free_cache[(d, c)] = result
     return result
 
@@ -201,12 +199,6 @@ _quotient_memo = {}
 
 # what the graph decides about the ideal on the words with letter set S
 _CLIQUE, _APART, _OPEN = range(3)
-
-
-@functools.cache
-def _supports(words):
-    """The vertex bitmask of the letters of each word."""
-    return tuple(sum(1 << a for a in set(w)) for w in words)
 
 
 def _block_kind(s, nbr):
@@ -256,7 +248,7 @@ def graph_algebra(g: GraphSpec):
         return _quotient_memo[g]
     free, basis = free_nilpotent(d, c)
     nbr = [sum(1 << b for b in range(d) if g.has_edge(a, b)) for a in range(d)]
-    support = _supports(basis.words)
+    support = basis.supports
     kind = {s: _block_kind(s, nbr) for s in set(support)}
     ideal = Subspace(free.dim)
     added = []  # (support, int vector) added to ideal in the previous degree

@@ -64,8 +64,12 @@ class LieAlgebra:
             pairs.append((i, j))
         self.pairs = tuple(pairs)
         self.names = [f"e{i+1}" for i in range(dim)] if names is None else list(names)
+        if isinstance(names, str) or not all(isinstance(x, str) for x in self.names):
+            raise ValueError("basis names must be a sequence of strings")
         if len(self.names) != dim:
             raise ValueError("wrong number of basis names")
+        if len(set(self.names)) != dim:
+            raise ValueError("repeated basis name")
         if check:
             bad = self.jacobi_failures(limit=1)
             if bad:
@@ -206,26 +210,12 @@ class LieAlgebra:
             for i in range(self.dim)
         ])
 
-    def ideal_closure(self, vectors):
-        """Smallest ideal containing the given vectors."""
-        s = Subspace(self.dim)
-        queue = []
-        for v in vectors:
-            v = v if isinstance(v, dict) else sparse(v)
-            if s.add(v):
-                queue.append(v)
-        while queue:
-            v = queue.pop()
-            for i in range(self.dim):
-                w = self.bracket_int(i, v)
-                if w and s.add(w):
-                    queue.append(w)
-        return s
-
     def quotient(self, ideal: Subspace):
         """Quotient algebra by an ideal: (algebra, project), project mapping an ambient
         vector to its coordinates on the kept indices, those that are no echelon pivot
         of the ideal.  The nonzero brackets of two kept indices survive, in key order."""
+        if ideal.ambient != self.dim:
+            raise ValueError(f"ideal lies in Q^{ideal.ambient}, not Q^{self.dim}")
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
@@ -241,8 +231,8 @@ class LieAlgebra:
                     for w, d in [ideal.residue(self.table[i][j])] if w}
 
         def project(vector):
-            res = ideal.reduce(vector)
-            return tuple(res.get(i, ZERO) for i in keep)
+            w, d = ideal.residue(vector)
+            return tuple(Q(w.get(i, 0), d) for i in keep)
 
         names = [self.names[i] for i in keep]
         return LieAlgebra._from_table(len(keep), residues, self.den, names, check), project
@@ -346,6 +336,8 @@ def parse_lie(text: str) -> LieAlgebra:
             if names_line:
                 raise ValueError(f"line {lineno}: duplicate names")
             names_line, names = lineno, parts[1:]
+            if dup := next((x for i, x in enumerate(names) if x in names[:i]), None):
+                raise ValueError(f"line {lineno}: duplicate basis name {dup}")
         elif kw == "bracket":
             if dim is None:
                 raise ValueError(f"line {lineno}: bracket before dim")

@@ -214,7 +214,7 @@ class Subspace:
     simplest form of Bareiss, Math. Comp. 1968); a vector, dense (a sequence
     of length ambient) or sparse (a dict), is scaled to integers once by the
     lcm of its denominators, so its entries must be ints or Q.  Q appears
-    only at the boundary: rows, reduce, basis and the kernels.
+    only at the boundary: rows and sparse_kernel.
 
     _occ is the column index of the rows: it maps each non-pivot column to
     the set of pivots whose row is nonzero there, so a new pivot is
@@ -291,26 +291,9 @@ class Subspace:
                         del w[c]
         return w, den
 
-    def reduce(self, vector):
-        """Residue of vector modulo the span, sparse over Q (empty iff contained)."""
-        # most vectors hold no pivot: a dict skips _entries, and Q(x) skips Q(x, 1)'s gcd
-        if isinstance(vector, dict):
-            items = vector.items()
-        else:
-            items = self._entries(vector)
-        v = {c: x if isinstance(x, Q) else Q(x) for c, x in items if x}
-        rows = self._rows
-        hits = [c for c in v if c in rows]
-        if not hits:
-            return v
-        w, den = self._residue(v, hits)
-        if den == 1:
-            return {c: Q(x) for c, x in w.items()}
-        return {c: Q(x, den) for c, x in w.items()}
-
     def residue(self, vector):
-        """(w, d), the residue of vector modulo the span as w / d: w a sparse dict of
-        nonzero ints (empty iff contained), d a positive int; reduce returns w / d."""
+        """(w, d), the unique residue of vector modulo the span as w / d: w a sparse
+        dict of nonzero ints (empty iff contained), d a positive int."""
         v = {c: x for c, x in self._entries(vector) if x}
         if self._rows.keys().isdisjoint(v) and {*map(type, v.values())} <= {int}:
             return v, 1  # no pivot met and only ints: most of graph_algebra's brackets
@@ -377,24 +360,13 @@ class Subspace:
     def pivots(self):
         return sorted(self._rows)
 
-    def basis(self):
-        """The reduced rows as dense tuples, by increasing pivot."""
-        rows = self.rows
-        return [dense(rows[p], self.ambient) for p in self.pivots]
-
-    def kernel(self):
-        """Canonical basis of {x : row . x = 0 for every row}, dense.
+    def sparse_kernel(self):
+        """Canonical basis of {x : row . x = 0 for every row}, as sparse dicts.
 
         One vector per free (non-pivot) column f, ordered by f, with x_f = 1
-        and x_p = -row_p[f] on the pivots (row_p scaled to pivot entry 1).
-        """
-        return [dense(v, self.ambient) for v in self.sparse_kernel()]
-
-    def sparse_kernel(self):
-        """kernel() as sparse dicts, each keyed by increasing pivot, then f.
-
-        The pivots p with row_p[f] != 0 are read off the column index, and
-        all lie below f.
+        and x_p = -row_p[f] on the pivots (row_p scaled to pivot entry 1),
+        keyed by increasing pivot, then f.  The pivots p with row_p[f] != 0
+        are read off the column index, and all lie below f.
         """
         rows, occ = self._rows, self._occ
         out = []
@@ -428,7 +400,7 @@ class Subspace:
 
 def nullspace(m: Matrix):
     """Canonical kernel basis of m (column vectors as tuples)."""
-    return Subspace(m.cols, m.transpose().columns).kernel()
+    return [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().columns).sparse_kernel()]
 
 
 def solve(m: Matrix, rhs):
@@ -451,7 +423,7 @@ def kernel_of(images) -> Subspace:
         for r, c in img.items():
             eqs.setdefault(r, {})[i] = c
     n = len(images)
-    return Subspace(n, Subspace(n, eqs.values()).sparse_kernel())
+    return Subspace(n, Subspace(n, eqs.values()).int_kernel())
 
 
 def kernel_chain(m: Matrix):
@@ -466,7 +438,8 @@ def kernel_chain(m: Matrix):
     cols = m.columns
     chain = [Subspace(m.rows)]
     while True:
-        nxt = kernel_of([chain[-1].reduce(c) for c in cols])
+        nxt = kernel_of([{k: Q(x, d) for k, x in w.items()}
+                         for w, d in map(chain[-1].residue, cols)])
         if nxt.dim == chain[-1].dim:
             return chain
         chain.append(nxt)
@@ -727,10 +700,10 @@ def _krylov(cols, v, space, t):
     n = len(cols)
     k = 0
     while True:
-        r = space.reduce({**v, t + k: ONE})
-        if min(r) >= n:
-            return Poly([r.get(t + j, ZERO) for j in range(k + 1)])
-        space.add(r)
+        w, d = space.residue({**v, t + k: ONE})
+        if min(w) >= n:
+            return Poly([Q(w.get(t + j, 0), d) for j in range(k + 1)])
+        space.add(w)
         v = apply_columns(cols, v)
         k += 1
 

@@ -1,4 +1,3 @@
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,6 @@ from nicebasis.almost_abelian import (
     build,
     BinomialFactorization,
     enumerate_factorizations,
-    factorizations_equivalent,
     exists_nice,
     count_nice,
     indecomposable_family,
@@ -58,44 +56,6 @@ class TestFactorizations:
         # x^2 + 1 only factors trivially: it is itself the binomial x^2 - (-1)
         facts = enumerate_factorizations(Poly.binomial(2, rat(-1)))
         assert [f.factors for f in facts] == [((2, rat(-1)),)]
-
-
-class TestEquivalence:
-    def all_factorizations(self, k):
-        p = Poly.binomial(k, rat(1))
-        return enumerate_factorizations(p)
-
-    @pytest.mark.parametrize("k", range(1, 17))
-    def test_equivalence_relation_on_xk_minus_1(self, k):
-        facts = self.all_factorizations(k)
-        for f in facts:
-            assert factorizations_equivalent(f, f)
-        for f, g in itertools.combinations(facts, 2):
-            assert factorizations_equivalent(f, g) == \
-                factorizations_equivalent(g, f)
-        for f, g, h in itertools.combinations(facts, 3):
-            if factorizations_equivalent(f, g) and \
-                    factorizations_equivalent(g, h):
-                assert factorizations_equivalent(f, h)
-
-    def test_distinct_factorizations_of_one_target_are_inequivalent(self):
-        # x^2 - 4 = (x - 2)(x + 2): rescaling by -1 swaps the linear roots,
-        # yet no rescaling relates the two factorizations
-        linear = BinomialFactorization.of(((1, rat(2)), (1, rat(-2))))
-        quadratic = BinomialFactorization.of(((2, rat(4)),))
-        assert linear.product() == quadratic.product()
-        assert not factorizations_equivalent(linear, quadratic)
-        assert not factorizations_equivalent(quadratic, linear)
-        for p in [Poly.binomial(k, rat(1)) for k in range(1, 13)] + [
-                Poly.binomial(4, rat(16)), Poly.binomial(2, rat(4)) * Poly.binomial(2, rat(1))]:
-            for f, g in itertools.combinations(enumerate_factorizations(p), 2):
-                assert not factorizations_equivalent(f, g)
-
-    def test_equal_multisets_are_equivalent(self):
-        f1 = BinomialFactorization.of(((1, rat(2)), (1, rat(-2)), (2, rat(3))))
-        f2 = BinomialFactorization.of(((2, rat(3)), (1, rat(-2)), (1, rat(2))))
-        assert f1 == f2
-        assert factorizations_equivalent(f1, f2)
 
 
 class TestBinomialFactorization:

@@ -25,6 +25,7 @@ from nicebasis.linalg import (
     Poly,
     Subspace,
     char_poly,
+    dense,
     kernel_chain,
     nullspace,
     sparse,
@@ -163,6 +164,11 @@ class TestDivideBinomial:
         assert _divide_binomial(ints(p), d, r) is None
 
 
+def dense_rows(s):
+    """The reduced rows of the Subspace s as dense tuples, by increasing pivot."""
+    return [dense(s.rows[p], s.ambient) for p in s.pivots]
+
+
 def reference_nilpotent_chains(a):
     """Jordan chains of the nilpotent part, stepped with the dense apply."""
     n = a.rows
@@ -170,8 +176,8 @@ def reference_nilpotent_chains(a):
     chains = []
     covered = Subspace(n)
     for i in range(len(kernels) - 1, 0, -1):
-        seen = Subspace(n, kernels[i - 1].basis() + covered.basis())
-        for v in kernels[i].basis():
+        seen = Subspace(n, dense_rows(kernels[i - 1]) + dense_rows(covered))
+        for v in dense_rows(kernels[i]):
             if seen.add(v):
                 chain = [v]
                 for _ in range(i - 1):
@@ -206,7 +212,7 @@ def reference_cyclic_chain(a, d, r, existing):
         chain = [tuple(w)]
         for _ in range(d - 1):
             chain.append(a.apply(chain[-1]))
-        trial = Subspace(n, existing.basis())
+        trial = Subspace(n, dense_rows(existing))
         if all(trial.add(v) for v in chain):
             return chain
     raise RuntimeError("no cyclic vector found for factor")

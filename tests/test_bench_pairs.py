@@ -136,41 +136,10 @@ class TestEarlier:
 
 
 class TestLoad:
-    LEGACY = {
-        "workload": "filiform-derivations",
-        "command": "python3 perfbench/run.py --workload filiform-derivations ...",
-        "method": "hand-written",
-        "host": "2-core",
-        "parent": {"commit": "p", "trace0": {"seeds": [11, 12], "median": {"wall_s": 3.0},
-                                            "runs": {"wall_s": [3.0, 3.0]}}},
-        "change": {"commit": "c", "trace0": {"seeds": [11, 12], "median": {"wall_s": 1.0},
-                                            "runs": {"wall_s": [1.0, 1.0]}}},
-        "pairs_won_wall_s": 2,
-    }
-
     def test_new_file(self, tmp_path):
         doc = bench_pairs.load(str(tmp_path / "BENCH_x.json"), "x", "cmd")
         assert doc["label"] == "x" and doc["command"] == "cmd"
         assert doc["workloads"] == [] and doc["earlier_sets"]["sets"] == []
-
-    def test_legacy_medians_move_to_earlier_sets(self, tmp_path):
-        path = tmp_path / "BENCH_filiform-derivations.json"
-        path.write_text(json.dumps(self.LEGACY))
-        doc = bench_pairs.load(str(path), "filiform-derivations", "cmd")
-        assert set(doc) == {"label", "command", "method", "host", "workloads",
-                            "earlier_sets"}
-        assert doc["command"] == "cmd" and doc["method"] == bench_pairs.METHOD
-        assert doc["workloads"] == []
-        assert doc["earlier_sets"]["sets"] == [{
-            "label": "legacy entry",
-            "workload": "filiform-derivations",
-            "method": "hand-written",
-            "commits": {"parent": "p", "change": "c"},
-            "seeds": [11, 12],
-            "pairs": 2,
-            "pairs_won": {"wall_s": 2},
-            "median": {"parent": {"wall_s": 3.0}, "change": {"wall_s": 1.0}},
-        }]
 
     def test_current_schema_is_read_as_is(self, tmp_path):
         path = tmp_path / "BENCH_x.json"

@@ -390,10 +390,10 @@ def zero_weight_part(g, weights):
     off = {(r, c) for r in range(n) for c in range(n) if weights[r] != weights[c]}
     rows = [{j: d[e] for j, d in enumerate(full) if e in d} for e in off]
     vectors = []
-    for combo in Subspace(len(full), rows).kernel():
+    for combo in Subspace(len(full), rows).sparse_kernel():
         v = {}
-        for a, d in zip(combo, full):
-            for (r, c), x in d.items():
+        for j, a in combo.items():
+            for (r, c), x in full[j].items():
                 v[r * n + c] = v.get(r * n + c, ZERO) + a * x
         vectors.append({k: x for k, x in v.items() if x})
     return Subspace(n * n, vectors)

@@ -45,9 +45,9 @@ def reference_change_basis(self, p: Matrix):
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            r = tagged.reduce(self.bracket_sparse(cols[i], cols[j]))
-            if r:
-                table[(i, j)] = {t - n: -r[t] for t in sorted(r)}
+            w, d = tagged.residue(self.bracket_sparse(cols[i], cols[j]))
+            if w:
+                table[(i, j)] = {t - n: Q(-w[t], d) for t in sorted(w)}
     return LieAlgebra(n, table, check=False)
 
 

@@ -12,6 +12,7 @@ from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, free_nilpotent, graph_algebra
 from nicebasis.linalg import Matrix, Subspace, dense, sparse
 from nicebasis.scalars import Q
+from test_integer_table import reference_ideal_closure
 
 # mostly zeros, so that rank drops and sparse paths are exercised
 entries = st.one_of(st.just(Q(0)), st.just(Q(0)),
@@ -57,7 +58,8 @@ class TestSubspaceVsSympy:
         s = Subspace(m.cols, m.data)
         reduced, pivots = to_sympy(m).rref()
         assert s.pivots == list(pivots)
-        assert s.basis() == [from_sympy(reduced.row(i)) for i in range(len(pivots))]
+        assert [dense(s.rows[p], s.ambient) for p in s.pivots] == \
+            [from_sympy(reduced.row(i)) for i in range(len(pivots))]
 
     @given(matrices())
     def test_sparse_input_gives_the_same_rows(self, m):
@@ -65,7 +67,7 @@ class TestSubspaceVsSympy:
 
     @given(matrices())
     def test_kernel_spans_sympy_nullspace(self, m):
-        kernel = Subspace(m.cols, m.data).kernel()
+        kernel = Subspace(m.cols, m.data).sparse_kernel()
         want = [from_sympy(v) for v in to_sympy(m).nullspace()]
         assert len(kernel) == len(want)
         assert Subspace(m.cols, kernel) == Subspace(m.cols, want)
@@ -76,7 +78,7 @@ class TestSubspaceVsSympy:
         v = data.draw(vectors(m.cols))
         inside = to_sympy(Matrix(list(m.data) + [v])).rank() == to_sympy(m).rank()
         assert s.contains(v) == inside
-        assert not set(s.reduce(v)) & set(s.pivots)
+        assert not set(s.residue(v)[0]) & set(s.pivots)
 
 
 nonzero_q = st.builds(Q, st.integers(-4, 4).filter(bool), st.integers(1, 3))
@@ -112,10 +114,10 @@ class TestColumnIndex:
         m = to_sympy(Matrix([dense(v, n) for v in vecs]))
         reduced, pivots = m.rref()
         assert s.pivots == list(pivots)
-        assert s.basis() == [from_sympy(reduced.row(i)) for i in range(len(pivots))]
+        assert [dense(s.rows[p], s.ambient) for p in s.pivots] == \
+            [from_sympy(reduced.row(i)) for i in range(len(pivots))]
         # the canonical kernel basis is sympy's, vector for vector
         want = [from_sympy(v) for v in m.nullspace()]
-        assert s.kernel() == want
         assert [sparse(v) for v in want] == s.sparse_kernel()
 
 
@@ -227,7 +229,7 @@ def test_generator_closure_matches_full_ideal_closure(v, c):
         g = GraphSpec.of(v, edges, c)
         non_edges = [(a, b) for a, b in itertools.combinations(range(v), 2)
                      if not g.has_edge(a, b)]
-        full = free.ideal_closure([free.bracket_basis(a, b) for a, b in non_edges])
+        full = reference_ideal_closure(free, [free.bracket_basis(a, b) for a, b in non_edges])
         _, words, _ = graph_algebra(g)
         kept = {index[w] for w in words}
         assert set(full.pivots) == set(range(free.dim)) - kept, edges

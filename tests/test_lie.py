@@ -17,12 +17,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LieAlgebra(3, {(0, 1): {2: rat(1)}, (0, 2): {0: rat(1)}})
 
-    @pytest.mark.parametrize("names", [[], ["x"], ["x", "y", "z"]], ids=["none", "short", "long"])
-    def test_names_must_name_every_basis_vector(self, names):
+    @pytest.mark.parametrize("names,message", [
+        ([], "wrong number of basis names"),
+        (["x"], "wrong number of basis names"),
+        (["x", "y", "z"], "wrong number of basis names"),
+        ("xy", "basis names must be a sequence of strings"),  # not taken apart into x, y
+        (["x", 2], "basis names must be a sequence of strings"),
+        ([None, "y"], "basis names must be a sequence of strings"),
+        (["x", "x"], "repeated basis name"),
+    ], ids=["none", "short", "long", "one-string", "int", "none-name", "repeated"])
+    def test_names_must_name_every_basis_vector(self, names, message):
         # an empty list is a list of names, not a request for e1, e2
-        with pytest.raises(ValueError, match="^wrong number of basis names$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             LieAlgebra(2, {}, names=names)
         assert LieAlgebra(2, {}).names == ["e1", "e2"]
+        assert LieAlgebra(2, {}, names=("x", "y")).names == ["x", "y"]
         assert LieAlgebra(0, {}, names=[]).names == []
 
     def test_bracket_bilinear(self):
@@ -94,11 +103,13 @@ class TestQuotient:
         with pytest.raises(ValueError, match="Jacobi"):
             g.quotient(Subspace(3))
 
-    def test_ideal_closure(self):
-        g = fixtures.standard_filiform(4)
-        ideal = g.ideal_closure([(rat(0), rat(1), rat(0), rat(0))])
-        # e2 generates e3 and e4 through brackets with e1
-        assert ideal.dim == 3
+    def test_refuses_an_ideal_of_another_dimension(self):
+        # e5 of Q^5 meets no bracket of h3, so the ideal test alone would pass it
+        g = fixtures.heisenberg3()
+        with pytest.raises(ValueError, match=r"^ideal lies in Q\^5, not Q\^3$"):
+            g.quotient(Subspace(5, [{4: ONE}]))
+        with pytest.raises(ValueError, match=r"^ideal lies in Q\^2, not Q\^3$"):
+            g.quotient(Subspace(2))
 
 
 class TestIO:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicebasis import linalg
-from nicebasis.linalg import Poly, Subspace, _krylov, sparse
+from nicebasis.linalg import Poly, Subspace, _krylov, dense, sparse
 from nicebasis.scalars import Q, ZERO, ONE, fmt
 
 
@@ -179,7 +179,7 @@ def sparse_columns(m: Matrix):
 
 def nullspace(m: Matrix):
     """Canonical kernel basis of m (column vectors as tuples)."""
-    return Subspace(m.cols, m.data).kernel()
+    return [dense(v, m.cols) for v in Subspace(m.cols, m.data).sparse_kernel()]
 
 
 def solve(m: Matrix, rhs):

@@ -102,20 +102,24 @@ def test_bracket_index_errors_name_the_line_and_index(capsys, tmp_path, text, in
         f"error: {path}: line 2: bracket index {index} out of range 1..{text[4]}"]
 
 
-@pytest.mark.parametrize("text,line", [
-    ("dim 2\nnames\nbracket 1 2 1 1\n", 2),
-    ("dim 3\nbracket 1 2 3 1\nnames   # no names\n", 3),
-    ("dim 1\nnames X Y\n", 2),
-], ids=["empty-names", "empty-names-after-brackets", "too-many-names"])
-def test_names_line_must_name_every_basis_vector(capsys, tmp_path, text, line):
+@pytest.mark.parametrize("text,line,message", [
+    ("dim 2\nnames\nbracket 1 2 1 1\n", 2, "wrong number of basis names"),
+    ("dim 3\nbracket 1 2 3 1\nnames   # no names\n", 3, "wrong number of basis names"),
+    ("dim 1\nnames X Y\n", 2, "wrong number of basis names"),
+    ("dim 3\nnames X Y X\nbracket 1 2 3 1\n", 2, "duplicate basis name X"),
+    ("dim 3\nbracket 1 2 3 1\nnames a b b\n", 3, "duplicate basis name b"),
+    # a repeat is found when the names line is read, before its length is checked
+    ("dim 2\nnames X X Y\n", 2, "duplicate basis name X"),
+], ids=["empty-names", "empty-names-after-brackets", "too-many-names",
+        "repeat-first", "repeat-after-brackets", "repeat-and-too-many"])
+def test_names_line_must_name_every_basis_vector(capsys, tmp_path, text, line, message):
     # an empty names line is a names line: it no longer falls back to e1, e2, ...
     path = tmp_path / "input.lie"
     path.write_text(text)
     assert cli.main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: {path}: line {line}: wrong number of basis names"]
+    assert captured.err.splitlines() == [f"error: {path}: line {line}: {message}"]
 
 
 def test_dimension_zero_round_trips_its_empty_names_line():

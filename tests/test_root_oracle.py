@@ -29,7 +29,6 @@ from nicebasis.almost_abelian import (
     analyze,
     count_nice,
     enumerate_factorizations,
-    factorizations_equivalent,
     indecomposable_family,
 )
 from nicebasis.linalg import (
@@ -213,7 +212,8 @@ def _eta_exists(pairs):
 
 
 def _same_class(f1, f2) -> bool:
-    """factorizations_equivalent for two factorizations of one polynomial."""
+    """Does a real rescaling eta relate two factorizations of one polynomial?
+    A search over the matchings of equal-degree factors."""
     if f1.factors == f2.factors:
         return True
     deg1 = sorted(d for d, _ in f1.factors)
@@ -435,8 +435,6 @@ class TestRescalingLemma:
         assume(search_size(facts) <= 5040)
         for f1, f2 in itertools.combinations(facts, 2):
             assert not _same_class(f1, f2)
-            assert not factorizations_equivalent(f1, f2)
-        assert all(factorizations_equivalent(f, f) for f in facts)
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_x_power_minus_one(self, k):

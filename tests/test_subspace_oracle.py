@@ -5,7 +5,7 @@ it eliminates over Q with Fraction rows scaled to pivot 1.  Both are driven
 with the same vectors; after every add the canonical rows, pivots, column
 index, residues and kernels must agree, and every value handed out must be
 a Fraction, except the int residue (w, d) of Subspace.residue, which must
-be reduce's residue times d.
+be the oracle's residue times d.
 """
 
 import math
@@ -150,15 +150,11 @@ def assert_same(s, ref, probes):
     assert kernel == ref.sparse_kernel()
     assert [list(v) for v in kernel] == [list(v) for v in ref.sparse_kernel()]
     assert all(all_fractions(v.values()) for v in kernel)
-    assert all(all_fractions(v) for v in s.kernel() + s.basis())
     for probe in [*probes, *ref.sparse_kernel(), *ref.rows.values()]:
-        got = s.reduce(probe)
-        assert got == ref.reduce(probe)
-        assert all_fractions(got.values())
         w, d = s.residue(probe)
         assert type(d) is int and d > 0
         assert all(type(x) is int and x for x in w.values())
-        assert {c: Q(x, d) for c, x in w.items()} == got
+        assert {c: Q(x, d) for c, x in w.items()} == ref.reduce(probe)
 
 
 class TestAgainstFractionSubspace:
@@ -196,19 +192,15 @@ class TestAgainstFractionSubspace:
         assert s.add({1: 3, 2: -6})
         assert s.rows == {0: {0: ONE, 2: Q(4)}, 1: {1: ONE, 2: Q(-2)}}
 
-    def test_reduce_wraps_entries_without_a_pivot(self):
+    def test_residue_of_entries_without_a_pivot(self):
         s = Subspace(3, [(1, 2, 0)])
-        got = s.reduce({1: 5, 2: Q(1, 2)})
-        assert got == {1: Q(5), 2: Q(1, 2)}
-        assert all_fractions(got.values())
-        got = s.reduce((3, 0, 7))
-        assert got == {1: Q(-6), 2: Q(7)}
-        assert all_fractions(got.values())
+        assert s.residue({1: 5, 2: Q(1, 2)}) == ({1: 10, 2: 1}, 2)  # (0, 5, 1/2)
+        assert s.residue((3, 0, 7)) == ({1: -6, 2: 7}, 1)
 
-    def test_residue_is_reduce_in_ints(self):
+    def test_residue_in_ints(self):
         s = Subspace(3, [(2, 3, 0)])
         w, d = s.residue({0: 1, 1: Q(1, 2), 2: 0})
         assert (w, d) == ({1: -2}, 2)  # (1, 1/2, 0) - (1/2)(2, 3, 0) = (0, -1, 0)
-        assert s.reduce({0: 1, 1: Q(1, 2)}) == {1: Q(-1)}
+        assert s.residue({0: 1, 1: Q(1, 2)}) == ({1: -2}, 2)
         assert s.residue((4, 6, 0)) == ({}, 1)
         assert s.residue({1: 5}) == ({1: 5}, 1)

@@ -25,10 +25,8 @@ verdict per end-to-end metric of the change's BENCHMARK.json (see
 `verdicts`); and, with `--trace-runs N`, the medians of N traced runs per
 side on seed 5, alternating sides.  An entry it
 replaces moves, its medians, pairs won and verdicts only, to the front of
-`earlier_sets`.  Entries of other workloads are kept.  A file in the older
-hand-written schema (one workload, with top-level `parent`/`change` keys)
-is migrated: its medians go to the end of `earlier_sets` and its own keys
-are dropped.  Standard library only.
+`earlier_sets`.  Entries of other workloads are kept.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -203,33 +201,14 @@ def earlier(entry):
     }
 
 
-def legacy(old):
-    """The earlier_sets entry of a file in the hand-written one-workload schema."""
-    sides = ("parent", "change")
-    return {
-        "label": "legacy entry",
-        "workload": old["workload"],
-        "method": old.get("method"),
-        "commits": {name: old[name].get("commit") for name in sides},
-        "seeds": old["parent"]["trace0"]["seeds"],
-        "pairs": len(old["parent"]["trace0"]["seeds"]),
-        "pairs_won": {"wall_s": old.get("pairs_won_wall_s")},
-        "median": {name: old[name]["trace0"]["median"] for name in sides},
-    }
-
-
 def load(path, label, command):
-    """The document at path, or a new one; a legacy file comes back migrated."""
+    """The document at path, or a new one."""
     doc = {"label": label, "command": command, "method": METHOD, "host": None,
            "workloads": [], "earlier_sets": {"note": "medians of earlier sets, newest first",
                                              "sets": []}}
     if os.path.exists(path):
         with open(path) as fh:
-            old = json.load(fh)
-        if "parent" in old:
-            doc["earlier_sets"]["sets"].append(legacy(old))
-        else:
-            doc.update(old)
+            doc.update(json.load(fh))
     return doc
 
 
