@@ -1,3 +1,4 @@
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from nicebasis.linalg import Matrix, Poly
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, rat
 from nicebasis import fixtures
+from test_root_oracle import _same_class
 
 
 class TestBuild:
@@ -56,6 +58,47 @@ class TestFactorizations:
         # x^2 + 1 only factors trivially: it is itself the binomial x^2 - (-1)
         facts = enumerate_factorizations(Poly.binomial(2, rat(-1)))
         assert [f.factors for f in facts] == [((2, rat(-1)),)]
+
+
+class TestEquivalence:
+    """The lemma in Analysis.count's docstring: a real rescaling relates two
+    factorizations of one polynomial only when they are equal.  _same_class is
+    the rescaling search that the count replaced."""
+
+    def all_factorizations(self, k):
+        p = Poly.binomial(k, rat(1))
+        return p, enumerate_factorizations(p)
+
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_equivalence_relation_on_xk_minus_1(self, k):
+        p, facts = self.all_factorizations(k)
+        for f in facts:
+            assert f.product() == p
+            assert _same_class(f, f)
+        for f, g in itertools.combinations(facts, 2):
+            assert f != g
+            assert not _same_class(f, g)
+            assert not _same_class(g, f)
+
+    def test_distinct_factorizations_of_one_target_are_inequivalent(self):
+        # x^2 - 4 = (x - 2)(x + 2): rescaling by -1 swaps the linear roots,
+        # yet no rescaling relates the two factorizations
+        linear = BinomialFactorization.of(((1, rat(2)), (1, rat(-2))))
+        quadratic = BinomialFactorization.of(((2, rat(4)),))
+        assert linear.product() == quadratic.product()
+        assert not _same_class(linear, quadratic)
+        assert not _same_class(quadratic, linear)
+        for p in [Poly.binomial(k, rat(1)) for k in range(1, 13)] + [
+                Poly.binomial(4, rat(16)), Poly.binomial(2, rat(4)) * Poly.binomial(2, rat(1))]:
+            for f, g in itertools.combinations(enumerate_factorizations(p), 2):
+                assert not _same_class(f, g)
+
+    def test_equal_multisets_are_equivalent(self):
+        f1 = BinomialFactorization.of(((1, rat(2)), (1, rat(-2)), (2, rat(3))))
+        f2 = BinomialFactorization.of(((2, rat(3)), (1, rat(-2)), (1, rat(2))))
+        assert f1 == f2
+        assert hash(f1) == hash(f2)
+        assert _same_class(f1, f2)
 
 
 class TestBinomialFactorization:

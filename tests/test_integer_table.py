@@ -778,3 +778,24 @@ class TestQuotientMatchesFractionReference:
         assert_same_algebra(q, ref)
         assert_rebuilds(q)
         assert_same_projection(project, ref_project, g.dim, random.Random(0))
+
+    @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_same_ideal_closure(self, name, data):
+        # quotient by the ideal that random vectors generate, dense or sparse
+        g = LIE_ALGEBRAS[name]()
+        entry = st.sampled_from([ZERO, ZERO, ZERO, ONE, Q(-2), Q(1, 2), Q(2, 3)])
+        vectors = data.draw(st.lists(st.lists(entry, min_size=g.dim, max_size=g.dim),
+                                     min_size=1, max_size=2))
+        dense = [tuple(v) for v in vectors]
+        ideal = reference_ideal_closure(g, dense)
+        assert reference_ideal_closure(g, [sparse(v) for v in dense]) == ideal
+        q, project = g.quotient(ideal)
+        ref, ref_project = reference_quotient(g, ideal)
+        # components come in Subspace.residue's order, the reference's sorted,
+        # and these ideals reach residues where the two differ
+        assert (q.dim, q.names, list(q.brackets)) == (ref.dim, ref.names, list(ref.brackets))
+        assert q.brackets == ref.brackets
+        assert all(type(x) is Fraction for comps in q.brackets.values() for x in comps.values())
+        assert_same_projection(project, ref_project, g.dim, random.Random(0))

@@ -103,6 +103,17 @@ class TestQuotient:
         with pytest.raises(ValueError, match="Jacobi"):
             g.quotient(Subspace(3))
 
+    def test_ideal_closure(self):
+        # e2 generates e3 and e4 through brackets with e1: quotient accepts
+        # their span as an ideal and refuses every smaller span holding e2
+        g = fixtures.standard_filiform(4)
+        e = [{i: ONE} for i in range(4)]
+        for vectors in ([e[1]], [e[1], e[2]], [e[1], e[3]]):
+            with pytest.raises(ValueError, match="^subspace is not an ideal$"):
+                g.quotient(Subspace(4, vectors))
+        q, _ = g.quotient(Subspace(4, [e[1], e[2], e[3]]))
+        assert q.dim == 1
+
     def test_refuses_an_ideal_of_another_dimension(self):
         # e5 of Q^5 meets no bracket of h3, so the ideal test alone would pass it
         g = fixtures.heisenberg3()
