@@ -26,7 +26,7 @@ CASES = [
 
 def main():
     for label, g in CASES:
-        alg, _, _ = graph_algebra(g)
+        alg = graph_algebra(g)[0]
         ok, tag = nice_predicate(g)
         print("%-22s dim %3d  nice=%-5s (%s)" % (label, alg.dim, ok, tag))
         if ok:

@@ -71,7 +71,6 @@ from .graphs import (
     PredicateFalse,
     DimensionCapExceeded,
     parse_graph,
-    serialize_graph,
     load_graph,
 )
 from .catalog3 import (

@@ -204,7 +204,7 @@ def cmd_graph(args):
     lines = [("nice" if ok else "not nice") + f" ({tag})"]
     payload = {"nice": ok, "tag": tag}
     try:
-        alg, words, _ = graph_algebra(g)
+        alg = graph_algebra(g)[0]
     except DimensionCapExceeded as err:
         raise UsageError(f"{args.file}: {err}") from None
     payload["dimension"] = alg.dim

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .scalars import ONE, factor_int, parse_int
+from .scalars import factor_int, parse_int
 from .lie import DIMENSION_CAP, LieAlgebra
 from .linalg import Matrix, Subspace, _divisors
 from .nice import check_nice
@@ -217,12 +217,11 @@ def _block_kind(s, nbr):
 
 
 def graph_algebra(g: GraphSpec):
-    """(LieAlgebra, kept Lyndon words, projection) of the graph quotient.
+    """(LieAlgebra, kept Lyndon words) of the graph quotient.
 
-    projection maps a coordinate vector of the free algebra F to quotient
-    coordinates.  Edgeless graphs short-circuit to the abelian algebra (the
-    ideal is everything past degree 1) so high classes stay cheap.  The
-    result is shared with the next call on an equal spec: read-only.
+    Edgeless graphs short-circuit to the abelian algebra (the ideal is
+    everything past degree 1) so high classes stay cheap.  The result is
+    shared with the next call on an equal spec: read-only.
 
     The Lyndon words are grouped by their vertex set S, disjoint sets of
     coordinates, and the module's lemma decides each group (block):
@@ -243,7 +242,7 @@ def graph_algebra(g: GraphSpec):
     if not g.edges or c == 1:
         words = tuple((v,) for v in range(d))
         names = [_word_name(w) for w in words]
-        return LieAlgebra(d, {}, names=names), words, lambda vec: tuple(vec[:d])
+        return LieAlgebra(d, {}, names=names), words
     if g in _quotient_memo:
         return _quotient_memo[g]
     free, basis = free_nilpotent(d, c)
@@ -263,9 +262,9 @@ def graph_algebra(g: GraphSpec):
     pivots = set(ideal.pivots)
     keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in pivots]
     pairs = (p for p in free.pairs if kind[support[p[0]] | support[p[1]]] != _APART)
-    alg, project = free._quotient(ideal, keep, pairs, check=False)
+    alg = free._quotient(ideal, keep, pairs, check=False)[0]
     _quotient_memo.clear()
-    _quotient_memo[g] = alg, tuple(basis.words[i] for i in keep), project
+    _quotient_memo[g] = alg, tuple(basis.words[i] for i in keep)
     return _quotient_memo[g]
 
 
@@ -288,46 +287,35 @@ def nice_predicate(g: GraphSpec):
 
 
 def construct_nice_basis(g: GraphSpec) -> Matrix:
-    """Change-of-basis matrix (columns) making graph_algebra(g) nice.
+    """Change-of-basis matrix (columns) making graph_algebra(g) nice: the identity.
 
-    Verified by check_nice before returning.  Raises PredicateFalse when no
-    nice basis exists.
+    Lemma: the kept Lyndon words are weight vectors of the vertex torus (v_a
+    scaled by t_a), the weight of a word its letter multiset.  If every weight
+    space has dimension 1, the defining basis is nice.  [e_i, e_j] lies in the
+    weight space of weight(i) + weight(j), of dimension 1: condition 1.  If
+    [e_i, e_j] and [e_i, e_l] both meet e_k, then weight(j) = weight(k) -
+    weight(i) = weight(l), so j = l: condition 2.
+
+    The graphs that nice_predicate accepts have multiplicity 1; at class <= 2
+    and without edges this is plain.  By the module's lemma only words with a
+    connected vertex set are kept.  A connected set of 3 vertices that is no
+    clique is a path a-b-c: the free multidegree e_a + e_b + e_c has dimension
+    2, and I meets it in [v_b, [v_a, v_c]].  An edge is a clique block, where
+    the free multidegrees (2,1), (3,1) and (2,2) have dimension 1.  So a
+    triangle-free graph at class 3 and a matching at class 4 qualify.  Whether
+    multiplicity >= 2 rules out every nice basis is not proven here.
+
+    Verified by check_nice before returning.  Raises PredicateFalse when
+    nice_predicate fails.
     """
     ok, reason = nice_predicate(g)
     if not ok:
         raise PredicateFalse(reason)
-    alg, words, _ = graph_algebra(g)
-    index = {w: i for i, w in enumerate(words)}
-    n = alg.dim
-    br = alg.bracket_sparse
-
-    if g.c == 3 and g.edges:
-        verts = [{index[(v,)]: ONE} for v in range(g.vertex_count)]
-        edges = sorted(tuple(sorted(e)) for e in g.edges)
-        cols = list(verts)
-        pair_bracket = {}
-        for a, b in edges:
-            pair_bracket[(a, b)] = br(verts[a], verts[b])
-            cols.append(pair_bracket[(a, b)])
-        # [v_i, [v_j, v_k]] with i < k, i not in {j, k}, both {i,j}, {j,k}
-        # edges; j > k is allowed, the inner bracket is then computed as is
-        for a, b in edges:
-            for j, k in ((a, b), (b, a)):
-                inner = br(verts[j], verts[k])
-                for i in range(g.vertex_count):
-                    if i < k and i not in (j, k) and g.has_edge(i, j):
-                        cols.append(br(verts[i], inner))
-        for a, b in edges:
-            cols.append(br(verts[a], pair_bracket[(a, b)]))
-            cols.append(br(verts[b], pair_bracket[(a, b)]))
-        basis = Matrix.from_columns(cols, n)
-        conj = alg.change_basis(basis)
-    else:  # class at most 2, edgeless, or a matching at class 4: as defined
-        basis, conj = Matrix.identity(n), alg
-    verdict = check_nice(conj)
+    alg = graph_algebra(g)[0]
+    verdict = check_nice(alg)
     if not verdict:
-        raise RuntimeError(f"constructed basis is not nice: {verdict.violations}")
-    return basis
+        raise RuntimeError(f"defining basis is not nice: {verdict.violations}")
+    return Matrix.identity(alg.dim)
 
 
 # --- graph file format ---
@@ -369,13 +357,6 @@ def parse_graph(text: str) -> GraphSpec:
         if bad := [t + 1 for t in (a, b) if not 0 <= t < n]:
             raise ValueError(f"line {lineno}: edge endpoint {bad[0]} out of range 1..{n}")
     return GraphSpec.of(n, [e[1:] for e in edges], header["class"])
-
-
-def serialize_graph(g: GraphSpec) -> str:
-    lines = [f"vertices {g.vertex_count}", f"class {g.c}"]
-    for e in sorted(tuple(sorted(e)) for e in g.edges):
-        lines.append(f"edge {e[0]+1} {e[1]+1}")
-    return "\n".join(lines) + "\n"
 
 
 def load_graph(path) -> GraphSpec:

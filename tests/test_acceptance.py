@@ -55,7 +55,7 @@ def test_graph_sweep():
     frozenset(e) for e in ((0, 1), (1, 2), (0, 2))), 3)], ids=["nice", "not-nice"])
 def test_graph_sweep_catches_a_wrong_predicate(monkeypatch, flip):
     # the predicate is wrong on one graph, for the construction as well: only
-    # the criterion recomputed from the edges can tell
+    # the weight multiplicities of the algebra can tell
     right = graphs.nice_predicate
 
     def wrong(g):

@@ -11,7 +11,9 @@ instead of every pair of kept indices, jacobi_failures checks only the
 triples that some support pair reaches, and free_nilpotent expands Lyndon
 words with int coefficients.  The reference_* functions below are the
 Fraction versions they replaced; every output is compared with them, down to
-value types and key order.
+value types and key order, with one exception.  The components of a quotient
+bracket come in Subspace.residue's order, not the reference's sorted one, so
+test_same_ideal_closure compares them as dicts.
 """
 
 import itertools
@@ -149,7 +151,7 @@ def reference_graph_algebra(g):
     if not g.edges or c == 1:
         names = [f"v{v + 1}" for v in range(d)]  # the generators' names in free_nilpotent
         words = tuple((v,) for v in range(d))
-        return LieAlgebra(d, {}, names=names), words, lambda vec: tuple(vec[:d])
+        return LieAlgebra(d, {}, names=names), words
     free, basis = free_nilpotent(d, c)
     ideal = Subspace(free.dim)
     queue = []
@@ -166,11 +168,6 @@ def reference_graph_algebra(g):
                 queue.append(w)
     keep = sorted(set(range(free.dim)).difference(ideal.pivots))
     pos = {orig: t for t, orig in enumerate(keep)}
-
-    def project(vec):
-        res = residue_q(ideal, vec)
-        return tuple(res.get(i, ZERO) for i in keep)
-
     table = {}
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
@@ -179,7 +176,7 @@ def reference_graph_algebra(g):
                 table[(a, b)] = {pos[k]: x for k, x in res.items()}
     words = tuple(basis.words[i] for i in keep)
     names = [graphs._word_name(w) for w in words]
-    return LieAlgebra(len(keep), table, names=names, check=False), words, project
+    return LieAlgebra(len(keep), table, names=names, check=False), words
 
 
 def residue_q(s, vector):
@@ -337,37 +334,34 @@ class TestFreeNilpotentMatchesFractionReference:
 class TestGraphAlgebraMatchesFractionReference:
     @pytest.mark.parametrize("v", [1, 2, 3, 4])
     def test_every_small_graph(self, v):
-        rng = random.Random(v)
         for n, edges, c in SMALL_GRAPHS:
             if n == v:
-                self.check(GraphSpec.of(n, edges, c), rng)
+                self.check(GraphSpec.of(n, edges, c))
 
     @pytest.mark.parametrize("n,edges,c", SEEDED_GRAPHS)
     def test_seeded_larger_graphs(self, n, edges, c):
-        self.check(GraphSpec.of(n, edges, c), random.Random(n * 10 + c))
+        self.check(GraphSpec.of(n, edges, c))
 
     @pytest.mark.parametrize("n,edges,c", DISCONNECTED_GRAPHS)
     def test_disconnected_graphs(self, n, edges, c):
-        self.check(GraphSpec.of(n, edges, c), random.Random(n * 10 + c))
+        self.check(GraphSpec.of(n, edges, c))
 
     @staticmethod
-    def check(g, rng):
-        alg, words, project = graph_algebra(g)
-        ref, ref_words, ref_project = reference_graph_algebra(g)
+    def check(g):
+        alg, words = graph_algebra(g)
+        ref, ref_words = reference_graph_algebra(g)
         assert words == ref_words
         assert_same_algebra(alg, ref)
         assert_rebuilds(alg)
-        free_dim = g.vertex_count if not g.edges or g.c == 1 else free_nilpotent(
-            g.vertex_count, g.c)[0].dim
-        assert_same_projection(project, ref_project, free_dim, rng)
 
 
 class TestIdentityBranch:
     @pytest.mark.parametrize("n,edges,c", [
-        (4, [(0, 1), (1, 2), (2, 3)], 2), (5, [(0, 1), (2, 3)], 4), (4, [], 5), (3, [(0, 2)], 1)])
+        (4, [(0, 1), (1, 2), (2, 3)], 2), (5, [(0, 1), (2, 3)], 4), (4, [], 5), (3, [(0, 2)], 1),
+        (4, [(0, 1), (1, 2), (2, 3)], 3), (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], 3)])
     def test_defining_basis_is_its_own_identity_change(self, n, edges, c):
-        # construct_nice_basis checks alg itself where it once checked
-        # alg.change_basis(I); the two tables are the same
+        # construct_nice_basis checks alg itself, class-3 graphs with edges
+        # included, and returns I; alg.change_basis(I) has the same table
         g = GraphSpec.of(n, edges, c)
         alg = graph_algebra(g)[0]
         assert construct_nice_basis(g) == Matrix.identity(alg.dim)
@@ -541,7 +535,7 @@ def same_table(g):
     return g.dim, g.pairs, rows_in_order(g), g.den, g.names
 
 
-PATH_P3 = GraphSpec.of(3, [(0, 1), (1, 2)], 3)  # class 3 with edges: a change of basis
+PATH_P3 = GraphSpec.of(3, [(0, 1), (1, 2)], 3)  # class 3 with edges: check_nice alone, no change of basis
 # each hot call builds its own inputs, and returns what can be compared by value
 HOT_CALLS = {
     "graph_algebra": lambda: (same_table(graph_algebra(PATH_P3)[0]), graph_algebra(PATH_P3)[1]),
