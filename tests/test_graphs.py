@@ -309,6 +309,12 @@ class TestNicePredicate:
             with pytest.raises(PredicateFalse):
                 construct_nice_basis(g)
 
+    def test_identity_is_returned_only_after_check_nice(self, monkeypatch):
+        # a predicate that accepts the triangle at class 3, where weight (1,1,1) repeats
+        monkeypatch.setattr(graphs, "nice_predicate", lambda g: (True, "wrong"))
+        with pytest.raises(RuntimeError, match="^defining basis is not nice"):
+            construct_nice_basis(spec(3, [(0, 1), (1, 2), (0, 2)], 3))
+
 
 class TestGraphIO:
     def test_round_trip(self):
