@@ -377,16 +377,22 @@ def _cyclic_chain(squares, d, r, existing: Subspace):
 
 
 def _cyclic_candidates(kernel):
-    """Kernel vectors, then every u + v, the prefix sums, every u + 2v, lazily."""
+    """Kernel vectors, every u + v, then the curve points sum_k t^k u_k for
+    t = 0..m(m-1), m = len(kernel), lazily.
+
+    One curve point serves.  Each constituent pi of x^d - r that the chain of w
+    might lack (w's pi-component zero or inside the earlier chains) cuts out a
+    proper subspace of ker(A^d - r), since the earlier chains use one copy of
+    each constituent of their own factor.  A functional vanishing there but not
+    on every u_k is a nonzero polynomial of degree < m in t, so the curve meets
+    the subspace at most m - 1 times, and there are at most d <= m constituents.
+    """
     yield from kernel
     for uv in itertools.combinations(kernel, 2):
         yield apply_columns(uv, {0: ONE, 1: ONE})
-    prefix = kernel[0]
-    for v in kernel[1:]:
-        prefix = apply_columns((prefix, v), {0: ONE, 1: ONE})
-        yield prefix
-    for uv in itertools.combinations(kernel, 2):
-        yield apply_columns(uv, {0: ONE, 1: Q(2)})
+    m = len(kernel)
+    for t in range(m * (m - 1) + 1):
+        yield apply_columns(kernel, {k: t**k for k in range(m)})
 
 
 def indecomposable_family(n: int) -> AlmostAbelian:

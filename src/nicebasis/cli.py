@@ -133,12 +133,11 @@ def cmd_nu_product(args):
     parts = []
     factors = []
     for path in args.files:
-        g = _load_lie(path)
-        if not check_nice(g):
-            print(f"error: {path}: defining basis is not nice",
-                  file=sys.stderr)
+        try:
+            pe = pre_einstein_nice(_load_lie(path))
+        except NotNiceBasis as err:
+            print(f"error: {path}: {err}", file=sys.stderr)
             return 1
-        pe = pre_einstein_nice(g)
         nu = simple_spectrum_unique(pe)
         parts.append((pe, nu))
         factors.append({

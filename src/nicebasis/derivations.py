@@ -71,6 +71,8 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     n = g.dim
     t = g.table
     weights = [ZERO] * n if weights is None else weights
+    if len(weights) != n:
+        raise ValueError(f"need {n} weights, one per basis vector, got {len(weights)}")
     block = {}  # weight -> indices of that weight, increasing
     for i, w in enumerate(weights):
         block.setdefault(w, []).append(i)
@@ -200,9 +202,9 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     l(D) != 0.  (pre_einstein_nice's N comes from an int Gram system.)
     """
     n_diag = [Q(x) for x in n_diag]
+    space = derivation_space(g, n_diag)  # refuses a length other than g.dim
     if not is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
         return False, ("not_derivation", Matrix.diagonal(n_diag))
-    space = derivation_space(g, n_diag)
     gap = {space.unknowns[(r, r)]: x - 1 for r, x in enumerate(n_diag) if x != 1}
     if not space.system.residue(gap)[0]:
         return True, None

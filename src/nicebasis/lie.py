@@ -16,7 +16,7 @@ import functools
 import math
 
 from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
-from .linalg import Matrix, Subspace, dense, kernel_of, sparse
+from .linalg import Matrix, Subspace, _preimage, _preimage_chain, dense, kernel_of, sparse
 
 # Largest dimension (matrix size, graph vertex count or class) any input
 # file or constructed algebra may have; larger inputs are refused up front.
@@ -178,28 +178,12 @@ class LieAlgebra:
         return self.lower_central_series()[-1].dim == 0
 
     def center(self):
-        return self._preimage_of_center(Subspace(self.dim))
+        return _preimage(self.table, Subspace(self.dim))
 
     def upper_central_series(self):
-        """[0, Z(g), Z_2(g), ...] ending at the first repeat."""
-        series = [Subspace(self.dim)]
-        while True:
-            prev = series[-1]
-            nxt = self._preimage_of_center(prev)
-            if nxt.dim == prev.dim:
-                return series
-            series.append(nxt)
-            if nxt.dim == self.dim:
-                return series
-
-    def _preimage_of_center(self, z: Subspace) -> Subspace:
-        # {x : [x, e_j] in z for all j}: the residues of [e_i, e_j] modulo z,
-        # over all j, must combine to zero
-        def residues(row):  # ints where d == 1: kernel_of takes ints and Q alike
-            pairs = ((j, z.residue(comps)) for j, comps in row.items())
-            return {(j, k): x if d == 1 else Q(x, d) for j, (w, d) in pairs for k, x in w.items()}
-
-        return kernel_of([residues(row) for row in self.table])
+        """[0, Z(g), Z_2(g), ...] ending at the first repeat: Z_(k+1)(g) is the preimage
+        {x : [x, e_j] in Z_k(g) for all j} of the int table rows."""
+        return _preimage_chain(self.table)
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""

@@ -360,25 +360,11 @@ class Subspace:
     def pivots(self):
         return sorted(self._rows)
 
-    def sparse_kernel(self):
-        """Canonical basis of {x : row . x = 0 for every row}, as sparse dicts.
-
-        One vector per free (non-pivot) column f, ordered by f, with x_f = 1
-        and x_p = -row_p[f] on the pivots (row_p scaled to pivot entry 1),
-        keyed by increasing pivot, then f.  The pivots p with row_p[f] != 0
-        are read off the column index, and all lie below f.
-        """
-        rows, occ = self._rows, self._occ
-        out = []
-        for f in range(self.ambient):
-            if f not in rows:
-                v = {p: Q(-rows[p][f], rows[p][p]) for p in sorted(occ.get(f, ()))}
-                v[f] = ONE
-                out.append(v)
-        return out
-
     def int_kernel(self):
-        """sparse_kernel() with each vector scaled to ints by the lcm of its pivot entries."""
+        """Canonical basis of {x : row . x = 0 for every row}, as sparse int dicts: one
+        vector per free (non-pivot) column f, by f, keyed by increasing pivot, then f.
+        x_f = den and x_p = -row_p[f] den / row_p[p] on the pivots p with row_p[f] != 0,
+        read off the column index (all below f), den the lcm of their row_p[p]."""
         rows, out = self._rows, []
         for f in range(self.ambient):
             if f not in rows:
@@ -386,6 +372,11 @@ class Subspace:
                 den = math.lcm(*[rows[p][p] for p in hits])
                 out.append({**{p: -rows[p][f] * (den // rows[p][p]) for p in hits}, f: den})
         return out
+
+    def sparse_kernel(self):
+        """int_kernel() over Q, each vector divided by its free entry: x_f = 1 and
+        x_p = -row_p[f] / row_p[p]."""
+        return [{c: Q(x, v[f]) for c, x in v.items()} for v in self.int_kernel() for f in [max(v)]]
 
     def __eq__(self, other):
         return (
@@ -405,6 +396,8 @@ def nullspace(m: Matrix):
 
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
+    if len(rhs) != m.rows:
+        raise ValueError(f"right-hand side has {len(rhs)} entries, the matrix {m.rows} rows")
     n = m.cols
     aug = Subspace(n + 1, ({**row, n: Q(b)} for row, b in zip(m.transpose().columns, rhs)))
     if n in aug.rows:
@@ -426,23 +419,28 @@ def kernel_of(images) -> Subspace:
     return Subspace(n, Subspace(n, eqs.values()).int_kernel())
 
 
-def kernel_chain(m: Matrix):
-    """[0, ker m, ker m^2, ...] as Subspaces, ending at the first repeat.
+def _preimage(images, z: Subspace) -> Subspace:
+    """{x : sum_i x_i images[i][j] in z for every label j}, images[i] mapping labels j
+    to sparse vectors: their residues modulo z, ints where d = 1, must sum to zero."""
+    return kernel_of([{(j, k): x if d == 1 else Q(x, d) for j, v in image.items()
+                       for w, d in [z.residue(v)] for k, x in w.items()} for image in images])
 
-    ker m^(k+1) is the preimage of ker m^k: the x whose image sum_j x_j m_j
-    reduces to zero modulo ker m^k.  Reducing the sparse columns m_j once
-    per term gives its equations, so no power of m is formed.
-    """
+
+def _preimage_chain(images):
+    """[0, P(0), P(P(0)), ...] for P = _preimage(images, .), ending at the first repeat."""
+    chain = [Subspace(len(images))]
+    while (nxt := _preimage(images, chain[-1])).dim > chain[-1].dim:
+        chain.append(nxt)
+    return chain
+
+
+def kernel_chain(m: Matrix):
+    """[0, ker m, ker m^2, ...] as Subspaces, ending at the first repeat: ker m^(k+1)
+    is the preimage of ker m^k, from the sparse columns m_j reduced modulo ker m^k,
+    so no power of m is formed."""
     if not m.is_square():
         raise ValueError("kernel chain of non-square matrix")
-    cols = m.columns
-    chain = [Subspace(m.rows)]
-    while True:
-        nxt = kernel_of([{k: Q(x, d) for k, x in w.items()}
-                         for w, d in map(chain[-1].residue, cols)])
-        if nxt.dim == chain[-1].dim:
-            return chain
-        chain.append(nxt)
+    return _preimage_chain([{0: col} for col in m.columns])
 
 
 def char_poly(m: Matrix) -> "Poly":

@@ -1,12 +1,15 @@
 """Self-contained verification battery for the library's headline results.
 
-Each check_* function returns a (name, ok, detail) triple. run_all() executes
-the whole battery; the command line front end and the test suite both call
-into this module so there is a single source of truth for what "reproduced"
-means.  Details hold no timings, so the rows are deterministic; the timed
-checks enforce their bounds and fail with the time they took.
+Each row is a check_* function declared once, by _row(name, bound): its body
+returns the row's detail or raises _Fail with it, and the declaration makes it
+return a (name, ok, detail) triple and appends it to ALL_CHECKS.  run_all()
+executes the whole battery; the command line front end and the test suite
+both call into this module so there is a single source of truth for what
+"reproduced" means.  Details hold no timings, so the rows are deterministic;
+a passing row that takes bound seconds or more fails with the time it took.
 """
 
+import functools
 import time
 from itertools import combinations
 
@@ -39,31 +42,52 @@ from .graphs import (
 from .catalog3 import catalog
 from . import fixtures
 
+ALL_CHECKS = []  # the declared rows, in definition order
 
+
+class _Fail(Exception):
+    """A failing row, raised with its detail."""
+
+
+def _row(name, bound=None):
+    """Declare check as the row name, timed against bound seconds if given."""
+    def declare(check):
+        @functools.wraps(check)
+        def row():
+            t0 = time.perf_counter()
+            try:
+                detail = check()
+            except _Fail as fail:
+                return name, False, str(fail)
+            dt = time.perf_counter() - t0
+            if bound is not None and dt >= bound:
+                return name, False, "too slow: %.2fs" % dt
+            return name, True, detail
+
+        ALL_CHECKS.append(row)
+        return row
+    return declare
+
+
+@_row("filiform-pre-einstein-closed-form", bound=5)
 def check_filiform_closed_form():
     """Pre-Einstein derivations of the filiform algebras L_n match the
     two-value closed form for n = 3..20."""
-    t0 = time.perf_counter()
     for n in range(3, 21):
         pe = pre_einstein_nice(fixtures.standard_filiform(n))
         d1, d2 = ln_closed_form(n)
         expect = (d1, d2) + tuple(k * d1 + d2 for k in range(1, n - 1))
         if tuple(pe.matrix[i, i] for i in range(n)) != expect:
-            return ("filiform-pre-einstein-closed-form", False,
-                    "mismatch at n=%d" % n)
+            raise _Fail("mismatch at n=%d" % n)
         ok, why = pre_einstein_general_check(
             fixtures.standard_filiform(n),
             [pe.matrix[i, i] for i in range(n)])
         if not ok:
-            return ("filiform-pre-einstein-closed-form", False,
-                    "certification failed at n=%d: %s" % (n, why[0]))
-    dt = time.perf_counter() - t0
-    if dt >= 5.0:
-        return ("filiform-pre-einstein-closed-form", False,
-                "too slow: %.2fs" % dt)
-    return ("filiform-pre-einstein-closed-form", True, "n=3..20 certified")
+            raise _Fail("certification failed at n=%d: %s" % (n, why[0]))
+    return "n=3..20 certified"
 
 
+@_row("six-dim-certificate")
 def check_n6_certificate():
     """The 6-dimensional example algebra certifies against the diagonal
     (9/32)(1,2,3,3,4,5), rejects the unscaled diagonal, and its defining
@@ -72,24 +96,21 @@ def check_n6_certificate():
     good = [Q(9, 32) * k for k in (1, 2, 3, 3, 4, 5)]
     ok, why = pre_einstein_general_check(g, good)
     if not ok:
-        return ("six-dim-certificate", False, "certification: %s" % why[0])
+        raise _Fail("certification: %s" % why[0])
     bad = [rat(k) for k in (1, 2, 3, 3, 4, 5)]
     ok, why = pre_einstein_general_check(g, bad)
     if ok:
-        return ("six-dim-certificate", False,
-                "unscaled diagonal should fail the trace test")
+        raise _Fail("unscaled diagonal should fail the trace test")
     verdict = check_nice(g)
     if verdict.is_nice:
-        return ("six-dim-certificate", False, "defining basis reported nice")
+        raise _Fail("defining basis reported nice")
     kinds = {v["kind"] for v in verdict.violations}
     if "CONDITION_2" not in kinds:
-        return ("six-dim-certificate", False,
-                "expected a shared-target violation, got %s" % sorted(kinds))
-    return ("six-dim-certificate", True,
-            "diagonal (9/32)(1,2,3,3,4,5) certified; basis violates"
-            " condition 2")
+        raise _Fail("expected a shared-target violation, got %s" % sorted(kinds))
+    return "diagonal (9/32)(1,2,3,3,4,5) certified; basis violates condition 2"
 
 
+@_row("filiform-spectra")
 def check_filiform_spectra():
     """The spectrum of the six-dimensional example's distinguished
     diagonal is disjoint from every filiform spectrum for n = 3..50,
@@ -100,19 +121,16 @@ def check_filiform_spectra():
         d1, d2 = ln_closed_form(n)
         spec = {d1, d2} | {k * d1 + d2 for k in range(1, n - 1)}
         if six & spec:
-            return ("filiform-spectra", False, "overlap at n=%d" % n)
+            raise _Fail("overlap at n=%d" % n)
         if n >= 7 and not (Q(27, 32) < d2 < Q(9, 8)):
-            return ("filiform-spectra", False,
-                    "d2 out of range at n=%d: %s" % (n, fmt(d2)))
-    return ("filiform-spectra", True,
-            "disjoint from the six-dim spectrum for n=3..50;"
-            " 27/32 < d2 < 9/8 for n>=7")
+            raise _Fail("d2 out of range at n=%d: %s" % (n, fmt(d2)))
+    return "disjoint from the six-dim spectrum for n=3..50; 27/32 < d2 < 9/8 for n>=7"
 
 
+@_row("almost-abelian-counts", bound=10)
 def check_almost_abelian_counts():
     """Reference almost abelian matrices produce the expected nice-basis
     counts, and the 2^(n-1)-cyclic family gives count n for n = 2..5."""
-    t0 = time.perf_counter()
     expected = [
         (fixtures.matrix_cyclic(4), 3, "cyclic 2^3"),
         (Matrix.diagonal([rat(1), rat(-1), rat(-2), rat(2)]), 4,
@@ -124,20 +142,15 @@ def check_almost_abelian_counts():
     for mat, want, label in expected:
         got = count_nice(mat)
         if got != want:
-            return ("almost-abelian-counts", False,
-                    "%s: expected %s, got %s" % (label, want, got))
+            raise _Fail("%s: expected %s, got %s" % (label, want, got))
     for n in range(2, 6):
         got = count_nice(indecomposable_family(n).a)
         if got != n:
-            return ("almost-abelian-counts", False,
-                    "family n=%d: expected %d, got %s" % (n, n, got))
-    dt = time.perf_counter() - t0
-    if dt >= 10.0:
-        return ("almost-abelian-counts", False, "too slow: %.2fs" % dt)
-    return ("almost-abelian-counts", True,
-            "five reference counts plus family n=2..5")
+            raise _Fail("family n=%d: expected %d, got %s" % (n, n, got))
+    return "five reference counts plus family n=2..5"
 
 
+@_row("cube-root-of-64-witness")
 def check_root64_witness():
     """The 3x3 matrix with cube 64*I admits a nice basis, the constructed
     witness verifies, and the reference cyclic chain built from (0,2,1)
@@ -146,28 +159,24 @@ def check_root64_witness():
     alg = build(a)
     verdict = exists_nice(a)
     if verdict.status != "yes" or verdict.witness is None:
-        return ("cube-root-of-64-witness", False,
-                "status %s" % verdict.status)
+        raise _Fail("status %s" % verdict.status)
     conj = alg.compiled.change_basis(verdict.witness)
     if not check_nice(conj):
-        return ("cube-root-of-64-witness", False,
-                "constructed witness not nice")
+        raise _Fail("constructed witness not nice")
     w = (rat(0), rat(2), rat(1))
     chain = [w]
     for _ in range(2):
         chain.append(a.apply(chain[-1]))
     if chain[1:] != [(rat(6), rat(-4), rat(4)), (rat(-24), rat(-16), rat(16))]:
-        return ("cube-root-of-64-witness", False, "reference chain drifted")
+        raise _Fail("reference chain drifted")
     cols = [(rat(1),) + tuple(rat(0) for _ in range(3))]
     for v in chain:
         cols.append((rat(0),) + v)
     ref = Matrix.from_columns(cols)
     refconj = alg.compiled.change_basis(ref)
     if not check_nice(refconj):
-        return ("cube-root-of-64-witness", False,
-                "reference witness not nice")
-    return ("cube-root-of-64-witness", True,
-            "constructed and reference cyclic witnesses both verify")
+        raise _Fail("reference witness not nice")
+    return "constructed and reference cyclic witnesses both verify"
 
 
 # nu of each three-dimensional real Lie algebra, as tabulated in the paper
@@ -188,26 +197,23 @@ CATALOG_NU = {
 }
 
 
+@_row("three-dim-catalog")
 def check_catalog_counts():
     """Every entry of the three-dimensional catalog verifies: the computed
     count matches the paper's table and each listed basis is nice."""
     rows = catalog()
     if sorted(e.name for e in rows) != sorted(CATALOG_NU):
-        return ("three-dim-catalog", False,
-                "catalog rows differ from the paper's table")
+        raise _Fail("catalog rows differ from the paper's table")
     names = []
     for entry in rows:
         try:
             entry.verify()
         except RuntimeError as err:
-            return ("three-dim-catalog", False,
-                    "%s: %s" % (entry.name, err))
+            raise _Fail("%s: %s" % (entry.name, err))
         if entry.nu != CATALOG_NU[entry.name]:
-            return ("three-dim-catalog", False,
-                    "%s: count %s, paper %s"
-                    % (entry.name, entry.nu, CATALOG_NU[entry.name]))
+            raise _Fail("%s: count %s, paper %s" % (entry.name, entry.nu, CATALOG_NU[entry.name]))
         names.append("%s=%s" % (entry.name, entry.nu))
-    return ("three-dim-catalog", True, "; ".join(names))
+    return "; ".join(names)
 
 
 def _all_graphs(n):
@@ -217,6 +223,7 @@ def _all_graphs(n):
         yield frozenset(p for i, p in enumerate(all_pairs) if bits >> i & 1)
 
 
+@_row("graph-sweep", bound=60)
 def check_graph_sweep():
     """For every simple graph on at most 5 labelled vertices and every
     nilpotency class in 2..5, the niceness predicate holds exactly when every
@@ -224,7 +231,6 @@ def check_graph_sweep():
     has dimension 1, and the constructive routine gives a nice basis when it
     holds; the path on three vertices gives dimensions 10 (class 3) and 20
     (class 4)."""
-    t0 = time.perf_counter()
     checked = 0
     for n in range(1, 6):
         for edges in _all_graphs(n):
@@ -243,9 +249,8 @@ def check_graph_sweep():
                     multiplicity_one = len({tuple(sorted(w)) for w in words}) == len(words)
                 pred, tag = nice_predicate(g)
                 if pred != multiplicity_one:
-                    return ("graph-sweep", False,
-                            "disagreement: n=%d c=%d edges=%s (%s)"
-                            % (n, c, sorted(map(sorted, edges)), tag))
+                    raise _Fail("disagreement: n=%d c=%d edges=%s (%s)"
+                                % (n, c, sorted(map(sorted, edges)), tag))
                 if pred:
                     construct_nice_basis(g)  # raises unless check_nice passes
                 checked += 1
@@ -253,17 +258,12 @@ def check_graph_sweep():
     for c, want in ((3, 10), (4, 20)):
         alg = graph_algebra(GraphSpec.of(3, path3, c))[0]
         if alg.dim != want:
-            return ("graph-sweep", False,
-                    "path graph class %d: dim %d, expected %d"
-                    % (c, alg.dim, want))
-    dt = time.perf_counter() - t0
-    if dt >= 60.0:
-        return ("graph-sweep", False, "too slow: %.2fs" % dt)
-    return ("graph-sweep", True,
-            "%d (graph, class) pairs agree with the weight multiplicities;"
+            raise _Fail("path graph class %d: dim %d, expected %d" % (c, alg.dim, want))
+    return ("%d (graph, class) pairs agree with the weight multiplicities;"
             " path dims 10 and 20" % checked)
 
 
+@_row("free-nilpotent-dimensions")
 def check_free_dimensions():
     """Dimensions of free nilpotent algebras match the necklace-count
     formula for every (generators, class) pair with dimension <= 200."""
@@ -276,14 +276,12 @@ def check_free_dimensions():
                 break
             alg, _ = free_nilpotent(d, c)
             if alg.dim != total:
-                return ("free-nilpotent-dimensions", False,
-                        "d=%d c=%d: dim %d, expected %d"
-                        % (d, c, alg.dim, total))
+                raise _Fail("d=%d c=%d: dim %d, expected %d" % (d, c, alg.dim, total))
             checked += 1
-    return ("free-nilpotent-dimensions", True,
-            "%d (generators, class) pairs match" % checked)
+    return "%d (generators, class) pairs match" % checked
 
 
+@_row("structure-facts")
 def check_structure_facts():
     """Nice bases of nilpotent algebras are adapted to both central
     series, diagonal parts of derivations are again derivations on a
@@ -294,16 +292,15 @@ def check_structure_facts():
                direct_sum(fixtures.heisenberg3(), abelian(2))]
     for g in samples:
         if not check_nice(g):
-            return ("structure-facts", False, "sample not nice")
+            raise _Fail("sample not nice")
         ok, info = check_adapted(g)
         if not ok:
-            return ("structure-facts", False, "not adapted: %s" % (info,))
+            raise _Fail("not adapted: %s" % (info,))
         space = derivation_space(g)
         for d in space.basis:
             diag = {(r, c): x for (r, c), x in d.items() if r == c}
             if not is_derivation(g, diag):
-                return ("structure-facts", False,
-                        "diagonal part is not a derivation")
+                raise _Fail("diagonal part is not a derivation")
     for base, nu in ((fixtures.matrix_cyclic(4), 3),
                      (fixtures.matrix_c(), 1)):
         k = base.rows
@@ -311,26 +308,11 @@ def check_structure_facts():
             # A + 0_m acts on R^(k+m): the algebra of A plus an abelian factor
             padded = Matrix.from_columns(base.columns + ({},) * m, k + m)
             if count_nice(padded) != nu:
-                return ("structure-facts", False,
-                        "abelian extension changed the count")
+                raise _Fail("abelian extension changed the count")
             g = direct_sum(build(base).compiled, abelian(m))
             if not check_adapted(g)[0] and build(base).compiled.is_nilpotent():
-                return ("structure-facts", False, "extension lost adaptedness")
-    return ("structure-facts", True,
-            "adaptedness, diagonal derivations, abelian extensions")
-
-
-ALL_CHECKS = (
-    check_filiform_closed_form,
-    check_n6_certificate,
-    check_filiform_spectra,
-    check_almost_abelian_counts,
-    check_root64_witness,
-    check_catalog_counts,
-    check_graph_sweep,
-    check_free_dimensions,
-    check_structure_facts,
-)
+                raise _Fail("extension lost adaptedness")
+    return "adaptedness, diagonal derivations, abelian extensions"
 
 
 def run_all():

@@ -1,16 +1,17 @@
 """The verification battery, one test per criterion.
 
 Each test runs its check, prints a single pass/fail line (visible with
-pytest -s) and asserts the verdict.  Timing bounds live inside the checks.
+pytest -s) and asserts the verdict.  Timing bounds live in the row declarations.
 """
 
 import itertools
+import json
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from nicebasis import graphs, reproduce
+from nicebasis import cli, graphs, reproduce
 
 
 def report(check, bound=None):
@@ -88,3 +89,14 @@ def test_timed_row_does_not_depend_on_the_clock(monkeypatch, check):
         rows.append(check())
     assert rows[0] == rows[1]
     assert rows[0][1]
+
+
+def test_every_check_is_one_row_in_definition_order(capsys):
+    # a check_* function left undeclared would drop its row without an error
+    checks = [f for name, f in vars(reproduce).items()
+              if name.startswith("check_") and f.__module__ == reproduce.__name__]
+    assert reproduce.ALL_CHECKS == checks
+    names = [name for name, _, _ in reproduce.run_all()]
+    assert len(set(names)) == len(names) == len(checks)
+    assert cli.main(["reproduce", "--json"]) == 0
+    assert [row["name"] for row in json.loads(capsys.readouterr().out)["rows"]] == names

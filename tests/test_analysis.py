@@ -15,6 +15,9 @@ from nicebasis import almost_abelian, cli
 from nicebasis.almost_abelian import (
     _binomial_divisors,
     _divide_binomial,
+    _witness_basis,
+    analyze,
+    build,
     count_nice,
     enumerate_factorizations,
     exists_nice,
@@ -30,6 +33,7 @@ from nicebasis.linalg import (
     nullspace,
     sparse,
 )
+from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
 
 X = sympy.Symbol("x")
@@ -195,20 +199,7 @@ def reference_cyclic_chain(a, d, r, existing):
     kernel = nullspace(a**d - Matrix.identity(n) * r)
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
-    candidates = list(kernel)
-    candidates += [
-        tuple(x + y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
-    ]
-    prefix = list(kernel[0])
-    for v in kernel[1:]:
-        prefix = [x + y for x, y in zip(prefix, v)]
-        candidates.append(tuple(prefix))
-    candidates += [
-        tuple(x + 2 * y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
-    ]
-    for w in candidates:
+    for w in reference_candidates(kernel):
         chain = [tuple(w)]
         for _ in range(d - 1):
             chain.append(a.apply(chain[-1]))
@@ -285,19 +276,17 @@ class TestWitnessVsDenseReference:
 
 
 def reference_candidates(kernel):
-    """The eager, dense candidate list _cyclic_chain tried in order."""
+    """The eager, dense candidate list _cyclic_chain tries in order: the kernel
+    vectors, every u + v, then sum_k t^k u_k for t = 0..m(m-1)."""
     candidates = list(kernel)
     candidates += [
         tuple(x + y for x, y in zip(u, v))
         for u, v in itertools.combinations(kernel, 2)
     ]
-    prefix = list(kernel[0])
-    for v in kernel[1:]:
-        prefix = [x + y for x, y in zip(prefix, v)]
-        candidates.append(tuple(prefix))
+    m = len(kernel)
     candidates += [
-        tuple(x + 2 * y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
+        tuple(sum(t**k * u[i] for k, u in enumerate(kernel)) for i in range(len(kernel[0])))
+        for t in range(m * (m - 1) + 1)
     ]
     return candidates
 
@@ -317,7 +306,8 @@ class TestCandidateOrder:
         want = [sparse(w) for w in reference_candidates(nullspace(m))]
         got = list(almost_abelian._cyclic_candidates(kernel))
         assert got == want
-        assert len(got) == len(kernel) ** 2 + len(kernel) - 1
+        m = len(kernel)
+        assert len(got) == m + m * (m - 1) // 2 + m * (m - 1) + 1
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_family_factor_kernels(self, n):
@@ -327,6 +317,19 @@ class TestCandidateOrder:
             kernel = Subspace(a.rows, m.data).sparse_kernel()
             want = [sparse(w) for w in reference_candidates(nullspace(m))]
             assert list(almost_abelian._cyclic_candidates(kernel)) == want
+
+
+class TestEveryFactorizationHasAWitness:
+    def test_chain_with_components_in_three_constituents(self):
+        # the chain of x^4 - 1 in (x^4 - 1)(x^4 - 1) needs components in x - 1,
+        # x + 1 and x^2 + 1 at once: no kernel vector or sum of two has them
+        rotation = Matrix([[0, -1], [1, 0]])
+        a = block_diagonal([Matrix.diagonal([Q(1), Q(1), Q(-1), Q(-1)]), rotation, rotation])
+        facts = analyze(a).factorizations
+        assert count_nice(a) == len(facts) == 6
+        assert "(x^4 - 1) (x^4 - 1)" in map(str, facts)
+        for fact in facts:
+            assert check_nice(build(a).compiled.change_basis(_witness_basis(a, fact)))
 
 
 class TestOneDivisorPass:

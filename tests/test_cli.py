@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from nicebasis import cli, derivations
 from nicebasis.cli import main
+from nicebasis.nice import check_nice
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -81,6 +83,20 @@ class TestNuProduct:
     def test_overlapping_pair(self, capsys):
         code, _, _ = run(capsys, "nu-product", FIX / "l5.lie", FIX / "l5.lie")
         assert code == 1
+
+    def test_not_nice_factor(self, capsys):
+        code, out, err = run(capsys, "nu-product", FIX / "l5.lie", FIX / "n6.lie")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0] == f"error: {FIX / 'n6.lie'}: defining basis is not nice"
+
+    def test_one_niceness_check_per_file(self, capsys, monkeypatch):
+        calls = []
+        for module in (cli, derivations):
+            monkeypatch.setattr(module, "check_nice", lambda g: calls.append(g) or check_nice(g))
+        code, _, _ = run(capsys, "nu-product", FIX / "l5.lie", FIX / "l7.lie")
+        assert code == 0
+        assert [g.dim for g in calls] == [5, 7]
 
 
 class TestAA:

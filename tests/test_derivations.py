@@ -165,6 +165,11 @@ class TestDerivationSpace:
         assert space.contains({(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
         assert not space.contains({(0, 0): rat(1)})
 
+    @pytest.mark.parametrize("weights", [[0, 0], [0, 0, 0, 0]], ids=["short", "long"])
+    def test_weights_of_the_wrong_length_are_refused(self, weights):
+        with pytest.raises(ValueError, match="need 3 weights"):
+            derivation_space(fixtures.heisenberg3(), weights)
+
     def test_diagonal_subspace(self):
         g = fixtures.standard_filiform(4)
         diag = diagonal_derivations(g)
@@ -209,6 +214,12 @@ class TestPreEinstein:
             fixtures.heisenberg3(), [rat(1), rat(2), rat(1)])
         assert not ok
         assert why[0] == "not_derivation"
+
+    @pytest.mark.parametrize("diag", [[1, 2], [1, 2, 3, 4]], ids=["short", "long"])
+    def test_general_check_refuses_a_diagonal_of_the_wrong_length(self, diag):
+        # a short diagonal read as a 2x2 N on h3 came back as "not_derivation"
+        with pytest.raises(ValueError, match="need 3 weights"):
+            pre_einstein_general_check(fixtures.heisenberg3(), diag)
 
     def test_direct_sum_is_block_sum(self):
         a, b = fixtures.heisenberg3(), fixtures.standard_filiform(4)

@@ -28,7 +28,7 @@ from nicebasis import fixtures, graphs
 from nicebasis.derivations import derivation_space, is_derivation, pre_einstein_nice
 from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
-from nicebasis.linalg import Matrix, Subspace, kernel_of, sparse
+from nicebasis.linalg import Matrix, Subspace, _preimage, kernel_of, sparse
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, ONE
 
@@ -655,7 +655,7 @@ class TestOneTableMatchesFractionReference:
 # --- center and upper_central_series ----------------------------------------------
 
 def reference_preimage_of_center(g, z):
-    """_preimage_of_center as it reduced the int table rows over Q."""
+    """_preimage(g.table, z) over Q: the int table rows reduced with Fractions."""
     return kernel_of([
         {(j, k): c for j, comps in row.items() for k, c in residue_q(z, comps).items()}
         for row in g.table
@@ -713,7 +713,7 @@ class TestCentralSeriesMatchesFractionReference:
         g = CENTRAL[name]()
         want = reference_upper_central_series(g)
         for z in want:  # step by step first: a wrong step fails here instead of looping
-            assert g._preimage_of_center(z) == reference_preimage_of_center(g, z)
+            assert _preimage(g.table, z) == reference_preimage_of_center(g, z)
         got = g.upper_central_series()
         assert got == want
         assert [s.rows for s in got] == [s.rows for s in want]

@@ -148,6 +148,12 @@ class TestSolve:
         m = Matrix([[1, 1], [1, 1]])
         assert solve(m, (rat(0), rat(1))) is None
 
+    @pytest.mark.parametrize("rhs", [[1], [1, 2, 3]], ids=["short", "long"])
+    def test_rhs_of_the_wrong_length_is_refused(self, rhs):
+        # zip would cut the longer side: a short rhs dropped the second equation
+        with pytest.raises(ValueError, match="right-hand side"):
+            solve(Matrix.identity(2), rhs)
+
 
 class TestCharPoly:
     @given(st.lists(rationals, min_size=9, max_size=9))
