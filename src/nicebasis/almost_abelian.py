@@ -20,8 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
-from .lie import DIMENSION_CAP, LieAlgebra
+from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
+from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Poly,
@@ -438,23 +438,14 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
 
 
 def parse_matrix(text: str) -> Matrix:
-    tokens = []  # (line number, token)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens.extend((lineno, tok) for tok in raw.split("#", 1)[0].split())
+    tokens = [(lineno, tok) for lineno, toks in lines(text) for tok in toks]
     if not tokens:
         raise ValueError("empty matrix file")
     lineno, size = tokens[0]
-    n = parse_int(size, "matrix size", lineno)
-    if not 0 <= n <= DIMENSION_CAP:
-        raise ValueError(f"line {lineno}: matrix size must be between 0 and {DIMENSION_CAP}")
+    n = parse_int(size, "matrix size", lineno, low=0)
     if len(tokens) - 1 != n * n:
         raise ValueError(f"expected {n*n} entries, got {len(tokens) - 1}")
-    vals = []
-    for lineno, tok in tokens[1:]:
-        try:
-            vals.append(rat(tok))
-        except ValueError as err:
-            raise ValueError(f"line {lineno}: {err}") from None
+    vals = [parse_rat(tok, lineno) for lineno, tok in tokens[1:]]
     return Matrix([vals[i * n : (i + 1) * n] for i in range(n)])
 
 

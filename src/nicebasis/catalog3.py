@@ -202,10 +202,7 @@ def _ad_action_matrix(g: LieAlgebra, h):
 
 
 def _match_2x2(a: Matrix):
-    nil, _ = is_nilpotent(a)
-    if nil:
-        if a.is_zero():
-            return _aa_entry("R^3", fixtures.matrix_b(), [_I3])
+    if is_nilpotent(a)[0]:  # and nonzero: A = 0 exactly when [g, g] = 0, R^3 in classify3
         return _aa_entry("h3", fixtures.matrix_c(), [_I3])
     p = char_poly(a)  # x^2 - tr x + det
     tr, det = p.coeffs[1] * -1, p.coeffs[0]

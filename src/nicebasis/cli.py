@@ -78,16 +78,8 @@ def _loader(read):
 _load_lie, _load_matrix, _load_graph = map(_loader, (load_lie, load_matrix, load_graph))
 
 
-def _fmt_violation(v):
-    if v["kind"] == "CONDITION_1":
-        i, j = v["pair"]
-        targets = ",".join(str(k + 1) for k in v["targets"])
-        return f"CONDITION_1 pair={i + 1},{j + 1} targets={targets}"
-    pairs = " ".join(f"{i + 1},{j + 1}" for i, j in v["pairs"])
-    return f"CONDITION_2 target={v['target'] + 1} pairs={pairs}"
-
-
 def _json_violation(v):
+    """A violation with its basis indices 1-based, as the reports number them."""
     if v["kind"] == "CONDITION_1":
         return {"kind": v["kind"],
                 "pair": [i + 1 for i in v["pair"]],
@@ -95,6 +87,15 @@ def _json_violation(v):
     return {"kind": v["kind"],
             "target": v["target"] + 1,
             "pairs": [[i + 1, j + 1] for i, j in v["pairs"]]}
+
+
+def _fmt_violation(v):
+    v = _json_violation(v)
+    if v["kind"] == "CONDITION_1":
+        (i, j), targets = v["pair"], ",".join(map(str, v["targets"]))
+        return f"CONDITION_1 pair={i},{j} targets={targets}"
+    pairs = " ".join(f"{i},{j}" for i, j in v["pairs"])
+    return f"CONDITION_2 target={v['target']} pairs={pairs}"
 
 
 def cmd_check(args):
@@ -247,16 +248,15 @@ def cmd_catalog3(args):
 def cmd_reproduce(args):
     rows = []
     for check in ALL_CHECKS:
-        t0 = time.perf_counter()
         rows.append(check())
-        print("%s %.2fs" % (rows[-1][0], time.perf_counter() - t0), file=sys.stderr)
+        print("%s %.2fs" % (rows[-1][0], rows[-1][3]), file=sys.stderr)
     lines = ["%s %s -- %s" % ("PASS" if ok else "FAIL", name, detail)
-             for name, ok, detail in rows]
+             for name, ok, detail, _ in rows]
     report = _report(args, {
-        "rows": [{"name": n, "ok": ok, "detail": d} for n, ok, d in rows],
+        "rows": [{"name": n, "ok": ok, "detail": d} for n, ok, d, _ in rows],
     })
     _emit(args, report, lines)
-    return 0 if all(ok for _, ok, _ in rows) else 1
+    return 0 if all(row[1] for row in rows) else 1
 
 
 @functools.lru_cache(maxsize=None)

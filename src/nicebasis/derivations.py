@@ -67,6 +67,12 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     so no pair without a term is visited.  The system is eliminated in ints;
     the basis, built on first read, is sparse_kernel's canonical one: a
     vector per free unknown, in order.
+
+    Lemma: at pairwise distinct weights (range(n), say) the unknowns are the
+    D[i][i] alone, numbered i, and equation (i, j, r) is c_ij^r (x_r - x_i -
+    x_j) = 0, so the system is that of the diagonal derivations Dg(x):
+    x_r = x_i + x_j on each nonzero c_ij^r.  Its rows are made primitive, so
+    the Subspace is the same canonical one however the equations are scaled.
     """
     n = g.dim
     t = g.table
@@ -98,20 +104,9 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     return DerivationSpace(n, unknowns, Subspace(len(unknowns), (eqs[e] for e in sorted(eqs))))
 
 
-def _diagonal_system(g: LieAlgebra) -> Subspace:
-    """The equations x_i + x_j = x_k, one per nonzero c_ij^k, of Dg(x) a derivation."""
-    rows = []
-    for i, j in g.pairs:
-        for k in g.table[i][j]:
-            eq = {i: 1, j: 1}
-            eq[k] = eq.get(k, 0) - 1
-            rows.append(eq)
-    return Subspace(g.dim, rows)
-
-
 def diagonal_derivations(g: LieAlgebra):
     """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
-    return [dense(v, g.dim) for v in _diagonal_system(g).sparse_kernel()]
+    return [dense(v, g.dim) for v in derivation_space(g, range(g.dim)).system.sparse_kernel()]
 
 
 def _entries(d):
@@ -167,7 +162,7 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
-    diag = _diagonal_system(g).int_kernel()
+    diag = derivation_space(g, range(g.dim)).system.int_kernel()
     if not diag:
         n_diag = [ZERO] * g.dim
     else:

@@ -31,11 +31,12 @@ kept for the next request on an equal graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from .scalars import factor_int, parse_int
-from .lie import DIMENSION_CAP, LieAlgebra
+from .scalars import DIMENSION_CAP, factor_int, lines, parse_int
+from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, _divisors
 from .nice import check_nice
 
@@ -117,15 +118,11 @@ def _commutator(p, q):
     return {w: x for w, x in out.items() if x}
 
 
-_free_cache = {}
-
-
+@functools.cache
 def free_nilpotent(d, c):
     """(LieAlgebra, LyndonBasis) for the free class-c algebra on d generators."""
     if d < 1 or c < 1:
         raise ValueError("need d >= 1 and c >= 1")
-    if (d, c) in _free_cache:
-        return _free_cache[(d, c)]
     total = 0
     for m in range(1, c + 1):
         total += witt_dimension(d, m)
@@ -169,9 +166,7 @@ def free_nilpotent(d, c):
     names = [_word_name(w) for w in words]
     alg = LieAlgebra._from_table(len(words), table, 1, names, check=True)
     supports = tuple(sum(1 << a for a in set(w)) for w in words)
-    result = (alg, LyndonBasis(tuple(words), supports))
-    _free_cache[(d, c)] = result
-    return result
+    return alg, LyndonBasis(tuple(words), supports)
 
 
 def _word_name(w):
@@ -192,10 +187,6 @@ def _mobius(n):
     exps = factor_int(n).values()
     return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
 
-
-# the last quotient built: construct_nice_basis(g) right after graph_algebra(g)
-# reuses it instead of building the same quotient again
-_quotient_memo = {}
 
 # what the graph decides about the ideal on the words with letter set S
 _CLIQUE, _APART, _OPEN = range(3)
@@ -238,13 +229,19 @@ def graph_algebra(g: GraphSpec):
     reduced by the Subspace, which leaves a clique pair's bracket unchanged.
     Only the vertex sets of words are classified, never all 2^d subsets.
     """
-    d, c = g.vertex_count, g.c
-    if not g.edges or c == 1:
-        words = tuple((v,) for v in range(d))
+    if not g.edges or g.c == 1:
+        words = tuple((v,) for v in range(g.vertex_count))
         names = [_word_name(w) for w in words]
-        return LieAlgebra(d, {}, names=names), words
-    if g in _quotient_memo:
-        return _quotient_memo[g]
+        return LieAlgebra(g.vertex_count, {}, names=names), words
+    return _quotient(g)
+
+
+# the last quotient built: construct_nice_basis(g) right after graph_algebra(g)
+# reuses it instead of building the same quotient again
+@functools.lru_cache(maxsize=1)
+def _quotient(g: GraphSpec):
+    """graph_algebra(g) for a graph with an edge, at class >= 2."""
+    d, c = g.vertex_count, g.c
     free, basis = free_nilpotent(d, c)
     nbr = [sum(1 << b for b in range(d) if g.has_edge(a, b)) for a in range(d)]
     support = basis.supports
@@ -263,9 +260,7 @@ def graph_algebra(g: GraphSpec):
     keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in pivots]
     pairs = (p for p in free.pairs if kind[support[p[0]] | support[p[1]]] != _APART)
     alg = free._quotient(ideal, keep, pairs, check=False)[0]
-    _quotient_memo.clear()
-    _quotient_memo[g] = alg, tuple(basis.words[i] for i in keep)
-    return _quotient_memo[g]
+    return alg, tuple(basis.words[i] for i in keep)
 
 
 def nice_predicate(g: GraphSpec):
@@ -329,11 +324,7 @@ def construct_nice_basis(g: GraphSpec) -> Matrix:
 def parse_graph(text: str) -> GraphSpec:
     header = {}  # 'vertices' and 'class' -> value
     edges = []  # (line number, endpoint, endpoint), 0-based endpoints
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kw, *args = line.split()
+    for lineno, (kw, *args) in lines(text):
         arity = {"vertices": 1, "class": 1, "edge": 2}.get(kw)
         if arity is None:
             raise ValueError(f"line {lineno}: unknown keyword {kw!r}")
@@ -344,10 +335,7 @@ def parse_graph(text: str) -> GraphSpec:
             continue
         if kw in header:
             raise ValueError(f"line {lineno}: duplicate {kw}")
-        value, low = parse_int(args[0], kw, lineno), (0 if kw == "vertices" else 1)
-        if not low <= value <= DIMENSION_CAP:
-            raise ValueError(f"line {lineno}: {kw} must be between {low} and {DIMENSION_CAP}")
-        header[kw] = value
+        header[kw] = parse_int(args[0], kw, lineno, low=0 if kw == "vertices" else 1)
     if len(header) < 2:
         raise ValueError("graph file needs 'vertices' and 'class' lines")
     n = header["vertices"]

@@ -15,12 +15,8 @@ from __future__ import annotations
 import functools
 import math
 
-from .scalars import Q, ZERO, ONE, fmt, parse_int, rat
+from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
 from .linalg import Matrix, Subspace, _preimage, _preimage_chain, dense, kernel_of, sparse
-
-# Largest dimension (matrix size, graph vertex count or class) any input
-# file or constructed algebra may have; larger inputs are refused up front.
-DIMENSION_CAP = 256
 
 
 class LieAlgebra:
@@ -91,8 +87,20 @@ class LieAlgebra:
             return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
         return dict(self.brackets.get((i, j), {}))
 
+    def _vector(self, x):
+        """x, a coefficient vector of length dim or a sparse {index: value} dict, as the
+        sparse dict; another length or an index outside 0..dim-1 raises ValueError."""
+        if not isinstance(x, dict):
+            if len(x) != self.dim:
+                raise ValueError(f"vector has {len(x)} entries, the algebra dimension {self.dim}")
+            return sparse(x)
+        if bad := [i for i in x if not 0 <= i < self.dim]:
+            raise ValueError(f"vector index {bad[0]} out of range 0..{self.dim - 1}")
+        return x
+
     def bracket_sparse(self, x, y):
-        """[x, y] for sparse {index: coefficient} vectors; returns a sparse dict."""
+        """[x, y] for vectors as _vector takes them; returns a sparse dict."""
+        x, y = self._vector(x), self._vector(y)
         out = {}
         for i, a in x.items():
             for k, c in self.bracket_int(i, y).items():
@@ -111,11 +119,11 @@ class LieAlgebra:
 
     def bracket(self, x, y):
         """[x, y] for coefficient vectors x, y; returns a dense tuple."""
-        return dense(self.bracket_sparse(sparse(x), sparse(y)), self.dim)
+        return dense(self.bracket_sparse(x, y), self.dim)
 
     def ad(self, x):
         """Matrix of ad_x: y -> [x, y] in the given basis."""
-        xs = sparse(x)
+        xs = self._vector(x)
         columns = [self.bracket_sparse(xs, {j: ONE}) for j in range(self.dim)]
         return Matrix.from_columns(columns, self.dim)
 
@@ -187,7 +195,7 @@ class LieAlgebra:
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
-        vs = [v if isinstance(v, dict) else sparse(v) for v in vectors]
+        vs = [self._vector(v) for v in vectors]
         return kernel_of([
             {(t, k): c for t, v in enumerate(vs)
              for k, c in self.bracket_int(i, v).items()}
@@ -302,20 +310,14 @@ def parse_lie(text: str) -> LieAlgebra:
     dim = None
     names = names_line = None
     table = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in lines(text):
         kw = parts[0]
         if kw == "dim":
             if dim is not None:
                 raise ValueError(f"line {lineno}: duplicate dim")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: dim needs one value")
-            dim = parse_int(parts[1], "dim", lineno)
-            if not 0 <= dim <= DIMENSION_CAP:
-                raise ValueError(f"line {lineno}: dim must be between 0 and {DIMENSION_CAP}")
+            dim = parse_int(parts[1], "dim", lineno, low=0)
         elif kw == "names":
             if names_line:
                 raise ValueError(f"line {lineno}: duplicate names")
@@ -332,10 +334,7 @@ def parse_lie(text: str) -> LieAlgebra:
                 raise ValueError(f"line {lineno}: bracket index {bad[0]} out of range 1..{dim}")
             if not i < j:
                 raise ValueError(f"line {lineno}: need i < j")
-            try:
-                c = rat(parts[4])
-            except ValueError as err:
-                raise ValueError(f"line {lineno}: {err}") from None
+            c = parse_rat(parts[4], lineno)
             entry = table.setdefault((i, j), {})
             if k in entry:
                 raise ValueError(f"line {lineno}: duplicate component")

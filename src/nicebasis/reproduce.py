@@ -2,11 +2,11 @@
 
 Each row is a check_* function declared once, by _row(name, bound): its body
 returns the row's detail or raises _Fail with it, and the declaration makes it
-return a (name, ok, detail) triple and appends it to ALL_CHECKS.  run_all()
-executes the whole battery; the command line front end and the test suite
-both call into this module so there is a single source of truth for what
-"reproduced" means.  Details hold no timings, so the rows are deterministic;
-a passing row that takes bound seconds or more fails with the time it took.
+return a (name, ok, detail, seconds) row, timed once, and appends it to
+ALL_CHECKS.  run_all() executes the whole battery; the command line front end
+and the test suite both call into this module so there is a single source of
+truth for what "reproduced" means.  Details hold no timings, so name, ok and
+detail are deterministic; a passing row whose seconds reach bound fails.
 """
 
 import functools
@@ -56,13 +56,13 @@ def _row(name, bound=None):
         def row():
             t0 = time.perf_counter()
             try:
-                detail = check()
+                ok, detail = True, check()
             except _Fail as fail:
-                return name, False, str(fail)
+                ok, detail = False, str(fail)
             dt = time.perf_counter() - t0
-            if bound is not None and dt >= bound:
-                return name, False, "too slow: %.2fs" % dt
-            return name, True, detail
+            if ok and bound is not None and dt >= bound:
+                ok, detail = False, "too slow: %.2fs" % dt
+            return name, ok, detail, dt
 
         ALL_CHECKS.append(row)
         return row
@@ -316,5 +316,5 @@ def check_structure_facts():
 
 
 def run_all():
-    """Run every check and return the list of (name, ok, detail) rows."""
+    """Run every check and return the list of (name, ok, detail, seconds) rows."""
     return [f() for f in ALL_CHECKS]

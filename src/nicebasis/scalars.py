@@ -4,7 +4,8 @@ All arithmetic in this package is exact.  Q is the standard library
 Fraction: always stored reduced with a positive denominator, and printed as
 "p/q" or "p", which is the serialization used everywhere (files, CLI
 output, reports).  The echelon core works on integer rows and meets Q only
-at its boundary (see linalg.Subspace).
+at its boundary (see linalg.Subspace).  The input files are read here too:
+one line reader and the strict number parsers that name the line they refuse.
 """
 
 from __future__ import annotations
@@ -19,16 +20,9 @@ ONE = Q(1)
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-
-def parse_int(token: str, what: str, lineno: int) -> int:
-    """Integer from a plain ASCII-digit token of line lineno of an input file.
-
-    Any other token ("x", "1_000", "٣") raises ValueError
-    "line N: <what> must be an integer".
-    """
-    if not _INTEGER.fullmatch(token):
-        raise ValueError(f"line {lineno}: {what} must be an integer, got {token!r}")
-    return int(token)
+# Largest dimension (matrix size, graph vertex count or class) any input
+# file or constructed algebra may have; larger inputs are refused up front.
+DIMENSION_CAP = 256
 
 
 def rat(value, den=None):
@@ -45,6 +39,41 @@ def rat(value, den=None):
         return Q(value) if den is None else Q(value, den)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+
+
+# The lexical rules of the .lie, .graph and .mat input files: a '#' starts a
+# comment, blank lines are skipped, and every refusal names its line.
+
+
+def lines(text: str):
+    """(line number, tokens) of each line of text that holds a token once its
+    comment is cut, numbered from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if tokens := raw.split("#", 1)[0].split():
+            yield lineno, tokens
+
+
+def parse_int(token: str, what: str, lineno: int, low=None) -> int:
+    """Integer from a plain ASCII-digit token of line lineno.
+
+    Any other token ("x", "1_000", "٣") raises ValueError "line N: <what>
+    must be an integer"; given low, so does a value outside low..DIMENSION_CAP,
+    "line N: <what> must be between <low> and 256".
+    """
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"line {lineno}: {what} must be an integer, got {token!r}")
+    value = int(token)
+    if low is not None and not low <= value <= DIMENSION_CAP:
+        raise ValueError(f"line {lineno}: {what} must be between {low} and {DIMENSION_CAP}")
+    return value
+
+
+def parse_rat(token: str, lineno: int):
+    """rat(token) for a token of line lineno; a refusal reads "line N: <rat's message>"."""
+    try:
+        return rat(token)
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: {err}") from None
 
 
 def fmt(q) -> str:
@@ -130,7 +159,5 @@ def factor_rat(q) -> tuple[int, dict]:
     s = 1 if q > 0 else -1
     f = factor_int(q.numerator)
     for p, e in factor_int(q.denominator).items():
-        f[p] = f.get(p, 0) - e
-        if f[p] == 0:
-            del f[p]
+        f[p] = -e  # a reduced numerator and denominator share no prime
     return s, f

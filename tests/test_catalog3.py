@@ -73,7 +73,7 @@ class TestReproduceCheck:
 
     def test_a_count_off_the_table_fails(self, monkeypatch):
         monkeypatch.setitem(reproduce.CATALOG_NU, "sl2", 1)
-        name, ok, detail = reproduce.check_catalog_counts()
+        name, ok, detail, _ = reproduce.check_catalog_counts()
         assert name == "three-dim-catalog"
         assert not ok
         assert detail == "sl2: count 2, paper 1"

@@ -55,6 +55,17 @@ class TestCheck:
         assert kinds <= {"CONDITION_1", "CONDITION_2"}
 
 
+    def test_condition_1_is_reported_1_based(self, capsys, tmp_path):
+        # [e1, e2] = e3 + e4: one pair with two targets
+        path = tmp_path / "input.lie"
+        path.write_text("dim 4\nbracket 1 2 3 1\nbracket 1 2 4 1\n")
+        code, out, _ = run(capsys, "check", path)
+        assert (code, out) == (1, "not nice\nCONDITION_1 pair=1,2 targets=3,4\n")
+        code, rep, _ = run_json(capsys, "check", path)
+        assert code == 1
+        assert rep["violations"] == [{"kind": "CONDITION_1", "pair": [1, 2], "targets": [3, 4]}]
+
+
 class TestPreEinstein:
     def test_h3_diagonal(self, capsys):
         code, out, _ = run(capsys, "pre-einstein", FIX / "h3.lie")

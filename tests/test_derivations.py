@@ -1,7 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
 from sympy.polys.matrices import DomainMatrix
 
 from nicebasis.derivations import (
@@ -18,11 +20,13 @@ from nicebasis.derivations import (
     PreEinstein,
 )
 from nicebasis.almost_abelian import count_nice
-from nicebasis.graphs import GraphSpec, graph_algebra
-from nicebasis.lie import LieAlgebra, direct_sum, abelian
-from nicebasis.linalg import Matrix, Subspace
+from nicebasis.graphs import GraphSpec, graph_algebra, load_graph
+from nicebasis.lie import LieAlgebra, direct_sum, abelian, load_lie
+from nicebasis.linalg import Matrix, Subspace, dense, solve
+from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, rat
 from nicebasis import fixtures
+from test_integer_table import LIE_ALGEBRAS, rational_tables
 
 
 def sympy_derivation_dim(g):
@@ -283,3 +287,58 @@ class TestCountingRules:
                 padded = Matrix([list(row) + [0] * m for row in a.data]
                                 + [[0] * (k + m)] * m)
                 assert count_nice(padded) == count_nice(a) == nu
+
+
+# --- the diagonal system is derivation_space at distinct weights ---------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def reference_diagonal_system(g):
+    """The equations x_i + x_j = x_k, one per nonzero c_ij^k, of Dg(x) a derivation."""
+    rows = []
+    for i, j in g.pairs:
+        for k in g.table[i][j]:
+            eq = {i: 1, j: 1}
+            eq[k] = eq.get(k, 0) - 1
+            rows.append(eq)
+    return Subspace(g.dim, rows)
+
+
+def reference_pre_einstein_diagonal(g):
+    """N's diagonal from the Gram system of the reference kernel, over Q."""
+    diag = reference_diagonal_system(g).sparse_kernel()
+    gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
+    coeffs = solve(gram, [sum(v.values()) for v in diag]) if diag else []
+    return tuple(sum((c * v.get(i, 0) for c, v in zip(coeffs, diag)), ZERO)
+                 for i in range(g.dim))
+
+
+DIAGONAL_ALGEBRAS = {
+    **{p.name: (lambda p=p: load_lie(p)) for p in sorted(FIXTURES.glob("*.lie"))},
+    **{p.name: (lambda p=p: graph_algebra(load_graph(p))[0])
+       for p in sorted(FIXTURES.glob("*.graph"))},
+    **ORACLE_ALGEBRAS,
+    **LIE_ALGEBRAS,
+}
+
+
+def assert_diagonal_rule_is_the_reference(g):
+    system = derivation_space(g, range(g.dim)).system
+    assert system == reference_diagonal_system(g)
+    assert diagonal_derivations(g) == [dense(v, g.dim) for v in system.sparse_kernel()]
+
+
+class TestDiagonalSystemMatchesReference:
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_ALGEBRAS))
+    def test_fixture_and_graph_algebras(self, name):
+        g = DIAGONAL_ALGEBRAS[name]()
+        assert_diagonal_rule_is_the_reference(g)
+        if check_nice(g):
+            diag = pre_einstein_nice(g).matrix
+            assert tuple(diag[i, i] for i in range(g.dim)) == reference_pre_einstein_diagonal(g)
+
+    @given(rational_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_random_tables(self, g):
+        assert_diagonal_rule_is_the_reference(g)

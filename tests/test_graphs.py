@@ -22,7 +22,7 @@ from nicebasis import (
     standard_factorization,
     witt_dimension,
 )
-from nicebasis.lie import DIMENSION_CAP
+from nicebasis.scalars import DIMENSION_CAP
 from test_integer_table import assert_rebuilds
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
@@ -253,7 +253,7 @@ class TestQuotientMemo:
             return real(d, c)
 
         monkeypatch.setattr(graphs, "free_nilpotent", counted)
-        monkeypatch.setattr(graphs, "_quotient_memo", {})
+        graphs._quotient.cache_clear()
         return calls
 
     def test_nice_basis_reuses_the_quotient(self, builds):

@@ -555,8 +555,8 @@ HOT_CALLS = {
 @pytest.mark.parametrize("name", sorted(HOT_CALLS))
 def test_hot_paths_never_build_the_fraction_view(name, monkeypatch):
     def fresh_caches():
-        monkeypatch.setattr(graphs, "_free_cache", {})
-        monkeypatch.setattr(graphs, "_quotient_memo", {})
+        graphs.free_nilpotent.cache_clear()
+        graphs._quotient.cache_clear()
 
     fresh_caches()
     want = HOT_CALLS[name]()

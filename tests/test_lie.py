@@ -34,6 +34,21 @@ class TestConstruction:
         assert LieAlgebra(2, {}, names=("x", "y")).names == ["x", "y"]
         assert LieAlgebra(0, {}, names=[]).names == []
 
+    @pytest.mark.parametrize("brackets,message", [
+        ({(0, 3): {2: 1}}, r"bracket index out of range: \(0, 3\)"),
+        ({(-1, 2): {0: 1}}, r"bracket index out of range: \(-1, 2\)"),
+        ({(1, 0): {2: 1}}, r"bracket keys must have i < j, got \(1, 0\)"),
+        ({(1, 1): {2: 1}}, r"bracket keys must have i < j, got \(1, 1\)"),
+        ({(0, 1): {3: 1}}, "bracket target out of range: 3"),
+        ({(0, 1): {2: 1, -1: 1}}, "bracket target out of range: -1"),
+    ], ids=["index-past-dim", "index-negative", "i-after-j", "i-is-j", "target-past-dim",
+            "target-negative"])
+    def test_bracket_keys_and_targets_out_of_range_are_refused(self, brackets, message):
+        # parse_lie refuses these first with the file's line, so only a caller
+        # building the table in code reaches the constructor's own refusals
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LieAlgebra(3, brackets)
+
     def test_bracket_bilinear(self):
         g = fixtures.heisenberg3()
         x, y = (rat(1), rat(2), rat(0)), (rat(0), rat(1), rat(1))
@@ -159,3 +174,27 @@ class TestIO:
     def test_change_basis_rejects_singular(self, p):
         with pytest.raises(ValueError):
             fixtures.sl2().change_basis(p)
+
+
+class TestVectorsOutsideTheAlgebra:
+    # refused as solve refuses a right-hand side of the wrong length; before,
+    # the centralizer dropped index 3, bracket read the short x, ad hit an
+    # IndexError and bracket_sparse answered {}
+    @pytest.mark.parametrize("call,message", [
+        (lambda g: g.centralizer([(0, 0, 0, 1)]), "vector has 4 entries, the algebra dimension 3"),
+        (lambda g: g.centralizer([{3: 1}]), "vector index 3 out of range 0..2"),
+        (lambda g: g.bracket((1, 0), (0, 1, 0)), "vector has 2 entries, the algebra dimension 3"),
+        (lambda g: g.ad((1, 0, 0, 5)), "vector has 4 entries, the algebra dimension 3"),
+        (lambda g: g.bracket_sparse({0: 1}, {7: 1}), "vector index 7 out of range 0..2"),
+        (lambda g: g.bracket_sparse({-1: 1}, {0: 1}), "vector index -1 out of range 0..2"),
+    ], ids=["centralizer-dense", "centralizer-sparse", "bracket", "ad", "bracket_sparse",
+            "bracket_sparse-negative"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(fixtures.heisenberg3())
+
+    def test_vectors_of_the_algebra_are_taken_in_both_forms(self):
+        g = fixtures.heisenberg3()
+        assert g.bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
+        assert g.bracket_sparse((1, 0, 0), {1: 1}) == {2: 1}
+        assert g.centralizer([(1, 0, 0)]) == g.centralizer([{0: 1}])

@@ -54,6 +54,13 @@ class TestAdapted:
             ok, info = check_adapted(g)
             assert ok, info
 
+    def test_a_basis_off_the_lower_central_series_is_not_adapted(self):
+        # h3 in the basis (e1, e2, e1 + e3): [g, g] is spanned by the third
+        # basis vector minus the first, and holds no basis vector
+        p = Matrix.from_columns([{0: rat(1)}, {1: rat(1)}, {0: rat(1), 2: rat(1)}], 3)
+        assert check_adapted(fixtures.heisenberg3().change_basis(p)) == (False, {
+            "series": "lower", "term": 1, "subspace_dim": 1, "basis_vectors_inside": 0})
+
     @given(st.permutations(list(range(4))),
            st.lists(st.sampled_from([1, 2, -1, 3]), min_size=4, max_size=4))
     @settings(max_examples=30)

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from nicebasis import cli
 from nicebasis.almost_abelian import parse_matrix
 from nicebasis.graphs import parse_graph
-from nicebasis.lie import DIMENSION_CAP, abelian, parse_lie, serialize_lie
-from nicebasis.scalars import rat
+from nicebasis.lie import abelian, parse_lie, serialize_lie
+from nicebasis.scalars import DIMENSION_CAP, rat
 
 numbers = st.one_of(
     st.integers(-3, 9).map(str),
