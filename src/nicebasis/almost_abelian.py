@@ -16,6 +16,7 @@ polynomial, each quotient split once per call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,27 +144,29 @@ def _enumerate(p: Poly, divisors):
 
     divisors lists, sorted, every binomial dividing p.  The work runs on the
     monic integer L^n p(y/L), L the lcm of p's denominators, where x^d - r
-    becomes y^d - L^d r, an integer binomial by Gauss's lemma.  Each
-    quotient's factorizations are found once per call; factor i takes the
-    tails from index i on, so the tuples come out in lexicographic order.
+    becomes y^d - L^d r, an integer binomial by Gauss's lemma.  walk(c, i)
+    lists, once per call, the factorizations of the quotient c whose factors
+    all have index i or more, trying only those divisors; factor i takes the
+    tails walk(c / factor, i), so the tuples come out in lexicographic order.
     """
     n, scale = p.degree, math.lcm(*(c.denominator for c in p.coeffs))
     binomials = [(d, int(r * scale**d)) for d, r in divisors]
-    memo = {(1,): [()]}
 
-    def walk(c):
-        if c not in memo:
-            out = memo[c] = []
-            for i, (d, r) in enumerate(binomials):
-                if d >= len(c):
-                    break
-                q = _divide_binomial(c, d, r)
-                if q is not None:
-                    out.extend((i,) + t for t in walk(q) if not t or t[0] >= i)
-        return memo[c]
+    @functools.cache
+    def walk(c, start):
+        if len(c) == 1:
+            return [()]
+        out = []
+        for i, (d, r) in enumerate(binomials[start:], start):
+            if d >= len(c):
+                break
+            q = _divide_binomial(c, d, r)
+            if q is not None:
+                out.extend((i,) + t for t in walk(q, i))
+        return out
 
     top = tuple(int(x * scale ** (n - k)) for k, x in enumerate(p.coeffs))
-    return [tuple(divisors[i] for i in t) for t in walk(top)]
+    return [tuple(divisors[i] for i in t) for t in walk(top, 0)]
 
 
 def enumerate_factorizations(p: Poly):
@@ -246,18 +249,23 @@ class Analysis:
         return len(self.factorizations)
 
 
+def _squarefree_part(p: Poly):
+    """(p / x^k, whether it is squarefree), x^k the highest power of x dividing p."""
+    q = Poly(p.coeffs[next(k for k, c in enumerate(p.coeffs) if c):])
+    return q, len(int_gcd(q.coeffs, q.derivative().coeffs)) == 1
+
+
+@functools.lru_cache(maxsize=1)  # count_nice(a) then exists_nice(a) share one
 def analyze(a: Matrix) -> Analysis:
-    q = char_poly(a)
-    while q.coeffs[0] == 0:
-        q = Poly(q.coeffs[1:])
+    """The non-nilpotent part of A is semisimple iff mp / x^j is squarefree
+    (mp the minimal polynomial, x^j its x-power).  mp / x^j divides q / x^k (q
+    the characteristic polynomial: same nonzero roots, none more often), and
+    a divisor of a squarefree polynomial is squarefree, so a squarefree
+    q / x^k decides without mp."""
+    q, semisimple = _squarefree_part(char_poly(a))
     if q.degree == 0:
         return Analysis(a, nilpotent=True)
-    # semisimplicity of the non-nilpotent part: the minimal polynomial with
-    # its x-power stripped must be squarefree
-    mp = minimal_polynomial(a)
-    while mp.coeffs[0] == 0:
-        mp = Poly(mp.coeffs[1:])
-    semisimple = len(int_gcd(mp.coeffs, mp.derivative().coeffs)) == 1
+    semisimple = semisimple or _squarefree_part(minimal_polynomial(a))[1]
     divisors, irrational = _binomial_divisors(q)
     facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors))
     return Analysis(a, False, semisimple, facts, irrational)

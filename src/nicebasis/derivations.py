@@ -39,8 +39,12 @@ class DerivationSpace:
         return len(self.unknowns) - self.system.dim
 
     def contains(self, d) -> bool:
-        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?"""
-        return Subspace(self.dim**2, self.basis).contains(_entries(d))
+        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?  An
+        entry outside the dim x dim matrix raises ValueError."""
+        d, n = _entries(d), self.dim
+        if bad := [key for key in d if not (0 <= key[0] < n and 0 <= key[1] < n)]:
+            raise ValueError(f"entry {bad[0]} out of range 0..{n - 1}")
+        return Subspace(n**2, self.basis).contains(d)
 
 
 @dataclass(frozen=True)

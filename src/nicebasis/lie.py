@@ -82,10 +82,13 @@ class LieAlgebra:
     # --- bracket evaluation ---
 
     def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse dict, any index order."""
-        if i > j:
-            return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-        return dict(self.brackets.get((i, j), {}))
+        """[e_i, e_j] as a sparse dict, any index order; an index outside
+        0..dim-1 raises ValueError, checked only when no bracket is found."""
+        c = self.brackets.get((i, j) if i < j else (j, i))
+        if c is None:
+            self._vector({i: ZERO, j: ZERO})
+            return {}
+        return dict(c) if i < j else {k: -x for k, x in c.items()}
 
     def _vector(self, x):
         """x, a coefficient vector of length dim or a sparse {index: value} dict, as the

@@ -1,9 +1,14 @@
 """Differential tests of the almost abelian pipeline: char_poly against sympy,
 enumerate_factorizations against a memoized reference recursion written
 here, the one-pass integer binomial division against Poly.divmod, witnesses against
-the dense chain construction, and one binomial-divisor pass per analysis."""
+the dense chain construction, one binomial-divisor pass per analysis, and
+each fast path of analyze against the slow path it replaces: the start-indexed
+factorization walk against the filtered one, the squarefree characteristic
+polynomial against the minimal-polynomial criterion, and the one-entry
+analysis cache against a fresh analysis."""
 
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -15,6 +20,7 @@ from nicebasis import almost_abelian, cli
 from nicebasis.almost_abelian import (
     _binomial_divisors,
     _divide_binomial,
+    _enumerate,
     _witness_basis,
     analyze,
     build,
@@ -29,7 +35,9 @@ from nicebasis.linalg import (
     Subspace,
     char_poly,
     dense,
+    int_gcd,
     kernel_chain,
+    minimal_polynomial,
     nullspace,
     sparse,
 )
@@ -342,7 +350,9 @@ class TestOneDivisorPass:
             return _binomial_divisors(p)
 
         monkeypatch.setattr(almost_abelian, "_binomial_divisors", counted)
-        return counter
+        analyze.cache_clear()
+        yield counter
+        analyze.cache_clear()
 
     @pytest.mark.parametrize("a", [
         indecomposable_family(4).a,
@@ -350,11 +360,12 @@ class TestOneDivisorPass:
         Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]]),  # nilpotent block plus 3
     ], ids=["family-4", "diagonal", "mixed"])
     def test_once_per_analysis(self, calls, a):
+        # count and exists read the analysis analyze kept for a
         almost_abelian.analyze(a)
         assert len(calls) == 1
         count_nice(a)
         exists_nice(a)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
     def test_none_for_nilpotent(self, calls):
         almost_abelian.analyze(Matrix([[0, 1], [0, 0]]))
@@ -366,3 +377,203 @@ class TestOneDivisorPass:
         assert cli.main(["aa", str(fixture)]) == 0
         assert "nu 3" in capsys.readouterr().out
         assert len(calls) == 1
+
+
+# --- fast paths of analyze against the slow paths they replace ---------------
+
+
+def filtered_enumerate(p, divisors, divisions):
+    """_enumerate as it was: every factorization of each quotient, memoized by
+    quotient, then filtered to the tails from the factor's index on.  Each
+    trial division is appended to divisions."""
+    n, scale = p.degree, math.lcm(*(c.denominator for c in p.coeffs))
+    binomials = [(d, int(r * scale**d)) for d, r in divisors]
+    memo = {(1,): [()]}
+
+    def walk(c):
+        if c not in memo:
+            out = memo[c] = []
+            for i, (d, r) in enumerate(binomials):
+                if d >= len(c):
+                    break
+                divisions.append((c, d, r))
+                q = _divide_binomial(c, d, r)
+                if q is not None:
+                    out.extend((i,) + t for t in walk(q) if not t or t[0] >= i)
+        return memo[c]
+
+    top = tuple(int(x * scale ** (n - k)) for k, x in enumerate(p.coeffs))
+    return [tuple(divisors[i] for i in t) for t in walk(top)]
+
+
+def random_binomial_products(seed, count):
+    rng = random.Random(seed)
+    constants = [Q(1), Q(-1), Q(2), Q(-2), Q(4), Q(1, 4), Q(-8), Q(9), Q(3, 2)]
+    for _ in range(count):
+        p = Poly([1])
+        for _ in range(rng.randint(1, 5)):
+            p = p * Poly.binomial(rng.randint(1, 4), rng.choice(constants))
+        yield p
+
+
+class TestStartIndexedWalk:
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        counter = []
+
+        def counted(c, d, r):
+            counter.append((c, d, r))
+            return _divide_binomial(c, d, r)
+
+        monkeypatch.setattr(almost_abelian, "_divide_binomial", counted)
+        return counter
+
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_x_power_minus_one(self, divisions, k):
+        p = Poly.binomial(k, 1)
+        divisors, _ = _binomial_divisors(p)
+        reference = []
+        want = filtered_enumerate(p, divisors, reference)
+        assert _enumerate(p, divisors) == want  # same lists, same order
+        assert len(divisions) <= len(reference)  # and no more trial divisions
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_binomial_products(self, divisions, seed):
+        for p in random_binomial_products(seed, 50):
+            divisors, _ = _binomial_divisors(p)
+            reference = []
+            want = filtered_enumerate(p, divisors, reference)
+            del divisions[:]
+            assert _enumerate(p, divisors) == want
+            assert len(divisions) <= len(reference)
+
+    def test_fewer_divisions_on_the_family(self, divisions):
+        # x^16 - 1 (the family at n = 5): 106 trial divisions instead of 205
+        p = Poly.binomial(16, 1)
+        divisors, _ = _binomial_divisors(p)
+        reference = []
+        assert _enumerate(p, divisors) == filtered_enumerate(p, divisors, reference)
+        assert (len(divisions), len(reference)) == (106, 205)
+
+
+def mat_fixtures():
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    return [almost_abelian.load_matrix(path) for path in sorted(root.glob("*.mat"))]
+
+
+def small_corpus():
+    """800 integer matrices of sizes 2..5, entries -3..3."""
+    rng = random.Random(0)
+    out = []
+    for _ in range(800):
+        n = rng.randint(2, 5)
+        out.append(Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+    return out
+
+
+def minimal_polynomial_semisimple(a):
+    """The criterion the shortcut replaces: mp / x^j squarefree."""
+    mp = minimal_polynomial(a)
+    mp = Poly(mp.coeffs[next(k for k, c in enumerate(mp.coeffs) if c):])
+    return len(int_gcd(mp.coeffs, mp.derivative().coeffs)) == 1
+
+
+class TestSquarefreeShortcut:
+    @pytest.fixture
+    def mp_calls(self, monkeypatch):
+        counter = []
+
+        def counted(a):
+            counter.append(a)
+            return minimal_polynomial(a)
+
+        monkeypatch.setattr(almost_abelian, "minimal_polynomial", counted)
+        analyze.cache_clear()
+        yield counter
+        analyze.cache_clear()
+
+    def agree(self, a):
+        analysis = analyze.__wrapped__(a)
+        return analysis.nilpotent or analysis.semisimple == minimal_polynomial_semisimple(a)
+
+    def test_corpus(self, mp_calls):
+        corpus = small_corpus()
+        assert all(self.agree(a) for a in corpus)
+        # both branches ran: some spectra needed the minimal polynomial
+        assert 0 < len(mp_calls) < len(corpus)
+
+    def test_mat_fixtures(self):
+        assert all(self.agree(a) for a in mat_fixtures())
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_family_never_needs_the_minimal_polynomial(self, mp_calls, n):
+        a = indecomposable_family(n).a
+        assert self.agree(a)
+        del mp_calls[:]
+        assert analyze(a).semisimple and mp_calls == []
+
+    @pytest.mark.parametrize("a,semisimple,asked", [
+        (Matrix.diagonal([Q(1), Q(1), Q(2)]), True, 1),
+        (Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), False, 1),
+        (Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 3]]), True, 0),
+    ], ids=["repeated-semisimple", "jordan-block", "nilpotent-part"])
+    def test_repeated_roots(self, mp_calls, a, semisimple, asked):
+        # q / x^k squarefree decides alone; a repeated nonzero root asks mp
+        assert analyze(a).semisimple == semisimple
+        assert len(mp_calls) == asked
+
+
+class TestOneAnalysisPerMatrix:
+    @pytest.fixture
+    def char_polys(self, monkeypatch):
+        counter = []
+
+        def counted(a):
+            counter.append(a)
+            return char_poly(a)
+
+        monkeypatch.setattr(almost_abelian, "char_poly", counted)
+        analyze.cache_clear()
+        yield counter
+        analyze.cache_clear()
+
+    @pytest.mark.parametrize("a", [
+        indecomposable_family(5).a,
+        Matrix.diagonal([Q(1), Q(-1), Q(-2), Q(2)]),
+        Matrix([[0, 1], [0, 0]]),
+        Matrix([[1, 1], [0, 1]]),
+    ], ids=["family-5", "diagonal", "nilpotent", "not-semisimple"])
+    def test_count_then_exists_runs_one_analysis(self, char_polys, a):
+        count = count_nice(a)
+        verdict = exists_nice(a)
+        assert len(char_polys) == 1
+        assert analyze.cache_info().misses == 1
+        fresh = analyze.__wrapped__(a)
+        assert count == fresh.count()
+        assert verdict == fresh.exists()
+
+    def test_an_equal_matrix_hits_and_another_misses(self, char_polys):
+        a = indecomposable_family(4).a
+        first = analyze(a)
+        equal = Matrix(a.data)
+        assert equal is not a and equal == a
+        assert analyze(equal) is first
+        assert len(char_polys) == 1
+        other = Matrix.diagonal([Q(1), Q(2)])
+        assert analyze(other) == analyze.__wrapped__(other)
+        assert analyze.cache_info().misses == 2
+        # one entry: a is analysed afresh after another matrix
+        assert analyze(a) == first and analyze(a) is not first
+
+    def test_every_exists_builds_and_checks_its_witness(self, monkeypatch):
+        analyze.cache_clear()
+        checks = []
+
+        def counted(g):
+            checks.append(g)
+            return check_nice(g)
+
+        monkeypatch.setattr(almost_abelian, "check_nice", counted)
+        a = indecomposable_family(4).a
+        assert exists_nice(a).witness == exists_nice(a).witness
+        assert len(checks) == 2

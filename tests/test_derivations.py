@@ -169,6 +169,17 @@ class TestDerivationSpace:
         assert space.contains({(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
         assert not space.contains({(0, 0): rat(1)})
 
+    @pytest.mark.parametrize("d,message", [
+        ({(5, 5): 1}, r"entry \(5, 5\) out of range 0..2"),
+        ({(0, 0): 1, (0, 3): 1}, r"entry \(0, 3\) out of range 0..2"),
+        ({(-1, 0): 1}, r"entry \(-1, 0\) out of range 0..2"),
+        (Matrix.diagonal([rat(1), rat(1), rat(2), rat(3)]), r"entry \(3, 3\) out of range 0..2"),
+    ], ids=["both", "column", "negative", "matrix-4x4"])
+    def test_entries_outside_the_matrix_are_refused(self, d, message):
+        # before, {(5, 5): 1} was answered False, as if it were a 3 x 3 matrix
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            derivation_space(fixtures.heisenberg3()).contains(d)
+
     @pytest.mark.parametrize("weights", [[0, 0], [0, 0, 0, 0]], ids=["short", "long"])
     def test_weights_of_the_wrong_length_are_refused(self, weights):
         with pytest.raises(ValueError, match="need 3 weights"):

@@ -193,6 +193,18 @@ class TestVectorsOutsideTheAlgebra:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(fixtures.heisenberg3())
 
+    @pytest.mark.parametrize("i,j,bad", [(5, 7, 5), (0, -2, -2), (3, 0, 3), (2, 3, 3)])
+    def test_basis_indices_out_of_range_are_refused(self, i, j, bad):
+        # before, bracket_basis answered {} for any pair it had no bracket for
+        with pytest.raises(ValueError, match=f"^vector index {bad} out of range 0..2$"):
+            fixtures.heisenberg3().bracket_basis(i, j)
+
+    def test_basis_brackets_in_range_in_either_order(self):
+        g = fixtures.heisenberg3()
+        assert g.bracket_basis(0, 1) == {2: 1}
+        assert g.bracket_basis(1, 0) == {2: -1}
+        assert g.bracket_basis(1, 1) == g.bracket_basis(2, 0) == {}
+
     def test_vectors_of_the_algebra_are_taken_in_both_forms(self):
         g = fixtures.heisenberg3()
         assert g.bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)

@@ -26,6 +26,8 @@ from tracing import Tracer, install
 tracer = Tracer()
 install(tracer)
 nicebasis.count_nice(nicebasis.indecomposable_family(3).a)
+# a repeated eigenvalue: the minimal polynomial decides semisimplicity
+nicebasis.count_nice(nicebasis.linalg.Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
 print(json.dumps({{"absent": tracer.absent, "calls": tracer.calls}}))
 """
 
