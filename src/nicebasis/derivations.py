@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm, prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, dense, is_positive_definite, solve
+from .linalg import Matrix, Subspace, apply_columns, dense, is_positive_definite, solve
 from .nice import check_nice
 
 
@@ -39,12 +39,9 @@ class DerivationSpace:
         return len(self.unknowns) - self.system.dim
 
     def contains(self, d) -> bool:
-        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?  An
-        entry outside the dim x dim matrix raises ValueError."""
-        d, n = _entries(d), self.dim
-        if bad := [key for key in d if not (0 <= key[0] < n and 0 <= key[1] < n)]:
-            raise ValueError(f"entry {bad[0]} out of range 0..{n - 1}")
-        return Subspace(n**2, self.basis).contains(d)
+        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?  See
+        _entries for what is refused."""
+        return Subspace(self.dim**2, self.basis).contains(_entries(d, self.dim))
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,11 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
 
     Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
     with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
-    numbered densely in row-major order; one sparse equation per (pair i < j,
-    output coordinate r), read off g's int table and assembled from the
-    unknowns: D[m][i] walks the brackets of e_m and those with an e_i term,
-    so no pair without a term is visited.  The system is eliminated in ints;
-    the basis, built on first read, is sparse_kernel's canonical one: a
-    vector per free unknown, in order.
+    numbered densely in row-major order, with _equations's system eliminated
+    in ints; the basis, built on first read, is sparse_kernel's canonical
+    one: a vector per free unknown, in order.  w matters only through its
+    blocks of equal weight, labelled by their first index; the last space
+    built is kept for its (g, labels), so the result is shared: read-only.
 
     Lemma: at pairwise distinct weights (range(n), say) the unknowns are the
     D[i][i] alone, numbered i, and equation (i, j, r) is c_ij^r (x_r - x_i -
@@ -79,21 +75,39 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     the Subspace is the same canonical one however the equations are scaled.
     """
     n = g.dim
-    t = g.table
     weights = [ZERO] * n if weights is None else weights
     if len(weights) != n:
         raise ValueError(f"need {n} weights, one per basis vector, got {len(weights)}")
-    block = {}  # weight -> indices of that weight, increasing
-    for i, w in enumerate(weights):
-        block.setdefault(w, []).append(i)
-    unknowns = {e: v for v, e in enumerate((m, i) for m in range(n) for i in block[weights[m]])}
+    first = {}  # weight -> its first index
+    return _space(g, tuple(first.setdefault(w, i) for i, w in enumerate(weights)))
+
+
+# the last space built: at a simple spectrum pre_einstein_general_check(g, N)
+# right after pre_einstein_nice(g) reuses its diagonal system
+@lru_cache(maxsize=1)
+def _space(g: LieAlgebra, blocks) -> DerivationSpace:
+    """derivation_space(g, w) for the block labels of w."""
+    n = g.dim
+    entries = ((m, i) for m in range(n) for i in range(n) if blocks[m] == blocks[i])
+    unknowns = {e: v for v, e in enumerate(entries)}
+    eqs = _equations(g, unknowns)
+    return DerivationSpace(n, unknowns, Subspace(len(unknowns), (eqs[e] for e in sorted(eqs))))
+
+
+def _equations(g: LieAlgebra, unknowns):
+    """The equations of D[x,y] = [Dx,y] + [x,Dy] on the entries (m, i) of D that
+    unknowns maps to labels, the others zero: {(i n + j) n + r: {label: int}},
+    one per (pair i < j, output coordinate r) that an unknown meets, read off
+    g's int table.  D[m][i] walks the brackets of e_m and those with an e_i
+    term, so no pair without a term is visited."""
+    n, t = g.dim, g.table
     into = {}  # k -> (i n + j) n and c_ij^k of each bracket [e_i, e_j], i < j, with an e_k term
     for i in range(n):
         for j, comps in t[i].items():
             if j > i:
                 for k, c in comps.items():
                     into.setdefault(k, []).append(((i * n + j) * n, c))
-    eqs = {}  # (i n + j) n + r -> {unknown: coefficient} of equation (i, j, r)
+    eqs = {}  # (i n + j) n + r -> {label: coefficient} of equation (i, j, r)
     for (m, i), v in unknowns.items():
         # -[D e_i, e_j] = -sum_m D[m][i] [e_m, e_j]; the pair (j, i) holds +[e_m, e_j].
         # Each (j, r) is met once, so set; the terms of D[e_a, e_b] below add in
@@ -105,7 +119,7 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
         for base, c in into.get(i, ()):  # D[e_a, e_b] = sum_k c_k D e_k, at coordinate m
             row = eqs.setdefault(base + m, {})
             row[v] = row.get(v, 0) + c
-    return DerivationSpace(n, unknowns, Subspace(len(unknowns), (eqs[e] for e in sorted(eqs))))
+    return eqs
 
 
 def diagonal_derivations(g: LieAlgebra):
@@ -113,46 +127,33 @@ def diagonal_derivations(g: LieAlgebra):
     return [dense(v, g.dim) for v in derivation_space(g, range(g.dim)).system.sparse_kernel()]
 
 
-def _entries(d):
-    """A Matrix or a sparse {(row, col): value} map as the sparse map."""
+def _entries(d, n):
+    """d, a Matrix or a sparse {(row, col): value} map, as the sparse map; an entry
+    outside the n x n matrix or a Matrix of another shape raises ValueError."""
+    shape = (n, n)
     if isinstance(d, Matrix):
-        return {(r, c): x for c, col in enumerate(d.columns) for r, x in col.items()}
+        shape, d = (d.rows, d.cols), {(r, c): x for c, col in enumerate(d.columns)
+                                      for r, x in col.items()}
+    if bad := [key for key in d if not (0 <= key[0] < n and 0 <= key[1] < n)]:
+        raise ValueError(f"entry {bad[0]} out of range 0..{n - 1}")
+    if shape != (n, n):
+        raise ValueError(f"matrix is {shape[0]} x {shape[1]}, need {n} x {n}")
     return d
 
 
 def is_derivation(g: LieAlgebra, d) -> bool:
     """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
 
-    d is a Matrix or a sparse {(row, col): value} map of ints or Q, scaled
-    once to ints by the lcm of its denominators.  The differences are summed
-    from the nonzero brackets and columns of D only (O(nnz) if diagonal), off
-    g's int table: one common scale, int sums, one zero test.
+    d is a Matrix or a sparse {(row, col): value} map of ints or Q (_entries
+    says what is refused).  Its nonzero entries, scaled once to ints by the
+    lcm of their denominators, are the unknowns of _equations, and every
+    equation they meet must vanish there.
     """
-    t = g.table
-    entries = _entries(d)
+    entries = {e: x for e, x in _entries(d, g.dim).items() if x}
     den = lcm(*[x.denominator for x in entries.values()])
-    cols = {}
-    for (r, c), x in entries.items():
-        cols.setdefault(c, {})[r] = x.numerator * (den // x.denominator)
-    diff = {}  # (i, j) with i < j -> D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
-
-    def add(i, j, vec, f):
-        if i > j:  # the difference of (j, i) is minus that of (i, j)
-            i, j, f = j, i, -f
-        out = diff.setdefault((i, j), {})
-        for k, x in vec.items():
-            out[k] = out.get(k, 0) + f * x
-
-    for i, j in g.pairs:
-        for k, c in t[i][j].items():
-            if k in cols:
-                add(i, j, cols[k], c)
-    for i, col in cols.items():
-        for m, x in col.items():
-            for j, comps in t[m].items():  # -D[m][i] [e_m, e_j]
-                if j != i:
-                    add(i, j, comps, -x)
-    return not any(any(out.values()) for out in diff.values())
+    value = {e: x.numerator * (den // x.denominator) for e, x in entries.items()}
+    eqs = _equations(g, {e: e for e in value})
+    return not any(sum(c * value[e] for e, c in row.items()) for row in eqs.values())
 
 
 def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
@@ -167,14 +168,11 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
     diag = derivation_space(g, range(g.dim)).system.int_kernel()
-    if not diag:
-        n_diag = [ZERO] * g.dim
-    else:
-        gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
-        if not is_positive_definite(gram):
-            raise RuntimeError("trace Gram matrix is not positive definite")
-        coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
-        n_diag = [sum(c * v.get(i, 0) for c, v in zip(coeffs, diag)) for i in range(g.dim)]
+    gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
+    if not is_positive_definite(gram):
+        raise RuntimeError("trace Gram matrix is not positive definite")
+    coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
+    n_diag = dense(apply_columns(diag, dict(enumerate(coeffs))), g.dim)
     ok, bad = pre_einstein_general_check(g, n_diag)
     if not ok:
         raise RuntimeError(f"trace certification failed: {bad!r}")

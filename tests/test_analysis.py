@@ -350,9 +350,7 @@ class TestOneDivisorPass:
             return _binomial_divisors(p)
 
         monkeypatch.setattr(almost_abelian, "_binomial_divisors", counted)
-        analyze.cache_clear()
-        yield counter
-        analyze.cache_clear()
+        return counter
 
     @pytest.mark.parametrize("a", [
         indecomposable_family(4).a,
@@ -488,9 +486,7 @@ class TestSquarefreeShortcut:
             return minimal_polynomial(a)
 
         monkeypatch.setattr(almost_abelian, "minimal_polynomial", counted)
-        analyze.cache_clear()
-        yield counter
-        analyze.cache_clear()
+        return counter
 
     def agree(self, a):
         analysis = analyze.__wrapped__(a)
@@ -533,9 +529,7 @@ class TestOneAnalysisPerMatrix:
             return char_poly(a)
 
         monkeypatch.setattr(almost_abelian, "char_poly", counted)
-        analyze.cache_clear()
-        yield counter
-        analyze.cache_clear()
+        return counter
 
     @pytest.mark.parametrize("a", [
         indecomposable_family(5).a,
@@ -566,7 +560,6 @@ class TestOneAnalysisPerMatrix:
         assert analyze(a) == first and analyze(a) is not first
 
     def test_every_exists_builds_and_checks_its_witness(self, monkeypatch):
-        analyze.cache_clear()
         checks = []
 
         def counted(g):

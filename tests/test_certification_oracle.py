@@ -29,11 +29,10 @@ from collections import namedtuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicebasis import fixtures
+from nicebasis import derivations, fixtures
 from nicebasis.almost_abelian import build, load_matrix
 from nicebasis.derivations import (
     DerivationSpace,
-    _entries,
     derivation_space,
     diagonal_derivations,
     is_derivation,
@@ -53,6 +52,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # --- the full-space references ----------------------------------------------
 
 Space = namedtuple("Space", "dim basis")  # what the references return
+
+
+def _entries(d):
+    """A Matrix or a sparse {(row, col): value} map as the sparse map."""
+    if isinstance(d, Matrix):
+        return {(r, c): x for c, col in enumerate(d.columns) for r, x in col.items()}
+    return d
 
 
 def reference_derivation_space(g: LieAlgebra) -> Space:
@@ -559,3 +565,46 @@ class TestIntIsDerivation:
                 assert is_derivation(g, m) == want
                 assert is_derivation(g, as_matrix(m, n)) == want
             assert is_derivation(g, d) and is_derivation(g, ints)
+
+
+# --- one Der(g)_0 system per pre-Einstein request ------------------------------
+
+def builds():
+    return derivations._space.cache_info().misses
+
+
+class TestOneSystemPerRequest:
+    """derivation_space keeps its last space, keyed by (g, weight blocks)."""
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_simple_spectrum_builds_one(self, n):
+        g = fixtures.standard_filiform(n)
+        pe = pre_einstein_nice(g)
+        assert len(set(pe.spectrum)) == n
+        assert builds() == 1  # the diagonal system is Der(g)_0 for N
+        w = [pe.matrix[i, i] for i in range(n)]
+        assert pre_einstein_general_check(g, w) == (True, None)
+        assert builds() == 1
+
+    def test_repeated_value_builds_two(self):
+        g = direct_sum(fixtures.standard_filiform(10), fixtures.standard_filiform(12))
+        pe = pre_einstein_nice(g)
+        assert len(set(pe.spectrum)) < g.dim
+        assert builds() == 2
+
+    @pytest.mark.parametrize("name", ["n6", "L8"])
+    def test_a_wrong_diagonal_fails_after_a_hit(self, name):
+        if name == "n6":  # not nice: the right diagonal, certified, then unscaled
+            g, w = fixtures.n6(), [Q(9, 32) * k for k in (1, 2, 3, 3, 4, 5)]
+            assert pre_einstein_general_check(g, w) == (True, None)
+            wrong = [k * 32 / 9 for k in w]
+        else:
+            g = fixtures.standard_filiform(8)
+            pe = pre_einstein_nice(g)
+            wrong = [2 * pe.matrix[i, i] for i in range(8)]
+        hits = derivations._space.cache_info().hits
+        got = pre_einstein_general_check(g, wrong)
+        assert derivations._space.cache_info().hits == hits + 1 and builds() == 1
+        assert got[0] is False and got[1][0] == "trace"
+        assert got == reference_zero_weight_check(g, wrong)
+        assert ordered(got[1][1]) == ordered(reference_zero_weight_check(g, wrong)[1][1])

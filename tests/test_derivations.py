@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from nicebasis.lie import LieAlgebra, direct_sum, abelian, load_lie
 from nicebasis.linalg import Matrix, Subspace, dense, solve
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, rat
-from nicebasis import fixtures
+from nicebasis import derivations, fixtures
 from test_integer_table import LIE_ALGEBRAS, rational_tables
 
 
@@ -174,11 +176,20 @@ class TestDerivationSpace:
         ({(0, 0): 1, (0, 3): 1}, r"entry \(0, 3\) out of range 0..2"),
         ({(-1, 0): 1}, r"entry \(-1, 0\) out of range 0..2"),
         (Matrix.diagonal([rat(1), rat(1), rat(2), rat(3)]), r"entry \(3, 3\) out of range 0..2"),
-    ], ids=["both", "column", "negative", "matrix-4x4"])
-    def test_entries_outside_the_matrix_are_refused(self, d, message):
-        # before, {(5, 5): 1} was answered False, as if it were a 3 x 3 matrix
+        ({(5, 5): Q(1)}, r"entry \(5, 5\) out of range 0..2"),
+        ({(0, 3): Q(1)}, r"entry \(0, 3\) out of range 0..2"),
+        (Matrix.diagonal([1, 1]), "matrix is 2 x 2, need 3 x 3"),
+        (Matrix.zeros(3, 4), "matrix is 3 x 4, need 3 x 3"),
+    ], ids=["both", "column", "negative", "matrix-4x4", "both-Q", "column-Q", "matrix-2x2",
+            "matrix-3x4"])
+    @pytest.mark.parametrize("call", [is_derivation, lambda g, d: derivation_space(g).contains(d)],
+                             ids=["is_derivation", "contains"])
+    def test_entries_outside_the_matrix_are_refused(self, call, d, message):
+        # is_derivation and contains read d through one _entries; before, contains
+        # answered False on {(5, 5): 1} and on the 2 x 2 identity, and
+        # is_derivation raised IndexError on (5, 5) and answered False on (0, 3)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            derivation_space(fixtures.heisenberg3()).contains(d)
+            call(fixtures.heisenberg3(), d)
 
     @pytest.mark.parametrize("weights", [[0, 0], [0, 0, 0, 0]], ids=["short", "long"])
     def test_weights_of_the_wrong_length_are_refused(self, weights):
@@ -331,6 +342,8 @@ DIAGONAL_ALGEBRAS = {
        for p in sorted(FIXTURES.glob("*.graph"))},
     **ORACLE_ALGEBRAS,
     **LIE_ALGEBRAS,
+    **{f"L{n}": (lambda n=n: fixtures.standard_filiform(n)) for n in (20, 40, 60)},
+    "L10+L12": lambda: direct_sum(fixtures.standard_filiform(10), fixtures.standard_filiform(12)),
 }
 
 
@@ -347,9 +360,116 @@ class TestDiagonalSystemMatchesReference:
         assert_diagonal_rule_is_the_reference(g)
         if check_nice(g):
             diag = pre_einstein_nice(g).matrix
-            assert tuple(diag[i, i] for i in range(g.dim)) == reference_pre_einstein_diagonal(g)
+            got = tuple(diag[i, i] for i in range(g.dim))
+            assert got == reference_pre_einstein_diagonal(g)
+            assert all(type(x) is Fraction for x in got)
 
     @given(rational_tables())
     @settings(max_examples=80, deadline=None)
     def test_random_tables(self, g):
         assert_diagonal_rule_is_the_reference(g)
+
+
+# --- is_derivation evaluates the equations of derivation_space ------------------
+
+def reference_is_derivation(g, d):
+    """is_derivation as it summed its own differences, before it evaluated
+    derivation_space's equations (verbatim, with the Matrix reading inlined).
+
+    d is a Matrix or a sparse {(row, col): value} map of ints or Q, scaled
+    once to ints by the lcm of its denominators.  The differences are summed
+    from the nonzero brackets and columns of D only (O(nnz) if diagonal), off
+    g's int table: one common scale, int sums, one zero test.
+    """
+    t = g.table
+    entries = d
+    if isinstance(d, Matrix):
+        entries = {(r, c): x for c, col in enumerate(d.columns) for r, x in col.items()}
+    den = lcm(*[x.denominator for x in entries.values()])
+    cols = {}
+    for (r, c), x in entries.items():
+        cols.setdefault(c, {})[r] = x.numerator * (den // x.denominator)
+    diff = {}  # (i, j) with i < j -> D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+
+    def add(i, j, vec, f):
+        if i > j:  # the difference of (j, i) is minus that of (i, j)
+            i, j, f = j, i, -f
+        out = diff.setdefault((i, j), {})
+        for k, x in vec.items():
+            out[k] = out.get(k, 0) + f * x
+
+    for i, j in g.pairs:
+        for k, c in t[i][j].items():
+            if k in cols:
+                add(i, j, cols[k], c)
+    for i, col in cols.items():
+        for m, x in col.items():
+            for j, comps in t[m].items():  # -D[m][i] [e_m, e_j]
+                if j != i:
+                    add(i, j, comps, -x)
+    return not any(any(out.values()) for out in diff.values())
+
+
+def derivation_candidates(g):
+    """Der(g)'s basis, the diagonal parts, and each of these with one entry bent."""
+    n = g.dim
+    rng = random.Random(n)
+    basis = [dict(d) for d in derivation_space(g).basis]
+    maps = basis + [{e: x for e, x in d.items() if e[0] == e[1]} for d in basis]
+    for d in list(maps):
+        e = (rng.randrange(n), rng.randrange(n))
+        maps.append({**d, e: d.get(e, ZERO) + Q(1, rng.choice((1, 2, 3, 5)))})
+    return maps
+
+
+def assert_is_derivation_is_the_reference(g):
+    n = g.dim
+    for d in derivation_candidates(g):
+        want = reference_is_derivation(g, d)
+        m = Matrix([[d.get((r, c), ZERO) for c in range(n)] for r in range(n)])
+        assert is_derivation(g, d) == want == reference_is_derivation(g, m)
+        assert is_derivation(g, m) == want
+
+
+class TestIsDerivationMatchesReference:
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.lie")))
+    def test_fixtures(self, name):
+        assert_is_derivation_is_the_reference(load_lie(FIXTURES / name))
+
+    @pytest.mark.parametrize("name", sorted(LIE_ALGEBRAS))
+    def test_integer_table_algebras(self, name):
+        assert_is_derivation_is_the_reference(LIE_ALGEBRAS[name]())
+
+    @given(rational_tables())
+    @settings(max_examples=80, deadline=None)
+    def test_random_tables(self, g):
+        assert_is_derivation_is_the_reference(g)
+
+    def test_bent_candidates_include_non_derivations(self):
+        g = fixtures.standard_filiform(6)
+        verdicts = {reference_is_derivation(g, d) for d in derivation_candidates(g)}
+        assert verdicts == {True, False}
+
+
+# --- one system per block labelling --------------------------------------------
+
+class TestBlockKeyedSpace:
+    @pytest.mark.parametrize("make,weights,same", [
+        (fixtures.heisenberg3, (1, 2, 2), (5, 7, 7)),
+        (fixtures.heisenberg3, (1, 2, 2), (Q(1, 2), 0, 0)),
+        (fixtures.n6, (1, 2, 3, 3, 4, 5), (-1, -2, -3, -3, -4, -5)),
+        (lambda: fixtures.standard_filiform(6), (0, 0, 1, 1, 0, 2), (9, 9, 4, 4, 9, 3)),
+    ], ids=["h3", "h3-fractions", "n6", "L6"])
+    def test_same_blocks_same_space(self, make, weights, same):
+        g = make()
+        first = derivation_space(g, weights)
+        assert derivation_space(g, same) is first  # the last space, served again
+        labels = tuple(weights.index(w) for w in weights)  # each block by its first index
+        assert first == derivations._space.__wrapped__(g, labels)
+        assert derivations._space.cache_info().misses == 1
+
+    def test_other_blocks_or_algebra_build_anew(self):
+        g = fixtures.heisenberg3()
+        assert derivation_space(g, (1, 2, 2)) != derivation_space(g, (1, 2, 3))
+        assert derivation_space(fixtures.heisenberg3(), (1, 2, 3)) == derivation_space(g, (1, 2, 3))
+        assert derivations._space.cache_info().misses == 4

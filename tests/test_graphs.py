@@ -253,7 +253,6 @@ class TestQuotientMemo:
             return real(d, c)
 
         monkeypatch.setattr(graphs, "free_nilpotent", counted)
-        graphs._quotient.cache_clear()
         return calls
 
     def test_nice_basis_reuses_the_quotient(self, builds):
