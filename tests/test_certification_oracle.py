@@ -605,6 +605,6 @@ class TestOneSystemPerRequest:
         hits = derivations._space.cache_info().hits
         got = pre_einstein_general_check(g, wrong)
         assert derivations._space.cache_info().hits == hits + 1 and builds() == 1
+        want = reference_zero_weight_check(g, wrong)
         assert got[0] is False and got[1][0] == "trace"
-        assert got == reference_zero_weight_check(g, wrong)
-        assert ordered(got[1][1]) == ordered(reference_zero_weight_check(g, wrong)[1][1])
+        assert got == want and ordered(got[1][1]) == ordered(want[1][1])
