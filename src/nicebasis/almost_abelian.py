@@ -11,7 +11,8 @@ when an irrational real constant could occur the answer degrades honestly
 to "unknown-irrational" instead of guessing.  The search runs on Python
 ints: integer gcds of the residue classes give the divisors, and
 factorizations are enumerated on the monic integer transform of the
-polynomial, each quotient split once per call.
+polynomial, each quotient split once per call.  A witness is built in ints
+too, its chains eliminated once in one span, and certified by change_basis.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
+from .scalars import Q, ONE, fmt, lines, parse_int, parse_rat
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
@@ -55,10 +56,10 @@ def build(a: Matrix) -> AlmostAbelian:
     if not a.is_square():
         raise ValueError("matrix must be square")
     n = a.rows
-    table = {(0, i + 1): {k + 1: x for k, x in col.items()}
-             for i, col in enumerate(a.columns) if col}
+    table = {(0, i + 1): ({k + 1: x for k, x in col.items()}, 1)
+             for i, col in enumerate(a.num) if col}
     names = ["f"] + [f"X{i+1}" for i in range(n)]
-    return AlmostAbelian(a, LieAlgebra(n + 1, table, names=names))
+    return AlmostAbelian(a, LieAlgebra._from_table(n + 1, table, a.den, names, check=True))
 
 
 @dataclass(frozen=True)
@@ -289,68 +290,62 @@ def count_nice(a: Matrix):
 
 
 def _witness_basis(a: Matrix, fact):
-    """Nice basis columns for the compiled algebra: f, then chain vectors.
+    """Nice basis columns for the compiled algebra: f, then chain vectors v / e,
+    given as pairs (v, e) of an int vector and a denominator.
 
-    Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks).
-    Each binomial factor (d, r): a cyclic chain w, Aw, ..., A^{d-1}w inside
-    ker(A^d - r).  The assembled basis is verified nice before returning.
+    Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks), none when
+    fact has degree n (A invertible).  Each binomial factor (d, r): a cyclic
+    chain w, Aw, ..., A^{d-1}w inside ker(A^d - r), which _cyclic_chain adds to
+    the one span of the chains.  The basis is verified nice before returning.
     """
     n = a.rows
-    cols = a.columns
-    chains = _nilpotent_chains(a, cols)
-    span = Subspace(n)
-    for ch in chains:
-        for v in ch:
-            if not span.add(v):
-                raise RuntimeError("dependent nilpotent chain vectors")
+    chains, span = ([], Subspace(n)) if fact and fact.degree == n else _nilpotent_chains(a)
     if fact is not None:
-        squares = [cols]  # A^(2^k), shared by the factors' powers
+        squares = [a.num]  # A^(2^k) times den^(2^k), shared by the factors' powers
         for d, r in fact.factors:
-            chain = _cyclic_chain(squares, d, r, span)
+            chain, span = _cyclic_chain(squares, a.den, d, r, span)
             chains.append(chain)
-            for v in chain:
-                if not span.add(v):
-                    raise RuntimeError("dependent cyclic chain vectors")
     if span.dim != n:
         raise RuntimeError("witness chains do not span")
-    basis = [{0: ONE}] + [{k + 1: x for k, x in v.items()} for ch in chains for v in ch]
-    witness = Matrix.from_columns(basis, n + 1)
-    compiled = build(a).compiled
-    if not check_nice(compiled.change_basis(witness)):
+    basis = [({0: 1}, 1)] + [({k + 1: x for k, x in v.items()}, e) for ch in chains for v, e in ch]
+    den = math.lcm(*[e for _, e in basis])
+    witness = Matrix._of(n + 1, [{k: x * (den // e) for k, x in v.items()} for v, e in basis], den)
+    if not check_nice(build(a).compiled.change_basis(witness)):
         raise RuntimeError("constructed witness basis is not nice")
     return witness
 
 
-def _nilpotent_chains(a: Matrix, cols):
-    """Jordan chains w, Aw, ... of A's nilpotent part, as sparse vectors."""
-    n = a.rows
+def _nilpotent_chains(a: Matrix):
+    """Jordan chains w, Aw, ... of A's nilpotent part, as (int vector, denominator)
+    pairs from a primitive row v / v_p of ker A^i, and the Subspace they span."""
+    n, cols = a.rows, a.num
     kernels = kernel_chain(a)
-    s = len(kernels) - 1  # nilpotency index on the nilpotent part
-    chains = []
-    covered = Subspace(n)
-    for i in range(s, 0, -1):
-        seen = Subspace(n, [k.rows[p] for k in (kernels[i - 1], covered) for p in k.pivots])
-        for v in (kernels[i].rows[p] for p in kernels[i].pivots):
+    chains, covered = [], Subspace(n)
+    for i in range(len(kernels) - 1, 0, -1):  # from the nilpotency index down
+        seen = Subspace(n, [*kernels[i - 1]._rows.values(), *covered._rows.values()])
+        for p, v in sorted(kernels[i]._rows.items()):
             if seen.add(v):
-                chain = [v]
+                chain = [(v, v[p])]
                 for _ in range(i - 1):
-                    chain.append(apply_columns(cols, chain[-1]))
+                    chain.append((apply_columns(cols, chain[-1][0]), chain[-1][1] * a.den))
                 chains.append(chain)
-                for w in chain:
-                    covered.add(w)
+                for w, _ in chain:
+                    if not covered.add(w):
+                        raise RuntimeError("dependent nilpotent chain vectors")
                     seen.add(w)
-    return chains
+    return chains, covered
 
 
-def _cyclic_chain(squares, d, r, existing: Subspace):
-    """Sparse chain w, Aw, ..., A^(d-1)w in ker(A^d - r), independent of existing.
+def _cyclic_chain(squares, den, d, r, existing: Subspace):
+    """Chain w, Aw, ..., A^(d-1)w in ker(A^d - r), independent of existing, as
+    (int vector, denominator) pairs, and existing grown by it.
 
-    squares[k] holds the sparse columns of A^(2^k); squares[0] are A's, and
-    the list grows as needed, so one witness squares A at most log2(n)
-    times in all.  A^d is the product of the squares its binary digits
-    select, each product applying one column set to the other, and the
-    kernel is read off the rows of A^d - r, the same canonical basis
-    nullspace(A^d - r) returns.
+    A = N / den.  squares[k] holds the int columns of N^(2^k); squares[0] are N's,
+    and the list grows as needed, so one witness squares N at most log2(n) times
+    in all.  N^d is the product of the squares its binary digits select, each
+    product applying one column set to the other.  The kernel is read off the
+    int rows of den^d (A^d - r) times r's denominator; its canonical basis, that
+    of nullspace(A^d - r), is put over one denominator, so candidates are ints.
     """
     cols = squares[0]
     n = len(cols)
@@ -362,25 +357,19 @@ def _cyclic_chain(squares, d, r, existing: Subspace):
             power = squares[t] if power is None else [apply_columns(squares[t], c) for c in power]
         k >>= 1
         t += 1
-    rows = [{} for _ in range(n)]
-    for j, col in enumerate(power):
-        for i, x in col.items():
-            rows[i][j] = x
-        x = rows[j].get(j, ZERO) - r
-        if x:
-            rows[j][j] = x
-        else:
-            rows[j].pop(j, None)
-    kernel = Subspace(n, rows).sparse_kernel()
+    m = Matrix._of(n, power) * r.denominator - Matrix.identity(n) * (r.numerator * den**d)
+    kernel = Subspace(n, m.transpose().num).int_kernel()
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
+    common = math.lcm(*[v[max(v)] for v in kernel])  # the kernel vector v is v / v_max(v)
+    kernel = [{i: x * (common // v[f]) for i, x in v.items()} for v in kernel for f in [max(v)]]
     for w in _cyclic_candidates(kernel):
         chain = [w]
         for _ in range(d - 1):
             chain.append(apply_columns(cols, chain[-1]))
         trial = existing.copy()
         if all(trial.add(v) for v in chain):
-            return chain
+            return [(v, common * den**k) for k, v in enumerate(chain)], trial
     raise RuntimeError("no cyclic vector found for factor")
 
 
@@ -397,7 +386,7 @@ def _cyclic_candidates(kernel):
     """
     yield from kernel
     for uv in itertools.combinations(kernel, 2):
-        yield apply_columns(uv, {0: ONE, 1: ONE})
+        yield apply_columns(uv, {0: 1, 1: 1})
     m = len(kernel)
     for t in range(m * (m - 1) + 1):
         yield apply_columns(kernel, {k: t**k for k in range(m)})
@@ -410,7 +399,7 @@ def indecomposable_family(n: int) -> AlmostAbelian:
     if n > 8:
         raise ValueError("family capped at n = 8 (matrix size 128)")
     size = 2 ** (n - 1)  # e_j -> e_(j+1), the last back to e_1
-    return build(Matrix.from_columns([{(j + 1) % size: ONE} for j in range(size)], size))
+    return build(Matrix._of(size, [{(j + 1) % size: 1} for j in range(size)]))
 
 
 def iso_test_almost_abelian(a: Matrix, b: Matrix):

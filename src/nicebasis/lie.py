@@ -4,7 +4,8 @@ A LieAlgebra is built from one int table: table[i][j] = den * [e_i, e_j] as a
 sparse dict {k: int}, for both index orders, den the lcm of the reduced
 denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
 order.  The constructor clears the denominators of a Fraction table once; the
-builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints.
+builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints;
+change_basis looks up each image that is a multiple of one column.
 Every structural routine reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view built when first read.  Indices are 0-based in code, 1-based in the text
 format, and checked at construction; the Jacobi identity is checked by default.
@@ -30,8 +31,8 @@ class LieAlgebra:
 
     @classmethod
     def _from_table(cls, dim, rows, den, names=None, check=False):
-        """The algebra with [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a
-        nonzero sparse int vector, i < j: the setup gets them over the lcm of the d."""
+        """The algebra with [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a nonzero
+        sparse int vector, d a nonzero int, i < j: the setup gets them over the lcm of the d."""
         lcm = math.lcm(*[d for _, d in rows.values()])
         g = cls.__new__(cls)
         g._setup(dim, {key: w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
@@ -252,21 +253,17 @@ class LieAlgebra:
 
     def change_basis(self, p: Matrix):
         """Structure constants in the basis of p's columns, in ints throughout.
-        With D the lcm of p's denominators, column j of D p is tagged with coordinate n + j
-        in one Subspace.  The image den D^2 [p_i, p_j] = den D sum c_k D p_k, summed from the
-        int table over the pairs p_ai p_bj != 0 only, reduces to -den D sum c_k e_(n+k)."""
-        n = self.dim
-        if (p.rows, p.cols) != (n, n):  # first: rows past n would land on the tag columns
+        With p = P / D (P = p.num), the image den D^2 [p_i, p_j] = den D sum c_k P_k is summed
+        from the int table over the pairs p_ai p_bj != 0 only.  A multiple of one column P_k,
+        as every image of a nice basis is, is looked up by its primitive form; the others
+        reduce to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
+        n, cols = self.dim, p.num
+        if (p.rows, p.cols) != (n, n) or Subspace(n, cols).dim != n:
             raise ValueError("change of basis needs an invertible n x n matrix")
-        D = math.lcm(*[x.denominator for col in p.columns for x in col.values()])
-        cols = [{a: x.numerator * (D // x.denominator) for a, x in c.items()} for c in p.columns]
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
         for j, col in enumerate(cols):
             for a, x in col.items():
                 occ[a].append((j, x))
-        tagged = Subspace(2 * n, ({**col, n + j: 1} for j, col in enumerate(cols)))
-        if tagged.pivots != list(range(n)):
-            raise ValueError("change of basis needs an invertible n x n matrix")
         images = {}
         for a, b in self.pairs:
             comps = self.table[a][b]
@@ -277,12 +274,29 @@ class LieAlgebra:
                         img = images.setdefault(key, {})
                         for k, c in comps.items():
                             img[k] = img.get(k, 0) + f * c
-        residues = {key: ({t - n: -w[t] for t in sorted(w)}, d)
-                    for key in sorted(images) for w, d in [tagged.residue(images[key])] if w}
-        return LieAlgebra._from_table(n, residues, self.den * D)
+        single = {form: (k, g) for k, col in enumerate(cols) for form, g in [_form(col)]}
+        rows, tagged = {}, None
+        for key in sorted(images):
+            if img := {k: x for k, x in images[key].items() if x}:
+                form, h = _form(img)
+                if form in single:  # img = h / g P_k; unique, as p is invertible
+                    k, g = single[form]
+                    rows[key] = {k: h}, g
+                else:
+                    tagged = tagged or Subspace(2 * n, ({**col, n + j: 1}
+                                                        for j, col in enumerate(cols)))
+                    w, d = tagged.residue(img)
+                    rows[key] = {t - n: -w[t] for t in sorted(w)}, d
+        return LieAlgebra._from_table(n, rows, self.den * p.den)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.pairs)})"
+
+
+def _form(v):
+    """(form, g), v = g form for a nonzero int vector v and the primitive form > 0 first."""
+    g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
+    return frozenset((k, x // g) for k, x in v.items()), g
 
 
 def direct_sum(*algebras, names=None):

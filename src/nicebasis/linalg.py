@@ -1,11 +1,12 @@
 """Rational matrices, the sparse echelon core, and rational polynomials.
 
-A Matrix is immutable and kept as its sparse columns of exact rationals,
-which products and Krylov steps read directly.  Every elimination over Q
+A Matrix is immutable and kept as int sparse columns over one denominator,
+which products, kernels and Krylov steps read; its Fraction views are built
+when read, and floats are refused.  Every elimination over Q
 goes through Subspace, which keeps sparse integer rows in fully reduced
 form; that form is canonical, so identical input always yields identical
 output, which keeps golden-file tests stable.  The characteristic
-and minimal polynomials are read off tagged Krylov vectors in a Subspace.
+and minimal polynomials are read off tagged int Krylov vectors in a Subspace.
 Polynomials are stored dense, lowest degree first; their roots are found on
 integer coefficient lists (primitive pseudo-remainders, integer Sturm chains).
 The one elimination over Z, solve_integer_system (extended-gcd column
@@ -21,28 +22,34 @@ from .scalars import Q, ZERO, ONE, factor_int, fmt
 
 
 class Matrix:
-    """Immutable matrix over the rationals, kept as its sparse columns.
-
-    columns[j] is column j as a dict {row: Fraction} without zeros, the
-    operand of apply_columns; rows and cols keep the shape, n x 0 and 0 x n
-    included.  data, the dense rows, is a read-only view built on first read.
+    """Immutable rational matrix, kept as int sparse columns over one denominator,
+    as LieAlgebra keeps table and den: num[j] is den times column j, a dict {row:
+    int} without zeros, den > 0 the least such, so equal matrices store alike.
+    columns (over Q), data (dense rows) and m[i, j] are read-only Fraction views,
+    built on first read; rows and cols keep the shape, n x 0 and 0 x n included.
+    Entries and scalars are ints (bools included) or Fractions, else ValueError.
     """
 
-    __slots__ = ("rows", "cols", "columns", "_data")
+    __slots__ = ("rows", "cols", "num", "den", "_columns", "_data")
 
     def __init__(self, entries):
         rows = [list(row) for row in entries]
         cols = len(rows[0]) if rows else 0
         if any(len(row) != cols for row in rows):
             raise ValueError("ragged matrix")
-        self.rows, self.cols, self._data = len(rows), cols, None
-        self.columns = tuple(_column(enumerate(col)) for col in zip(*rows))
+        self._set(len(rows), *_split(enumerate(col) for col in zip(*rows)))
+
+    def _set(self, rows, num, den):  # the one setup: num / den, the common factor divided out
+        g = den if den == 1 else math.gcd(den, *[x for c in num for x in c.values()])
+        if g != 1:
+            num, den = [{i: x // g for i, x in c.items()} for c in num], den // g
+        self.rows, self.cols, self.num, self.den = rows, len(num), tuple(num), den
+        self._columns = self._data = None
 
     @staticmethod
-    def _of(rows, columns):
-        """The matrix with these zero-free Fraction columns, taken as they are."""
+    def _of(rows, num, den=1):
         m = Matrix.__new__(Matrix)
-        m.rows, m.cols, m.columns, m._data = rows, len(columns), tuple(columns), None
+        m._set(rows, num, den)
         return m
 
     @staticmethod
@@ -51,11 +58,11 @@ class Matrix:
 
     @staticmethod
     def identity(n):
-        return Matrix._of(n, [{i: ONE} for i in range(n)])
+        return Matrix._of(n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def diagonal(values):
-        return Matrix._of(len(values), [_column([(i, v)]) for i, v in enumerate(values)])
+        return Matrix._of(len(values), *_split([(i, v)] for i, v in enumerate(values)))
 
     @staticmethod
     def from_columns(columns, rows=None):
@@ -68,11 +75,18 @@ class Matrix:
                 if len(c) != rows:
                     raise ValueError("ragged matrix")
                 c = dict(enumerate(c))
-            out.append(_column(c.items()))
+            out.append(c.items())
         rows = rows or 0
-        if any(not 0 <= i < rows for c in out for i in c):
+        num, den = _split(out)
+        if any(not 0 <= i < rows for c in num for i in c):
             raise ValueError("row index out of range")
-        return Matrix._of(rows, out)
+        return Matrix._of(rows, num, den)
+
+    @property
+    def columns(self):
+        if self._columns is None:
+            self._columns = tuple({i: Q(x, self.den) for i, x in c.items()} for c in self.num)
+        return self._columns
 
     @property
     def data(self):
@@ -87,10 +101,10 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.columns == other.columns)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, tuple(frozenset(c.items()) for c in self.columns)))
+        return hash((self.rows, self.den, tuple(frozenset(c.items()) for c in self.num)))
 
     def __repr__(self):
         return "Matrix([%s])" % ", ".join("[%s]" % ", ".join(map(fmt, r)) for r in self.data)
@@ -98,8 +112,9 @@ class Matrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
-        return Matrix._of(self.rows, [apply_columns(ab, {0: ONE, 1: ONE})
-                                      for ab in zip(self.columns, other.columns)])
+        d, pairs = math.lcm(self.den, other.den), zip(self.num, other.num)
+        return Matrix._of(self.rows, [apply_columns(ab, {0: d // self.den, 1: d // other.den})
+                                      for ab in pairs], d)
 
     def __sub__(self, other):
         return self + -other
@@ -108,15 +123,17 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            return Matrix._of(self.rows, [apply_columns(self.columns, c) for c in other.columns])
-        f = Q(other)
-        return Matrix._of(self.rows, [{i: x * f for i, x in c.items()} if f else {}
-                                      for c in self.columns])
+            return Matrix._of(self.rows, [apply_columns(self.num, c) for c in other.num],
+                              self.den * other.den)
+        if not isinstance(other, (int, Q)):
+            raise ValueError(f"matrix scalar {other!r} is not an int or a Fraction")
+        return Matrix._of(self.rows, [{i: x * other.numerator for i, x in c.items()} if other
+                                      else {} for c in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * Q(-1)
+        return self * -1
 
     def __pow__(self, k):
         if self.rows != self.cols:
@@ -133,10 +150,10 @@ class Matrix:
 
     def transpose(self):
         out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.columns):
+        for j, col in enumerate(self.num):
             for i, x in col.items():
                 out[i][j] = x
-        return Matrix._of(self.cols, out)
+        return Matrix._of(self.cols, out, self.den)
 
     def column(self, j):
         return dense(self.columns[j], self.rows)
@@ -145,7 +162,7 @@ class Matrix:
         return self.data[i]
 
     def is_zero(self):
-        return not any(self.columns)
+        return not any(self.num)
 
     def is_square(self):
         return self.rows == self.cols
@@ -163,19 +180,25 @@ class Matrix:
         return (-1) ** self.rows * char_poly(self).coeffs[0]
 
     def inverse(self):
+        """den N^-1 for N / den: [N | I] reduces to [I | N^-1], row i times a_i."""
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
-        n, rows = self.rows, self.transpose().columns
-        aug = Subspace(2 * n, ({**row, n + i: ONE} for i, row in enumerate(rows)))
+        n, rows = self.rows, self.transpose().num
+        aug = Subspace(2 * n, ({**row, n + i: 1} for i, row in enumerate(rows)))
         if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
-        rows = [{j - n: x for j, x in aug.rows[i].items() if j >= n} for i in range(n)]
-        return Matrix._of(n, rows).transpose()
+        d = math.lcm(*[aug._rows[i][i] for i in range(n)])
+        return Matrix._of(n, [{j - n: x * self.den * (d // aug._rows[i][i]) for j, x in
+                               aug._rows[i].items() if j >= n} for i in range(n)], d).transpose()
 
 
-def _column(entries):
-    """A sparse column from (row, value) pairs: values as Q, zeros dropped."""
-    return {i: q for i, x in entries if (q := x if isinstance(x, Q) else Q(x))}
+def _split(columns):
+    """(num, den) of columns of (row, value) pairs, values ints or Fractions."""
+    columns = [list(col) for col in columns]
+    if bad := [x for col in columns for _, x in col if not isinstance(x, (int, Q))]:
+        raise ValueError(f"matrix entry {bad[0]!r} is not an int or a Fraction")
+    den = math.lcm(*[x.denominator for col in columns for _, x in col])
+    return [{i: x.numerator * (den // x.denominator) for i, x in col if x} for col in columns], den
 
 
 def sparse(vector):
@@ -189,13 +212,13 @@ def dense(vec, n):
 
 
 def apply_columns(cols, vec):
-    """m vec as a sparse dict with no zeros, for cols = m.columns and a sparse vec:
-    one multiply per nonzero of the columns vec selects; zeros of vec are skipped."""
+    """m vec as a sparse dict with no zeros, for cols = m.columns (m.num: den m vec, in
+    ints) and a sparse vec: one multiply per nonzero of the columns vec selects."""
     out = {}
     for j, x in vec.items():
         if x:
             for i, y in cols[j].items():
-                s = out.get(i, ZERO) + x * y
+                s = out.get(i, 0) + x * y
                 if s:
                     out[i] = s
                 else:
@@ -391,18 +414,18 @@ class Subspace:
 
 def nullspace(m: Matrix):
     """Canonical kernel basis of m (column vectors as tuples)."""
-    return [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().columns).sparse_kernel()]
+    return [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().num).sparse_kernel()]
 
 
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side has {len(rhs)} entries, the matrix {m.rows} rows")
-    n = m.cols
-    aug = Subspace(n + 1, ({**row, n: Q(b)} for row, b in zip(m.transpose().columns, rhs)))
-    if n in aug.rows:
+    n = m.cols  # m = N / den: N x = den rhs
+    aug = Subspace(n + 1, ({**row, n: m.den * Q(b)} for row, b in zip(m.transpose().num, rhs)))
+    if n in aug._rows:
         return None
-    return dense({p: row.get(n, ZERO) for p, row in aug.rows.items()}, n)
+    return dense({p: Q(row.get(n, 0), row[p]) for p, row in aug._rows.items()}, n)
 
 
 def kernel_of(images) -> Subspace:
@@ -440,7 +463,7 @@ def kernel_chain(m: Matrix):
     so no power of m is formed."""
     if not m.is_square():
         raise ValueError("kernel chain of non-square matrix")
-    return _preimage_chain([{0: col} for col in m.columns])
+    return _preimage_chain([{0: col} for col in m.num])
 
 
 def char_poly(m: Matrix) -> "Poly":
@@ -455,11 +478,12 @@ def char_poly(m: Matrix) -> "Poly":
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    cols = m.columns
-    space = Subspace(2 * n + 1)
-    # one block per unit vector, while the blocks so far do not span Q^n
-    blocks = [_krylov(cols, {i: ONE}, space, n + space.dim) for i in range(n) if space.dim < n]
-    return math.prod(blocks[1:], start=blocks[0]) if blocks else Poly([ONE])
+    space, c, d = Subspace(2 * n + 1), [1], 1
+    for i in range(n):  # one block per unit vector, while the blocks do not span Q^n
+        if space.dim < n:
+            block, e = _krylov(m.num, {i: 1}, space, n + space.dim)
+            c, d = _convolve(c, block), d * e
+    return _scaled(c, d, m.den)
 
 
 def is_positive_definite(m: Matrix) -> bool:
@@ -541,16 +565,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly([])
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Poly(out)
+            return Poly(_convolve(self.coeffs, other.coeffs))
         return Poly([c * Q(other) for c in self.coeffs])
 
     __rmul__ = __mul__
@@ -688,22 +703,34 @@ def count_real_roots(p: Poly) -> int:
 
 
 def _krylov(cols, v, space, t):
-    """Monic f of least degree with f(m) v in space, for a sparse vector v
-    and m given by its sparse columns; space gains v, m v, ..., m^(k-1) v.
+    """(c, d): f = sum c_j x^j / d is monic of least degree with f(m) v in space, for
+    sparse int v and m given by its int columns; space gains v, ..., m^(k-1) v.
 
     Each m^k v, stepped from the last, is reduced tagged with a tracking
-    coordinate t + k.  The first residue that vanishes on the first n
-    coordinates holds f's coefficients in t..t+k, x^k included.
+    coordinate t + k.  The first residue w / d that vanishes on the first n
+    coordinates holds c in t..t+k, x^k included.
     """
-    n = len(cols)
-    k = 0
+    n, k = len(cols), 0
     while True:
-        w, d = space.residue({**v, t + k: ONE})
+        w, d = space.residue({**v, t + k: 1})
         if min(w) >= n:
-            return Poly([Q(w.get(t + j, 0), d) for j in range(k + 1)])
+            return [w.get(t + j, 0) for j in range(k + 1)], d
         space.add(w)
         v = apply_columns(cols, v)
         k += 1
+
+
+def _convolve(a, b):
+    """The product of two coefficient lists, lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+        out[i + j] += x * y
+    return out
+
+
+def _scaled(c, d, s):
+    """s^-k f(s x) for f = sum c_j x^j / d of degree k: f of N gives it of N / s."""
+    return Poly([Q(x * s**j, d * s ** (len(c) - 1)) for j, x in enumerate(c)])
 
 
 def minimal_polynomial(m: Matrix) -> Poly:
@@ -713,22 +740,21 @@ def minimal_polynomial(m: Matrix) -> Poly:
     times it is lcm(mu, g).  No polynomial gcd is taken."""
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
-    n = m.rows
-    cols = m.columns
-    result = Poly([ONE])
+    n, cols, c, d = m.rows, m.num, [1], 1  # mu = sum c_j x^j / d of N, m = N / den
     for i in range(n):
-        v = {}
-        for c in reversed(result.coeffs):
+        v = {}  # d mu(N) e_i
+        for a in reversed(c):
             v = apply_columns(cols, v)
-            if x := v.get(i, ZERO) + c:
+            if x := v.get(i, 0) + a:
                 v[i] = x
             else:
                 v.pop(i, None)
         if v:
-            result = result * _krylov(cols, v, Subspace(2 * n + 1), n)
-            if result.degree == n:
+            block, e = _krylov(cols, v, Subspace(2 * n + 1), n)
+            c, d = _convolve(c, block), d * e
+            if len(c) > n:
                 break
-    return result
+    return _scaled(c, d, m.den)
 
 
 def similar(a: Matrix, b: Matrix) -> bool:
@@ -755,12 +781,12 @@ def _intertwiners(a: Matrix, b: Matrix) -> int:
     """dim {X : a X = X b}: n^2 less the rank of X -> a X - X b, whose value
     at the matrix unit E_kl is column k of a put in column l, less row l of b
     put in row k (X flattened row by row)."""
-    n, b_rows = a.rows, b.transpose().columns
+    n, b_rows = a.rows, b.transpose().num  # in ints: b.den a.num X - a.den X b.num
     images = Subspace(n * n)
     for k, l in itertools.product(range(n), repeat=2):
-        v = {i * n + l: x for i, x in a.columns[k].items()}
+        v = {i * n + l: x * b.den for i, x in a.num[k].items()}
         for j, x in b_rows[l].items():
-            v[k * n + j] = v.get(k * n + j, ZERO) - x
+            v[k * n + j] = v.get(k * n + j, 0) - x * a.den
         images.add(v)
     return n * n - images.dim
 

@@ -270,17 +270,37 @@ class TestWitnessVsDenseReference:
     def test_identical_witness(self, monkeypatch, a):
         got = exists_nice(a)
         assert got.status == "yes"
-        monkeypatch.setattr(
-            almost_abelian, "_nilpotent_chains",
-            lambda a, cols: [[sparse(v) for v in ch]
-                             for ch in reference_nilpotent_chains(a)])
+        monkeypatch.setattr(almost_abelian, "_nilpotent_chains", reference_nilpotent_pairs)
         monkeypatch.setattr(
             almost_abelian, "_cyclic_chain",
-            lambda cols, d, r, existing: [
-                sparse(v) for v in reference_cyclic_chain(a, d, r, existing)])
+            lambda squares, den, d, r, existing: reference_cyclic_pairs(a, d, r, existing))
         want = exists_nice(a)
         assert got.factorization == want.factorization
         assert got.witness == want.witness
+
+
+def as_pairs(chain):
+    """A chain of dense Fraction vectors in the witness code's form: each
+    vector as its int multiple v over the least denominator e, the pair (v, e)."""
+    out = []
+    for w in chain:
+        e = math.lcm(*[x.denominator for x in w])
+        out.append(({i: int(x * e) for i, x in enumerate(w) if x}, e))
+    return out
+
+
+def reference_nilpotent_pairs(a):
+    """reference_nilpotent_chains as _nilpotent_chains returns them, with their span."""
+    chains = [as_pairs(ch) for ch in reference_nilpotent_chains(a)]
+    return chains, Subspace(a.rows, [v for ch in chains for v, _ in ch])
+
+
+def reference_cyclic_pairs(a, d, r, existing):
+    """reference_cyclic_chain as _cyclic_chain returns it, with existing grown by it."""
+    chain = reference_cyclic_chain(a, d, r, existing)
+    span = existing.copy()
+    assert all(span.add(v) for v in chain)
+    return as_pairs(chain), span
 
 
 def reference_candidates(kernel):

@@ -4,9 +4,14 @@ reference_change_basis is the earlier implementation, kept verbatim: it
 brackets every pair of columns in Fractions and reduces each bracket
 through the tagged Subspace.  change_basis sums the images from the int
 table and scales p by the lcm of its denominators, so it is run on tables
-with den > 1 and on p with fractional entries too.  It must return the same
-table, with the same key order, the same values and every value a Fraction,
-and refuse the same matrices.
+with den > 1 and on p with fractional entries too.  It looks an image that
+is a multiple of one column up by its primitive form and reduces the others
+through the tagged Subspace, so both sides are run: nice bases with one
+column replaced by its sum with a neighbour, where some images hit and some
+miss, and nice bases with columns scaled by negative and fractional factors,
+where every image hits.  It must return the same table, with the same key
+order, the same values and every value a Fraction, and refuse the same
+matrices with the same message, whether an image missed or not.
 """
 
 from fractions import Fraction
@@ -27,6 +32,7 @@ from nicebasis import (
 from nicebasis.almost_abelian import _witness_basis, analyze, build
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace
+from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ONE
 from test_integer_table import assert_rebuilds
 
@@ -188,6 +194,12 @@ REFUSED = {
     "singular-abelian": (lambda: abelian(3), Matrix([[1, 2, 0], [1, 2, 0], [0, 0, 1]])),
     "zero-column": (h3, Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])),
     "zero-column-rational": (RATIONAL["sl2/2,3"], Matrix([[Q(1, 2), 0, 0], [0, 0, 0], [0, 0, 1]])),
+    # [e1, e2] = e3 is a column of neither: the image misses, the tagged space refuses
+    "singular-image-misses": (h3, Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])),
+    # columns e1, e2, e3, 2 e3 of h3 + R: the one image e3 hits two columns, and the
+    # untagged check refuses
+    "singular-images-hit": (lambda: direct_sum(h3(), abelian(1)),
+                            Matrix.from_columns([{0: 1}, {1: 1}, {2: 1}, {2: 2}], 4)),
 }
 
 
@@ -198,3 +210,89 @@ def test_refused_matrices(name):
     for change in (g.change_basis, lambda p: reference_change_basis(g, p)):
         with pytest.raises(ValueError, match="invertible n x n"):
             change(p)
+
+
+# --- both sides of the one-column lookup ---
+
+
+def images_missed(monkeypatch, g, p):
+    """The table of g.change_basis(p) against the reference, and the number of
+    images that the tagged Subspace reduced: residues in Q^2n of vectors that
+    are no tagged column."""
+    n, calls = g.dim, []
+    residue = Subspace.residue
+
+    def recording(self, vector):
+        if self.ambient == 2 * n and max(vector) < n:
+            calls.append(vector)
+        return residue(self, vector)
+
+    monkeypatch.setattr(Subspace, "residue", recording)
+    got = g.change_basis(p)
+    monkeypatch.undo()
+    assert list(got.brackets.items()) == list(reference_change_basis(g, p).brackets.items())
+    assert all(type(x) is Fraction for comps in got.brackets.values() for x in comps.values())
+    return got, len(calls)
+
+
+def neighbour_sums(p):
+    """p with column j replaced by column j plus column j + 1 (mod n), each j."""
+    n, cols = p.cols, p.columns
+    for j in range(n):
+        k = (j + 1) % n
+        both = {i: cols[j].get(i, 0) + cols[k].get(i, 0) for i in cols[j].keys() | cols[k].keys()}
+        yield Matrix.from_columns([both if c == j else cols[c] for c in range(n)], p.rows)
+
+
+def scaled_columns(p, factors=(-1, Q(1, 2), Q(-2, 3), 3)):
+    """p with column j times factors[j mod 4]."""
+    cols = p.columns
+    return Matrix.from_columns([{i: x * factors[j % len(factors)] for i, x in c.items()}
+                                for j, c in enumerate(cols)], p.rows)
+
+
+def nice_bases():
+    """(label, algebra, nice basis) with at least two nonzero brackets."""
+    out = []
+    for n in (3, 4):
+        a = indecomposable_family(n).a
+        a = sign_conjugate(a, [1 if i % 3 else -1 for i in range(a.rows)])
+        out.append((f"family-{n}", build(a).compiled, analyze(a).exists().witness))
+    for g in GRAPHS:
+        alg = graph_algebra(g)[0]
+        out.append((f"graph-v{g.vertex_count}e{len(g.edges)}c{g.c}", alg, construct_nice_basis(g)))
+    for entry in catalog():
+        for k, b in enumerate(entry.nice_bases):
+            out.append((f"{entry.name}-{k}", entry.algebra, b))
+    for name in sorted(RATIONAL):
+        g = RATIONAL[name]()
+        out.append((name, g, Matrix.identity(g.dim)))
+    out = [(label, g, p) for label, g, p in out if len(g.change_basis(p).pairs) >= 2]
+    assert all(check_nice(g.change_basis(p)) for _, g, p in out)
+    return out
+
+
+NICE = nice_bases()
+
+
+@pytest.mark.parametrize("label, g, p", NICE, ids=[label for label, _, _ in NICE])
+def test_neighbour_sums_hit_and_miss(monkeypatch, label, g, p):
+    both = 0
+    for q in neighbour_sums(p):
+        got, missed = images_missed(monkeypatch, g, q)
+        hits = len(got.pairs) - missed
+        both += bool(hits and missed)
+    assert both  # some basis where one image hits and another misses
+
+
+def test_negative_and_fractional_multiples_hit(monkeypatch):
+    values = set()
+    for _, g, p in NICE:
+        got, missed = images_missed(monkeypatch, g, scaled_columns(p))
+        assert missed == 0
+        assert check_nice(got)
+        values |= {x for comps in got.brackets.values() for x in comps.values()}
+    # the images were negative and fractional multiples of their columns
+    assert any(x < 0 and x.denominator > 1 for x in values)
+    assert any(x > 0 and x.denominator > 1 for x in values)
+

@@ -1,0 +1,152 @@
+"""The exactness contract at the Matrix boundary.
+
+Matrix keeps int columns over one denominator and hands out Fractions only
+through its views.  An entry or a scalar factor must be an int (a bool
+included) or a Fraction: a float is refused with a ValueError that names it,
+never stored as its binary expansion.  On integer and on rational inputs,
+every value a caller reads (the views, char_poly and minimal_polynomial,
+solve, inverse, the witness and the changed structure constants) is a
+Fraction, never an int or a float.  char_poly on the n = 8 family matrix
+creates no Fraction before its 129 coefficients.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from nicebasis import construct_nice_basis, graph_algebra, GraphSpec
+from nicebasis.almost_abelian import build, exists_nice, indecomposable_family
+from nicebasis.linalg import (
+    Matrix,
+    Poly,
+    char_poly,
+    minimal_polynomial,
+    nullspace,
+    solve,
+)
+from nicebasis.scalars import Q
+
+
+# --- floats are refused at every constructor and at the scalar product ---
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix([[1, 0.1]]),
+    lambda: Matrix.diagonal([1, 0.5]),
+    lambda: Matrix.from_columns([(1, 0.25)]),
+    lambda: Matrix.from_columns([{0: 0.75}], 1),
+], ids=["Matrix", "diagonal", "from_columns-dense", "from_columns-sparse"])
+def test_constructors_refuse_floats(make):
+    with pytest.raises(ValueError, match=r"entry 0\.\d+ is not an int or a Fraction"):
+        make()
+
+
+def test_scalar_product_refuses_floats():
+    m = Matrix([[1]])
+    for product in (lambda: m * 0.1, lambda: 0.1 * m):
+        with pytest.raises(ValueError, match=r"scalar 0\.1 is not an int or a Fraction"):
+            product()
+
+
+def test_ints_bools_and_fractions_are_taken():
+    assert Matrix([[True, False], [0, Q(2, 4)]]) == Matrix([[1, 0], [0, Q(1, 2)]])
+    assert Matrix([[3]]) * True == Matrix([[3]]) * Q(1) == Matrix.diagonal([3])
+    assert Matrix([[Q(1, 2), 2]]) * Q(-2, 3) == Matrix([[Q(-1, 3), Q(-4, 3)]])
+
+
+@pytest.mark.parametrize("entries, num, den", [
+    ([[1, 2], [3, 4]], ({0: 1, 1: 3}, {0: 2, 1: 4}), 1),
+    ([[Q(1, 2), 0], [Q(1, 3), Q(4, 2)]], ({0: 3, 1: 2}, {1: 12}), 6),
+    ([[0, 0]], ({}, {}), 1),
+], ids=["ints", "rationals", "zero"])
+def test_int_columns_over_the_least_denominator(entries, num, den):
+    m = Matrix(entries)
+    assert (m.num, m.den) == (num, den)
+    assert all(type(x) is int for c in m.num for x in c.values())
+    # every operation keeps the least denominator, so equal matrices store alike
+    assert (m * 2 * Q(1, 2)).den == m.den and (m + m - m).num == m.num
+
+
+# --- every value read off integer and rational inputs is a Fraction ---
+
+
+def fractions_only(values):
+    values = list(values)
+    assert all(type(x) is Fraction for x in values), {type(x) for x in values}
+    return values
+
+
+def family_conjugate(n):
+    """The family matrix conjugated by a signed permutation: an integer input."""
+    a = indecomposable_family(n).a
+    size = a.rows
+    perm = [(3 * i + 1) % size for i in range(size)]
+    return Matrix([[(-1) ** (i + j) * a[perm[i], perm[j]] for j in range(size)]
+                   for i in range(size)])
+
+
+INPUTS = {
+    "integer": Matrix([[2, 1, 0], [1, 1, 0], [0, 3, 5]]),
+    "rational": Matrix([[Q(2, 3), 1, 0], [Q(-1, 2), 1, 0], [0, Q(3, 4), 5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_matrix_values_are_fractions(name):
+    m = INPUTS[name]
+    n = m.rows
+    fractions_only(x for c in m.columns for x in c.values())
+    fractions_only(x for row in m.data for x in row)
+    fractions_only(m[i, j] for i in range(n) for j in range(n))
+    fractions_only(m.column(0) + m.row(1) + m.apply((1, 0, 2)))
+    for derived in (m * m, m + m, -m, m.transpose(), m * 3, m**3, m.inverse()):
+        fractions_only(x for row in derived.data for x in row)
+    assert m * m.inverse() == Matrix.identity(n)
+    fractions_only(char_poly(m).coeffs + minimal_polynomial(m).coeffs + (m.det(),))
+    for rhs in ((1, 2, 3), (Q(1, 2), 0, Q(-7, 3))):
+        x = solve(m, rhs)
+        fractions_only(x)
+        assert m.apply(x) == tuple(map(Q, rhs))
+    singular = Matrix([[1, 2, 3], [2, 4, 6], [Q(1, 2), 1, Q(3, 2)]])
+    fractions_only(x for v in nullspace(singular) for x in v)
+
+
+@pytest.mark.parametrize("scale", [1, Q(1, 2)], ids=["integer", "rational"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_and_changed_constants_are_fractions(n, scale):
+    a = family_conjugate(n) * scale
+    verdict = exists_nice(a)
+    assert verdict.status == "yes"
+    w = verdict.witness
+    fractions_only(x for row in w.data for x in row)
+    fractions_only(x for c in w.columns for x in c.values())
+    changed = build(a).compiled.change_basis(w)
+    fractions_only(x for comps in changed.brackets.values() for x in comps.values())
+    fractions_only(char_poly(a).coeffs + minimal_polynomial(a).coeffs)
+
+
+def test_changed_constants_of_a_graph_algebra_are_fractions():
+    spec = GraphSpec.of(4, [(0, 1), (1, 2), (2, 3)], 3)
+    alg = graph_algebra(spec)[0]
+    for p in (construct_nice_basis(spec), Matrix.identity(alg.dim) * Q(-2, 3)):
+        changed = alg.change_basis(p)
+        fractions_only(x for comps in changed.brackets.values() for x in comps.values())
+
+
+# --- char_poly steps ints: the Fractions it makes are its coefficients ---
+
+
+def test_family_char_poly_makes_only_its_coefficients(monkeypatch):
+    a = indecomposable_family(8).a
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    p = char_poly(a)
+    monkeypatch.undo()
+    assert p == Poly.binomial(128, 1)
+    assert len(made) <= 129

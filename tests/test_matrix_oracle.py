@@ -208,8 +208,10 @@ def char_poly(m: Matrix) -> "Poly":
     n = m.rows
     cols = sparse_columns(m)
     space = Subspace(2 * n + 1)
-    # one block per unit vector, while the blocks so far do not span Q^n
-    blocks = [_krylov(cols, {i: ONE}, space, n + space.dim) for i in range(n) if space.dim < n]
+    # one block per unit vector, while the blocks so far do not span Q^n;
+    # _krylov gives a block's coefficients as ints over one denominator
+    blocks = [Poly([Q(x, d) for x in c]) for i in range(n) if space.dim < n
+              for c, d in [_krylov(cols, {i: ONE}, space, n + space.dim)]]
     return math.prod(blocks[1:], start=blocks[0]) if blocks else Poly([ONE])
 
 

@@ -1,0 +1,103 @@
+"""The work a family witness does, counted.
+
+For indecomposable_family(n), n = 3..7, A is invertible (its characteristic
+polynomial x^(2^(n-1)) - 1 has no x-power), so _witness_basis builds no
+Jordan chains and never calls kernel_chain.  Each cyclic chain is eliminated
+once, in the trial span that _cyclic_chain returns: every chain vector is
+added to a span of Q^size exactly once.  In the nice witness basis, and in
+the identity that construct_nice_basis returns, every image of change_basis
+is a multiple of one column, so no image is reduced: the only Subspace
+residues are the n additions that show the columns independent, and no
+tagged Subspace of Q^(2n) is built.
+"""
+
+import math
+
+import pytest
+
+from nicebasis import GraphSpec, construct_nice_basis, graph_algebra
+from nicebasis import almost_abelian
+from nicebasis.almost_abelian import _witness_basis, analyze, build, indecomposable_family
+from nicebasis.linalg import Subspace
+
+
+def direction(v):
+    """The primitive int vector on v's line, positive at its least index."""
+    den = math.lcm(*[x.denominator for x in v.values()])
+    ints = {k: int(x * den) for k, x in v.items() if x}
+    g = math.gcd(*ints.values())
+    g = -g if ints[min(ints)] < 0 else g
+    return frozenset((k, x // g) for k, x in ints.items())
+
+
+def recording(monkeypatch, name):
+    """Wrap Subspace.<name>; returns the list of (subspace, vector) it is called with."""
+    calls = []
+    original = getattr(Subspace, name)
+
+    def wrapped(self, *args):
+        calls.append((self, *args))
+        return original(self, *args)
+
+    monkeypatch.setattr(Subspace, name, wrapped)
+    return calls
+
+
+def never(*args):
+    raise AssertionError("kernel_chain called")
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_family_witness_eliminates_each_chain_vector_once(monkeypatch, n):
+    a = indecomposable_family(n).a
+    size = a.rows
+    facts = analyze(a).factorizations
+    assert len(facts) == n and all(f.degree == size for f in facts)
+    monkeypatch.setattr(almost_abelian, "kernel_chain", never)
+    for fact in facts:
+        adds = recording(monkeypatch, "add")
+        kernels = recording(monkeypatch, "int_kernel")  # the row spaces of A^d - r
+        witness = _witness_basis(a, fact)
+        monkeypatch.undo()
+        monkeypatch.setattr(almost_abelian, "kernel_chain", never)
+        rows = [s for s, in kernels]
+        added = [direction(v) for s, v in adds
+                 if s.ambient == size and not any(s is t for t in rows)]
+        chain = [direction({k - 1: x for k, x in witness.columns[j].items()})
+                 for j in range(1, size + 1)]
+        assert all(added.count(v) == 1 for v in chain)
+
+
+def images_reduced(monkeypatch, alg, p):
+    """change_basis(p), and the ambients of the Subspace residues it takes."""
+    residues = recording(monkeypatch, "residue")
+    changed = alg.change_basis(p)
+    monkeypatch.undo()
+    return changed, [s.ambient for s, _ in residues]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_family_witness_images_are_looked_up(monkeypatch, n):
+    a = indecomposable_family(n).a
+    compiled = build(a).compiled
+    for fact in analyze(a).factorizations:
+        witness = _witness_basis(a, fact)
+        _, ambients = images_reduced(monkeypatch, compiled, witness)
+        assert ambients == [compiled.dim] * compiled.dim
+
+
+GRAPHS = [
+    GraphSpec.of(3, [(0, 1), (1, 2)], 3),
+    GraphSpec.of(4, [(0, 1), (2, 3)], 4),
+    GraphSpec.of(5, [(0, 1), (1, 2), (2, 3), (3, 4)], 3),
+]
+
+
+@pytest.mark.parametrize("spec", GRAPHS, ids=lambda g: f"v{g.vertex_count}e{len(g.edges)}c{g.c}")
+def test_graph_identity_images_are_looked_up(monkeypatch, spec):
+    alg = graph_algebra(spec)[0]
+    p = construct_nice_basis(spec)
+    assert p is not None and p.is_square() and p.rows == alg.dim
+    changed, ambients = images_reduced(monkeypatch, alg, p)
+    assert ambients == [alg.dim] * alg.dim
+    assert changed.brackets == alg.brackets
