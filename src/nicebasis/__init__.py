@@ -48,7 +48,6 @@ from .almost_abelian import (
     analyze,
     build,
     BinomialFactorization,
-    enumerate_factorizations,
     ExistsVerdict,
     exists_nice,
     count_nice,

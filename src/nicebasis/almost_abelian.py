@@ -11,7 +11,8 @@ when an irrational real constant could occur the answer degrades honestly
 to "unknown-irrational" instead of guessing.  The search runs on Python
 ints: integer gcds of the residue classes give the divisors, and
 factorizations are enumerated on the monic integer transform of the
-polynomial, each quotient split once per call.  A witness is built in ints
+polynomial, each quotient split once per call; they are read only through
+analyze, which exists_nice and count_nice share.  A witness is built in ints
 too, its chains eliminated once in one span, and certified by change_basis.
 """
 
@@ -39,10 +40,6 @@ from .linalg import (
     similar,
 )
 from .nice import check_nice
-
-
-class ZeroConstantTerm(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -74,12 +71,6 @@ class BinomialFactorization:
         if any(d < 1 for d, _ in factors):
             raise ValueError("binomial factors need degree at least 1")
         return BinomialFactorization(factors)
-
-    def product(self) -> Poly:
-        p = Poly([ONE])
-        for d, r in self.factors:
-            p = p * Poly.binomial(d, r)
-        return p
 
     @property
     def degree(self):
@@ -168,20 +159,6 @@ def _enumerate(p: Poly, divisors):
 
     top = tuple(int(x * scale ** (n - k)) for k, x in enumerate(p.coeffs))
     return [tuple(divisors[i] for i in t) for t in walk(top, 0)]
-
-
-def enumerate_factorizations(p: Poly):
-    """All factorizations of p into rational-constant binomials.
-
-    p must be monic with nonzero constant term.  Returned as a sorted list
-    of BinomialFactorization, each multiset once.
-    """
-    if p.is_zero() or p.coeffs[0] == 0:
-        raise ZeroConstantTerm("constant term must be nonzero")
-    if p.coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    divisors, _ = _binomial_divisors(p)
-    return [BinomialFactorization(t) for t in _enumerate(p, divisors)]
 
 
 @dataclass(frozen=True)
@@ -345,7 +322,7 @@ def _cyclic_chain(squares, den, d, r, existing: Subspace):
     in all.  N^d is the product of the squares its binary digits select, each
     product applying one column set to the other.  The kernel is read off the
     int rows of den^d (A^d - r) times r's denominator; its canonical basis, that
-    of nullspace(A^d - r), is put over one denominator, so candidates are ints.
+    of Subspace.sparse_kernel, is put over one denominator, so candidates are ints.
     """
     cols = squares[0]
     n = len(cols)

@@ -17,7 +17,7 @@ import functools
 import math
 
 from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
-from .linalg import Matrix, Subspace, _preimage, _preimage_chain, dense, kernel_of, sparse
+from .linalg import Matrix, Subspace, _preimage_chain, dense, kernel_of, sparse
 
 
 class LieAlgebra:
@@ -125,12 +125,6 @@ class LieAlgebra:
         """[x, y] for coefficient vectors x, y; returns a dense tuple."""
         return dense(self.bracket_sparse(x, y), self.dim)
 
-    def ad(self, x):
-        """Matrix of ad_x: y -> [x, y] in the given basis."""
-        xs = self._vector(x)
-        columns = [self.bracket_sparse(xs, {j: ONE}) for j in range(self.dim)]
-        return Matrix.from_columns(columns, self.dim)
-
     def jacobi_failures(self, limit=None):
         """Basis triples violating the Jacobi identity.
 
@@ -188,9 +182,6 @@ class LieAlgebra:
 
     def is_nilpotent(self):
         return self.lower_central_series()[-1].dim == 0
-
-    def center(self):
-        return _preimage(self.table, Subspace(self.dim))
 
     def upper_central_series(self):
         """[0, Z(g), Z_2(g), ...] ending at the first repeat: Z_(k+1)(g) is the preimage

@@ -2,13 +2,14 @@
 
 A Matrix is immutable and kept as int sparse columns over one denominator,
 which products, kernels and Krylov steps read; its Fraction views are built
-when read, and floats are refused.  Every elimination over Q
-goes through Subspace, which keeps sparse integer rows in fully reduced
-form; that form is canonical, so identical input always yields identical
-output, which keeps golden-file tests stable.  The characteristic
+when read.  One check refuses floats wherever a value enters.  Every
+elimination over Q goes through Subspace, which keeps sparse integer rows in
+fully reduced form; that form is canonical, so identical input always yields
+identical output, which keeps golden-file tests stable.  The characteristic
 and minimal polynomials are read off tagged int Krylov vectors in a Subspace.
-Polynomials are stored dense, lowest degree first; their roots are found on
-integer coefficient lists (primitive pseudo-remainders, integer Sturm chains).
+A Poly only holds rational coefficients, lowest degree first; polynomial work
+runs on integer coefficient lists (products, exact quotients, primitive
+pseudo-remainders, integer Sturm chains).
 The one elimination over Z, solve_integer_system (extended-gcd column
 echelon form), solves the scale exponents of monomial equivalence.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .scalars import Q, ZERO, ONE, factor_int, fmt
+from .scalars import Q, ZERO, factor_int, fmt
 
 
 class Matrix:
@@ -125,8 +126,7 @@ class Matrix:
                 raise ValueError("shape mismatch in product")
             return Matrix._of(self.rows, [apply_columns(self.num, c) for c in other.num],
                               self.den * other.den)
-        if not isinstance(other, (int, Q)):
-            raise ValueError(f"matrix scalar {other!r} is not an int or a Fraction")
+        _exact(other, "matrix scalar")
         return Matrix._of(self.rows, [{i: x * other.numerator for i, x in c.items()} if other
                                       else {} for c in self.num], self.den * other.denominator)
 
@@ -135,19 +135,6 @@ class Matrix:
     def __neg__(self):
         return self * -1
 
-    def __pow__(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        result, base = Matrix.identity(self.rows), self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
     def transpose(self):
         out = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.num):
@@ -155,21 +142,12 @@ class Matrix:
                 out[i][j] = x
         return Matrix._of(self.cols, out, self.den)
 
-    def column(self, j):
-        return dense(self.columns[j], self.rows)
-
-    def row(self, i):
-        return self.data[i]
-
-    def is_zero(self):
-        return not any(self.num)
-
     def is_square(self):
         return self.rows == self.cols
 
     def apply(self, vector):
         """Matrix-vector product as a tuple."""
-        v = [Q(x) for x in vector]
+        v = [_exact(x, "vector entry") for x in vector]
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return dense(apply_columns(self.columns, sparse(v)), self.rows)
@@ -192,11 +170,16 @@ class Matrix:
                                aug._rows[i].items() if j >= n} for i in range(n)], d).transpose()
 
 
+def _exact(x, what):
+    """x if an int (bools included) or a Fraction, else ValueError naming what and x."""
+    if isinstance(x, (int, Q)):
+        return x
+    raise ValueError(f"{what} {x!r} is not an int or a Fraction")
+
+
 def _split(columns):
     """(num, den) of columns of (row, value) pairs, values ints or Fractions."""
-    columns = [list(col) for col in columns]
-    if bad := [x for col in columns for _, x in col if not isinstance(x, (int, Q))]:
-        raise ValueError(f"matrix entry {bad[0]!r} is not an int or a Fraction")
+    columns = [[(i, _exact(x, "matrix entry")) for i, x in col] for col in columns]
     den = math.lcm(*[x.denominator for col in columns for _, x in col])
     return [{i: x.numerator * (den // x.denominator) for i, x in col if x} for col in columns], den
 
@@ -412,17 +395,13 @@ class Subspace:
         return f"Subspace(dim={self.dim} in R^{self.ambient})"
 
 
-def nullspace(m: Matrix):
-    """Canonical kernel basis of m (column vectors as tuples)."""
-    return [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().num).sparse_kernel()]
-
-
 def solve(m: Matrix, rhs):
     """One exact solution of m x = rhs, or None if inconsistent."""
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side has {len(rhs)} entries, the matrix {m.rows} rows")
     n = m.cols  # m = N / den: N x = den rhs
-    aug = Subspace(n + 1, ({**row, n: m.den * Q(b)} for row, b in zip(m.transpose().num, rhs)))
+    aug = Subspace(n + 1, ({**row, n: m.den * _exact(b, "right-hand side entry")}
+                           for row, b in zip(m.transpose().num, rhs)))
     if n in aug._rows:
         return None
     return dense({p: Q(row.get(n, 0), row[p]) for p, row in aug._rows.items()}, n)
@@ -515,7 +494,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [c if isinstance(c, Q) else Q(c) for c in coeffs]
+        cs = [c if isinstance(c, Q) else Q(_exact(c, "polynomial coefficient")) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -523,8 +502,10 @@ class Poly:
     @staticmethod
     def binomial(degree, constant):
         """x**degree - constant (the constant 1 - constant at degree 0)."""
-        cs = [-Q(constant)] + [ZERO] * degree
-        cs[degree] += ONE
+        if degree < 0:
+            raise ValueError(f"binomial degree {degree} is below 0")
+        cs = [-_exact(constant, "binomial constant")] + [0] * degree
+        cs[degree] += 1
         return Poly(cs)
 
     @property
@@ -555,55 +536,8 @@ class Poly:
                 terms.append(xk if c == 1 else f"{fmt(c)}*{xk}")
         return "Poly(%s)" % " + ".join(terms)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly([(a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO) for i in range(n)])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(_convolve(self.coeffs, other.coeffs))
-        return Poly([c * Q(other) for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * Q(-1)
-
     def derivative(self):
         return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly([c / lead for c in self.coeffs])
-
-    def divmod(self, other):
-        """(quotient, remainder) with deg(remainder) < deg(other)."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        q = [ZERO] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
-                continue
-            f = rem[k] / lead
-            q[k - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= f * b
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
 
 
 def primitive(coeffs) -> list:
@@ -689,17 +623,25 @@ def count_real_roots(p: Poly) -> int:
     if p.is_zero():
         raise ValueError("zero polynomial")
     c, g = primitive(p.coeffs), int_gcd(p.coeffs, p.derivative().coeffs)
-    if len(g) > 1:  # exact: c and g are primitive, so c / g is in Z[x]
-        r, n, c = c, len(g) - 1, [0] * (len(c) - len(g) + 1)
-        for k in range(len(c) - 1, -1, -1):
-            c[k] = r[k + n] // g[-1]
-            for j in range(n):
-                r[k + j] -= c[k] * g[j]
+    if len(g) > 1:
+        c = _exact_quotient(c, g)
     chain = [c, [k * x for k, x in enumerate(c) if k]]
     while len(chain[-1]) > 1:
         chain.append([-x for x in int_prem(chain[-2], chain[-1])])
     signs = [(q[-1] > 0, (q[-1] > 0) == (len(q) % 2 == 1)) for q in chain if q]
     return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
+
+
+def _exact_quotient(r, g) -> list:
+    """r / g for int coefficient lists, lowest first, when g divides r in Z[x]:
+    for primitive r and g that is whenever it divides r in Q[x] (Gauss's lemma)."""
+    r, n = list(r), len(g) - 1
+    q = [0] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + n] // g[-1]
+        for j in range(n):
+            r[k + j] -= q[k] * g[j]
+    return q
 
 
 def _krylov(cols, v, space, t):
@@ -771,8 +713,8 @@ def similar(a: Matrix, b: Matrix) -> bool:
     phi = char_poly(a)
     if phi != char_poly(b) or (mu := minimal_polynomial(a)) != minimal_polynomial(b):
         return False
-    cofactor = phi // mu
-    if len(int_gcd(cofactor.coeffs, cofactor.derivative().coeffs)) == 1:
+    cofactor = _exact_quotient(primitive(phi.coeffs), primitive(mu.coeffs))
+    if len(int_gcd(cofactor, [k * x for k, x in enumerate(cofactor) if k])) == 1:
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)
 

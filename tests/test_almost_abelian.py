@@ -6,20 +6,22 @@ from hypothesis import given, settings, strategies as st
 from nicebasis.almost_abelian import (
     build,
     BinomialFactorization,
-    enumerate_factorizations,
     exists_nice,
     count_nice,
     indecomposable_family,
     iso_test_almost_abelian,
     parse_matrix,
     serialize_matrix,
-    ZeroConstantTerm,
 )
 from nicebasis.linalg import Matrix, Poly
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, rat
 from nicebasis import fixtures
-from test_root_oracle import _same_class
+from test_root_oracle import _same_class, factorizations, mul
+
+
+def product(f: BinomialFactorization) -> Poly:
+    return mul(*(Poly.binomial(d, r) for d, r in f.factors))
 
 
 class TestBuild:
@@ -38,25 +40,21 @@ class TestBuild:
 class TestFactorizations:
     def test_x4_minus_1(self):
         p = Poly.binomial(4, rat(1))
-        facts = enumerate_factorizations(p)
+        facts = factorizations(p)
         products = {tuple(sorted(f.factors)) for f in facts}
         assert ((4, rat(1)),) in products
         assert ((1, rat(-1)), (1, rat(1)), (2, rat(-1))) in products
         assert ((2, rat(-1)), (2, rat(1))) in products
         assert len(facts) == 3
 
-    def test_rejects_zero_constant_term(self):
-        with pytest.raises(ZeroConstantTerm):
-            enumerate_factorizations(Poly.binomial(2, 0))
-
     def test_every_factorization_multiplies_back(self):
-        p = Poly.binomial(2, rat(1)) * Poly.binomial(2, rat(4))
-        for f in enumerate_factorizations(p):
-            assert f.product() == p
+        p = mul(Poly.binomial(2, rat(1)), Poly.binomial(2, rat(4)))
+        for f in factorizations(p):
+            assert product(f) == p
 
     def test_irreducible_over_rationals(self):
         # x^2 + 1 only factors trivially: it is itself the binomial x^2 - (-1)
-        facts = enumerate_factorizations(Poly.binomial(2, rat(-1)))
+        facts = factorizations(Poly.binomial(2, rat(-1)))
         assert [f.factors for f in facts] == [((2, rat(-1)),)]
 
 
@@ -67,13 +65,13 @@ class TestEquivalence:
 
     def all_factorizations(self, k):
         p = Poly.binomial(k, rat(1))
-        return p, enumerate_factorizations(p)
+        return p, factorizations(p)
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_equivalence_relation_on_xk_minus_1(self, k):
         p, facts = self.all_factorizations(k)
         for f in facts:
-            assert f.product() == p
+            assert product(f) == p
             assert _same_class(f, f)
         for f, g in itertools.combinations(facts, 2):
             assert f != g
@@ -85,12 +83,12 @@ class TestEquivalence:
         # yet no rescaling relates the two factorizations
         linear = BinomialFactorization.of(((1, rat(2)), (1, rat(-2))))
         quadratic = BinomialFactorization.of(((2, rat(4)),))
-        assert linear.product() == quadratic.product()
+        assert product(linear) == product(quadratic)
         assert not _same_class(linear, quadratic)
         assert not _same_class(quadratic, linear)
         for p in [Poly.binomial(k, rat(1)) for k in range(1, 13)] + [
-                Poly.binomial(4, rat(16)), Poly.binomial(2, rat(4)) * Poly.binomial(2, rat(1))]:
-            for f, g in itertools.combinations(enumerate_factorizations(p), 2):
+                Poly.binomial(4, rat(16)), mul(Poly.binomial(2, rat(4)), Poly.binomial(2, rat(1)))]:
+            for f, g in itertools.combinations(factorizations(p), 2):
                 assert not _same_class(f, g)
 
     def test_equal_multisets_are_equivalent(self):
@@ -110,7 +108,7 @@ class TestBinomialFactorization:
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4)), max_size=5))
     def test_product_degree_is_degree(self, pairs):
         f = BinomialFactorization.of(pairs)
-        assert f.product().degree == f.degree
+        assert product(f).degree == f.degree
 
 
 class TestExistence:

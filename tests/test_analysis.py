@@ -1,6 +1,6 @@
 """Differential tests of the almost abelian pipeline: char_poly against sympy,
-enumerate_factorizations against a memoized reference recursion written
-here, the one-pass integer binomial division against Poly.divmod, witnesses against
+the factorization walk against a memoized reference recursion written
+here, the one-pass integer binomial division against long division, witnesses against
 the dense chain construction, one binomial-divisor pass per analysis, and
 each fast path of analyze against the slow path it replaces: the start-indexed
 factorization walk against the filtered one, the squarefree characteristic
@@ -25,7 +25,6 @@ from nicebasis.almost_abelian import (
     analyze,
     build,
     count_nice,
-    enumerate_factorizations,
     exists_nice,
     indecomposable_family,
 )
@@ -38,11 +37,11 @@ from nicebasis.linalg import (
     int_gcd,
     kernel_chain,
     minimal_polynomial,
-    nullspace,
     sparse,
 )
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
+from test_root_oracle import factorizations, mul, pdivmod
 
 X = sympy.Symbol("x")
 
@@ -113,7 +112,7 @@ def reference_enumerate(p, memo):
     out = set()
     divisors, _ = _binomial_divisors(p)
     for d, r in divisors:
-        quotient = p // Poly.binomial(d, r)
+        quotient = pdivmod(p, Poly.binomial(d, r))[0]
         for rest in reference_enumerate(quotient, memo):
             out.add(tuple(sorted(rest + ((d, r),))))
     memo[key] = out
@@ -129,23 +128,21 @@ class TestEnumerateVsReference:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(binomials, min_size=1, max_size=4))
     def test_random_binomial_products(self, factors):
-        p = Poly([1])
-        for d, r in factors:
-            p = p * Poly.binomial(d, r)
-        got = [f.factors for f in enumerate_factorizations(p)]
+        p = mul(*(Poly.binomial(d, r) for d, r in factors))
+        got = [f.factors for f in factorizations(p)]
         assert got == sorted(reference_enumerate(p, {}))
         assert tuple(sorted(factors)) in got
 
     @pytest.mark.parametrize("k", [1, 2, 6, 8, 12, 16, 32])
     def test_x_power_minus_one(self, k):
         p = Poly.binomial(k, 1)
-        got = [f.factors for f in enumerate_factorizations(p)]
+        got = [f.factors for f in factorizations(p)]
         assert got == sorted(reference_enumerate(p, {}))
 
 
 # the kernel runs on the monic integer transform, so it takes int
 # coefficients and an int constant; rational constants reach it through
-# enumerate_factorizations, covered by TestEnumerateVsReference above
+# analyze, covered by TestEnumerateVsReference above
 int_polys = st.lists(st.integers(-6, 6), max_size=12).map(Poly)
 int_constants = st.integers(-4, 4)
 
@@ -158,21 +155,21 @@ class TestDivideBinomial:
     @settings(max_examples=60, deadline=None)
     @given(int_polys, st.integers(1, 6), int_constants)
     def test_exact_multiples(self, q, d, r):
-        got = _divide_binomial(ints(q * Poly.binomial(d, r)), d, r)
+        got = _divide_binomial(ints(mul(q, Poly.binomial(d, r))), d, r)
         assert got == ints(q)
         assert all(type(c) is int for c in got)
 
     @settings(max_examples=60, deadline=None)
     @given(int_polys, st.integers(1, 6), int_constants)
     def test_vs_divmod(self, p, d, r):
-        quotient, rem = p.divmod(Poly.binomial(d, r))
+        quotient, rem = pdivmod(p, Poly.binomial(d, r))
         assert _divide_binomial(ints(p), d, r) == (ints(quotient) if rem.is_zero() else None)
 
     @settings(max_examples=30, deadline=None)
     @given(int_polys.filter(lambda p: not p.is_zero()), st.integers(1, 4), int_constants)
     def test_degree_above_p(self, p, extra, r):
         d = p.degree + extra
-        assert not p.divmod(Poly.binomial(d, r))[1].is_zero()
+        assert not pdivmod(p, Poly.binomial(d, r))[1].is_zero()
         assert _divide_binomial(ints(p), d, r) is None
 
 
@@ -204,7 +201,8 @@ def reference_nilpotent_chains(a):
 def reference_cyclic_chain(a, d, r, existing):
     """Cyclic chain from the dense kernel of a**d - r."""
     n = a.rows
-    kernel = nullspace(a**d - Matrix.identity(n) * r)
+    m = math.prod([a] * d, start=Matrix.identity(n)) - Matrix.identity(n) * r
+    kernel = [dense(v, n) for v in Subspace(n, m.transpose().num).sparse_kernel()]
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
     for w in reference_candidates(kernel):
@@ -331,7 +329,8 @@ class TestCandidateOrder:
         m = left * right
         kernel = Subspace(n, m.data).sparse_kernel()
         assert len(kernel) >= 4
-        want = [sparse(w) for w in reference_candidates(nullspace(m))]
+        want = [sparse(w) for w in reference_candidates(
+            [dense(v, n) for v in Subspace(n, m.transpose().num).sparse_kernel()])]
         got = list(almost_abelian._cyclic_candidates(kernel))
         assert got == want
         m = len(kernel)
@@ -341,9 +340,10 @@ class TestCandidateOrder:
     def test_family_factor_kernels(self, n):
         a = indecomposable_family(n).a
         for d, r in exists_nice(a).factorization.factors:
-            m = a**d - Matrix.identity(a.rows) * r
+            m = math.prod([a] * d, start=Matrix.identity(a.rows)) - Matrix.identity(a.rows) * r
             kernel = Subspace(a.rows, m.data).sparse_kernel()
-            want = [sparse(w) for w in reference_candidates(nullspace(m))]
+            want = [sparse(w) for w in reference_candidates(
+                [dense(v, a.rows) for v in Subspace(a.rows, m.transpose().num).sparse_kernel()])]
             assert list(almost_abelian._cyclic_candidates(kernel)) == want
 
 
@@ -430,7 +430,7 @@ def random_binomial_products(seed, count):
     for _ in range(count):
         p = Poly([1])
         for _ in range(rng.randint(1, 5)):
-            p = p * Poly.binomial(rng.randint(1, 4), rng.choice(constants))
+            p = mul(p, Poly.binomial(rng.randint(1, 4), rng.choice(constants)))
         yield p
 
 

@@ -1,0 +1,75 @@
+"""Every function, class and method defined in src/ has a caller there.
+
+A definition (dunders aside) passes when src/ refers to its name outside
+the definition itself, when __init__.py re-exports it, when a decorator
+defined in src/ registers it (the reproduce rows), or when ALLOWED names it
+with the reason it stays.  A name counts as referred to when a module reads
+it as a name or as an attribute, so an API that only tests call fails here.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"
+
+# name -> why it stays without a caller in src/
+ALLOWED = {
+    "inverse": "perfbench/tracing.py traces Matrix.inverse as linalg.inverse",
+    "bracket": "perfbench/tracing.py counts LieAlgebra.bracket as lie.bracket",
+    "quotient": "the public quotient algebra g / ideal; _quotient is its core",
+}
+
+
+def definitions(tree):
+    """(name, node) of the module's functions and classes and of their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item
+
+
+def references(tree):
+    """(name, line) of every name and attribute the module reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def uncalled(allowed=ALLOWED):
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defined = {name for tree in trees.values() for name, _ in definitions(tree)}
+    refs = {module: list(references(tree)) for module, tree in trees.items()}
+    out = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            span = range(node.lineno, node.end_lineno + 1)
+            used = any(n == name and not (m == module and line in span)
+                       for m, rs in refs.items() for n, line in rs)
+            registered = any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in defined
+                             for d in getattr(node, "decorator_list", []))
+            if not (used or registered or name in exported or name in allowed):
+                out.append(f"{module}:{node.lineno} {name}")
+    return out
+
+
+def test_every_definition_has_a_caller_in_src():
+    assert uncalled() == []
+
+
+def test_every_allowed_name_still_needs_its_reason():
+    assert sorted(line.split()[1] for line in uncalled(allowed={})) == sorted(ALLOWED)
+
+
+def test_the_scan_sees_the_package():
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    names = {name for tree in trees for name, _ in definitions(tree)}
+    assert {"Matrix", "change_basis", "solve", "_exact_quotient"} <= names

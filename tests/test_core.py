@@ -40,7 +40,7 @@ def invertible(draw, n):
             for j in range(n)] for i in range(n)]
     perm = draw(st.permutations(range(n)))
     lu = Matrix(low) * Matrix(up)
-    return Matrix([lu.row(perm[i]) for i in range(n)])
+    return Matrix([lu.data[perm[i]] for i in range(n)])
 
 
 def to_sympy(m):

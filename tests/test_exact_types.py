@@ -1,7 +1,8 @@
 """The exactness contract at the Matrix boundary.
 
 Matrix keeps int columns over one denominator and hands out Fractions only
-through its views.  An entry or a scalar factor must be an int (a bool
+through its views.  An entry or a scalar factor, a vector entry, a
+right-hand side entry or a polynomial coefficient must be an int (a bool
 included) or a Fraction: a float is refused with a ValueError that names it,
 never stored as its binary expansion.  On integer and on rational inputs,
 every value a caller reads (the views, char_poly and minimal_polynomial,
@@ -19,15 +20,15 @@ from nicebasis.almost_abelian import build, exists_nice, indecomposable_family
 from nicebasis.linalg import (
     Matrix,
     Poly,
+    Subspace,
     char_poly,
     minimal_polynomial,
-    nullspace,
     solve,
 )
 from nicebasis.scalars import Q
 
 
-# --- floats are refused at every constructor and at the scalar product ---
+# --- floats are refused wherever a value enters ---
 
 
 @pytest.mark.parametrize("make", [
@@ -46,6 +47,18 @@ def test_scalar_product_refuses_floats():
     for product in (lambda: m * 0.1, lambda: 0.1 * m):
         with pytest.raises(ValueError, match=r"scalar 0\.1 is not an int or a Fraction"):
             product()
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: Matrix.identity(2).apply((0.1, 0)), "vector entry 0.1"),
+    (lambda: solve(Matrix.identity(2), (0.5, Q(1, 10))), "right-hand side entry 0.5"),
+    (lambda: Poly([0.1, 1]), "polynomial coefficient 0.1"),
+    (lambda: Poly.binomial(2, 0.5), "binomial constant 0.5"),
+], ids=["apply", "solve", "Poly", "binomial"])
+def test_vectors_right_hand_sides_and_coefficients_refuse_floats(make, what):
+    # each once went through Q(x): 0.1 became 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=f"^{what} is not an int or a Fraction$"):
+        make()
 
 
 def test_ints_bools_and_fractions_are_taken():
@@ -98,8 +111,8 @@ def test_matrix_values_are_fractions(name):
     fractions_only(x for c in m.columns for x in c.values())
     fractions_only(x for row in m.data for x in row)
     fractions_only(m[i, j] for i in range(n) for j in range(n))
-    fractions_only(m.column(0) + m.row(1) + m.apply((1, 0, 2)))
-    for derived in (m * m, m + m, -m, m.transpose(), m * 3, m**3, m.inverse()):
+    fractions_only(m.data[1] + m.apply((1, 0, 2)))
+    for derived in (m * m, m + m, -m, m.transpose(), m * 3, m * m * m, m.inverse()):
         fractions_only(x for row in derived.data for x in row)
     assert m * m.inverse() == Matrix.identity(n)
     fractions_only(char_poly(m).coeffs + minimal_polynomial(m).coeffs + (m.det(),))
@@ -108,7 +121,8 @@ def test_matrix_values_are_fractions(name):
         fractions_only(x)
         assert m.apply(x) == tuple(map(Q, rhs))
     singular = Matrix([[1, 2, 3], [2, 4, 6], [Q(1, 2), 1, Q(3, 2)]])
-    fractions_only(x for v in nullspace(singular) for x in v)
+    kernel = Subspace(3, singular.transpose().num).sparse_kernel()
+    fractions_only(x for v in kernel for x in v.values())
 
 
 @pytest.mark.parametrize("scale", [1, Q(1, 2)], ids=["integer", "rational"])

@@ -481,8 +481,8 @@ class TestIntegerTable:
     def test_built_once_and_kept(self):
         g = scaled(fixtures.standard_filiform(6), Q(1, 2))
         table = g.table
-        for call in (g.lower_central_series, g.center, g.killing_form, g.jacobi_failures,
-                     lambda: g.quotient(g.center()), lambda: derivation_space(g),
+        for call in (g.lower_central_series, lambda: center(g), g.killing_form, g.jacobi_failures,
+                     lambda: g.quotient(center(g)), lambda: derivation_space(g),
                      lambda: is_derivation(g, Matrix.identity(6))):
             call()
             assert g.table is table
@@ -655,6 +655,11 @@ class TestOneTableMatchesFractionReference:
 
 # --- center and upper_central_series ----------------------------------------------
 
+def center(g):
+    """Z(g), the preimage of 0 under the int table rows."""
+    return _preimage(g.table, Subspace(g.dim))
+
+
 def reference_preimage_of_center(g, z):
     """_preimage(g.table, z) over Q: the int table rows reduced with Fractions."""
     return kernel_of([
@@ -718,7 +723,7 @@ class TestCentralSeriesMatchesFractionReference:
         got = g.upper_central_series()
         assert got == want
         assert [s.rows for s in got] == [s.rows for s in want]
-        assert g.center() == reference_preimage_of_center(g, Subspace(g.dim))
+        assert center(g) == reference_preimage_of_center(g, Subspace(g.dim))
 
     @pytest.mark.parametrize("name", sorted(CENTRAL))
     def test_lower_central_series_and_ideal_test(self, name):
@@ -742,7 +747,7 @@ class TestCentralSeriesMatchesFractionReference:
     @settings(max_examples=60, deadline=None)
     def test_center(self, data):
         g = data.draw(rational_tables())
-        z = g.center()
+        z = center(g)
         assert z == reference_preimage_of_center(g, Subspace(g.dim))
         assert all(type(x) is Fraction for v in z.sparse_kernel() for x in v.values())
 
@@ -750,16 +755,16 @@ class TestCentralSeriesMatchesFractionReference:
 # --- quotient ----------------------------------------------------------------
 
 QUOTIENTS = {
-    "h3/center": lambda: (fixtures.heisenberg3(), lambda g: g.center()),
+    "h3/center": lambda: (fixtures.heisenberg3(), lambda g: center(g)),
     "L6/g^2": lambda: (fixtures.standard_filiform(6), lambda g: g.lower_central_series()[2]),
-    "n6/center": lambda: (fixtures.n6(), lambda g: g.center()),
+    "n6/center": lambda: (fixtures.n6(), lambda g: center(g)),
     "sl2+a2/a2": lambda: (direct_sum(sl2_with_halves(), abelian(2)),
                           lambda g: Subspace(5, [{3: ONE}, {4: ONE}])),
     "free-3-3/[v1,v3]": lambda: (free_nilpotent(3, 3)[0],
                                  lambda g: reference_ideal_closure(g, [g.bracket_basis(0, 2)])),
     # brackets stored in reverse key order: the quotient's are still in key order
     "n6-reversed/center": lambda: (LieAlgebra(6, dict(reversed(fixtures.n6().brackets.items()))),
-                                   lambda g: g.center()),
+                                   lambda g: center(g)),
 }
 
 

@@ -9,7 +9,6 @@ from nicebasis.linalg import (
     Matrix,
     Poly,
     Subspace,
-    nullspace,
     solve,
     char_poly,
     is_nilpotent,
@@ -18,9 +17,10 @@ from nicebasis.linalg import (
     minimal_polynomial,
     solve_integer_system,
     apply_columns,
+    dense,
 )
-from nicebasis.lie import abelian
 from nicebasis.scalars import Q, ZERO, ONE, rat
+from test_root_oracle import mul
 
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
@@ -49,14 +49,7 @@ class TestMatrix:
         i = Matrix.identity(2)
         assert a * i == a
         assert a + (-a) == Matrix.zeros(2, 2)
-        assert (a - a).is_zero()
-
-    def test_pow(self):
-        a = Matrix([[0, 1], [0, 0]])
-        assert (a ** 2).is_zero()
-        assert a ** 0 == Matrix.identity(2)
-        with pytest.raises(ValueError):
-            Matrix.identity(2) ** -1
+        assert a - a == Matrix.zeros(2, 2)
 
     def test_inverse(self):
         a = Matrix([[2, 1], [1, 1]])
@@ -66,7 +59,7 @@ class TestMatrix:
 
     def test_apply_matches_column_combination(self):
         a = Matrix([[1, 2], [3, 4]])
-        assert a.apply((rat(1), rat(0))) == a.column(0)
+        assert a.apply((rat(1), rat(0))) == tuple(row[0] for row in a.data)
 
     @pytest.mark.parametrize("m", [
         Matrix([[1, 0, 2], [0, 0, 3]]), Matrix([[0, 0]]), Matrix.identity(3), Matrix([]),
@@ -74,7 +67,8 @@ class TestMatrix:
     def test_sparse_columns_are_the_columns(self, m):
         cols = m.columns
         assert len(cols) == m.cols
-        assert list(cols) == [{i: x for i, x in enumerate(m.column(j)) if x} for j in range(m.cols)]
+        assert list(cols) == [{i: row[j] for i, row in enumerate(m.data) if row[j]}
+                              for j in range(m.cols)]
 
     @pytest.mark.parametrize("m, vec, want", [
         (Matrix.identity(2), {0: ZERO}, {}),
@@ -96,8 +90,7 @@ class TestMatrix:
         (lambda: Matrix.zeros(2, 0).transpose(), (0, 2)),
         (lambda: Matrix.zeros(2, 0) * Matrix.zeros(0, 3), (2, 3)),
         (lambda: Matrix.from_columns([]), (0, 0)),
-        (lambda: abelian(0).ad(()), (0, 0)),
-    ], ids=["zeros-0x2", "transpose-2x0", "product-through-0", "no-columns", "ad-in-dim-0"])
+    ], ids=["zeros-0x2", "transpose-2x0", "product-through-0", "no-columns"])
     def test_shape_at_empty_dimensions(self, make, shape):
         m = make()
         assert (m.rows, m.cols) == shape
@@ -125,7 +118,7 @@ class TestRref:
 
     def test_rank_nullity(self):
         m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        null = nullspace(m)
+        null = [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().num).sparse_kernel()]
         assert Subspace(m.cols, m.data).dim + len(null) == 3
         for v in null:
             assert all(x == 0 for x in m.apply(v))
@@ -160,7 +153,7 @@ class TestCharPoly:
     @settings(max_examples=60)
     def test_cayley_hamilton_3x3(self, entries):
         m = square(3, entries)
-        assert horner(char_poly(m), m).is_zero()
+        assert horner(char_poly(m), m) == Matrix.zeros(m.rows, m.cols)
 
     @given(st.integers(2, 5), st.data())
     @settings(max_examples=40)
@@ -168,7 +161,7 @@ class TestCharPoly:
         entries = data.draw(st.lists(st.integers(-5, 5),
                                      min_size=n * n, max_size=n * n))
         m = square(n, [rat(x) for x in entries])
-        assert horner(char_poly(m), m).is_zero()
+        assert horner(char_poly(m), m) == Matrix.zeros(m.rows, m.cols)
 
     def test_vs_sympy(self):
         rng = random.Random(7)
@@ -199,16 +192,6 @@ class TestCharPoly:
 
 
 class TestPoly:
-    @given(st.lists(rationals, min_size=1, max_size=6),
-           st.lists(rationals, min_size=1, max_size=4))
-    def test_divmod_round_trip(self, a, b):
-        p, q = Poly(a), Poly(b)
-        if q.degree < 0:
-            return
-        quot, rem = p.divmod(q)
-        assert quot * q + rem == p
-        assert rem.degree < q.degree
-
     @pytest.mark.parametrize("k", range(1, 6))
     def test_binomial_with_zero_constant_is_x_power(self, k):
         p = Poly.binomial(k, 0)
@@ -222,9 +205,14 @@ class TestPoly:
         assert p == Poly([1 - Q(c)])
         assert p.degree == (-1 if c == 1 else 0)
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_binomial_refuses_a_negative_degree(self, k):
+        # cs[-1] once wrapped round to the constant term: x^-1 - 2 was Poly(-1)
+        with pytest.raises(ValueError, match=f"binomial degree {k} is below 0"):
+            Poly.binomial(k, 2)
+
     def test_rational_roots_vs_sympy(self):
-        p = Poly.binomial(1, rat(2)) * Poly.binomial(1, Q(-1, 3)) \
-            * Poly.binomial(1, rat(2))
+        p = mul(Poly.binomial(1, rat(2)), Poly.binomial(1, Q(-1, 3)), Poly.binomial(1, rat(2)))
         roots = rational_roots(p)
         assert dict(roots) == {rat(2): 2, Q(-1, 3): 1}
         x = sympy.symbols("x")
@@ -235,7 +223,7 @@ class TestPoly:
     def test_rational_roots_large_constant_term(self):
         # candidates come from the factorization of 6 * 10^18, not from
         # trial division up to its square root
-        p = Poly([-6 * 10**18, 0, 1]) * Poly.binomial(1, rat(2))
+        p = mul(Poly([-6 * 10**18, 0, 1]), Poly.binomial(1, rat(2)))
         assert rational_roots(p) == [(rat(2), 1)]
 
     @settings(max_examples=50, deadline=None)
@@ -260,7 +248,7 @@ class TestMinimalPolynomial:
         m = Matrix.diagonal([rat(2), rat(2), rat(3)])
         mp = minimal_polynomial(m)
         assert mp.degree == 2
-        assert horner(mp, m).is_zero()
+        assert horner(mp, m) == Matrix.zeros(3, 3)
 
 
 class TestSmith:

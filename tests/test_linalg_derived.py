@@ -5,6 +5,7 @@ similarity.  The references are sympy, explicit matrix powers, and the dense
 Krylov, power-rank and rational-roots similarity code these routines
 replaced, kept here as written."""
 
+import math
 import random
 import time
 
@@ -17,21 +18,27 @@ from nicebasis.linalg import (
     Matrix,
     Poly,
     Subspace,
+    _exact_quotient,
     char_poly,
     is_nilpotent,
     is_positive_definite,
     kernel_chain,
     minimal_polynomial,
-    nullspace,
+    primitive,
     rational_roots,
     similar,
     solve,
 )
 from nicebasis.scalars import ONE, Q, ZERO
+from test_root_oracle import monic, mul, pdivmod
 
 
 def to_sympy(m):
     return sympy.Matrix(m.rows, m.cols, [sympy.Rational(str(x)) for row in m.data for x in row])
+
+
+def power(m, k):
+    return math.prod([m] * k, start=Matrix.identity(m.rows))
 
 
 def horner(p, m):
@@ -56,7 +63,7 @@ def unimodular(rng, n):
           for i in range(n)]
     lu = Matrix(low) * Matrix(up)
     perm = rng.sample(range(n), n)
-    return Matrix([lu.row(p) for p in perm])
+    return Matrix([lu.data[p] for p in perm])
 
 
 def jordan(blocks):
@@ -93,8 +100,8 @@ def poly_lcm(a, b):
         return Poly([])
     g, r = a, b
     while not r.is_zero():
-        g, r = r, g % r
-    return ((a * b) // g).monic()
+        g, r = r, pdivmod(g, r)[1]
+    return monic(pdivmod(mul(a, b), g)[0])
 
 
 def reference_minimal_polynomial(m):
@@ -102,15 +109,15 @@ def reference_minimal_polynomial(m):
     n = m.rows
     result = Poly([ONE])
     for i in range(n):
-        krylov = [Matrix.identity(n).row(i)]
+        krylov = [Matrix.identity(n).data[i]]
         while True:
             if len(krylov) > 1:
                 sol = solve(Matrix.from_columns(krylov[:-1]), krylov[-1])
                 if sol is not None:
-                    local = Poly(list(sol) + [Q(-1)]) * Q(-1)
+                    local = Poly([-x for x in sol] + [ONE])
                     break
             krylov.append(m.apply(krylov[-1]))
-        result = poly_lcm(result, local.monic())
+        result = poly_lcm(result, monic(local))
     return result
 
 
@@ -122,9 +129,9 @@ def reference_similar(a, b):
     n = a.rows
 
     def ranks(m):
-        return [Subspace(n, (m ** k).data).dim for k in range(1, n + 1)]
+        return [Subspace(n, power(m, k).data).dim for k in range(1, n + 1)]
 
-    if n and (a ** n).is_zero():  # equal char polys: b is nilpotent too
+    if n and power(a, n) == Matrix.zeros(n, n):  # equal char polys: b is nilpotent too
         return ranks(a) == ranks(b)
     if reference_minimal_polynomial(a) != reference_minimal_polynomial(b):
         return False
@@ -169,7 +176,7 @@ def block_diagonal(*blocks):
     rows, at = [[ZERO] * n for _ in range(n)], 0
     for b in blocks:
         for i in range(b.rows):
-            rows[at + i][at:at + b.rows] = b.row(i)
+            rows[at + i][at:at + b.rows] = b.data[i]
         at += b.rows
     return Matrix(rows)
 
@@ -240,9 +247,9 @@ class TestKernelChain:
                  else conjugate(rng, random_jordan(rng, n)))
             chain = kernel_chain(m)
             for k, term in enumerate(chain):
-                assert term == Subspace(n, nullspace(m ** k))
+                assert term == Subspace(n, Subspace(n, power(m, k).data).sparse_kernel())
             # the chain stops exactly where the kernels stop growing
-            assert Subspace(n, nullspace(m ** len(chain))).dim == chain[-1].dim
+            assert n - Subspace(n, power(m, len(chain)).data).dim == chain[-1].dim
             dims = [t.dim for t in chain]
             assert dims == sorted(set(dims))
 
@@ -260,7 +267,7 @@ class TestIsNilpotent:
         for _ in range(80):
             n = rng.randint(1, 6)
             m = conjugate(rng, random_jordan(rng, n, values=(0,)))
-            least = next(k for k in range(n + 1) if (m ** k).is_zero())
+            least = next(k for k in range(n + 1) if power(m, k) == Matrix.zeros(n, n))
             assert is_nilpotent(m) == (True, least)
 
     def test_non_nilpotent(self):
@@ -290,8 +297,8 @@ class TestMinimalPolynomial:
             n = rng.randint(1, 5)
             m = conjugate(rng, random_jordan(rng, n))
             mp = minimal_polynomial(m)
-            assert horner(mp, m).is_zero()
-            assert (char_poly(m) % mp).is_zero()
+            assert horner(mp, m) == Matrix.zeros(n, n)
+            assert pdivmod(char_poly(m), mp)[1].is_zero()
 
 
 class TestSimilar:
@@ -317,12 +324,12 @@ class TestSimilar:
         rng = random.Random(31)
         assert similar(two, conjugate(rng, two)) is True
         glued = Matrix([[0, 2, 0, 0], [1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0]])
-        assert char_poly(glued) == char_poly(two) == char_poly(c) * char_poly(c)
+        assert char_poly(glued) == char_poly(two) == mul(char_poly(c), char_poly(c))
         assert similar(glued, two) is False  # minimal polynomials differ
         # C + C against C + c + c, C the companion of (x^2 - 2)^2 and c of
         # x^2 - 2: equal phi and mu, but phi / mu = (x^2 - 2)^2 is not
         # squarefree and no root is rational; the intertwiner dimensions decide
-        big = companion(char_poly(c) * char_poly(c))
+        big = companion(mul(char_poly(c), char_poly(c)))
         cc, ccc = block_diagonal(big, big), block_diagonal(big, c, c)
         assert char_poly(cc) == char_poly(ccc)
         assert minimal_polynomial(cc) == minimal_polynomial(ccc) == char_poly(big)
@@ -345,8 +352,9 @@ class TestSimilar:
         # (companions, P1 = x^2 - 2, P2 = x^2 - 3): equal phi and mu, and both
         # commutants have dimension 36; only {X : a X = X b} (32) tells them apart
         p1, p2 = Poly([-2, 0, 1]), Poly([-3, 0, 1])
-        a = block_diagonal(*map(companion, (p1 * p1, p1 * p1, p2 * p2, p2, p2)))
-        b = block_diagonal(*map(companion, (p1 * p1, p1, p1, p2 * p2, p2 * p2)))
+        p11, p22 = mul(p1, p1), mul(p2, p2)
+        a = block_diagonal(*map(companion, (p11, p11, p22, p2, p2)))
+        b = block_diagonal(*map(companion, (p11, p1, p1, p22, p22)))
         assert char_poly(a) == char_poly(b)
         assert minimal_polynomial(a) == minimal_polynomial(b)
         assert similar(a, b) is False
@@ -385,7 +393,7 @@ class TestSimilar:
         intertwiners = linalg._intertwiners
         monkeypatch.setattr(linalg, "_intertwiners",
                             lambda a, b: calls.append((a, b)) or intertwiners(a, b))
-        c, c2 = companion(p), companion(p * p)
+        c, c2 = companion(p), companion(mul(p, p))
         ppp, p2pp, p2p2 = block_diagonal(c, c, c), block_diagonal(c2, c, c), block_diagonal(c2, c2)
         rng = random.Random(47)
         pairs = [(ppp, conjugate(rng, ppp), True), (conjugate(rng, ppp), conjugate(rng, ppp), True),
@@ -402,6 +410,23 @@ class TestSimilar:
             assert similar(a, b) is want
             assert len(calls) > before
             assert (factors(a) == factors(b)) is want
+
+    def test_integer_cofactor_vs_sympy_div(self):
+        # phi / mu of primitive phi and mu is in Z[x] (Gauss's lemma): it is
+        # sympy's quotient over Q made primitive, squarefree or not
+        rng, x = random.Random(53), sympy.Symbol("x")
+        corpus = [Matrix.diagonal([1, 1, 2]), Matrix.diagonal([1, 1, 1, 2, 2]),
+                  jordan([(2, 2), (2, 2), (2, 1)]), jordan([(Q(-1, 2), 3), (Q(-1, 2), 1), (0, 2)]),
+                  jordan([(3, 1), (3, 1), (3, 1), (1, 2), (1, 2)])]
+        corpus += [conjugate(rng, m) for m in corpus]
+        corpus += [random_matrix(rng, n) for n in (3, 4, 5) for _ in range(20)]
+        corpus += [conjugate(rng, random_jordan(rng, n)) for n in (4, 5, 6) for _ in range(10)]
+        for m in corpus:
+            phi, mu = primitive(char_poly(m).coeffs), primitive(minimal_polynomial(m).coeffs)
+            q, r = sympy.div(sympy.Poly(phi[::-1], x), sympy.Poly(mu[::-1], x), domain=sympy.QQ)
+            assert r.is_zero
+            want = primitive([Q(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
+            assert _exact_quotient(phi, mu) == want
 
     @pytest.mark.parametrize("value", [0, 3])
     def test_equal_polynomials_different_blocks(self, value):

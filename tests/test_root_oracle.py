@@ -26,15 +26,17 @@ from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
+    _enumerate,
     analyze,
     count_nice,
-    enumerate_factorizations,
     indecomposable_family,
 )
 from nicebasis.linalg import (
     Matrix,
     Poly,
+    _convolve,
     _divisors,
+    _exact_quotient,
     count_real_roots,
     int_gcd,
     int_prem,
@@ -46,14 +48,41 @@ from nicebasis.scalars import Q, ZERO, ONE
 X = sympy.Symbol("x")
 
 
+# --- stand-ins for the Poly arithmetic that src/ no longer has ---------------
+
+
+def mul(*polys) -> Poly:
+    return Poly(reduce(_convolve, (p.coeffs for p in polys), [ONE]))
+
+
+def monic(p: Poly) -> Poly:
+    return Poly([c / p.coeffs[-1] for c in p.coeffs]) if p.coeffs else p
+
+
+def pdivmod(a: Poly, b: Poly):
+    """(quotient, remainder) of a by nonzero b over Q, by long division."""
+    rem, d = list(a.coeffs), b.degree
+    q = [ZERO] * max(0, len(rem) - d)
+    for k in range(len(rem) - 1, d - 1, -1):
+        q[k - d] = f = rem[k] / b.coeffs[-1]
+        for j, c in enumerate(b.coeffs):
+            rem[k - d + j] -= f * c
+    return Poly(q), Poly(rem)
+
+
+def factorizations(p: Poly):
+    """The BinomialFactorizations of monic p, sorted, each multiset once."""
+    return [BinomialFactorization(t) for t in _enumerate(p, _binomial_divisors(p)[0])]
+
+
 # --- the Fraction references ------------------------------------------------
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd by the Euclidean algorithm over Q."""
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, pdivmod(a, b)[1]
+    return monic(a)
 
 
 def _evaluate(p, x):
@@ -87,7 +116,7 @@ def reference_rational_roots(p: Poly):
                 if _evaluate(p, cand) == 0:
                     mult = 0
                     while _evaluate(p, cand) == 0:
-                        p = p // Poly([-cand, ONE])
+                        p = pdivmod(p, Poly([-cand, ONE]))[0]
                         mult += 1
                     roots.append((cand, mult))
                 if p.degree == 0:
@@ -102,10 +131,10 @@ def reference_count_real_roots(p: Poly) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    p = (p // poly_gcd(p, p.derivative())).monic()  # squarefree part
+    p = monic(pdivmod(p, poly_gcd(p, p.derivative()))[0])  # squarefree part
     chain = [p, p.derivative()]
     while not chain[-1].is_zero():
-        chain.append(-(chain[-2] % chain[-1]))
+        chain.append(mul(Poly([-1]), pdivmod(chain[-2], chain[-1])[1]))
     chain.pop()
 
     def variations(signs):
@@ -143,7 +172,7 @@ def reference_binomial_divisors(p: Poly):
         h = g
         for root, mult in reference_rational_roots(g):
             for _ in range(mult):
-                h = h // Poly([-root, ONE])
+                h = pdivmod(h, Poly([-root, ONE]))[0]
             if root != 0:
                 divisors.append((d, root))
         if h.degree > 0 and reference_count_real_roots(h) > 0:
@@ -276,9 +305,9 @@ quadratic = st.sampled_from([Poly([-2, 0, 1]), Poly([1, 0, 1]), Poly([1, -3, 1])
 def factor_products(draw):
     p = Poly([draw(st.sampled_from([Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-5, 3)]))])
     for f in draw(st.lists(st.one_of(linear, linear, quadratic), min_size=1, max_size=6)):
-        p = p * f
+        p = mul(p, f)
         if draw(st.integers(0, 3)) == 0:
-            p = p * f  # a repeated factor
+            p = mul(p, f)  # a repeated factor
     return p
 
 
@@ -307,16 +336,14 @@ class TestRootsVsFractionReference:
     @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3).filter(bool)),
                     min_size=1, max_size=4), st.sampled_from([1, 2, 3]))
     def test_binomial_divisors_of_binomial_products(self, factors, scale):
-        p = Poly([1])
-        for d, r in factors:
-            p = p * Poly.binomial(d, Q(r, scale**d))
+        p = mul(*(Poly.binomial(d, Q(r, scale**d)) for d, r in factors))
         assert _binomial_divisors(p) == reference_binomial_divisors(p)
 
     def test_irrational_flag(self):
         # x^2 - 2 splits only over R; x^2 + 1 not at all
-        assert _binomial_divisors(Poly.binomial(2, 2) * Poly.binomial(1, 3)) == (
+        assert _binomial_divisors(mul(Poly.binomial(2, 2), Poly.binomial(1, 3))) == (
             [(1, Q(3)), (2, Q(2))], True)
-        assert _binomial_divisors(Poly([1, 0, 1]) * Poly.binomial(1, 3)) == (
+        assert _binomial_divisors(mul(Poly([1, 0, 1]), Poly.binomial(1, 3))) == (
             [(1, Q(3)), (2, Q(-1))], False)
 
 
@@ -326,22 +353,30 @@ class TestIntegerHelpers:
     def test_primitive(self, p):
         c = primitive(p.coeffs)
         assert math.gcd(*c) == 1
-        assert Poly(c).monic() == p.monic()
+        assert monic(Poly(c)) == monic(p)
         assert (c[-1] > 0) == (p.coeffs[-1] > 0)
 
     @settings(max_examples=60, deadline=None)
     @given(random_polys, random_polys)
     def test_prem_is_a_positive_multiple_of_the_remainder(self, a, b):
         rem = Poly(int_prem(primitive(a.coeffs), primitive(b.coeffs)))
-        want = a % b
-        assert rem.monic() == want.monic()
+        want = pdivmod(a, b)[1]
+        assert monic(rem) == monic(want)
         if not want.is_zero():
             assert (rem.coeffs[-1] > 0) == (want.coeffs[-1] > 0)
 
     @settings(max_examples=60, deadline=None)
+    @given(inputs)
+    def test_exact_quotient_by_the_gcd_with_the_derivative(self, p):
+        # the squarefree part count_real_roots runs its Sturm chain on
+        g = int_gcd(p.coeffs, p.derivative().coeffs)
+        want = primitive(pdivmod(p, Poly(g))[0].coeffs)
+        assert _exact_quotient(primitive(p.coeffs), g) == want
+
+    @settings(max_examples=60, deadline=None)
     @given(inputs, inputs)
     def test_gcd(self, a, b):
-        assert Poly(int_gcd(a.coeffs, b.coeffs)).monic() == poly_gcd(a, b)
+        assert monic(Poly(int_gcd(a.coeffs, b.coeffs))) == poly_gcd(a, b)
 
 
 def random_matrix(rng):
@@ -427,10 +462,8 @@ class TestRescalingLemma:
     @settings(max_examples=150, deadline=None)
     @given(binomial_lists)
     def test_search_merges_no_two_factorizations(self, binomials):
-        p = Poly([1])
-        for d, r in binomials:
-            p = p * Poly.binomial(d, r)
-        facts = enumerate_factorizations(p)
+        p = mul(*(Poly.binomial(d, r) for d, r in binomials))
+        facts = factorizations(p)
         # the search is factorial in the factors of one degree; the lemma
         # covers the larger products, the pins below some of them
         assume(search_size(facts) <= 5040)
