@@ -6,7 +6,8 @@ denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
 order.  The constructor clears the denominators of a Fraction table once; the
 builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints;
 change_basis looks up each image that is a multiple of one column.
-Every structural routine reads the table; brackets, {(i, j): {k: c}} over Q, is
+Every structural routine (central series, the upper one starting at the center,
+centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view built when first read.  Indices are 0-based in code, 1-based in the text
 format, and checked at construction; the Jacobi identity is checked by default.
 """

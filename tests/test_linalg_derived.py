@@ -428,6 +428,12 @@ class TestSimilar:
             want = primitive([Q(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
             assert _exact_quotient(phi, mu) == want
 
+    def test_squarefree_cofactor_decides_without_intertwiners(self, monkeypatch):
+        # phi = (x - 1)^2 (x - 2) is not squarefree, but phi / mu = x - 1 is
+        monkeypatch.setattr(linalg, "_intertwiners", lambda a, b: pytest.fail("intertwiners"))
+        a = Matrix.diagonal([1, 1, 2])
+        assert similar(a, conjugate(random.Random(59), a)) is True
+
     @pytest.mark.parametrize("value", [0, 3])
     def test_equal_polynomials_different_blocks(self, value):
         # same characteristic and minimal polynomial; only the chains differ

@@ -5,9 +5,9 @@ rational_roots, count_real_roots and _binomial_divisors now run on Python
 ints (primitive pseudo-remainders, exact synthetic division, integer Sturm
 chains), and _enumerate works on the monic integer transform with a memo of
 quotients.  The reference_* functions below are the Fraction versions they
-replaced, kept verbatim apart from evaluating p through a helper; every
-output is compared with them in order, and the real-root count also with
-sympy.  Analysis.count is the number of factorizations; reference_count
+replaced, kept verbatim apart from evaluating p through a helper and
+spelling Poly arithmetic with mul, pdivmod and monic; every output is
+compared with them in order, and the real-root count also with sympy.  Analysis.count is the number of factorizations; reference_count
 groups them by the real-rescaling search (_same_class and its helpers) that
 it replaced, and TestRescalingLemma checks that the search merges nothing.
 """
@@ -48,7 +48,7 @@ from nicebasis.scalars import Q, ZERO, ONE
 X = sympy.Symbol("x")
 
 
-# --- stand-ins for the Poly arithmetic that src/ no longer has ---------------
+# --- Poly arithmetic over Q for the references (src/ has none) -------------
 
 
 def mul(*polys) -> Poly:
