@@ -1,12 +1,12 @@
 """Derivation algebras and pre-Einstein diagonal derivations.
 
-The pre-Einstein derivation N of g is the unique solution of
-Tr(N D) = Tr(D) for all derivations D.  When the defining basis is nice it
-can be found inside the diagonal derivations alone, by a Gram system of int
-kernel vectors, and then certified on Der(g)_0 = ker A, the derivations
-commuting with N, which decides it for all of Der(g).  There Tr(N D) - Tr(D)
-is a functional that vanishes on ker A iff it lies in row A = (ker A)^perp
-(see pre_einstein_general_check).
+The pre-Einstein derivation N of g is the unique solution of Tr(N D) = Tr(D)
+for all derivations D.  When the defining basis is nice it can be found inside
+the diagonal derivations alone, by a Gram system of int kernel vectors, as int
+weights w over one den, N = diag(w) / den, and certified in ints on Der(g)_0 =
+ker A, the derivations commuting with N, which decides it for all of Der(g).
+There den (Tr(N D) - Tr(D)) is a functional that vanishes on ker A iff it lies
+in row A = (ker A)^perp (see pre_einstein_general_check).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import lcm, prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, apply_columns, dense, is_positive_definite, solve
+from .linalg import Matrix, Subspace, _exact, apply_columns, dense, is_positive_definite, solve
 from .nice import check_nice
 
 
@@ -75,7 +75,7 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     the Subspace is the same canonical one however the equations are scaled.
     """
     n = g.dim
-    weights = [ZERO] * n if weights is None else weights
+    weights = [0] * n if weights is None else [_exact(w, "weight") for w in weights]
     if len(weights) != n:
         raise ValueError(f"need {n} weights, one per basis vector, got {len(weights)}")
     first = {}  # weight -> its first index
@@ -128,12 +128,13 @@ def diagonal_derivations(g: LieAlgebra):
 
 
 def _entries(d, n):
-    """d, a Matrix or a sparse {(row, col): value} map, as the sparse map; an entry
-    outside the n x n matrix or a Matrix of another shape raises ValueError."""
+    """d, a Matrix or a sparse {(row, col): int or Fraction} map, as the sparse map;
+    a key outside the n x n matrix, another shape or another value raises ValueError."""
     shape = (n, n)
     if isinstance(d, Matrix):
         shape, d = (d.rows, d.cols), {(r, c): x for c, col in enumerate(d.columns)
                                       for r, x in col.items()}
+    d = {key: _exact(x, "entry") for key, x in d.items()}
     if bad := [key for key in d if not (0 <= key[0] < n and 0 <= key[1] < n)]:
         raise ValueError(f"entry {bad[0]} out of range 0..{n - 1}")
     if shape != (n, n):
@@ -163,7 +164,8 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     the (positive definite) Gram system there, then certifies the result on
     Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
     The Gram system is built from int kernel vectors (rescaling a basis leaves
-    N unchanged), so Fractions appear only in the k x k solve and in N.
+    N unchanged); its solution is cleared to ints over one den, N = diag(w) / den
+    is certified in ints, and only the k x k solve and N's view make Fractions.
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
@@ -172,11 +174,14 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     if not is_positive_definite(gram):
         raise RuntimeError("trace Gram matrix is not positive definite")
     coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
-    n_diag = dense(apply_columns(diag, dict(enumerate(coeffs))), g.dim)
-    ok, bad = pre_einstein_general_check(g, n_diag)
+    den = lcm(*[c.denominator for c in coeffs])
+    w = apply_columns(diag, {k: c.numerator * (den // c.denominator) for k, c in enumerate(coeffs)})
+    w = [w.get(i, 0) for i in range(g.dim)]
+    ok, bad = _certify(g, w, den)
     if not ok:
         raise RuntimeError(f"trace certification failed: {bad!r}")
-    return PreEinstein(Matrix.diagonal(n_diag), tuple(sorted(n_diag)))
+    m = Matrix._of(g.dim, [{i: x} if x else {} for i, x in enumerate(w)], den)
+    return PreEinstein(m, tuple(sorted(c.get(i, ZERO) for i, c in enumerate(m.columns))))
 
 
 def pre_einstein_general_check(g: LieAlgebra, n_diag):
@@ -184,7 +189,7 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
 
     Returns (True, None) or (False, counterexample) where the counterexample
     is either ("not_derivation", N) or ("trace", D) with D a derivation
-    violating Tr(ND) = Tr(D).
+    violating Tr(ND) = Tr(D).  A diagonal entry must be an int or a Fraction.
 
     The trace test runs on Der(g)_0 = derivation_space(g, w) only.  Lemma:
     if N = diag(w) is a derivation, every nonzero c_ij^k has w_k = w_i + w_j,
@@ -196,17 +201,24 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     ker A, Tr(ND) - Tr(D) = l(D) with l = sum_r (w_r - 1) D[r][r], and l
     vanishes on ker A iff l is in row A = (ker A)^perp: one Subspace.residue
     in ints.  Only if it is not is the basis built, for its first D with
-    l(D) != 0.  (pre_einstein_nice's N comes from an int Gram system.)
+    l(D) != 0.
     """
-    n_diag = [Q(x) for x in n_diag]
-    space = derivation_space(g, n_diag)  # refuses a length other than g.dim
-    if not is_derivation(g, {(i, i): x for i, x in enumerate(n_diag) if x}):
-        return False, ("not_derivation", Matrix.diagonal(n_diag))
-    gap = {space.unknowns[(r, r)]: x - 1 for r, x in enumerate(n_diag) if x != 1}
+    n_diag = [_exact(x, "diagonal entry") for x in n_diag]
+    den = lcm(*[x.denominator for x in n_diag])
+    return _certify(g, [x.numerator * (den // x.denominator) for x in n_diag], den)
+
+
+def _certify(g: LieAlgebra, w, den):
+    """pre_einstein_general_check on N = diag(w) / den, w ints, den > 0: scaling N
+    keeps its weight blocks, its derivation test and which D have den l(D) != 0."""
+    space = derivation_space(g, w)  # refuses a length other than g.dim
+    if not is_derivation(g, {(i, i): x for i, x in enumerate(w) if x}):
+        return False, ("not_derivation", Matrix.diagonal([Q(x, den) for x in w]))
+    gap = {space.unknowns[(r, r)]: x - den for r, x in enumerate(w) if x != den}
     if not space.system.residue(gap)[0]:
         return True, None
     return False, ("trace", next(d for d in space.basis
-                                 if sum((n_diag[r] - 1) * x for (r, c), x in d.items() if r == c)))
+                                 if sum((w[r] - den) * x for (r, c), x in d.items() if r == c)))
 
 
 def ln_closed_form(n: int):

@@ -617,14 +617,12 @@ def rational_roots(p: Poly):
 
 def count_real_roots(p: Poly) -> int:
     """Number of distinct real roots of p, by Sturm's theorem in integers:
-    the squarefree part (through int_gcd with p'), its derivative, then
-    negated sign-preserving pseudo-remainders down to a constant; the count
-    is the sign variations at -inf less those at +inf."""
+    primitive p, p', then negated sign-preserving pseudo-remainders down to a
+    constant, or to gcd(p, p'), which divides the whole chain and changes no
+    count; the count is the sign variations at -inf less those at +inf."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    c, g = primitive(p.coeffs), int_gcd(p.coeffs, p.derivative().coeffs)
-    if len(g) > 1:
-        c = _exact_quotient(c, g)
+    c = primitive(p.coeffs)
     chain = [c, [k * x for k, x in enumerate(c) if k]]
     while len(chain[-1]) > 1:
         chain.append([-x for x in int_prem(chain[-2], chain[-1])])

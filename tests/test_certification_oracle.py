@@ -40,10 +40,13 @@ from nicebasis.derivations import (
     pre_einstein_general_check,
     pre_einstein_nice,
     NotNiceBasis,
+    PreEinstein,
 )
 from nicebasis.graphs import GraphSpec, graph_algebra, load_graph
 from nicebasis.lie import LieAlgebra, abelian, direct_sum, load_lie
-from nicebasis.linalg import Matrix, Subspace
+from nicebasis.linalg import (Matrix, Subspace, apply_columns, dense, is_positive_definite,
+                              solve)
+from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, ONE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -261,6 +264,24 @@ def reference_zero_weight_check(g: LieAlgebra, n_diag):
         if trace_nd != trace:
             return False, ("trace", d)
     return True, None
+
+
+def reference_fraction_pre_einstein(g: LieAlgebra) -> PreEinstein:
+    """pre_einstein_nice as it stepped N in Fractions from the Gram solve to the
+    certificate, here reference_zero_weight_check: N's diagonal is the sparse
+    product of the int kernel vectors with the Fraction solution."""
+    if not check_nice(g):
+        raise NotNiceBasis("defining basis is not nice")
+    diag = derivation_space(g, range(g.dim)).system.int_kernel()
+    gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
+    if not is_positive_definite(gram):
+        raise RuntimeError("trace Gram matrix is not positive definite")
+    coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
+    n_diag = dense(apply_columns(diag, dict(enumerate(coeffs))), g.dim)
+    ok, bad = reference_zero_weight_check(g, n_diag)
+    if not ok:
+        raise RuntimeError(f"trace certification failed: {bad!r}")
+    return PreEinstein(Matrix.diagonal(n_diag), tuple(sorted(n_diag)))
 
 
 # --- the algebras -------------------------------------------------------------
@@ -608,3 +629,65 @@ class TestOneSystemPerRequest:
         want = reference_zero_weight_check(g, wrong)
         assert got[0] is False and got[1][0] == "trace"
         assert got == want and ordered(got[1][1]) == ordered(want[1][1])
+
+
+# --- N in int weights over one denominator, against the Fraction path ----------
+
+PRE_EINSTEIN = {
+    **{f"L{n}": (lambda n=n: signed_filiform((n,), 7 * n)) for n in range(3, 31)},
+    **{f"L{a}+L{b}": (lambda a=a, b=b: signed_filiform((a, b), a + b))
+       for a, b in ((3, 3), (3, 4), (4, 5), (5, 7), (6, 6), (3, 9), (10, 12))},
+    **{name: FIXTURES[name] for name in FIXTURES if name.endswith(".lie")},
+}
+
+
+class TestIntPreEinstein:
+    """pre_einstein_nice keeps N as int weights over one den from the Gram solve
+    through the int certificate; what a caller reads is the Fraction path's."""
+
+    @pytest.mark.parametrize("name", sorted(PRE_EINSTEIN))
+    def test_matrix_and_spectrum_equal_the_fraction_path(self, name):
+        g = PRE_EINSTEIN[name]()
+        try:
+            want = reference_fraction_pre_einstein(g)
+        except NotNiceBasis:
+            with pytest.raises(NotNiceBasis):
+                pre_einstein_nice(g)
+            return
+        got = pre_einstein_nice(g)
+        assert got == want and (got.matrix.num, got.matrix.den) == (want.matrix.num,
+                                                                     want.matrix.den)
+        assert repr(got) == repr(want)
+        n_diag = [got.matrix[i, i] for i in range(g.dim)]
+        assert pre_einstein_general_check(g, n_diag) == reference_zero_weight_check(g, n_diag)
+
+    def test_the_lie_fixtures_reach_both_outcomes(self):
+        nice = {name for name in PRE_EINSTEIN if name.endswith(".lie") and
+                check_nice(PRE_EINSTEIN[name]())}
+        assert "n7_extension.lie" in nice and "n6.lie" in set(PRE_EINSTEIN) - nice
+
+    @pytest.mark.parametrize("name", ["L10", "L10+L12"])
+    def test_scaled_weights_hit_the_same_space(self, name):
+        # a positive scale keeps the weight blocks, so the int certificate on (k w, k den)
+        # is served the space that (w, den) built, and decides alike
+        g = PRE_EINSTEIN[name]()
+        pe = pre_einstein_nice(g)
+        simple = len(set(pe.spectrum)) == g.dim
+        assert builds() == (1 if simple else 2)
+        den, w = pe.matrix.den, [pe.matrix.num[i].get(i, 0) for i in range(g.dim)]
+        space = derivation_space(g, w)
+        for k in (1, 2, 7):
+            assert derivation_space(g, [k * x for x in w]) is space
+            assert derivations._certify(g, [k * x for x in w], k * den) == (True, None)
+            assert derivations._certify(g, [2 * k * x for x in w], k * den)[1][0] == "trace"
+        assert builds() == (1 if simple else 2)
+
+    @pytest.mark.parametrize("name", ["L5", "L10+L12", "n7_extension.lie"])
+    def test_a_doubled_solution_fails_the_certificate(self, name, monkeypatch):
+        # 2N is a derivation that fails Tr(2N D) = Tr(D) at D = N, so a certificate
+        # that is skipped or weakened lets it through
+        g = PRE_EINSTEIN[name]()
+        real = derivations.solve
+        monkeypatch.setattr(derivations, "solve", lambda m, rhs: [2 * x for x in real(m, rhs)])
+        with pytest.raises(RuntimeError, match=r"^trace certification failed: \('trace', "):
+            pre_einstein_nice(g)

@@ -1,22 +1,33 @@
-"""The exactness contract at the Matrix boundary.
+"""The exactness contract at the Matrix and derivation boundaries.
 
 Matrix keeps int columns over one denominator and hands out Fractions only
 through its views.  An entry or a scalar factor, a vector entry, a
-right-hand side entry or a polynomial coefficient must be an int (a bool
+right-hand side entry, a polynomial coefficient, a derivation entry, a
+weight or a claimed pre-Einstein diagonal entry must be an int (a bool
 included) or a Fraction: a float is refused with a ValueError that names it,
 never stored as its binary expansion.  On integer and on rational inputs,
 every value a caller reads (the views, char_poly and minimal_polynomial,
-solve, inverse, the witness and the changed structure constants) is a
-Fraction, never an int or a float.  char_poly on the n = 8 family matrix
-creates no Fraction before its 129 coefficients.
+solve, inverse, the witness, the changed structure constants and the
+pre-Einstein matrix and spectrum) is a Fraction, never an int or a float.
+char_poly on the n = 8 family matrix creates no Fraction before its 129
+coefficients, and pre_einstein_nice on L_28 few more than its 28 entries.
 """
 
+import os
 from fractions import Fraction
 
 import pytest
 
-from nicebasis import construct_nice_basis, graph_algebra, GraphSpec
+from nicebasis import construct_nice_basis, fixtures, graph_algebra, GraphSpec
 from nicebasis.almost_abelian import build, exists_nice, indecomposable_family
+from nicebasis.derivations import (
+    derivation_space,
+    is_derivation,
+    ln_closed_form,
+    pre_einstein_general_check,
+    pre_einstein_nice,
+)
+from nicebasis.lie import load_lie
 from nicebasis.linalg import (
     Matrix,
     Poly,
@@ -26,6 +37,8 @@ from nicebasis.linalg import (
     solve,
 )
 from nicebasis.scalars import Q
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 # --- floats are refused wherever a value enters ---
@@ -59,6 +72,28 @@ def test_vectors_right_hand_sides_and_coefficients_refuse_floats(make, what):
     # each once went through Q(x): 0.1 became 3602879701896397/36028797018963968
     with pytest.raises(ValueError, match=f"^{what} is not an int or a Fraction$"):
         make()
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda g: pre_einstein_general_check(g, [0.1, 0.2, 0.3, 0.4]), "diagonal entry 0.1"),
+    (lambda g: is_derivation(g, {(0, 0): 0.5}), "entry 0.5"),
+    (lambda g: derivation_space(g).contains({(1, 1): Q(1), (0, 0): 0.5}), "entry 0.5"),
+    (lambda g: derivation_space(g, [0.1 + 0.2, 0.3, 1.0, 2.0]), "weight 0.30000000000000004"),
+], ids=["general_check", "is_derivation", "contains", "weights"])
+def test_derivation_boundaries_refuse_floats(make, what):
+    # the check once read 0.1 as 3602879701896397/36028797018963968 and answered
+    # not_derivation, is_derivation and contains raised AttributeError, and the
+    # weights put 0.1 + 0.2 and 0.3 in two blocks: dimension 2 where 3 is right
+    with pytest.raises(ValueError, match=f"^{what} is not an int or a Fraction$"):
+        make(fixtures.standard_filiform(4))
+
+
+def test_derivation_boundaries_take_ints_bools_and_fractions():
+    g = fixtures.standard_filiform(4)
+    assert len(derivation_space(g, [Q(3, 10), Q(3, 10), 1, 2])) == 3
+    assert derivation_space(g, [True, 1, Q(2), 3]) is derivation_space(g, [1, 1, 2, 3])
+    assert is_derivation(g, {(0, 0): True, (2, 2): 1, (3, 3): Q(2)})
+    assert pre_einstein_general_check(g, [1, 1, 2, 3])[1][0] == "trace"
 
 
 def test_ints_bools_and_fractions_are_taken():
@@ -147,11 +182,24 @@ def test_changed_constants_of_a_graph_algebra_are_fractions():
         fractions_only(x for comps in changed.brackets.values() for x in comps.values())
 
 
-# --- char_poly steps ints: the Fractions it makes are its coefficients ---
+@pytest.mark.parametrize("make", [fixtures.heisenberg3, lambda: fixtures.standard_filiform(7),
+                                  lambda: load_lie(os.path.join(FIXTURES, "n7_extension.lie"))],
+                         ids=["h3", "L7", "n7_extension"])
+def test_pre_einstein_matrix_and_spectrum_are_fractions(make):
+    g = make()
+    pe = pre_einstein_nice(g)
+    n = g.dim
+    fractions_only(pe.spectrum)
+    fractions_only(pe.matrix[i, j] for i in range(n) for j in range(n))
+    fractions_only(x for c in pe.matrix.columns for x in c.values())
+    assert pe.spectrum == tuple(sorted(pe.matrix[i, i] for i in range(n)))
 
 
-def test_family_char_poly_makes_only_its_coefficients(monkeypatch):
-    a = indecomposable_family(8).a
+# --- char_poly and pre_einstein_nice step ints: few Fractions are made ---
+
+
+def fractions_made(monkeypatch, f, *args):
+    """(f(*args), the number of Fractions it created)."""
     made = []
     new = Fraction.__new__
 
@@ -160,7 +208,23 @@ def test_family_char_poly_makes_only_its_coefficients(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    p = char_poly(a)
+    out = f(*args)
     monkeypatch.undo()
+    return out, len(made)
+
+
+def test_family_char_poly_makes_only_its_coefficients(monkeypatch):
+    p, made = fractions_made(monkeypatch, char_poly, indecomposable_family(8).a)
     assert p == Poly.binomial(128, 1)
-    assert len(made) <= 129
+    assert made <= 129
+
+
+def test_pre_einstein_nice_makes_few_fractions(monkeypatch):
+    # N runs as int weights over one denominator from the Gram solve through its
+    # certificate; the Fractions made are the solve's and the matrix view's, which
+    # spectrum reads (171 while N stepped in Fractions)
+    g = fixtures.standard_filiform(28)
+    pe, made = fractions_made(monkeypatch, pre_einstein_nice, g)
+    assert made <= g.dim + 10
+    d1, d2 = ln_closed_form(28)
+    assert pe.spectrum == tuple(sorted([d1, d2] + [k * d1 + d2 for k in range(1, 27)]))

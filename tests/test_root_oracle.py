@@ -283,9 +283,13 @@ def reference_count(analysis):
     return len(classes)
 
 
-def sympy_real_root_count(p: Poly) -> int:
+def sympy_poly(p: Poly) -> sympy.Poly:
     coeffs = [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(p.coeffs)]
-    return sympy.Poly(coeffs, X, domain="QQ").count_roots()
+    return sympy.Poly(coeffs, X, domain="QQ")
+
+
+def sympy_real_root_count(p: Poly) -> int:
+    return sympy_poly(p).count_roots()
 
 
 # --- inputs -----------------------------------------------------------------
@@ -297,8 +301,8 @@ random_polys = st.lists(rationals, min_size=1, max_size=8).map(Poly).filter(
 # den·x - num with zero roots and denominators above 1, and irreducible
 # quadratics with real (x^2 - 2, x^2 - 3x + 1) and complex (x^2 + 1) roots
 linear = st.builds(lambda num, den: Poly([-num, den]), st.integers(-4, 4), st.integers(1, 3))
-quadratic = st.sampled_from([Poly([-2, 0, 1]), Poly([1, 0, 1]), Poly([1, -3, 1]),
-                             Poly([3, 0, 2])])
+QUADRATICS = [Poly([-2, 0, 1]), Poly([1, 0, 1]), Poly([1, -3, 1]), Poly([3, 0, 2])]
+quadratic = st.sampled_from(QUADRATICS)
 
 
 @st.composite
@@ -326,6 +330,20 @@ class TestRootsVsFractionReference:
         got = count_real_roots(p)
         assert got == reference_count_real_roots(p)
         assert got == sympy_real_root_count(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_root_count_of_repeated_factors_vs_sympy(self, seed):
+        # the Sturm chain of a p that is not squarefree ends at gcd(p, p'), a factor of
+        # every term, so its sign variations at -inf and +inf count the distinct real
+        # roots with no division by that gcd first; sympy counts on its squarefree part
+        rng = random.Random(seed)
+        for _ in range(50):
+            p = Poly([rng.choice([Q(1), Q(-2), Q(1, 2), Q(-5, 3)])])
+            for _ in range(rng.randint(1, 4)):
+                linear_factor = Poly([rng.randint(-4, 4), rng.randint(1, 3)])
+                f = rng.choice([linear_factor, linear_factor, *QUADRATICS])
+                p = mul(p, *[f] * rng.randint(1, 3))
+            assert count_real_roots(p) == sympy_poly(p).sqf_part().count_roots()
 
     @settings(max_examples=60, deadline=None)
     @given(inputs)
@@ -368,7 +386,7 @@ class TestIntegerHelpers:
     @settings(max_examples=60, deadline=None)
     @given(inputs)
     def test_exact_quotient_by_the_gcd_with_the_derivative(self, p):
-        # the squarefree part count_real_roots runs its Sturm chain on
+        # an exact quotient in Z[x], as similar takes of phi by mu
         g = int_gcd(p.coeffs, p.derivative().coeffs)
         want = primitive(pdivmod(p, Poly(g))[0].coeffs)
         assert _exact_quotient(primitive(p.coeffs), g) == want
