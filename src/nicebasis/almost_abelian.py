@@ -299,8 +299,8 @@ def _nilpotent_chains(a: Matrix):
     kernels = kernel_chain(a)
     chains, covered = [], Subspace(n)
     for i in range(len(kernels) - 1, 0, -1):  # from the nilpotency index down
-        seen = Subspace(n, [*kernels[i - 1]._rows.values(), *covered._rows.values()])
-        for p, v in sorted(kernels[i]._rows.items()):
+        seen = Subspace(n, [*kernels[i - 1].rows.values(), *covered.rows.values()])
+        for p, v in sorted(kernels[i].rows.items()):
             if seen.add(v):
                 chain = [(v, v[p])]
                 for _ in range(i - 1):
@@ -321,8 +321,8 @@ def _cyclic_chain(squares, den, d, r, existing: Subspace):
     and the list grows as needed, so one witness squares N at most log2(n) times
     in all.  N^d is the product of the squares its binary digits select, each
     product applying one column set to the other.  The kernel is read off the
-    int rows of den^d (A^d - r) times r's denominator; its canonical basis, that
-    of Subspace.sparse_kernel, is put over one denominator, so candidates are ints.
+    int rows of den^d (A^d - r) times r's denominator; its int_kernel vectors, over
+    their free entries the canonical basis, go over one denominator: ints.
     """
     cols = squares[0]
     n = len(cols)

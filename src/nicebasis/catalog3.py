@@ -122,21 +122,14 @@ def cyclic_sign_pattern(g: LieAlgebra):
     Cyclic type: [e2,e3] = a e1, [e3,e1] = b e2, [e1,e2] = c e3, all nonzero.
     Returns None when the tensor is not of this shape.  The common-sign
     property is a monomial-map invariant separating the two simple algebras.
+    The signs are read off the int table, as den > 0.
     """
     if g.dim != 3:
         return None
-    a = g.bracket_basis(1, 2).get(0)
-    b = g.bracket_basis(2, 0).get(1)
-    c = g.bracket_basis(0, 1).get(2)
-    if not (a and b and c):
+    comps = [g.table[i].get(j, {}) for i, j in ((1, 2), (2, 0), (0, 1))]
+    if [list(c) for c in comps] != [[0], [1], [2]]:
         return None
-    if (
-        len(g.bracket_basis(1, 2)) != 1
-        or len(g.bracket_basis(2, 0)) != 1
-        or len(g.bracket_basis(0, 1)) != 1
-    ):
-        return None
-    return sign(a), sign(b), sign(c)
+    return tuple(sign(c[k]) for k, c in enumerate(comps))
 
 
 def classify3(g: LieAlgebra):
@@ -190,14 +183,16 @@ def _is_abelian_ideal(g, h):
 
 def _ad_action_matrix(g: LieAlgebra, h):
     # f = first coordinate axis outside h; A = ad_f restricted to h in the
-    # echelon basis of h (coordinates read off the pivots)
+    # reduced echelon basis of h, the int rows over their pivot entries
+    # (coordinates read off the pivots)
     f = next(i for i in range(3) if not h.contains({i: ONE}))
     cols = []
     for p in h.pivots:
-        w = g.bracket_sparse({f: ONE}, h.rows[p])
+        row = h.rows[p]
+        w = g.bracket_int(f, row)  # den [e_f, row]
         if not h.contains(w):
             raise RuntimeError("candidate subspace is not ad-invariant")
-        cols.append(tuple(w.get(q, ZERO) for q in h.pivots))
+        cols.append(tuple(Q(w.get(q, 0), g.den * row[p]) for q in h.pivots))
     return Matrix.from_columns(cols)
 
 

@@ -48,18 +48,12 @@ def _digest(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _report(args, payload, inputs=()):
-    """Assemble the common report envelope."""
-    return {
-        "command": args.subcommand,
-        "inputs": {str(p): _digest(p) for p in inputs},
-        **payload,
-    }
-
-
-def _emit(args, report, lines):
+def _emit(args, payload, lines, inputs=()):
+    """Print the text lines or, under --json, the report: the payload in the common
+    envelope of the command and the SHA-256 digest of each input file."""
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        report = {"command": args.subcommand, "inputs": {str(p): _digest(p) for p in inputs}}
+        print(json.dumps({**report, **payload}, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
@@ -103,11 +97,10 @@ def cmd_check(args):
     verdict = check_nice(g)
     lines = ["nice" if verdict.is_nice else "not nice"]
     lines += [_fmt_violation(v) for v in verdict.violations]
-    report = _report(args, {
+    _emit(args, {
         "nice": verdict.is_nice,
         "violations": [_json_violation(v) for v in verdict.violations],
-    }, [args.file])
-    _emit(args, report, lines)
+    }, lines, [args.file])
     return 0 if verdict.is_nice else 1
 
 
@@ -122,11 +115,10 @@ def cmd_pre_einstein(args):
     lines = ["diagonal " + " ".join(fmt(x) for x in diag),
              "spectrum " + " ".join(
                  f"{fmt(v)}:{m}" for v, m in sorted(pe.multiplicities().items()))]
-    report = _report(args, {
+    _emit(args, {
         "diagonal": [fmt(x) for x in diag],
         "spectrum": [[fmt(v), m] for v, m in sorted(pe.multiplicities().items())],
-    }, [args.file])
-    _emit(args, report, lines)
+    }, lines, [args.file])
     return 0
 
 
@@ -156,12 +148,11 @@ def cmd_nu_product(args):
         outcome, code = "unknown (a factor count is undetermined)", 1
     else:
         outcome, code = f"nu = {result}", 0
-    report = _report(args, {
+    _emit(args, {
         "factors": factors,
         "nu": result,
         "outcome": outcome,
-    }, args.files)
-    _emit(args, report, [outcome])
+    }, [outcome], args.files)
     return code
 
 
@@ -187,14 +178,13 @@ def cmd_aa(args):
                    for i in range(n)]
         lines.append("witness " + "; ".join(
             " ".join(row) for row in witness))
-    report = _report(args, {
+    _emit(args, {
         "exists": verdict.status,
         "reason": verdict.reason,
         "factorizations": facts,
         "nu": nu,
         "witness": witness,
-    }, [args.file])
-    _emit(args, report, lines)
+    }, lines, [args.file])
     return 0 if verdict.status == "yes" else 1
 
 
@@ -222,8 +212,7 @@ def cmd_graph(args):
         except OSError as err:
             raise UsageError(f"{args.emit_algebra}: {err}") from None
         print(f"wrote {args.emit_algebra}", file=sys.stderr)
-    report = _report(args, payload, [args.file])
-    _emit(args, report, lines)
+    _emit(args, payload, lines, [args.file])
     return 0 if ok else 1
 
 
@@ -240,8 +229,7 @@ def cmd_catalog3(args):
         param = "" if entry.parameter is None \
             else f" (parameter {fmt(entry.parameter)})"
         lines.append(f"{entry.name}{param} nu={entry.nu}")
-    report = _report(args, {"rows": rows})
-    _emit(args, report, lines)
+    _emit(args, {"rows": rows}, lines)
     return 0
 
 
@@ -252,10 +240,9 @@ def cmd_reproduce(args):
         print("%s %.2fs" % (rows[-1][0], rows[-1][3]), file=sys.stderr)
     lines = ["%s %s -- %s" % ("PASS" if ok else "FAIL", name, detail)
              for name, ok, detail, _ in rows]
-    report = _report(args, {
+    _emit(args, {
         "rows": [{"name": n, "ok": ok, "detail": d} for n, ok, d, _ in rows],
-    })
-    _emit(args, report, lines)
+    }, lines)
     return 0 if all(row[1] for row in rows) else 1
 
 

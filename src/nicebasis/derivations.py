@@ -31,9 +31,11 @@ class DerivationSpace:
 
     @cached_property
     def basis(self):
-        """Sparse {(row, col): value} maps spanning the space, built on first read."""
+        """Sparse {(row, col): value} maps spanning the space, built on first read:
+        each int_kernel vector over Q, divided by its free entry (its last)."""
         keys = list(self.unknowns)
-        return tuple({keys[v]: x for v, x in vec.items()} for vec in self.system.sparse_kernel())
+        return tuple({keys[v]: Q(x, vec[f]) for v, x in vec.items()}
+                     for vec in self.system.int_kernel() for f in [max(vec)])
 
     def __len__(self):
         return len(self.unknowns) - self.system.dim
@@ -63,8 +65,8 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
     with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
     numbered densely in row-major order, with _equations's system eliminated
-    in ints; the basis, built on first read, is sparse_kernel's canonical
-    one: a vector per free unknown, in order.  w matters only through its
+    in ints; the basis, built on first read, is the canonical one: a vector
+    per free unknown, in order, 1 there.  w matters only through its
     blocks of equal weight, labelled by their first index; the last space
     built is kept for its (g, labels), so the result is shared: read-only.
 
@@ -124,7 +126,8 @@ def _equations(g: LieAlgebra, unknowns):
 
 def diagonal_derivations(g: LieAlgebra):
     """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
-    return [dense(v, g.dim) for v in derivation_space(g, range(g.dim)).system.sparse_kernel()]
+    return [dense({i: x for (i, _), x in d.items()}, g.dim)
+            for d in derivation_space(g, range(g.dim)).basis]
 
 
 def _entries(d, n):
@@ -210,10 +213,11 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
 
 def _certify(g: LieAlgebra, w, den):
     """pre_einstein_general_check on N = diag(w) / den, w ints, den > 0: scaling N
-    keeps its weight blocks, its derivation test and which D have den l(D) != 0."""
-    space = derivation_space(g, w)  # refuses a length other than g.dim
-    if not is_derivation(g, {(i, i): x for i, x in enumerate(w) if x}):
+    keeps its weight blocks, its derivation test and which D have den l(D) != 0.
+    Der(g)_0 is built for a derivation only, or to refuse a length other than g.dim."""
+    if len(w) == g.dim and not is_derivation(g, {(i, i): x for i, x in enumerate(w) if x}):
         return False, ("not_derivation", Matrix.diagonal([Q(x, den) for x in w]))
+    space = derivation_space(g, w)
     gap = {space.unknowns[(r, r)]: x - den for r, x in enumerate(w) if x != den}
     if not space.system.residue(gap)[0]:
         return True, None

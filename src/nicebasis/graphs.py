@@ -84,8 +84,10 @@ class LyndonBasis:
 
 def lyndon_words(d, c):
     """All Lyndon words over 0..d-1 of length 1..c, by Duval's generation."""
+    if d < 0:
+        raise ValueError(f"alphabet size {d} is below 0")
     words = []
-    w = [0]
+    w = [0] if d else []
     while w:
         if len(w) <= c:
             words.append(tuple(w))
@@ -177,6 +179,9 @@ def _word_name(w):
 
 def witt_dimension(d, length):
     """Number of Lyndon words of given length over d letters (necklace count)."""
+    if d < 0 or length < 1:
+        raise ValueError(f"alphabet size {d} is below 0" if d < 0
+                         else f"length {length} is below 1")
     total = 0
     for m in _divisors(length):
         total += _mobius(m) * d ** (length // m)

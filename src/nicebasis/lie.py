@@ -8,8 +8,9 @@ builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints;
 change_basis looks up each image that is a multiple of one column.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
-a view built when first read.  Indices are 0-based in code, 1-based in the text
-format, and checked at construction; the Jacobi identity is checked by default.
+a view for output (serialize_lie), built when first read.  Indices are 0-based
+in code, 1-based in the text format, and checked at construction; the Jacobi
+identity is checked by default.
 """
 
 from __future__ import annotations
@@ -82,15 +83,6 @@ class LieAlgebra:
         return {(i, j): {k: Q(x, den) for k, x in t[i][j].items()} for i, j in self.pairs}
 
     # --- bracket evaluation ---
-
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse dict, any index order; an index outside
-        0..dim-1 raises ValueError, checked only when no bracket is found."""
-        c = self.brackets.get((i, j) if i < j else (j, i))
-        if c is None:
-            self._vector({i: ZERO, j: ZERO})
-            return {}
-        return dict(c) if i < j else {k: -x for k, x in c.items()}
 
     def _vector(self, x):
         """x, a coefficient vector of length dim or a sparse {index: value} dict, as the
@@ -172,7 +164,7 @@ class LieAlgebra:
         while True:
             prev = series[-1]
             nxt = Subspace(self.dim)
-            for v in prev._rows.values():
+            for v in prev.rows.values():
                 for i in range(self.dim):
                     nxt.add(self.bracket_int(i, v))
             series.append(nxt)
@@ -228,7 +220,7 @@ class LieAlgebra:
     def _is_ideal(self, s: Subspace):
         return all(
             s.contains(self.bracket_int(i, v))
-            for v in s._rows.values()
+            for v in s.rows.values()
             for i in range(self.dim)
         )
 

@@ -165,9 +165,9 @@ class Matrix:
         aug = Subspace(2 * n, ({**row, n + i: 1} for i, row in enumerate(rows)))
         if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
-        d = math.lcm(*[aug._rows[i][i] for i in range(n)])
-        return Matrix._of(n, [{j - n: x * self.den * (d // aug._rows[i][i]) for j, x in
-                               aug._rows[i].items() if j >= n} for i in range(n)], d).transpose()
+        d = math.lcm(*[aug.rows[i][i] for i in range(n)])
+        return Matrix._of(n, [{j - n: x * self.den * (d // aug.rows[i][i]) for j, x in
+                               aug.rows[i].items() if j >= n} for i in range(n)], d).transpose()
 
 
 def _exact(x, what):
@@ -212,50 +212,36 @@ def apply_columns(cols, vec):
 class Subspace:
     """Span of vectors in Q^ambient, kept in fully reduced echelon form.
 
-    Inside, each row is a primitive integer vector {col: int}: its entries
+    rows maps each pivot to a primitive integer vector {col: int}: its entries
     have gcd 1, its pivot entry is positive, and every other pivot column is
     zero in it.  Divided by its pivot entry it is a row of the unique reduced
-    row echelon form of the span, so the rows are canonical.  Elimination is
-    fraction-free (v <- a v - f row, then division by the gcd content, the
-    simplest form of Bareiss, Math. Comp. 1968); a vector, dense (a sequence
-    of length ambient) or sparse (a dict), is scaled to integers once by the
-    lcm of its denominators, so its entries must be ints or Q.  Q appears
-    only at the boundary: rows and sparse_kernel.
+    row echelon form of the span, so the rows are canonical; read-only.
+    Elimination is fraction-free (v <- a v - f row, then division by the gcd
+    content, the simplest form of Bareiss, Math. Comp. 1968); a vector, dense
+    (a sequence of length ambient) or sparse (a dict), is scaled to integers
+    once by the lcm of its denominators, so its entries must be ints or Q.
+    A Subspace makes no Fraction.
 
     _occ is the column index of the rows: it maps each non-pivot column to
     the set of pivots whose row is nonzero there, so a new pivot is
     eliminated from exactly the rows that hold it.
     """
 
-    __slots__ = ("ambient", "_rows", "_occ", "_view")
+    __slots__ = ("ambient", "rows", "_occ")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        self._rows = {}
+        self.rows = {}
         self._occ = {}
-        self._view = None
         for v in vectors:
             self.add(v)
 
     def copy(self):
         """An independent Subspace with the same rows, built without arithmetic."""
         s = Subspace(self.ambient)
-        s._rows = {p: dict(row) for p, row in self._rows.items()}
+        s.rows = {p: dict(row) for p, row in self.rows.items()}
         s._occ = {c: set(holders) for c, holders in self._occ.items()}
-        s._view = self._view
         return s
-
-    @property
-    def rows(self):
-        """The reduced rows over Q, {pivot: {col: value}} with pivot entry 1.
-
-        Read-only; built on first use after the span last grew.
-        """
-        if self._view is None:
-            self._view = {
-                p: {c: Q(x, row[p]) for c, x in row.items()} for p, row in self._rows.items()
-            }
-        return self._view
 
     def _entries(self, vector):
         """The (col, value) pairs of a dense or sparse vector."""
@@ -277,7 +263,7 @@ class Subspace:
             w = {c: x.numerator for c, x in v.items()}
         else:
             w = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
-        rows = self._rows
+        rows = self.rows
         for p in hits:
             row = rows[p]
             a, f = row[p], w.pop(p)
@@ -301,14 +287,14 @@ class Subspace:
         """(w, d), the unique residue of vector modulo the span as w / d: w a sparse
         dict of nonzero ints (empty iff contained), d a positive int."""
         v = {c: x for c, x in self._entries(vector) if x}
-        if self._rows.keys().isdisjoint(v) and {*map(type, v.values())} <= {int}:
+        if self.rows.keys().isdisjoint(v) and {*map(type, v.values())} <= {int}:
             return v, 1  # no pivot met and only ints: most of graph_algebra's brackets
-        return self._residue(v, [c for c in v if c in self._rows])
+        return self._residue(v, [c for c in v if c in self.rows])
 
     def add(self, vector):
         """Add a vector to the span; returns True if the dimension grew."""
         w, _ = self.residue(vector)
-        rows = self._rows
+        rows = self.rows
         if not w:
             return False
         p = min(w)
@@ -352,7 +338,6 @@ class Subspace:
             if c != p:
                 occ.setdefault(c, set()).add(p)
         rows[p] = w
-        self._view = None
         return True
 
     def contains(self, vector):
@@ -360,18 +345,18 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._rows)
+        return len(self.rows)
 
     @property
     def pivots(self):
-        return sorted(self._rows)
+        return sorted(self.rows)
 
     def int_kernel(self):
         """Canonical basis of {x : row . x = 0 for every row}, as sparse int dicts: one
         vector per free (non-pivot) column f, by f, keyed by increasing pivot, then f.
         x_f = den and x_p = -row_p[f] den / row_p[p] on the pivots p with row_p[f] != 0,
         read off the column index (all below f), den the lcm of their row_p[p]."""
-        rows, out = self._rows, []
+        rows, out = self.rows, []
         for f in range(self.ambient):
             if f not in rows:
                 hits = sorted(self._occ.get(f, ()))
@@ -379,16 +364,11 @@ class Subspace:
                 out.append({**{p: -rows[p][f] * (den // rows[p][p]) for p in hits}, f: den})
         return out
 
-    def sparse_kernel(self):
-        """int_kernel() over Q, each vector divided by its free entry: x_f = 1 and
-        x_p = -row_p[f] / row_p[p]."""
-        return [{c: Q(x, v[f]) for c, x in v.items()} for v in self.int_kernel() for f in [max(v)]]
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient == other.ambient
-            and self._rows == other._rows
+            and self.rows == other.rows
         )
 
     def __repr__(self):
@@ -402,9 +382,9 @@ def solve(m: Matrix, rhs):
     n = m.cols  # m = N / den: N x = den rhs
     aug = Subspace(n + 1, ({**row, n: m.den * _exact(b, "right-hand side entry")}
                            for row, b in zip(m.transpose().num, rhs)))
-    if n in aug._rows:
+    if n in aug.rows:
         return None
-    return dense({p: Q(row.get(n, 0), row[p]) for p, row in aug._rows.items()}, n)
+    return dense({p: Q(row.get(n, 0), row[p]) for p, row in aug.rows.items()}, n)
 
 
 def kernel_of(images) -> Subspace:
@@ -721,11 +701,11 @@ def _intertwiners(a: Matrix, b: Matrix) -> int:
     """dim {X : a X = X b}: n^2 less the rank of X -> a X - X b, whose value
     at the matrix unit E_kl is column k of a put in column l, less row l of b
     put in row k (X flattened row by row)."""
-    n, b_rows = a.rows, b.transpose().num  # in ints: b.den a.num X - a.den X b.num
+    n, rows_b = a.rows, b.transpose().num  # in ints: b.den a.num X - a.den X b.num
     images = Subspace(n * n)
     for k, l in itertools.product(range(n), repeat=2):
         v = {i * n + l: x * b.den for i, x in a.num[k].items()}
-        for j, x in b_rows[l].items():
+        for j, x in rows_b[l].items():
             v[k * n + j] = v.get(k * n + j, 0) - x * a.den
         images.add(v)
     return n * n - images.dim

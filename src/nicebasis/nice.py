@@ -82,18 +82,16 @@ class MonomialMap:
         """Does the map send tensor a to tensor b?
 
         Requirement: for all i < j,
-        sum_k cA_ijk * t_k * e_{sigma(k)}  ==  t_i t_j [e_sigma(i), e_sigma(j)]_b.
+        sum_k cA_ijk * t_k * e_{sigma(k)}  ==  t_i t_j [e_sigma(i), e_sigma(j)]_b,
+        read off the int tables, both sides times a.den b.den.
         """
-        n = a.dim
+        n, s, t = a.dim, self.sigma, self.scales
         for i in range(n):
             for j in range(i + 1, n):
                 lhs = {}
-                for k, c in a.bracket_basis(i, j).items():
-                    lhs[self.sigma[k]] = c * self.scales[k]
-                rhs = {
-                    m: self.scales[i] * self.scales[j] * c
-                    for m, c in b.bracket_basis(self.sigma[i], self.sigma[j]).items()
-                }
+                for k, c in a.table[i].get(j, {}).items():
+                    lhs[s[k]] = c * t[k] * b.den
+                rhs = {m: t[i] * t[j] * c * a.den for m, c in b.table[s[i]].get(s[j], {}).items()}
                 if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
                     return False
         return True
@@ -121,7 +119,7 @@ def monomial_equivalent(g: LieAlgebra, basis_a: Matrix, basis_b: Matrix):
 
 def _support_profile(t: LieAlgebra, i):
     """Permutation-invariant local data of index i, for pruning."""
-    as_left = sorted(len(t.bracket_basis(i, j)) for j in range(t.dim) if j != i)
+    as_left = sorted(len(t.table[i].get(j, ())) for j in range(t.dim) if j != i)
     as_target = sum(i in t.table[a][b] for a, b in t.pairs)
     return tuple(as_left), as_target
 
@@ -139,8 +137,8 @@ def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
     def pairs_ok(i):
         # every fully-assigned pair must have matching bracket supports
         for j in range(i):
-            ca = ta.bracket_basis(j, i)
-            cb = tb.bracket_basis(sigma[j], sigma[i])
+            ca = ta.table[j].get(i, {})
+            cb = tb.table[sigma[j]].get(sigma[i], {})
             if len(ca) != len(cb):
                 return False
             for k in ca:
@@ -180,9 +178,9 @@ def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
     n = ta.dim
     rows = []  # exponent-coefficient rows over the scale exponents
     factored = []  # (sign, {prime: exponent}) of each required ratio
-    for (i, j), comps in ta.brackets.items():
-        cb = tb.bracket_basis(sigma[i], sigma[j])
-        for k, ca in comps.items():
+    for i, j in ta.pairs:
+        cb = tb.table[sigma[i]].get(sigma[j], {})
+        for k, ca in ta.table[i][j].items():
             tk = sigma[k]
             if tk not in cb:
                 return None
@@ -191,7 +189,7 @@ def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
             row[j] += 1
             row[k] -= 1
             rows.append(row)
-            factored.append(factor_rat(ca / cb[tk]))
+            factored.append(factor_rat(Q(ca * tb.den, cb[tk] * ta.den)))
     if not rows:
         return MonomialMap(sigma, tuple([ONE] * n))
     primes = sorted({p for _, f in factored for p in f})

@@ -29,8 +29,8 @@ class TestBuild:
         alg = build(fixtures.matrix_c()).compiled
         assert alg.dim == 3
         # [f, X1] = 0, [f, X2] = X1
-        assert alg.bracket_basis(0, 1) == {}
-        assert alg.bracket_basis(0, 2) == {1: rat(1)}
+        assert alg.brackets.get((0, 1), {}) == {}
+        assert alg.brackets.get((0, 2), {}) == {1: rat(1)}
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -41,6 +41,7 @@ from nicebasis.linalg import (
 )
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
+from test_integer_table import q_rows, sparse_kernel
 from test_root_oracle import factorizations, mul, pdivmod
 
 X = sympy.Symbol("x")
@@ -175,7 +176,7 @@ class TestDivideBinomial:
 
 def dense_rows(s):
     """The reduced rows of the Subspace s as dense tuples, by increasing pivot."""
-    return [dense(s.rows[p], s.ambient) for p in s.pivots]
+    return [dense(q_rows(s)[p], s.ambient) for p in s.pivots]
 
 
 def reference_nilpotent_chains(a):
@@ -202,7 +203,7 @@ def reference_cyclic_chain(a, d, r, existing):
     """Cyclic chain from the dense kernel of a**d - r."""
     n = a.rows
     m = math.prod([a] * d, start=Matrix.identity(n)) - Matrix.identity(n) * r
-    kernel = [dense(v, n) for v in Subspace(n, m.transpose().num).sparse_kernel()]
+    kernel = [dense(v, n) for v in sparse_kernel(Subspace(n, m.transpose().num))]
     if len(kernel) < d:
         raise RuntimeError("factor kernel too small")
     for w in reference_candidates(kernel):
@@ -327,10 +328,10 @@ class TestCandidateOrder:
         right = Matrix([[rng.choice((0, 0, 1, -1, Q(1, 2))) for _ in range(n)]
                         for _ in range(rank)])
         m = left * right
-        kernel = Subspace(n, m.data).sparse_kernel()
+        kernel = sparse_kernel(Subspace(n, m.data))
         assert len(kernel) >= 4
         want = [sparse(w) for w in reference_candidates(
-            [dense(v, n) for v in Subspace(n, m.transpose().num).sparse_kernel()])]
+            [dense(v, n) for v in sparse_kernel(Subspace(n, m.transpose().num))])]
         got = list(almost_abelian._cyclic_candidates(kernel))
         assert got == want
         m = len(kernel)
@@ -341,9 +342,9 @@ class TestCandidateOrder:
         a = indecomposable_family(n).a
         for d, r in exists_nice(a).factorization.factors:
             m = math.prod([a] * d, start=Matrix.identity(a.rows)) - Matrix.identity(a.rows) * r
-            kernel = Subspace(a.rows, m.data).sparse_kernel()
+            kernel = sparse_kernel(Subspace(a.rows, m.data))
             want = [sparse(w) for w in reference_candidates(
-                [dense(v, a.rows) for v in Subspace(a.rows, m.transpose().num).sparse_kernel()])]
+                [dense(v, a.rows) for v in sparse_kernel(Subspace(a.rows, m.transpose().num))])]
             assert list(almost_abelian._cyclic_candidates(kernel)) == want
 
 

@@ -5,12 +5,19 @@ the definition itself, when __init__.py re-exports it, when a decorator
 defined in src/ registers it (the reproduce rows), or when ALLOWED names it
 with the reason it stays.  A name counts as referred to when a module reads
 it as a name or as an attribute, so an API that only tests call fails here.
+Only linalg.py reads the private state of a Subspace; the other modules read
+its public rows.
 """
 
 import ast
 from pathlib import Path
 
+from nicebasis.linalg import Subspace
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"
+
+# the private attributes of a Subspace; _rows was the name of its rows while private
+SUBSPACE_PRIVATE = {"_rows", *(name for name in Subspace.__slots__ if name.startswith("_"))}
 
 # name -> why it stays without a caller in src/
 ALLOWED = {
@@ -67,6 +74,22 @@ def test_every_definition_has_a_caller_in_src():
 
 def test_every_allowed_name_still_needs_its_reason():
     assert sorted(line.split()[1] for line in uncalled(allowed={})) == sorted(ALLOWED)
+
+
+def private_subspace_reads(skip="linalg.py"):
+    """module:line attribute of every read of a private Subspace attribute outside skip."""
+    return [f"{p.name}:{node.lineno} {node.attr}" for p in sorted(PACKAGE.glob("*.py"))
+            if p.name != skip for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in SUBSPACE_PRIVATE]
+
+
+def test_only_linalg_reads_private_subspace_attributes():
+    assert private_subspace_reads() == []
+
+
+def test_the_private_scan_sees_linalg():
+    assert "_occ" in SUBSPACE_PRIVATE
+    assert any(read.startswith("linalg.py:") for read in private_subspace_reads(skip=None))
 
 
 def test_the_scan_sees_the_package():

@@ -48,6 +48,7 @@ from nicebasis.linalg import (Matrix, Subspace, apply_columns, dense, is_positiv
                               solve)
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, ONE
+from test_integer_table import sparse_kernel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -71,7 +72,7 @@ def reference_derivation_space(g: LieAlgebra) -> Space:
     (pair, output coordinate).  Only nonzero brackets contribute terms, so
     assembly costs O(n^2 + n nnz).  The system is homogeneous, so it is
     assembled from g.table and eliminated in ints.
-    The basis is Subspace.sparse_kernel's canonical one: a vector per free
+    The basis is sparse_kernel's canonical one: a vector per free
     entry of D, in row-major order.
     """
     n = g.dim
@@ -100,7 +101,7 @@ def reference_derivation_space(g: LieAlgebra) -> Space:
                 for r, c in comps.items():
                     term(eq, r, m * n + j, -c)
             rows.extend(eq.values())
-    kernel = Subspace(n * n, rows).sparse_kernel()
+    kernel = sparse_kernel(Subspace(n * n, rows))
     return Space(
         n, tuple({divmod(v, n): x for v, x in vec.items()} for vec in kernel)
     )
@@ -201,7 +202,7 @@ def reference_weighted_derivation_space(g: LieAlgebra, weights=None) -> Space:
                 for r, c in comps.items():
                     term(eq, r, (m, j), -c)
             rows.extend(eq.values())
-    kernel = Subspace(len(unknowns), rows).sparse_kernel()
+    kernel = sparse_kernel(Subspace(len(unknowns), rows))
     return Space(n, tuple({unknowns[v]: x for v, x in vec.items()} for vec in kernel))
 
 
@@ -417,7 +418,7 @@ def zero_weight_part(g, weights):
     off = {(r, c) for r in range(n) for c in range(n) if weights[r] != weights[c]}
     rows = [{j: d[e] for j, d in enumerate(full) if e in d} for e in off]
     vectors = []
-    for combo in Subspace(len(full), rows).sparse_kernel():
+    for combo in sparse_kernel(Subspace(len(full), rows)):
         v = {}
         for j, a in combo.items():
             for (r, c), x in full[j].items():
@@ -509,12 +510,12 @@ class TestSameAsZeroWeightReference:
                 assert ordered(got[1][1]) == ordered(want[1][1])
 
 
-class SparseKernelCalled(AssertionError):
+class BasisBuilt(AssertionError):
     pass
 
 
-def refuse_sparse_kernel(self):
-    raise SparseKernelCalled("the kernel basis was built")
+def refuse_basis(self):
+    raise BasisBuilt("the kernel basis was built")
 
 
 def closed_form_diagonal(n):
@@ -532,14 +533,14 @@ class TestCertificationBuildsNoBasis:
     """A certification that succeeds decides the trace test by the residue alone."""
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
-    def test_certifies_with_sparse_kernel_refused(self, name, monkeypatch):
+    def test_certifies_with_the_kernel_basis_refused(self, name, monkeypatch):
         g, w = GUARDED[name]()
-        monkeypatch.setattr(Subspace, "sparse_kernel", refuse_sparse_kernel)
+        monkeypatch.setattr(DerivationSpace, "basis", property(refuse_basis))
         assert pre_einstein_general_check(g, w) == (True, None)
         if name == "L28":  # nice: the Gram solve reads int kernel vectors only
             assert pre_einstein_nice(g).spectrum == tuple(sorted(w))
         # 2w fails the trace test, and only then is the basis built
-        with pytest.raises(SparseKernelCalled):
+        with pytest.raises(BasisBuilt):
             pre_einstein_general_check(g, [2 * x for x in w])
 
     @pytest.mark.parametrize("name", sorted(GUARDED))
@@ -629,6 +630,20 @@ class TestOneSystemPerRequest:
         want = reference_zero_weight_check(g, wrong)
         assert got[0] is False and got[1][0] == "trace"
         assert got == want and ordered(got[1][1]) == ordered(want[1][1])
+
+    def test_a_diagonal_that_is_no_derivation_builds_nothing(self):
+        # the derivation test runs before Der(g)_0 is built, so the kept space stays
+        g = fixtures.standard_filiform(20)
+        pre_einstein_nice(g)
+        assert builds() == 1
+        ok, (kind, n) = pre_einstein_general_check(g, [2] * 20)
+        assert (ok, kind, n) == (False, "not_derivation", Matrix.diagonal([2] * 20))
+        assert builds() == 1
+        assert derivations._space.cache_info().currsize == 1
+        w = [pre_einstein_nice(g).matrix[i, i] for i in range(20)]
+        assert builds() == 1  # the diagonal system is still the one kept
+        assert pre_einstein_general_check(g, w) == (True, None)
+        assert builds() == 1
 
 
 # --- N in int weights over one denominator, against the Fraction path ----------

@@ -12,7 +12,7 @@ from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, free_nilpotent, graph_algebra
 from nicebasis.linalg import Matrix, Subspace, dense, sparse
 from nicebasis.scalars import Q
-from test_integer_table import reference_ideal_closure
+from test_integer_table import q_rows, reference_ideal_closure, sparse_kernel
 
 # mostly zeros, so that rank drops and sparse paths are exercised
 entries = st.one_of(st.just(Q(0)), st.just(Q(0)),
@@ -58,7 +58,7 @@ class TestSubspaceVsSympy:
         s = Subspace(m.cols, m.data)
         reduced, pivots = to_sympy(m).rref()
         assert s.pivots == list(pivots)
-        assert [dense(s.rows[p], s.ambient) for p in s.pivots] == \
+        assert [dense(q_rows(s)[p], s.ambient) for p in s.pivots] == \
             [from_sympy(reduced.row(i)) for i in range(len(pivots))]
 
     @given(matrices())
@@ -67,7 +67,7 @@ class TestSubspaceVsSympy:
 
     @given(matrices())
     def test_kernel_spans_sympy_nullspace(self, m):
-        kernel = Subspace(m.cols, m.data).sparse_kernel()
+        kernel = sparse_kernel(Subspace(m.cols, m.data))
         want = [from_sympy(v) for v in to_sympy(m).nullspace()]
         assert len(kernel) == len(want)
         assert Subspace(m.cols, kernel) == Subspace(m.cols, want)
@@ -114,11 +114,11 @@ class TestColumnIndex:
         m = to_sympy(Matrix([dense(v, n) for v in vecs]))
         reduced, pivots = m.rref()
         assert s.pivots == list(pivots)
-        assert [dense(s.rows[p], s.ambient) for p in s.pivots] == \
+        assert [dense(q_rows(s)[p], s.ambient) for p in s.pivots] == \
             [from_sympy(reduced.row(i)) for i in range(len(pivots))]
         # the canonical kernel basis is sympy's, vector for vector
         want = [from_sympy(v) for v in m.nullspace()]
-        assert [sparse(v) for v in want] == s.sparse_kernel()
+        assert [sparse(v) for v in want] == sparse_kernel(s)
 
 
 def dense_bracket(g, x, y):
@@ -167,7 +167,7 @@ def test_change_basis_matches_dense_reference(name, data):
     for i, j in itertools.combinations(range(n), 2):
         w = dense_bracket(g, p.apply(unit(n, i)), p.apply(unit(n, j)))
         want = from_sympy(pinv * sympy.Matrix([sympy.Rational(str(x)) for x in w]))
-        assert h.bracket_basis(i, j) == sparse(want)
+        assert h.brackets.get((i, j), {}) == sparse(want)
 
 
 def dense_is_derivation(g, d):
@@ -229,7 +229,8 @@ def test_generator_closure_matches_full_ideal_closure(v, c):
         g = GraphSpec.of(v, edges, c)
         non_edges = [(a, b) for a, b in itertools.combinations(range(v), 2)
                      if not g.has_edge(a, b)]
-        full = reference_ideal_closure(free, [free.bracket_basis(a, b) for a, b in non_edges])
+        full = reference_ideal_closure(free, [free.brackets.get((a, b), {})
+                                              for a, b in non_edges])
         words = graph_algebra(g)[1]
         kept = {index[w] for w in words}
         assert set(full.pivots) == set(range(free.dim)) - kept, edges

@@ -28,7 +28,7 @@ from nicebasis.linalg import Matrix, Subspace, dense, solve
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, rat
 from nicebasis import derivations, fixtures
-from test_integer_table import LIE_ALGEBRAS, rational_tables
+from test_integer_table import LIE_ALGEBRAS, bracket_basis, rational_tables, sparse_kernel
 
 
 def sympy_derivation_dim(g):
@@ -37,7 +37,7 @@ def sympy_derivation_dim(g):
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            bij = g.bracket_basis(i, j)
+            bij = bracket_basis(g, i, j)
             for k in range(n):
                 row = [0] * (n * n)
                 row[k * n + i] = row[k * n + i]
@@ -46,11 +46,11 @@ def sympy_derivation_dim(g):
                     row[k * n + m] += sympy.Rational(str(c))
                 # -[Dx_i, x_j]_k - [x_i, Dx_j]_k
                 for m in range(n):
-                    cmj = g.bracket_basis(m, j) if m < j else \
-                        {t: -c for t, c in g.bracket_basis(j, m).items()}
+                    cmj = bracket_basis(g, m, j) if m < j else \
+                        {t: -c for t, c in bracket_basis(g, j, m).items()}
                     row[m * n + i] -= sympy.Rational(str(cmj.get(k, 0)))
-                    cim = g.bracket_basis(i, m) if i < m else \
-                        {t: -c for t, c in g.bracket_basis(m, i).items()}
+                    cim = bracket_basis(g, i, m) if i < m else \
+                        {t: -c for t, c in bracket_basis(g, m, i).items()}
                     row[m * n + j] -= sympy.Rational(str(cim.get(k, 0)))
                 rows.append(row)
     # sympy's sparse field elimination; Matrix.rank takes seconds at n = 12
@@ -73,7 +73,7 @@ def dense_derivation_space(g):
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
-            cij = g.bracket_basis(i, j)
+            cij = bracket_basis(g, i, j)
             eq = {}
             for k, c in cij.items():
                 for r in range(n):
@@ -81,18 +81,18 @@ def dense_derivation_space(g):
                         eq.get(r, {}).get(var(r, k), ZERO) + c
                     )
             for m in range(n):
-                cmj = g.bracket_basis(m, j)
+                cmj = bracket_basis(g, m, j)
                 for r, c in cmj.items():
                     eq.setdefault(r, {})[var(m, i)] = (
                         eq.get(r, {}).get(var(m, i), ZERO) - c
                     )
-                cim = g.bracket_basis(i, m)
+                cim = bracket_basis(g, i, m)
                 for r, c in cim.items():
                     eq.setdefault(r, {})[var(m, j)] = (
                         eq.get(r, {}).get(var(m, j), ZERO) - c
                     )
             rows.extend(eq.values())
-    kernel = Subspace(n * n, rows).sparse_kernel()
+    kernel = sparse_kernel(Subspace(n * n, rows))
     return [Matrix([[v.get(r * n + c, ZERO) for c in range(n)] for r in range(n)])
             for v in kernel]
 
@@ -329,7 +329,7 @@ def reference_diagonal_system(g):
 
 def reference_pre_einstein_diagonal(g):
     """N's diagonal from the Gram system of the reference kernel, over Q."""
-    diag = reference_diagonal_system(g).sparse_kernel()
+    diag = sparse_kernel(reference_diagonal_system(g))
     gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
     coeffs = solve(gram, [sum(v.values()) for v in diag]) if diag else []
     return tuple(sum((c * v.get(i, 0) for c, v in zip(coeffs, diag)), ZERO)
@@ -350,7 +350,7 @@ DIAGONAL_ALGEBRAS = {
 def assert_diagonal_rule_is_the_reference(g):
     system = derivation_space(g, range(g.dim)).system
     assert system == reference_diagonal_system(g)
-    assert diagonal_derivations(g) == [dense(v, g.dim) for v in system.sparse_kernel()]
+    assert diagonal_derivations(g) == [dense(v, g.dim) for v in sparse_kernel(system)]
 
 
 class TestDiagonalSystemMatchesReference:

@@ -156,8 +156,8 @@ def test_matrix_values_are_fractions(name):
         fractions_only(x)
         assert m.apply(x) == tuple(map(Q, rhs))
     singular = Matrix([[1, 2, 3], [2, 4, 6], [Q(1, 2), 1, Q(3, 2)]])
-    kernel = Subspace(3, singular.transpose().num).sparse_kernel()
-    fractions_only(x for v in kernel for x in v.values())
+    kernel = Subspace(3, singular.transpose().num).int_kernel()  # a Subspace makes no Fraction
+    assert kernel and all(type(x) is int for v in kernel for x in v.values())
 
 
 @pytest.mark.parametrize("scale", [1, Q(1, 2)], ids=["integer", "rational"])

@@ -37,7 +37,7 @@ class TestLyndon:
         words = lyndon_words(2, 3)
         assert words == [(0,), (1,), (0, 1), (0, 0, 1), (0, 1, 1)]
 
-    @pytest.mark.parametrize("d,c", [(2, 6), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("d,c", [(2, 6), (3, 4), (4, 3), (0, 3)])
     def test_all_lyndon_and_complete(self, d, c):
         words = lyndon_words(d, c)
         assert len(set(words)) == len(words)
@@ -51,17 +51,27 @@ class TestLyndon:
         )
         assert len(words) == brute
 
-    @pytest.mark.parametrize("d,l", [(2, k) for k in range(1, 9)] + [(3, 5), (5, 4)])
+    @pytest.mark.parametrize("d,l", [(2, k) for k in range(1, 9)] + [(3, 5), (5, 4), (0, 3)])
     def test_witt_counts_lyndon_words(self, d, l):
         by_len = sum(1 for w in lyndon_words(d, l) if len(w) == l)
         assert witt_dimension(d, l) == by_len
 
-    @pytest.mark.parametrize("d,l", [(2, 12), (3, 7), (7, 3)])
+    @pytest.mark.parametrize("d,l", [(2, 12), (3, 7), (7, 3), (0, 3)])
     def test_witt_mobius_formula(self, d, l):
         expect = sum(
             sympy.mobius(l // e) * d**e for e in sympy.divisors(l)
         ) // l
         assert witt_dimension(d, l) == expect
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: lyndon_words(-1, 2), "alphabet size -1 is below 0"),
+        (lambda: witt_dimension(-2, 3), "alphabet size -2 is below 0"),
+        (lambda: witt_dimension(2, 0), "length 0 is below 1"),  # was ZeroDivisionError
+        (lambda: witt_dimension(2, -1), "length -1 is below 1"),
+    ], ids=["lyndon-negative-d", "witt-negative-d", "witt-length-0", "witt-negative-length"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
     def test_standard_factorization(self):
         u, v = standard_factorization((0, 1, 1))
@@ -89,7 +99,7 @@ class TestFreeNilpotent:
 
     def test_heisenberg_is_free(self):
         alg, basis = free_nilpotent(2, 2)
-        assert alg.bracket_basis(0, 1) == {2: 1}
+        assert alg.brackets.get((0, 1), {}) == {2: 1}
         assert alg.lower_central_series()[-1].dim == 0
 
     def test_nilpotency_class(self):
@@ -145,9 +155,9 @@ class TestGraphAlgebra:
     def test_edge_brackets_survive(self):
         g = spec(3, [(0, 1)], 2)
         alg = graph_algebra(g)[0]
-        assert alg.bracket_basis(0, 1) != {}
-        assert alg.bracket_basis(0, 2) == {}
-        assert alg.bracket_basis(1, 2) == {}
+        assert alg.brackets.get((0, 1), {}) != {}
+        assert alg.brackets.get((0, 2), {}) == {}
+        assert alg.brackets.get((1, 2), {}) == {}
 
 
 def graph_classes(v):

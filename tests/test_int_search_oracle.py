@@ -1,0 +1,296 @@
+"""The monomial search and catalog3 in ints against the Fraction code they replaced.
+
+MonomialMap.is_isomorphism, _support_profile, _monomial_search and
+_solve_scales read the int tables (table, den) of the two algebras, and
+cyclic_sign_pattern, _abelian_codim1_ideal, _is_abelian_ideal and
+_ad_action_matrix read the int table and the int Subspace rows.  The
+reference_* functions below are the versions that read the Fraction views,
+kept verbatim apart from their names and the stand-ins bracket_basis and
+q_rows for the views.  On signed, rescaled permutations of nice bases the
+search must return the same (sigma, scales), and on seeded conjugates of
+every catalog row classify3 must name that row and the helpers must agree.
+"""
+
+import functools
+import random
+
+import pytest
+
+from nicebasis import fixtures
+from nicebasis.almost_abelian import exists_nice, indecomposable_family
+from nicebasis.catalog3 import (
+    _abelian_codim1_ideal,
+    _ad_action_matrix,
+    catalog,
+    classify3,
+    cyclic_sign_pattern,
+)
+from nicebasis.graphs import GraphSpec, construct_nice_basis, graph_algebra
+from nicebasis.linalg import Matrix, Subspace, solve_integer_system
+from nicebasis.nice import MonomialMap, _monomial_search, check_nice, monomial_equivalent
+from nicebasis.scalars import Q, ZERO, ONE, factor_rat, sign
+from test_integer_table import bracket_basis, q_rows
+
+
+# --- the Fraction references -------------------------------------------------
+
+def reference_is_isomorphism(m, a, b):
+    n = a.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = {}
+            for k, c in bracket_basis(a, i, j).items():
+                lhs[m.sigma[k]] = c * m.scales[k]
+            rhs = {
+                t: m.scales[i] * m.scales[j] * c
+                for t, c in bracket_basis(b, m.sigma[i], m.sigma[j]).items()
+            }
+            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
+                return False
+    return True
+
+
+def reference_support_profile(t, i):
+    as_left = sorted(len(bracket_basis(t, i, j)) for j in range(t.dim) if j != i)
+    as_target = sum(i in t.table[a][b] for a, b in t.pairs)
+    return tuple(as_left), as_target
+
+
+def reference_monomial_search(ta, tb):
+    n = ta.dim
+    prof_a = [reference_support_profile(ta, i) for i in range(n)]
+    prof_b = [reference_support_profile(tb, i) for i in range(n)]
+    candidates = [
+        [p for p in range(n) if prof_b[p] == prof_a[i]] for i in range(n)
+    ]
+    sigma = [None] * n
+    used = [False] * n
+
+    def pairs_ok(i):
+        for j in range(i):
+            ca = bracket_basis(ta, j, i)
+            cb = bracket_basis(tb, sigma[j], sigma[i])
+            if len(ca) != len(cb):
+                return False
+            for k in ca:
+                if sigma[k] is not None and sigma[k] not in cb:
+                    return False
+        return True
+
+    def extend(i):
+        if i == n:
+            m = reference_solve_scales(ta, tb, tuple(sigma))
+            if m is not None and reference_is_isomorphism(m, ta, tb):
+                return m
+            return None
+        for p in candidates[i]:
+            if used[p]:
+                continue
+            sigma[i] = p
+            used[p] = True
+            if pairs_ok(i):
+                found = extend(i + 1)
+                if found is not None:
+                    return found
+            sigma[i] = None
+            used[p] = False
+        return None
+
+    return extend(0)
+
+
+def reference_solve_scales(ta, tb, sigma):
+    n = ta.dim
+    rows = []
+    factored = []
+    for (i, j), comps in ta.brackets.items():
+        cb = bracket_basis(tb, sigma[i], sigma[j])
+        for k, ca in comps.items():
+            tk = sigma[k]
+            if tk not in cb:
+                return None
+            row = [0] * n
+            row[i] += 1
+            row[j] += 1
+            row[k] -= 1
+            rows.append(row)
+            factored.append(factor_rat(ca / cb[tk]))
+    if not rows:
+        return MonomialMap(sigma, tuple([ONE] * n))
+    primes = sorted({p for _, f in factored for p in f})
+    systems = [(p, rows, [f.get(p, 0) for _, f in factored]) for p in primes]
+    two_eye = [row + [2 * (q == r) for q in range(len(rows))] for r, row in enumerate(rows)]
+    systems.append((-1, two_eye, [int(s < 0) for s, _ in factored]))
+    scales = [ONE] * n
+    for p, a, b in systems:
+        x = solve_integer_system(a, b)
+        if x is None:
+            return None
+        scales = [t * Q(p) ** e for t, e in zip(scales, x)]
+    return MonomialMap(sigma, tuple(scales))
+
+
+def reference_cyclic_sign_pattern(g):
+    if g.dim != 3:
+        return None
+    a = bracket_basis(g, 1, 2).get(0)
+    b = bracket_basis(g, 2, 0).get(1)
+    c = bracket_basis(g, 0, 1).get(2)
+    if not (a and b and c):
+        return None
+    if (
+        len(bracket_basis(g, 1, 2)) != 1
+        or len(bracket_basis(g, 2, 0)) != 1
+        or len(bracket_basis(g, 0, 1)) != 1
+    ):
+        return None
+    return sign(a), sign(b), sign(c)
+
+
+def reference_abelian_codim1_ideal(g, derived):
+    candidates = []
+    if derived.dim == 2:
+        candidates.append(derived)
+    if derived.dim >= 1:
+        cent = g.centralizer(q_rows(derived).values())
+        if cent.dim == 2:
+            candidates.append(cent)
+        if cent.dim == 3 and derived.dim == 1:
+            z = q_rows(derived)[derived.pivots[0]]
+            for i in range(3):
+                s = Subspace(3, [z, {i: ONE}])
+                if s.dim == 2:
+                    candidates.append(s)
+    for h in candidates:
+        if reference_is_abelian_ideal(g, h):
+            return h
+    return None
+
+
+def reference_is_abelian_ideal(g, h):
+    basis = list(q_rows(h).values())
+    for i, u in enumerate(basis):
+        for v in basis[i + 1:]:
+            if g.bracket_sparse(u, v):
+                return False
+    return g._is_ideal(h)
+
+
+def reference_ad_action_matrix(g, h):
+    f = next(i for i in range(3) if not h.contains({i: ONE}))
+    cols = []
+    for p in h.pivots:
+        w = g.bracket_sparse({f: ONE}, q_rows(h)[p])
+        if not h.contains(w):
+            raise RuntimeError("candidate subspace is not ad-invariant")
+        cols.append(tuple(w.get(q, ZERO) for q in h.pivots))
+    return Matrix.from_columns(cols)
+
+
+# --- the corpus ----------------------------------------------------------------
+
+def p4_class3():
+    spec = GraphSpec.of(4, [(0, 1), (1, 2), (2, 3)], 3)
+    return graph_algebra(spec)[0], construct_nice_basis(spec)
+
+
+def family3():
+    fam = indecomposable_family(3)
+    return fam.compiled, exists_nice(fam.a).witness
+
+
+# name -> (algebra, a nice basis of it as columns)
+NICE = {
+    "h3": lambda: (fixtures.heisenberg3(), Matrix.identity(3)),
+    "L5": lambda: (fixtures.standard_filiform(5), Matrix.identity(5)),
+    "L7": lambda: (fixtures.standard_filiform(7), Matrix.identity(7)),
+    "sl2": lambda: (fixtures.sl2(), Matrix.identity(3)),
+    "so3": lambda: (fixtures.so3(), Matrix.identity(3)),
+    "P4-class-3": p4_class3,
+    "family-3": family3,
+}
+
+
+def signed_permutation(rng, n, rescale):
+    """A monomial matrix: a seeded permutation with signs, and scales if rescale."""
+    images = list(range(n))
+    rng.shuffle(images)
+    return Matrix.from_columns([{images[j]: rng.choice((1, -1)) * (
+        Q(rng.randint(1, 4), rng.randint(1, 3)) if rescale else 1)} for j in range(n)], n)
+
+
+def as_pair(m):
+    return None if m is None else (m.sigma, m.scales)
+
+
+class TestMonomialSearch:
+    @pytest.mark.parametrize("name", sorted(NICE))
+    def test_same_maps_as_the_fraction_search(self, name):
+        g, basis = NICE[name]()
+        assert check_nice(g.change_basis(basis))
+        rng = random.Random(name)
+        for t in range(8):
+            a = basis * signed_permutation(rng, g.dim, False) if t >= 4 else basis
+            b = basis * signed_permutation(rng, g.dim, t % 2 == 0)
+            got = monomial_equivalent(g, a, b)
+            ta, tb = g.change_basis(a), g.change_basis(b)
+            assert got is not None
+            assert as_pair(got) == as_pair(reference_monomial_search(ta, tb))
+            assert got.is_isomorphism(ta, tb) and reference_is_isomorphism(got, ta, tb)
+            assert cyclic_sign_pattern(tb) == reference_cyclic_sign_pattern(tb)
+            # a map off by one scale: both tests reject it when a bracket reads it
+            k = rng.randrange(g.dim)
+            off = MonomialMap(got.sigma, tuple(2 * s if i == k else s
+                                               for i, s in enumerate(got.scales)))
+            assert off.is_isomorphism(ta, tb) == reference_is_isomorphism(off, ta, tb)
+
+    def test_the_two_sl2_bases(self):
+        g = fixtures.sl2()
+        first, second = Matrix.identity(3), Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)])
+        for a, b in ((first, second), (second, first), (second, second), (first, first)):
+            want = reference_monomial_search(g.change_basis(a), g.change_basis(b))
+            assert as_pair(monomial_equivalent(g, a, b)) == as_pair(want)
+        assert monomial_equivalent(g, first, second) is None
+
+    def test_search_and_sign_pattern_build_no_fraction_view(self):
+        g, basis = NICE["L7"]()
+        rng = random.Random(7)
+        ta, tb = g.change_basis(basis), g.change_basis(signed_permutation(rng, 7, True))
+        assert _monomial_search(ta, tb) is not None
+        assert "brackets" not in vars(ta) and "brackets" not in vars(tb)
+        for h in (fixtures.so3(), fixtures.sl2().change_basis(
+                Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)]))):
+            assert cyclic_sign_pattern(h) is not None
+            assert "brackets" not in vars(h)
+
+
+# --- catalog3 ------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=1)
+def rows():
+    return tuple(catalog())
+
+
+def invertible(rng):
+    while True:
+        m = Matrix([[Q(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(3)]
+                    for _ in range(3)])
+        if m.det() != 0:
+            return m
+
+
+class TestCatalog3:
+    @pytest.mark.parametrize("row", range(13))
+    def test_seeded_conjugates(self, row):
+        entry = rows()[row]
+        rng = random.Random(row)
+        for t in range(6):
+            g = entry.algebra.change_basis(invertible(rng)) if t else entry.algebra
+            got = classify3(g)
+            assert (got.name, got.nu, got.parameter) == (entry.name, entry.nu, entry.parameter)
+            assert cyclic_sign_pattern(g) == reference_cyclic_sign_pattern(g)
+            derived = g.derived_subalgebra()
+            if derived.dim and g.killing_form().det() == 0:  # solvable, not abelian
+                h = _abelian_codim1_ideal(g, derived)
+                assert h is not None and h == reference_abelian_codim1_ideal(g, derived)
+                assert _ad_action_matrix(g, h) == reference_ad_action_matrix(g, h)

@@ -20,6 +20,7 @@ from nicebasis.linalg import (
     dense,
 )
 from nicebasis.scalars import Q, ZERO, ONE, rat
+from test_integer_table import sparse_kernel
 from test_root_oracle import mul
 
 
@@ -118,14 +119,14 @@ class TestRref:
 
     def test_rank_nullity(self):
         m = Matrix([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-        null = [dense(v, m.cols) for v in Subspace(m.cols, m.transpose().num).sparse_kernel()]
+        null = [dense(v, m.cols) for v in sparse_kernel(Subspace(m.cols, m.transpose().num))]
         assert Subspace(m.cols, m.data).dim + len(null) == 3
         for v in null:
             assert all(x == 0 for x in m.apply(v))
 
     def test_sparse_agrees_with_dense(self):
         rows = [{0: rat(1), 2: rat(-1)}, {1: rat(2), 2: rat(2)}]
-        vecs = Subspace(3, rows).sparse_kernel()
+        vecs = sparse_kernel(Subspace(3, rows))
         assert len(vecs) == 1
         for row in rows:
             assert sum(c * vecs[0].get(j, 0) for j, c in row.items()) == 0

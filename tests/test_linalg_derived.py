@@ -30,6 +30,7 @@ from nicebasis.linalg import (
     solve,
 )
 from nicebasis.scalars import ONE, Q, ZERO
+from test_integer_table import sparse_kernel
 from test_root_oracle import monic, mul, pdivmod
 
 
@@ -247,7 +248,7 @@ class TestKernelChain:
                  else conjugate(rng, random_jordan(rng, n)))
             chain = kernel_chain(m)
             for k, term in enumerate(chain):
-                assert term == Subspace(n, Subspace(n, power(m, k).data).sparse_kernel())
+                assert term == Subspace(n, sparse_kernel(Subspace(n, power(m, k).data)))
             # the chain stops exactly where the kernels stop growing
             assert n - Subspace(n, power(m, len(chain)).data).dim == chain[-1].dim
             dims = [t.dim for t in chain]

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from nicebasis import linalg
 from nicebasis.linalg import Poly, Subspace, _convolve, _krylov, dense, sparse
 from nicebasis.scalars import Q, ZERO, ONE, fmt
+from test_integer_table import q_rows, sparse_kernel
 
 
 # --- the reference: the dense Matrix as it was, with the helpers it called ---
@@ -148,7 +149,7 @@ class Matrix:
         aug = Subspace(2 * n, ({**sparse(row), n + i: ONE} for i, row in enumerate(self.data)))
         if aug.pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Matrix([[aug.rows[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
+        return Matrix([[q_rows(aug)[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
 
 
 def _dot(a, b):
@@ -166,7 +167,7 @@ def sparse_columns(m: Matrix):
 
 def nullspace(m: Matrix):
     """Canonical kernel basis of m (column vectors as tuples)."""
-    return [dense(v, m.cols) for v in Subspace(m.cols, m.data).sparse_kernel()]
+    return [dense(v, m.cols) for v in sparse_kernel(Subspace(m.cols, m.data))]
 
 
 def solve(m: Matrix, rhs):
@@ -176,7 +177,7 @@ def solve(m: Matrix, rhs):
     if n in aug.rows:
         return None
     x = [ZERO] * n
-    for p, row in aug.rows.items():
+    for p, row in q_rows(aug).items():
         x[p] = row.get(n, ZERO)
     return tuple(x)
 
@@ -331,7 +332,7 @@ def test_det_and_inverse(n, data):
 def test_nullspace_and_solve(rows, cols, data):
     m, ref = draw_pair(data, rows, cols)
     rhs = data.draw(st.lists(entries, min_size=rows, max_size=rows))
-    kernel = Subspace(cols, m.transpose().num).sparse_kernel()  # from m's int rows
+    kernel = sparse_kernel(Subspace(cols, m.transpose().num))  # from m's int rows
     if rows:
         assert kernel == [sparse(v) for v in nullspace(ref)]
         assert linalg.solve(m, rhs) == solve(ref, rhs)

@@ -3,9 +3,9 @@
 FractionSubspace is the previous echelon core, kept verbatim as the oracle:
 it eliminates over Q with Fraction rows scaled to pivot 1.  Both are driven
 with the same vectors; after every add the canonical rows, pivots, column
-index, residues and kernels must agree, and every value handed out must be
-a Fraction, except the int residue (w, d) of Subspace.residue, which must
-be the oracle's residue times d.
+index, residues and kernels must agree.  The rows and kernel vectors are
+primitive ints, the oracle's over their pivot and free entries, and the int
+residue (w, d) of Subspace.residue must be the oracle's residue times d.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from nicebasis.linalg import Subspace, dense
 from nicebasis.scalars import Q, ZERO, ONE
+from test_integer_table import q_rows, sparse_kernel
 
 
 class FractionSubspace:
@@ -137,16 +138,16 @@ def all_fractions(values):
 
 
 def assert_same(s, ref, probes):
-    for p, row in s._rows.items():  # primitive integer rows, pivot positive
+    for p, row in s.rows.items():  # primitive integer rows, pivot positive
         assert all(type(x) is int for x in row.values())
         assert math.gcd(*row.values()) == 1 and row[p] > 0
-    assert s.rows == ref.rows
+    assert q_rows(s) == ref.rows
     assert list(s.rows) == list(ref.rows)  # pivots in the order they arrived
-    assert all(all_fractions(row.values()) for row in s.rows.values())
+    assert all(all_fractions(row.values()) for row in q_rows(s).values())
     assert s.pivots == ref.pivots
     assert s.dim == len(ref.rows)
     assert s._occ == ref._occ
-    kernel = s.sparse_kernel()
+    kernel = sparse_kernel(s)
     assert kernel == ref.sparse_kernel()
     assert [list(v) for v in kernel] == [list(v) for v in ref.sparse_kernel()]
     assert all(all_fractions(v.values()) for v in kernel)
@@ -183,14 +184,13 @@ class TestAgainstFractionSubspace:
         assert s.rows == before
         assert s == Subspace(n, vectors[:half])
 
-    def test_rows_view_is_rebuilt_after_growth_only(self):
+    def test_rows_are_the_primitive_int_rows(self):
         s = Subspace(3, [{0: 2, 1: 4}])
-        view = s.rows
-        assert view == {0: {0: ONE, 1: Q(2)}}
+        assert s.rows == {0: {0: 1, 1: 2}}
         assert not s.add({0: Q(1, 3), 1: Q(2, 3)})
-        assert s.rows is view
         assert s.add({1: 3, 2: -6})
-        assert s.rows == {0: {0: ONE, 2: Q(4)}, 1: {1: ONE, 2: Q(-2)}}
+        assert s.rows == {0: {0: 1, 2: 4}, 1: {1: 1, 2: -2}}
+        assert all(type(x) is int for row in s.rows.values() for x in row.values())
 
     def test_residue_of_entries_without_a_pivot(self):
         s = Subspace(3, [(1, 2, 0)])
