@@ -15,11 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import lcm, prod
+from math import prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _exact, apply_columns, dense, is_positive_definite, solve
+from .linalg import (Matrix, Subspace, _cleared, _exact, apply_columns, dense,
+                     is_positive_definite, solve)
 from .nice import check_nice
 
 
@@ -41,9 +42,11 @@ class DerivationSpace:
         return len(self.unknowns) - self.system.dim
 
     def contains(self, d) -> bool:
-        """Is d, a Matrix or a sparse {(row, col): value} map, in Der(g)?  See
-        _entries for what is refused."""
-        return Subspace(self.dim**2, self.basis).contains(_entries(d, self.dim))
+        """Is d, a Matrix or a sparse {(row, col): value} map, in the space?  Its int
+        entries (see _entries) must be unknowns (None: not one) where system vanishes."""
+        x = {self.unknowns.get(e): v for e, v in _entries(d, self.dim).items()}
+        return None not in x and not any(sum(c * x.get(k, 0) for k, c in row.items())
+                                         for row in self.system.rows.values())
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,13 @@ def diagonal_derivations(g: LieAlgebra):
 
 
 def _entries(d, n):
-    """d, a Matrix or a sparse {(row, col): int or Fraction} map, as the sparse map;
-    a key outside the n x n matrix, another shape or another value raises ValueError."""
+    """d, a Matrix (its num) or a sparse {(row, col): int or Fraction} map, as nonzero ints,
+    d times one positive int; a key outside n x n, another shape or value is a ValueError."""
     shape = (n, n)
     if isinstance(d, Matrix):
-        shape, d = (d.rows, d.cols), {(r, c): x for c, col in enumerate(d.columns)
+        shape, d = (d.rows, d.cols), {(r, c): x for c, col in enumerate(d.num)
                                       for r, x in col.items()}
-    d = {key: _exact(x, "entry") for key, x in d.items()}
+    d, _ = _cleared(d, "entry")
     if bad := [key for key in d if not (0 <= key[0] < n and 0 <= key[1] < n)]:
         raise ValueError(f"entry {bad[0]} out of range 0..{n - 1}")
     if shape != (n, n):
@@ -149,13 +152,10 @@ def is_derivation(g: LieAlgebra, d) -> bool:
     """Does D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j] hold on all basis pairs?
 
     d is a Matrix or a sparse {(row, col): value} map of ints or Q (_entries
-    says what is refused).  Its nonzero entries, scaled once to ints by the
-    lcm of their denominators, are the unknowns of _equations, and every
-    equation they meet must vanish there.
+    says what is refused).  Its nonzero entries, as ints over one den, are the
+    unknowns of _equations, and every equation they meet must vanish there.
     """
-    entries = {e: x for e, x in _entries(d, g.dim).items() if x}
-    den = lcm(*[x.denominator for x in entries.values()])
-    value = {e: x.numerator * (den // x.denominator) for e, x in entries.items()}
+    value = _entries(d, g.dim)
     eqs = _equations(g, {e: e for e in value})
     return not any(sum(c * value[e] for e, c in row.items()) for row in eqs.values())
 
@@ -177,8 +177,8 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     if not is_positive_definite(gram):
         raise RuntimeError("trace Gram matrix is not positive definite")
     coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
-    den = lcm(*[c.denominator for c in coeffs])
-    w = apply_columns(diag, {k: c.numerator * (den // c.denominator) for k, c in enumerate(coeffs)})
+    v, den = _cleared(dict(enumerate(coeffs)), "coefficient")
+    w = apply_columns(diag, v)
     w = [w.get(i, 0) for i in range(g.dim)]
     ok, bad = _certify(g, w, den)
     if not ok:
@@ -206,9 +206,9 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     in ints.  Only if it is not is the basis built, for its first D with
     l(D) != 0.
     """
-    n_diag = [_exact(x, "diagonal entry") for x in n_diag]
-    den = lcm(*[x.denominator for x in n_diag])
-    return _certify(g, [x.numerator * (den // x.denominator) for x in n_diag], den)
+    n_diag = dict(enumerate(n_diag))
+    w, den = _cleared(n_diag, "diagonal entry")
+    return _certify(g, [w.get(i, 0) for i in range(len(n_diag))], den)
 
 
 def _certify(g: LieAlgebra, w, den):

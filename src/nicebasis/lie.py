@@ -3,8 +3,9 @@
 A LieAlgebra is built from one int table: table[i][j] = den * [e_i, e_j] as a
 sparse dict {k: int}, for both index orders, den the lcm of the reduced
 denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
-order.  The constructor clears the denominators of a Fraction table once; the
-builders (free_nilpotent, graph_algebra, quotient, change_basis) hand over ints;
+order.  The constructor clears each bracket's values once by linalg._cleared,
+which refuses floats; the builders (free_nilpotent, graph_algebra, quotient,
+change_basis) hand over ints; the one setup puts them all over one lcm;
 change_basis looks up each image that is a multiple of one column.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
@@ -19,32 +20,31 @@ import functools
 import math
 
 from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
-from .linalg import Matrix, Subspace, _preimage_chain, dense, kernel_of, sparse
+from .linalg import Matrix, Subspace, _cleared, _preimage_chain, _vector, dense, kernel_of
 
 
 class LieAlgebra:
     def __init__(self, dim, brackets, names=None, check=True):
-        kept = {key: {k: q for k, c in comps.items() if (q := c if type(c) is Q else Q(c)) != 0}
-                for key, comps in brackets.items()}
-        den = math.lcm(*[c.denominator for comps in kept.values() for c in comps.values()])
-        rows = {key: {k: c.numerator * (den // c.denominator) for k, c in comps.items()}
-                for key, comps in kept.items()}
-        self._setup(dim, rows, den, names, check)
+        self._setup(dim, {key: _cleared(comps, "structure constant")
+                          for key, comps in brackets.items()}, 1, names, check)
 
     @classmethod
     def _from_table(cls, dim, rows, den, names=None, check=False):
-        """The algebra with [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a nonzero
-        sparse int vector, d a nonzero int, i < j: the setup gets them over the lcm of the d."""
-        lcm = math.lcm(*[d for _, d in rows.values()])
+        """The algebra that _setup makes of rows and den, for the builders."""
         g = cls.__new__(cls)
-        g._setup(dim, {key: w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
-                       for key, (w, d) in rows.items()}, den * lcm, names, check)
+        g._setup(dim, rows, den, names, check)
         return g
 
     def _setup(self, dim, rows, den, names, check):
-        """The one setup: [e_i, e_j] = rows[(i, j)] / den.  Checks the indices, keeps
-        the nonzero rows as the table, in key order, and divides den and the entries
-        by their gcd: den is the lcm of the reduced denominators, however cleared."""
+        """The one setup: [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a sparse
+        int vector, d a nonzero int.  Puts the w over the lcm of the d, checks the
+        indices, keeps the nonzero rows as the table, in key order, and divides den and
+        the entries by their gcd: den is the lcm of the reduced denominators, however
+        cleared."""
+        lcm = math.lcm(*[d for _, d in rows.values()])
+        rows = {key: w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
+                for key, (w, d) in rows.items()}
+        den *= lcm
         f = den if den == 1 else math.gcd(den, *[x for c in rows.values() for x in c.values()])
         self.dim, self.den, self.table = dim, den // f, [{} for _ in range(dim)]
         pairs = []
@@ -84,20 +84,9 @@ class LieAlgebra:
 
     # --- bracket evaluation ---
 
-    def _vector(self, x):
-        """x, a coefficient vector of length dim or a sparse {index: value} dict, as the
-        sparse dict; another length or an index outside 0..dim-1 raises ValueError."""
-        if not isinstance(x, dict):
-            if len(x) != self.dim:
-                raise ValueError(f"vector has {len(x)} entries, the algebra dimension {self.dim}")
-            return sparse(x)
-        if bad := [i for i in x if not 0 <= i < self.dim]:
-            raise ValueError(f"vector index {bad[0]} out of range 0..{self.dim - 1}")
-        return x
-
     def bracket_sparse(self, x, y):
-        """[x, y] for vectors as _vector takes them; returns a sparse dict."""
-        x, y = self._vector(x), self._vector(y)
+        """[x, y] for vectors as linalg._vector takes them; returns a sparse dict."""
+        x, y = (_vector(v, self.dim, "the algebra dimension") for v in (x, y))
         out = {}
         for i, a in x.items():
             for k, c in self.bracket_int(i, y).items():
@@ -183,7 +172,7 @@ class LieAlgebra:
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
-        vs = [self._vector(v) for v in vectors]
+        vs = [_vector(v, self.dim, "the algebra dimension") for v in vectors]
         return kernel_of([
             {(t, k): c for t, v in enumerate(vs)
              for k, c in self.bracket_int(i, v).items()}

@@ -1,8 +1,10 @@
 """Rational matrices, the sparse echelon core, and rational polynomials.
 
 A Matrix is immutable and kept as int sparse columns over one denominator,
-which products, kernels and Krylov steps read; its Fraction views are built
-when read.  One check refuses floats wherever a value enters.  Every
+which products, kernels, Krylov steps and apply read; its Fraction views are
+built when read.  Values enter the integer core by two rules, also for lie and
+derivations: _cleared puts ints or Fractions over their lcm, refusing floats
+and anything else, and _vector reads a dense or sparse vector of a length.  Every
 elimination over Q goes through Subspace, which keeps sparse integer rows in
 fully reduced form; that form is canonical, so identical input always yields
 identical output, which keeps golden-file tests stable.  The characteristic
@@ -146,11 +148,10 @@ class Matrix:
         return self.rows == self.cols
 
     def apply(self, vector):
-        """Matrix-vector product as a tuple."""
-        v = [_exact(x, "vector entry") for x in vector]
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return dense(apply_columns(self.columns, sparse(v)), self.rows)
+        """Matrix-vector product as a tuple, for a vector as _vector takes it."""
+        v, d = _cleared(_vector(vector, self.cols, "the column count"), "vector entry")
+        w, d = apply_columns(self.num, v), d * self.den
+        return tuple(Q(w.get(i, 0), d) for i in range(self.rows))
 
     def det(self):
         if not self.is_square():
@@ -177,16 +178,35 @@ def _exact(x, what):
     raise ValueError(f"{what} {x!r} is not an int or a Fraction")
 
 
+def _cleared(values, what):
+    """(w, den): the nonzero values of a dict of ints (bools included) or Fractions as
+    ints over their lcm den, w[k] = den values[k]; another value raises _exact's error.
+    The one place where a value's denominator is cleared."""
+    den = math.lcm(*[_exact(x, what).denominator for x in values.values()])
+    return {k: x.numerator * (den // x.denominator) for k, x in values.items() if x}, den
+
+
+def _vector(x, n, what):
+    """x, a sequence of length n or a sparse {index: value} dict with indices in 0..n-1,
+    as a dict, zeros kept; else ValueError, what naming n."""
+    if not isinstance(x, dict):
+        if len(x) != n:
+            raise ValueError(f"vector has {len(x)} entries, {what} {n}")
+        return dict(enumerate(x))
+    if x and not (0 <= min(x) and max(x) < n):
+        bad = next(i for i in x if not 0 <= i < n)
+        raise ValueError(f"vector index {bad} out of range 0..{n - 1}")
+    return x
+
+
 def _split(columns):
     """(num, den) of columns of (row, value) pairs, values ints or Fractions."""
-    columns = [[(i, _exact(x, "matrix entry")) for i, x in col] for col in columns]
-    den = math.lcm(*[x.denominator for col in columns for _, x in col])
-    return [{i: x.numerator * (den // x.denominator) for i, x in col if x} for col in columns], den
-
-
-def sparse(vector):
-    """Nonzero entries of a dense vector as a {index: value} dict."""
-    return {i: x for i, x in enumerate(vector) if x}
+    columns = list(columns)
+    w, den = _cleared({(i, j): x for j, col in enumerate(columns) for i, x in col}, "matrix entry")
+    num = [{} for _ in columns]
+    for (i, j), x in w.items():
+        num[j][i] = x
+    return num, den
 
 
 def dense(vec, n):
@@ -219,7 +239,8 @@ class Subspace:
     Elimination is fraction-free (v <- a v - f row, then division by the gcd
     content, the simplest form of Bareiss, Math. Comp. 1968); a vector, dense
     (a sequence of length ambient) or sparse (a dict), is scaled to integers
-    once by the lcm of its denominators, so its entries must be ints or Q.
+    once by the lcm of its denominators, so its entries must be ints or Q, and
+    a sparse index must lie in 0..ambient-1, else ValueError.
     A Subspace makes no Fraction.
 
     _occ is the column index of the rows: it maps each non-pivot column to
@@ -243,28 +264,21 @@ class Subspace:
         s._occ = {c: set(holders) for c, holders in self._occ.items()}
         return s
 
-    def _entries(self, vector):
-        """The (col, value) pairs of a dense or sparse vector."""
-        if isinstance(vector, dict):
-            return vector.items()
-        if len(vector) == self.ambient:
-            return enumerate(vector)
-        raise ValueError("vector length mismatch")
+    def residue(self, vector):
+        """(w, d), the unique residue of vector modulo the span as w / d: w a sparse
+        dict of nonzero ints (empty iff contained), d a positive int.
 
-    def _residue(self, v, hits):
-        """(w, den): the residue of v modulo the span is w / den, w integer.
-
-        v maps columns to nonzero ints or Q, and hits lists its pivot
-        columns.  Rows vanish on each other's pivots, so one pass over the
+        The vector, as _vector takes it, is scaled to ints once by _cleared;
+        rows vanish on each other's pivots, so one pass over the pivots it
         hits clears them all and creates no new ones.
         """
-        den = math.lcm(*[x.denominator for x in v.values()])
-        if den == 1:
-            w = {c: x.numerator for c, x in v.items()}
+        v = _vector(vector, self.ambient, "the ambient dimension")
+        if {*map(type, v.values())} <= {int}:  # nothing to clear, as in most calls
+            w, den = {c: x for c, x in v.items() if x}, 1
         else:
-            w = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+            w, den = _cleared(v, "vector entry")
         rows = self.rows
-        for p in hits:
+        for p in [c for c in w if c in rows]:
             row = rows[p]
             a, f = row[p], w.pop(p)
             if a != 1:
@@ -282,14 +296,6 @@ class Subspace:
                     else:
                         del w[c]
         return w, den
-
-    def residue(self, vector):
-        """(w, d), the unique residue of vector modulo the span as w / d: w a sparse
-        dict of nonzero ints (empty iff contained), d a positive int."""
-        v = {c: x for c, x in self._entries(vector) if x}
-        if self.rows.keys().isdisjoint(v) and {*map(type, v.values())} <= {int}:
-            return v, 1  # no pivot met and only ints: most of graph_algebra's brackets
-        return self._residue(v, [c for c in v if c in self.rows])
 
     def add(self, vector):
         """Add a vector to the span; returns True if the dimension grew."""
@@ -523,13 +529,9 @@ class Poly:
 def primitive(coeffs) -> list:
     """The primitive integer multiple of rational coefficients, lowest first:
     denominators cleared and the content divided out, sign kept; [] for 0."""
-    cs = list(coeffs)
-    while cs and not cs[-1]:
-        cs.pop()
-    den = math.lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = math.gcd(*ints) or 1
-    return [x // g for x in ints]
+    w, _ = _cleared(dict(enumerate(coeffs)), "polynomial coefficient")
+    g = math.gcd(*w.values()) or 1
+    return [w.get(k, 0) // g for k in range(max(w, default=-1) + 1)]
 
 
 def int_prem(a, b) -> list:
@@ -572,14 +574,13 @@ def _deflate(c, num, den):
 def rational_roots(p: Poly):
     """All rational roots of p with multiplicities, as [(root, mult)].
 
-    With denominators cleared, the candidates are ±num/den for num | a_0 and
-    den | a_n, num outermost; each is tested and divided out by exact integer
+    On the primitive integer coefficients, the candidates are ±num/den for num | a_0
+    and den | a_n, num outermost; each is tested and divided out by exact integer
     synthetic division by den·x - num.  Sorted by denominator, then value.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
-    scale = math.lcm(*(x.denominator for x in p.coeffs))
-    c = [x.numerator * (scale // x.denominator) for x in p.coeffs]
+    c = primitive(p.coeffs)
     k = next(i for i, x in enumerate(c) if x)  # x^k: the root 0
     roots, c = [(ZERO, k)] if k else [], c[k:]
     if len(c) > 1:

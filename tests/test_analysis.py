@@ -37,11 +37,10 @@ from nicebasis.linalg import (
     int_gcd,
     kernel_chain,
     minimal_polynomial,
-    sparse,
 )
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
-from test_integer_table import q_rows, sparse_kernel
+from test_integer_table import q_rows, sparse, sparse_kernel
 from test_root_oracle import factorizations, mul, pdivmod
 
 X = sympy.Symbol("x")

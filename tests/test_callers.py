@@ -6,7 +6,8 @@ defined in src/ registers it (the reproduce rows), or when ALLOWED names it
 with the reason it stays.  A name counts as referred to when a module reads
 it as a name or as an attribute, so an API that only tests call fails here.
 Only linalg.py reads the private state of a Subspace; the other modules read
-its public rows.
+its public rows.  Only linalg._cleared reads .denominator to clear
+denominators; DENOMINATOR_READS names each other read with its reason.
 """
 
 import ast
@@ -24,6 +25,16 @@ ALLOWED = {
     "inverse": "perfbench/tracing.py traces Matrix.inverse as linalg.inverse",
     "bracket": "perfbench/tracing.py counts LieAlgebra.bracket as lie.bracket",
     "quotient": "the public quotient algebra g / ideal; _quotient is its core",
+}
+
+# module:function -> why it reads .denominator itself rather than through linalg._cleared
+DENOMINATOR_READS = {
+    "linalg.py:__mul__": "the Matrix scalar product multiplies den by the scalar's",
+    "almost_abelian.py:_cyclic_chain": "r = num/den scales the power N^d by r's denominator",
+    "almost_abelian.py:_enumerate": "the monic transform L^n p(y/L) over the lcm L of p",
+    "linalg.py:rational_roots": "the sort key orders roots by denominator, then value",
+    "scalars.py:factor_rat": "factors the denominator as well as the numerator",
+    "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",
 }
 
 
@@ -96,3 +107,21 @@ def test_the_scan_sees_the_package():
     trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
     names = {name for tree in trees for name, _ in definitions(tree)}
     assert {"Matrix", "change_basis", "solve", "_exact_quotient"} <= names
+
+
+def denominator_reads():
+    """module:function of every read of .denominator in src/, by the innermost def around it."""
+    out = set()
+    for p in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "denominator":
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                name = min(around, key=lambda d: d.end_lineno - d.lineno).name if around else "-"
+                out.add(f"{p.name}:{name}")
+    return out
+
+
+def test_only_cleared_and_the_allowed_sites_read_denominators():
+    assert denominator_reads() == {"linalg.py:_cleared", *DENOMINATOR_READS}

@@ -45,8 +45,9 @@ def reference_change_basis(self, p: Matrix):
     coordinate n + j in one Subspace: w = sum x_j p_j reduces to -sum x_j e_(n+j)."""
     n = self.dim
     cols = p.columns
-    tagged = Subspace(2 * n, ({**c, n + j: ONE} for j, c in enumerate(cols)))
-    if (p.rows, p.cols) != (n, n) or tagged.pivots != list(range(n)):
+    # the shape first: the tagged Subspace refuses an index past 2n - 1
+    if (p.rows, p.cols) != (n, n) or (tagged := Subspace(2 * n, (
+            {**c, n + j: ONE} for j, c in enumerate(cols)))).pivots != list(range(n)):
         raise ValueError("change of basis needs an invertible n x n matrix")
     table = {}
     for i in range(n):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from nicebasis import fixtures
 from nicebasis.derivations import derivation_space, is_derivation
 from nicebasis.graphs import GraphSpec, free_nilpotent, graph_algebra
-from nicebasis.linalg import Matrix, Subspace, dense, sparse
+from nicebasis.linalg import Matrix, Subspace, dense
 from nicebasis.scalars import Q
-from test_integer_table import q_rows, reference_ideal_closure, sparse_kernel
+from test_integer_table import q_rows, reference_ideal_closure, sparse, sparse_kernel
 
 # mostly zeros, so that rank drops and sparse paths are exercised
 entries = st.one_of(st.just(Q(0)), st.just(Q(0)),

@@ -170,6 +170,16 @@ class TestDerivationSpace:
         # the sparse form is accepted as well
         assert space.contains({(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
         assert not space.contains({(0, 0): rat(1)})
+        assert "basis" not in space.__dict__  # contains reads the system
+
+    def test_contains_on_a_weighted_space(self):
+        g = fixtures.standard_filiform(5)
+        space = derivation_space(g, [1, 2, 3, 4, 5])  # Der(g)_0: the diagonal
+        ad_e1 = {(2, 1): 1, (3, 2): 1, (4, 3): 1}  # a derivation of weight 1, outside the blocks
+        assert is_derivation(g, ad_e1) and not space.contains(ad_e1)
+        assert space.contains({(i, i): i + 1 for i in range(5)})
+        assert not space.contains({(0, 0): 1})
+        assert "basis" not in space.__dict__
 
     @pytest.mark.parametrize("d,message", [
         ({(5, 5): 1}, r"entry \(5, 5\) out of range 0..2"),
@@ -423,12 +433,12 @@ def derivation_candidates(g):
 
 
 def assert_is_derivation_is_the_reference(g):
-    n = g.dim
+    n, space = g.dim, derivation_space(g)
     for d in derivation_candidates(g):
         want = reference_is_derivation(g, d)
         m = Matrix([[d.get((r, c), ZERO) for c in range(n)] for r in range(n)])
         assert is_derivation(g, d) == want == reference_is_derivation(g, m)
-        assert is_derivation(g, m) == want
+        assert is_derivation(g, m) == space.contains(d) == space.contains(m) == want
 
 
 class TestIsDerivationMatchesReference:

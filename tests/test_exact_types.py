@@ -27,7 +27,7 @@ from nicebasis.derivations import (
     pre_einstein_general_check,
     pre_einstein_nice,
 )
-from nicebasis.lie import load_lie
+from nicebasis.lie import LieAlgebra, load_lie
 from nicebasis.linalg import (
     Matrix,
     Poly,
@@ -49,10 +49,37 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
     lambda: Matrix.diagonal([1, 0.5]),
     lambda: Matrix.from_columns([(1, 0.25)]),
     lambda: Matrix.from_columns([{0: 0.75}], 1),
-], ids=["Matrix", "diagonal", "from_columns-dense", "from_columns-sparse"])
+    lambda: LieAlgebra(3, {(0, 1): {2: 0.1}}),
+], ids=["Matrix", "diagonal", "from_columns-dense", "from_columns-sparse", "LieAlgebra"])
 def test_constructors_refuse_floats(make):
-    with pytest.raises(ValueError, match=r"entry 0\.\d+ is not an int or a Fraction"):
+    # LieAlgebra once stored 0.1 as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=r"(entry|constant) 0\.\d+ is not an int or a Fraction"):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda s: s.add({7: 1}), "vector index 7 out of range 0..2"),
+    (lambda s: s.residue({-1: 1}), "vector index -1 out of range 0..2"),
+    (lambda s: s.add({0: 0.5}), "vector entry 0.5 is not an int or a Fraction"),
+    (lambda s: s.residue((1, 0.0, 0)), "vector entry 0.0 is not an int or a Fraction"),
+    (lambda s: s.contains((1, 0)), "vector has 2 entries, the ambient dimension 3"),
+], ids=["index", "negative-index", "float", "float-zero", "length"])
+def test_subspace_refuses_what_lies_outside_its_ambient_space(make, message):
+    # Subspace(3).add({7: 1}) once answered True, with dim 1 and 3 int_kernel
+    # vectors, and add({0: 0.5}) raised AttributeError
+    s = Subspace(3, [{0: 1}])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make(s)
+    assert s.rows == {0: {0: 1}} and len(s.int_kernel()) == 2
+
+
+def test_subspace_and_lie_algebra_take_ints_bools_and_fractions():
+    assert Subspace(3).residue({0: True, 2: Q(1, 2), 1: 0}) == ({0: 2, 2: 1}, 2)
+    assert Subspace(3).residue((0, 3, 0)) == ({1: 3}, 1)
+    g = LieAlgebra(3, {(0, 1): {2: Q(1, 2)}, (0, 2): {2: False}}, check=False)
+    assert (g.table[0], g.den) == ({1: {2: 1}}, 2)
+    with pytest.raises(ValueError, match="^structure constant '1/2' is not an int or a Fraction$"):
+        LieAlgebra(3, {(0, 1): {2: "1/2"}})
 
 
 def test_scalar_product_refuses_floats():

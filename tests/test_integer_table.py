@@ -28,7 +28,7 @@ from nicebasis import derivations, fixtures, graphs
 from nicebasis.derivations import derivation_space, is_derivation, pre_einstein_nice
 from nicebasis.graphs import GraphSpec, construct_nice_basis, free_nilpotent, graph_algebra
 from nicebasis.lie import LieAlgebra, abelian, direct_sum
-from nicebasis.linalg import Matrix, Subspace, _preimage, kernel_of, sparse
+from nicebasis.linalg import Matrix, Subspace, _preimage, kernel_of
 from nicebasis.catalog3 import catalog, classify3
 from nicebasis.nice import check_nice, monomial_equivalent
 from nicebasis.scalars import Q, ZERO, ONE
@@ -44,6 +44,11 @@ def bracket_basis(g, i, j):
 def q_rows(s):
     """The Subspace rows over Q, each over its pivot entry, as Subspace.rows gave them."""
     return {p: {c: Q(x, row[p]) for c, x in row.items()} for p, row in s.rows.items()}
+
+
+def sparse(vector):
+    """Nonzero entries of a dense vector as a {index: value} dict, as linalg.sparse gave them."""
+    return {i: x for i, x in enumerate(vector) if x}
 
 
 def sparse_kernel(s):

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicebasis import linalg
-from nicebasis.linalg import Poly, Subspace, _convolve, _krylov, dense, sparse
+from nicebasis.linalg import Poly, Subspace, _convolve, _krylov, dense
 from nicebasis.scalars import Q, ZERO, ONE, fmt
-from test_integer_table import q_rows, sparse_kernel
+from test_integer_table import q_rows, sparse, sparse_kernel
 
 
 # --- the reference: the dense Matrix as it was, with the helpers it called ---
