@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .scalars import Q, ZERO, ONE, fmt, lines, parse_int, parse_rat
+from .scalars import Q, ONE, fmt, lines, parse_int, parse_rat
 from .linalg import Matrix, Subspace, _cleared, _preimage_chain, _vector, dense, kernel_of
 
 
@@ -85,13 +85,15 @@ class LieAlgebra:
     # --- bracket evaluation ---
 
     def bracket_sparse(self, x, y):
-        """[x, y] for vectors as linalg._vector takes them; returns a sparse dict."""
-        x, y = (_vector(v, self.dim, "the algebra dimension") for v in (x, y))
+        """[x, y] for vectors of ints or Q as _vector takes them, each cleared to ints
+        x / dx and y / dy: sum x_i bracket_int(i, y) / (den dx dy), a sparse dict."""
+        (x, dx), (y, dy) = (_cleared(_vector(v, self.dim, "the algebra dimension"),
+                                     "vector entry") for v in (x, y))
         out = {}
         for i, a in x.items():
             for k, c in self.bracket_int(i, y).items():
-                out[k] = out.get(k, ZERO) + a * c
-        return {k: c / self.den for k, c in out.items() if c}
+                out[k] = out.get(k, 0) + a * c
+        return {k: Q(c, self.den * dx * dy) for k, c in out.items() if c}
 
     def bracket_int(self, i, v):
         """den * [e_i, v] for a sparse vector v of ints or Q, in v's type."""
@@ -172,7 +174,8 @@ class LieAlgebra:
 
     def centralizer(self, vectors):
         """{x : [x, v] = 0 for all v in vectors} as a Subspace."""
-        vs = [_vector(v, self.dim, "the algebra dimension") for v in vectors]
+        vs = [_cleared(_vector(v, self.dim, "the algebra dimension"), "vector entry")[0]
+              for v in vectors]  # a positive scale of v leaves the kernel as it is
         return kernel_of([
             {(t, k): c for t, v in enumerate(vs)
              for k, c in self.bracket_int(i, v).items()}

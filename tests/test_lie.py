@@ -182,8 +182,10 @@ class TestVectorsOutsideTheAlgebra:
         (lambda g: g.bracket((1, 0), (0, 1, 0)), "vector has 2 entries, the algebra dimension 3"),
         (lambda g: g.bracket_sparse({0: 1}, {7: 1}), "vector index 7 out of range 0..2"),
         (lambda g: g.bracket_sparse({-1: 1}, {0: 1}), "vector index -1 out of range 0..2"),
+        (lambda g: g.bracket((0.5, 0, 0), (0, 1, 0)), "vector entry 0.5 is not an int or a Fraction"),
+        (lambda g: g.centralizer([{0: 0.5}]), "vector entry 0.5 is not an int or a Fraction"),
     ], ids=["centralizer-dense", "centralizer-sparse", "bracket", "bracket_sparse",
-            "bracket_sparse-negative"])
+            "bracket_sparse-negative", "bracket-float", "centralizer-float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(fixtures.heisenberg3())
