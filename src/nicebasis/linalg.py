@@ -179,10 +179,15 @@ def _exact(x, what):
 
 
 def _cleared(values, what):
-    """(w, den): the nonzero values of a dict of ints (bools included) or Fractions as
-    ints over their lcm den, w[k] = den values[k]; another value raises _exact's error.
-    The one place where a value's denominator is cleared."""
-    den = math.lcm(*[_exact(x, what).denominator for x in values.values()])
+    """(w, den): the nonzero values of a dict of ints (bools included) or Fractions as ints
+    w[k] = den values[k] over their lcm den, the one place that clears; else _exact's error."""
+    types = {*map(type, values.values())}
+    if types <= {int}:  # nothing to clear, as in most calls
+        return {k: x for k, x in values.items() if x}, 1
+    if not types <= {int, bool, Q}:  # _exact refuses the first value of another type
+        for x in values.values():
+            _exact(x, what)
+    den = math.lcm(*[x.denominator for x in values.values()])
     return {k: x.numerator * (den // x.denominator) for k, x in values.items() if x}, den
 
 
@@ -200,13 +205,11 @@ def _vector(x, n, what):
 
 
 def _split(columns):
-    """(num, den) of columns of (row, value) pairs, values ints or Fractions."""
-    columns = list(columns)
-    w, den = _cleared({(i, j): x for j, col in enumerate(columns) for i, x in col}, "matrix entry")
-    num = [{} for _ in columns]
-    for (i, j), x in w.items():
-        num[j][i] = x
-    return num, den
+    """(num, den) of columns of (row, value) pairs, values ints or Fractions: each
+    column cleared by _cleared, then all put over the lcm of their denominators."""
+    cols = [_cleared(dict(col), "matrix entry") for col in columns]
+    den = math.lcm(*[d for _, d in cols])
+    return [w if d == den else {i: x * (den // d) for i, x in w.items()} for w, d in cols], den
 
 
 def dense(vec, n):
@@ -272,12 +275,10 @@ class Subspace:
         rows vanish on each other's pivots, so one pass over the pivots it
         hits clears them all and creates no new ones.
         """
-        v = _vector(vector, self.ambient, "the ambient dimension")
-        if {*map(type, v.values())} <= {int}:  # nothing to clear, as in most calls
-            w, den = {c: x for c, x in v.items() if x}, 1
-        else:
-            w, den = _cleared(v, "vector entry")
+        w, den = _cleared(_vector(vector, self.ambient, "the ambient dimension"), "vector entry")
         rows = self.rows
+        if rows.keys().isdisjoint(w):  # no pivot met: most of graph_algebra's brackets
+            return w, den
         for p in [c for c in w if c in rows]:
             row = rows[p]
             a, f = row[p], w.pop(p)
@@ -529,9 +530,14 @@ class Poly:
 def primitive(coeffs) -> list:
     """The primitive integer multiple of rational coefficients, lowest first:
     denominators cleared and the content divided out, sign kept; [] for 0."""
-    w, _ = _cleared(dict(enumerate(coeffs)), "polynomial coefficient")
-    g = math.gcd(*w.values()) or 1
-    return [w.get(k, 0) // g for k in range(max(w, default=-1) + 1)]
+    cs = list(coeffs)
+    if not {*map(type, cs)} <= {int}:  # int_prem's and int_gcd's lists need no clearing
+        w, _ = _cleared(dict(enumerate(cs)), "polynomial coefficient")
+        cs = [w.get(k, 0) for k in range(len(cs))]
+    while cs and not cs[-1]:
+        cs.pop()
+    g = math.gcd(*cs) or 1
+    return [x // g for x in cs]
 
 
 def int_prem(a, b) -> list:

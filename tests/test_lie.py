@@ -175,14 +175,15 @@ class TestIO:
 class TestVectorsOutsideTheAlgebra:
     # refused as solve refuses a right-hand side of the wrong length; before,
     # the centralizer dropped index 3, bracket read the short x and
-    # bracket_sparse answered {}
+    # bracket_sparse answered {}; bracket once answered the float 0.5
     @pytest.mark.parametrize("call,message", [
         (lambda g: g.centralizer([(0, 0, 0, 1)]), "vector has 4 entries, the algebra dimension 3"),
         (lambda g: g.centralizer([{3: 1}]), "vector index 3 out of range 0..2"),
         (lambda g: g.bracket((1, 0), (0, 1, 0)), "vector has 2 entries, the algebra dimension 3"),
         (lambda g: g.bracket_sparse({0: 1}, {7: 1}), "vector index 7 out of range 0..2"),
         (lambda g: g.bracket_sparse({-1: 1}, {0: 1}), "vector index -1 out of range 0..2"),
-        (lambda g: g.bracket((0.5, 0, 0), (0, 1, 0)), "vector entry 0.5 is not an int or a Fraction"),
+        (lambda g: g.bracket((0.5, 0, 0), (0, 1, 0)),
+         "vector entry 0.5 is not an int or a Fraction"),
         (lambda g: g.centralizer([{0: 0.5}]), "vector entry 0.5 is not an int or a Fraction"),
     ], ids=["centralizer-dense", "centralizer-sparse", "bracket", "bracket_sparse",
             "bracket_sparse-negative", "bracket-float", "centralizer-float"])
