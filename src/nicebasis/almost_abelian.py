@@ -102,9 +102,9 @@ def _binomial_divisors(p: Poly):
         classes = {}
         for k in support:
             classes.setdefault(k % d, [0] * ((len(c) - 1 - k % d) // d + 1))[k // d] = c[k]
-        g = []
+        g = None
         for cls in classes.values():
-            g = int_gcd(g, cls)
+            g = primitive(cls) if g is None else int_gcd(g, cls)
             if len(g) == 1:
                 break
         if len(g) > 1:

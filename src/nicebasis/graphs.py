@@ -72,9 +72,6 @@ class GraphSpec:
     def has_edge(self, a, b):
         return frozenset((a, b)) in self.edges
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
 
 @dataclass(frozen=True)
 class LyndonBasis:
@@ -230,8 +227,8 @@ def graph_algebra(g: GraphSpec):
     previous degree's ideal vectors (unit vectors of disconnected blocks,
     vectors added for undecided ones) bracketed with each v_a.  Kept are the
     clique blocks and the non-pivots of the undecided ones.  A kept pair
-    whose joint vertex set is disconnected brackets to 0; any other is
-    reduced by the Subspace, which leaves a clique pair's bracket unchanged.
+    whose joint vertex set is disconnected brackets to 0, a clique pair to
+    its free bracket, and only an undecided pair is reduced by the Subspace.
     Only the vertex sets of words are classified, never all 2^d subsets.
     """
     if not g.edges or g.c == 1:
@@ -241,14 +238,14 @@ def graph_algebra(g: GraphSpec):
     return _quotient(g)
 
 
-# the last quotient built: construct_nice_basis(g) right after graph_algebra(g)
-# reuses it instead of building the same quotient again
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1)  # construct_nice_basis(g) reuses graph_algebra(g)'s
 def _quotient(g: GraphSpec):
     """graph_algebra(g) for a graph with an edge, at class >= 2."""
     d, c = g.vertex_count, g.c
     free, basis = free_nilpotent(d, c)
-    nbr = [sum(1 << b for b in range(d) if g.has_edge(a, b)) for a in range(d)]
+    nbr = [0] * d
+    for a, b in g.edges:
+        nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
     support = basis.supports
     kind = {s: _block_kind(s, nbr) for s in set(support)}
     ideal = Subspace(free.dim)
@@ -261,11 +258,16 @@ def _quotient(g: GraphSpec):
                 t = s | 1 << a
                 if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal.add(w):
                     added.append((t, w))
-    pivots = set(ideal.pivots)
-    keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in pivots]
-    pairs = (p for p in free.pairs if kind[support[p[0]] | support[p[1]]] != _APART)
-    alg = free._quotient(ideal, keep, pairs, check=False)[0]
-    return alg, tuple(basis.words[i] for i in keep)
+    keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in ideal.rows]
+    pos = {orig: t for t, orig in enumerate(keep)}
+    rows = {}  # in the key order of free.pairs, which pos keeps
+    for i, j in free.pairs:
+        if i in pos and j in pos and (joint := kind[support[i] | support[j]]) != _APART:
+            w, e = (free.table[i][j], 1) if joint == _CLIQUE else ideal.residue(free.table[i][j])
+            if w:
+                rows[(pos[i], pos[j])] = {pos[t]: x for t, x in w.items()}, e
+    words = tuple(basis.words[i] for i in keep)
+    return LieAlgebra._from_table(len(keep), rows, free.den, [free.names[i] for i in keep]), words
 
 
 def nice_predicate(g: GraphSpec):
@@ -278,7 +280,7 @@ def nice_predicate(g: GraphSpec):
                 return False, "contains-3-cycle"
         return True, "triangle-free"
     if g.c == 4:
-        if all(g.degree(v) <= 1 for v in range(g.vertex_count)):
+        if len({v for e in g.edges for v in e}) == 2 * len(g.edges):  # no shared endpoint
             return True, "matching"
         return False, "contains-path-on-3-vertices"
     if g.edges:

@@ -6,7 +6,8 @@ denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
 order.  The constructor clears each bracket's values once by linalg._cleared,
 which refuses floats; the builders (free_nilpotent, graph_algebra, quotient,
 change_basis) hand over ints; the one setup puts them all over one lcm;
-change_basis looks up each image that is a multiple of one column.
+change_basis re-indexes the table for a monomial p, else looks up each image
+that is a multiple of one column.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view for output (serialize_lie), built when first read.  Indices are 0-based
@@ -185,21 +186,16 @@ class LieAlgebra:
     def quotient(self, ideal: Subspace):
         """Quotient algebra by an ideal: (algebra, project), project mapping an ambient
         vector to its coordinates on the kept indices, those that are no echelon pivot
-        of the ideal.  The nonzero brackets of two kept indices survive, in key order."""
+        of the ideal.  The nonzero brackets of two kept indices survive, reduced by
+        Subspace.residue, in key order."""
         if ideal.ambient != self.dim:
             raise ValueError(f"ideal lies in Q^{ideal.ambient}, not Q^{self.dim}")
         if not self._is_ideal(ideal):
             raise ValueError("subspace is not an ideal")
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
-        return self._quotient(ideal, keep, sorted(self.pairs), check=True)
-
-    def _quotient(self, ideal, keep, pairs, check):
-        """(algebra, project) on the indices keep: the brackets of the pairs of kept
-        indices in pairs, in that order, reduced modulo ideal; their components are
-        in the order of Subspace.residue."""
         pos = {orig: t for t, orig in enumerate(keep)}
         residues = {(pos[i], pos[j]): ({pos[k]: x for k, x in w.items()}, d)
-                    for i, j in pairs if i in pos and j in pos
+                    for i, j in sorted(self.pairs) if i in pos and j in pos
                     for w, d in [ideal.residue(self.table[i][j])] if w}
 
         def project(vector):
@@ -207,7 +203,7 @@ class LieAlgebra:
             return tuple(Q(w.get(i, 0), d) for i in keep)
 
         names = [self.names[i] for i in keep]
-        return LieAlgebra._from_table(len(keep), residues, self.den, names, check), project
+        return LieAlgebra._from_table(len(keep), residues, self.den, names, check=True), project
 
     def _is_ideal(self, s: Subspace):
         return all(
@@ -232,8 +228,20 @@ class LieAlgebra:
         With p = P / D (P = p.num), the image den D^2 [p_i, p_j] = den D sum c_k P_k is summed
         from the int table over the pairs p_ai p_bj != 0 only.  A multiple of one column P_k,
         as every image of a nice basis is, is looked up by its primitive form; the others
-        reduce to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
+        reduce to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j.
+        A monomial p, P_j = x_j e_s(j) with the s(j) distinct, is invertible as it is:
+        for t = s^-1, den [e_a, e_b] goes to the key (t a, t b) times x_ta x_tb and
+        c_k e_k to c_k / x_tk on column t k."""
         n, cols = self.dim, p.num
+        t = {a: j for j, col in enumerate(cols) for a in col if len(col) == 1}
+        if (p.rows, p.cols) == (n, n) and len(t) == n:  # each P_j is x_j e_s(j)
+            x, rows = [v for col in cols for v in col.values()], {}
+            for a, b in self.pairs:
+                i, j, comps = t[a], t[b], self.table[a][b]
+                f, m = x[i] * x[j] * (1 if i < j else -1), math.lcm(*[x[t[k]] for k in comps])
+                row = {t[k]: f * c * (m // x[t[k]]) for k, c in comps.items()}
+                rows[min(i, j), max(i, j)] = dict(sorted(row.items())), m
+            return LieAlgebra._from_table(n, dict(sorted(rows.items())), self.den * p.den)
         if (p.rows, p.cols) != (n, n) or Subspace(n, cols).dim != n:
             raise ValueError("change of basis needs an invertible n x n matrix")
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j

@@ -79,22 +79,12 @@ class MonomialMap:
     scales: tuple
 
     def is_isomorphism(self, a: LieAlgebra, b: LieAlgebra) -> bool:
-        """Does the map send tensor a to tensor b?
-
-        Requirement: for all i < j,
-        sum_k cA_ijk * t_k * e_{sigma(k)}  ==  t_i t_j [e_sigma(i), e_sigma(j)]_b,
-        read off the int tables, both sides times a.den b.den.
-        """
-        n, s, t = a.dim, self.sigma, self.scales
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = {}
-                for k, c in a.table[i].get(j, {}).items():
-                    lhs[s[k]] = c * t[k] * b.den
-                rhs = {m: t[i] * t[j] * c * a.den for m, c in b.table[s[i]].get(s[j], {}).items()}
-                if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                    return False
-        return True
+        """Does the map send tensor a to tensor b?  It does when b, in the basis
+        t_i e_sigma(i), has a's structure constants: the monomial change_basis of b,
+        whose den and int table are canonical, equals a's."""
+        p = Matrix.from_columns([{s: t} for s, t in zip(self.sigma, self.scales)], a.dim)
+        c = b.change_basis(p)
+        return (c.den, c.table) == (a.den, a.table)
 
 
 class InputBasisNotNice(ValueError):

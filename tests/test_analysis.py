@@ -7,6 +7,7 @@ factorization walk against the filtered one, the squarefree characteristic
 polynomial against the minimal-polynomial criterion, and the one-entry
 analysis cache against a fresh analysis."""
 
+import functools
 import itertools
 import math
 import random
@@ -474,9 +475,57 @@ class TestStartIndexedWalk:
         assert (len(divisions), len(reference)) == (106, 205)
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
 def mat_fixtures():
-    root = Path(__file__).resolve().parent.parent / "fixtures"
-    return [almost_abelian.load_matrix(path) for path in sorted(root.glob("*.mat"))]
+    return [almost_abelian.load_matrix(path) for path in sorted(FIXTURES.glob("*.mat"))]
+
+
+def sympy_binomial_divisors(p):
+    """_binomial_divisors by sympy: x^d - r divides p iff r is a common root of the
+    polynomials sum_m c_(j + m d) y^m of p's residue classes j mod d."""
+    y, coeffs = sympy.Symbol("y"), [sympy.Rational(x.numerator, x.denominator)
+                                    for x in map(Q, p.coeffs)]
+    divisors, irrational = [], False
+    for d in range(1, len(coeffs)):
+        classes = [sympy.Poly(list(reversed(coeffs[j::d])), y, domain=sympy.QQ)
+                   for j in range(d) if any(coeffs[j::d])]
+        g = functools.reduce(sympy.gcd, classes)
+        if g.degree() > 0:
+            real = set(sympy.real_roots(g))
+            rational = {r for r in real if r.is_Rational}
+            divisors += [(d, Q(int(r.p), int(r.q))) for r in rational if r]
+            irrational |= len(real) > len(rational)
+    return sorted(divisors), irrational
+
+
+class TestBinomialDivisorsVsSympy:
+    """Each degree's gcd starts from its first residue class, with one primitive
+    call, not from the empty list: the divisors and the flag stay sympy's."""
+
+    @pytest.fixture
+    def gcds_from_empty(self, monkeypatch):
+        empty = []
+
+        def counted(a, b):
+            if not a:
+                empty.append(b)
+            return int_gcd(a, b)
+
+        monkeypatch.setattr(almost_abelian, "int_gcd", counted)
+        return empty
+
+    @pytest.mark.parametrize("a", [indecomposable_family(n).a for n in range(2, 9)]
+                             + mat_fixtures(), ids=[f"family-{n}" for n in range(2, 9)]
+                             + [path.stem for path in sorted(FIXTURES.glob("*.mat"))])
+    def test_family_and_fixtures(self, gcds_from_empty, a):
+        q = Poly(char_poly(a).coeffs)
+        q = Poly(q.coeffs[next(k for k, c in enumerate(q.coeffs) if c):])
+        if q.degree == 0:
+            return
+        assert _binomial_divisors(q) == sympy_binomial_divisors(q)
+        assert gcds_from_empty == []
 
 
 def small_corpus():

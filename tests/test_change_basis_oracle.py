@@ -11,9 +11,13 @@ column replaced by its sum with a neighbour, where some images hit and some
 miss, and nice bases with columns scaled by negative and fractional factors,
 where every image hits.  It must return the same table, with the same key
 order, the same values and every value a Fraction, and refuse the same
-matrices with the same message, whether an image missed or not.
+matrices with the same message, whether an image missed or not.  A monomial
+p (one nonzero per column, in distinct rows) skips both, so random signed,
+rationally scaled permutations are run too, and monomial-shaped matrices
+with two columns on one row or a zero column must still be refused.
 """
 
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from nicebasis import (
     catalog,
     construct_nice_basis,
     fixtures,
+    free_nilpotent,
     graph_algebra,
     indecomposable_family,
     load_lie,
@@ -186,6 +191,10 @@ class TestRationalTables:
 h3 = fixtures.heisenberg3  # [e1, e2] = e3
 
 REFUSED = {
+    # monomial-shaped: one entry per column, but two columns on row 0 (row 1 empty)
+    "monomial-two-on-one-row": (h3, Matrix.from_columns([{0: 1}, {0: -2}, {2: 1}], 3)),
+    "monomial-two-on-one-row-rational": (RATIONAL["sl2/2,3"], Matrix.from_columns(
+        [{2: Q(1, 2)}, {1: 3}, {2: Q(-2, 7)}], 3)),
     "3x2": (h3, Matrix([[1, 0], [0, 1], [0, 0]])),
     "2x3": (h3, Matrix([[1, 0, 0], [0, 1, 0]])),
     "4x4": (h3, Matrix.identity(4)),
@@ -297,3 +306,46 @@ def test_negative_and_fractional_multiples_hit(monkeypatch):
     assert any(x < 0 and x.denominator > 1 for x in values)
     assert any(x > 0 and x.denominator > 1 for x in values)
 
+
+
+# --- the monomial branch -------------------------------------------------------
+
+NUMERATORS, DENOMINATORS = (1, 2, 3, 5), (1, 2, 3, 7)
+
+
+def random_monomial(n, rng):
+    """A random permutation of the rows, column j scaled by +-a/b, a in 1, 2, 3, 5 and
+    b in 1, 2, 3, 7."""
+    rows = rng.sample(range(n), n)
+    return Matrix.from_columns([{rows[j]: Q(rng.choice((-1, 1)) * rng.choice(NUMERATORS),
+                                            rng.choice(DENOMINATORS))} for j in range(n)], n)
+
+
+MONOMIAL_ALGEBRAS = {
+    **{path.stem: lambda path=path: load_lie(path) for path in LIE_FILES},
+    **{f"graph-v{g.vertex_count}e{len(g.edges)}c{g.c}": lambda g=g: graph_algebra(g)[0]
+       for g in (GRAPHS[0], GRAPHS[4], GRAPHS[6])},
+    "free-3-3": lambda: free_nilpotent(3, 3)[0],
+    **RATIONAL,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_ALGEBRAS))
+def test_random_signed_scaled_permutations(monkeypatch, name):
+    g = MONOMIAL_ALGEBRAS[name]()
+    rng = random.Random(name)
+    for _ in range(10):
+        p = random_monomial(g.dim, rng)
+        got, missed = images_missed(monkeypatch, g, p)
+        assert missed == 0
+        assert all(list(comps) == sorted(comps) for comps in got.brackets.values())
+        assert got.den == reference_change_basis(g, p).den
+        assert_rebuilds(got)
+
+
+def test_monomial_shaped_refusals_are_monomial_shaped():
+    for name in ("monomial-two-on-one-row", "monomial-two-on-one-row-rational",
+                 "zero-column", "zero-column-rational"):
+        _, p = REFUSED[name]
+        assert all(len(col) <= 1 for col in p.num)
+        assert len({i for col in p.num for i in col}) < p.cols

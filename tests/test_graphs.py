@@ -22,8 +22,10 @@ from nicebasis import (
     standard_factorization,
     witt_dimension,
 )
+from nicebasis.linalg import Subspace
 from nicebasis.scalars import DIMENSION_CAP
-from test_integer_table import assert_rebuilds
+from test_integer_table import (SEEDED_GRAPHS, assert_rebuilds, assert_same_algebra,
+                                reference_graph_algebra)
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -289,6 +291,57 @@ class TestQuotientMemo:
         # the memo now holds the other spec, so g is built again
         assert graph_algebra(g)[0] is not alg
         assert len(builds) == 3
+
+
+class TestQuotientWork:
+    """The eliminations graph_algebra makes, counted: Subspace.residue runs once
+    per Subspace.add of the ideal closure and once per kept pair whose joint
+    vertex set is undecided (connected, no clique), on its free bracket, and
+    never on a clique pair, whose bracket the ideal cannot meet."""
+
+    @staticmethod
+    def kept_pairs(g, words):
+        """The free algebra, and the free pairs of kept words split by the kind of
+        their joint vertex set: (clique pairs, undecided pairs)."""
+        free, basis = free_nilpotent(g.vertex_count, g.c)
+        index = {w: i for i, w in enumerate(basis.words)}
+        kept = {index[w] for w in words}
+        clique, undecided = [], []
+        for i, j in free.pairs:
+            s = set(basis.words[i]) | set(basis.words[j])
+            if i in kept and j in kept and connected(g, s):
+                is_clique = all(g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
+                (clique if is_clique else undecided).append((i, j))
+        return free, clique, undecided
+
+    @pytest.mark.parametrize("n,edges,c", SEEDED_GRAPHS)
+    def test_residues_only_on_undecided_pairs(self, monkeypatch, n, edges, c):
+        g = spec(n, edges, c)
+        free_nilpotent(n, c)  # built, and cached, before the count
+        graphs._quotient.cache_clear()
+        residues, adds = [], []
+        residue, add = Subspace.residue, Subspace.add
+
+        def counted_residue(self, vector):
+            residues.append(vector)
+            return residue(self, vector)
+
+        def counted_add(self, vector):
+            adds.append(vector)
+            return add(self, vector)
+
+        monkeypatch.setattr(Subspace, "residue", counted_residue)
+        monkeypatch.setattr(Subspace, "add", counted_add)
+        alg, words = graph_algebra(g)
+        monkeypatch.undo()
+        free, clique, undecided = self.kept_pairs(g, words)
+        assert clique
+        assert len(residues) == len(adds) + len(undecided)
+        direct = [v for v in residues if not any(v is a for a in adds)]
+        assert all(v is free.table[i][j] for v, (i, j) in zip(direct, undecided, strict=True))
+        ref, ref_words = reference_graph_algebra(g)
+        assert words == ref_words
+        assert_same_algebra(alg, ref)
 
 
 class TestNicePredicate:

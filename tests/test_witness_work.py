@@ -4,11 +4,14 @@ For indecomposable_family(n), n = 3..7, A is invertible (its characteristic
 polynomial x^(2^(n-1)) - 1 has no x-power), so _witness_basis builds no
 Jordan chains and never calls kernel_chain.  Each cyclic chain is eliminated
 once, in the trial span that _cyclic_chain returns: every chain vector is
-added to a span of Q^size exactly once.  In the nice witness basis, and in
-the identity that construct_nice_basis returns, every image of change_basis
-is a multiple of one column, so no image is reduced: the only Subspace
-residues are the n additions that show the columns independent, and no
-tagged Subspace of Q^(2n) is built.
+added to a span of Q^size exactly once.  In a nice witness basis every image
+of change_basis is a multiple of one column, so no image is reduced: the
+only Subspace residues are the n additions that show the columns
+independent, and no tagged Subspace of Q^(2n) is built.  A monomial basis
+(one nonzero per column, in distinct rows), as the last family witness and
+the identity that construct_nice_basis returns, is invertible as it stands
+and takes no Subspace at all; a sheared identity, not monomial, takes the
+n additions again.
 """
 
 import math
@@ -18,7 +21,7 @@ import pytest
 from nicebasis import GraphSpec, construct_nice_basis, graph_algebra
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import _witness_basis, analyze, build, indecomposable_family
-from nicebasis.linalg import Subspace
+from nicebasis.linalg import Matrix, Subspace
 
 
 def direction(v):
@@ -69,21 +72,31 @@ def test_family_witness_eliminates_each_chain_vector_once(monkeypatch, n):
 
 
 def images_reduced(monkeypatch, alg, p):
-    """change_basis(p), and the ambients of the Subspace residues it takes."""
+    """change_basis(p), the ambients of the Subspace residues it takes and the
+    number of its Subspace additions."""
     residues = recording(monkeypatch, "residue")
+    adds = recording(monkeypatch, "add")
     changed = alg.change_basis(p)
     monkeypatch.undo()
-    return changed, [s.ambient for s, _ in residues]
+    return changed, [s.ambient for s, _ in residues], len(adds)
+
+
+def is_monomial(p):
+    return all(len(col) == 1 for col in p.num) and len({i for col in p.num for i in col}) == p.cols
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_family_witness_images_are_looked_up(monkeypatch, n):
     a = indecomposable_family(n).a
     compiled = build(a).compiled
-    for fact in analyze(a).factorizations:
+    dim = compiled.dim
+    facts = analyze(a).factorizations
+    monomial = [is_monomial(_witness_basis(a, fact)) for fact in facts]
+    assert monomial == [False] * (n - 1) + [True]
+    for fact, plain in zip(facts, monomial):
         witness = _witness_basis(a, fact)
-        _, ambients = images_reduced(monkeypatch, compiled, witness)
-        assert ambients == [compiled.dim] * compiled.dim
+        _, ambients, adds = images_reduced(monkeypatch, compiled, witness)
+        assert (ambients, adds) == (([], 0) if plain else ([dim] * dim, dim))
 
 
 GRAPHS = [
@@ -98,6 +111,19 @@ def test_graph_identity_images_are_looked_up(monkeypatch, spec):
     alg = graph_algebra(spec)[0]
     p = construct_nice_basis(spec)
     assert p is not None and p.is_square() and p.rows == alg.dim
-    changed, ambients = images_reduced(monkeypatch, alg, p)
-    assert ambients == [alg.dim] * alg.dim
+    changed, ambients, adds = images_reduced(monkeypatch, alg, p)
+    assert (ambients, adds) == ([], 0)
+    assert changed.brackets == alg.brackets
+
+
+@pytest.mark.parametrize("spec", GRAPHS, ids=lambda g: f"v{g.vertex_count}e{len(g.edges)}c{g.c}")
+def test_graph_sheared_identity_images_are_looked_up(monkeypatch, spec):
+    # v1 + z for the last word z, central at the top class: the brackets stay as
+    # they are and the basis stays nice, but it is not monomial
+    alg = graph_algebra(spec)[0]
+    n = alg.dim
+    p = Matrix.from_columns([{0: 1, n - 1: 1}] + [{j: 1} for j in range(1, n)], n)
+    assert not is_monomial(p)
+    changed, ambients, adds = images_reduced(monkeypatch, alg, p)
+    assert (ambients, adds) == ([n] * n, n)
     assert changed.brackets == alg.brackets
