@@ -277,7 +277,7 @@ class Subspace:
         """
         w, den = _cleared(_vector(vector, self.ambient, "the ambient dimension"), "vector entry")
         rows = self.rows
-        if rows.keys().isdisjoint(w):  # no pivot met: most of graph_algebra's brackets
+        if rows.keys().isdisjoint(w):  # no pivot met: most of graph_algebra's calls
             return w, den
         for p in [c for c in w if c in rows]:
             row = rows[p]

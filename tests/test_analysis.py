@@ -520,8 +520,7 @@ class TestBinomialDivisorsVsSympy:
                              + mat_fixtures(), ids=[f"family-{n}" for n in range(2, 9)]
                              + [path.stem for path in sorted(FIXTURES.glob("*.mat"))])
     def test_family_and_fixtures(self, gcds_from_empty, a):
-        q = Poly(char_poly(a).coeffs)
-        q = Poly(q.coeffs[next(k for k, c in enumerate(q.coeffs) if c):])
+        q = almost_abelian._squarefree_part(char_poly(a))[0]  # what analyze passes
         if q.degree == 0:
             return
         assert _binomial_divisors(q) == sympy_binomial_divisors(q)

@@ -24,7 +24,7 @@ SUBSPACE_PRIVATE = {"_rows", *(name for name in Subspace.__slots__ if name.start
 ALLOWED = {
     "inverse": "perfbench/tracing.py traces Matrix.inverse as linalg.inverse",
     "bracket": "perfbench/tracing.py counts LieAlgebra.bracket as lie.bracket",
-    "quotient": "the public quotient algebra g / ideal; _quotient is its core",
+    "quotient": "the public quotient algebra g / ideal, with its ideal and Jacobi checks",
 }
 
 # module:function -> why it reads .denominator itself rather than through linalg._cleared
