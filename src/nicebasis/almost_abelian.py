@@ -116,6 +116,8 @@ def _binomial_divisors(p: Poly):
     return sorted(divisors), irrational
 
 
+# Kept apart from linalg._divide: it is _enumerate's inner loop, and the general
+# division took 1.6-2.3x as long per call on x^16 - 1 by x^d - 1, d < 16.
 def _divide_binomial(c, d, r):
     """c / (x^d - r) on int coefficients, lowest first, when exact, else None.
 

@@ -16,6 +16,7 @@ from .lie import LieAlgebra
 from .linalg import (
     Matrix,
     Subspace,
+    apply_columns,
     char_poly,
     is_nilpotent,
     is_positive_definite,
@@ -174,9 +175,9 @@ def _abelian_codim1_ideal(g: LieAlgebra, derived):
 
 def _is_abelian_ideal(g, h):
     basis = list(h.rows.values())
-    for i, u in enumerate(basis):
-        for v in basis[i + 1 :]:
-            if g.bracket_sparse(u, v):
+    for k, u in enumerate(basis):
+        for v in basis[k + 1 :]:
+            if apply_columns({i: g.bracket_int(i, v) for i in u}, u):  # den [u, v], in ints
                 return False
     return g._is_ideal(h)
 

@@ -41,13 +41,6 @@ class DerivationSpace:
     def __len__(self):
         return len(self.unknowns) - self.system.dim
 
-    def contains(self, d) -> bool:
-        """Is d, a Matrix or a sparse {(row, col): value} map, in the space?  Its int
-        entries (see _entries) must be unknowns (None: not one) where system vanishes."""
-        x = {self.unknowns.get(e): v for e, v in _entries(d, self.dim).items()}
-        return None not in x and not any(sum(c * x.get(k, 0) for k, c in row.items())
-                                         for row in self.system.rows.values())
-
 
 @dataclass(frozen=True)
 class PreEinstein:

@@ -88,8 +88,8 @@ class LieAlgebra:
     def bracket_sparse(self, x, y):
         """[x, y] for vectors of ints or Q as _vector takes them, each cleared to ints
         x / dx and y / dy: sum x_i bracket_int(i, y) / (den dx dy), a sparse dict."""
-        (x, dx), (y, dy) = (_cleared(_vector(v, self.dim, "the algebra dimension"),
-                                     "vector entry") for v in (x, y))
+        x, dx = _cleared(_vector(x, self.dim, "the algebra dimension"), "vector entry")
+        y, dy = _cleared(_vector(y, self.dim, "the algebra dimension"), "vector entry")
         out = {}
         for i, a in x.items():
             for k, c in self.bracket_int(i, y).items():

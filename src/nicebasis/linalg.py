@@ -4,14 +4,15 @@ A Matrix is immutable and kept as int sparse columns over one denominator,
 which products, kernels, Krylov steps and apply read; its Fraction views are
 built when read.  Values enter the integer core by two rules, also for lie and
 derivations: _cleared puts ints or Fractions over their lcm, refusing floats
-and anything else, and _vector reads a dense or sparse vector of a length.  Every
-elimination over Q goes through Subspace, which keeps sparse integer rows in
-fully reduced form; that form is canonical, so identical input always yields
-identical output, which keeps golden-file tests stable.  The characteristic
-and minimal polynomials are read off tagged int Krylov vectors in a Subspace.
+and anything else, and _vector reads a dense or sparse vector of a length, as
+each column of from_columns.  Every elimination over Q goes through Subspace,
+which keeps sparse integer rows in fully reduced form; that form is canonical,
+so identical input always yields identical output, which keeps golden-file
+tests stable.  The characteristic and minimal polynomials are read off tagged
+int Krylov vectors in a Subspace.
 A Poly only holds rational coefficients, lowest degree first; polynomial work
-runs on integer coefficient lists (products, exact quotients, primitive
-pseudo-remainders, integer Sturm chains).
+runs on integer coefficient lists (products, exact quotients by the one
+division _divide, primitive pseudo-remainders, integer Sturm chains).
 The one elimination over Z, solve_integer_system (extended-gcd column
 echelon form), solves the scale exponents of monomial equivalence.
 """
@@ -69,21 +70,13 @@ class Matrix:
 
     @staticmethod
     def from_columns(columns, rows=None):
-        """The matrix with these columns: dense sequences, which fix the number
-        of rows, or sparse {row: value} dicts of a matrix with the given rows."""
-        out = []
-        for c in columns:
-            if not isinstance(c, dict):
-                rows = len(c) if rows is None else rows
-                if len(c) != rows:
-                    raise ValueError("ragged matrix")
-                c = dict(enumerate(c))
-            out.append(c.items())
-        rows = rows or 0
-        num, den = _split(out)
-        if any(not 0 <= i < rows for c in num for i in c):
-            raise ValueError("row index out of range")
-        return Matrix._of(rows, num, den)
+        """The matrix with these columns, each read by _vector: dense sequences or
+        sparse {row: value} dicts; rows defaults to the first dense column's length, or 0."""
+        columns = list(columns)
+        if rows is None:
+            rows = next((len(c) for c in columns if not isinstance(c, dict)), 0)
+        return Matrix._of(rows, *_split(_vector(c, rows, "the row count").items()
+                                        for c in columns))
 
     @property
     def columns(self):
@@ -564,19 +557,6 @@ def int_gcd(a, b) -> list:
     return a
 
 
-def _deflate(c, num, den):
-    """c / (den x - num) if exact in Z[x], which for coprime num, den (by
-    Gauss's lemma) is when num/den is a root; else None, at the first
-    inexact step."""
-    q, acc = [0] * (len(c) - 1), 0
-    for k in range(len(c) - 1, 0, -1):
-        acc, rem = divmod(c[k] + num * acc, den)
-        if rem:
-            return None
-        q[k - 1] = acc
-    return q if c[0] + num * acc == 0 else None
-
-
 def rational_roots(p: Poly):
     """All rational roots of p with multiplicities, as [(root, mult)].
 
@@ -594,7 +574,7 @@ def rational_roots(p: Poly):
             if len(c) == 1:
                 break
             mult = 0
-            while (q := _deflate(c, s * num, den)) is not None:
+            while (q := _divide(c, [-s * num, den])) is not None:
                 c, mult = q, mult + 1
             if mult:
                 roots.append((Q(s * num, den), mult))
@@ -617,16 +597,21 @@ def count_real_roots(p: Poly) -> int:
     return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
 
 
-def _exact_quotient(r, g) -> list:
-    """r / g for int coefficient lists, lowest first, when g divides r in Z[x]:
-    for primitive r and g that is whenever it divides r in Q[x] (Gauss's lemma)."""
-    r, n = list(r), len(g) - 1
-    q = [0] * (len(r) - n)
+def _divide(c, g):
+    """c / g for int coefficient lists, lowest first, if exact in Z[x], else None at
+    the first inexact step; for primitive g, exact in Z[x] iff g divides c in Q[x]
+    (Gauss's lemma).  Each step visits only g's nonzero lower terms."""
+    c, n = list(c), len(g) - 1
+    lead, low = g[n], [(j, x) for j, x in enumerate(g[:n]) if x]
+    q = [0] * (len(c) - n)
     for k in range(len(q) - 1, -1, -1):
-        q[k] = r[k + n] // g[-1]
-        for j in range(n):
-            r[k + j] -= q[k] * g[j]
-    return q
+        f, rem = divmod(c[k + n], lead)
+        if rem:
+            return None
+        q[k] = f
+        for j, x in low:
+            c[k + j] -= f * x
+    return None if any(c[:n]) else q
 
 
 def _krylov(cols, v, space, t):
@@ -698,7 +683,7 @@ def similar(a: Matrix, b: Matrix) -> bool:
     phi = char_poly(a)
     if phi != char_poly(b) or (mu := minimal_polynomial(a)) != minimal_polynomial(b):
         return False
-    cofactor = _exact_quotient(primitive(phi.coeffs), primitive(mu.coeffs))
+    cofactor = _divide(primitive(phi.coeffs), primitive(mu.coeffs))
     if len(int_gcd(cofactor, [k * x for k, x in enumerate(cofactor) if k])) == 1:
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)

@@ -5,6 +5,8 @@ the definition itself, when __init__.py re-exports it, when a decorator
 defined in src/ registers it (the reproduce rows), or when ALLOWED names it
 with the reason it stays.  A name counts as referred to when a module reads
 it as a name or as an attribute, so an API that only tests call fails here.
+A read of a name that two definitions share counts for both, so SHARED gives
+each definition of every such name the reason it stays.
 Only linalg.py reads the private state of a Subspace; the other modules read
 its public rows.  Only linalg._cleared reads .denominator to clear
 denominators; DENOMINATOR_READS names each other read with its reason.
@@ -25,6 +27,25 @@ ALLOWED = {
     "inverse": "perfbench/tracing.py traces Matrix.inverse as linalg.inverse",
     "bracket": "perfbench/tracing.py counts LieAlgebra.bracket as lie.bracket",
     "quotient": "the public quotient algebra g / ideal, with its ideal and Jacobi checks",
+}
+
+# name defined twice or more (dunders aside) -> {module:qualified name: why that one stays}
+SHARED = {
+    "of": {
+        "almost_abelian.py:BinomialFactorization.of":
+            "no caller in src/: builds a factorization from (degree, constant) pairs handed "
+            "in from outside, refusing degrees below 1",
+        "graphs.py:GraphSpec.of": "load_graph and the reproduce graph rows build checked specs",
+    },
+    "degree": {
+        "almost_abelian.py:BinomialFactorization.degree":
+            "_witness_basis builds no nilpotent chains when it equals n",
+        "linalg.py:Poly.degree": "Poly's repr and the polynomial steps of almost_abelian",
+    },
+    "is_nilpotent": {
+        "lie.py:LieAlgebra.is_nilpotent": "the reproduce row on abelian extensions",
+        "linalg.py:is_nilpotent": "catalog3._match_2x2 takes the nilpotent 2 x 2 case",
+    },
 }
 
 # module:function -> why it reads .denominator itself rather than through linalg._cleared
@@ -87,6 +108,27 @@ def test_every_allowed_name_still_needs_its_reason():
     assert sorted(line.split()[1] for line in uncalled(allowed={})) == sorted(ALLOWED)
 
 
+def shared_definitions():
+    """{name: {module:qualified name}} of each name, dunders aside, defined twice or more."""
+    found = {}
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(p.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    qual = item.name if item is node else f"{node.name}.{item.name}"
+                    found.setdefault(item.name, set()).add(f"{p.name}:{qual}")
+    return {name: places for name, places in found.items() if len(places) > 1}
+
+
+def test_each_definition_of_a_shared_name_has_its_reason():
+    # DerivationSpace.contains, which nothing in src/ called, passed the caller
+    # test because Subspace.contains is read
+    assert shared_definitions() == {name: set(why) for name, why in SHARED.items()}
+    assert all(all(why.values()) for why in SHARED.values())
+
+
 def private_subspace_reads(skip="linalg.py"):
     """module:line attribute of every read of a private Subspace attribute outside skip."""
     return [f"{p.name}:{node.lineno} {node.attr}" for p in sorted(PACKAGE.glob("*.py"))
@@ -106,7 +148,7 @@ def test_the_private_scan_sees_linalg():
 def test_the_scan_sees_the_package():
     trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
     names = {name for tree in trees for name, _ in definitions(tree)}
-    assert {"Matrix", "change_basis", "solve", "_exact_quotient"} <= names
+    assert {"Matrix", "change_basis", "solve", "_divide"} <= names
 
 
 def denominator_reads():

@@ -1,5 +1,7 @@
 """The 3-dimensional catalog: counts, verified bases, and classification."""
 
+import random
+
 import pytest
 
 from nicebasis import (
@@ -10,6 +12,7 @@ from nicebasis import (
     check_nice,
     classify3,
     cyclic_sign_pattern,
+    LieAlgebra,
     fixtures,
     monomial_equivalent,
     rat,
@@ -147,6 +150,18 @@ class TestClassify:
             assert got is not None, name
             assert got.name == name
             assert got.nu == e.nu
+
+    def test_conjugates_classify_on_int_brackets(self, entries, monkeypatch):
+        # _is_abelian_ideal brackets the int rows of each candidate ideal with bracket_int
+        rng, conjugates = random.Random(37), {}
+        for name, e in entries.items():
+            p = Matrix.zeros(3, 3)
+            while p.det() == 0:
+                p = Matrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])
+            conjugates[name] = e.algebra.change_basis(p)
+        monkeypatch.setattr(LieAlgebra, "bracket_sparse", lambda *a: pytest.fail("Fraction path"))
+        names = {name: classify3(g).name for name, g in conjugates.items()}
+        assert names == {name: name for name in entries}
 
     def test_rescaled_solvable(self, entries):
         e = entries["aa(A_-1)"]

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from nicebasis.almost_abelian import indecomposable_family
-from nicebasis.linalg import (Matrix, Poly, _convolve, _exact_quotient, char_poly,
+from nicebasis.linalg import (Matrix, Poly, _convolve, _divide, char_poly,
                               is_positive_definite, minimal_polynomial, primitive)
 from nicebasis.scalars import ONE, Q, ZERO
 
@@ -130,7 +130,7 @@ def test_many_krylov_blocks(label, m):
     assert m.det() == (-1) ** m.rows * hessenberg_char_poly(m).coeffs[0]
     # the minimal polynomial divides, and for these cases usually falls short of, phi
     phi, mu = primitive(p.coeffs), primitive(minimal_polynomial(m).coeffs)
-    assert _convolve(_exact_quotient(phi, mu), mu) == phi
+    assert _convolve(_divide(phi, mu), mu) == phi
 
 
 @pytest.mark.parametrize("label,m", MANY_BLOCKS, ids=[label for label, _ in MANY_BLOCKS])

@@ -101,13 +101,16 @@ class TestMatrix:
         assert Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
 
     @pytest.mark.parametrize("columns, rows, message", [
-        ([(1, 2), (3,)], None, "ragged matrix"),
-        ([(1,), (2,)], 2, "ragged matrix"),
-        ([{2: 1}], 2, "row index out of range"),
-        ([{0: 1}], None, "row index out of range"),
-    ], ids=["dense", "dense-against-rows", "sparse-past-the-rows", "sparse-without-rows"])
+        ([(1, 2), (3,)], None, "vector has 1 entries, the row count 2"),
+        ([(1,), (2,)], 2, "vector has 1 entries, the row count 2"),
+        ([{2: 1}], 2, r"vector index 2 out of range 0..1"),
+        ([{0: 1}], None, r"vector index 0 out of range 0..-1"),
+        ([{5: 0}], 2, r"vector index 5 out of range 0..1"),
+    ], ids=["dense", "dense-against-rows", "sparse-past-the-rows", "sparse-without-rows",
+            "sparse-zero-past-the-rows"])
     def test_from_columns_refuses_ragged_columns(self, columns, rows, message):
-        with pytest.raises(ValueError, match=message):
+        # each column is read by _vector; a zero past the rows once gave a zero matrix
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Matrix.from_columns(columns, rows)
 
 

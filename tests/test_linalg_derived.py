@@ -18,7 +18,7 @@ from nicebasis.linalg import (
     Matrix,
     Poly,
     Subspace,
-    _exact_quotient,
+    _divide,
     char_poly,
     is_nilpotent,
     is_positive_definite,
@@ -427,7 +427,7 @@ class TestSimilar:
             q, r = sympy.div(sympy.Poly(phi[::-1], x), sympy.Poly(mu[::-1], x), domain=sympy.QQ)
             assert r.is_zero
             want = primitive([Q(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())])
-            assert _exact_quotient(phi, mu) == want
+            assert _divide(phi, mu) == want
 
     def test_squarefree_cofactor_decides_without_intertwiners(self, monkeypatch):
         # phi = (x - 1)^2 (x - 2) is not squarefree, but phi / mu = x - 1 is

@@ -36,7 +36,7 @@ from nicebasis.linalg import (
     Poly,
     _convolve,
     _divisors,
-    _exact_quotient,
+    _divide,
     count_real_roots,
     int_gcd,
     int_prem,
@@ -389,7 +389,17 @@ class TestIntegerHelpers:
         # an exact quotient in Z[x], as similar takes of phi by mu
         g = int_gcd(p.coeffs, p.derivative().coeffs)
         want = primitive(pdivmod(p, Poly(g))[0].coeffs)
-        assert _exact_quotient(primitive(p.coeffs), g) == want
+        assert _divide(primitive(p.coeffs), g) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(inputs, st.one_of(linear, random_polys), st.booleans())
+    def test_divide_is_none_when_inexact(self, p, g, times):
+        # rational_roots divides by den x - num at every candidate, most not roots
+        if times:
+            p = mul(p, g)
+        q, r = pdivmod(p, g)
+        want = primitive(q.coeffs) if r.is_zero() else None
+        assert _divide(primitive(p.coeffs), primitive(g.coeffs)) == want
 
     @settings(max_examples=60, deadline=None)
     @given(inputs, inputs)
