@@ -161,6 +161,23 @@ class TestDerivationSpace:
         for d in space.basis:
             assert is_derivation(g, d)
 
+    def test_the_system_vanishes_exactly_on_the_space(self):
+        g = fixtures.heisenberg3()
+        space = derivation_space(g)
+        assert system_vanishes(space, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
+        assert not system_vanishes(space, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(1)})
+        assert not system_vanishes(space, {(0, 0): rat(1)})
+        assert "basis" not in space.__dict__  # the system is read without building a basis
+
+    def test_the_weighted_system_leaves_out_other_weights(self):
+        g = fixtures.standard_filiform(5)
+        space = derivation_space(g, [1, 2, 3, 4, 5])  # Der(g)_0: the diagonal
+        ad_e1 = {(2, 1): 1, (3, 2): 1, (4, 3): 1}  # a derivation of weight 1, outside the blocks
+        assert is_derivation(g, ad_e1) and not system_vanishes(space, ad_e1)
+        assert system_vanishes(space, {(i, i): i + 1 for i in range(5)})
+        assert not system_vanishes(space, {(0, 0): 1})
+        assert "basis" not in space.__dict__
+
     @pytest.mark.parametrize("d,message", [
         ({(5, 5): 1}, r"entry \(5, 5\) out of range 0..2"),
         ({(0, 0): 1, (0, 3): 1}, r"entry \(0, 3\) out of range 0..2"),

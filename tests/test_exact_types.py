@@ -104,8 +104,9 @@ def test_vectors_right_hand_sides_and_coefficients_refuse_floats(make, what):
 @pytest.mark.parametrize("make, what", [
     (lambda g: pre_einstein_general_check(g, [0.1, 0.2, 0.3, 0.4]), "diagonal entry 0.1"),
     (lambda g: is_derivation(g, {(0, 0): 0.5}), "entry 0.5"),
+    (lambda g: is_derivation(g, {(1, 1): Q(1), (0, 0): 0.5}), "entry 0.5"),
     (lambda g: derivation_space(g, [0.1 + 0.2, 0.3, 1.0, 2.0]), "weight 0.30000000000000004"),
-], ids=["general_check", "is_derivation", "weights"])
+], ids=["general_check", "is_derivation", "is_derivation-after-a-Q", "weights"])
 def test_derivation_boundaries_refuse_floats(make, what):
     # the check once read 0.1 as 3602879701896397/36028797018963968 and answered
     # not_derivation, is_derivation raised AttributeError, and the weights put

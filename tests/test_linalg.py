@@ -106,12 +106,19 @@ class TestMatrix:
         ([{2: 1}], 2, r"vector index 2 out of range 0..1"),
         ([{0: 1}], None, r"vector index 0 out of range 0..-1"),
         ([{5: 0}], 2, r"vector index 5 out of range 0..1"),
+        ([{-1: 1}], 2, r"vector index -1 out of range 0..1"),
+        ([{2: 1}, (1, 2)], None, r"vector index 2 out of range 0..1"),
     ], ids=["dense", "dense-against-rows", "sparse-past-the-rows", "sparse-without-rows",
-            "sparse-zero-past-the-rows"])
+            "sparse-zero-past-the-rows", "sparse-negative", "sparse-before-a-dense-column"])
     def test_from_columns_refuses_ragged_columns(self, columns, rows, message):
         # each column is read by _vector; a zero past the rows once gave a zero matrix
         with pytest.raises(ValueError, match=f"^{message}$"):
             Matrix.from_columns(columns, rows)
+
+    def test_from_columns_takes_the_row_count_from_the_first_dense_column(self):
+        # a sparse column before it is read against that count
+        m = Matrix.from_columns([{1: 1}, (1, 2)])
+        assert m == Matrix([[0, 1], [1, 2]])
 
 
 class TestRref:

@@ -401,6 +401,16 @@ class TestIntegerHelpers:
         want = primitive(q.coeffs) if r.is_zero() else None
         assert _divide(primitive(p.coeffs), primitive(g.coeffs)) == want
 
+    @pytest.mark.parametrize("c, g, want", [
+        ([-1, 0, 0, 0, 1], [1, 0, 1], [-1, 0, 1]),
+        ([0, 0, 0, 1], [0, 1], [0, 0, 1]),
+        ([1, 0, 0, 0, 1], [1, 0, 1], None),
+        ([2, 0, 3], [1, 2], None),
+    ], ids=["x^4-1-by-x^2+1", "x^3-by-x", "x^4+1-by-x^2+1", "lead-does-not-divide"])
+    def test_divide_on_sparse_divisors(self, c, g, want):
+        # g's zero lower terms are skipped; 3 / 2 at the first step is inexact
+        assert _divide(c, g) == want
+
     @settings(max_examples=60, deadline=None)
     @given(inputs, inputs)
     def test_gcd(self, a, b):
