@@ -6,7 +6,10 @@ the diagonal derivations alone, by a Gram system of int kernel vectors, as int
 weights w over one den, N = diag(w) / den, and certified in ints on Der(g)_0 =
 ker A, the derivations commuting with N, which decides it for all of Der(g).
 There den (Tr(N D) - Tr(D)) is a functional that vanishes on ker A iff it lies
-in row A = (ker A)^perp (see pre_einstein_general_check).
+in row A = (ker A)^perp (see pre_einstein_general_check).  Gram lemma: the
+Gram matrix G of linearly independent v_1..v_k is positive definite, as c^T G c
+= |sum_a c_a v_a|^2 > 0 for c != 0, and int kernel vectors are independent
+(each alone is nonzero at its free column), so the Gram system has one solution.
 """
 
 from __future__ import annotations
@@ -19,14 +22,12 @@ from math import prod
 
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, _cleared, _exact, apply_columns, dense,
-                     is_positive_definite, solve)
+from .linalg import Matrix, Subspace, _cleared, _exact, apply_columns, dense, solve
 from .nice import check_nice
 
 
 @dataclass(frozen=True)
 class DerivationSpace:
-    dim: int  # dimension of the underlying algebra
     unknowns: dict  # entry (m, i) of D solved for -> its number, in row-major order
     system: Subspace  # the eliminated equations over the numbered unknowns
 
@@ -84,12 +85,15 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
 # right after pre_einstein_nice(g) reuses its diagonal system
 @lru_cache(maxsize=1)
 def _space(g: LieAlgebra, blocks) -> DerivationSpace:
-    """derivation_space(g, w) for the block labels of w."""
-    n = g.dim
-    entries = ((m, i) for m in range(n) for i in range(n) if blocks[m] == blocks[i])
-    unknowns = {e: v for v, e in enumerate(entries)}
+    """derivation_space(g, w) for the block labels of w, its equations eliminated from
+    the highest key down: on an adapted basis, where brackets raise the index, each new
+    pivot precedes every row that would hold it, so add back-substitutes into none."""
+    block = {}  # block label -> its indices, increasing
+    for i, b in enumerate(blocks):
+        block.setdefault(b, []).append(i)
+    unknowns = {e: v for v, e in enumerate((m, i) for m, b in enumerate(blocks) for i in block[b])}
     eqs = _equations(g, unknowns)
-    return DerivationSpace(n, unknowns, Subspace(len(unknowns), (eqs[e] for e in sorted(eqs))))
+    return DerivationSpace(unknowns, Subspace(len(unknowns), map(eqs.get, sorted(eqs)[::-1])))
 
 
 def _equations(g: LieAlgebra, unknowns):
@@ -156,19 +160,17 @@ def is_derivation(g: LieAlgebra, d) -> bool:
 def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     """Pre-Einstein derivation of a nicely-based algebra.
 
-    Restricts the defining trace condition to diagonal derivations, solves
-    the (positive definite) Gram system there, then certifies the result on
-    Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
-    The Gram system is built from int kernel vectors (rescaling a basis leaves
-    N unchanged); its solution is cleared to ints over one den, N = diag(w) / den
-    is certified in ints, and only the k x k solve and N's view make Fractions.
+    Restricts the defining trace condition to diagonal derivations and solves
+    the Gram system G of their int kernel vectors (rescaling them leaves N
+    unchanged); they are independent, so G is positive definite by the Gram
+    lemma (c^T G c = |sum_a c_a v_a|^2 > 0 at c != 0) and is not tested.  Its
+    solution, over one den, gives N = diag(w) / den, certified in ints on Der(g)_0,
+    which pre_einstein_general_check's lemma makes decide Der(g).
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
     diag = derivation_space(g, range(g.dim)).system.int_kernel()
     gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
-    if not is_positive_definite(gram):
-        raise RuntimeError("trace Gram matrix is not positive definite")
     coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
     v, den = _cleared(dict(enumerate(coeffs)), "coefficient")
     w = apply_columns(diag, v)
@@ -249,6 +251,4 @@ def nu_product_rule(parts):
 
 def simple_spectrum_unique(p: PreEinstein):
     """nu = 1 for a simple spectrum, else None; p is from pre_einstein_nice, so g is nice."""
-    if all(m == 1 for m in p.multiplicities().values()):
-        return 1
-    return None
+    return 1 if len(set(p.spectrum)) == len(p.spectrum) else None

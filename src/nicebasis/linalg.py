@@ -193,7 +193,7 @@ def _vector(x, n, what):
         return dict(enumerate(x))
     if x and not (0 <= min(x) and max(x) < n):
         bad = next(i for i in x if not 0 <= i < n)
-        raise ValueError(f"vector index {bad} out of range 0..{n - 1}")
+        raise ValueError(f"vector index {bad} out of range {f'0..{n - 1}' if n else '(empty)'}")
     return x
 
 

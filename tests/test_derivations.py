@@ -24,10 +24,10 @@ from nicebasis.derivations import (
 from nicebasis.almost_abelian import count_nice
 from nicebasis.graphs import GraphSpec, graph_algebra, load_graph
 from nicebasis.lie import LieAlgebra, direct_sum, abelian, load_lie
-from nicebasis.linalg import Matrix, Subspace, dense, solve
+from nicebasis.linalg import Matrix, Subspace, dense, is_positive_definite, solve
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ZERO, rat
-from nicebasis import derivations, fixtures
+from nicebasis import derivations, fixtures, linalg
 from test_integer_table import LIE_ALGEBRAS, bracket_basis, rational_tables, sparse_kernel
 
 
@@ -488,3 +488,101 @@ class TestBlockKeyedSpace:
         assert derivation_space(g, (1, 2, 2)) != derivation_space(g, (1, 2, 3))
         assert derivation_space(fixtures.heisenberg3(), (1, 2, 3)) == derivation_space(g, (1, 2, 3))
         assert derivations._space.cache_info().misses == 4
+
+
+# --- the system goes in from the highest key down ------------------------------
+
+def pre_einstein_weights(g):
+    m = pre_einstein_nice(g).matrix
+    return [m[i, i] for i in range(g.dim)]
+
+
+def filiform_sum(a, b):
+    return direct_sum(fixtures.standard_filiform(a), fixtures.standard_filiform(b))
+
+
+def assert_system_is_the_ascending_one(g, weights):
+    """derivation_space(g, w) numbers its unknowns in row-major order over the pairs
+    of equal weight, and its system equals _equations's put in lowest key first."""
+    n = g.dim
+    w = [0] * n if weights is None else list(weights)
+    space = derivation_space(g, weights)
+    assert space.unknowns == {e: v for v, e in enumerate(
+        (m, i) for m in range(n) for i in range(n) if w[m] == w[i])}
+    eqs = derivations._equations(g, space.unknowns)
+    ascending = Subspace(len(space.unknowns), [eqs[k] for k in sorted(eqs)])
+    assert space.system.rows == ascending.rows
+    assert space.system.pivots == ascending.pivots
+    assert space.system.int_kernel() == ascending.int_kernel()
+
+
+class TestDescendingElimination:
+    @pytest.mark.parametrize("name", sorted(DIAGONAL_ALGEBRAS))
+    def test_diagonal_systems(self, name):
+        g = DIAGONAL_ALGEBRAS[name]()
+        assert_system_is_the_ascending_one(g, range(g.dim))
+
+    @pytest.mark.parametrize("a,b", [(10, 12), (12, 13)])
+    def test_zero_weight_systems_of_filiform_sums(self, a, b):
+        g = filiform_sum(a, b)
+        assert_system_is_the_ascending_one(g, pre_einstein_weights(g))
+
+    @pytest.mark.parametrize("make", [
+        fixtures.heisenberg3,
+        lambda: fixtures.standard_filiform(4),
+        lambda: fixtures.standard_filiform(6),
+        lambda: direct_sum(fixtures.heisenberg3(), abelian(2)),
+    ], ids=["h3", "L4", "L6", "h3+Q2"])
+    def test_full_systems(self, make):
+        assert_system_is_the_ascending_one(make(), None)
+
+    @pytest.mark.parametrize("n", [10, 20, 28, 40])
+    def test_no_row_is_back_substituted_on_filiform_diagonal_systems(self, n, monkeypatch):
+        # lowest key first, each new pivot x_j reaches the j - 2 rows made before it:
+        # (n - 2)(n - 3)/2 row updates in all
+        reached, add = [], Subspace.add
+
+        def counting_add(s, vector):
+            w, _ = s.residue(vector)
+            if w:
+                reached.append(len(s._occ.get(min(w), ())))
+            return add(s, vector)
+
+        monkeypatch.setattr(Subspace, "add", counting_add)
+        space = derivation_space(fixtures.standard_filiform(n), range(n))
+        assert space.system.dim == len(reached) == n - 2
+        assert sum(reached) == 0
+
+
+# --- Gram lemma: the Gram system of pre_einstein_nice is positive definite -------
+
+# the fixtures whose defining basis is nice: p3_c4, p3_c5, triangle_c3 and n6 are not
+NICE_FIXTURES = {name: make for name, make in DIAGONAL_ALGEBRAS.items()
+                 if name.endswith((".lie", ".graph")) and check_nice(make())}
+
+GRAM_ALGEBRAS = {
+    **NICE_FIXTURES,
+    **{f"L{n}": (lambda n=n: fixtures.standard_filiform(n)) for n in range(3, 31)},
+    "L10+L12": lambda: filiform_sum(10, 12),
+    "L12+L13": lambda: filiform_sum(12, 13),
+    "path4-class3": lambda: graph_algebra(GraphSpec.of(4, [(0, 1), (1, 2), (2, 3)], 3))[0],
+    "square-class2": lambda: graph_algebra(
+        GraphSpec.of(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 2))[0],
+}
+
+
+class TestGramLemma:
+    @pytest.mark.parametrize("name", sorted(GRAM_ALGEBRAS))
+    def test_gram_matrix_of_the_int_kernel_is_positive_definite(self, name, monkeypatch):
+        g = GRAM_ALGEBRAS[name]()
+        assert check_nice(g)
+        diag = derivation_space(g, range(g.dim)).system.int_kernel()
+        assert Subspace(g.dim, diag).dim == len(diag)  # the lemma's hypothesis
+        gram = [[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag]
+        assert is_positive_definite(Matrix(gram))
+        assert sympy.Matrix(len(diag), len(diag), sum(gram, [])).is_positive_definite
+        # the lemma stands in for a run-time test: pre_einstein_nice forms no char_poly
+        calls, char_poly = [], linalg.char_poly
+        monkeypatch.setattr(linalg, "char_poly", lambda m: calls.append(m) or char_poly(m))
+        pre_einstein_nice(g)
+        assert calls == []

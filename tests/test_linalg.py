@@ -104,7 +104,7 @@ class TestMatrix:
         ([(1, 2), (3,)], None, "vector has 1 entries, the row count 2"),
         ([(1,), (2,)], 2, "vector has 1 entries, the row count 2"),
         ([{2: 1}], 2, r"vector index 2 out of range 0..1"),
-        ([{0: 1}], None, r"vector index 0 out of range 0..-1"),
+        ([{0: 1}], None, r"vector index 0 out of range \(empty\)"),
         ([{5: 0}], 2, r"vector index 5 out of range 0..1"),
         ([{-1: 1}], 2, r"vector index -1 out of range 0..1"),
         ([{2: 1}, (1, 2)], None, r"vector index 2 out of range 0..1"),
