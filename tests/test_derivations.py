@@ -492,11 +492,6 @@ class TestBlockKeyedSpace:
 
 # --- the system goes in from the highest key down ------------------------------
 
-def pre_einstein_weights(g):
-    m = pre_einstein_nice(g).matrix
-    return [m[i, i] for i in range(g.dim)]
-
-
 def filiform_sum(a, b):
     return direct_sum(fixtures.standard_filiform(a), fixtures.standard_filiform(b))
 
@@ -525,7 +520,8 @@ class TestDescendingElimination:
     @pytest.mark.parametrize("a,b", [(10, 12), (12, 13)])
     def test_zero_weight_systems_of_filiform_sums(self, a, b):
         g = filiform_sum(a, b)
-        assert_system_is_the_ascending_one(g, pre_einstein_weights(g))
+        n_diag = pre_einstein_nice(g).matrix
+        assert_system_is_the_ascending_one(g, [n_diag[i, i] for i in range(g.dim)])
 
     @pytest.mark.parametrize("make", [
         fixtures.heisenberg3,
@@ -538,7 +534,7 @@ class TestDescendingElimination:
 
     @pytest.mark.parametrize("n", [10, 20, 28, 40])
     def test_no_row_is_back_substituted_on_filiform_diagonal_systems(self, n, monkeypatch):
-        # lowest key first, each new pivot x_j reaches the j - 2 rows made before it:
+        # lowest key first, each new pivot reaches every row made before it:
         # (n - 2)(n - 3)/2 row updates in all
         reached, add = [], Subspace.add
 
