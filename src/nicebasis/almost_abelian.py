@@ -13,13 +13,15 @@ ints: integer gcds of the residue classes give the divisors, and
 factorizations are enumerated on the monic integer transform of the
 polynomial, each quotient split once per call; they are read only through
 analyze, which exists_nice and count_nice share.  A witness is built in ints
-too, its chains eliminated once in one span, and certified by change_basis.
+too: each cyclic chain starts at g(A) v, read off one Krylov sequence of v by
+the image lemma im g(A) = ker f(A) (see _witness_basis), with no power of A
+and no kernel; the chains are eliminated once in one span and certified by
+change_basis.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +31,8 @@ from .linalg import (
     Matrix,
     Poly,
     Subspace,
+    _convolve,
+    _divide,
     apply_columns,
     char_poly,
     count_real_roots,
@@ -273,16 +277,32 @@ def _witness_basis(a: Matrix, fact):
     given as pairs (v, e) of an int vector and a denominator.
 
     Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks), none when
-    fact has degree n (A invertible).  Each binomial factor (d, r): a cyclic
-    chain w, Aw, ..., A^{d-1}w inside ker(A^d - r), which _cyclic_chain adds to
-    the one span of the chains.  The basis is verified nice before returning.
+    fact has degree n (A invertible).  Factor f_i = x^d - r of q, the product of
+    fact: a cyclic chain w, Aw, ..., A^(d-1)w for w = g_i(A) v, g_i = x^k rad(q) / f_i
+    (k = n - deg q, rad(q) = q / gcd(q, q'), in Z[x] on primitive binomials), read
+    off the int Krylov sequence of the candidate v, one per call for all factors,
+    and added to the one span of the chains by _cyclic_chain.  No power of A and
+    no kernel is formed; the basis is verified nice before returning.
+
+    The image lemma, im g_i(A) = ker f_i(A): the non-nilpotent part is semisimple
+    and f_i, squarefree, divides rad(q), so g_i(A) kills the nilpotent part and
+    every primary component outside f_i, and is invertible on those inside it.
+    The curve bound: v is bad when w lacks a constituent of f_i (its component 0
+    or inside the earlier chains, which hold one copy per factor): a proper
+    subspace of ker f_i(A).  So the bad v lie in at most d proper subspaces,
+    their preimages under g_i(A), each holding at most n - 1 points sum_j t^j e_j
+    (a nonzero polynomial in t of degree < n), and one of t = 0..d(n-1) serves.
     """
     n = a.rows
     chains, span = ([], Subspace(n)) if fact and fact.degree == n else _nilpotent_chains(a)
     if fact is not None:
-        squares = [a.num]  # A^(2^k) times den^(2^k), shared by the factors' powers
-        for d, r in fact.factors:
-            chain, span = _cyclic_chain(squares, a.den, d, r, span)
+        binomials = [primitive(Poly.binomial(d, r).coeffs) for d, r in fact.factors]
+        q = functools.reduce(_convolve, binomials)
+        rad = _divide(q, int_gcd(q, [k * x for k, x in enumerate(q)][1:]))
+        krylov = {}  # candidate number -> v, Nv, ...: kept for this call only
+        for (d, _), f in zip(fact.factors, binomials):
+            g = [0] * (n - fact.degree) + _divide(rad, f)
+            chain, span = _cyclic_chain(a, g, d, krylov, span)
             chains.append(chain)
     if span.dim != n:
         raise RuntimeError("witness chains do not span")
@@ -315,60 +335,35 @@ def _nilpotent_chains(a: Matrix):
     return chains, covered
 
 
-def _cyclic_chain(squares, den, d, r, existing: Subspace):
-    """Chain w, Aw, ..., A^(d-1)w in ker(A^d - r), independent of existing, as
-    (int vector, denominator) pairs, and existing grown by it.
-
-    A = N / den.  squares[k] holds the int columns of N^(2^k); squares[0] are N's,
-    and the list grows as needed, so one witness squares N at most log2(n) times
-    in all.  N^d is the product of the squares its binary digits select, each
-    product applying one column set to the other.  The kernel is read off the
-    int rows of den^d (A^d - r) times r's denominator; its int_kernel vectors, over
-    their free entries the canonical basis, go over one denominator: ints.
+def _cyclic_chain(a: Matrix, g, d, krylov, existing: Subspace):
+    """Chain w, Aw, ..., A^(d-1)w, w on the line of g(A) v for the first candidate
+    v whose chain is independent of existing, as (int vector, denominator)
+    pairs, and existing grown by it.  A = N / den, D = deg g; krylov maps a
+    candidate's number to its sequence v, Nv, ..., grown here to N^(D+d-1) v.
+    N^j W, W = den^D g(A) v, is sum_t g_t den^(D-t) N^(t+j) v; for W = c w, w
+    primitive and positive at its highest index, the chain is N^j w / den^j.
     """
-    cols = squares[0]
-    n = len(cols)
-    power, k, t = None, d, 0
-    while k:
-        if t == len(squares):
-            squares.append([apply_columns(squares[-1], c) for c in squares[-1]])
-        if k & 1:
-            power = squares[t] if power is None else [apply_columns(squares[t], c) for c in power]
-        k >>= 1
-        t += 1
-    m = Matrix._of(n, power) * r.denominator - Matrix.identity(n) * (r.numerator * den**d)
-    kernel = Subspace(n, m.transpose().num).int_kernel()
-    if len(kernel) < d:
-        raise RuntimeError("factor kernel too small")
-    common = math.lcm(*[v[max(v)] for v in kernel])  # the kernel vector v is v / v_max(v)
-    kernel = [{i: x * (common // v[f]) for i, x in v.items()} for v in kernel for f in [max(v)]]
-    for w in _cyclic_candidates(kernel):
-        chain = [w]
-        for _ in range(d - 1):
-            chain.append(apply_columns(cols, chain[-1]))
-        trial = existing.copy()
-        if all(trial.add(v) for v in chain):
-            return [(v, common * den**k) for k, v in enumerate(chain)], trial
+    n, den, top = a.rows, a.den, len(g) - 1
+    weights = {t: x * den ** (top - t) for t, x in enumerate(g) if x}
+    for key, v in enumerate(_cyclic_candidates(n, d)):
+        seq = krylov.setdefault(key, [v])
+        while len(seq) < top + d:
+            seq.append(apply_columns(a.num, seq[-1]))
+        images = [apply_columns(seq, {t + j: x for t, x in weights.items()}) for j in range(d)]
+        if w := images[0]:
+            c = math.gcd(*w.values()) * (1 if w[max(w)] > 0 else -1)
+            chain = [{i: x // c for i, x in u.items()} for u in images]
+            trial = existing.copy()
+            if all(trial.add(u) for u in chain):
+                return [(u, den**j) for j, u in enumerate(chain)], trial
     raise RuntimeError("no cyclic vector found for factor")
 
 
-def _cyclic_candidates(kernel):
-    """Kernel vectors, every u + v, then the curve points sum_k t^k u_k for
-    t = 0..m(m-1), m = len(kernel), lazily.
-
-    One curve point serves.  Each constituent pi of x^d - r that the chain of w
-    might lack (w's pi-component zero or inside the earlier chains) cuts out a
-    proper subspace of ker(A^d - r), since the earlier chains use one copy of
-    each constituent of their own factor.  A functional vanishing there but not
-    on every u_k is a nonzero polynomial of degree < m in t, so the curve meets
-    the subspace at most m - 1 times, and there are at most d <= m constituents.
-    """
-    yield from kernel
-    for uv in itertools.combinations(kernel, 2):
-        yield apply_columns(uv, {0: 1, 1: 1})
-    m = len(kernel)
-    for t in range(m * (m - 1) + 1):
-        yield apply_columns(kernel, {k: t**k for k in range(m)})
+def _cyclic_candidates(n, d):
+    """e_0, ..., e_(n-1), then sum_j t^j e_j for t = 0..d(n-1), lazily."""
+    yield from ({i: 1} for i in range(n))
+    for t in range(d * (n - 1) + 1):
+        yield {j: t**j for j in range(n) if t**j}
 
 
 def indecomposable_family(n: int) -> AlmostAbelian:

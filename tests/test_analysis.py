@@ -1,7 +1,8 @@
 """Differential tests of the almost abelian pipeline: char_poly against sympy,
 the factorization walk against a memoized reference recursion written
 here, the one-pass integer binomial division against long division, witnesses against
-the dense chain construction, one binomial-divisor pass per analysis, and
+a dense Fraction construction of the cofactor rule (x^k rad(q) / f by sympy) and
+the order of their candidates, one binomial-divisor pass per analysis, and
 each fast path of analyze against the slow path it replaces: the start-indexed
 factorization walk against the filtered one, the squarefree characteristic
 polynomial against the minimal-polynomial criterion, and the one-entry
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from nicebasis import almost_abelian, cli
 from nicebasis.almost_abelian import (
+    BinomialFactorization,
     _binomial_divisors,
     _divide_binomial,
     _enumerate,
@@ -41,7 +43,7 @@ from nicebasis.linalg import (
 )
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
-from test_integer_table import q_rows, sparse, sparse_kernel
+from test_integer_table import q_rows, sparse
 from test_root_oracle import factorizations, mul, pdivmod
 
 X = sympy.Symbol("x")
@@ -199,21 +201,62 @@ def reference_nilpotent_chains(a):
     return chains
 
 
-def reference_cyclic_chain(a, d, r, existing):
-    """Cyclic chain from the dense kernel of a**d - r."""
+def sympy_cofactor(fact, k, d, r):
+    """x^k rad(q) / (x^d - r) by sympy, q the product of fact's factors, as Q
+    coefficients lowest first."""
+    q = sympy.Mul(*[X**e - sympy.Rational(c.numerator, c.denominator) for e, c in fact.factors])
+    rad = sympy.quo(q, sympy.gcd(q, sympy.diff(q, X)), X)
+    f = X**d - sympy.Rational(r.numerator, r.denominator)
+    g = sympy.Poly(X**k * sympy.quo(rad, f, X), X)
+    return [Q(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+
+
+def reference_candidates(n, d):
+    """The dense candidates in the order they are tried: e_0..e_(n-1), then
+    sum_j t^j e_j for t = 0..d(n-1)."""
+    return ([tuple(int(i == j) for j in range(n)) for i in range(n)]
+            + [tuple(t**j for j in range(n)) for t in range(d * (n - 1) + 1)])
+
+
+def primitive_positive(w):
+    """The primitive int vector on the line of the Fraction vector w, positive at
+    its highest nonzero index."""
+    ints = [x * math.lcm(*[y.denominator for y in w]) for x in w]
+    g = math.gcd(*map(int, ints)) * (1 if next(x for x in reversed(ints) if x) > 0 else -1)
+    return tuple(int(x) // g for x in ints)
+
+
+def reference_cyclic_chain(a, g, d, existing):
+    """The chain of the cofactor rule in dense Fractions: for the candidates v in
+    order, w = g(A) v by Horner's rule, made primitive and positive at its
+    highest index; the first chain w, Aw, ..., A^(d-1)w independent of the
+    vectors existing."""
     n = a.rows
-    m = math.prod([a] * d, start=Matrix.identity(n)) - Matrix.identity(n) * r
-    kernel = [dense(v, n) for v in sparse_kernel(Subspace(n, m.transpose().num))]
-    if len(kernel) < d:
-        raise RuntimeError("factor kernel too small")
-    for w in reference_candidates(kernel):
-        chain = [tuple(w)]
+    for v in reference_candidates(n, d):
+        w = (Q(0),) * n
+        for c in reversed(g):
+            w = tuple(x + c * y for x, y in zip(a.apply(w), v))
+        if not any(w):
+            continue
+        chain = [tuple(map(Q, primitive_positive(w)))]
         for _ in range(d - 1):
             chain.append(a.apply(chain[-1]))
-        trial = Subspace(n, dense_rows(existing))
-        if all(trial.add(v) for v in chain):
+        trial = Subspace(n, existing)
+        if all(trial.add(u) for u in chain):
             return chain
     raise RuntimeError("no cyclic vector found for factor")
+
+
+def reference_witness(a, fact):
+    """The witness columns f, the Jordan chains, then one chain per factor of
+    fact, each from g = x^k rad(q) / f by sympy, with no int or Krylov step."""
+    n = a.rows
+    chains = reference_nilpotent_chains(a)
+    if fact is not None:
+        for d, r in fact.factors:
+            g = sympy_cofactor(fact, n - fact.degree, d, r)
+            chains.append(reference_cyclic_chain(a, g, d, [v for ch in chains for v in ch]))
+    return Matrix.from_columns([(1,) + (0,) * n] + [(0, *v) for ch in chains for v in ch])
 
 
 def block_diagonal(blocks):
@@ -260,92 +303,72 @@ def family_conjugate(n, seed):
                     for j in range(size)] for i in range(size)])
 
 
+def witness_cases():
+    return [*(family_conjugate(n, n) for n in range(2, 7)),
+            *(conjugated_blocks(seed) for seed in range(6))]
+
+
 class TestWitnessVsDenseReference:
-    @pytest.mark.parametrize("a", [
-        *(family_conjugate(n, n) for n in range(2, 7)),
-        *(conjugated_blocks(seed) for seed in range(6)),
-    ], ids=[f"family-{n}" for n in range(2, 7)]
-        + [f"blocks-{seed}" for seed in range(6)])
-    def test_identical_witness(self, monkeypatch, a):
-        got = exists_nice(a)
-        assert got.status == "yes"
-        monkeypatch.setattr(almost_abelian, "_nilpotent_chains", reference_nilpotent_pairs)
-        monkeypatch.setattr(
-            almost_abelian, "_cyclic_chain",
-            lambda squares, den, d, r, existing: reference_cyclic_pairs(a, d, r, existing))
-        want = exists_nice(a)
-        assert got.factorization == want.factorization
-        assert got.witness == want.witness
+    @pytest.mark.parametrize("a", witness_cases(), ids=[f"family-{n}" for n in range(2, 7)]
+                             + [f"blocks-{seed}" for seed in range(6)])
+    def test_identical_witness(self, a):
+        analysis = analyze(a)
+        assert analysis.exists().status == "yes"
+        for fact in analysis.factorizations or [None]:
+            got = _witness_basis(a, fact)
+            assert got == reference_witness(a, fact)
+            assert check_nice(build(a).compiled.change_basis(got))
 
 
-def as_pairs(chain):
-    """A chain of dense Fraction vectors in the witness code's form: each
-    vector as its int multiple v over the least denominator e, the pair (v, e)."""
-    out = []
-    for w in chain:
-        e = math.lcm(*[x.denominator for x in w])
-        out.append(({i: int(x * e) for i, x in enumerate(w) if x}, e))
-    return out
+def tried_candidates(monkeypatch):
+    """Wrap _cyclic_candidates; returns the list of the candidates taken from it."""
+    tried, original = [], almost_abelian._cyclic_candidates
 
+    def recorded(n, d):
+        for v in original(n, d):
+            tried.append(v)
+            yield v
 
-def reference_nilpotent_pairs(a):
-    """reference_nilpotent_chains as _nilpotent_chains returns them, with their span."""
-    chains = [as_pairs(ch) for ch in reference_nilpotent_chains(a)]
-    return chains, Subspace(a.rows, [v for ch in chains for v, _ in ch])
-
-
-def reference_cyclic_pairs(a, d, r, existing):
-    """reference_cyclic_chain as _cyclic_chain returns it, with existing grown by it."""
-    chain = reference_cyclic_chain(a, d, r, existing)
-    span = existing.copy()
-    assert all(span.add(v) for v in chain)
-    return as_pairs(chain), span
-
-
-def reference_candidates(kernel):
-    """The eager, dense candidate list _cyclic_chain tries in order: the kernel
-    vectors, every u + v, then sum_k t^k u_k for t = 0..m(m-1)."""
-    candidates = list(kernel)
-    candidates += [
-        tuple(x + y for x, y in zip(u, v))
-        for u, v in itertools.combinations(kernel, 2)
-    ]
-    m = len(kernel)
-    candidates += [
-        tuple(sum(t**k * u[i] for k, u in enumerate(kernel)) for i in range(len(kernel[0])))
-        for t in range(m * (m - 1) + 1)
-    ]
-    return candidates
+    monkeypatch.setattr(almost_abelian, "_cyclic_candidates", recorded)
+    return tried
 
 
 class TestCandidateOrder:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_lazy_matches_eager_list(self, seed):
-        rng = random.Random(seed)
-        rank = rng.randint(1, 3)
-        n = rank + rng.randint(4, 6)
-        left = Matrix([[rng.randint(-2, 2) for _ in range(rank)] for _ in range(n)])
-        right = Matrix([[rng.choice((0, 0, 1, -1, Q(1, 2))) for _ in range(n)]
-                        for _ in range(rank)])
-        m = left * right
-        kernel = sparse_kernel(Subspace(n, m.data))
-        assert len(kernel) >= 4
-        want = [sparse(w) for w in reference_candidates(
-            [dense(v, n) for v in sparse_kernel(Subspace(n, m.transpose().num))])]
-        got = list(almost_abelian._cyclic_candidates(kernel))
-        assert got == want
-        m = len(kernel)
-        assert len(got) == m + m * (m - 1) // 2 + m * (m - 1) + 1
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 1), (4, 3), (6, 2)])
+    def test_units_then_the_moment_curve(self, n, d):
+        got = list(almost_abelian._cyclic_candidates(n, d))
+        assert got == [sparse(v) for v in reference_candidates(n, d)]
+        assert len(got) == n + d * (n - 1) + 1
+
+    def test_curve_point_when_every_unit_vector_fails(self, monkeypatch):
+        # x^2 - 4 on diag(2, -2): each e_i is an eigenvector, so its chain has one
+        # direction; t = 0 gives e_0 again and t = 1 gives e_0 + e_1, which serves
+        a = Matrix.diagonal([Q(2), Q(-2)])
+        fact = next(f for f in analyze(a).factorizations if f.factors == ((2, Q(4)),))
+        tried = tried_candidates(monkeypatch)
+        witness = _witness_basis(a, fact)
+        assert tried == [{0: 1}, {1: 1}, {0: 1}, {0: 1, 1: 1}]
+        assert witness == Matrix([[1, 0, 0], [0, 1, 2], [0, 1, -2]])
+        assert witness == reference_witness(a, fact)
+
+    def test_later_unit_vector(self, monkeypatch):
+        # for x - 1 on a rotation plus 1, g = x^2 + 1 kills e_0 and e_1: e_2 serves
+        a = block_diagonal([Matrix([[0, -1], [1, 0]]), Matrix([[1]])])
+        fact = BinomialFactorization.of([(1, 1), (2, -1)])
+        assert fact in analyze(a).factorizations
+        tried = tried_candidates(monkeypatch)
+        witness = _witness_basis(a, fact)
+        assert tried == [{0: 1}, {1: 1}, {2: 1}, {0: 1}]
+        assert witness == reference_witness(a, fact)
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_family_factor_kernels(self, n):
+    def test_family_takes_e0_for_every_factor(self, monkeypatch, n):
         a = indecomposable_family(n).a
-        for d, r in exists_nice(a).factorization.factors:
-            m = math.prod([a] * d, start=Matrix.identity(a.rows)) - Matrix.identity(a.rows) * r
-            kernel = sparse_kernel(Subspace(a.rows, m.data))
-            want = [sparse(w) for w in reference_candidates(
-                [dense(v, a.rows) for v in sparse_kernel(Subspace(a.rows, m.transpose().num))])]
-            assert list(almost_abelian._cyclic_candidates(kernel)) == want
+        for fact in analyze(a).factorizations:
+            tried = tried_candidates(monkeypatch)
+            _witness_basis(a, fact)
+            monkeypatch.undo()
+            assert tried == [{0: 1}] * len(fact.factors)
 
 
 class TestEveryFactorizationHasAWitness:

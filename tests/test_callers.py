@@ -51,7 +51,6 @@ SHARED = {
 # module:function -> why it reads .denominator itself rather than through linalg._cleared
 DENOMINATOR_READS = {
     "linalg.py:__mul__": "the Matrix scalar product multiplies den by the scalar's",
-    "almost_abelian.py:_cyclic_chain": "r = num/den scales the power N^d by r's denominator",
     "almost_abelian.py:_enumerate": "the monic transform L^n p(y/L) over the lcm L of p",
     "linalg.py:rational_roots": "the sort key orders roots by denominator, then value",
     "scalars.py:factor_rat": "factors the denominator as well as the numerator",

@@ -2,7 +2,10 @@
 
 For indecomposable_family(n), n = 3..7, A is invertible (its characteristic
 polynomial x^(2^(n-1)) - 1 has no x-power), so _witness_basis builds no
-Jordan chains and never calls kernel_chain.  Each cyclic chain is eliminated
+Jordan chains and never calls kernel_chain.  It forms no power of A and no
+kernel: no Matrix product or sum and no int_kernel call, only the one int
+Krylov sequence e_0, Ne_0, ..., N^(size-1) e_0 of size - 1 steps by A's
+columns, which every factor reads its chain from.  Each cyclic chain is eliminated
 once, in the trial span that _cyclic_chain returns: every chain vector is
 added to a span of Q^size exactly once.  In a nice witness basis every image
 of change_basis is a multiple of one column, so no image is reduced: the
@@ -69,6 +72,33 @@ def test_family_witness_eliminates_each_chain_vector_once(monkeypatch, n):
         chain = [direction({k - 1: x for k, x in witness.columns[j].items()})
                  for j in range(1, size + 1)]
         assert all(added.count(v) == 1 for v in chain)
+
+
+def refuse(what):
+    def raising(*args):
+        raise AssertionError(f"{what} called")
+    return raising
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_family_witness_steps_one_krylov_sequence(monkeypatch, n):
+    a = indecomposable_family(n).a
+    size = a.rows
+    original = almost_abelian.apply_columns
+    for fact in analyze(a).factorizations:
+        steps = []
+
+        def counted(cols, vec):
+            steps.append(cols is a.num)
+            return original(cols, vec)
+
+        monkeypatch.setattr(almost_abelian, "apply_columns", counted)
+        monkeypatch.setattr(Subspace, "int_kernel", refuse("Subspace.int_kernel"))
+        for name in ("__mul__", "__rmul__", "__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(Matrix, name, refuse(f"Matrix.{name}"))
+        _witness_basis(a, fact)
+        monkeypatch.undo()
+        assert steps.count(True) == size - 1
 
 
 def images_reduced(monkeypatch, alg, p):
