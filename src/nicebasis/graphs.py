@@ -26,7 +26,12 @@ Duchamp and Krob, Adv. Math. 95, 1992): if alpha has the vertex set S,
   multidegree of v_a, for the same spanning set; S then has at least three
   vertices, so |alpha| >= 3 and no relator lies in degree alpha.
 graph_algebra builds the quotient by this lemma; the last quotient built is
-kept for the next request on an equal graph.
+kept for the next request on an equal graph.  The vertex sets of words, the
+sets of at most c vertices, are classified by their edge counts E, k = |S|:
+E = k(k-1)/2 is a clique; E < k-1 is disconnected, as a connected graph has a
+spanning tree; E > (k-1)(k-2)/2 is connected, as two parts of sizes m and
+k - m span at most C(m, 2) + C(k-m, 2) <= C(k-1, 2) edges.  Only the band
+between the last two bounds, empty for k <= 3, is searched.
 """
 
 from __future__ import annotations
@@ -194,19 +199,39 @@ def _mobius(n):
 _CLIQUE, _APART, _OPEN = range(3)
 
 
-def _block_kind(s, nbr):
-    """_CLIQUE, _APART (a disconnected induced subgraph) or _OPEN for the
-    vertex bitmask s; nbr[a] is the bitmask of a's neighbours."""
+def _connected(s, nbr):
+    """Whether the subgraph induced on the vertex bitmask s is connected; nbr[a] is
+    the bitmask of a's neighbours."""
     verts = [a for a in range(s.bit_length()) if s >> a & 1]
-    if all(s & ~nbr[a] == 1 << a for a in verts):
-        return _CLIQUE
     seen, grown = 0, s & -s
     while grown != seen:
         seen = grown
         for a in verts:
             if seen >> a & 1:
                 grown |= nbr[a] & s
-    return _OPEN if seen == s else _APART
+    return seen == s
+
+
+def _kinds(supports, nbr):
+    """{s: kind} for the vertex bitmasks s in supports, which must be closed under
+    dropping a vertex: one increasing pass counts the edges E(s) = E(s - t) +
+    |nbr[t] & (s - t)| of G[s], t the top vertex of s, and decides by the bounds
+    of the module's docstring; the band between them holds no clique."""
+    edges, kind = {0: (0, 0)}, {}  # edges[s]: (|s|, E(s))
+    for s in sorted(supports):
+        top = s.bit_length() - 1
+        rest = s ^ 1 << top
+        k, e = edges[rest]
+        k, e = edges[s] = k + 1, e + (nbr[top] & rest).bit_count()
+        if 2 * e == k * (k - 1):
+            kind[s] = _CLIQUE
+        elif e < k - 1:
+            kind[s] = _APART
+        elif 2 * e > (k - 1) * (k - 2):
+            kind[s] = _OPEN
+        else:
+            kind[s] = _OPEN if _connected(s, nbr) else _APART
+    return kind
 
 
 def graph_algebra(g: GraphSpec):
@@ -229,7 +254,10 @@ def graph_algebra(g: GraphSpec):
     clique blocks and the non-pivots of the undecided ones.  A kept pair
     whose joint vertex set is disconnected brackets to 0, a clique pair to
     its free bracket, and only an undecided pair is reduced by the Subspace.
-    Only the vertex sets of words are classified, never all 2^d subsets.
+    Only the vertex sets of words are classified, never all 2^d subsets, in
+    one increasing pass by their edge counts E: a k-set S drops its top vertex
+    t to a set met before, E(S) = E(S - t) + |N(t) & (S - t)|, and only the
+    band k-1 <= E <= (k-1)(k-2)/2 is searched for connectedness.
     """
     if not g.edges or g.c == 1:
         words = tuple((v,) for v in range(g.vertex_count))
@@ -247,12 +275,15 @@ def _quotient(g: GraphSpec):
     for a, b in g.edges:
         nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
     support = basis.supports
-    kind = {s: _block_kind(s, nbr) for s in set(support)}
+    kind = _kinds(set(support), nbr)  # the sets of at most c vertices
+    apart = [[] for _ in range(c)]  # apart[m]: the _APART words of length m < c
+    for i, w in enumerate(basis.words):
+        if len(w) < c and kind[support[i]] == _APART:
+            apart[len(w)].append((support[i], {i: 1}))
     ideal = Subspace(free.dim)
     added = []  # (support, int vector) added to ideal in the previous degree
     for k in range(3, c + 1):
-        gens, added = [(s, {i: 1}) for i, s in enumerate(support) if kind[s] == _APART
-                       and len(basis.words[i]) == k - 1] + added, []
+        gens, added = apart[k - 1] + added, []
         for s, v in gens:
             for a in range(d):
                 t = s | 1 << a

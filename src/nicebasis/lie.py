@@ -41,27 +41,26 @@ class LieAlgebra:
         int vector, d a nonzero int.  Puts the w over the lcm of the d, checks the
         indices, keeps the nonzero rows as the table, in key order, and divides den and
         the entries by their gcd: den is the lcm of the reduced denominators, however
-        cleared."""
-        lcm = math.lcm(*[d for _, d in rows.values()])
-        rows = {key: w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
-                for key, (w, d) in rows.items()}
+        cleared.  The keys and targets are checked in bulk; only a table that fails is
+        scanned row by row, for its first offender in key order."""
+        ws, ds = zip(*rows.values()) if rows else ((), ())
+        lcm = math.lcm(*ds)
+        if any(d != lcm for d in ds):  # d may be negative, so lcm == 1 is not enough
+            ws = [w if d == lcm else {k: x * (lcm // d) for k, x in w.items()}
+                  for w, d in zip(ws, ds)]
+        targets = set().union(*ws)
+        if not (all(0 <= i < j < dim for i, j in rows)
+                and (not targets or 0 <= min(targets) and max(targets) < dim)):
+            _refuse(dim, zip(rows, ws))
         den *= lcm
-        f = den if den == 1 else math.gcd(den, *[x for c in rows.values() for x in c.values()])
+        f = den if den == 1 else math.gcd(den, *[x for w in ws for x in w.values()])
         self.dim, self.den, self.table = dim, den // f, [{} for _ in range(dim)]
         pairs = []
-        for (i, j), comps in rows.items():
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"bracket index out of range: ({i}, {j})")
-            if i >= j:
-                raise ValueError(f"bracket keys must have i < j, got ({i}, {j})")
-            if not comps:
-                continue
-            if not (0 <= min(comps) and max(comps) < dim):
-                bad = next(k for k in comps if not 0 <= k < dim)
-                raise ValueError(f"bracket target out of range: {bad}")
-            row = comps if f == 1 else {k: x // f for k, x in comps.items()}
-            self.table[i][j], self.table[j][i] = row, {k: -x for k, x in row.items()}
-            pairs.append((i, j))
+        for (i, j), w in zip(rows, ws):
+            if w:
+                row = w if f == 1 else {k: x // f for k, x in w.items()}
+                self.table[i][j], self.table[j][i] = row, {k: -x for k, x in row.items()}
+                pairs.append((i, j))
         self.pairs = tuple(pairs)
         self.names = [f"e{i+1}" for i in range(dim)] if names is None else list(names)
         if isinstance(names, str) or not all(isinstance(x, str) for x in self.names):
@@ -275,6 +274,18 @@ class LieAlgebra:
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={len(self.pairs)})"
+
+
+def _refuse(dim, rows):
+    """Raise for the first offending (key, row) of rows: its indices out of range, else
+    its keys out of order, else a target out of range."""
+    for (i, j), w in rows:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"bracket index out of range: ({i}, {j})")
+        if i >= j:
+            raise ValueError(f"bracket keys must have i < j, got ({i}, {j})")
+        if bad := [k for k in w if not 0 <= k < dim]:
+            raise ValueError(f"bracket target out of range: {bad[0]}")
 
 
 def _form(v):

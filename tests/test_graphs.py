@@ -1,6 +1,7 @@
 """Graph-attached nilpotent algebras and the free-nilpotent machinery."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,81 @@ class TestBlockLemma:
         clique = [w for w in lyndon_words(g.vertex_count, g.c)
                   if all(g.has_edge(a, b) for a, b in itertools.combinations(set(w), 2))]
         assert set(clique) <= kept
+
+
+def reference_kind(edges, vertices):
+    """graphs._CLIQUE, _APART or _OPEN for a nonempty vertex list: a clique test on
+    every pair, then a breadth-first search from the first vertex."""
+    adj = {frozenset(e) for e in edges}
+    if all(frozenset(p) in adj for p in itertools.combinations(vertices, 2)):
+        return graphs._CLIQUE
+    seen, queue = {vertices[0]}, [vertices[0]]
+    for a in queue:
+        for b in vertices:
+            if b not in seen and frozenset((a, b)) in adj:
+                seen.add(b)
+                queue.append(b)
+    return graphs._OPEN if len(seen) == len(vertices) else graphs._APART
+
+
+def neighbours(d, edges):
+    nbr = [0] * d
+    for a, b in edges:
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    return nbr
+
+
+def assert_kinds(d, edges, supports):
+    kinds = graphs._kinds(supports, neighbours(d, edges))
+    assert set(kinds) == supports
+    for s in supports:
+        vertices = [a for a in range(d) if s >> a & 1]
+        assert kinds[s] == reference_kind(edges, vertices), (edges, vertices)
+
+
+# eight seeded graphs on each of 2..8 vertices, with any number of edges, at
+# every class 2..5 whose free algebra fits under DIMENSION_CAP
+KIND_GRAPHS = {d: [sorted(rng.sample(list(itertools.combinations(range(d), 2)), m))
+                   for m in [rng.randint(0, d * (d - 1) // 2) for _ in range(8)]]
+               for d in range(2, 9) for rng in [random.Random(700 + d)]}
+KIND_SIZES = [(d, c) for d in KIND_GRAPHS for c in range(2, 6)
+              if sum(witt_dimension(d, m) for m in range(1, c + 1)) <= DIMENSION_CAP]
+
+
+class TestKinds:
+    """graphs._kinds decides most vertex sets by their edge count alone; every
+    kind it gives must be the kind a clique test and a breadth-first search give."""
+
+    @pytest.mark.parametrize("d,c", KIND_SIZES)
+    def test_every_support_of_the_free_algebra(self, d, c):
+        supports = set(free_nilpotent(d, c)[1].supports)
+        # the vertex sets of at most c letters, closed under dropping a vertex
+        assert supports == {s for s in range(1, 1 << d) if s.bit_count() <= c}
+        for edges in KIND_GRAPHS[d]:
+            assert_kinds(d, edges, supports)
+
+    @pytest.mark.parametrize("d,edges,kind", [
+        (4, [(0, 1), (1, 2), (2, 3)], graphs._OPEN),  # path
+        (4, [(0, 1), (0, 2), (0, 3)], graphs._OPEN),  # star
+        (4, [(0, 1), (1, 2), (0, 2)], graphs._APART),  # triangle and a lone vertex
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], graphs._OPEN),  # path
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], graphs._OPEN),  # star
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], graphs._APART),  # triangle beside an edge
+        (5, [(0, 1), (1, 2), (2, 3), (0, 3)], graphs._APART),  # 4-cycle and a lone vertex
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], graphs._OPEN),  # 5-cycle
+        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], graphs._APART),  # K4 less an edge, lone
+        (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], graphs._OPEN),  # triangle with a tail
+        (5, list(itertools.combinations(range(4), 2)), graphs._APART),  # K4 and a lone vertex
+        # K4 less an edge, with a tail
+        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)], graphs._OPEN),
+    ])
+    def test_middle_band(self, d, edges, kind):
+        # neither the count bound for disconnected sets nor the one for connected
+        # sets decides the whole vertex set: k - 1 <= E <= (k - 1)(k - 2) / 2
+        assert d - 1 <= len(edges) <= (d - 1) * (d - 2) // 2
+        assert reference_kind(edges, list(range(d))) == kind
+        assert_kinds(d, edges, set(range(1, 1 << d)))
 
 
 class TestQuotientMemo:

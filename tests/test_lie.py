@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from nicebasis.lie import (
@@ -42,13 +44,36 @@ class TestConstruction:
         ({(1, 1): {2: 1}}, r"bracket keys must have i < j, got \(1, 1\)"),
         ({(0, 1): {3: 1}}, "bracket target out of range: 3"),
         ({(0, 1): {2: 1, -1: 1}}, "bracket target out of range: -1"),
+        # two bad rows: the first in key order decides
+        ({(0, 1): {3: 1}, (0, 3): {2: 1}}, "bracket target out of range: 3"),
+        ({(1, 0): {2: 1}, (0, 3): {2: 1}}, r"bracket keys must have i < j, got \(1, 0\)"),
+        ({(0, 2): {1: 1}, (2, 1): {0: 1}, (0, 1): {5: 1}},
+         r"bracket keys must have i < j, got \(2, 1\)"),
+        # one row bad twice: its indices, then its order, then its targets
+        ({(4, 1): {5: 1}}, r"bracket index out of range: \(4, 1\)"),
+        ({(2, 1): {3: 1}}, r"bracket keys must have i < j, got \(2, 1\)"),
+        ({(1, 2): {}, (0, 1): {}, (3, 0): {}}, r"bracket index out of range: \(3, 0\)"),
     ], ids=["index-past-dim", "index-negative", "i-after-j", "i-is-j", "target-past-dim",
-            "target-negative"])
+            "target-negative", "target-then-index", "order-then-index",
+            "order-then-target", "index-and-order", "order-and-target", "empty-rows"])
     def test_bracket_keys_and_targets_out_of_range_are_refused(self, brackets, message):
         # parse_lie refuses these first with the file's line, so only a caller
         # building the table in code reaches the constructor's own refusals
         with pytest.raises(ValueError, match=f"^{message}$"):
             LieAlgebra(3, brackets)
+
+    @pytest.mark.parametrize("rows,den,brackets", [
+        ({(0, 1): ({1: 1}, -1)}, 1, {(0, 1): {1: -1}}),  # a negative d keeps its sign
+        ({(0, 1): ({1: 1}, -1), (0, 2): ({2: 1}, 2)}, 1, {(0, 1): {1: -1}, (0, 2): {2: Q(1, 2)}}),
+        ({(0, 1): ({1: 2}, 2), (0, 2): ({2: 4}, 2)}, 1, {(0, 1): {1: 1}, (0, 2): {2: 2}}),
+        ({(0, 1): ({1: 3}, 1), (1, 2): ({}, 5)}, 3, {(0, 1): {1: 1}}),
+    ], ids=["negative-d", "mixed-d", "every-d-the-lcm", "empty-row"])
+    def test_from_table_puts_rows_over_the_lcm(self, rows, den, brackets):
+        g = LieAlgebra._from_table(3, rows, den)
+        assert g.brackets == brackets and g.pairs == tuple(brackets)
+        assert g.table[1][0] == {k: -x for k, x in g.table[0][1].items()}
+        assert g.den == math.lcm(*[Q(x).denominator for row in brackets.values()
+                                   for x in row.values()])
 
     def test_bracket_bilinear(self):
         g = fixtures.heisenberg3()

@@ -62,13 +62,10 @@ def test_family_witness_eliminates_each_chain_vector_once(monkeypatch, n):
     monkeypatch.setattr(almost_abelian, "kernel_chain", never)
     for fact in facts:
         adds = recording(monkeypatch, "add")
-        kernels = recording(monkeypatch, "int_kernel")  # the row spaces of A^d - r
         witness = _witness_basis(a, fact)
         monkeypatch.undo()
         monkeypatch.setattr(almost_abelian, "kernel_chain", never)
-        rows = [s for s, in kernels]
-        added = [direction(v) for s, v in adds
-                 if s.ambient == size and not any(s is t for t in rows)]
+        added = [direction(v) for s, v in adds if s.ambient == size]
         chain = [direction({k - 1: x for k, x in witness.columns[j].items()})
                  for j in range(1, size + 1)]
         assert all(added.count(v) == 1 for v in chain)
