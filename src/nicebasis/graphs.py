@@ -217,12 +217,12 @@ def _kinds(supports, nbr):
     dropping a vertex: one increasing pass counts the edges E(s) = E(s - t) +
     |nbr[t] & (s - t)| of G[s], t the top vertex of s, and decides by the bounds
     of the module's docstring; the band between them holds no clique."""
-    edges, kind = {0: (0, 0)}, {}  # edges[s]: (|s|, E(s))
+    edges, kind = {0: 0}, {}  # edges[s]: E(s)
     for s in sorted(supports):
         top = s.bit_length() - 1
         rest = s ^ 1 << top
-        k, e = edges[rest]
-        k, e = edges[s] = k + 1, e + (nbr[top] & rest).bit_count()
+        k, e = s.bit_count(), edges[rest] + (nbr[top] & rest).bit_count()
+        edges[s] = e
         if 2 * e == k * (k - 1):
             kind[s] = _CLIQUE
         elif e < k - 1:
