@@ -23,7 +23,7 @@ from math import prod
 from .scalars import Q, ZERO
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, _cleared, _exact, apply_columns, dense, solve
-from .nice import check_nice
+from .nice import check_nice, roots
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,9 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     blocks of equal weight, labelled by their first index; the last space
     built is kept for its (g, labels), so the result is shared: read-only.
 
-    Lemma: at pairwise distinct weights (range(n), say) the unknowns are the
-    D[i][i] alone, numbered i, and equation (i, j, r) is c_ij^r (x_r - x_i -
-    x_j) = 0, so the system is that of the diagonal derivations Dg(x):
-    x_r = x_i + x_j on each nonzero c_ij^r.  Its rows are made primitive, so
-    the Subspace is the same canonical one however the equations are scaled.
+    At pairwise distinct weights (range(n), say) the unknowns are the D[i][i]
+    alone, numbered i, and equation (i, j, r) is c_ij^r (x_r - x_i - x_j) = 0:
+    the system spans the rows of Y (nice.roots), made primitive, so canonical.
     """
     n = g.dim
     weights = [0] * n if weights is None else [_exact(w, "weight") for w in weights]
@@ -125,7 +123,7 @@ def _equations(g: LieAlgebra, unknowns):
 
 
 def diagonal_derivations(g: LieAlgebra):
-    """Vectors x with Dg(x) a derivation: x_i + x_j = x_k on each bracket."""
+    """Vectors x with Dg(x) a derivation: a basis of ker Y (nice.roots)."""
     return [dense({i: x for (i, _), x in d.items()}, g.dim)
             for d in derivation_space(g, range(g.dim)).basis]
 
@@ -190,7 +188,7 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
     violating Tr(ND) = Tr(D).  A diagonal entry must be an int or a Fraction.
 
     The trace test runs on Der(g)_0 = derivation_space(g, w) only.  Lemma:
-    if N = diag(w) is a derivation, every nonzero c_ij^k has w_k = w_i + w_j,
+    if N = diag(w) is a derivation, w_k = w_i + w_j on every root (nice.roots),
     so each equation (i, j, r) of Der(g) involves only unknowns D[m][i] (and
     D[m][j]) of one weight w_m - w_i = w_r - w_i - w_j.  So Der(g) is the
     direct sum of its weight blocks, and Tr(D), Tr(ND) read only diagonal
@@ -208,9 +206,9 @@ def pre_einstein_general_check(g: LieAlgebra, n_diag):
 
 def _certify(g: LieAlgebra, w, den):
     """pre_einstein_general_check on N = diag(w) / den, w ints, den > 0: scaling N
-    keeps its weight blocks, its derivation test and which D have den l(D) != 0.
+    keeps its weight blocks, its derivation test Y w = 0 and which D have den l(D) != 0.
     Der(g)_0 is built for a derivation only, or to refuse a length other than g.dim."""
-    if len(w) == g.dim and not is_derivation(g, {(i, i): x for i, x in enumerate(w) if x}):
+    if len(w) == g.dim and any(w[k] != w[i] + w[j] for i, j, k in roots(g)):
         return False, ("not_derivation", Matrix.diagonal([Q(x, den) for x in w]))
     space = derivation_space(g, w)
     gap = {space.unknowns[(r, r)]: x - den for r, x in enumerate(w) if x != den}

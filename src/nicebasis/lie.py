@@ -2,12 +2,14 @@
 
 A LieAlgebra is built from one int table: table[i][j] = den * [e_i, e_j] as a
 sparse dict {k: int}, for both index orders, den the lcm of the reduced
-denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in key
-order.  The constructor clears each bracket's values once by linalg._cleared,
-which refuses floats; the builders (free_nilpotent, graph_algebra, quotient,
-change_basis) hand over ints; the one setup puts them all over one lcm;
-change_basis re-indexes the table for a monomial p, else looks up each image
-that is a multiple of one column.
+denominators, and pairs lists the (i, j), i < j, of the nonzero brackets in the
+order they were given, unsorted: parse_lie keeps the file's order, direct_sum
+its summands'.  check_nice, quotient and serialize_lie sort them; nice.roots and
+jacobi_failures keep this order.  The constructor clears each bracket's values
+once by linalg._cleared, which refuses floats; the builders (free_nilpotent,
+graph_algebra, quotient, change_basis) hand over ints; the one setup puts them
+all over one lcm; change_basis re-indexes the table for a monomial p, else looks
+up each image that is a multiple of one column.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view for output (serialize_lie), built when first read.  Indices are 0-based
@@ -39,10 +41,10 @@ class LieAlgebra:
     def _setup(self, dim, rows, den, names, check):
         """The one setup: [e_i, e_j] = w / (d den) for rows[(i, j)] = (w, d), w a sparse
         int vector, d a nonzero int.  Puts the w over the lcm of the d, checks the
-        indices, keeps the nonzero rows as the table, in key order, and divides den and
+        indices, keeps the nonzero rows as the table, in rows' order, and divides den and
         the entries by their gcd: den is the lcm of the reduced denominators, however
         cleared.  The keys and targets are checked in bulk; only a table that fails is
-        scanned row by row, for its first offender in key order."""
+        scanned row by row, for its first offender in rows' order."""
         ws, ds = zip(*rows.values()) if rows else ((), ())
         lcm = math.lcm(*ds)
         if any(d != lcm for d in ds):  # d may be negative, so lcm == 1 is not enough
@@ -78,7 +80,7 @@ class LieAlgebra:
     @functools.cached_property
     def brackets(self):
         """{(i, j): {k: c}} for i < j, [e_i, e_j] = sum c e_k over Q: the table over
-        den, in key order.  Read-only; built on first read."""
+        den, in pairs order.  Read-only; built on first read."""
         t, den = self.table, self.den
         return {(i, j): {k: Q(x, den) for k, x in t[i][j].items()} for i, j in self.pairs}
 

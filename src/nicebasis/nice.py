@@ -10,6 +10,7 @@ means "not monomially equivalent over Q", not over R.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .scalars import Q, ONE, factor_rat
@@ -39,14 +40,21 @@ def check_nice(g: LieAlgebra) -> NiceVerdict:
         for k in comps:
             targets.setdefault(k, []).append((i, j))
     for k in sorted(targets):
-        pairs = targets[k]
-        for (i, j), (s, t) in itertools.combinations(pairs, 2):
-            a, b = {i, j}, {s, t}
-            if a != b and a & b:
-                violations.append(
-                    {"kind": "CONDITION_2", "target": k, "pairs": ((i, j), (s, t))}
-                )
+        for (i, j), (s, t) in itertools.combinations(targets[k], 2):
+            if {i, j} & {s, t}:  # distinct keys i < j, so never equal sets
+                violations.append({"kind": "CONDITION_2", "target": k, "pairs": ((i, j), (s, t))})
     return NiceVerdict(not violations, tuple(violations))
+
+
+def roots(g: LieAlgebra):
+    """The root matrix Y: a row (i, j, k), for e_i + e_j - e_k, per nonzero c_ij^k, i < j,
+    in g.pairs order.  Each row sums to 1, k in {i, j} too, so Y 1 = [1].  In any basis
+    diag(x) is a derivation iff Y x = 0, i.e. x_k = x_i + x_j on every root, as D[e_i, e_j]
+    - [D e_i, e_j] - [e_i, D e_j] = sum_k c_ij^k (x_k - x_i - x_j) e_k.  On a nice basis the
+    pre-Einstein weights are w = 1 - Y^T v for any v with Y Y^T v = [1]: Tr(N D) = Tr(D) on
+    ker Y puts w in ker Y and w - 1 in row Y, so w is the projection of 1 onto ker Y (Payne,
+    Geom. Dedicata 145, 2010; Nikolayevsky, Trans. AMS 363, 2011)."""
+    return tuple((i, j, k) for i, j in g.pairs for k in g.table[i][j])
 
 
 def check_adapted(g: LieAlgebra):
@@ -107,20 +115,17 @@ def monomial_equivalent(g: LieAlgebra, basis_a: Matrix, basis_b: Matrix):
     return _monomial_search(ta, tb)
 
 
-def _support_profile(t: LieAlgebra, i):
-    """Permutation-invariant local data of index i, for pruning."""
-    as_left = sorted(len(t.table[i].get(j, ())) for j in range(t.dim) if j != i)
-    as_target = sum(i in t.table[a][b] for a, b in t.pairs)
-    return tuple(as_left), as_target
+def _support_profiles(t: LieAlgebra):
+    """Per index, permutation-invariant data for pruning: its bracket sizes and root count."""
+    hits = Counter(k for _, _, k in roots(t))
+    return [(tuple(sorted(len(t.table[i].get(j, ())) for j in range(t.dim) if j != i)), hits[i])
+            for i in range(t.dim)]
 
 
 def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
     n = ta.dim
-    prof_a = [_support_profile(ta, i) for i in range(n)]
-    prof_b = [_support_profile(tb, i) for i in range(n)]
-    candidates = [
-        [p for p in range(n) if prof_b[p] == prof_a[i]] for i in range(n)
-    ]
+    prof_a, prof_b = _support_profiles(ta), _support_profiles(tb)
+    candidates = [[p for p in range(n) if prof_b[p] == prof_a[i]] for i in range(n)]
     sigma = [None] * n
     used = [False] * n
 
@@ -165,23 +170,16 @@ def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
     required ratios and p = -1: one integer system A x_p = b_p per prime, and
     for the signs, whose exponents count mod 2, [A | 2I] (x_-1, z) = b_-1.
     """
-    n = ta.dim
-    rows = []  # exponent-coefficient rows over the scale exponents
-    factored = []  # (sign, {prime: exponent}) of each required ratio
-    for i, j in ta.pairs:
-        cb = tb.table[sigma[i]].get(sigma[j], {})
-        for k, ca in ta.table[i][j].items():
-            tk = sigma[k]
-            if tk not in cb:
-                return None
-            row = [0] * n
-            row[i] += 1
-            row[j] += 1
-            row[k] -= 1
-            rows.append(row)
-            factored.append(factor_rat(Q(ca * tb.den, cb[tk] * ta.den)))
-    if not rows:
+    n, y = ta.dim, roots(ta)
+    if not y:
         return MonomialMap(sigma, tuple([ONE] * n))
+    factored = []  # (sign, {prime: exponent}) of each required ratio
+    for i, j, k in y:
+        cb = tb.table[sigma[i]].get(sigma[j], {}).get(sigma[k])
+        if cb is None:
+            return None
+        factored.append(factor_rat(Q(ta.table[i][j][k] * tb.den, cb * ta.den)))
+    rows = [[(q == i) + (q == j) - (q == k) for q in range(n)] for i, j, k in y]
     primes = sorted({p for _, f in factored for p in f})
     systems = [(p, rows, [f.get(p, 0) for _, f in factored]) for p in primes]
     two_eye = [row + [2 * (q == r) for q in range(len(rows))] for r, row in enumerate(rows)]

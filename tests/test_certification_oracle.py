@@ -601,7 +601,9 @@ class TestOneSystemPerRequest:
     """derivation_space keeps its last space, keyed by (g, weight blocks)."""
 
     @pytest.mark.parametrize("n", range(4, 11))
-    def test_simple_spectrum_builds_one(self, n):
+    def test_simple_spectrum_builds_one(self, n, monkeypatch):
+        calls, equations = [], derivations._equations
+        monkeypatch.setattr(derivations, "_equations", lambda *a: calls.append(a) or equations(*a))
         g = fixtures.standard_filiform(n)
         pe = pre_einstein_nice(g)
         assert len(set(pe.spectrum)) == n
@@ -609,6 +611,7 @@ class TestOneSystemPerRequest:
         w = [pe.matrix[i, i] for i in range(n)]
         assert pre_einstein_general_check(g, w) == (True, None)
         assert builds() == 1
+        assert len(calls) == 1  # the derivation test of N reads the roots, not _equations
 
     def test_repeated_value_builds_two(self):
         g = direct_sum(fixtures.standard_filiform(10), fixtures.standard_filiform(12))

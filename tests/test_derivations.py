@@ -25,7 +25,7 @@ from nicebasis.almost_abelian import count_nice
 from nicebasis.graphs import GraphSpec, graph_algebra, load_graph
 from nicebasis.lie import LieAlgebra, direct_sum, abelian, load_lie
 from nicebasis.linalg import Matrix, Subspace, dense, is_positive_definite, solve
-from nicebasis.nice import check_nice
+from nicebasis.nice import check_nice, roots
 from nicebasis.scalars import Q, ZERO, rat
 from nicebasis import derivations, fixtures, linalg
 from test_integer_table import LIE_ALGEBRAS, bracket_basis, rational_tables, sparse_kernel
@@ -315,7 +315,7 @@ class TestCountingRules:
                 assert count_nice(padded) == count_nice(a) == nu
 
 
-# --- the diagonal system is derivation_space at distinct weights ---------------
+# --- the diagonal system is derivation_space at distinct weights, ker Y -------
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -353,10 +353,47 @@ DIAGONAL_ALGEBRAS = {
 }
 
 
+def root_rows(g):
+    """Y as dense int rows, e_i + e_j - e_k per root (i, j, k)."""
+    rows = []
+    for i, j, k in roots(g):
+        row = [0] * g.dim
+        row[i] += 1
+        row[j] += 1
+        row[k] -= 1
+        rows.append(row)
+    return rows
+
+
+def y_kills(g, x):
+    """Y x = 0, the derivation test of _certify."""
+    return not any(x[k] != x[i] + x[j] for i, j, k in roots(g))
+
+
+def assert_root_lemmas(g):
+    y = root_rows(g)
+    assert sorted(roots(g)) == sorted((i, j, k) for (i, j), c in g.brackets.items() for k in c)
+    assert [sum(row) for row in y] == [1] * len(y)  # Y 1 = [1]
+    system = Subspace(g.dim, ({q: x for q, x in enumerate(row) if x} for row in y))
+    assert system == derivation_space(g, range(g.dim)).system
+    rng = random.Random(g.dim)
+    kernel = diagonal_derivations(g)
+    maps = [[0] * g.dim, *kernel, *([rng.randint(-3, 3) for _ in range(g.dim)] for _ in range(6))]
+    for x in kernel:  # a derivation bent at one entry, mostly not one
+        bent = list(x)
+        bent[rng.randrange(g.dim)] += Q(1, rng.choice((1, 2, 3)))
+        maps.append(bent)
+    for x in maps:
+        want = is_derivation(g, {(i, i): v for i, v in enumerate(x) if v})
+        assert y_kills(g, x) == want
+    assert all(y_kills(g, x) for x in kernel)
+
+
 def assert_diagonal_rule_is_the_reference(g):
     system = derivation_space(g, range(g.dim)).system
     assert system == reference_diagonal_system(g)
     assert diagonal_derivations(g) == [dense(v, g.dim) for v in sparse_kernel(system)]
+    assert_root_lemmas(g)
 
 
 class TestDiagonalSystemMatchesReference:
@@ -374,6 +411,56 @@ class TestDiagonalSystemMatchesReference:
     @settings(max_examples=80, deadline=None)
     def test_random_tables(self, g):
         assert_diagonal_rule_is_the_reference(g)
+
+
+def counterexample7():
+    """[e1, e_i] = e_(i+1), i = 2..6, [e2, e5] = e7, [e3, e4] = -e7: nice with N > 0, yet
+    every v with Y Y^T v = [1] is -1/5 on the root of [e1, e6] = e7, so none is > 0."""
+    brackets = {(0, i): {i + 1: 1} for i in range(1, 6)}
+    return LieAlgebra(7, {**brackets, (1, 4): {6: 1}, (2, 3): {6: -1}})
+
+
+ROOT_WEIGHT_ALGEBRAS = {
+    **{f"L{n}": (lambda n=n: fixtures.standard_filiform(n)) for n in (*range(3, 11), 20)},
+    **{name: (lambda name=name: load_lie(FIXTURES / name))
+       for name in ("h3.lie", "n7_extension.lie", "sl2.lie", "so3.lie")},
+    **{name: (lambda name=name: graph_algebra(load_graph(FIXTURES / name))[0])
+       for name in ("p3_c2.graph", "p3_c3.graph")},
+    "counterexample7": counterexample7,
+}
+
+
+def root_weights(g):
+    """(v, w): v = solve(Y Y^T, [1]), which Y 1 = [1] makes consistent, and w = 1 - Y^T v."""
+    y = root_rows(g)
+    v = solve(Matrix([[sum(a * b for a, b in zip(r, s)) for s in y] for r in y]), [1] * len(y))
+    return v, tuple(1 - sum(c * row[i] for c, row in zip(v, y)) for i in range(g.dim))
+
+
+class TestRootMatrix:
+    """The lemmas of nice.roots.  Y 1 = [1], the test Y x = 0 against is_derivation and
+    the span of Y against derivation_space are checked by assert_root_lemmas, which
+    TestDiagonalSystemMatchesReference runs on its algebras and random tables."""
+
+    def test_a_root_with_its_target_in_the_pair(self):
+        g = fixtures.sl2()  # [e1, e2] = 2 e2, [e1, e3] = -2 e3
+        assert roots(g) == ((0, 1, 1), (0, 2, 2), (1, 2, 0))
+        assert root_rows(g) == [[1, 0, 0], [1, 0, 0], [-1, 1, 1]]
+
+    def test_pairs_order(self):
+        g = LieAlgebra(4, {(1, 2): {3: 1}, (0, 1): {2: 1}, (0, 2): {3: 1}})
+        assert g.pairs == ((1, 2), (0, 1), (0, 2))
+        assert roots(g) == ((1, 2, 3), (0, 1, 2), (0, 2, 3))
+
+    @pytest.mark.parametrize("name", sorted(ROOT_WEIGHT_ALGEBRAS))
+    def test_pre_einstein_weights_are_one_minus_y_transpose_v(self, name):
+        g = ROOT_WEIGHT_ALGEBRAS[name]()
+        assert check_nice(g)
+        v, w = root_weights(g)
+        diag = pre_einstein_nice(g).matrix
+        assert w == tuple(diag[i, i] for i in range(g.dim))
+        if name in ("L10", "counterexample7"):
+            assert min(v) == {"L10": Q(4, 61), "counterexample7": Q(-1, 5)}[name]
 
 
 # --- is_derivation evaluates the equations of derivation_space ------------------

@@ -1,6 +1,6 @@
 """The monomial search and catalog3 in ints against the Fraction code they replaced.
 
-MonomialMap.is_isomorphism, _support_profile, _monomial_search and
+MonomialMap.is_isomorphism, _support_profiles, _monomial_search and
 _solve_scales read the int tables (table, den) of the two algebras, and
 cyclic_sign_pattern, _abelian_codim1_ideal, _is_abelian_ideal and
 _ad_action_matrix read the int table and the int Subspace rows.  The
