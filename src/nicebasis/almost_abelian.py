@@ -9,14 +9,14 @@ can map a factorization only to itself (the lemma in
 Analysis.count).  Constants are searched over the rationals;
 when an irrational real constant could occur the answer degrades honestly
 to "unknown-irrational" instead of guessing.  The search runs on Python
-ints: integer gcds of the residue classes give the divisors, and
-factorizations are enumerated on the monic integer transform of the
-polynomial, each quotient split once per call; they are read only through
-analyze, which exists_nice and count_nice share.  A witness is built in ints
-too: each cyclic chain starts at g(A) v, read off one Krylov sequence of v by
-the image lemma im g(A) = ker f(A) (see _witness_basis), with no power of A
-and no kernel; the chains are eliminated once in one span and certified by
-change_basis.
+ints: integer gcds of the residue classes give the divisors.  A squarefree
+polynomial's factorizations are the sets of pairwise coprime divisors, by a
+root test on the constants; otherwise a walk splits each quotient once per
+call (_enumerate).  Only analyze, shared by exists_nice and count_nice, reads
+them.  A witness is built in ints too: each cyclic chain starts at g(A) v,
+read off one Krylov sequence of v by the image lemma im g(A) = ker f(A) (see
+_witness_basis), with no power of A and no kernel; the chains are eliminated
+once in one span and certified by change_basis.
 """
 
 from __future__ import annotations
@@ -137,18 +137,38 @@ def _divide_binomial(c, d, r):
     return tuple(q)
 
 
-def _enumerate(p: Poly, divisors):
-    """Factorizations of monic p over divisors as sorted tuples, each once.
+def _enumerate(p: Poly, divisors, squarefree):
+    """Factorizations of monic p over divisors (sorted, every binomial dividing p)
+    as sorted tuples, each once, in lexicographic order of divisor indices.  The
+    work runs on the monic integer L^n p(y/L), L the lcm of p's denominators,
+    where x^d - r becomes y^d - L^d r, an integer binomial by Gauss's lemma.
 
-    divisors lists, sorted, every binomial dividing p.  The work runs on the
-    monic integer L^n p(y/L), L the lcm of p's denominators, where x^d - r
-    becomes y^d - L^d r, an integer binomial by Gauss's lemma.  walk(c, i)
-    lists, once per call, the factorizations of the quotient c whose factors
-    all have index i or more, trying only those divisors; factor i takes the
-    tails walk(c / factor, i), so the tuples come out in lexicographic order.
+    Lemma: for r, s != 0 and g = gcd(a, b), x^a - r and x^b - s share a root iff
+    r^(b/g) = s^(a/g), and then their gcd is x^g - t, t = r^u s^v, ua + vb = g: a
+    common root alpha gives r^(b/g) = alpha^(ab/g) = s^(a/g), and t^(a/g) = r,
+    t^(b/g) = s.  So for squarefree p the factorizations are the sets of pairwise
+    coprime divisors whose degrees sum to deg p, which sets(i, left, banned) lists
+    from index i on by one clash mask per divisor, dividing nothing.  Otherwise
+    factors may share a root, as x^2 - 1 and x^3 - 1 do in their product: walk(c, i)
+    lists, once per call, the factorizations of the quotient c by divisors i on.
     """
     n, scale = p.degree, math.lcm(*(c.denominator for c in p.coeffs))
     binomials = [(d, int(r * scale**d)) for d, r in divisors]
+    if squarefree:
+        clash = [sum(1 << j for j, (b, s) in enumerate(binomials)
+                     if r ** (b // math.gcd(a, b)) == s ** (a // math.gcd(a, b)))
+                 for a, r in binomials]
+
+        def sets(start, left, banned):
+            if not left:
+                yield ()
+            for i, (d, _) in enumerate(binomials[start:], start):
+                if d > left:
+                    break
+                if not banned >> i & 1:
+                    yield from ((i,) + t for t in sets(i + 1, left - d, banned | clash[i]))
+
+        return [tuple(divisors[i] for i in t) for t in sets(0, n, 0)]
 
     @functools.cache
     def walk(c, start):
@@ -246,12 +266,12 @@ def analyze(a: Matrix) -> Analysis:
     the characteristic polynomial: same nonzero roots, none more often), and
     a divisor of a squarefree polynomial is squarefree, so a squarefree
     q / x^k decides without mp."""
-    q, semisimple = _squarefree_part(char_poly(a))
+    q, squarefree = _squarefree_part(char_poly(a))
     if q.degree == 0:
         return Analysis(a, nilpotent=True)
-    semisimple = semisimple or _squarefree_part(minimal_polynomial(a))[1]
+    semisimple = squarefree or _squarefree_part(minimal_polynomial(a))[1]
     divisors, irrational = _binomial_divisors(q)
-    facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors))
+    facts = tuple(BinomialFactorization(t) for t in _enumerate(q, divisors, squarefree))
     return Analysis(a, False, semisimple, facts, irrational)
 
 
@@ -296,7 +316,7 @@ def _witness_basis(a: Matrix, fact):
     n = a.rows
     chains, span = ([], Subspace(n)) if fact and fact.degree == n else _nilpotent_chains(a)
     if fact is not None:
-        binomials = [primitive(Poly.binomial(d, r).coeffs) for d, r in fact.factors]
+        binomials = [[-r.numerator] + [0] * (d - 1) + [r.denominator] for d, r in fact.factors]
         q = functools.reduce(_convolve, binomials)
         rad = _divide(q, int_gcd(q, [k * x for k, x in enumerate(q)][1:]))
         krylov = {}  # candidate number -> v, Nv, ...: kept for this call only

@@ -128,9 +128,13 @@ def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
     candidates = [[p for p in range(n) if prof_b[p] == prof_a[i]] for i in range(n)]
     sigma = [None] * n
     used = [False] * n
+    late = [[] for _ in range(n)]  # roots (a, b, k) with b < k, checked when k is assigned
+    for a, b, k in roots(ta):
+        if b < k:
+            late[k].append((a, b))
 
     def pairs_ok(i):
-        # every fully-assigned pair must have matching bracket supports
+        # every fully-assigned pair, and every root into i, must match tb's bracket supports
         for j in range(i):
             ca = ta.table[j].get(i, {})
             cb = tb.table[sigma[j]].get(sigma[i], {})
@@ -139,7 +143,7 @@ def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
             for k in ca:
                 if sigma[k] is not None and sigma[k] not in cb:
                     return False
-        return True
+        return all(sigma[i] in tb.table[sigma[a]].get(sigma[b], ()) for a, b in late[i])
 
     def extend(i):
         if i == n:

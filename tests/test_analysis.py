@@ -4,7 +4,8 @@ here, the one-pass integer binomial division against long division, witnesses ag
 a dense Fraction construction of the cofactor rule (x^k rad(q) / f by sympy) and
 the order of their candidates, one binomial-divisor pass per analysis, and
 each fast path of analyze against the slow path it replaces: the start-indexed
-factorization walk against the filtered one, the squarefree characteristic
+factorization walk, and on squarefree polynomials the pairwise coprime
+divisor sets, against the filtered walk, the squarefree characteristic
 polynomial against the minimal-polynomial criterion, and the one-entry
 analysis cache against a fresh analysis."""
 
@@ -24,6 +25,7 @@ from nicebasis.almost_abelian import (
     _binomial_divisors,
     _divide_binomial,
     _enumerate,
+    _squarefree_part,
     _witness_basis,
     analyze,
     build,
@@ -476,7 +478,7 @@ class TestStartIndexedWalk:
         divisors, _ = _binomial_divisors(p)
         reference = []
         want = filtered_enumerate(p, divisors, reference)
-        assert _enumerate(p, divisors) == want  # same lists, same order
+        assert _enumerate(p, divisors, False) == want  # same lists, same order
         assert len(divisions) <= len(reference)  # and no more trial divisions
 
     @pytest.mark.parametrize("seed", range(4))
@@ -486,7 +488,7 @@ class TestStartIndexedWalk:
             reference = []
             want = filtered_enumerate(p, divisors, reference)
             del divisions[:]
-            assert _enumerate(p, divisors) == want
+            assert _enumerate(p, divisors, False) == want
             assert len(divisions) <= len(reference)
 
     def test_fewer_divisions_on_the_family(self, divisions):
@@ -494,8 +496,94 @@ class TestStartIndexedWalk:
         p = Poly.binomial(16, 1)
         divisors, _ = _binomial_divisors(p)
         reference = []
-        assert _enumerate(p, divisors) == filtered_enumerate(p, divisors, reference)
+        assert _enumerate(p, divisors, False) == filtered_enumerate(p, divisors, reference)
         assert (len(divisions), len(reference)) == (106, 205)
+
+    def test_walk_keeps_factors_that_share_a_root(self):
+        # (x^2 - 1)(x^3 - 1) = (x - 1)^2 (x + 1)(x^2 + x + 1) is not squarefree, and
+        # x^2 - 1, x^3 - 1 share the root 1: the pairwise coprime sets would lose
+        # both factorizations, the walk lists them
+        p = mul(Poly.binomial(2, 1), Poly.binomial(3, 1))
+        assert not _squarefree_part(p)[1]
+        divisors, _ = _binomial_divisors(p)
+        assert divisors == [(1, -1), (1, 1), (2, 1), (3, 1)]
+        assert _enumerate(p, divisors, False) == [((1, -1), (1, 1), (3, 1)), ((2, 1), (3, 1))]
+        assert _enumerate(p, divisors, True) == []
+
+
+class TestCoprimeSets:
+    """The squarefree path of _enumerate, the pairwise coprime divisor sets, against
+    the walk it replaces there: same lists in the same order, no trial division."""
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        counter = []
+        monkeypatch.setattr(almost_abelian, "_divide_binomial",
+                            lambda c, d, r: counter.append((c, d, r)))
+        return counter
+
+    @pytest.mark.parametrize("k", range(1, 257))
+    def test_x_power_minus_one(self, divisions, k):
+        p = Poly.binomial(k, 1)
+        divisors, _ = _binomial_divisors(p)
+        want = filtered_enumerate(p, divisors, [])
+        del divisions[:]
+        assert _enumerate(p, divisors, True) == want
+        assert divisions == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_squarefree_binomial_products(self, divisions, seed):
+        seen = 0
+        for p in random_binomial_products(seed, 50):
+            if _squarefree_part(p)[1]:
+                seen += 1
+                divisors, _ = _binomial_divisors(p)
+                want = filtered_enumerate(p, divisors, [])
+                del divisions[:]
+                assert _enumerate(p, divisors, True) == want
+                assert divisions == []
+        assert seen >= 10
+
+    def test_no_division_on_the_family(self, divisions):
+        # an n = 5 family request: x^16 - 1 is squarefree, so no trial division
+        analyze.cache_clear()
+        assert count_nice(indecomposable_family(5).a) == 5
+        assert divisions == []
+
+    def test_lemma_against_int_gcd(self):
+        # x^a - r and x^b - s share a root iff r^(b/g) = s^(a/g), g = gcd(a, b), and
+        # then their gcd is x^g - r^u s^v, ua + vb = g
+        constants = [Q(c) for c in (1, -1, 2, -2, 4, -4, Q(1, 2), Q(-1, 2), 8, 9)]
+        binomials = [(d, r) for d in range(1, 7) for r in constants]
+        shared = 0
+        for (a, r), (b, s) in itertools.combinations_with_replacement(binomials, 2):
+            g, u, v = extended_gcd(a, b)
+            clash = r ** (b // g) == s ** (a // g)
+            got = int_gcd(Poly.binomial(a, r).coeffs, Poly.binomial(b, s).coeffs)
+            if clash:
+                shared += 1
+                t = r**u * s**v
+                assert t ** (a // g) == r and t ** (b // g) == s
+                want = [-t.numerator] + [0] * (g - 1) + [t.denominator]
+                assert got in (want, [-x for x in want])
+            else:
+                assert len(got) == 1
+            p = mul(Poly.binomial(a, r), Poly.binomial(b, s))
+            assert _squarefree_part(p)[1] == (not clash)
+            if not clash:
+                divisors, _ = _binomial_divisors(p)
+                facts = _enumerate(p, divisors, True)
+                assert facts == filtered_enumerate(p, divisors, [])
+                assert tuple(sorted([(a, r), (b, s)])) in facts
+        assert 0 < shared < len(binomials) ** 2
+
+
+def extended_gcd(a, b):
+    """(g, u, v) with u a + v b = g = gcd(a, b)."""
+    if b == 0:
+        return a, 1, 0
+    g, u, v = extended_gcd(b, a % b)
+    return g, v, u - (a // b) * v
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

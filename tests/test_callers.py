@@ -52,6 +52,8 @@ SHARED = {
 DENOMINATOR_READS = {
     "linalg.py:__mul__": "the Matrix scalar product multiplies den by the scalar's",
     "almost_abelian.py:_enumerate": "the monic transform L^n p(y/L) over the lcm L of p",
+    "almost_abelian.py:_witness_basis":
+        "x^d - r is den x^d - num as a primitive int binomial, with nothing to clear",
     "linalg.py:rational_roots": "the sort key orders roots by denominator, then value",
     "scalars.py:factor_rat": "factors the denominator as well as the numerator",
     "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",

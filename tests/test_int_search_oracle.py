@@ -7,8 +7,9 @@ _ad_action_matrix read the int table and the int Subspace rows.  The
 reference_* functions below are the versions that read the Fraction views,
 kept verbatim apart from their names and the stand-ins bracket_basis and
 q_rows for the views.  On signed, rescaled permutations of nice bases the
-search must return the same (sigma, scales), and on seeded conjugates of
-every catalog row classify3 must name that row and the helpers must agree.
+search must return the same (sigma, scales), on L_n it must reach the scale
+equations once, and on seeded conjugates of every catalog row classify3 must
+name that row and the helpers must agree.
 """
 
 import functools
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from nicebasis import fixtures
+from nicebasis import fixtures, nice
 from nicebasis.almost_abelian import exists_nice, indecomposable_family
 from nicebasis.catalog3 import (
     _abelian_codim1_ideal,
@@ -26,6 +27,7 @@ from nicebasis.catalog3 import (
     cyclic_sign_pattern,
 )
 from nicebasis.graphs import GraphSpec, construct_nice_basis, graph_algebra
+from nicebasis.lie import LieAlgebra
 from nicebasis.linalg import Matrix, Subspace, solve_integer_system
 from nicebasis.nice import MonomialMap, _monomial_search, check_nice, monomial_equivalent
 from nicebasis.scalars import Q, ZERO, ONE, factor_rat, sign
@@ -251,6 +253,35 @@ class TestMonomialSearch:
             want = reference_monomial_search(g.change_basis(a), g.change_basis(b))
             assert as_pair(monomial_equivalent(g, a, b)) == as_pair(want)
         assert monomial_equivalent(g, first, second) is None
+
+    # the witnesses that the search found before it checked a root's target
+    # as soon as that target is assigned: with the check they stay the same
+    LN_WITNESSES = {
+        8: ((0, 4, 3, 7, 6, 1, 5, 2), (1, 1, -1, -1, -1, 1, 1, -1)),
+        9: ((3, 0, 7, 8, 5, 1, 2, 6, 4), (1, 1, -1, -1, 1, 1, -1, 1, 1)),
+        10: ((3, 0, 7, 9, 5, 1, 2, 6, 8, 4), (1, 1, -1, -1, 1, 1, -1, 1, -1, 1)),
+        11: ((3, 0, 7, 10, 5, 1, 2, 6, 8, 9, 4), (1, 1, -1, 1, 1, 1, -1, 1, -1, -1, 1)),
+    }
+
+    @pytest.mark.parametrize("n", range(8, 15))
+    def test_filiform_chain_pruned_before_the_leaves(self, monkeypatch, n):
+        # on L_n every target [e_0, e_i] = e_(i+1) is assigned after its pair; the
+        # search without the check called _solve_scales 47, 589, 3,529 and 24,721
+        # times at n = 8..11
+        calls = []
+
+        def counted(ta, tb, sigma):
+            calls.append(sigma)
+            return solve_scales(ta, tb, sigma)
+
+        solve_scales = nice._solve_scales
+        monkeypatch.setattr(nice, "_solve_scales", counted)
+        g = LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+        b = signed_permutation(random.Random(3), n, False)
+        got = monomial_equivalent(g, Matrix.identity(n), b)
+        assert len(calls) == 1
+        if n in self.LN_WITNESSES:
+            assert as_pair(got) == self.LN_WITNESSES[n]
 
     def test_search_and_sign_pattern_build_no_fraction_view(self):
         g, basis = NICE["L7"]()

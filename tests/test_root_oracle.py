@@ -3,13 +3,15 @@ code that they replaced.
 
 rational_roots, count_real_roots and _binomial_divisors now run on Python
 ints (primitive pseudo-remainders, exact synthetic division, integer Sturm
-chains), and _enumerate works on the monic integer transform with a memo of
-quotients.  The reference_* functions below are the Fraction versions they
-replaced, kept verbatim apart from evaluating p through a helper and
-spelling Poly arithmetic with mul, pdivmod and monic; every output is
-compared with them in order, and the real-root count also with sympy.  Analysis.count is the number of factorizations; reference_count
-groups them by the real-rescaling search (_same_class and its helpers) that
-it replaced, and TestRescalingLemma checks that the search merges nothing.
+chains), and _enumerate works on the monic integer transform, by pairwise
+coprime sets for a squarefree polynomial and else with a memo of quotients.
+The reference_* functions below are the Fraction versions they replaced,
+kept verbatim apart from evaluating p through a helper and spelling Poly
+arithmetic with mul, pdivmod and monic; every output is compared with them
+in order, and the real-root count also with sympy.  Analysis.count is the
+number of factorizations; reference_count groups them by the real-rescaling
+search (_same_class and its helpers) that it replaced, and
+TestRescalingLemma checks that the search merges nothing.
 """
 
 import itertools
@@ -27,6 +29,7 @@ from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
     _enumerate,
+    _squarefree_part,
     analyze,
     count_nice,
     indecomposable_family,
@@ -72,7 +75,8 @@ def pdivmod(a: Poly, b: Poly):
 
 def factorizations(p: Poly):
     """The BinomialFactorizations of monic p, sorted, each multiset once."""
-    return [BinomialFactorization(t) for t in _enumerate(p, _binomial_divisors(p)[0])]
+    squarefree = _squarefree_part(p)[1]
+    return [BinomialFactorization(t) for t in _enumerate(p, _binomial_divisors(p)[0], squarefree)]
 
 
 # --- the Fraction references ------------------------------------------------
@@ -438,7 +442,9 @@ class TestVerdictCorpus:
         got = analyze(a)
         got_exists = got.exists()
         monkeypatch.setattr(almost_abelian, "_binomial_divisors", reference_binomial_divisors)
-        monkeypatch.setattr(almost_abelian, "_enumerate", reference_enumerate)
+        # the reference takes no squarefree flag: it replaces both paths of _enumerate
+        monkeypatch.setattr(almost_abelian, "_enumerate",
+                            lambda p, divisors, squarefree: reference_enumerate(p, divisors))
         analyze.cache_clear()
         want = analyze(a)
         want_exists = want.exists()
