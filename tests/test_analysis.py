@@ -461,6 +461,10 @@ def random_binomial_products(seed, count):
 
 
 class TestStartIndexedWalk:
+    """The walk against the filtered one, and on squarefree polynomials the
+    pairwise coprime divisor sets against both: same lists in the same order,
+    the sets with no trial division."""
+
     @pytest.fixture
     def divisions(self, monkeypatch):
         counter = []
@@ -481,8 +485,16 @@ class TestStartIndexedWalk:
         assert _enumerate(p, divisors, False) == want  # same lists, same order
         assert len(divisions) <= len(reference)  # and no more trial divisions
 
+    @pytest.mark.parametrize("k", range(1, 257))
+    def test_x_power_minus_one_by_coprime_sets(self, divisions, k):
+        p = Poly.binomial(k, 1)
+        divisors, _ = _binomial_divisors(p)
+        assert _enumerate(p, divisors, True) == filtered_enumerate(p, divisors, [])
+        assert divisions == []
+
     @pytest.mark.parametrize("seed", range(4))
     def test_random_binomial_products(self, divisions, seed):
+        squarefree = 0
         for p in random_binomial_products(seed, 50):
             divisors, _ = _binomial_divisors(p)
             reference = []
@@ -490,14 +502,25 @@ class TestStartIndexedWalk:
             del divisions[:]
             assert _enumerate(p, divisors, False) == want
             assert len(divisions) <= len(reference)
+            if _squarefree_part(p)[1]:
+                squarefree += 1
+                del divisions[:]
+                assert _enumerate(p, divisors, True) == want
+                assert divisions == []
+        assert squarefree >= 10
 
     def test_fewer_divisions_on_the_family(self, divisions):
-        # x^16 - 1 (the family at n = 5): 106 trial divisions instead of 205
+        # x^16 - 1 (the family at n = 5): 106 trial divisions instead of 205 by
+        # the walk, none by the coprime sets, which an n = 5 request takes
         p = Poly.binomial(16, 1)
         divisors, _ = _binomial_divisors(p)
         reference = []
         assert _enumerate(p, divisors, False) == filtered_enumerate(p, divisors, reference)
         assert (len(divisions), len(reference)) == (106, 205)
+        del divisions[:]
+        analyze.cache_clear()
+        assert count_nice(indecomposable_family(5).a) == 5
+        assert divisions == []
 
     def test_walk_keeps_factors_that_share_a_root(self):
         # (x^2 - 1)(x^3 - 1) = (x - 1)^2 (x + 1)(x^2 + x + 1) is not squarefree, and
@@ -510,49 +533,10 @@ class TestStartIndexedWalk:
         assert _enumerate(p, divisors, False) == [((1, -1), (1, 1), (3, 1)), ((2, 1), (3, 1))]
         assert _enumerate(p, divisors, True) == []
 
-
-class TestCoprimeSets:
-    """The squarefree path of _enumerate, the pairwise coprime divisor sets, against
-    the walk it replaces there: same lists in the same order, no trial division."""
-
-    @pytest.fixture
-    def divisions(self, monkeypatch):
-        counter = []
-        monkeypatch.setattr(almost_abelian, "_divide_binomial",
-                            lambda c, d, r: counter.append((c, d, r)))
-        return counter
-
-    @pytest.mark.parametrize("k", range(1, 257))
-    def test_x_power_minus_one(self, divisions, k):
-        p = Poly.binomial(k, 1)
-        divisors, _ = _binomial_divisors(p)
-        want = filtered_enumerate(p, divisors, [])
-        del divisions[:]
-        assert _enumerate(p, divisors, True) == want
-        assert divisions == []
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_squarefree_binomial_products(self, divisions, seed):
-        seen = 0
-        for p in random_binomial_products(seed, 50):
-            if _squarefree_part(p)[1]:
-                seen += 1
-                divisors, _ = _binomial_divisors(p)
-                want = filtered_enumerate(p, divisors, [])
-                del divisions[:]
-                assert _enumerate(p, divisors, True) == want
-                assert divisions == []
-        assert seen >= 10
-
-    def test_no_division_on_the_family(self, divisions):
-        # an n = 5 family request: x^16 - 1 is squarefree, so no trial division
-        analyze.cache_clear()
-        assert count_nice(indecomposable_family(5).a) == 5
-        assert divisions == []
-
     def test_lemma_against_int_gcd(self):
         # x^a - r and x^b - s share a root iff r^(b/g) = s^(a/g), g = gcd(a, b), and
-        # then their gcd is x^g - r^u s^v, ua + vb = g
+        # then their gcd is x^g - r^u s^v, ua + vb = g; a coprime pair's product is
+        # squarefree and the coprime sets list the pair among its factorizations
         constants = [Q(c) for c in (1, -1, 2, -2, 4, -4, Q(1, 2), Q(-1, 2), 8, 9)]
         binomials = [(d, r) for d in range(1, 7) for r in constants]
         shared = 0
