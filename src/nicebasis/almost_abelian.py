@@ -1,22 +1,22 @@
 """Almost abelian algebras R f + R^n with [f, X] = AX.
 
 Nice-basis existence and the exact count of nice bases up to equivalence are
-controlled by binomial factorizations x^d - r of the characteristic
-polynomial of A: existence needs the non-nilpotent part of A to be
-semisimple and its characteristic polynomial to split into such binomials;
-the count is the number of such factorizations, because a real rescaling
-can map a factorization only to itself (the lemma in
-Analysis.count).  Constants are searched over the rationals;
-when an irrational real constant could occur the answer degrades honestly
-to "unknown-irrational" instead of guessing.  The search runs on Python
-ints: integer gcds of the residue classes give the divisors.  A squarefree
-polynomial's factorizations are the sets of pairwise coprime divisors, by a
-root test on the constants; otherwise a walk splits each quotient once per
-call (_enumerate).  Only analyze, shared by exists_nice and count_nice, reads
-them.  A witness is built in ints too: each cyclic chain starts at g(A) v,
-read off one Krylov sequence of v by the image lemma im g(A) = ker f(A) (see
-_witness_basis), with no power of A and no kernel; the chains are eliminated
-once in one span and certified by change_basis.
+controlled by binomial factorizations x^d - r of the characteristic polynomial
+of A: existence needs the non-nilpotent part of A to be semisimple and its
+characteristic polynomial to split into such binomials; the count is the
+number of such factorizations, because a real rescaling can map a
+factorization only to itself (the lemma in Analysis.count).  Constants are
+searched over the rationals; when an irrational real constant could occur the
+answer degrades honestly to "unknown-irrational" instead of guessing.  The
+search runs on Python ints: integer gcds of the residue classes of char_poly's
+ints give the divisors.  A squarefree polynomial's factorizations are the sets
+of pairwise coprime divisors, by a root test on the constants; otherwise a
+walk splits each quotient once per call (_enumerate).  Only analyze, shared by
+exists_nice and count_nice, reads them.  A witness is built in ints too: each
+cyclic chain starts at g(A) v, read off one Krylov sequence of v by the image
+lemma im g(A) = ker f(A) (see _witness_basis), with no power of A and no
+kernel; the chains are eliminated once in one span and certified by
+change_basis.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .linalg import (
     Subspace,
     _convolve,
     _divide,
+    _int_roots,
+    _scaled,
     apply_columns,
     char_poly,
     count_real_roots,
@@ -94,12 +96,12 @@ def _binomial_divisors(p: Poly):
 
     For each degree d, the remainder of p modulo x^d - r has coefficients
     that are polynomials in r, one per nonzero residue class of exponents;
-    valid constants are the roots of their integer gcd, taken on p's
-    primitive integer multiple and stopped once it reaches degree 0.  The
-    flag records whether a common root is real but irrational, in which
-    case the rational enumeration misses real factorizations.
+    valid constants are the roots of their integer gcd, taken on p.ints and
+    stopped once it reaches degree 0.  The flag records whether a common root
+    is real but irrational, in which case the rational enumeration misses real
+    factorizations.  A Fraction is made per constant, nothing else.
     """
-    c = primitive(p.coeffs)
+    c = p.ints
     support = [k for k, x in enumerate(c) if x]
     divisors, irrational = [], False
     for d in range(1, len(c)):
@@ -112,10 +114,9 @@ def _binomial_divisors(p: Poly):
             if len(g) == 1:
                 break
         if len(g) > 1:
-            g = Poly(g)
-            roots = rational_roots(g)
-            divisors += [(d, r) for r, _ in roots if r]
-            if sum(m for _, m in roots) < g.degree and count_real_roots(g) > len(roots):
+            roots = _int_roots(g)
+            divisors += [(d, Q(num, den)) for num, den, _ in roots if num]
+            if sum(m for *_, m in roots) < len(g) - 1 and count_real_roots(g) > len(roots):
                 irrational = True
     return sorted(divisors), irrational
 
@@ -137,27 +138,35 @@ def _divide_binomial(c, d, r):
     return tuple(q)
 
 
+def _clashes(binomials):
+    """For each x^a - r of binomials (a, r), the mask of the x^b - s that share a root
+    with it, itself included: r^(b/g) = s^(a/g) (the lemma in _enumerate), tested on
+    the ints L^a r for one L != 0, which scales both sides by L^(ab/g)."""
+    return [sum(1 << j for j, (b, s) in enumerate(binomials)
+                if r ** (b // math.gcd(a, b)) == s ** (a // math.gcd(a, b)))
+            for a, r in binomials]
+
+
 def _enumerate(p: Poly, divisors, squarefree):
     """Factorizations of monic p over divisors (sorted, every binomial dividing p)
     as sorted tuples, each once, in lexicographic order of divisor indices.  The
-    work runs on the monic integer L^n p(y/L), L the lcm of p's denominators,
-    where x^d - r becomes y^d - L^d r, an integer binomial by Gauss's lemma.
+    walk runs on the monic integer L^n p(y/L), L the lcm of the denominators of
+    p.ints / p.ints[-1], where x^d - r becomes y^d - L^d r, integral by Gauss's lemma.
 
     Lemma: for r, s != 0 and g = gcd(a, b), x^a - r and x^b - s share a root iff
     r^(b/g) = s^(a/g), and then their gcd is x^g - t, t = r^u s^v, ua + vb = g: a
     common root alpha gives r^(b/g) = alpha^(ab/g) = s^(a/g), and t^(a/g) = r,
     t^(b/g) = s.  So for squarefree p the factorizations are the sets of pairwise
     coprime divisors whose degrees sum to deg p, which sets(i, left, banned) lists
-    from index i on by one clash mask per divisor, dividing nothing.  Otherwise
+    from index i on by one clash mask per divisor (_clashes), dividing nothing.  Otherwise
     factors may share a root, as x^2 - 1 and x^3 - 1 do in their product: walk(c, i)
     lists, once per call, the factorizations of the quotient c by divisors i on.
     """
-    n, scale = p.degree, math.lcm(*(c.denominator for c in p.coeffs))
-    binomials = [(d, int(r * scale**d)) for d, r in divisors]
+    n, lead = p.degree, p.ints[-1]
+    scale = math.lcm(*(lead // math.gcd(x, lead) for x in p.ints))
+    binomials = [(d, r.numerator * scale**d // r.denominator) for d, r in divisors]
     if squarefree:
-        clash = [sum(1 << j for j, (b, s) in enumerate(binomials)
-                     if r ** (b // math.gcd(a, b)) == s ** (a // math.gcd(a, b)))
-                 for a, r in binomials]
+        clash = _clashes(binomials)
 
         def sets(start, left, banned):
             if not left:
@@ -183,7 +192,7 @@ def _enumerate(p: Poly, divisors, squarefree):
                 out.extend((i,) + t for t in walk(q, i))
         return out
 
-    top = tuple(int(x * scale ** (n - k)) for k, x in enumerate(p.coeffs))
+    top = tuple(x * scale ** (n - k) // lead for k, x in enumerate(p.ints))
     return [tuple(divisors[i] for i in t) for t in walk(top, 0)]
 
 
@@ -254,9 +263,9 @@ class Analysis:
 
 
 def _squarefree_part(p: Poly):
-    """(p / x^k, whether it is squarefree), x^k the highest power of x dividing p."""
-    q = Poly(p.coeffs[next(k for k, c in enumerate(p.coeffs) if c):])
-    return q, len(int_gcd(q.coeffs, q.derivative().coeffs)) == 1
+    """(p / x^k, whether it is squarefree) for monic p, x^k the highest power of x dividing p."""
+    q = p.ints[next(k for k, x in enumerate(p.ints) if x):]
+    return _scaled(q, 1), len(int_gcd(q, [k * x for k, x in enumerate(q) if k])) == 1
 
 
 @functools.lru_cache(maxsize=1)  # count_nice(a) then exists_nice(a) share one
@@ -299,7 +308,8 @@ def _witness_basis(a: Matrix, fact):
     Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks), none when
     fact has degree n (A invertible).  Factor f_i = x^d - r of q, the product of
     fact: a cyclic chain w, Aw, ..., A^(d-1)w for w = g_i(A) v, g_i = x^k rad(q) / f_i
-    (k = n - deg q, rad(q) = q / gcd(q, q'), in Z[x] on primitive binomials), read
+    (k = n - deg q, rad(q) = q / gcd(q, q') in Z[x] on primitive binomials, and
+    rad(q) = q when they are pairwise coprime (_clashes), as for a squarefree q), read
     off the int Krylov sequence of the candidate v, one per call for all factors,
     and added to the one span of the chains by _cyclic_chain.  No power of A and
     no kernel is formed; the basis is verified nice before returning.
@@ -317,8 +327,11 @@ def _witness_basis(a: Matrix, fact):
     chains, span = ([], Subspace(n)) if fact and fact.degree == n else _nilpotent_chains(a)
     if fact is not None:
         binomials = [[-r.numerator] + [0] * (d - 1) + [r.denominator] for d, r in fact.factors]
-        q = functools.reduce(_convolve, binomials)
-        rad = _divide(q, int_gcd(q, [k * x for k, x in enumerate(q)][1:]))
+        rad = q = functools.reduce(_convolve, binomials)
+        scale = math.lcm(*(r.denominator for _, r in fact.factors))
+        scaled = [(d, r.numerator * scale**d // r.denominator) for d, r in fact.factors]
+        if any(mask & (mask - 1) for mask in _clashes(scaled)):  # two factors share a root
+            rad = _divide(q, int_gcd(q, [k * x for k, x in enumerate(q)][1:]))
         krylov = {}  # candidate number -> v, Nv, ...: kept for this call only
         for (d, _), f in zip(fact.factors, binomials):
             g = [0] * (n - fact.degree) + _divide(rad, f)

@@ -20,9 +20,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
-from .scalars import Q, ZERO
+from .scalars import Q, ZERO, _exact
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _cleared, _exact, apply_columns, dense, solve
+from .linalg import Matrix, Subspace, _cleared, apply_columns, dense, solve
 from .nice import check_nice, roots
 
 

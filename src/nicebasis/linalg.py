@@ -9,20 +9,21 @@ each column of from_columns.  Every elimination over Q goes through Subspace,
 which keeps sparse integer rows in fully reduced form; that form is canonical,
 so identical input always yields identical output, which keeps golden-file
 tests stable.  The characteristic and minimal polynomials are read off tagged
-int Krylov vectors in a Subspace.
-A Poly only holds rational coefficients, lowest degree first; polynomial work
-runs on integer coefficient lists (products, exact quotients by the one
-division _divide, primitive pseudo-remainders, integer Sturm chains).
+int Krylov vectors in a Subspace, as the primitive int list that a Poly keeps
+beside its Fractions.  Polynomial work runs on int coefficient lists (products,
+exact quotients by the one division _divide, primitive pseudo-remainders,
+integer Sturm chains, the one root finder _int_roots).
 The one elimination over Z, solve_integer_system (extended-gcd column
 echelon form), solves the scale exponents of monomial equivalence.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
-from .scalars import Q, ZERO, factor_int, fmt
+from .scalars import Q, ZERO, _exact, factor_int, fmt
 
 
 class Matrix:
@@ -162,13 +163,6 @@ class Matrix:
         d = math.lcm(*[aug.rows[i][i] for i in range(n)])
         return Matrix._of(n, [{j - n: x * self.den * (d // aug.rows[i][i]) for j, x in
                                aug.rows[i].items() if j >= n} for i in range(n)], d).transpose()
-
-
-def _exact(x, what):
-    """x if an int (bools included) or a Fraction, else ValueError naming what and x."""
-    if isinstance(x, (int, Q)):
-        return x
-    raise ValueError(f"{what} {x!r} is not an int or a Fraction")
 
 
 def _cleared(values, what):
@@ -437,12 +431,11 @@ def char_poly(m: Matrix) -> "Poly":
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    space, c, d = Subspace(2 * n + 1), [1], 1
+    space, c = Subspace(2 * n + 1), [1]
     for i in range(n):  # one block per unit vector, while the blocks do not span Q^n
         if space.dim < n:
-            block, e = _krylov(m.num, {i: 1}, space, n + space.dim)
-            c, d = _convolve(c, block), d * e
-    return _scaled(c, d, m.den)
+            c = _convolve(c, _krylov(m.num, {i: 1}, space, n + space.dim))
+    return _scaled(c, m.den)
 
 
 def is_positive_definite(m: Matrix) -> bool:
@@ -469,15 +462,24 @@ def is_nilpotent(m: Matrix):
 
 
 class Poly:
-    """Univariate polynomial over the rationals, coefficients lowest first."""
-
-    __slots__ = ("coeffs",)
+    """Univariate polynomial over the rationals, lowest degree first, in two forms
+    each built from the other on first read: coeffs, its Fractions, which
+    Poly(coeffs) takes, and ints, its primitive int multiple (leading sign kept),
+    which polynomial work reads and _scaled gives for char_poly's monic result."""
 
     def __init__(self, coeffs):
         cs = [c if isinstance(c, Q) else Q(_exact(c, "polynomial coefficient")) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @functools.cached_property
+    def coeffs(self):
+        return tuple(Q(x, self.ints[-1]) for x in self.ints)
+
+    @functools.cached_property
+    def ints(self):
+        return tuple(primitive(self.coeffs))
 
     @staticmethod
     def binomial(degree, constant):
@@ -490,10 +492,10 @@ class Poly:
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.ints
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -515,9 +517,6 @@ class Poly:
                 xk = "x" if k == 1 else f"x^{k}"
                 terms.append(xk if c == 1 else f"{fmt(c)}*{xk}")
         return "Poly(%s)" % " + ".join(terms)
-
-    def derivative(self):
-        return Poly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
 
 def primitive(coeffs) -> list:
@@ -557,18 +556,13 @@ def int_gcd(a, b) -> list:
     return a
 
 
-def rational_roots(p: Poly):
-    """All rational roots of p with multiplicities, as [(root, mult)].
-
-    On the primitive integer coefficients, the candidates are ±num/den for num | a_0
-    and den | a_n, num outermost; each is tested and divided out by exact integer
-    synthetic division by den·x - num.  Sorted by denominator, then value.
-    """
-    if p.is_zero():
-        raise ValueError("zero polynomial has no well-defined root set")
-    c = primitive(p.coeffs)
-    k = next(i for i, x in enumerate(c) if x)  # x^k: the root 0
-    roots, c = [(ZERO, k)] if k else [], c[k:]
+def _int_roots(c):
+    """All rational roots of the int polynomial c (lowest first, not zero) with
+    multiplicities, as [(num, den, mult)] in lowest terms, den > 0, sorted by den,
+    then num.  Past the root 0 (c's x-power), the candidates are ±num/den for num |
+    a_0 and den | a_n, num outermost, each divided out by den·x - num while exact."""
+    k = next(i for i, x in enumerate(c) if x)
+    roots, c = [(0, 1, k)] if k else [], c[k:]
     if len(c) > 1:
         for num, den, s in itertools.product(_divisors(c[0]), _divisors(c[-1]), (1, -1)):
             if len(c) == 1:
@@ -577,19 +571,27 @@ def rational_roots(p: Poly):
             while (q := _divide(c, [-s * num, den])) is not None:
                 c, mult = q, mult + 1
             if mult:
-                roots.append((Q(s * num, den), mult))
-    roots.sort(key=lambda t: (t[0].denominator, t[0]))
+                roots.append((s * num, den, mult))
+    roots.sort(key=lambda t: (t[1], t[0]))
     return roots
 
 
-def count_real_roots(p: Poly) -> int:
-    """Number of distinct real roots of p, by Sturm's theorem in integers:
-    primitive p, p', then negated sign-preserving pseudo-remainders down to a
-    constant, or to gcd(p, p'), which divides the whole chain and changes no
-    count; the count is the sign variations at -inf less those at +inf."""
+def rational_roots(p: Poly):
+    """All rational roots of p with multiplicities, as [(root, mult)], sorted by
+    denominator, then value: _int_roots on p.ints."""
     if p.is_zero():
+        raise ValueError("zero polynomial has no well-defined root set")
+    return [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)]
+
+
+def count_real_roots(p) -> int:
+    """Number of distinct real roots of p, a Poly or its ints, by Sturm's theorem
+    in integers: p.ints, p', then negated sign-preserving pseudo-remainders down
+    to a constant, or to gcd(p, p'), which divides the whole chain and changes no
+    count; the count is the sign variations at -inf less those at +inf."""
+    c = p.ints if isinstance(p, Poly) else p
+    if not c:
         raise ValueError("zero polynomial")
-    c = primitive(p.coeffs)
     chain = [c, [k * x for k, x in enumerate(c) if k]]
     while len(chain[-1]) > 1:
         chain.append([-x for x in int_prem(chain[-2], chain[-1])])
@@ -615,18 +617,18 @@ def _divide(c, g):
 
 
 def _krylov(cols, v, space, t):
-    """(c, d): f = sum c_j x^j / d is monic of least degree with f(m) v in space, for
-    sparse int v and m given by its int columns; space gains v, ..., m^(k-1) v.
+    """d f, d > 0, for the monic f of least degree with f(m) v in space, sparse int v
+    and m given by its int columns, as an int list; space gains v, ..., m^(k-1) v.
 
     Each m^k v, stepped from the last, is reduced tagged with a tracking
     coordinate t + k.  The first residue w / d that vanishes on the first n
-    coordinates holds c in t..t+k, x^k included.
+    coordinates holds d f in t..t+k, x^k included.
     """
     n, k = len(cols), 0
     while True:
-        w, d = space.residue({**v, t + k: 1})
+        w, _ = space.residue({**v, t + k: 1})
         if min(w) >= n:
-            return [w.get(t + j, 0) for j in range(k + 1)], d
+            return [w.get(t + j, 0) for j in range(k + 1)]
         space.add(w)
         v = apply_columns(cols, v)
         k += 1
@@ -640,9 +642,12 @@ def _convolve(a, b):
     return out
 
 
-def _scaled(c, d, s):
-    """s^-k f(s x) for f = sum c_j x^j / d of degree k: f of N gives it of N / s."""
-    return Poly([Q(x * s**j, d * s ** (len(c) - 1)) for j, x in enumerate(c)])
+def _scaled(c, s):
+    """The monic Poly s^-k f(s x), f = sum c_j x^j of degree k, c_k > 0, from its ints,
+    the primitive c_j s^j: f of N gives it of N / s."""
+    p = Poly.__new__(Poly)
+    p.ints = tuple(primitive([x * s**j for j, x in enumerate(c)]))
+    return p
 
 
 def minimal_polynomial(m: Matrix) -> Poly:
@@ -652,9 +657,9 @@ def minimal_polynomial(m: Matrix) -> Poly:
     times it is lcm(mu, g).  No polynomial gcd is taken."""
     if not m.is_square():
         raise ValueError("minimal polynomial of non-square matrix")
-    n, cols, c, d = m.rows, m.num, [1], 1  # mu = sum c_j x^j / d of N, m = N / den
+    n, cols, c = m.rows, m.num, [1]  # mu = sum c_j x^j / c_k of N, m = N / den
     for i in range(n):
-        v = {}  # d mu(N) e_i
+        v = {}  # c_k mu(N) e_i
         for a in reversed(c):
             v = apply_columns(cols, v)
             if x := v.get(i, 0) + a:
@@ -662,11 +667,10 @@ def minimal_polynomial(m: Matrix) -> Poly:
             else:
                 v.pop(i, None)
         if v:
-            block, e = _krylov(cols, v, Subspace(2 * n + 1), n)
-            c, d = _convolve(c, block), d * e
+            c = _convolve(c, _krylov(cols, v, Subspace(2 * n + 1), n))
             if len(c) > n:
                 break
-    return _scaled(c, d, m.den)
+    return _scaled(c, m.den)
 
 
 def similar(a: Matrix, b: Matrix) -> bool:
@@ -680,10 +684,11 @@ def similar(a: Matrix, b: Matrix) -> bool:
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
-    phi = char_poly(a)
-    if phi != char_poly(b) or (mu := minimal_polynomial(a)) != minimal_polynomial(b):
+    phi = char_poly(a).ints  # monic polynomials are equal iff their ints are
+    if phi != char_poly(b).ints or (
+            (mu := minimal_polynomial(a).ints) != minimal_polynomial(b).ints):
         return False
-    cofactor = _divide(primitive(phi.coeffs), primitive(mu.coeffs))
+    cofactor = _divide(phi, mu)
     if len(int_gcd(cofactor, [k * x for k, x in enumerate(cofactor) if k])) == 1:
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)

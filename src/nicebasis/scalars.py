@@ -76,9 +76,17 @@ def parse_rat(token: str, lineno: int):
         raise ValueError(f"line {lineno}: {err}") from None
 
 
+def _exact(x, what):
+    """x if an int (bools included) or a Fraction, else ValueError naming what and x."""
+    if isinstance(x, (int, Q)):
+        return x
+    raise ValueError(f"{what} {x!r} is not an int or a Fraction")
+
+
 def fmt(q) -> str:
-    """Canonical "p/q" (or "p" for integers) rendering."""
-    return str(Q(q))
+    """Canonical "p/q" (or "p" for integers) rendering of an int (bools included)
+    or a Fraction, built from it; any other value raises _exact's ValueError."""
+    return str(q) if isinstance(_exact(q, "value"), Q) else str(int(q))
 
 
 def sign(q) -> int:

@@ -46,7 +46,7 @@ from nicebasis.linalg import (
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q
 from test_integer_table import q_rows, sparse
-from test_root_oracle import factorizations, mul, pdivmod
+from test_root_oracle import derivative, factorizations, mul, pdivmod
 
 X = sympy.Symbol("x")
 
@@ -636,7 +636,7 @@ def minimal_polynomial_semisimple(a):
     """The criterion the shortcut replaces: mp / x^j squarefree."""
     mp = minimal_polynomial(a)
     mp = Poly(mp.coeffs[next(k for k, c in enumerate(mp.coeffs) if c):])
-    return len(int_gcd(mp.coeffs, mp.derivative().coeffs)) == 1
+    return len(int_gcd(mp.coeffs, derivative(mp).coeffs)) == 1
 
 
 class TestSquarefreeShortcut:

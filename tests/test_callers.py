@@ -40,7 +40,7 @@ SHARED = {
     "degree": {
         "almost_abelian.py:BinomialFactorization.degree":
             "_witness_basis builds no nilpotent chains when it equals n",
-        "linalg.py:Poly.degree": "Poly's repr and the polynomial steps of almost_abelian",
+        "linalg.py:Poly.degree": "the degree that _enumerate's factorizations sum to",
     },
     "is_nilpotent": {
         "lie.py:LieAlgebra.is_nilpotent": "the reproduce row on abelian extensions",
@@ -51,10 +51,10 @@ SHARED = {
 # module:function -> why it reads .denominator itself rather than through linalg._cleared
 DENOMINATOR_READS = {
     "linalg.py:__mul__": "the Matrix scalar product multiplies den by the scalar's",
-    "almost_abelian.py:_enumerate": "the monic transform L^n p(y/L) over the lcm L of p",
+    "almost_abelian.py:_enumerate":
+        "the divisor constants as int pairs, for the clash masks and the monic transform",
     "almost_abelian.py:_witness_basis":
         "x^d - r is den x^d - num as a primitive int binomial, with nothing to clear",
-    "linalg.py:rational_roots": "the sort key orders roots by denominator, then value",
     "scalars.py:factor_rat": "factors the denominator as well as the numerator",
     "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",
 }

@@ -3,14 +3,16 @@
 Matrix keeps int columns over one denominator and hands out Fractions only
 through its views.  An entry or a scalar factor, a vector entry, a
 right-hand side entry, a polynomial coefficient, a derivation entry, a
-weight or a claimed pre-Einstein diagonal entry must be an int (a bool
-included) or a Fraction: a float is refused with a ValueError that names it,
-never stored as its binary expansion.  On integer and on rational inputs,
+weight, a claimed pre-Einstein diagonal entry or a value that fmt prints must
+be an int (a bool included) or a Fraction: a float is refused with a
+ValueError that names it, never stored as its binary expansion.  On integer
+and on rational inputs,
 every value a caller reads (the views, char_poly and minimal_polynomial,
 solve, inverse, the witness, the changed structure constants and the
 pre-Einstein matrix and spectrum) is a Fraction, never an int or a float.
 char_poly on the n = 8 family matrix creates no Fraction before its 129
-coefficients, and pre_einstein_nice on L_28 few more than its 28 entries.
+coefficients, its analysis one per divisor constant besides them and its
+witness none, and pre_einstein_nice on L_28 few more than its 28 entries.
 """
 
 import os
@@ -19,7 +21,14 @@ from fractions import Fraction
 import pytest
 
 from nicebasis import construct_nice_basis, fixtures, graph_algebra, GraphSpec
-from nicebasis.almost_abelian import build, exists_nice, indecomposable_family
+from nicebasis.almost_abelian import (
+    _binomial_divisors,
+    _squarefree_part,
+    analyze,
+    build,
+    exists_nice,
+    indecomposable_family,
+)
 from nicebasis.derivations import (
     derivation_space,
     is_derivation,
@@ -36,7 +45,7 @@ from nicebasis.linalg import (
     minimal_polynomial,
     solve,
 )
-from nicebasis.scalars import Q
+from nicebasis.scalars import Q, fmt
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
@@ -99,6 +108,20 @@ def test_vectors_right_hand_sides_and_coefficients_refuse_floats(make, what):
     # each once went through Q(x): 0.1 became 3602879701896397/36028797018963968
     with pytest.raises(ValueError, match=f"^{what} is not an int or a Fraction$"):
         make()
+
+
+@pytest.mark.parametrize("value", [0.1, "1/2", None], ids=["float", "str", "None"])
+def test_fmt_refuses_what_is_not_exact(value):
+    # fmt was str(Q(value)): 0.1 printed as 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match=f"^value {value!r} is not an int or a Fraction$"):
+        fmt(value)
+
+
+def test_fmt_prints_ints_bools_and_fractions_without_a_new_fraction(monkeypatch):
+    values = [0, -7, True, False, Q(6, 4), Q(-3), Q(0)]
+    printed, made = fractions_made(monkeypatch, lambda: [fmt(x) for x in values])
+    assert printed == ["0", "-7", "1", "0", "3/2", "-3", "0"]
+    assert made == 0
 
 
 @pytest.mark.parametrize("make, what", [
@@ -244,6 +267,19 @@ def test_family_char_poly_makes_only_its_coefficients(monkeypatch):
     p, made = fractions_made(monkeypatch, char_poly, indecomposable_family(8).a)
     assert p == Poly.binomial(128, 1)
     assert made <= 129
+
+
+def test_family_analysis_makes_one_fraction_per_divisor_constant(monkeypatch):
+    # the analysis reads char_poly's int coefficients, not its Fractions: 550
+    # Fractions while each step converted between the two
+    a = indecomposable_family(8).a
+    divisors, _ = _binomial_divisors(_squarefree_part(char_poly(a))[0])
+    analyze.cache_clear()
+    analysis, made = fractions_made(monkeypatch, analyze, a)
+    assert analysis.count() == 8
+    assert made <= 129 + len(divisors)
+    verdict, made = fractions_made(monkeypatch, analysis.exists)
+    assert verdict.status == "yes" and made == 0
 
 
 def test_pre_einstein_nice_makes_few_fractions(monkeypatch):

@@ -197,9 +197,9 @@ def char_poly(m: Matrix) -> "Poly":
     cols = sparse_columns(m)
     space = Subspace(2 * n + 1)
     # one block per unit vector, while the blocks so far do not span Q^n;
-    # _krylov gives a block's coefficients as ints over one denominator
-    blocks = [[Q(x, d) for x in c] for i in range(n) if space.dim < n
-              for c, d in [_krylov(cols, {i: ONE}, space, n + space.dim)]]
+    # _krylov gives a block's coefficients as a positive int multiple
+    blocks = [[Q(x, c[-1]) for x in c] for i in range(n) if space.dim < n
+              for c in [_krylov(cols, {i: ONE}, space, n + space.dim)]]
     return Poly(functools.reduce(_convolve, blocks, [ONE]))
 
 

@@ -58,6 +58,10 @@ def mul(*polys) -> Poly:
     return Poly(reduce(_convolve, (p.coeffs for p in polys), [ONE]))
 
 
+def derivative(p: Poly) -> Poly:
+    return Poly([c * k for k, c in enumerate(p.coeffs) if k])
+
+
 def monic(p: Poly) -> Poly:
     return Poly([c / p.coeffs[-1] for c in p.coeffs]) if p.coeffs else p
 
@@ -135,8 +139,8 @@ def reference_count_real_roots(p: Poly) -> int:
         raise ValueError("zero polynomial")
     if p.degree == 0:
         return 0
-    p = monic(pdivmod(p, poly_gcd(p, p.derivative()))[0])  # squarefree part
-    chain = [p, p.derivative()]
+    p = monic(pdivmod(p, poly_gcd(p, derivative(p)))[0])  # squarefree part
+    chain = [p, derivative(p)]
     while not chain[-1].is_zero():
         chain.append(mul(Poly([-1]), pdivmod(chain[-2], chain[-1])[1]))
     chain.pop()
@@ -391,7 +395,7 @@ class TestIntegerHelpers:
     @given(inputs)
     def test_exact_quotient_by_the_gcd_with_the_derivative(self, p):
         # an exact quotient in Z[x], as similar takes of phi by mu
-        g = int_gcd(p.coeffs, p.derivative().coeffs)
+        g = int_gcd(p.coeffs, derivative(p).coeffs)
         want = primitive(pdivmod(p, Poly(g))[0].coeffs)
         assert _divide(primitive(p.coeffs), g) == want
 

@@ -14,7 +14,8 @@ independent, and no tagged Subspace of Q^(2n) is built.  A monomial basis
 (one nonzero per column, in distinct rows), as the last family witness and
 the identity that construct_nice_basis returns, is invertible as it stands
 and takes no Subspace at all; a sheared identity, not monomial, takes the
-n additions again.
+n additions again.  The binomials of a family factorization are pairwise
+coprime, so rad(q) = q and no polynomial gcd is taken.
 """
 
 import math
@@ -25,6 +26,7 @@ from nicebasis import GraphSpec, construct_nice_basis, graph_algebra
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import _witness_basis, analyze, build, indecomposable_family
 from nicebasis.linalg import Matrix, Subspace
+from nicebasis.nice import check_nice
 
 
 def direction(v):
@@ -75,6 +77,15 @@ def refuse(what):
     def raising(*args):
         raise AssertionError(f"{what} called")
     return raising
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_family_witness_takes_no_gcd(monkeypatch, n):
+    a = indecomposable_family(n).a
+    facts = analyze(a).factorizations
+    monkeypatch.setattr(almost_abelian, "int_gcd", refuse("int_gcd"))
+    for fact in facts:
+        assert check_nice(build(a).compiled.change_basis(_witness_basis(a, fact)))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
