@@ -1,22 +1,22 @@
 """Almost abelian algebras R f + R^n with [f, X] = AX.
 
 Nice-basis existence and the exact count of nice bases up to equivalence are
-controlled by binomial factorizations x^d - r of the characteristic polynomial
-of A: existence needs the non-nilpotent part of A to be semisimple and its
-characteristic polynomial to split into such binomials; the count is the
-number of such factorizations, because a real rescaling can map a
-factorization only to itself (the lemma in Analysis.count).  Constants are
-searched over the rationals; when an irrational real constant could occur the
-answer degrades honestly to "unknown-irrational" instead of guessing.  The
-search runs on Python ints: integer gcds of the residue classes of char_poly's
-ints give the divisors.  A squarefree polynomial's factorizations are the sets
-of pairwise coprime divisors, by a root test on the constants; otherwise a
-walk splits each quotient once per call (_enumerate).  Only analyze, shared by
-exists_nice and count_nice, reads them.  A witness is built in ints too: each
-cyclic chain starts at g(A) v, read off one Krylov sequence of v by the image
-lemma im g(A) = ker f(A) (see _witness_basis), with no power of A and no
-kernel; the chains are eliminated once in one span and certified by
-change_basis.
+controlled by binomial factorizations x^d - r of the characteristic
+polynomial of A: existence needs the non-nilpotent part of A to be
+semisimple and its characteristic polynomial to split into such binomials;
+the count is the number of such factorizations, because a real rescaling
+can map a factorization only to itself (the lemma in
+Analysis.count).  Constants are searched over the rationals;
+when an irrational real constant could occur the answer degrades honestly
+to "unknown-irrational" instead of guessing.  The search runs on Python
+ints: integer gcds of the residue classes give the divisors.  A squarefree
+polynomial's factorizations are the sets of pairwise coprime divisors, by a
+root test on the constants; otherwise a walk splits each quotient once per
+call (_enumerate).  Only analyze, shared by exists_nice and count_nice, reads
+them.  A witness is built in ints too: each cyclic chain starts at g(A) v,
+read off one Krylov sequence of v by the image lemma im g(A) = ker f(A) (see
+_witness_basis), with no power of A and no kernel; the chains are eliminated
+once in one span and certified by change_basis.
 """
 
 from __future__ import annotations

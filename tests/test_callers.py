@@ -54,7 +54,7 @@ DENOMINATOR_READS = {
     "almost_abelian.py:_enumerate":
         "the divisor constants as int pairs, for the clash masks and the monic transform",
     "almost_abelian.py:_witness_basis":
-        "x^d - r is den x^d - num as a primitive int binomial, with nothing to clear",
+        "x^d - r is den x^d - num as a primitive int binomial, and L^d r an int for _clashes",
     "scalars.py:factor_rat": "factors the denominator as well as the numerator",
     "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",
 }
