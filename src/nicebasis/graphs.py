@@ -251,9 +251,10 @@ def graph_algebra(g: GraphSpec):
     holds only the undecided blocks, filled degree by degree from the
     previous degree's ideal vectors (unit vectors of disconnected blocks,
     vectors added for undecided ones) bracketed with each v_a.  Kept are the
-    clique blocks and the non-pivots of the undecided ones.  A kept pair
-    whose joint vertex set is disconnected brackets to 0, a clique pair to
-    its free bracket, and only an undecided pair is reduced by the Subspace.
+    clique blocks and the non-pivots of the undecided ones.  Only pairs of kept
+    words are walked, each word's table row after it: a pair whose joint set is
+    disconnected brackets to 0, a clique pair to its free bracket, and only an
+    undecided pair is reduced, as the closure adds, by Subspace's int core.
     Only the vertex sets of words are classified, never all 2^d subsets, in
     one increasing pass by their edge counts E: a k-set S drops its top vertex
     t to a set met before, E(S) = E(S - t) + |N(t) & (S - t)|, and only the
@@ -287,16 +288,17 @@ def _quotient(g: GraphSpec):
         for s, v in gens:
             for a in range(d):
                 t = s | 1 << a
-                if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal.add(w):
+                if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal._add(w):
                     added.append((t, w))
     keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in ideal.rows]
     pos = {orig: t for t, orig in enumerate(keep)}
-    rows = {}  # in the key order of free.pairs, which pos keeps
-    for i, j in free.pairs:
-        if i in pos and j in pos and (joint := kind[support[i] | support[j]]) != _APART:
-            w, e = (free.table[i][j], 1) if joint == _CLIQUE else ideal.residue(free.table[i][j])
-            if w:
-                rows[(pos[i], pos[j])] = {pos[t]: x for t, x in w.items()}, e
+    rows = {}  # in the key order of free.pairs: row i of free.table lists its j > i last, rising
+    for i in keep:
+        for j, v in free.table[i].items():
+            if j > i and j in pos and (joint := kind[support[i] | support[j]]) != _APART:
+                w, e = (v, 1) if joint == _CLIQUE else ideal._reduce(v)
+                if w:
+                    rows[(pos[i], pos[j])] = {pos[t]: x for t, x in w.items()}, e
     words = tuple(basis.words[i] for i in keep)
     return LieAlgebra._from_table(len(keep), rows, free.den, [free.names[i] for i in keep]), words
 

@@ -187,8 +187,8 @@ class LieAlgebra:
     def quotient(self, ideal: Subspace):
         """Quotient algebra by an ideal: (algebra, project), project mapping an ambient
         vector to its coordinates on the kept indices, those that are no echelon pivot
-        of the ideal.  The nonzero brackets of two kept indices survive, reduced by
-        Subspace.residue, in key order."""
+        of the ideal.  The nonzero brackets of two kept indices, walked by kept i, survive,
+        reduced by the int core Subspace._reduce, in key order."""
         if ideal.ambient != self.dim:
             raise ValueError(f"ideal lies in Q^{ideal.ambient}, not Q^{self.dim}")
         if not self._is_ideal(ideal):
@@ -196,8 +196,8 @@ class LieAlgebra:
         keep = sorted(set(range(self.dim)).difference(ideal.pivots))
         pos = {orig: t for t, orig in enumerate(keep)}
         residues = {(pos[i], pos[j]): ({pos[k]: x for k, x in w.items()}, d)
-                    for i, j in sorted(self.pairs) if i in pos and j in pos
-                    for w, d in [ideal.residue(self.table[i][j])] if w}
+                    for i in keep for j in sorted(self.table[i]) if j > i and j in pos
+                    for w, d in [ideal._reduce(self.table[i][j])] if w}
 
         def project(vector):
             w, d = ideal.residue(vector)
@@ -243,7 +243,8 @@ class LieAlgebra:
                 row = {t[k]: f * c * (m // x[t[k]]) for k, c in comps.items()}
                 rows[min(i, j), max(i, j)] = dict(sorted(row.items())), m
             return LieAlgebra._from_table(n, dict(sorted(rows.items())), self.den * p.den)
-        if (p.rows, p.cols) != (n, n) or Subspace(n, cols).dim != n:
+        span = Subspace(n)  # p.num is ints, so its columns go to the int core
+        if (p.rows, p.cols) != (n, n) or not all(map(span._add, cols)):
             raise ValueError("change of basis needs an invertible n x n matrix")
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
         for j, col in enumerate(cols):
@@ -268,9 +269,11 @@ class LieAlgebra:
                     k, g = single[form]
                     rows[key] = {k: h}, g
                 else:
-                    tagged = tagged or Subspace(2 * n, ({**col, n + j: 1}
-                                                        for j, col in enumerate(cols)))
-                    w, d = tagged.residue(img)
+                    if tagged is None:
+                        tagged = Subspace(2 * n)
+                        for j, col in enumerate(cols):
+                            tagged._add({**col, n + j: 1})
+                    w, d = tagged._reduce(img)
                     rows[key] = {t - n: -w[t] for t in sorted(w)}, d
         return LieAlgebra._from_table(n, rows, self.den * p.den)
 

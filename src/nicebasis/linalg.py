@@ -230,7 +230,9 @@ class Subspace:
     content, the simplest form of Bareiss, Math. Comp. 1968); a vector, dense
     (a sequence of length ambient) or sparse (a dict), is scaled to integers
     once by the lcm of its denominators, so its entries must be ints or Q, and
-    a sparse index must lie in 0..ambient-1, else ValueError.
+    a sparse index must lie in 0..ambient-1, else ValueError.  These doors, residue
+    and add, run the int cores _reduce and _add, which builders call on the int
+    vectors they hold; a core copies its vector once and keeps no caller's dict.
     A Subspace makes no Fraction.
 
     _occ is the column index of the rows: it maps each non-pivot column to
@@ -256,14 +258,17 @@ class Subspace:
 
     def residue(self, vector):
         """(w, d), the unique residue of vector modulo the span as w / d: w a sparse
-        dict of nonzero ints (empty iff contained), d a positive int.
-
-        The vector, as _vector takes it, is scaled to ints once by _cleared;
-        rows vanish on each other's pivots, so one pass over the pivots it
-        hits clears them all and creates no new ones.
-        """
+        dict of nonzero ints (empty iff contained), d a positive int; the door that
+        reads and clears the vector once (_vector, _cleared) for the core _reduce."""
         w, den = _cleared(_vector(vector, self.ambient, "the ambient dimension"), "vector entry")
-        rows = self.rows
+        w, d = self._reduce(w)
+        return w, den * d
+
+    def _reduce(self, v):
+        """The int core of residue: (w, d) for v a dict of nonzero ints on indices in
+        range, w a new dict, v neither kept nor changed.  Rows vanish on each other's
+        pivots, so one pass over the pivots v hits clears them all, making no new ones."""
+        w, den, rows = dict(v), 1, self.rows
         if rows.keys().isdisjoint(w):  # no pivot met: most of graph_algebra's calls
             return w, den
         for p in [c for c in w if c in rows]:
@@ -286,8 +291,13 @@ class Subspace:
         return w, den
 
     def add(self, vector):
-        """Add a vector to the span; returns True if the dimension grew."""
-        w, _ = self.residue(vector)
+        """Add a vector, read as by residue, to the span; True if the dimension grew."""
+        return self._add(_cleared(_vector(vector, self.ambient, "the ambient dimension"),
+                                  "vector entry")[0])
+
+    def _add(self, v):
+        """The int core of add, for v as _reduce takes it: its residue becomes a row."""
+        w, _ = self._reduce(v)
         rows = self.rows
         if not w:
             return False

@@ -228,16 +228,16 @@ def test_refused_matrices(name):
 def images_missed(monkeypatch, g, p):
     """The table of g.change_basis(p) against the reference, and the number of
     images that the tagged Subspace reduced: residues in Q^2n of vectors that
-    are no tagged column."""
+    are no tagged column, counted at the int core that change_basis calls."""
     n, calls = g.dim, []
-    residue = Subspace.residue
+    residue = Subspace._reduce
 
     def recording(self, vector):
         if self.ambient == 2 * n and max(vector) < n:
             calls.append(vector)
         return residue(self, vector)
 
-    monkeypatch.setattr(Subspace, "residue", recording)
+    monkeypatch.setattr(Subspace, "_reduce", recording)
     got = g.change_basis(p)
     monkeypatch.undo()
     assert list(got.brackets.items()) == list(reference_change_basis(g, p).brackets.items())

@@ -72,10 +72,18 @@ def test_constructors_refuse_floats(make):
     (lambda s: s.add({0: 0.5}), "vector entry 0.5 is not an int or a Fraction"),
     (lambda s: s.residue((1, 0.0, 0)), "vector entry 0.0 is not an int or a Fraction"),
     (lambda s: s.contains((1, 0)), "vector has 2 entries, the ambient dimension 3"),
-], ids=["index", "negative-index", "float", "float-zero", "length"])
+    (lambda s: s.add({1: "1"}), "vector entry '1' is not an int or a Fraction"),
+    (lambda s: s.residue((0, "1/2", 0)), "vector entry '1/2' is not an int or a Fraction"),
+    (lambda s: s.residue((1, 0, 0, 0)), "vector has 4 entries, the ambient dimension 3"),
+    (lambda s: s.add((1, 0)), "vector has 2 entries, the ambient dimension 3"),
+    (lambda s: s.residue({3: 1}), "vector index 3 out of range 0..2"),
+    (lambda s: Subspace(3, [{0: 1}, {2: 0.25}]), "vector entry 0.25 is not an int or a Fraction"),
+], ids=["index", "negative-index", "float", "float-zero", "length", "str", "str-dense",
+        "residue-length", "add-length", "residue-index", "constructor-float"])
 def test_subspace_refuses_what_lies_outside_its_ambient_space(make, message):
     # Subspace(3).add({7: 1}) once answered True, with dim 1 and 3 int_kernel
-    # vectors, and add({0: 0.5}) raised AttributeError
+    # vectors, and add({0: 0.5}) raised AttributeError; the doors check every
+    # vector before the int core _reduce or _add sees it
     s = Subspace(3, [{0: 1}])
     with pytest.raises(ValueError, match=f"^{message}$"):
         make(s)

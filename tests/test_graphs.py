@@ -370,10 +370,10 @@ class TestQuotientMemo:
 
 
 class TestQuotientWork:
-    """The eliminations graph_algebra makes, counted: Subspace.residue runs once
-    per Subspace.add of the ideal closure and once per kept pair whose joint
-    vertex set is undecided (connected, no clique), on its free bracket, and
-    never on a clique pair, whose bracket the ideal cannot meet."""
+    """The eliminations graph_algebra makes, counted at the int core of Subspace:
+    _reduce runs once per _add of the ideal closure and once per kept pair whose
+    joint vertex set is undecided (connected, no clique), on its free bracket
+    itself, and never on a clique pair, whose bracket the ideal cannot meet."""
 
     @staticmethod
     def kept_pairs(g, words):
@@ -396,7 +396,7 @@ class TestQuotientWork:
         free_nilpotent(n, c)  # built, and cached, before the count
         graphs._quotient.cache_clear()
         residues, adds = [], []
-        residue, add = Subspace.residue, Subspace.add
+        residue, add = Subspace._reduce, Subspace._add
 
         def counted_residue(self, vector):
             residues.append(vector)
@@ -406,8 +406,8 @@ class TestQuotientWork:
             adds.append(vector)
             return add(self, vector)
 
-        monkeypatch.setattr(Subspace, "residue", counted_residue)
-        monkeypatch.setattr(Subspace, "add", counted_add)
+        monkeypatch.setattr(Subspace, "_reduce", counted_residue)
+        monkeypatch.setattr(Subspace, "_add", counted_add)
         alg, words = graph_algebra(g)
         monkeypatch.undo()
         free, clique, undecided = self.kept_pairs(g, words)

@@ -111,9 +111,9 @@ def test_family_witness_steps_one_krylov_sequence(monkeypatch, n):
 
 def images_reduced(monkeypatch, alg, p):
     """change_basis(p), the ambients of the Subspace residues it takes and the
-    number of its Subspace additions."""
-    residues = recording(monkeypatch, "residue")
-    adds = recording(monkeypatch, "add")
+    number of its Subspace additions, counted at the int core that it calls."""
+    residues = recording(monkeypatch, "_reduce")
+    adds = recording(monkeypatch, "_add")
     changed = alg.change_basis(p)
     monkeypatch.undo()
     return changed, [s.ambient for s, _ in residues], len(adds)
