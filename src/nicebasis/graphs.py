@@ -251,10 +251,9 @@ def graph_algebra(g: GraphSpec):
     holds only the undecided blocks, filled degree by degree from the
     previous degree's ideal vectors (unit vectors of disconnected blocks,
     vectors added for undecided ones) bracketed with each v_a.  Kept are the
-    clique blocks and the non-pivots of the undecided ones.  Only pairs of kept
-    words are walked, each word's table row after it: a pair whose joint set is
-    disconnected brackets to 0, a clique pair to its free bracket, and only an
-    undecided pair is reduced, as the closure adds, by Subspace's int core.
+    clique blocks and the non-pivots of the undecided ones.  Kept pairs, walked along each
+    kept word's table row, bracket to 0 if their joint set is disconnected, to the free
+    bracket if it is a clique, else to its residue by the Subspace's int core.
     Only the vertex sets of words are classified, never all 2^d subsets, in
     one increasing pass by their edge counts E: a k-set S drops its top vertex
     t to a set met before, E(S) = E(S - t) + |N(t) & (S - t)|, and only the
@@ -275,10 +274,10 @@ def _quotient(g: GraphSpec):
     nbr = [0] * d
     for a, b in g.edges:
         nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
-    support = basis.supports
+    support, words = basis.supports, basis.words
     kind = _kinds(set(support), nbr)  # the sets of at most c vertices
     apart = [[] for _ in range(c)]  # apart[m]: the _APART words of length m < c
-    for i, w in enumerate(basis.words):
+    for i, w in enumerate(words):
         if len(w) < c and kind[support[i]] == _APART:
             apart[len(w)].append((support[i], {i: 1}))
     ideal = Subspace(free.dim)
@@ -291,16 +290,18 @@ def _quotient(g: GraphSpec):
                 if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal._add(w):
                     added.append((t, w))
     keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in ideal.rows]
-    pos = {orig: t for t, orig in enumerate(keep)}
-    rows = {}  # in the key order of free.pairs: row i of free.table lists its j > i last, rising
-    for i in keep:
+    pos = [None] * free.dim  # pos[i]: the index of kept word i in the quotient
+    for t, i in enumerate(keep):
+        pos[i] = t
+    rows = {}  # in free.pairs order: row i of free.table ends with its j > i, rising
+    for i in itertools.takewhile(lambda i: 2 * len(words[i]) <= c, keep):  # longer: no j > i
         for j, v in free.table[i].items():
-            if j > i and j in pos and (joint := kind[support[i] | support[j]]) != _APART:
+            if j > i and pos[j] is not None and (joint := kind[support[i] | support[j]]) != _APART:
                 w, e = (v, 1) if joint == _CLIQUE else ideal._reduce(v)
                 if w:
                     rows[(pos[i], pos[j])] = {pos[t]: x for t, x in w.items()}, e
-    words = tuple(basis.words[i] for i in keep)
-    return LieAlgebra._from_table(len(keep), rows, free.den, [free.names[i] for i in keep]), words
+    names = [free.names[i] for i in keep]
+    return LieAlgebra._from_table(len(keep), rows, free.den, names), tuple(words[i] for i in keep)
 
 
 def nice_predicate(g: GraphSpec):

@@ -243,8 +243,7 @@ class LieAlgebra:
                 row = {t[k]: f * c * (m // x[t[k]]) for k, c in comps.items()}
                 rows[min(i, j), max(i, j)] = dict(sorted(row.items())), m
             return LieAlgebra._from_table(n, dict(sorted(rows.items())), self.den * p.den)
-        span = Subspace(n)  # p.num is ints, so its columns go to the int core
-        if (p.rows, p.cols) != (n, n) or not all(map(span._add, cols)):
+        if (p.rows, p.cols) != (n, n) or not all(map(Subspace(n)._add, cols)):  # int core
             raise ValueError("change of basis needs an invertible n x n matrix")
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
         for j, col in enumerate(cols):

@@ -230,9 +230,8 @@ class Subspace:
     content, the simplest form of Bareiss, Math. Comp. 1968); a vector, dense
     (a sequence of length ambient) or sparse (a dict), is scaled to integers
     once by the lcm of its denominators, so its entries must be ints or Q, and
-    a sparse index must lie in 0..ambient-1, else ValueError.  These doors, residue
-    and add, run the int cores _reduce and _add, which builders call on the int
-    vectors they hold; a core copies its vector once and keeps no caller's dict.
+    a sparse index must lie in 0..ambient-1, else ValueError.  Those doors, residue and add,
+    call the int cores _reduce and _add, which builders call on the int vectors they hold.
     A Subspace makes no Fraction.
 
     _occ is the column index of the rows: it maps each non-pivot column to
