@@ -638,7 +638,7 @@ def _krylov(cols, v, space, t):
         w, _ = space.residue({**v, t + k: 1})
         if min(w) >= n:
             return [w.get(t + j, 0) for j in range(k + 1)]
-        space.add(w)
+        space._add(w)  # w is an int residue already
         v = apply_columns(cols, v)
         k += 1
 
