@@ -11,12 +11,13 @@ when an irrational real constant could occur the answer degrades honestly
 to "unknown-irrational" instead of guessing.  The search runs on Python
 ints: integer gcds of the residue classes give the divisors.  A squarefree
 polynomial's factorizations are the sets of pairwise coprime divisors, by a
-root test on the constants; otherwise a walk splits each quotient once per
-call (_enumerate).  Only analyze, shared by exists_nice and count_nice, reads
-them.  A witness is built in ints too: each cyclic chain starts at g(A) v,
-read off one Krylov sequence of v by the image lemma im g(A) = ker f(A) (see
-_witness_basis), with no power of A and no kernel; the chains are eliminated
-once in one span and certified by change_basis.
+root test on the constants; otherwise a walk divides each quotient by the
+binomials with linalg._divide, once per quotient (_enumerate).  Only analyze,
+shared by exists_nice and count_nice, reads them.  A witness is built in ints
+too: each cyclic chain starts at g(A) v, read off one Krylov sequence of v by
+the image lemma im g(A) = ker f(A) (see _witness_basis), with no power of A and
+no kernel; the chains are eliminated once in one span and certified by
+change_basis.
 """
 
 from __future__ import annotations
@@ -121,23 +122,6 @@ def _binomial_divisors(p: Poly):
     return sorted(divisors), irrational
 
 
-# Kept apart from linalg._divide: it is _enumerate's inner loop, and the general
-# division took 1.6-2.3x as long per call on x^16 - 1 by x^d - 1, d < 16.
-def _divide_binomial(c, d, r):
-    """c / (x^d - r) on int coefficients, lowest first, when exact, else None.
-
-    One pass from the top: q_k = c_(k+d) + r q_(k+d); the remainder terms
-    c_k + r q_k, k < d, must all vanish, and the first one that does not
-    ends the test.
-    """
-    q = list(c[d:])
-    for k in range(len(q) - d - 1, -1, -1):
-        q[k] += r * q[k + d]
-    if any(c[k] + r * q[k] if k < len(q) else c[k] for k in range(min(d, len(c)))):
-        return None
-    return tuple(q)
-
-
 def _clashes(binomials):
     """For each x^a - r of binomials (a, r), the mask of the x^b - s that share a root
     with it, itself included: r^(b/g) = s^(a/g) (the lemma in _enumerate), tested on
@@ -160,7 +144,8 @@ def _enumerate(p: Poly, divisors, squarefree):
     coprime divisors whose degrees sum to deg p, which sets(i, left, banned) lists
     from index i on by one clash mask per divisor (_clashes), dividing nothing.  Otherwise
     factors may share a root, as x^2 - 1 and x^3 - 1 do in their product: walk(c, i)
-    lists, once per call, the factorizations of the quotient c by divisors i on.
+    lists, once per call, the factorizations of the quotient c by divisors i on, each
+    next quotient by y^d - L^d r taken with _divide, the one division in Z[x].
     """
     n, lead = p.degree, p.ints[-1]
     scale = math.lcm(*(lead // math.gcd(x, lead) for x in p.ints))
@@ -187,9 +172,9 @@ def _enumerate(p: Poly, divisors, squarefree):
         for i, (d, r) in enumerate(binomials[start:], start):
             if d >= len(c):
                 break
-            q = _divide_binomial(c, d, r)
+            q = _divide(c, [-r] + [0] * (d - 1) + [1])
             if q is not None:
-                out.extend((i,) + t for t in walk(q, i))
+                out.extend((i,) + t for t in walk(tuple(q), i))
         return out
 
     top = tuple(x * scale ** (n - k) // lead for k, x in enumerate(p.ints))

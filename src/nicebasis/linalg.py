@@ -11,8 +11,8 @@ so identical input always yields identical output, which keeps golden-file
 tests stable.  The characteristic and minimal polynomials are read off tagged
 int Krylov vectors in a Subspace, as the primitive int list that a Poly keeps
 beside its Fractions.  Polynomial work runs on int coefficient lists (products,
-exact quotients by the one division _divide, primitive pseudo-remainders,
-integer Sturm chains, the one root finder _int_roots).
+exact quotients by the one division _divide, almost_abelian's walk included,
+primitive pseudo-remainders, integer Sturm chains, the one root finder _int_roots).
 The one elimination over Z, solve_integer_system (extended-gcd column
 echelon form), solves the scale exponents of monomial equivalence.
 """
@@ -233,18 +233,13 @@ class Subspace:
     a sparse index must lie in 0..ambient-1, else ValueError.  Those doors, residue and add,
     call the int cores _reduce and _add, which builders call on the int vectors they hold.
     A Subspace makes no Fraction.
-
-    _occ is the column index of the rows: it maps each non-pivot column to
-    the set of pivots whose row is nonzero there, so a new pivot is
-    eliminated from exactly the rows that hold it.
     """
 
-    __slots__ = ("ambient", "rows", "_occ")
+    __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
         self.rows = {}
-        self._occ = {}
         for v in vectors:
             self.add(v)
 
@@ -252,7 +247,6 @@ class Subspace:
         """An independent Subspace with the same rows, built without arithmetic."""
         s = Subspace(self.ambient)
         s.rows = {p: dict(row) for p, row in self.rows.items()}
-        s._occ = {c: set(holders) for c, holders in self._occ.items()}
         return s
 
     def residue(self, vector):
@@ -295,7 +289,8 @@ class Subspace:
                                   "vector entry")[0])
 
     def _add(self, v):
-        """The int core of add, for v as _reduce takes it: its residue becomes a row."""
+        """The int core of add, for v as _reduce takes it: its residue becomes a row,
+        and its pivot is eliminated from the rows that hold it."""
         w, _ = self._reduce(v)
         rows = self.rows
         if not w:
@@ -307,8 +302,7 @@ class Subspace:
         if g != 1:
             w = {c: x // g for c, x in w.items()}
         a = w[p]
-        occ = self._occ
-        for q in occ.pop(p, ()):
+        for q in [q for q, row in rows.items() if p in row]:
             row = rows[q]
             f = row.pop(p)
             if a != 1:
@@ -321,25 +315,16 @@ class Subspace:
                 if c == p:
                     continue
                 y = row.get(c, 0) - f * x
-                if not y:
-                    del row[c]
-                    holders = occ[c]
-                    holders.discard(q)
-                    if not holders:
-                        del occ[c]
-                else:
-                    if c not in row:
-                        occ.setdefault(c, set()).add(q)
+                if y:
                     row[c] = y
+                else:
+                    del row[c]
             # the content divides the pivot entry, so a pivot of 1 means none
             if row[q] != 1:
                 g = math.gcd(*row.values())
                 if g != 1:
                     for c in row:
                         row[c] //= g
-        for c in w:
-            if c != p:
-                occ.setdefault(c, set()).add(p)
         rows[p] = w
         return True
 
@@ -357,12 +342,15 @@ class Subspace:
     def int_kernel(self):
         """Canonical basis of {x : row . x = 0 for every row}, as sparse int dicts: one
         vector per free (non-pivot) column f, by f, keyed by increasing pivot, then f.
-        x_f = den and x_p = -row_p[f] den / row_p[p] on the pivots p with row_p[f] != 0,
-        read off the column index (all below f), den the lcm of their row_p[p]."""
-        rows, out = self.rows, []
+        x_f = den and x_p = -row_p[f] den / row_p[p] on the pivots p with row_p[f] != 0
+        (all below f), gathered in one pass over the sorted rows, den the lcm of their row_p[p]."""
+        rows, holders, out = self.rows, {}, []
+        for p in sorted(rows):
+            for f in rows[p]:
+                holders.setdefault(f, []).append(p)
         for f in range(self.ambient):
             if f not in rows:
-                hits = sorted(self._occ.get(f, ()))
+                hits = holders.get(f, [])
                 den = math.lcm(*[rows[p][p] for p in hits])
                 out.append({**{p: -rows[p][f] * (den // rows[p][p]) for p in hits}, f: den})
         return out
@@ -593,12 +581,11 @@ def rational_roots(p: Poly):
     return [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)]
 
 
-def count_real_roots(p) -> int:
-    """Number of distinct real roots of p, a Poly or its ints, by Sturm's theorem
-    in integers: p.ints, p', then negated sign-preserving pseudo-remainders down
-    to a constant, or to gcd(p, p'), which divides the whole chain and changes no
+def count_real_roots(c) -> int:
+    """Number of distinct real roots of the int polynomial c, lowest first, by Sturm's
+    theorem in integers: c, c', then negated sign-preserving pseudo-remainders down
+    to a constant, or to gcd(c, c'), which divides the whole chain and changes no
     count; the count is the sign variations at -inf less those at +inf."""
-    c = p.ints if isinstance(p, Poly) else p
     if not c:
         raise ValueError("zero polynomial")
     chain = [c, [k * x for k, x in enumerate(c) if k]]
@@ -626,8 +613,9 @@ def _divide(c, g):
 
 
 def _krylov(cols, v, space, t):
-    """d f, d > 0, for the monic f of least degree with f(m) v in space, sparse int v
-    and m given by its int columns, as an int list; space gains v, ..., m^(k-1) v.
+    """d f, d > 0, for the monic f of least degree with f(m) v in space, v a sparse dict
+    of nonzero ints and m given by its int columns, as an int list; space gains v, ...,
+    m^(k-1) v, all through the int cores _reduce and _add.
 
     Each m^k v, stepped from the last, is reduced tagged with a tracking
     coordinate t + k.  The first residue w / d that vanishes on the first n
@@ -635,10 +623,10 @@ def _krylov(cols, v, space, t):
     """
     n, k = len(cols), 0
     while True:
-        w, _ = space.residue({**v, t + k: 1})
+        w, _ = space._reduce({**v, t + k: 1})
         if min(w) >= n:
             return [w.get(t + j, 0) for j in range(k + 1)]
-        space._add(w)  # w is an int residue already
+        space._add(w)
         v = apply_columns(cols, v)
         k += 1
 

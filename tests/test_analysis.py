@@ -1,6 +1,6 @@
 """Differential tests of the almost abelian pipeline: char_poly against sympy,
 the factorization walk against a memoized reference recursion written
-here, the one-pass integer binomial division against long division, witnesses against
+here, linalg._divide by a binomial against long division, witnesses against
 a dense Fraction construction of the cofactor rule (x^k rad(q) / f by sympy) and
 the order of their candidates, one binomial-divisor pass per analysis, and
 each fast path of analyze against the slow path it replaces: the start-indexed
@@ -23,7 +23,6 @@ from nicebasis import almost_abelian, cli
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
-    _divide_binomial,
     _enumerate,
     _squarefree_part,
     _witness_basis,
@@ -37,6 +36,7 @@ from nicebasis.linalg import (
     Matrix,
     Poly,
     Subspace,
+    _divide,
     char_poly,
     dense,
     int_gcd,
@@ -156,11 +156,18 @@ def ints(p):
     return tuple(int(c) for c in p.coeffs)
 
 
+def divide_binomial(c, d, r):
+    """c / (x^d - r) as a tuple by _divide on the binomial's int list, as the walk
+    divides, or None."""
+    q = _divide(c, [-r] + [0] * (d - 1) + [1])
+    return None if q is None else tuple(q)
+
+
 class TestDivideBinomial:
     @settings(max_examples=60, deadline=None)
     @given(int_polys, st.integers(1, 6), int_constants)
     def test_exact_multiples(self, q, d, r):
-        got = _divide_binomial(ints(mul(q, Poly.binomial(d, r))), d, r)
+        got = divide_binomial(ints(mul(q, Poly.binomial(d, r))), d, r)
         assert got == ints(q)
         assert all(type(c) is int for c in got)
 
@@ -168,14 +175,14 @@ class TestDivideBinomial:
     @given(int_polys, st.integers(1, 6), int_constants)
     def test_vs_divmod(self, p, d, r):
         quotient, rem = pdivmod(p, Poly.binomial(d, r))
-        assert _divide_binomial(ints(p), d, r) == (ints(quotient) if rem.is_zero() else None)
+        assert divide_binomial(ints(p), d, r) == (ints(quotient) if rem.is_zero() else None)
 
     @settings(max_examples=30, deadline=None)
     @given(int_polys.filter(lambda p: not p.is_zero()), st.integers(1, 4), int_constants)
     def test_degree_above_p(self, p, extra, r):
         d = p.degree + extra
         assert not pdivmod(p, Poly.binomial(d, r))[1].is_zero()
-        assert _divide_binomial(ints(p), d, r) is None
+        assert divide_binomial(ints(p), d, r) is None
 
 
 def dense_rows(s):
@@ -441,7 +448,7 @@ def filtered_enumerate(p, divisors, divisions):
                 if d >= len(c):
                     break
                 divisions.append((c, d, r))
-                q = _divide_binomial(c, d, r)
+                q = divide_binomial(c, d, r)
                 if q is not None:
                     out.extend((i,) + t for t in walk(q) if not t or t[0] >= i)
         return memo[c]
@@ -467,13 +474,14 @@ class TestStartIndexedWalk:
 
     @pytest.fixture
     def divisions(self, monkeypatch):
+        # the _divide calls of almost_abelian, here all _enumerate's, by x^d - r
         counter = []
 
-        def counted(c, d, r):
-            counter.append((c, d, r))
-            return _divide_binomial(c, d, r)
+        def counted(c, g):
+            counter.append((c, len(g) - 1, -g[0]))
+            return _divide(c, g)
 
-        monkeypatch.setattr(almost_abelian, "_divide_binomial", counted)
+        monkeypatch.setattr(almost_abelian, "_divide", counted)
         return counter
 
     @pytest.mark.parametrize("k", range(1, 33))

@@ -7,20 +7,16 @@ with the reason it stays.  A name counts as referred to when a module reads
 it as a name or as an attribute, so an API that only tests call fails here.
 A read of a name that two definitions share counts for both, so SHARED gives
 each definition of every such name the reason it stays.
-Only linalg.py reads the private state of a Subspace; the other modules read
-its public rows.  Only linalg._cleared reads .denominator to clear
-denominators; DENOMINATOR_READS names each other read with its reason.
+Outside linalg.py, the int core of a Subspace (_reduce, _add) is called only
+where CORE_CALLERS names the caller with its reason.  Only linalg._cleared reads
+.denominator to clear denominators; DENOMINATOR_READS names each other read
+with its reason.
 """
 
 import ast
 from pathlib import Path
 
-from nicebasis.linalg import Subspace
-
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"
-
-# the private attributes of a Subspace; _rows was the name of its rows while private
-SUBSPACE_PRIVATE = {"_rows", *(name for name in Subspace.__slots__ if name.startswith("_"))}
 
 # name -> why it stays without a caller in src/
 ALLOWED = {
@@ -46,6 +42,15 @@ SHARED = {
         "lie.py:LieAlgebra.is_nilpotent": "the reproduce row on abelian extensions",
         "linalg.py:is_nilpotent": "catalog3._match_2x2 takes the nilpotent 2 x 2 case",
     },
+}
+
+# module:function -> why it calls Subspace._reduce or _add, which take int vectors
+# unchecked, rather than the doors residue and add
+CORE_CALLERS = {
+    "lie.py:change_basis":
+        "the int columns of p.num, checked invertible and tagged, and the int images",
+    "lie.py:quotient": "the algebra's int table rows, reduced modulo the ideal",
+    "graphs.py:_quotient": "the free algebra's int brackets, added to the ideal or reduced",
 }
 
 # module:function -> why it reads .denominator itself rather than through linalg._cleared
@@ -130,36 +135,21 @@ def test_each_definition_of_a_shared_name_has_its_reason():
     assert all(all(why.values()) for why in SHARED.values())
 
 
-def private_subspace_reads(skip="linalg.py"):
-    """module:line attribute of every read of a private Subspace attribute outside skip."""
-    return [f"{p.name}:{node.lineno} {node.attr}" for p in sorted(PACKAGE.glob("*.py"))
-            if p.name != skip for node in ast.walk(ast.parse(p.read_text()))
-            if isinstance(node, ast.Attribute) and node.attr in SUBSPACE_PRIVATE]
-
-
-def test_only_linalg_reads_private_subspace_attributes():
-    assert private_subspace_reads() == []
-
-
-def test_the_private_scan_sees_linalg():
-    assert "_occ" in SUBSPACE_PRIVATE
-    assert any(read.startswith("linalg.py:") for read in private_subspace_reads(skip=None))
-
-
 def test_the_scan_sees_the_package():
     trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
     names = {name for tree in trees for name, _ in definitions(tree)}
     assert {"Matrix", "change_basis", "solve", "_divide"} <= names
 
 
-def denominator_reads():
-    """module:function of every read of .denominator in src/, by the innermost def around it."""
+def attribute_reads(*attrs):
+    """module:function of every read of an attribute in attrs in src/, by the innermost
+    def around it."""
     out = set()
     for p in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(p.read_text())
         defs = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "denominator":
+            if isinstance(node, ast.Attribute) and node.attr in attrs:
                 around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 name = min(around, key=lambda d: d.end_lineno - d.lineno).name if around else "-"
                 out.add(f"{p.name}:{name}")
@@ -167,4 +157,17 @@ def denominator_reads():
 
 
 def test_only_cleared_and_the_allowed_sites_read_denominators():
-    assert denominator_reads() == {"linalg.py:_cleared", *DENOMINATOR_READS}
+    assert attribute_reads("denominator") == {"linalg.py:_cleared", *DENOMINATOR_READS}
+
+
+def test_each_caller_of_the_subspace_core_outside_linalg_has_its_reason():
+    # a new caller of _reduce or _add hands it int vectors that no door checks
+    calls = attribute_reads("_reduce", "_add")
+    assert {c for c in calls if not c.startswith("linalg.py:")} == set(CORE_CALLERS)
+    assert all(CORE_CALLERS.values())
+
+
+def test_the_core_scan_sees_linalg():
+    # the doors and the Krylov steps call the core inside linalg
+    assert {"linalg.py:residue", "linalg.py:add", "linalg.py:_krylov"} <= \
+        attribute_reads("_reduce", "_add")

@@ -92,16 +92,6 @@ def sparse_batches(draw):
     return n, draw(st.lists(vec, min_size=1, max_size=12))
 
 
-def occupancy(s):
-    """The column index of s recomputed from its rows."""
-    occ = {}
-    for p, row in s.rows.items():
-        for c in row:
-            if c != p:
-                occ.setdefault(c, set()).add(p)
-    return occ
-
-
 class TestColumnIndex:
     @given(sparse_batches())
     @settings(max_examples=150)
@@ -110,7 +100,6 @@ class TestColumnIndex:
         s = Subspace(n)
         for v in vecs:
             s.add(v)
-            assert s._occ == occupancy(s)
         m = to_sympy(Matrix([dense(v, n) for v in vecs]))
         reduced, pivots = m.rref()
         assert s.pivots == list(pivots)

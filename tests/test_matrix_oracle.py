@@ -3,7 +3,8 @@
 Matrix keeps its sparse columns and builds dense rows only on demand.  The
 reference below is the earlier dense implementation, kept verbatim with the
 helpers it called (_dot, sparse_columns, nullspace, solve, char_poly); its
-power is gone with Matrix's, and char_poly multiplies coefficient lists.  It
+power is gone with Matrix's, and char_poly multiplies coefficient lists, read
+off the int columns of d m, d the lcm of m's denominators.  It
 has no 0 x n matrix, and on some empty shapes it returns the wrong shape, so
 there the expected result is written out instead.  On hypothesis-generated
 rational matrices of every shape up to 4 x 4, n x 0 and 0 x n included, each
@@ -13,6 +14,7 @@ in range, and a dense view that is built once.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -194,12 +196,15 @@ def char_poly(m: Matrix) -> "Poly":
     if not m.is_square():
         raise ValueError("characteristic polynomial of non-square matrix")
     n = m.rows
-    cols = sparse_columns(m)
+    d = math.lcm(*[x.denominator for row in m.data for x in row])
+    cols = [{i: int(x * d) for i, x in col.items()} for col in sparse_columns(m)]
     space = Subspace(2 * n + 1)
     # one block per unit vector, while the blocks so far do not span Q^n;
-    # _krylov gives a block's coefficients as a positive int multiple
-    blocks = [[Q(x, c[-1]) for x in c] for i in range(n) if space.dim < n
-              for c in [_krylov(cols, {i: ONE}, space, n + space.dim)]]
+    # _krylov gives a block's coefficients for d m as a positive int multiple c,
+    # and for m its coefficient a_j is c_j / c_k times d^(j - k), k its degree
+    blocks = [[Q(x, c[-1]) * Q(d) ** (j - len(c) + 1) for j, x in enumerate(c)]
+              for i in range(n) if space.dim < n
+              for c in [_krylov(cols, {i: 1}, space, n + space.dim)]]
     return Poly(functools.reduce(_convolve, blocks, [ONE]))
 
 
