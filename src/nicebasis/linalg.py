@@ -302,8 +302,9 @@ class Subspace:
         if g != 1:
             w = {c: x // g for c, x in w.items()}
         a = w[p]
-        for q in [q for q, row in rows.items() if p in row]:
-            row = rows[q]
+        for q, row in rows.items():
+            if p not in row:
+                continue
             f = row.pop(p)
             if a != 1:
                 g = math.gcd(a, f)
