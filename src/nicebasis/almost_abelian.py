@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import Q, ONE, fmt, lines, parse_int, parse_rat
 from .lie import LieAlgebra
@@ -49,8 +49,7 @@ from .linalg import (
 from .nice import check_nice
 
 
-@dataclass(frozen=True)
-class AlmostAbelian:
+class AlmostAbelian(NamedTuple):
     a: Matrix
     compiled: LieAlgebra
 
@@ -66,8 +65,7 @@ def build(a: Matrix) -> AlmostAbelian:
     return AlmostAbelian(a, LieAlgebra._from_table(n + 1, table, a.den, names, check=True))
 
 
-@dataclass(frozen=True)
-class BinomialFactorization:
+class BinomialFactorization(NamedTuple):
     """Multiset of factors (degree, constant) with product the target poly."""
 
     factors: tuple  # sorted tuple of (int degree, rational constant)
@@ -181,8 +179,7 @@ def _enumerate(p: Poly, divisors, squarefree):
     return [tuple(divisors[i] for i in t) for t in walk(top, 0)]
 
 
-@dataclass(frozen=True)
-class ExistsVerdict:
+class ExistsVerdict(NamedTuple):
     status: str  # "yes" | "no" | "unknown-irrational"
     witness: Matrix | None = None  # basis columns for the compiled algebra
     reason: str | None = None
@@ -192,8 +189,7 @@ class ExistsVerdict:
         return self.status == "yes"
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """What existence and count read off A, computed once per matrix."""
 
     a: Matrix
@@ -207,23 +203,15 @@ class Analysis:
         if self.nilpotent:
             return ExistsVerdict("yes", witness=_witness_basis(self.a, None))
         if not self.semisimple:
-            return ExistsVerdict(
-                "no", reason="non-nilpotent part of A is not semisimple"
-            )
+            return ExistsVerdict("no", reason="non-nilpotent part of A is not semisimple")
         if self.factorizations:
             fact = self.factorizations[0]
-            witness = _witness_basis(self.a, fact)
-            return ExistsVerdict("yes", witness=witness, factorization=fact)
+            return ExistsVerdict("yes", witness=_witness_basis(self.a, fact), factorization=fact)
         if self.irrational:
-            return ExistsVerdict(
-                "unknown-irrational",
-                reason="characteristic polynomial may split with irrational constants",
-            )
-        return ExistsVerdict(
-            "no",
-            reason="nonzero spectrum is not a union of full root sets"
-            " (no real binomial factorization exists)",
-        )
+            return ExistsVerdict("unknown-irrational", reason="characteristic polynomial may"
+                                 " split with irrational constants")
+        return ExistsVerdict("no", reason="nonzero spectrum is not a union of full root sets"
+                             " (no real binomial factorization exists)")
 
     def count(self):
         """Nice bases up to equivalence, or None (unknown-irrational): the
@@ -237,6 +225,7 @@ class Analysis:
         x = rho y, y^d - 1 = prod_(e|d) Phi_e and y^d + 1 = prod_(e|d) Phi_2e for
         odd d.  Equal multiplicities of Phi_e and Phi_2e for each odd e give, by
         Moebius inversion, as many +r as -r factors of each degree: f1 = f2.
+        An Analysis is a tuple, and this count shadows tuple.count.
         """
         if self.nilpotent:
             return 1

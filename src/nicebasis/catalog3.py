@@ -8,7 +8,7 @@ entries carry theorem-backed counts with every listed basis re-verified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
@@ -26,8 +26,7 @@ from .nice import check_nice, monomial_equivalent
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     matrix: Matrix | None  # 2x2 matrix for almost abelian rows, else None
     algebra: LieAlgebra

@@ -15,10 +15,10 @@ Gram matrix G of linearly independent v_1..v_k is positive definite, as c^T G c
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
+from typing import NamedTuple
 
 from .scalars import Q, ZERO, _exact
 from .lie import LieAlgebra
@@ -26,10 +26,22 @@ from .linalg import Matrix, Subspace, _cleared, apply_columns, dense, solve
 from .nice import check_nice, roots
 
 
-@dataclass(frozen=True)
 class DerivationSpace:
     unknowns: dict  # entry (m, i) of D solved for -> its number, in row-major order
     system: Subspace  # the eliminated equations over the numbered unknowns
+
+    def __init__(self, unknowns, system):  # a frozen record, but with a __dict__ for basis
+        self.__dict__.update(unknowns=unknowns, system=system)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, DerivationSpace) and (self.unknowns, self.system) == (
+            other.unknowns, other.system)
+
+    def __repr__(self):
+        return f"DerivationSpace(unknowns={self.unknowns!r}, system={self.system!r})"
 
     @cached_property
     def basis(self):
@@ -43,8 +55,7 @@ class DerivationSpace:
         return len(self.unknowns) - self.system.dim
 
 
-@dataclass(frozen=True)
-class PreEinstein:
+class PreEinstein(NamedTuple):
     matrix: Matrix
     spectrum: tuple  # diagonal entries, sorted, with multiplicity
 
@@ -90,8 +101,10 @@ def _space(g: LieAlgebra, blocks) -> DerivationSpace:
     for i, b in enumerate(blocks):
         block.setdefault(b, []).append(i)
     unknowns = {e: v for v, e in enumerate((m, i) for m, b in enumerate(blocks) for i in block[b])}
-    eqs = _equations(g, unknowns)
-    return DerivationSpace(unknowns, Subspace(len(unknowns), map(eqs.get, sorted(eqs)[::-1])))
+    eqs, system = _equations(g, unknowns), Subspace(len(unknowns))
+    for key in sorted(eqs, reverse=True):  # _add takes no zero, and _equations's sums may cancel
+        system._add({v: c for v, c in eqs[key].items() if c})
+    return DerivationSpace(unknowns, system)
 
 
 def _equations(g: LieAlgebra, unknowns):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import DIMENSION_CAP, factor_int, lines, parse_int
 from .lie import LieAlgebra
@@ -54,8 +54,7 @@ class PredicateFalse(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     vertex_count: int
     edges: frozenset  # frozenset of frozenset pairs {i, j}, 0-based
     c: int
@@ -78,8 +77,7 @@ class GraphSpec:
         return frozenset((a, b)) in self.edges
 
 
-@dataclass(frozen=True)
-class LyndonBasis:
+class LyndonBasis(NamedTuple):
     words: tuple  # tuple of tuples of letters, ordered by (length, lex)
     supports: tuple  # the vertex bitmask of the letters of each word
 

@@ -547,8 +547,10 @@ def int_prem(a, b) -> list:
 
 def int_gcd(a, b) -> list:
     """Primitive gcd, up to sign, of two polynomials (rational or int
-    coefficients, lowest first) by the primitive remainder sequence."""
-    a, b = primitive(a), primitive(b)
+    coefficients, lowest first) by the primitive remainder sequence.  Only b is made
+    primitive first: each remainder is, and a's content scales every one alike."""
+    if not (b := primitive(b)):
+        return primitive(a)
     while b:
         a, b = b, int_prem(a, b)
     return a

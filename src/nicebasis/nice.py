@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import Q, ONE, factor_rat
 from .lie import LieAlgebra
 from .linalg import Matrix, solve_integer_system
 
 
-@dataclass(frozen=True)
-class NiceVerdict:
+class NiceVerdict(NamedTuple):
     is_nice: bool
     violations: tuple
 
@@ -79,8 +78,7 @@ def check_adapted(g: LieAlgebra):
     return True, None
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(NamedTuple):
     """X_i -> scales[i] * X_{sigma[i]}."""
 
     sigma: tuple

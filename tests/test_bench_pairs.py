@@ -265,3 +265,65 @@ class TestSrcLinesByModule:
         entry = bench_pairs.measure(args, 1)
         assert entry["parent"]["src_lines_by_module"] == {"linalg": 2}
         assert entry["change"]["src_lines_by_module"] == {"lie": 1, "linalg": 1}
+
+
+REPORT = """\
+import time: self [us] | cumulative | imported package
+import time:       120 |        120 |   _io
+import time:       700 |       2500 | site
+import time:       300 |        900 |     nicebasis.scalars
+import time:      1000 |       4000 | nicebasis
+import time:       500 |       1500 |   argparse
+import time:      2000 |       3500 | nicebasis.cli
+import time:        50 |         50 | nicebasis.extra
+"""
+
+
+class TestImportMs:
+    def test_sums_the_top_level_lines_of_the_names(self):
+        assert bench_pairs.top_level_ms(REPORT, ("nicebasis", "nicebasis.cli")) == 7.5
+
+    def test_nested_and_other_lines_do_not_count(self):
+        assert bench_pairs.top_level_ms(REPORT, ("nicebasis.scalars", "argparse")) == 0
+        assert bench_pairs.top_level_ms(REPORT, ("site",)) == 2.5
+
+    def test_sides_alternate_and_record_the_bytecode_setting(self, monkeypatch):
+        calls, times = [], iter([10.0, 7.0, 6.0, 11.0, 12.0, 5.0])
+
+        def fake_import_ms(checkout):
+            calls.append(checkout)
+            return next(times)
+
+        monkeypatch.setattr(bench_pairs, "import_ms", fake_import_ms)
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        out = bench_pairs.import_times({"parent": "p", "change": "c"}, runs=3)
+        assert calls == ["p", "c", "c", "p", "p", "c"]
+        assert out["parent"] == {"median": 11.0, "runs": [10.0, 11.0, 12.0],
+                                 "code": "import nicebasis, nicebasis.cli",
+                                 "PYTHONDONTWRITEBYTECODE": True}
+        assert out["change"]["runs"] == [7.0, 6.0, 5.0] and out["change"]["median"] == 6.0
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+        monkeypatch.setattr(bench_pairs, "import_ms", lambda checkout: 1.0)
+        assert bench_pairs.import_times({"parent": "p"}, runs=1)["parent"][
+            "PYTHONDONTWRITEBYTECODE"] is False
+
+    def test_a_fresh_process_imports_this_checkout(self):
+        root = os.path.dirname(os.path.dirname(PATH))
+        assert bench_pairs.import_ms(root) > 0
+
+    def test_main_keeps_each_side_in_the_entry(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 1, "end_to_end": [WALL]}))
+        monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+        monkeypatch.setattr(bench_pairs, "measure", lambda args, seconds: {
+            "workload": args.workload, "pairs": 2, "pairs_won": {"wall_s": 1},
+            **paired(([1.0, 1.0], [1.0, 1.0]), WALL)})
+        monkeypatch.setattr(bench_pairs, "import_times", lambda sides: {
+            name: {"median": sides[name]} for name in sides})
+        bench_pairs.main(["--parent", "p", "--change", str(tmp_path), "--workload", "w",
+                          "--pairs", "2", "--seed", "1"])
+        entry = json.loads((tmp_path / "BENCH_w.json").read_text())["workloads"][0]
+        assert entry["parent"]["import_ms"] == {"median": "p"}
+        assert entry["change"]["import_ms"] == {"median": str(tmp_path)}
+        assert json.loads(capsys.readouterr().out)["import_ms"] == {
+            "parent": "p", "change": str(tmp_path)}

@@ -51,6 +51,8 @@ CORE_CALLERS = {
         "the int columns of p.num, checked invertible and tagged, and the int images",
     "lie.py:quotient": "the algebra's int table rows, reduced modulo the ideal",
     "graphs.py:_quotient": "the free algebra's int brackets, added to the ideal or reduced",
+    "derivations.py:_space": "_equations's int rows over the unknowns, their cancelled zeros "
+                             "dropped",
 }
 
 # module:function -> why it reads .denominator itself rather than through linalg._cleared

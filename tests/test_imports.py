@@ -3,9 +3,15 @@
 __init__.py is exempt: its imports are the package's re-exports.  A name
 counts as used when the module reads it anywhere (a name or the root of an
 attribute chain) or lists it in __all__.
+
+No module imports dataclasses: the records are NamedTuples, so importing the
+package and its CLI loads neither dataclasses nor the inspect it pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +47,30 @@ def test_no_unused_import(module):
 
 def test_the_modules_are_found():
     assert {"lie.py", "linalg.py", "cli.py"} <= set(MODULES)
+
+
+def imported_modules(tree):
+    """The top-level name of every module the tree imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    assert "dataclasses" not in set(imported_modules(ast.parse((PACKAGE / module).read_text())))
+
+
+def test_the_import_scan_sees_typing():
+    assert "typing" in set(imported_modules(ast.parse((PACKAGE / "nice.py").read_text())))
+
+
+def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, nicebasis, nicebasis.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'nicebasis.cli'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n")[0] == "['nicebasis.cli']"

@@ -4,7 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from nicebasis import linalg
 from nicebasis.linalg import (
+    _convolve,
     _divisors,
     Matrix,
     Poly,
@@ -18,6 +20,9 @@ from nicebasis.linalg import (
     solve_integer_system,
     apply_columns,
     dense,
+    int_gcd,
+    int_prem,
+    primitive,
 )
 from nicebasis.scalars import Q, ZERO, ONE, rat
 from test_integer_table import sparse_kernel
@@ -267,6 +272,57 @@ class TestSmith:
         a = [[2, 0], [0, 3]]
         assert solve_integer_system(a, [4, 9]) == [2, 3]
         assert solve_integer_system(a, [1, 0]) is None
+
+
+def primitive_inputs_gcd(a, b):
+    """int_gcd as it was: both arguments made primitive before the remainder sequence."""
+    a, b = primitive(a), primitive(b)
+    while b:
+        a, b = b, int_prem(a, b)
+    return a
+
+
+def gcd_pairs(count, seed):
+    """(a, b) = (c f h, d g h) on random int polynomials, lowest first: a shared factor h,
+    a content c, d (rational in every fifth pair), and high zeros (trailing) or an x-power
+    in some; b is zero in every twentieth pair."""
+    rng = random.Random(seed)
+
+    def poly(top):
+        return [rng.randint(-4, 4) for _ in range(rng.randint(0, top))] + [rng.choice((-2, 1, 3))]
+
+    def dressed(p):
+        c = rng.choice((1, 1, 2, 6, -3))
+        p = [c * x for x in p]
+        if rng.random() < 0.2:
+            p = [Q(x, rng.randint(1, 5)) for x in p]
+        return [0] * rng.randint(0, 2) * (rng.random() < 0.3) + p + [0] * (rng.random() < 0.3)
+
+    out = []
+    for i in range(count):
+        h = poly(3)
+        a, b = dressed(_convolve(poly(4), h)), dressed(_convolve(poly(4), h))
+        out.append((a, [0] * (i % 3) if i % 20 == 0 else b))
+    return out
+
+
+class TestIntGcd:
+    def test_same_gcd_as_with_both_inputs_primitive(self):
+        for a, b in gcd_pairs(3000, 0):
+            assert int_gcd(a, b) == primitive_inputs_gcd(a, b), (a, b)
+
+    def test_only_b_is_made_primitive_when_it_is_not_zero(self, monkeypatch):
+        # a's content scales every remainder alike, and each remainder is made primitive
+        seen, real = [], linalg.primitive
+        monkeypatch.setattr(linalg, "primitive", lambda c: seen.append(c) or real(c))
+        a, b = [-2, 0, 2], [2, 2]  # 2 (x^2 - 1) and 2 (x + 1)
+        assert int_gcd(a, b) == [1, 1]
+        assert seen[0] is b and not any(c is a for c in seen)
+
+    @pytest.mark.parametrize("b", [[], [0], [0, 0]])
+    def test_zero_b_gives_primitive_a(self, b):
+        assert int_gcd([0, 4, 6, 0], b) == [0, 2, 3]
+        assert int_gcd([], b) == []
 
 
 @given(st.builds(Q, st.integers(-99, 99), st.integers(1, 99)),

@@ -23,8 +23,12 @@ metrics' medians and quartiles (inclusive method) and the failure counts;
 the pairs won per metric (lower is better, higher for success_ratio); the
 verdict per end-to-end metric of the change's BENCHMARK.json (see
 `verdicts`); and, with `--trace-runs N`, the medians of N traced runs per
-side on seed 5, alternating sides.  An entry it
-replaces moves, its medians, pairs won and verdicts only, to the front of
+side on seed 5, alternating sides.  Each side also gains `import_ms`, the
+median of IMPORT_RUNS fresh `python3 -X importtime -c "import nicebasis,
+nicebasis.cli"` runs in its checkout, alternating sides, with the runs and
+whether PYTHONDONTWRITEBYTECODE was set (if not, the first run writes the
+bytecode cache that the others read): the import layer under `setup_s`.  An
+entry it replaces moves, its medians, pairs won and verdicts only, to the front of
 `earlier_sets`.  Entries of other workloads are kept.  Standard library
 only.
 """
@@ -43,6 +47,8 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HIGHER_IS_BETTER = {"success_ratio"}
 TRACE_SEED = 5
+IMPORT_CODE = "import nicebasis, nicebasis.cli"
+IMPORT_RUNS = 5
 METHOD = (
     "tools/bench_pairs.py: perfbench/run.py run from a parent checkout and a change"
     " checkout; trace 0 runs alternate sides, the first side flipping each pair;"
@@ -61,6 +67,40 @@ def run(checkout, workload, seed, seconds, trace):
     lines = out.stdout.splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     return env, json.loads(lines[-1])
+
+
+def top_level_ms(report, names):
+    """Milliseconds of the top-level imports of names in an `-X importtime` report: the sum
+    of the cumulative microseconds of its unindented lines (" name") that import them."""
+    total = 0
+    for line in report.splitlines():
+        parts = line.split("|")
+        if line.startswith("import time:") and len(parts) == 3 and parts[2][1:] in names:
+            total += int(parts[1])
+    return total / 1000
+
+
+def import_ms(checkout):
+    """Milliseconds of IMPORT_CODE in one fresh `-X importtime` process that imports the
+    checkout's src/."""
+    path = os.pathsep.join(filter(None, [os.path.join(checkout, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_CODE],
+                         cwd=checkout, env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    return top_level_ms(out.stderr, ("nicebasis", "nicebasis.cli"))
+
+
+def import_times(sides, runs=IMPORT_RUNS):
+    """{side: import_ms record} over runs alternating sides, the first side flipping each
+    round, as the pairs do."""
+    times = {name: [] for name in sides}
+    for i in range(runs):
+        for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            times[name].append(import_ms(sides[name]))
+    nobytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    return {name: {"median": statistics.median(t), "runs": t, "code": IMPORT_CODE,
+                   "PYTHONDONTWRITEBYTECODE": nobytecode} for name, t in times.items()}
 
 
 def dirty(checkout):
@@ -231,6 +271,8 @@ def main(argv=None):
     doc = load(path, label, command)
     entry = measure(args, seconds)
     entry["verdict"] = verdicts(entry, bench["end_to_end"])
+    for name, record in import_times({"parent": args.parent, "change": args.change}).items():
+        entry[name]["import_ms"] = record
     doc["host"] = f"{os.cpu_count()}-core {platform.machine()}, Python {platform.python_version()}"
     for old in [w for w in doc["workloads"] if w["workload"] == args.workload]:
         doc["earlier_sets"]["sets"].insert(0, earlier(old))
@@ -241,7 +283,9 @@ def main(argv=None):
     print(json.dumps({"file": path, "workload": args.workload, "pairs_won": entry["pairs_won"],
                       "verdict": entry["verdict"],
                       "median_wall_s": {n: entry[n]["trace0"]["median"]["wall_s"]
-                                        for n in ("parent", "change")}}))
+                                        for n in ("parent", "change")},
+                      "import_ms": {n: entry[n]["import_ms"]["median"]
+                                    for n in ("parent", "change")}}))
 
 
 if __name__ == "__main__":
