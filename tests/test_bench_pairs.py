@@ -296,7 +296,8 @@ class TestImportMs:
 
         monkeypatch.setattr(bench_pairs, "import_ms", fake_import_ms)
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-        out = bench_pairs.import_times({"parent": "p", "change": "c"}, runs=3)
+        monkeypatch.setattr(bench_pairs, "IMPORT_RUNS", 3)
+        out = bench_pairs.import_times({"parent": "p", "change": "c"})
         assert calls == ["p", "c", "c", "p", "p", "c"]
         assert out["parent"] == {"median": 11.0, "runs": [10.0, 11.0, 12.0],
                                  "code": "import nicebasis, nicebasis.cli",
@@ -304,12 +305,22 @@ class TestImportMs:
         assert out["change"]["runs"] == [7.0, 6.0, 5.0] and out["change"]["median"] == 6.0
         monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
         monkeypatch.setattr(bench_pairs, "import_ms", lambda checkout: 1.0)
-        assert bench_pairs.import_times({"parent": "p"}, runs=1)["parent"][
+        assert bench_pairs.import_times({"parent": "p"})["parent"][
             "PYTHONDONTWRITEBYTECODE"] is False
 
     def test_a_fresh_process_imports_this_checkout(self):
-        root = os.path.dirname(os.path.dirname(PATH))
-        assert bench_pairs.import_ms(root) > 0
+        assert bench_pairs.import_ms(os.path.dirname(os.path.dirname(PATH))) > 0
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_the_checkouts_own_src_comes_first(self, tmp_path, monkeypatch, relative):
+        package = tmp_path / "side" / "src" / "nicebasis"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("raise ImportError('the checkout copy')\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("PYTHONPATH", raising=False)  # the tests' own may name a src/
+        with pytest.raises(subprocess.CalledProcessError) as err:
+            bench_pairs.import_ms("side" if relative else str(tmp_path / "side"))
+        assert "the checkout copy" in err.value.stderr
 
     def test_main_keeps_each_side_in_the_entry(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "BENCHMARK.json").write_text(json.dumps(

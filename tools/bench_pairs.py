@@ -27,10 +27,10 @@ side on seed 5, alternating sides.  Each side also gains `import_ms`, the
 median of IMPORT_RUNS fresh `python3 -X importtime -c "import nicebasis,
 nicebasis.cli"` runs in its checkout, alternating sides, with the runs and
 whether PYTHONDONTWRITEBYTECODE was set (if not, the first run writes the
-bytecode cache that the others read): the import layer under `setup_s`.  An
-entry it replaces moves, its medians, pairs won and verdicts only, to the front of
-`earlier_sets`.  Entries of other workloads are kept.  Standard library
-only.
+bytecode cache that the others read): the import layer under `setup_s`.
+An entry it replaces moves, its medians, pairs won and verdicts only, to
+the front of `earlier_sets`.  Entries of other workloads are kept.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def top_level_ms(report, names):
 def import_ms(checkout):
     """Milliseconds of IMPORT_CODE in one fresh `-X importtime` process that imports the
     checkout's src/."""
-    path = os.pathsep.join(filter(None, [os.path.join(checkout, "src"),
+    path = os.pathsep.join(filter(None, [os.path.abspath(os.path.join(checkout, "src")),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_CODE],
                          cwd=checkout, env={**os.environ, "PYTHONPATH": path},
@@ -91,11 +91,11 @@ def import_ms(checkout):
     return top_level_ms(out.stderr, ("nicebasis", "nicebasis.cli"))
 
 
-def import_times(sides, runs=IMPORT_RUNS):
-    """{side: import_ms record} over runs alternating sides, the first side flipping each
-    round, as the pairs do."""
+def import_times(sides):
+    """{side: import_ms record} over IMPORT_RUNS rounds alternating sides, the first side
+    flipping each round, as the pairs do."""
     times = {name: [] for name in sides}
-    for i in range(runs):
+    for i in range(IMPORT_RUNS):
         for name in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
             times[name].append(import_ms(sides[name]))
     nobytecode = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
