@@ -42,7 +42,6 @@ from .linalg import (
     int_gcd,
     kernel_chain,
     minimal_polynomial,
-    primitive,
     rational_roots,
     similar,
 )
@@ -105,18 +104,15 @@ def _binomial_divisors(p: Poly):
     divisors, irrational = [], False
     for d in range(1, len(c)):
         classes = {}
-        for k in support:
-            classes.setdefault(k % d, [0] * ((len(c) - 1 - k % d) // d + 1))[k // d] = c[k]
-        g = None
-        for cls in classes.values():
-            g = primitive(cls) if g is None else int_gcd(g, cls)
-            if len(g) == 1:
-                break
+        for k in reversed(support):  # from the top, so that no class ends in a zero
+            classes.setdefault(k % d, [0] * (k // d + 1))[k // d] = c[k]
+        # their gcd, from the least top exponent, stopped at a constant; content changes no root
+        g = functools.reduce(lambda g, cls: int_gcd(g, cls) if len(g) > 1 else g,
+                             reversed(classes.values()))
         if len(g) > 1:
             roots = _int_roots(g)
             divisors += [(d, Q(num, den)) for num, den, _ in roots if num]
-            if sum(m for *_, m in roots) < len(g) - 1 and count_real_roots(g) > len(roots):
-                irrational = True
+            irrational |= count_real_roots(g) > len(roots)  # on the chain _int_roots built
     return sorted(divisors), irrational
 
 

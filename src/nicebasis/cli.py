@@ -17,7 +17,7 @@ import json
 import sys
 import time
 
-from .scalars import TooLargeToFactor, fmt
+from .scalars import fmt
 from .lie import load_lie, save_lie
 from .nice import check_nice
 from .derivations import (
@@ -158,10 +158,7 @@ def cmd_nu_product(args):
 
 def cmd_aa(args):
     a = _load_matrix(args.file)
-    try:
-        data = analyze(a)
-    except TooLargeToFactor as err:
-        raise UsageError(f"{args.file}: {err}")
+    data = analyze(a)
     verdict = data.exists()
     nu = data.count()
     facts = [str(f) for f in data.factorizations]

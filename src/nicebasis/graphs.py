@@ -40,9 +40,9 @@ import functools
 import itertools
 from typing import NamedTuple
 
-from .scalars import DIMENSION_CAP, factor_int, lines, parse_int
+from .scalars import DIMENSION_CAP, lines, parse_int
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _divisors
+from .linalg import Matrix, Subspace
 from .nice import check_nice
 
 
@@ -178,19 +178,12 @@ def _word_name(w):
 
 
 def witt_dimension(d, length):
-    """Number of Lyndon words of given length over d letters (necklace count)."""
+    """Number of Lyndon words of length n over d letters, by d^n = sum_(m | n) m W(d, m)."""
     if d < 0 or length < 1:
         raise ValueError(f"alphabet size {d} is below 0" if d < 0
                          else f"length {length} is below 1")
-    total = 0
-    for m in _divisors(length):
-        total += _mobius(m) * d ** (length // m)
-    return total // length
-
-
-def _mobius(n):
-    exps = factor_int(n).values()
-    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+    return (d**length - sum(m * witt_dimension(d, m)
+                            for m in range(1, length) if length % m == 0)) // length
 
 
 # what the graph decides about the ideal on the words with letter set S

@@ -12,7 +12,7 @@ tests stable.  The characteristic and minimal polynomials are read off tagged
 int Krylov vectors in a Subspace, as the primitive int list that a Poly keeps
 beside its Fractions.  Polynomial work runs on int coefficient lists (products,
 exact quotients by the one division _divide, almost_abelian's walk included,
-primitive pseudo-remainders, integer Sturm chains, the one root finder _int_roots).
+primitive pseudo-remainders, and one Sturm chain that counts and isolates real roots).
 The one elimination over Z, solve_integer_system (extended-gcd column
 echelon form), solves the scale exponents of monomial equivalence.
 """
@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 
-from .scalars import Q, ZERO, _exact, factor_int, fmt
+from .scalars import Q, ZERO, _exact, fmt
 
 
 class Matrix:
@@ -556,22 +556,59 @@ def int_gcd(a, b) -> list:
     return a
 
 
+@functools.lru_cache(maxsize=1)  # _binomial_divisors reads roots and count off one chain
+def _sturm(c):
+    """(k, chain) for the nonzero int tuple c = x^k c0: c0, c0', negated int_prems to a constant
+    or to a gcd g, then each over primitive(g), the Sturm chain of c0's squarefree part s."""
+    k = min(i for i, x in enumerate(c) if x)  # ValueError for the zero polynomial
+    chain = [c[k:], [i * x for i, x in enumerate(c[k:]) if i]]
+    while len(chain[-1]) > 1:
+        chain.append([-x for x in int_prem(chain[-2], chain[-1])])
+    if not chain[-1]:  # c / x^k is not squarefree, or a constant
+        g = primitive(chain[-2])
+        chain = [_divide(q, g) for q in chain[:-1]]
+    return k, chain
+
+
+def _at(q, m, a):
+    """a^k q(m / a) for q of degree k: q's sign at m / a (a > 0), or at m's infinity (a = 0)."""
+    if not a:
+        return q[-1] * m ** (len(q) - 1)
+    h, power = q[-1], 1
+    for x in q[-2::-1]:
+        power *= a
+        h = h * m + x * power
+    return h
+
+
+def _variations(chain, m, a):
+    """Sign variations V at m / a, zeros skipped: V(u) - V(w) roots lie in (u, w] (Sturm)."""
+    signs = [v > 0 for q in chain if (v := _at(q, m, a))]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 def _int_roots(c):
-    """All rational roots of the int polynomial c (lowest first, not zero) with
-    multiplicities, as [(num, den, mult)] in lowest terms, den > 0, sorted by den,
-    then num.  Past the root 0 (c's x-power), the candidates are ±num/den for num |
-    a_0 and den | a_n, num outermost, each divided out by den·x - num while exact."""
-    k = next(i for i, x in enumerate(c) if x)
-    roots, c = [(0, 1, k)] if k else [], c[k:]
-    if len(c) > 1:
-        for num, den, s in itertools.product(_divisors(c[0]), _divisors(c[-1]), (1, -1)):
-            if len(c) == 1:
-                break
-            mult = 0
-            while (q := _divide(c, [-s * num, den])) is not None:
+    """Rational roots of the nonzero int list c, [(num, den, mult)] in lowest terms sorted by den,
+    then num: past c's x-power, bisection of (-b, b] on _sturm's chain, b = a + max |s_i| with
+    a = |lc(s)|.  A rational root is y / a, y an integer and |y| < b (Cauchy), so halves with no
+    variation change go, and at width 1 hi / a is a root iff s(hi / a) = 0.  A squarefree c has
+    multiplicities 1; else c is divided by den x - num while exact."""
+    k, chain = _sturm(c := tuple(c))
+    c, s, roots = c[k:], chain[0], [(0, 1, k)] if k else []
+    a, squarefree = abs(s[-1]), len(s) == len(c)
+    b = a + max(map(abs, s))
+    todo = [(-b, _variations(chain, -1, 0), b, _variations(chain, 1, 0))]
+    while todo:
+        lo, v, hi, w = todo.pop()
+        if v != w and hi - lo > 1:
+            mid = (lo + hi) // 2
+            u = _variations(chain, mid, a)
+            todo += [(lo, v, mid, u), (mid, u, hi, w)]
+        elif v != w and not _at(s, hi, a):
+            num, den, mult = hi // (g := math.gcd(hi, a)), a // g, int(squarefree)
+            while not squarefree and (q := _divide(c, [-num, den])) is not None:
                 c, mult = q, mult + 1
-            if mult:
-                roots.append((s * num, den, mult))
+            roots.append((num, den, mult))
     roots.sort(key=lambda t: (t[1], t[0]))
     return roots
 
@@ -585,17 +622,9 @@ def rational_roots(p: Poly):
 
 
 def count_real_roots(c) -> int:
-    """Number of distinct real roots of the int polynomial c, lowest first, by Sturm's
-    theorem in integers: c, c', then negated sign-preserving pseudo-remainders down
-    to a constant, or to gcd(c, c'), which divides the whole chain and changes no
-    count; the count is the sign variations at -inf less those at +inf."""
-    if not c:
-        raise ValueError("zero polynomial")
-    chain = [c, [k * x for k, x in enumerate(c) if k]]
-    while len(chain[-1]) > 1:
-        chain.append([-x for x in int_prem(chain[-2], chain[-1])])
-    signs = [(q[-1] > 0, (q[-1] > 0) == (len(q) % 2 == 1)) for q in chain if q]
-    return sum((m != m2) - (s != s2) for (s, m), (s2, m2) in zip(signs, signs[1:]))
+    """Distinct real roots of the nonzero int list c: 0 if a root, + V(-inf) - V(inf) on _sturm."""
+    k, chain = _sturm(tuple(c))
+    return _variations(chain, -1, 0) - _variations(chain, 1, 0) + (k > 0)
 
 
 def _divide(c, g):
@@ -706,17 +735,6 @@ def _intertwiners(a: Matrix, b: Matrix) -> int:
             v[k * n + j] = v.get(k * n + j, 0) - x * a.den
         images.add(v)
     return n * n - images.dim
-
-
-def _divisors(n):
-    """Sorted positive divisors of |n| ([1] for 0), from factor_int."""
-    n = abs(int(n))
-    if n == 0:
-        return [1]
-    out = [1]
-    for p, e in factor_int(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 # --- integer linear systems (the scale exponents of monomial_equivalent) ---

@@ -130,14 +130,10 @@ def _certified_prime(n: int) -> bool:
 
 
 def factor_int(n: int) -> dict:
-    """Factorization of a nonzero integer into {prime: exp}.
-
-    Trial division, which stops as soon as the cofactor is a certified
-    prime (tested up front and after each prime divided out).  Structure
-    constants in this package are small, so this is plenty; a cofactor
-    beyond its reach (two prime factors above 10^7, or a prime beyond the
-    Miller-Rabin bound) raises TooLargeToFactor rather than stalling.
-    """
+    """Factorization of a nonzero integer into {prime: exp}, for factor_rat, its one caller:
+    trial division, stopped once the cofactor is a certified prime.  A cofactor beyond its
+    reach (two prime factors above 10^7, or a prime beyond the Miller-Rabin bound) raises
+    TooLargeToFactor rather than stalling."""
     n = int(n)
     if n == 0:
         raise ValueError("cannot factor zero")

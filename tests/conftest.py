@@ -9,9 +9,10 @@ such function in src/ is listed.
 
 import pytest
 
-from nicebasis import almost_abelian, derivations, graphs
+from nicebasis import almost_abelian, derivations, graphs, linalg
 
-LAST_RESULT_CACHES = (almost_abelian.analyze, derivations._space, graphs._quotient)
+LAST_RESULT_CACHES = (almost_abelian.analyze, derivations._space, graphs._quotient,
+                      linalg._sturm)
 
 
 @pytest.fixture(autouse=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 from nicebasis import cli, derivations
+from nicebasis.almost_abelian import build, load_matrix
 from nicebasis.cli import main
+from nicebasis.linalg import Matrix
 from nicebasis.nice import check_nice
+from nicebasis.scalars import Q
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -152,15 +156,41 @@ class TestAA:
         assert "factorization (x - 2305843009213693951)" in out
         assert "nu 1" in out
 
-    def test_constant_term_too_large_to_factor(self, capsys, tmp_path):
+    def test_constant_term_beyond_trial_division(self, capsys, tmp_path):
+        # two primes above the trial-division limit 10^7: the root is isolated
+        # on the Sturm chain, so the constant term is never factored
         path = tmp_path / "semiprime.mat"
-        # two primes above the trial-division limit 10^7
         path.write_text(f"1\n{10000019 * 10000079}\n")
-        code, out, err = run(capsys, "aa", path)
-        assert code == 2
-        assert out == ""
-        assert err.strip().splitlines() == [
-            f"error: {path}: integer too large to factor by trial division"]
+        code, out, _ = run(capsys, "aa", path)
+        assert code == 0
+        assert "exists yes" in out
+        assert "factorization (x - 100000980001501)" in out
+        assert "nu 1" in out
+
+    def test_companion_of_two_large_primes(self, capsys, tmp_path):
+        # char poly (x - p)(x - q): its constant term pq is out of factor_int's reach
+        p, q = 2**61 - 1, 2**31 - 1
+        path = tmp_path / "pq.mat"
+        path.write_text(f"2\n0 {-p * q}\n1 {p + q}\n")
+        start = time.perf_counter()
+        code, rep, _ = run_json(capsys, "aa", path)
+        assert time.perf_counter() - start < 0.1
+        assert code == 0
+        assert rep["nu"] == 1
+        witness = Matrix([[Q(x) for x in row] for row in rep["witness"]])
+        assert check_nice(build(load_matrix(path)).compiled.change_basis(witness))
+
+    def test_random_integer_matrices_never_exit_2(self, capsys, tmp_path):
+        # n = 2..4, 100 matrices each with entries within 10^3, 10^6 and 10^9
+        rng, path, codes = random.Random(11), tmp_path / "m.mat", set()
+        for bound in (10**3, 10**6, 10**9):
+            for _ in range(100):
+                n = rng.randint(2, 4)
+                rows = [" ".join(str(rng.randint(-bound, bound)) for _ in range(n))
+                        for _ in range(n)]
+                path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+                codes.add(run(capsys, "aa", path)[0])
+        assert codes <= {0, 1}
 
 
 class TestGraph:

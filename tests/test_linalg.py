@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from nicebasis import linalg
 from nicebasis.linalg import (
     _convolve,
-    _divisors,
     Matrix,
     Poly,
     Subspace,
@@ -237,16 +236,9 @@ class TestPoly:
             assert sympy.roots(expr)[sympy.Rational(str(r))] == mult
 
     def test_rational_roots_large_constant_term(self):
-        # candidates come from the factorization of 6 * 10^18, not from
-        # trial division up to its square root
+        # the root 2 is isolated on the Sturm chain; 6 * 10^18 is not factored
         p = mul(Poly([-6 * 10**18, 0, 1]), Poly.binomial(1, rat(2)))
         assert rational_roots(p) == [(rat(2), 1)]
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(-3000, 3000))
-    def test_divisors_vs_trial_division(self, n):
-        want = [d for d in range(1, abs(n) + 1) if n % d == 0] or [1]
-        assert _divisors(n) == want
 
     def test_real_root_count(self):
         # x^2 - 2 has two real roots, x^2 + 1 has none

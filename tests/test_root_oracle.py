@@ -2,12 +2,13 @@
 code that they replaced.
 
 rational_roots, count_real_roots and _binomial_divisors now run on Python
-ints (primitive pseudo-remainders, exact synthetic division, integer Sturm
-chains), and _enumerate works on the monic integer transform, by pairwise
-coprime sets for a squarefree polynomial and else with a memo of quotients.
-The reference_* functions below are the Fraction versions they replaced,
-kept verbatim apart from evaluating p through a helper and spelling Poly
-arithmetic with mul, pdivmod and monic; every output is compared with them
+ints (primitive pseudo-remainders, exact synthetic division, bisection on one
+integer Sturm chain), and _enumerate works on the monic integer transform, by
+pairwise coprime sets for a squarefree polynomial and else with a memo of
+quotients.  The reference_* functions below are the Fraction versions they
+replaced, kept verbatim apart from evaluating p through a helper, spelling Poly
+arithmetic with mul, pdivmod and monic, and enumerating the divisor candidates
+by the trial division _divisors here; every output is compared with them
 in order, and the real-root count also with sympy.  Analysis.count is the
 number of factorizations; reference_count groups them by the real-rescaling
 search (_same_class and its helpers) that it replaced, and
@@ -19,12 +20,13 @@ import math
 import random
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from nicebasis import almost_abelian
+from nicebasis import almost_abelian, graphs, linalg, scalars
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
@@ -33,13 +35,15 @@ from nicebasis.almost_abelian import (
     analyze,
     count_nice,
     indecomposable_family,
+    load_matrix,
 )
 from nicebasis.linalg import (
     Matrix,
     Poly,
     _convolve,
-    _divisors,
     _divide,
+    _int_roots,
+    char_poly,
     count_real_roots,
     int_gcd,
     int_prem,
@@ -49,6 +53,7 @@ from nicebasis.linalg import (
 from nicebasis.scalars import Q, ZERO, ONE
 
 X = sympy.Symbol("x")
+FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # --- Poly arithmetic over Q for the references (src/ has none) -------------
@@ -98,6 +103,13 @@ def _evaluate(p, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     return acc
+
+
+def _divisors(n):
+    """Sorted positive divisors of |n| ([1] for 0), by trial division up to its square root."""
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)}) or [1]
 
 
 def reference_rational_roots(p: Poly):
@@ -477,6 +489,65 @@ class TestFamilyPins:
         divisors, _ = reference_binomial_divisors(p)
         want = [BinomialFactorization(t) for t in reference_enumerate(p, divisors)]
         assert list(analyze(indecomposable_family(n).a).factorizations) == want
+
+
+# --- the rational roots come off the Sturm chain, with no factoring --------
+
+
+def finder_corpus():
+    """Char polys of the family at n = 2..8, of every .mat fixture and of 600
+    random integer matrices of size 2..5 with entries -3..3."""
+    mats = [indecomposable_family(n).a for n in range(2, 9)]
+    mats += [load_matrix(path) for path in sorted(FIX.glob("*.mat"))]
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(2, 5)
+        mats.append(Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+    return [char_poly(a) for a in mats]
+
+
+def planted(rng):
+    """A product of 1..4 factors (den x - num)^mult with 20..80-bit entries, times
+    1, x^2 - 2, x^2 + x + 1 or x^3 - 2, and its rational roots as _int_roots gives them."""
+    c, roots = [rng.choice([1, -1, 2, 3])], Counter()
+    for _ in range(rng.randint(1, 4)):
+        bits = rng.randint(20, 80)
+        root = Q(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+        mult = rng.randint(1, 2)
+        roots[root.numerator, root.denominator] += mult
+        for _ in range(mult):
+            c = _convolve(c, [-root.numerator, root.denominator])
+    c = _convolve(c, rng.choice([[1], [-2, 0, 1], [1, 1, 1], [-2, 0, 0, 1]]))
+    return c, sorted(((num, den, m) for (num, den), m in roots.items()),
+                     key=lambda t: (t[1], t[0]))
+
+
+class TestSturmRootFinder:
+    @pytest.fixture(autouse=True)
+    def no_factoring(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factor_int({n}) called")
+        monkeypatch.setattr(scalars, "factor_int", refuse)
+
+    def test_no_root_path_imports_factor_int(self):
+        assert not hasattr(linalg, "factor_int")
+        assert not hasattr(graphs, "factor_int")
+
+    def test_int_roots_match_reference_on_char_polys(self):
+        for p in finder_corpus():
+            got = [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)]
+            assert got == reference_rational_roots(p), p
+
+    def test_zero_polynomial_is_refused(self):
+        for finder in (_int_roots, count_real_roots):
+            with pytest.raises(ValueError):
+                finder([])
+
+    def test_planted_roots_with_multiplicities(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            c, want = planted(rng)
+            assert _int_roots(c) == want, c
 
 
 # --- Analysis.count is the number of factorizations -------------------------
