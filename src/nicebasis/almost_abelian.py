@@ -36,6 +36,7 @@ from .linalg import (
     _divide,
     _int_roots,
     _scaled,
+    _sturm,
     apply_columns,
     char_poly,
     count_real_roots,
@@ -233,9 +234,10 @@ class Analysis(NamedTuple):
 
 
 def _squarefree_part(p: Poly):
-    """(p / x^k, whether it is squarefree) for monic p, x^k the highest power of x dividing p."""
+    """(q = p / x^k, whether q is squarefree) for monic p, x^k the highest power of x dividing
+    p: iff its squarefree part, the head of _sturm(q), which _binomial_divisors reuses, is q."""
     q = p.ints[next(k for k, x in enumerate(p.ints) if x):]
-    return _scaled(q, 1), len(int_gcd(q, [k * x for k, x in enumerate(q) if k])) == 1
+    return _scaled(q, 1), len(_sturm(q)[1][0]) == len(q)
 
 
 @functools.lru_cache(maxsize=1)  # count_nice(a) then exists_nice(a) share one
@@ -278,7 +280,7 @@ def _witness_basis(a: Matrix, fact):
     Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks), none when
     fact has degree n (A invertible).  Factor f_i = x^d - r of q, the product of
     fact: a cyclic chain w, Aw, ..., A^(d-1)w for w = g_i(A) v, g_i = x^k rad(q) / f_i
-    (k = n - deg q, rad(q) = q / gcd(q, q') in Z[x] on primitive binomials, and
+    (k = n - deg q, rad(q) = q / gcd(q, q') up to sign, the head of q's _sturm chain, and
     rad(q) = q when they are pairwise coprime (_clashes), as for a squarefree q), read
     off the int Krylov sequence of the candidate v, one per call for all factors,
     and added to the one span of the chains by _cyclic_chain.  No power of A and
@@ -301,7 +303,7 @@ def _witness_basis(a: Matrix, fact):
         scale = math.lcm(*(r.denominator for _, r in fact.factors))
         scaled = [(d, r.numerator * scale**d // r.denominator) for d, r in fact.factors]
         if any(mask & (mask - 1) for mask in _clashes(scaled)):  # two factors share a root
-            rad = _divide(q, int_gcd(q, [k * x for k, x in enumerate(q)][1:]))
+            rad = _sturm(tuple(q))[1][0]
         krylov = {}  # candidate number -> v, Nv, ...: kept for this call only
         for (d, _), f in zip(fact.factors, binomials):
             g = [0] * (n - fact.degree) + _divide(rad, f)

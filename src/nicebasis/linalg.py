@@ -717,8 +717,8 @@ def similar(a: Matrix, b: Matrix) -> bool:
     if phi != char_poly(b).ints or (
             (mu := minimal_polynomial(a).ints) != minimal_polynomial(b).ints):
         return False
-    cofactor = _divide(phi, mu)
-    if len(int_gcd(cofactor, [k * x for k, x in enumerate(cofactor) if k])) == 1:
+    k, chain = _sturm(tuple(cofactor := _divide(phi, mu)))  # squarefree: x^k chain[0], k <= 1
+    if k <= 1 and len(chain[0]) + k == len(cofactor):
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)
 

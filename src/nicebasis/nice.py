@@ -13,7 +13,7 @@ import itertools
 from collections import Counter
 from typing import NamedTuple
 
-from .scalars import Q, ONE, factor_rat
+from .scalars import Q, ONE, _coprime_base
 from .lie import LieAlgebra
 from .linalg import Matrix, solve_integer_system
 
@@ -168,28 +168,31 @@ def _monomial_search(ta: LieAlgebra, tb: LieAlgebra):
 def _solve_scales(ta: LieAlgebra, tb: LieAlgebra, sigma):
     """Nonzero rational scales t with t_i t_j c'_{s(i)s(j)}^{s(k)} = t_k c_{ij}^k.
 
-    Solved multiplicatively, t_i = prod_p p^(x_ip) over the primes p of the
-    required ratios and p = -1: one integer system A x_p = b_p per prime, and
-    for the signs, whose exponents count mod 2, [A | 2I] (x_-1, z) = b_-1.
-    """
+    Solved multiplicatively, t_i = prod_b b^(x_ib) over scalars._coprime_base of the required
+    ratios and b = -1: one integer system A x_b = e_b per base element b, and for the signs,
+    whose exponents count mod 2, [A | 2I] (x_-1, z) = e_-1.  These are the prime-based scales:
+    no b is a perfect power, so gcd_p v_p(b) = 1 and, the solvable e forming a lattice, e_b is
+    solvable iff each e_p = v_p(b) e_b is; solve_integer_system's column operations read A
+    alone and its substitution is linear in e, so x_p = v_p(b) x_b and prod_p p^x_p = b^x_b."""
     n, y = ta.dim, roots(ta)
     if not y:
         return MonomialMap(sigma, tuple([ONE] * n))
-    factored = []  # (sign, {prime: exponent}) of each required ratio
+    ratios = []
     for i, j, k in y:
         cb = tb.table[sigma[i]].get(sigma[j], {}).get(sigma[k])
         if cb is None:
             return None
-        factored.append(factor_rat(Q(ta.table[i][j][k] * tb.den, cb * ta.den)))
+        ratios.append(Q(ta.table[i][j][k] * tb.den, cb * ta.den))
+    factored = _coprime_base(ratios)  # (sign, {b: exponent}) of each required ratio
     rows = [[(q == i) + (q == j) - (q == k) for q in range(n)] for i, j, k in y]
-    primes = sorted({p for _, f in factored for p in f})
-    systems = [(p, rows, [f.get(p, 0) for _, f in factored]) for p in primes]
+    base = sorted({b for _, f in factored for b in f})
+    systems = [(b, rows, [f.get(b, 0) for _, f in factored]) for b in base]
     two_eye = [row + [2 * (q == r) for q in range(len(rows))] for r, row in enumerate(rows)]
     systems.append((-1, two_eye, [int(s < 0) for s, _ in factored]))
     scales = [ONE] * n
-    for p, a, b in systems:
-        x = solve_integer_system(a, b)
+    for b, a, e in systems:
+        x = solve_integer_system(a, e)
         if x is None:
             return None
-        scales = [t * Q(p) ** e for t, e in zip(scales, x)]
+        scales = [t * Q(b) ** z for t, z in zip(scales, x)]
     return MonomialMap(sigma, tuple(scales))

@@ -6,10 +6,13 @@ Fraction: always stored reduced with a positive denominator, and printed as
 output, reports).  The echelon core works on integer rows and meets Q only
 at its boundary (see linalg.Subspace).  The input files are read here too:
 one line reader and the strict number parsers that name the line they refuse.
+The monomial scales of nice._solve_scales are solved over _coprime_base, a coprime base
+of their ratios built by gcds and integer roots: no integer is factored.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction as Q
 
@@ -97,71 +100,37 @@ def sign(q) -> int:
     return 0
 
 
-class TooLargeToFactor(ValueError):
-    """An integer with a cofactor beyond the reach of factor_int."""
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for ints n >= 1, k >= 1: Newton's method in ints, from 2^ceil(bits / k)
+    down; each step stays at or above the root and stops once it no longer falls."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
-# Miller-Rabin with these bases is exact below _MR_BOUND (about 3.3e24).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-
-def _certified_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin: True only for primes below _MR_BOUND."""
-    if n < 2 or n >= _MR_BOUND:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+def _coprime_base(ratios) -> list:
+    """(sign, {b: exponent}) of each nonzero rational of ratios over one base of pairwise
+    coprime ints b > 1, none a perfect power, with no integer factored.  Factor refinement
+    (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) builds the base from the numerators
+    and denominators by gcds alone: while some pending v shares a gcd g > 1 with a base
+    element b, the two make way for v / g, b / g and g.  Each element b is then replaced by its
+    least root r, b = r^k for the largest such k (_iroot), and its exponents multiplied by k."""
+    base, pending = [], [x for q in ratios for x in (abs(q.numerator), q.denominator) if x > 1]
+    while pending:
+        v = pending.pop()
+        for i, b in enumerate(base):
+            if (g := math.gcd(v, b)) > 1:
+                pending += [x for x in (v // g, base.pop(i) // g, g) if x > 1]
                 break
         else:
-            return False
-    return True
+            base.append(v)
 
+    def exponent(x, b):  # of b > 1 in x != 0, so below x's bit length
+        return next(e for e in range(x.bit_length()) if x % b ** (e + 1))
 
-def factor_int(n: int) -> dict:
-    """Factorization of a nonzero integer into {prime: exp}, for factor_rat, its one caller:
-    trial division, stopped once the cofactor is a certified prime.  A cofactor beyond its
-    reach (two prime factors above 10^7, or a prime beyond the Miller-Rabin bound) raises
-    TooLargeToFactor rather than stalling."""
-    n = int(n)
-    if n == 0:
-        raise ValueError("cannot factor zero")
-    n = abs(n)
-    out = {}
-    p = 2
-    prime = _certified_prime(n)
-    while not prime and p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-            prime = _certified_prime(n)
-        p += 1 if p == 2 else 2
-        if p > 10**7:
-            raise TooLargeToFactor("integer too large to factor by trial division")
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def factor_rat(q) -> tuple[int, dict]:
-    """Sign and {prime: exponent} (exponents may be negative) of a nonzero rational."""
-    q = Q(q)
-    if q == 0:
-        raise ValueError("cannot factor zero")
-    s = 1 if q > 0 else -1
-    f = factor_int(q.numerator)
-    for p, e in factor_int(q.denominator).items():
-        f[p] = -e  # a reduced numerator and denominator share no prime
-    return s, f
+    roots = {b: (r, k) for b in base for k in range(1, b.bit_length())  # the last k is the largest
+             if (r := _iroot(b, k)) ** k == b}
+    return [(sign(q), {r: e for b, (r, k) in roots.items()
+                       if (e := k * (exponent(q.numerator, b) - exponent(q.denominator, b)))})
+            for q in ratios]

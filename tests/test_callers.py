@@ -62,7 +62,8 @@ DENOMINATOR_READS = {
         "the divisor constants as int pairs, for the clash masks and the monic transform",
     "almost_abelian.py:_witness_basis":
         "x^d - r is den x^d - num as a primitive int binomial, and L^d r an int for _clashes",
-    "scalars.py:factor_rat": "factors the denominator as well as the numerator",
+    "scalars.py:_coprime_base":
+        "refines the denominators with the numerators into one coprime base",
     "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",
 }
 

@@ -138,8 +138,8 @@ class TestAA:
         assert len(rep["witness"]) == 4
 
     def test_large_smooth_constant_term(self, capsys, tmp_path):
-        # the rational-root candidates of x - 10^20 come from its prime
-        # factorization, not from trial division up to 10^10
+        # the root of x - 10^20 is isolated on the Sturm chain, with no
+        # candidate divisors of 10^20 listed
         path = tmp_path / "big.mat"
         path.write_text("1\n100000000000000000000\n")
         code, out, _ = run(capsys, "aa", path)
@@ -148,7 +148,7 @@ class TestAA:
         assert "nu 1" in out
 
     def test_prime_constant_term_answers(self, capsys, tmp_path):
-        # the prime 2^61 - 1 is certified up front, not trial-divided to 10^7
+        # the prime 2^61 - 1 is isolated on the Sturm chain, never factored
         path = tmp_path / "prime.mat"
         path.write_text("1\n2305843009213693951\n")
         code, out, _ = run(capsys, "aa", path)
@@ -157,8 +157,8 @@ class TestAA:
         assert "nu 1" in out
 
     def test_constant_term_beyond_trial_division(self, capsys, tmp_path):
-        # two primes above the trial-division limit 10^7: the root is isolated
-        # on the Sturm chain, so the constant term is never factored
+        # a product of two primes above 10^7: the root is isolated on the
+        # Sturm chain, so the constant term is never factored
         path = tmp_path / "semiprime.mat"
         path.write_text(f"1\n{10000019 * 10000079}\n")
         code, out, _ = run(capsys, "aa", path)
@@ -168,7 +168,8 @@ class TestAA:
         assert "nu 1" in out
 
     def test_companion_of_two_large_primes(self, capsys, tmp_path):
-        # char poly (x - p)(x - q): its constant term pq is out of factor_int's reach
+        # char poly (x - p)(x - q) with p, q above 10^7: the roots come off the
+        # Sturm chain, and nothing factors the constant term pq
         p, q = 2**61 - 1, 2**31 - 1
         path = tmp_path / "pq.mat"
         path.write_text(f"2\n0 {-p * q}\n1 {p + q}\n")

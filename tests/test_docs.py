@@ -1,5 +1,7 @@
-"""The README documents only names that the package exports."""
+"""The README documents only names that the package exports, and names only
+attributes that its modules have."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -23,3 +25,15 @@ def test_layout_lists_every_module_of_the_package():
     package = README.parent / "src" / "nicebasis"
     assert sorted(listed) == sorted(p.name for p in package.glob("*.py"))
     assert len(listed) == len(set(listed))
+
+
+def test_module_attribute_references_resolve():
+    # `linalg._cleared` and `nicebasis.scalars.Q` must name attributes of those
+    # modules; `scalars.py` and `p.ints` are no such references
+    text = README.read_text()
+    modules = {p.stem for p in (README.parent / "src" / "nicebasis").glob("*.py")}
+    refs = {(module, name) for module, name in re.findall(r"`(?:nicebasis\.)?(\w+)\.(\w+)`", text)
+            if module in modules and name != "py"}
+    assert len(refs) >= 9
+    assert [f"{module}.{name}" for module, name in sorted(refs)
+            if not hasattr(importlib.import_module(f"nicebasis.{module}"), name)] == []

@@ -6,16 +6,21 @@ cyclic_sign_pattern, _abelian_codim1_ideal, _is_abelian_ideal and
 _ad_action_matrix read the int table and the int Subspace rows.  The
 reference_* functions below are the versions that read the Fraction views,
 kept verbatim apart from their names and the stand-ins bracket_basis and
-q_rows for the views.  On signed, rescaled permutations of nice bases the
-search must return the same (sigma, scales), on L_n it must reach the scale
-equations once, and on seeded conjugates of every catalog row classify3 must
-name that row and the helpers must agree.
+q_rows for the views; their factor_rat factors over primes by sympy, where
+_solve_scales works over a coprime base.  On signed, rescaled permutations of
+nice bases the search must return the same (sigma, scales), on L_n it must
+reach the scale equations once, on seeded random tensors the scale solve must
+return the same maps, and on seeded conjugates of every catalog row classify3
+must name that row and the helpers must agree.
 """
 
 import functools
+import itertools
 import random
+import time
 
 import pytest
+import sympy
 
 from nicebasis import fixtures, nice
 from nicebasis.almost_abelian import exists_nice, indecomposable_family
@@ -30,7 +35,7 @@ from nicebasis.graphs import GraphSpec, construct_nice_basis, graph_algebra
 from nicebasis.lie import LieAlgebra
 from nicebasis.linalg import Matrix, Subspace, solve_integer_system
 from nicebasis.nice import MonomialMap, _monomial_search, check_nice, monomial_equivalent
-from nicebasis.scalars import Q, ZERO, ONE, factor_rat, sign
+from nicebasis.scalars import Q, ZERO, ONE, sign
 from test_integer_table import bracket_basis, q_rows
 
 
@@ -99,6 +104,13 @@ def reference_monomial_search(ta, tb):
         return None
 
     return extend(0)
+
+
+def factor_rat(q):
+    """Sign and {prime: exponent} of a nonzero rational, by sympy.factorint."""
+    f = sympy.factorint(abs(q.numerator))
+    f.update((p, -e) for p, e in sympy.factorint(q.denominator).items())
+    return (1 if q > 0 else -1), f
 
 
 def reference_solve_scales(ta, tb, sigma):
@@ -293,6 +305,75 @@ class TestMonomialSearch:
                 Matrix.from_columns([(1, 0, 0), (0, 1, 1), (0, 1, -1)]))):
             assert cyclic_sign_pattern(h) is not None
             assert "brackets" not in vars(h)
+
+
+# --- the scale solve over a coprime base -----------------------------------------
+
+# constants whose ratios share factors, are perfect powers or hold a large prime
+CONSTANTS = (1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36, 100, 2**31 - 1, 2**61 - 1)
+
+
+def cyclic(a):
+    """The cyclic tensor [e1, e2] = a e3, [e2, e3] = e1, [e3, e1] = e2."""
+    return LieAlgebra(3, {(0, 1): {2: Q(a)}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+
+
+def scale_case(rng):
+    """A seeded tensor ta, with one or two targets per bracket and no Jacobi identity, a
+    permutation sigma, and the tensor tb that sigma and random scales t make of ta, so that
+    t solves the scale equations, unless one constant of tb is then multiplied by a random
+    ratio (half the cases) or one target of tb dropped (a tenth)."""
+    n = rng.randint(2, 6)
+
+    def constant():
+        return rng.choice((1, -1)) * Q(rng.choice(CONSTANTS), rng.choice(CONSTANTS))
+
+    pairs = list(itertools.combinations(range(n), 2))
+    a = {(i, j): {k: constant() for k in rng.sample(range(n), rng.randint(1, 2))}
+         for i, j in rng.sample(pairs, rng.randint(1, len(pairs)))}
+    sigma, t, b = rng.sample(range(n), n), [constant() for _ in range(n)], {}
+    for (i, j), comps in a.items():
+        s, u = sorted((sigma[i], sigma[j]))
+        b[s, u] = {sigma[k]: (1 if s == sigma[i] else -1) * t[k] * c / (t[i] * t[j])
+                   for k, c in comps.items()}
+    row = rng.choice(list(b.values()))
+    k = rng.choice(list(row))
+    if rng.random() < 0.5:
+        row[k] *= constant()
+    elif rng.random() < 0.2:
+        del row[k]
+    return LieAlgebra(n, a, check=False), LieAlgebra(n, b, check=False), tuple(sigma)
+
+
+class TestScaleSolve:
+    @pytest.mark.parametrize("a", [4, 9, 36, Q(1, 4), Q(9, 4)])
+    def test_square_ratios_are_equivalent(self, a):
+        # 4 is refused when the base keeps 4 itself: Y x = (1, 0, 0) has no integer solution
+        got = _monomial_search(cyclic(1), cyclic(a))
+        assert got is not None and got.is_isomorphism(cyclic(1), cyclic(a))
+        assert got == reference_monomial_search(cyclic(1), cyclic(a))
+
+    @pytest.mark.parametrize("a", [2, 8, 18])
+    def test_other_ratios_are_not(self, a):
+        assert _monomial_search(cyclic(1), cyclic(a)) is None
+        assert reference_monomial_search(cyclic(1), cyclic(a)) is None
+
+    def test_square_of_two_large_primes(self):
+        # (pq)^2 has two prime factors above 10^7, which trial division never reached
+        p, q = 2**61 - 1, 2**31 - 1
+        start = time.perf_counter()
+        got = _monomial_search(cyclic(1), cyclic((p * q) ** 2))
+        assert time.perf_counter() - start < 0.1
+        assert as_pair(got) == ((0, 1, 2), (Q(1, p * q), Q(1, p * q), ONE))
+
+    def test_same_maps_as_the_prime_reference_on_a_seeded_corpus(self):
+        rng, solved = random.Random(48), 0
+        for _ in range(2400):
+            ta, tb, sigma = scale_case(rng)
+            got = nice._solve_scales(ta, tb, sigma)
+            assert as_pair(got) == as_pair(reference_solve_scales(ta, tb, sigma))
+            solved += got is not None
+        assert 1000 < solved < 2000, solved  # both answers are well represented
 
 
 # --- catalog3 ------------------------------------------------------------------

@@ -15,8 +15,10 @@ search (_same_class and its helpers) that it replaced, and
 TestRescalingLemma checks that the search merges nothing.
 """
 
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 from collections import Counter
 from functools import reduce
@@ -26,7 +28,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from nicebasis import almost_abelian, graphs, linalg, scalars
+import nicebasis
+from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
@@ -523,15 +526,14 @@ def planted(rng):
 
 
 class TestSturmRootFinder:
-    @pytest.fixture(autouse=True)
-    def no_factoring(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factor_int({n}) called")
-        monkeypatch.setattr(scalars, "factor_int", refuse)
-
-    def test_no_root_path_imports_factor_int(self):
-        assert not hasattr(linalg, "factor_int")
-        assert not hasattr(graphs, "factor_int")
+    def test_no_module_defines_or_imports_a_factorizer(self):
+        # roots come off the Sturm chain and scales off a coprime base: no module of the
+        # package holds an integer factorizer, its prime certificate or its refusal
+        factorizers = {"factor_int", "factor_rat", "factorint", "_certified_prime",
+                       "TooLargeToFactor"}
+        for info in pkgutil.iter_modules(nicebasis.__path__):
+            module = importlib.import_module(f"nicebasis.{info.name}")
+            assert not factorizers & set(vars(module)), info.name
 
     def test_int_roots_match_reference_on_char_polys(self):
         for p in finder_corpus():
