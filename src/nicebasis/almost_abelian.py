@@ -16,8 +16,8 @@ binomials with linalg._divide, once per quotient (_enumerate).  Only analyze,
 shared by exists_nice and count_nice, reads them.  A witness is built in ints
 too: each cyclic chain starts at g(A) v, read off one Krylov sequence of v by
 the image lemma im g(A) = ker f(A) (see _witness_basis), with no power of A and
-no kernel; the chains are eliminated once in one span and certified by
-change_basis.
+no kernel; the chains are eliminated once in one span, which proves the basis
+invertible, and certified by the core of change_basis, LieAlgebra._rebased.
 """
 
 from __future__ import annotations
@@ -284,7 +284,9 @@ def _witness_basis(a: Matrix, fact):
     rad(q) = q when they are pairwise coprime (_clashes), as for a squarefree q), read
     off the int Krylov sequence of the candidate v, one per call for all factors,
     and added to the one span of the chains by _cyclic_chain.  No power of A and
-    no kernel is formed; the basis is verified nice before returning.
+    no kernel is formed.  Each chain vector grew the span, so span.dim == n proves them
+    independent, and with f = e_0 outside their coordinates 1..n the basis is invertible:
+    check_nice reads LieAlgebra._rebased, the core of change_basis, with no second elimination.
 
     The image lemma, im g_i(A) = ker f_i(A): the non-nilpotent part is semisimple
     and f_i, squarefree, divides rad(q), so g_i(A) kills the nilpotent part and
@@ -311,10 +313,10 @@ def _witness_basis(a: Matrix, fact):
             chains.append(chain)
     if span.dim != n:
         raise RuntimeError("witness chains do not span")
-    basis = [({0: 1}, 1)] + [({k + 1: x for k, x in v.items()}, e) for ch in chains for v, e in ch]
-    den = math.lcm(*[e for _, e in basis])
-    witness = Matrix._of(n + 1, [{k: x * (den // e) for k, x in v.items()} for v, e in basis], den)
-    if not check_nice(build(a).compiled.change_basis(witness)):
+    den = math.lcm(*[e for ch in chains for _, e in ch])
+    witness = Matrix._of(n + 1, [{0: den}] + [{k + 1: x * (den // e) for k, x in v.items()}
+                                              for ch in chains for v, e in ch], den)
+    if not check_nice(build(a).compiled._rebased(witness)):
         raise RuntimeError("constructed witness basis is not nice")
     return witness
 
@@ -346,7 +348,8 @@ def _cyclic_chain(a: Matrix, g, d, krylov, existing: Subspace):
     pairs, and existing grown by it.  A = N / den, D = deg g; krylov maps a
     candidate's number to its sequence v, Nv, ..., grown here to N^(D+d-1) v.
     N^j W, W = den^D g(A) v, is sum_t g_t den^(D-t) N^(t+j) v; for W = c w, w
-    primitive and positive at its highest index, the chain is N^j w / den^j.
+    primitive and positive at its highest index, the chain is N^j w / den^j (divided only
+    if c != 1), int dicts with no zeros, each added once to a copy of existing by _add.
     """
     n, den, top = a.rows, a.den, len(g) - 1
     weights = {t: x * den ** (top - t) for t, x in enumerate(g) if x}
@@ -357,9 +360,9 @@ def _cyclic_chain(a: Matrix, g, d, krylov, existing: Subspace):
         images = [apply_columns(seq, {t + j: x for t, x in weights.items()}) for j in range(d)]
         if w := images[0]:
             c = math.gcd(*w.values()) * (1 if w[max(w)] > 0 else -1)
-            chain = [{i: x // c for i, x in u.items()} for u in images]
+            chain = images if c == 1 else [{i: x // c for i, x in u.items()} for u in images]
             trial = existing.copy()
-            if all(trial.add(u) for u in chain):
+            if all(map(trial._add, chain)):
                 return [(u, den**j) for j, u in enumerate(chain)], trial
     raise RuntimeError("no cyclic vector found for factor")
 

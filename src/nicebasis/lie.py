@@ -8,8 +8,9 @@ its summands'.  check_nice, quotient and serialize_lie sort them; nice.roots and
 jacobi_failures keep this order.  The constructor clears each bracket's values
 once by linalg._cleared, which refuses floats; the builders (free_nilpotent,
 graph_algebra, quotient, change_basis) hand over ints; the one setup puts them
-all over one lcm; change_basis re-indexes the table for a monomial p, else looks
-up each image that is a multiple of one column.
+all over one lcm; change_basis re-indexes the table for a monomial p, else checks p
+invertible for its core _rebased, which looks up each image that is a multiple of one
+column; _witness_basis, whose span proves its p invertible, calls the core itself.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view for output (serialize_lie), built when first read.  Indices are 0-based
@@ -225,14 +226,10 @@ class LieAlgebra:
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
-        """Structure constants in the basis of p's columns, in ints throughout.
-        With p = P / D (P = p.num), the image den D^2 [p_i, p_j] = den D sum c_k P_k is summed
-        from the int table over the pairs p_ai p_bj != 0 only.  A multiple of one column P_k,
-        as every image of a nice basis is, is looked up by its primitive form; the others
-        reduce to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j.
-        A monomial p, P_j = x_j e_s(j) with the s(j) distinct, is invertible as it is:
-        for t = s^-1, den [e_a, e_b] goes to the key (t a, t b) times x_ta x_tb and
-        c_k e_k to c_k / x_tk on column t k."""
+        """Structure constants in the basis of p's columns, in ints throughout.  A monomial p,
+        P_j = x_j e_s(j) (P = p.num) with the s(j) distinct, is invertible: for t = s^-1, den
+        [e_a, e_b] goes to (t a, t b) times x_ta x_tb and c_k e_k to c_k / x_tk on column t k.
+        Any other p must be n x n and invertible, by one int-core elimination of P, for _rebased."""
         n, cols = self.dim, p.num
         t = {a: j for j, col in enumerate(cols) for a in col if len(col) == 1}
         if (p.rows, p.cols) == (n, n) and len(t) == n:  # each P_j is x_j e_s(j)
@@ -245,6 +242,14 @@ class LieAlgebra:
             return LieAlgebra._from_table(n, dict(sorted(rows.items())), self.den * p.den)
         if (p.rows, p.cols) != (n, n) or not all(map(Subspace(n)._add, cols)):  # int core
             raise ValueError("change of basis needs an invertible n x n matrix")
+        return self._rebased(p)
+
+    def _rebased(self, p: Matrix):
+        """change_basis for an invertible n x n p = P / D, unchecked: den D^2 [p_i, p_j] =
+        den D sum c_k P_k, summed over the pairs p_ai p_bj != 0 of the int table, is looked up
+        by its primitive form if it is a multiple of one P_k, as in a nice basis, and else
+        reduced to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
+        n, cols = self.dim, p.num
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
         for j, col in enumerate(cols):
             for a, x in col.items():
@@ -293,9 +298,9 @@ def _refuse(dim, rows):
 
 
 def _form(v):
-    """(form, g), v = g form for a nonzero int vector v and the primitive form > 0 first."""
+    """(form, g), v = g form for nonzero int v, the primitive form > 0 first (v's own if g = 1)."""
     g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
-    return frozenset((k, x // g) for k, x in v.items()), g
+    return frozenset(v.items() if g == 1 else ((k, x // g) for k, x in v.items())), g
 
 
 def direct_sum(*algebras, names=None):

@@ -664,9 +664,10 @@ def _krylov(cols, v, space, t):
 
 
 def _convolve(a, b):
-    """The product of two coefficient lists, lowest first."""
+    """The product of two coefficient lists, lowest first, over their nonzero terms only:
+    a binomial x^d - r has two."""
     out = [0] * (len(a) + len(b) - 1)
-    for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+    for (i, x), (j, y) in itertools.product(*[[t for t in enumerate(c) if t[1]] for c in (a, b)]):
         out[i + j] += x * y
     return out
 

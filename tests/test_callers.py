@@ -47,8 +47,11 @@ SHARED = {
 # module:function -> why it calls Subspace._reduce or _add, which take int vectors
 # unchecked, rather than the doors residue and add
 CORE_CALLERS = {
-    "lie.py:change_basis":
-        "the int columns of p.num, checked invertible and tagged, and the int images",
+    "lie.py:change_basis": "the int columns of p.num, eliminated once to check p invertible",
+    "lie.py:_rebased": "the int columns of p.num, tagged, and the int images that miss them",
+    "almost_abelian.py:_cyclic_chain":
+        "the chain vectors, int dicts with no zeros made from A's int columns, added to the "
+        "trial span",
     "lie.py:quotient": "the algebra's int table rows, reduced modulo the ideal",
     "graphs.py:_quotient": "the free algebra's int brackets, added to the ideal or reduced",
     "derivations.py:_space": "_equations's int rows over the unknowns, their cancelled zeros "

@@ -14,9 +14,15 @@ order, the same values and every value a Fraction, and refuse the same
 matrices with the same message, whether an image missed or not.  A monomial
 p (one nonzero per column, in distinct rows) skips both, so random signed,
 rationally scaled permutations are run too, and monomial-shaped matrices
-with two columns on one row or a zero column must still be refused.
+with two columns on one row or a zero column must still be refused.  The
+door checks p; its core _rebased, which _witness_basis calls on a basis that
+its span proves invertible, must give the door's table, den and pairs on
+every invertible p here, monomial ones included, and the door must refuse
+the bad p before the core is reached.  _form, the key of the lookup, must
+match the division formula.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +41,7 @@ from nicebasis import (
     load_lie,
 )
 from nicebasis.almost_abelian import _witness_basis, analyze, build
-from nicebasis.lie import LieAlgebra, abelian, direct_sum
+from nicebasis.lie import LieAlgebra, _form, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ONE
@@ -66,6 +72,8 @@ def reference_change_basis(self, p: Matrix):
 def assert_same_table(g, p):
     got = g.change_basis(p)
     want = reference_change_basis(g, p)
+    core = g._rebased(p)
+    assert (core.table, core.den, core.pairs) == (got.table, got.den, got.pairs)
     assert list(got.brackets.items()) == list(want.brackets.items())
     for comps in got.brackets.values():
         assert list(comps) == sorted(comps)
@@ -222,6 +230,38 @@ def test_refused_matrices(name):
             change(p)
 
 
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_the_door_refuses_before_the_core(monkeypatch, name):
+    make, p = REFUSED[name]
+    g = make()
+
+    def core(self, p):
+        raise AssertionError("_rebased reached")
+
+    monkeypatch.setattr(LieAlgebra, "_rebased", core)
+    with pytest.raises(ValueError, match="invertible n x n"):
+        g.change_basis(p)
+
+
+def division_form(v):
+    """_form by its formula: v over its content, signed positive at the least index."""
+    g = math.gcd(*v.values())
+    g = -g if v[min(v)] < 0 else g
+    return frozenset((k, x // g) for k, x in v.items()), g
+
+
+def test_form_matches_the_division_formula():
+    rng = random.Random(49)
+    primitive = 0
+    for _ in range(2000):
+        keys = rng.sample(range(12), rng.randint(1, 6))
+        v = {k: rng.choice((-1, 1)) * rng.randint(1, 9) * rng.choice((1, 1, 2, 6)) for k in keys}
+        v = {k: x * rng.choice((1, 1, -4, 15)) for k, x in v.items()} if rng.random() < 0.3 else v
+        assert _form(v) == division_form(v)
+        primitive += division_form(v)[1] == 1
+    assert primitive > 200  # the vectors that are their own form were met
+
+
 # --- both sides of the one-column lookup ---
 
 
@@ -241,6 +281,8 @@ def images_missed(monkeypatch, g, p):
     got = g.change_basis(p)
     monkeypatch.undo()
     assert list(got.brackets.items()) == list(reference_change_basis(g, p).brackets.items())
+    core = g._rebased(p)
+    assert (core.table, core.den, core.pairs) == (got.table, got.den, got.pairs)
     assert all(type(x) is Fraction for comps in got.brackets.values() for x in comps.values())
     return got, len(calls)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -244,6 +245,18 @@ class TestPoly:
         # x^2 - 2 has two real roots, x^2 + 1 has none
         assert count_real_roots(Poly.binomial(2, rat(2)).ints) == 2
         assert count_real_roots(Poly.binomial(2, rat(-1)).ints) == 0
+
+    def test_convolve_matches_the_all_pairs_product(self):
+        # _convolve skips zero terms; the product over all pairs is the reference
+        rng = random.Random(49)
+        for _ in range(500):
+            a, b = ([rng.choice((0, 0, 0, 1, -1, 3, -7, 10**20)) for _ in range(rng.randint(1, 9))]
+                    for _ in range(2))
+            want = [0] * (len(a) + len(b) - 1)
+            for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+                want[i + j] += x * y
+            assert _convolve(a, b) == want
+        assert _convolve([-3, 0, 0, 1], [-1, 0, 1]) == [3, 0, -3, -1, 0, 1]
 
 
 class TestMinimalPolynomial:

@@ -7,10 +7,13 @@ kernel: no Matrix product or sum and no int_kernel call, only the one int
 Krylov sequence e_0, Ne_0, ..., N^(size-1) e_0 of size - 1 steps by A's
 columns, which every factor reads its chain from.  Each cyclic chain is eliminated
 once, in the trial span that _cyclic_chain returns: every chain vector is
-added to a span of Q^size exactly once.  In a nice witness basis every image
-of change_basis is a multiple of one column, so no image is reduced: the
-only Subspace residues are the n additions that show the columns
-independent, and no tagged Subspace of Q^(2n) is built.  A monomial basis
+added to a span of Q^size exactly once, through the int core Subspace._add.
+That span proves the witness invertible, so _witness_basis certifies it
+through LieAlgebra._rebased, the core of change_basis, and makes no other
+addition: size in all.  Called at the door, change_basis adds the n columns
+once more to show them independent.  In a nice witness basis every image
+is a multiple of one column, so no image is reduced: the only Subspace
+residues are those n additions, and no tagged Subspace of Q^(2n) is built.  A monomial basis
 (one nonzero per column, in distinct rows), as the last family witness and
 the identity that construct_nice_basis returns, is invertible as it stands
 and takes no Subspace at all; a sheared identity, not monomial, takes the
@@ -25,6 +28,7 @@ import pytest
 from nicebasis import GraphSpec, construct_nice_basis, graph_algebra
 from nicebasis import almost_abelian
 from nicebasis.almost_abelian import _witness_basis, analyze, build, indecomposable_family
+from nicebasis.lie import LieAlgebra
 from nicebasis.linalg import Matrix, Subspace
 from nicebasis.nice import check_nice
 
@@ -63,7 +67,7 @@ def test_family_witness_eliminates_each_chain_vector_once(monkeypatch, n):
     assert len(facts) == n and all(f.degree == size for f in facts)
     monkeypatch.setattr(almost_abelian, "kernel_chain", never)
     for fact in facts:
-        adds = recording(monkeypatch, "add")
+        adds = recording(monkeypatch, "_add")
         witness = _witness_basis(a, fact)
         monkeypatch.undo()
         monkeypatch.setattr(almost_abelian, "kernel_chain", never)
@@ -77,6 +81,18 @@ def refuse(what):
     def raising(*args):
         raise AssertionError(f"{what} called")
     return raising
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_family_witness_adds_size_vectors_and_skips_the_door(monkeypatch, n):
+    a = indecomposable_family(n).a
+    size = a.rows
+    for fact in analyze(a).factorizations:
+        adds = recording(monkeypatch, "_add")
+        monkeypatch.setattr(LieAlgebra, "change_basis", refuse("LieAlgebra.change_basis"))
+        _witness_basis(a, fact)
+        monkeypatch.undo()
+        assert [s.ambient for s, _ in adds] == [size] * size
 
 
 @pytest.mark.parametrize("n", range(2, 9))
