@@ -8,9 +8,10 @@ its summands'.  check_nice, quotient and serialize_lie sort them; nice.roots and
 jacobi_failures keep this order.  The constructor clears each bracket's values
 once by linalg._cleared, which refuses floats; the builders (free_nilpotent,
 graph_algebra, quotient, change_basis) hand over ints; the one setup puts them
-all over one lcm; change_basis re-indexes the table for a monomial p, else checks p
-invertible for its core _rebased, which looks up each image that is a multiple of one
-column; _witness_basis, whose span proves its p invertible, calls the core itself.
+all over one lcm; change_basis checks p invertible (a monomial p is as it stands) for its
+core _rebased, which re-indexes the table for a monomial p, else looks up each image that
+is a multiple of one column; _witness_basis, whose span proves its p invertible, calls the
+core itself.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
 a view for output (serialize_lie), built when first read.  Indices are 0-based
@@ -226,13 +227,25 @@ class LieAlgebra:
         return Matrix([[trace(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
     def change_basis(self, p: Matrix):
-        """Structure constants in the basis of p's columns, in ints throughout.  A monomial p,
-        P_j = x_j e_s(j) (P = p.num) with the s(j) distinct, is invertible: for t = s^-1, den
-        [e_a, e_b] goes to (t a, t b) times x_ta x_tb and c_k e_k to c_k / x_tk on column t k.
-        Any other p must be n x n and invertible, by one int-core elimination of P, for _rebased."""
+        """Structure constants in the basis of p's columns, in ints throughout, by _rebased.
+        p must be n x n and invertible: a monomial p, P_j = x_j e_s(j) (P = p.num) with the s(j)
+        distinct, is so as it stands; any other is shown so by one int-core elimination of P."""
+        n, cols = self.dim, p.num
+        monomial = len({a for col in cols if len(col) == 1 for a in col}) == n
+        if (p.rows, p.cols) != (n, n) or not (monomial or all(map(Subspace(n)._add, cols))):
+            raise ValueError("change of basis needs an invertible n x n matrix")
+        return self._rebased(p)
+
+    def _rebased(self, p: Matrix):
+        """change_basis for an invertible n x n p = P / D, unchecked.  A monomial p, P_j = x_j
+        e_s(j), is re-indexed: for t = s^-1, den [e_a, e_b] goes to (t a, t b) times x_ta x_tb
+        and c_k e_k to c_k / x_tk on column t k.  Otherwise den D^2 [p_i, p_j] = den D sum c_k
+        P_k, summed over the pairs p_ai p_bj != 0 of the int table, is looked up by its
+        primitive form if it is a multiple of one P_k, as in a nice basis, and else reduced
+        to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
         n, cols = self.dim, p.num
         t = {a: j for j, col in enumerate(cols) for a in col if len(col) == 1}
-        if (p.rows, p.cols) == (n, n) and len(t) == n:  # each P_j is x_j e_s(j)
+        if len(t) == n:  # each P_j is x_j e_s(j)
             x, rows = [v for col in cols for v in col.values()], {}
             for a, b in self.pairs:
                 i, j, comps = t[a], t[b], self.table[a][b]
@@ -240,16 +253,6 @@ class LieAlgebra:
                 row = {t[k]: f * c * (m // x[t[k]]) for k, c in comps.items()}
                 rows[min(i, j), max(i, j)] = dict(sorted(row.items())), m
             return LieAlgebra._from_table(n, dict(sorted(rows.items())), self.den * p.den)
-        if (p.rows, p.cols) != (n, n) or not all(map(Subspace(n)._add, cols)):  # int core
-            raise ValueError("change of basis needs an invertible n x n matrix")
-        return self._rebased(p)
-
-    def _rebased(self, p: Matrix):
-        """change_basis for an invertible n x n p = P / D, unchecked: den D^2 [p_i, p_j] =
-        den D sum c_k P_k, summed over the pairs p_ai p_bj != 0 of the int table, is looked up
-        by its primitive form if it is a multiple of one P_k, as in a nice basis, and else
-        reduced to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
-        n, cols = self.dim, p.num
         occ = [[] for _ in range(n)]  # occ[a]: the (j, D p_aj) with p_aj != 0, by j
         for j, col in enumerate(cols):
             for a, x in col.items():
@@ -298,9 +301,9 @@ def _refuse(dim, rows):
 
 
 def _form(v):
-    """(form, g), v = g form for nonzero int v, the primitive form > 0 first (v's own if g = 1)."""
+    """(form, g), v = g form for a nonzero int vector v and the primitive form > 0 first."""
     g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
-    return frozenset(v.items() if g == 1 else ((k, x // g) for k, x in v.items())), g
+    return frozenset((k, x // g) for k, x in v.items()), g
 
 
 def direct_sum(*algebras, names=None):

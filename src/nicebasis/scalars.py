@@ -129,13 +129,8 @@ def _coprime_base(ratios) -> list:
     def exponent(x, b):  # of b > 1 in x != 0, so below x's bit length
         return next(e for e in range(x.bit_length()) if x % b ** (e + 1))
 
-    def least_root(b, k=1, p=2):  # b = s^m, s no power, is a p-th power iff p | m: prime p only
-        while p < b.bit_length():  # r^p = b > 1 needs 2^p <= b; after a hit, p again on r
-            hit = all(p % f for f in range(2, math.isqrt(p) + 1)) and (r := _iroot(b, p)) ** p == b
-            b, k, p = (r, k * p, p) if hit else (b, k, p + 1)
-        return b, k
-
-    roots = {b: least_root(b) for b in base}
+    roots = {b: (r, k) for b in base for k in range(1, b.bit_length())  # the last k is the largest
+             if (r := _iroot(b, k)) ** k == b}
     return [(sign(q), {r: e for b, (r, k) in roots.items()
                        if (e := k * (exponent(q.numerator, b) - exponent(q.denominator, b)))})
             for q in ratios]

@@ -6,7 +6,6 @@ import math
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nicebasis import scalars
 from nicebasis.scalars import Q, _coprime_base, _iroot
 
 # one integer: a power a^e, times a cofactor, so that bases share factors and powers
@@ -50,18 +49,3 @@ class TestCoprimeBase:
         p, q = 2**61 - 1, 2**31 - 1
         assert _coprime_base([Q(1, (p * q) ** 2)]) == [(1, {p * q: -2})]
         assert _coprime_base([Q(p * q), Q(q)]) == [(1, {p: 1, q: 1}), (1, {q: 1})]
-
-    def test_one_root_per_prime_below_the_bit_length(self, monkeypatch):
-        # 2^1023 + 2 = 2 (2^1022 + 1) holds 2 once, so it is no perfect power; its least root,
-        # itself, takes one root per prime below its 1,024 bits and none at a composite
-        b, calls = 2**1023 + 2, []
-        monkeypatch.setattr(scalars, "_iroot", lambda n, k: calls.append(k) or _iroot(n, k))
-        assert _coprime_base([Q(b)]) == [(1, {b: 1})]
-        assert calls == list(sympy.primerange(b.bit_length()))
-
-    def test_repeated_prime_exponents_are_rooted_again(self, monkeypatch):
-        # 6^360 alone is the base; 360 = 2^3 3^2 5, so 2 hits three times, 3 twice and 5 once
-        calls = []
-        monkeypatch.setattr(scalars, "_iroot", lambda n, k: calls.append(k) or _iroot(n, k))
-        assert _coprime_base([Q(-(6**360))]) == [(-1, {6: 360})]
-        assert calls[:7] == [2, 2, 2, 2, 3, 3, 3]

@@ -26,7 +26,7 @@ import math
 import pytest
 
 from nicebasis import GraphSpec, construct_nice_basis, graph_algebra
-from nicebasis import almost_abelian
+from nicebasis import almost_abelian, lie
 from nicebasis.almost_abelian import _witness_basis, analyze, build, indecomposable_family
 from nicebasis.lie import LieAlgebra
 from nicebasis.linalg import Matrix, Subspace
@@ -93,6 +93,16 @@ def test_family_witness_adds_size_vectors_and_skips_the_door(monkeypatch, n):
         _witness_basis(a, fact)
         monkeypatch.undo()
         assert [s.ambient for s, _ in adds] == [size] * size
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_monomial_family_witness_is_reindexed_by_the_core(monkeypatch, n):
+    # the last factorization's witness is monomial: the core re-indexes its table, as
+    # the door did, and looks up no image by its primitive form
+    a = indecomposable_family(n).a
+    fact = analyze(a).factorizations[-1]
+    monkeypatch.setattr(lie, "_form", refuse("lie._form"))
+    assert is_monomial(_witness_basis(a, fact))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
