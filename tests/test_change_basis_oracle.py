@@ -259,7 +259,7 @@ def test_form_matches_the_division_formula():
         v = {k: x * rng.choice((1, 1, -4, 15)) for k, x in v.items()} if rng.random() < 0.3 else v
         assert _form(v) == division_form(v)
         primitive += division_form(v)[1] == 1
-    assert primitive > 200  # the vectors that are their own form were met
+    assert primitive > 200  # vectors of content 1 were met too
 
 
 # --- both sides of the one-column lookup ---
