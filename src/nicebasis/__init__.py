@@ -79,7 +79,14 @@ from .catalog3 import (
     cyclic_sign_pattern,
     simple_nice_bases,
 )
-from .reproduce import run_all
 from . import fixtures
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["reproduce", "run_all"]
+
+
+def __getattr__(name):
+    """reproduce and run_all, loaded on first access (PEP 562), as only they need it."""
+    if name in ("reproduce", "run_all"):
+        from .reproduce import run_all  # importing the module binds the global reproduce
+        return run_all if name == "run_all" else globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,17 @@
 """Free nilpotent Lie algebras on Lyndon-word bases and graph quotients.
 
 The free class-c nilpotent algebra F on d generators has a basis indexed by
-Lyndon words of length at most c; structure constants come from expanding
-bracketed words in the free associative algebra, with int coefficients, and
-decomposing back: the expansion of a Lyndon bracketing is the word itself,
-coefficient 1, plus greater words of its length, so greedy extraction of the
-smallest word terminates and reads off every coordinate.
+the Lyndon words of length at most c, w = uv standing for [u, v], (u, v) its
+standard factorization.  Lemma (Reutenauer, Free Lie Algebras, 5.1): for
+Lyndon words u < v, [u, v] is the word uv when u is a letter or u = u1 u2
+(standard) has u2 >= v; otherwise [u, v] = [u1, [u2, v]] - [u2, [u1, v]] by
+Jacobi, with [x, y] = -[y, x].  The recursion terminates and every word of
+[u, v] lies below v, by induction on |u| + |v|, then on the larger argument
+in lexicographic order: uv lies below its proper suffix v; the inner brackets
+are shorter, so their words lie below v; the outer ones, of length |u| + |v|,
+have both arguments below v (u1 < u < v, u2 < v).  Brackets are memoized on
+word pairs; table rows list their coordinates in increasing word index, the
+order in which graph quotients reduce them.
 
 The algebra of a graph G on the vertices 0..d-1 is F/I, I the ideal
 generated by the brackets [v_a, v_b] of non-adjacent vertices.  F and I are
@@ -110,16 +116,6 @@ def standard_factorization(w):
     return w[:best], w[best:]
 
 
-def _commutator(p, q):
-    """pq - qp in the free associative algebra, for int polynomials {word: coeff}."""
-    out = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
-            out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
-    return {w: x for w, x in out.items() if x}
-
-
 @functools.cache
 def free_nilpotent(d, c):
     """(LieAlgebra, LyndonBasis) for the free class-c algebra on d generators."""
@@ -132,37 +128,32 @@ def free_nilpotent(d, c):
             raise DimensionCapExceeded(f"dimension exceeds {DIMENSION_CAP} at class {m}")
     words = lyndon_words(d, c)
     index = {w: i for i, w in enumerate(words)}
-    expansion = {}
-    for w in words:
-        if len(w) == 1:
-            expansion[w] = {w: 1}
-        else:
-            u, v = standard_factorization(w)
-            expansion[w] = _commutator(expansion[u], expansion[v])
+    split = {w: standard_factorization(w) for w in words if len(w) > 1}
+    known = {}  # (u, v) -> [u, v] for Lyndon words u < v
+
+    def product(u, v):
+        """[u, v] as {word index: int}, indices rising, for |u| + |v| <= c."""
+        if u >= v:
+            return {t: -x for t, x in product(v, u).items()} if u > v else {}
+        if (u, v) not in known:
+            if len(u) == 1 or split[u][1] >= v:
+                known[u, v] = {index[u + v]: 1}
+            else:
+                u1, u2 = split[u]
+                out = {}
+                for p, q, sign in ((u1, u2, 1), (u2, u1, -1)):
+                    for k, x in product(q, v).items():
+                        for t, y in product(p, words[k]).items():
+                            out[t] = out.get(t, 0) + sign * x * y
+                known[u, v] = {t: x for t, x in sorted(out.items()) if x}
+        return known[u, v]
+
     # words are sorted by (length, word): end[m] is one past the last of length m
     end = {len(w): t + 1 for t, w in enumerate(words)}
-
-    def decompose(u, v):
-        # the commutator is homogeneous, so its least word is least by
-        # (length, word): a Lyndon word w, whose expansion is w plus greater
-        # words, and whose coordinate is therefore its coefficient
-        poly = _commutator(expansion[u], expansion[v])
-        coords = {}
-        while poly:
-            w = min(poly)
-            coeff = coords[index[w]] = poly[w]
-            for x, y in expansion[w].items():
-                z = poly.get(x, 0) - coeff * y
-                if z:
-                    poly[x] = z
-                else:
-                    del poly[x]
-        return coords
-
     table = {}
     for i, u in enumerate(words):
         for j in range(i + 1, end.get(c - len(u), 0)):
-            coords = decompose(u, words[j])
+            coords = product(u, words[j])
             if coords:
                 table[(i, j)] = coords, 1
     names = [_word_name(w) for w in words]

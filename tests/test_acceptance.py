@@ -100,7 +100,7 @@ def test_stderr_time_is_the_time_the_bound_was_checked_against(
         monkeypatch, capsys, step, verdict, detail):
     # the filiform row has a bound of 5 s and reads the clock twice: its time is one step
     monkeypatch.setattr(reproduce, "time", ticking_clock(step))
-    monkeypatch.setattr(cli, "ALL_CHECKS", [reproduce.check_filiform_closed_form])
+    monkeypatch.setattr(reproduce, "ALL_CHECKS", [reproduce.check_filiform_closed_form])
     assert cli.main(["reproduce"]) == (0 if verdict == "PASS" else 1)
     out, err = capsys.readouterr()
     name = "filiform-pre-einstein-closed-form"

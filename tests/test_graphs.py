@@ -135,6 +135,99 @@ class TestFreeNilpotent:
         assert (alg.dim, alg.brackets, alg.names) == (free.dim, free.brackets, free.names)
 
 
+def commutator(p, q):
+    """pq - qp in the free associative algebra, for int polynomials {word: coeff}."""
+    out = {}
+    for w1, c1 in p.items():
+        for w2, c2 in q.items():
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+            out[w2 + w1] = out.get(w2 + w1, 0) - c1 * c2
+    return {w: x for w, x in out.items() if x}
+
+
+def expansion_free_nilpotent(d, c):
+    """(rows, words): free_nilpotent's table {(i, j): coords} as the associative
+    expansion builds it, on the Lyndon words found by brute force.  The expansion of
+    a Lyndon word w is w plus greater words of its length (Chen-Fox-Lyndon), so the
+    least word of a commutator is a Lyndon word whose coordinate is its coefficient:
+    greedy extraction reads the coordinates off in increasing word index."""
+    words = sorted((w for m in range(1, c + 1) for w in itertools.product(range(d), repeat=m)
+                    if is_lyndon(w)), key=lambda w: (len(w), w))
+    index = {w: i for i, w in enumerate(words)}
+    expansion = {}
+    for w in words:
+        u, v = standard_factorization(w) if len(w) > 1 else (None, None)
+        expansion[w] = {w: 1} if u is None else commutator(expansion[u], expansion[v])
+    rows = {}
+    for (i, u), (j, v) in itertools.combinations(enumerate(words), 2):
+        if len(u) + len(v) <= c:
+            poly, coords = commutator(expansion[u], expansion[v]), {}
+            while poly:
+                w = min(poly)
+                coeff = coords[index[w]] = poly[w]
+                poly = {x: z for x in poly.keys() | expansion[w].keys()
+                        if (z := poly.get(x, 0) - coeff * expansion[w].get(x, 0))}
+            if coords:
+                rows[(i, j)] = coords
+    return rows, words
+
+
+def oracle_sizes():
+    """(d, c) with d <= 7 under DIMENSION_CAP; d = 1 has one word at every class."""
+    for d in range(1, 8):
+        for c in range(1, 11):
+            if sum(witt_dimension(d, m) for m in range(1, c + 1)) <= DIMENSION_CAP:
+                yield d, c
+
+
+class TestFreeNilpotentMatchesExpansion:
+    def test_oracle_sizes(self):
+        sizes = list(oracle_sizes())
+        assert len(sizes) == 40
+        assert {(2, 10), (3, 6), (4, 4), (5, 4), (6, 3), (7, 3)} <= set(sizes)
+
+    @pytest.mark.parametrize("d,c", list(oracle_sizes()))
+    def test_same_table_in_component_order(self, d, c):
+        alg, basis = free_nilpotent(d, c)
+        rows, words = expansion_free_nilpotent(d, c)
+        assert basis.words == tuple(words)
+        assert basis.supports == tuple(sum(1 << a for a in set(w)) for w in words)
+        assert alg.names == [f"v{w[0] + 1}" if len(w) == 1 else
+                             "w" + "".join(str(a + 1) for a in w) for w in words]
+        assert (alg.dim, alg.den, alg.pairs) == (len(words), 1, tuple(rows))
+        assert [list(alg.table[i][j].items()) for i, j in alg.pairs] == \
+            [list(coords.items()) for coords in rows.values()]
+
+    @pytest.mark.parametrize("d,c", [(2, 10), (3, 6)])
+    def test_antisymmetric_jacobi_and_below_the_larger_word(self, d, c):
+        alg, basis = free_nilpotent(d, c)
+        t, words = alg.table, basis.words
+        for i, row in enumerate(t):
+            assert i not in row
+            for j, coords in row.items():
+                assert t[j][i] == {k: -x for k, x in coords.items()}
+                # the module docstring's bound: every word of [u, v] lies below max(u, v)
+                assert all(words[k] < max(words[i], words[j]) for k in coords)
+
+        def bracket_with(vector, k):
+            out = {}
+            for a, x in vector.items():
+                for b, y in t[a].get(k, {}).items():
+                    out[b] = out.get(b, 0) + x * y
+            return {b: x for b, x in out.items() if x}
+
+        triples = 0
+        for i, j, k in itertools.combinations(range(alg.dim), 3):
+            if len(words[i]) + len(words[j]) + len(words[k]) <= c:
+                total = {}
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for x, y in bracket_with(t[a].get(b, {}), e).items():
+                        total[x] = total.get(x, 0) + y
+                assert not any(total.values()), (i, j, k)
+                triples += 1
+        assert triples
+
+
 def spec(n, edges, c):
     return GraphSpec.of(n, edges, c)
 

@@ -6,6 +6,8 @@ attribute chain) or lists it in __all__.
 
 No module imports dataclasses: the records are NamedTuples, so importing the
 package and its CLI loads neither dataclasses nor the inspect it pulls in.
+Nor does it load hashlib, which only --json digests need, or the reproduce
+battery, which the package loads on first access to reproduce or run_all.
 """
 
 import ast
@@ -74,3 +76,14 @@ def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.split("\n")[0] == "['nicebasis.cli']"
+
+
+def test_importing_the_package_and_cli_loads_neither_hashlib_nor_the_battery():
+    code = ("import sys, nicebasis, nicebasis.cli; "
+            "print(sorted({'hashlib', 'nicebasis.reproduce'} & set(sys.modules))); "
+            "print(nicebasis.run_all is nicebasis.reproduce.run_all, "
+            "nicebasis.run_all.__module__, {'reproduce', 'run_all'} <= set(nicebasis.__all__))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True nicebasis.reproduce True"]

@@ -8,7 +8,7 @@ graph_algebra's block elimination, jacobi_failures, quotient, is_derivation
 and derivation_space read it directly; bracket_sparse and killing_form
 divide by den and den^2.  The quotients iterate the nonzero brackets
 instead of every pair of kept indices, jacobi_failures checks only the
-triples that some support pair reaches, and free_nilpotent expands Lyndon
+triples that some support pair reaches, and free_nilpotent brackets Lyndon
 words with int coefficients.  The reference_* functions below are the
 Fraction versions they replaced; every output is compared with them, down to
 value types and key order, with one exception.  The components of a quotient
