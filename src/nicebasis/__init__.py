@@ -85,7 +85,7 @@ __all__ = [name for name in dir() if not name.startswith("_")] + ["reproduce", "
 
 
 def __getattr__(name):
-    """reproduce and run_all, loaded on first access (PEP 562), as only they need it."""
+    """Load reproduce and run_all on first access (PEP 562), not at import."""
     if name in ("reproduce", "run_all"):
         from .reproduce import run_all  # importing the module binds the global reproduce
         return run_all if name == "run_all" else globals()[name]

@@ -3,15 +3,15 @@
 The free class-c nilpotent algebra F on d generators has a basis indexed by
 the Lyndon words of length at most c, w = uv standing for [u, v], (u, v) its
 standard factorization.  Lemma (Reutenauer, Free Lie Algebras, 5.1): for
-Lyndon words u < v, [u, v] is the word uv when u is a letter or u = u1 u2
-(standard) has u2 >= v; otherwise [u, v] = [u1, [u2, v]] - [u2, [u1, v]] by
-Jacobi, with [x, y] = -[y, x].  The recursion terminates and every word of
-[u, v] lies below v, by induction on |u| + |v|, then on the larger argument
-in lexicographic order: uv lies below its proper suffix v; the inner brackets
-are shorter, so their words lie below v; the outer ones, of length |u| + |v|,
-have both arguments below v (u1 < u < v, u2 < v).  Brackets are memoized on
-word pairs; table rows list their coordinates in increasing word index, the
-order in which graph quotients reduce them.
+Lyndon words u < v, [u, v] is the word uv when u is a letter or when u's
+standard factorization u1 u2 has u2 >= v; otherwise [u, v] = [u1, [u2, v]] -
+[u2, [u1, v]] by Jacobi, with [x, y] = -[y, x].  The recursion terminates and
+every word of [u, v] lies below v, by induction on |u| + |v|, then on the
+larger argument in lexicographic order: uv lies below its proper suffix v; the
+inner brackets are shorter, so their words lie below v; the outer ones, of
+length |u| + |v|, have both arguments below v (u1 < u < v, u2 < v).  Brackets
+are memoized on word pairs; table rows list their coordinates in increasing
+word index, the order in which graph quotients reduce them.
 
 The algebra of a graph G on the vertices 0..d-1 is F/I, I the ideal
 generated by the brackets [v_a, v_b] of non-adjacent vertices.  F and I are
