@@ -3,6 +3,10 @@
 Solvable entries are almost abelian R f + R^2 over a 2x2 matrix and their
 counts are recomputed by count_nice, never hardcoded.  The two simple
 entries carry theorem-backed counts with every listed basis re-verified.
+
+classify3 reads the R^2 of a solvable row off a lemma: a 3-dimensional g
+with degenerate Killing form and [g, g] not central has the abelian ideal
+C([g, g]) of codimension 1; with [g, g] central and nonzero, g is h3.
 """
 
 from __future__ import annotations
@@ -13,15 +17,7 @@ from typing import NamedTuple
 from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
 from .lie import LieAlgebra
-from .linalg import (
-    Matrix,
-    Subspace,
-    apply_columns,
-    char_poly,
-    is_nilpotent,
-    is_positive_definite,
-    rational_roots,
-)
+from .linalg import Matrix, char_poly, is_positive_definite, rational_roots
 from .nice import check_nice, monomial_equivalent
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
@@ -133,7 +129,18 @@ def cyclic_sign_pattern(g: LieAlgebra):
 
 
 def classify3(g: LieAlgebra):
-    """Match a 3-dimensional tensor to a catalog row; None when unknown."""
+    """Match a 3-dimensional tensor to a catalog row; None when unknown.
+
+    Past R^3 and the simple rows, h = C([g, g]) is g or the R^2 of g = R f + R^2:
+    - a 3-dimensional g whose Killing form is degenerate is solvable;
+    - if [g, g] has dimension 2, it is nilpotent and so abelian, and no x
+      outside it centralizes it, because ad_x = 0 on it would give
+      [g, g] = 0: h = [g, g], and ad_f is invertible on it;
+    - if [g, g] = Q z with z not central, C(z) has dimension 2, is abelian,
+      and is an ideal because [g, C(z)] ⊆ Q z; ad_f z = c z with c != 0;
+    - otherwise [g, g] is central, h = g, and g is h3.
+    So ad_f on a 2-dimensional h is never nilpotent.
+    """
     if g.dim != 3:
         raise ValueError("classify3 needs dimension 3")
     derived = g.derived_subalgebra()
@@ -142,43 +149,12 @@ def classify3(g: LieAlgebra):
     killing = g.killing_form()
     if killing.det() != 0:
         return _simple_row("so3" if is_positive_definite(-killing) else "sl2")
-    h = _abelian_codim1_ideal(g, derived)
-    if h is None:
+    h = g.centralizer(derived.rows.values())
+    if h.dim == 3:
+        return _aa_entry("h3", fixtures.matrix_c(), [_I3])
+    if h.dim != 2:  # only on tensors built unchecked, which break the lemma
         return None
-    a2 = _ad_action_matrix(g, h)
-    return _match_2x2(a2)
-
-
-def _abelian_codim1_ideal(g: LieAlgebra, derived):
-    # candidates: [g,g] itself (dim 2), the centralizer of [g,g], or a 2-dim
-    # abelian ideal through a 1-dim [g,g]
-    candidates = []
-    if derived.dim == 2:
-        candidates.append(derived)
-    if derived.dim >= 1:
-        cent = g.centralizer(derived.rows.values())
-        if cent.dim == 2:
-            candidates.append(cent)
-        if cent.dim == 3 and derived.dim == 1:
-            # central derived subalgebra: extend it by each coordinate axis
-            z = derived.rows[derived.pivots[0]]
-            for i in range(3):
-                s = Subspace(3, [z, {i: ONE}])
-                if s.dim == 2:
-                    candidates.append(s)
-    for h in candidates:
-        if _is_abelian_ideal(g, h):
-            return h
-    return None
-
-
-def _is_abelian_ideal(g, h):
-    basis = list(h.rows.values())
-    for k, u in enumerate(basis):
-        for v in basis[k + 1 :]:
-            if apply_columns({i: g.bracket_int(i, v) for i in u}, u):  # den [u, v], in ints
-                return False
-    return g._is_ideal(h)
+    return _match_2x2(_ad_action_matrix(g, h))
 
 
 def _ad_action_matrix(g: LieAlgebra, h):
@@ -197,8 +173,6 @@ def _ad_action_matrix(g: LieAlgebra, h):
 
 
 def _match_2x2(a: Matrix):
-    if is_nilpotent(a)[0]:  # and nonzero: A = 0 exactly when [g, g] = 0, R^3 in classify3
-        return _aa_entry("h3", fixtures.matrix_c(), [_I3])
     p = char_poly(a)  # x^2 - tr x + det
     tr, det = p.coeffs[1] * -1, p.coeffs[0]
     disc = tr * tr - 4 * det

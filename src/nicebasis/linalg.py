@@ -364,7 +364,7 @@ class Subspace:
         )
 
     def __repr__(self):
-        return f"Subspace(dim={self.dim} in R^{self.ambient})"
+        return f"Subspace(dim={self.dim} in Q^{self.ambient})"
 
 
 def solve(m: Matrix, rhs):
@@ -447,16 +447,6 @@ def is_positive_definite(m: Matrix) -> bool:
         raise ValueError("definiteness of a non-symmetric matrix")
     n = m.rows
     return all(c * (-1) ** (n - k) > 0 for k, c in enumerate(char_poly(m).coeffs))
-
-
-def is_nilpotent(m: Matrix):
-    """(nilpotent?, index) read off kernel_chain(m).
-
-    index is the least k at which ker m^k stops growing; for nilpotent m
-    that is the least k with m**k = 0.
-    """
-    chain = kernel_chain(m)
-    return chain[-1].dim == m.rows, len(chain) - 1
 
 
 class Poly:

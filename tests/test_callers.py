@@ -38,10 +38,6 @@ SHARED = {
             "_witness_basis builds no nilpotent chains when it equals n",
         "linalg.py:Poly.degree": "the degree that _enumerate's factorizations sum to",
     },
-    "is_nilpotent": {
-        "lie.py:LieAlgebra.is_nilpotent": "the reproduce row on abelian extensions",
-        "linalg.py:is_nilpotent": "catalog3._match_2x2 takes the nilpotent 2 x 2 case",
-    },
 }
 
 # module:function -> why it calls Subspace._reduce or _add, which take int vectors

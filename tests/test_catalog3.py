@@ -152,7 +152,7 @@ class TestClassify:
             assert got.nu == e.nu
 
     def test_conjugates_classify_on_int_brackets(self, entries, monkeypatch):
-        # _is_abelian_ideal brackets the int rows of each candidate ideal with bracket_int
+        # the centralizer of [g, g] and _ad_action_matrix bracket int rows with bracket_int
         rng, conjugates = random.Random(37), {}
         for name, e in entries.items():
             p = Matrix.zeros(3, 3)

@@ -2,16 +2,19 @@
 
 MonomialMap.is_isomorphism, _support_profiles, _monomial_search and
 _solve_scales read the int tables (table, den) of the two algebras, and
-cyclic_sign_pattern, _abelian_codim1_ideal, _is_abelian_ideal and
-_ad_action_matrix read the int table and the int Subspace rows.  The
-reference_* functions below are the versions that read the Fraction views,
-kept verbatim apart from their names and the stand-ins bracket_basis and
-q_rows for the views; their factor_rat factors over primes by sympy, where
-_solve_scales works over a coprime base.  On signed, rescaled permutations of
-nice bases the search must return the same (sigma, scales), on L_n it must
-reach the scale equations once, on seeded random tensors the scale solve must
-return the same maps, and on seeded conjugates of every catalog row classify3
-must name that row and the helpers must agree.
+cyclic_sign_pattern and _ad_action_matrix read the int table and the int
+Subspace rows.  The reference_* functions below are the versions that read
+the Fraction views, kept verbatim apart from their names and the stand-ins
+bracket_basis and q_rows for the views; their factor_rat factors over primes
+by sympy, where _solve_scales works over a coprime base.  classify3 takes the
+abelian ideal of a solvable row as the centralizer of [g, g], where
+reference_abelian_codim1_ideal searches up to five candidates for it.  On
+signed, rescaled permutations of nice bases the search must return the same
+(sigma, scales), on L_n it must reach the scale equations once, on seeded
+random tensors the scale solve must return the same maps, on seeded
+conjugates of every catalog row classify3 must name that row and the
+centralizer and helpers must agree with the search, and on seeded conjugates
+of random R f + R^2 classify3 must answer as the search does.
 """
 
 import functools
@@ -23,10 +26,10 @@ import pytest
 import sympy
 
 from nicebasis import fixtures, nice
-from nicebasis.almost_abelian import exists_nice, indecomposable_family
+from nicebasis.almost_abelian import build, exists_nice, indecomposable_family
 from nicebasis.catalog3 import (
-    _abelian_codim1_ideal,
     _ad_action_matrix,
+    _match_2x2,
     catalog,
     classify3,
     cyclic_sign_pattern,
@@ -403,6 +406,32 @@ class TestCatalog3:
             assert cyclic_sign_pattern(g) == reference_cyclic_sign_pattern(g)
             derived = g.derived_subalgebra()
             if derived.dim and g.killing_form().det() == 0:  # solvable, not abelian
-                h = _abelian_codim1_ideal(g, derived)
-                assert h is not None and h == reference_abelian_codim1_ideal(g, derived)
+                h = g.centralizer(derived.rows.values())
+                if h.dim == 3:  # [g, g] central
+                    assert got.name == "h3"
+                    continue
+                assert h == reference_abelian_codim1_ideal(g, derived)
                 assert _ad_action_matrix(g, h) == reference_ad_action_matrix(g, h)
+
+    def test_random_almost_abelian_conjugates_match_search(self):
+        # R f + R^2 over random integer A, in rational bases: classify3 gives
+        # the answer of the candidate search and its ad action matrix, which
+        # is h3 when that matrix is nilpotent and _match_2x2's otherwise
+        rng, named = random.Random(23), 0
+        for _ in range(400):
+            a = Matrix([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)])
+            g = build(a).compiled.change_basis(invertible(rng))
+            derived = g.derived_subalgebra()
+            if derived.dim == 0:
+                want = "R^3"
+            else:
+                a2 = reference_ad_action_matrix(g, reference_abelian_codim1_ideal(g, derived))
+                if a2 * a2 == Matrix.zeros(2, 2):
+                    want = "h3"
+                else:
+                    want = _match_2x2(a2)
+                    want = want and want.name
+            got = classify3(g)
+            assert (got and got.name) == want, a
+            named += got is not None
+        assert 100 < named < 300, named  # both answers are well represented

@@ -240,12 +240,13 @@ def reference_jacobi_failures(g, limit=None):
 
 
 def reference_ideal_closure(g, vectors):
+    # den [e_i, v] on the int rows spans what [e_i, v] does
     s = Subspace(g.dim, vectors)
-    queue = [dict(row) for row in q_rows(s).values()]
+    queue = [dict(row) for row in s.rows.values()]
     while queue:
         v = queue.pop()
         for i in range(g.dim):
-            w = g.bracket_sparse({i: ONE}, v)
+            w = g.bracket_int(i, v)
             if w and s.add(w):
                 queue.append(w)
     return s

@@ -13,7 +13,6 @@ from nicebasis.linalg import (
     Subspace,
     solve,
     char_poly,
-    is_nilpotent,
     rational_roots,
     count_real_roots,
     minimal_polynomial,
@@ -22,6 +21,7 @@ from nicebasis.linalg import (
     dense,
     int_gcd,
     int_prem,
+    kernel_chain,
     primitive,
 )
 from nicebasis.scalars import Q, ZERO, ONE, rat
@@ -202,9 +202,10 @@ class TestCharPoly:
         assert p == expect
 
     def test_nilpotency_index(self):
-        nil = Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        assert is_nilpotent(nil) == (True, 3)
-        assert is_nilpotent(Matrix.identity(2))[0] is False
+        # nilpotent iff the kernel chain reaches Q^n; the index is its length - 1
+        chain = kernel_chain(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        assert (chain[-1].dim, len(chain) - 1) == (3, 3)
+        assert kernel_chain(Matrix.identity(2))[-1].dim == 0
 
 
 class TestPoly:

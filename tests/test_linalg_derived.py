@@ -20,7 +20,6 @@ from nicebasis.linalg import (
     Subspace,
     _divide,
     char_poly,
-    is_nilpotent,
     is_positive_definite,
     kernel_chain,
     minimal_polynomial,
@@ -262,25 +261,32 @@ class TestKernelChain:
             kernel_chain(Matrix([[1, 0]]))
 
 
-class TestIsNilpotent:
+def nilpotency(m):
+    """(nilpotent?, index) read off kernel_chain(m): m is nilpotent iff the chain
+    ends at Q^n, and the index, where ker m^k stops growing, is its length - 1."""
+    chain = kernel_chain(m)
+    return chain[-1].dim == m.rows, len(chain) - 1
+
+
+class TestNilpotencyFromKernelChain:
     def test_index_is_least_vanishing_power(self):
         rng = random.Random(13)
         for _ in range(80):
             n = rng.randint(1, 6)
             m = conjugate(rng, random_jordan(rng, n, values=(0,)))
             least = next(k for k in range(n + 1) if power(m, k) == Matrix.zeros(n, n))
-            assert is_nilpotent(m) == (True, least)
+            assert nilpotency(m) == (True, least)
 
     def test_non_nilpotent(self):
         rng = random.Random(17)
         for _ in range(40):
             m = conjugate(rng, jordan([(0, rng.randint(0, 4)), (1, 1)]))
-            assert is_nilpotent(m)[0] is False
+            assert nilpotency(m)[0] is False
 
     def test_known_cases(self):
-        assert is_nilpotent(Matrix.zeros(2, 2)) == (True, 1)
-        assert is_nilpotent(Matrix([])) == (True, 0)
-        assert is_nilpotent(Matrix.identity(2)) == (False, 0)
+        assert nilpotency(Matrix.zeros(2, 2)) == (True, 1)
+        assert nilpotency(Matrix([])) == (True, 0)
+        assert nilpotency(Matrix.identity(2)) == (False, 0)
 
 
 class TestMinimalPolynomial:

@@ -101,7 +101,7 @@ def test_repr_examples():
         "ExistsVerdict(status='no', witness=None, reason='r', factorization=None)"
     assert repr(derivation_space(fixtures.heisenberg3(), range(3))) == (
         "DerivationSpace(unknowns={(0, 0): 0, (1, 1): 1, (2, 2): 2}, "
-        "system=Subspace(dim=1 in R^3))")
+        "system=Subspace(dim=1 in Q^3))")
 
 
 @pytest.mark.parametrize("make, want", [

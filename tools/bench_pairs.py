@@ -28,6 +28,8 @@ median of IMPORT_RUNS fresh `python3 -X importtime -c "import nicebasis,
 nicebasis.cli"` runs in its checkout, alternating sides, with the runs and
 whether PYTHONDONTWRITEBYTECODE was set (if not, the first run writes the
 bytecode cache that the others read): the import layer under `setup_s`.
+It drifts with the host between sets (one parent read 44.1, 72.6, 71.3 and
+43.3 ms in four), so compare `import_ms` only within one set.
 An entry it replaces moves, its medians, pairs won and verdicts only, to
 the front of `earlier_sets`.  Entries of other workloads are kept.
 Standard library only.
