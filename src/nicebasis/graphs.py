@@ -33,11 +33,10 @@ Duchamp and Krob, Adv. Math. 95, 1992): if alpha has the vertex set S,
   vertices, so |alpha| >= 3 and no relator lies in degree alpha.
 graph_algebra builds the quotient by this lemma; the last quotient built is
 kept for the next request on an equal graph.  The vertex sets of words, the
-sets of at most c vertices, are classified by their edge counts E, k = |S|:
-E = k(k-1)/2 is a clique; E < k-1 is disconnected, as a connected graph has a
-spanning tree; E > (k-1)(k-2)/2 is connected, as two parts of sizes m and
-k - m span at most C(m, 2) + C(k-m, 2) <= C(k-1, 2) edges.  Only the band
-between the last two bounds, empty for k <= 3, is searched.
+sets of at most c vertices, are decided in one increasing pass by two facts,
+t a vertex of S: S is a clique iff S - t is one and t is adjacent to all of
+it; S is connected iff it is one vertex, or for some t, S - t is connected
+and t has a neighbour in it (a leaf of a spanning tree is such a t).
 """
 
 from __future__ import annotations
@@ -177,43 +176,26 @@ def witt_dimension(d, length):
                             for m in range(1, length) if length % m == 0)) // length
 
 
-# what the graph decides about the ideal on the words with letter set S
-_CLIQUE, _APART, _OPEN = range(3)
-
-
-def _connected(s, nbr):
-    """Whether the subgraph induced on the vertex bitmask s is connected; nbr[a] is
-    the bitmask of a's neighbours."""
-    verts = [a for a in range(s.bit_length()) if s >> a & 1]
-    seen, grown = 0, s & -s
-    while grown != seen:
-        seen = grown
-        for a in verts:
-            if seen >> a & 1:
-                grown |= nbr[a] & s
-    return seen == s
-
-
-def _kinds(supports, nbr):
-    """{s: kind} for the vertex bitmasks s in supports, which must be closed under
-    dropping a vertex: one increasing pass counts the edges E(s) = E(s - t) +
-    |nbr[t] & (s - t)| of G[s], t the top vertex of s, and decides by the bounds
-    of the module's docstring; the band between them holds no clique."""
-    edges, kind = {0: 0}, {}  # edges[s]: E(s)
+def _vertex_sets(supports, nbr):
+    """(connected, cliques): the vertex bitmasks s in supports, which must be closed
+    under dropping a vertex, with G[s] connected, and those with G[s] a clique;
+    nbr[a] is the bitmask of a's neighbours.  One increasing pass by the module's
+    two facts, t the lowest vertex of s for the clique test; a clique is connected."""
+    connected, cliques = set(), set()
     for s in sorted(supports):
-        top = s.bit_length() - 1
-        rest = s ^ 1 << top
-        k, e = s.bit_count(), edges[rest] + (nbr[top] & rest).bit_count()
-        edges[s] = e
-        if 2 * e == k * (k - 1):
-            kind[s] = _CLIQUE
-        elif e < k - 1:
-            kind[s] = _APART
-        elif 2 * e > (k - 1) * (k - 2):
-            kind[s] = _OPEN
-        else:
-            kind[s] = _OPEN if _connected(s, nbr) else _APART
-    return kind
+        low = s & -s
+        if nbr[low.bit_length() - 1] & s == s ^ low and (s == low or s ^ low in cliques):
+            cliques.add(s)
+            connected.add(s)
+            continue
+        r = s
+        while r:  # b runs over the vertex bits of s
+            b = r & -r
+            r ^= b
+            if nbr[b.bit_length() - 1] & s and s ^ b in connected:
+                connected.add(s)
+                break
+    return connected, cliques
 
 
 def graph_algebra(g: GraphSpec):
@@ -236,10 +218,10 @@ def graph_algebra(g: GraphSpec):
     clique blocks and the non-pivots of the undecided ones.  Kept pairs, walked along each
     kept word's table row, bracket to 0 if their joint set is disconnected, to the free
     bracket if it is a clique, else to its residue by the Subspace's int core.
-    Only the vertex sets of words are classified, never all 2^d subsets, in
-    one increasing pass by their edge counts E: a k-set S drops its top vertex
-    t to a set met before, E(S) = E(S - t) + |N(t) & (S - t)|, and only the
-    band k-1 <= E <= (k-1)(k-2)/2 is searched for connectedness.
+    Only the vertex sets of words are decided, never all 2^d subsets, in one
+    increasing pass by the module's two facts: S is a clique iff S - t is one
+    and t is adjacent to all of it; S is connected iff it is one vertex or S - t
+    is connected and t has a neighbour in it, for some t in S.
     """
     if not g.edges or g.c == 1:
         words = tuple((v,) for v in range(g.vertex_count))
@@ -257,10 +239,10 @@ def _quotient(g: GraphSpec):
     for a, b in g.edges:
         nbr[a], nbr[b] = nbr[a] | 1 << b, nbr[b] | 1 << a
     support, words = basis.supports, basis.words
-    kind = _kinds(set(support), nbr)  # the sets of at most c vertices
-    apart = [[] for _ in range(c)]  # apart[m]: the _APART words of length m < c
+    connected, cliques = _vertex_sets(set(support), nbr)  # the sets of at most c vertices
+    apart = [[] for _ in range(c)]  # apart[m]: the disconnected words of length m < c
     for i, w in enumerate(words):
-        if len(w) < c and kind[support[i]] == _APART:
+        if len(w) < c and support[i] not in connected:
             apart[len(w)].append((support[i], {i: 1}))
     ideal = Subspace(free.dim)
     added = []  # (support, int vector) added to ideal in the previous degree
@@ -268,18 +250,18 @@ def _quotient(g: GraphSpec):
         gens, added = apart[k - 1] + added, []
         for s, v in gens:
             for a in range(d):
-                t = s | 1 << a
-                if kind.get(t) == _OPEN and (w := free.bracket_int(a, v)) and ideal._add(w):
+                t = s | 1 << a  # no clique: it holds s, which is none
+                if t in connected and (w := free.bracket_int(a, v)) and ideal._add(w):
                     added.append((t, w))
-    keep = [i for i, s in enumerate(support) if kind[s] != _APART and i not in ideal.rows]
+    keep = [i for i, s in enumerate(support) if s in connected and i not in ideal.rows]
     pos = [None] * free.dim  # pos[i]: the index of kept word i in the quotient
     for t, i in enumerate(keep):
         pos[i] = t
     rows = {}  # in free.pairs order: row i of free.table ends with its j > i, rising
     for i in itertools.takewhile(lambda i: 2 * len(words[i]) <= c, keep):  # longer: no j > i
         for j, v in free.table[i].items():
-            if j > i and pos[j] is not None and (joint := kind[support[i] | support[j]]) != _APART:
-                w, e = (v, 1) if joint == _CLIQUE else ideal._reduce(v)
+            if j > i and pos[j] is not None and (joint := support[i] | support[j]) in connected:
+                w, e = (v, 1) if joint in cliques else ideal._reduce(v)
                 if w:
                     rows[(pos[i], pos[j])] = {pos[t]: x for t, x in w.items()}, e
     names = [free.names[i] for i in keep]

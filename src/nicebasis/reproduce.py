@@ -303,14 +303,14 @@ def check_structure_facts():
                 raise _Fail("diagonal part is not a derivation")
     for base, nu in ((fixtures.matrix_cyclic(4), 3),
                      (fixtures.matrix_c(), 1)):
-        k = base.rows
+        k, h = base.rows, build(base).compiled
         for m in range(1, 4):
             # A + 0_m acts on R^(k+m): the algebra of A plus an abelian factor
             padded = Matrix.from_columns(base.columns + ({},) * m, k + m)
             if count_nice(padded) != nu:
                 raise _Fail("abelian extension changed the count")
-            g = direct_sum(build(base).compiled, abelian(m))
-            if not check_adapted(g)[0] and build(base).compiled.is_nilpotent():
+            g = direct_sum(h, abelian(m))
+            if not check_adapted(g)[0] and h.is_nilpotent():
                 raise _Fail("extension lost adaptedness")
     return "adaptedness, diagonal derivations, abelian extensions"
 

@@ -348,18 +348,18 @@ class TestBlockLemma:
 
 
 def reference_kind(edges, vertices):
-    """graphs._CLIQUE, _APART or _OPEN for a nonempty vertex list: a clique test on
-    every pair, then a breadth-first search from the first vertex."""
+    """(connected, clique) for a nonempty vertex list: a clique test on every pair,
+    then a breadth-first search from the first vertex."""
     adj = {frozenset(e) for e in edges}
     if all(frozenset(p) in adj for p in itertools.combinations(vertices, 2)):
-        return graphs._CLIQUE
+        return True, True
     seen, queue = {vertices[0]}, [vertices[0]]
     for a in queue:
         for b in vertices:
             if b not in seen and frozenset((a, b)) in adj:
                 seen.add(b)
                 queue.append(b)
-    return graphs._OPEN if len(seen) == len(vertices) else graphs._APART
+    return len(seen) == len(vertices), False
 
 
 def neighbours(d, edges):
@@ -371,11 +371,11 @@ def neighbours(d, edges):
 
 
 def assert_kinds(d, edges, supports):
-    kinds = graphs._kinds(supports, neighbours(d, edges))
-    assert set(kinds) == supports
+    connected, cliques = graphs._vertex_sets(supports, neighbours(d, edges))
+    assert cliques <= connected <= supports
     for s in supports:
         vertices = [a for a in range(d) if s >> a & 1]
-        assert kinds[s] == reference_kind(edges, vertices), (edges, vertices)
+        assert (s in connected, s in cliques) == reference_kind(edges, vertices), (edges, vertices)
 
 
 # eight seeded graphs on each of 2..8 vertices, with any number of edges, at
@@ -388,8 +388,9 @@ KIND_SIZES = [(d, c) for d in KIND_GRAPHS for c in range(2, 6)
 
 
 class TestKinds:
-    """graphs._kinds decides most vertex sets by their edge count alone; every
-    kind it gives must be the kind a clique test and a breadth-first search give."""
+    """graphs._vertex_sets decides connectedness and cliques by one recurrence over
+    sets that drop a vertex; each verdict must be the one a clique test on every
+    pair and a breadth-first search give."""
 
     @pytest.mark.parametrize("d,c", KIND_SIZES)
     def test_every_support_of_the_free_algebra(self, d, c):
@@ -400,26 +401,32 @@ class TestKinds:
             assert_kinds(d, edges, supports)
 
     @pytest.mark.parametrize("d,edges,kind", [
-        (4, [(0, 1), (1, 2), (2, 3)], graphs._OPEN),  # path
-        (4, [(0, 1), (0, 2), (0, 3)], graphs._OPEN),  # star
-        (4, [(0, 1), (1, 2), (0, 2)], graphs._APART),  # triangle and a lone vertex
-        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], graphs._OPEN),  # path
-        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], graphs._OPEN),  # star
-        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], graphs._APART),  # triangle beside an edge
-        (5, [(0, 1), (1, 2), (2, 3), (0, 3)], graphs._APART),  # 4-cycle and a lone vertex
-        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], graphs._OPEN),  # 5-cycle
-        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], graphs._APART),  # K4 less an edge, lone
-        (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], graphs._OPEN),  # triangle with a tail
-        (5, list(itertools.combinations(range(4), 2)), graphs._APART),  # K4 and a lone vertex
+        (4, [(0, 1), (1, 2), (2, 3)], (True, False)),  # path
+        (4, [(0, 1), (0, 2), (0, 3)], (True, False)),  # star
+        (4, [(0, 1), (1, 2), (0, 2)], (False, False)),  # triangle and a lone vertex
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)], (True, False)),  # path
+        (5, [(0, 1), (0, 2), (0, 3), (0, 4)], (True, False)),  # star
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)], (False, False)),  # triangle beside an edge
+        (5, [(0, 1), (1, 2), (2, 3), (0, 3)], (False, False)),  # 4-cycle and a lone vertex
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], (True, False)),  # 5-cycle
+        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], (False, False)),  # K4 less an edge, lone
+        (5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)], (True, False)),  # triangle with a tail
+        (5, list(itertools.combinations(range(4), 2)), (False, False)),  # K4 and a lone vertex
         # K4 less an edge, with a tail
-        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)], graphs._OPEN),
+        (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)], (True, False)),
     ])
-    def test_middle_band(self, d, edges, kind):
-        # neither the count bound for disconnected sets nor the one for connected
-        # sets decides the whole vertex set: k - 1 <= E <= (k - 1)(k - 2) / 2
+    def test_named_graphs(self, d, edges, kind):
+        # between k - 1 and (k - 1)(k - 2) / 2 edges: the count alone decides
+        # neither connectedness nor its absence
         assert d - 1 <= len(edges) <= (d - 1) * (d - 2) // 2
         assert reference_kind(edges, list(range(d))) == kind
         assert_kinds(d, edges, set(range(1, 1 << d)))
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_every_graph_and_vertex_set(self, d):
+        pairs = list(itertools.combinations(range(d), 2))
+        for m in range(1 << len(pairs)):
+            assert_kinds(d, [p for t, p in enumerate(pairs) if m >> t & 1], set(range(1, 1 << d)))
 
 
 class TestQuotientMemo:
