@@ -415,7 +415,7 @@ class TestKinds:
         # K4 less an edge, with a tail
         (5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)], (True, False)),
     ])
-    def test_named_graphs(self, d, edges, kind):
+    def test_middle_band(self, d, edges, kind):
         # between k - 1 and (k - 1)(k - 2) / 2 edges: the count alone decides
         # neither connectedness nor its absence
         assert d - 1 <= len(edges) <= (d - 1) * (d - 2) // 2
