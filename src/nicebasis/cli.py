@@ -111,14 +111,11 @@ def cmd_pre_einstein(args):
     except NotNiceBasis as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    diag = [pe.matrix[i, i] for i in range(g.dim)]
-    lines = ["diagonal " + " ".join(fmt(x) for x in diag),
-             "spectrum " + " ".join(
-                 f"{fmt(v)}:{m}" for v, m in sorted(pe.multiplicities().items()))]
-    _emit(args, {
-        "diagonal": [fmt(x) for x in diag],
-        "spectrum": [[fmt(v), m] for v, m in sorted(pe.multiplicities().items())],
-    }, lines, [args.file])
+    diag = [fmt(c.get(i, 0)) for i, c in enumerate(pe.matrix.columns)]
+    spectrum = [[fmt(v), m] for v, m in sorted(pe.multiplicities().items())]
+    lines = ["diagonal " + " ".join(diag),
+             "spectrum " + " ".join(f"{v}:{m}" for v, m in spectrum)]
+    _emit(args, {"diagonal": diag, "spectrum": spectrum}, lines, [args.file])
     return 0
 
 
@@ -165,16 +162,12 @@ def cmd_aa(args):
     lines = [f"exists {verdict.status}"]
     if verdict.reason:
         lines.append(f"reason {verdict.reason}")
-    for f in facts:
-        lines.append(f"factorization {f}")
+    lines += [f"factorization {f}" for f in facts]
     lines.append("nu " + ("unknown" if nu is None else str(nu)))
     witness = None
     if verdict.witness is not None:
-        n = a.rows + 1
-        witness = [[fmt(verdict.witness[i, j]) for j in range(n)]
-                   for i in range(n)]
-        lines.append("witness " + "; ".join(
-            " ".join(row) for row in witness))
+        witness = [list(map(fmt, row)) for row in verdict.witness.data]
+        lines.append("witness " + "; ".join(" ".join(row) for row in witness))
     _emit(args, {
         "exists": verdict.status,
         "reason": verdict.reason,
@@ -198,11 +191,9 @@ def cmd_graph(args):
     lines.append(f"dimension {alg.dim}")
     if args.nice and ok:
         basis = construct_nice_basis(g)
-        cols = [[fmt(basis[i, j]) for i in range(alg.dim)]
-                for j in range(alg.dim)]
+        cols = [[fmt(c.get(i, 0)) for i in range(basis.rows)] for c in basis.columns]
         payload["basis_columns"] = cols
-        for col in cols:
-            lines.append("basis " + " ".join(col))
+        lines += ["basis " + " ".join(col) for col in cols]
     if args.emit_algebra:
         try:
             save_lie(alg, args.emit_algebra)
@@ -217,15 +208,10 @@ def cmd_catalog3(args):
     rows = []
     lines = []
     for entry in catalog():
-        rows.append({
-            "name": entry.name,
-            "parameter": None if entry.parameter is None
-            else fmt(entry.parameter),
-            "nu": entry.nu,
-        })
-        param = "" if entry.parameter is None \
-            else f" (parameter {fmt(entry.parameter)})"
-        lines.append(f"{entry.name}{param} nu={entry.nu}")
+        param = None if entry.parameter is None else fmt(entry.parameter)
+        rows.append({"name": entry.name, "parameter": param, "nu": entry.nu})
+        lines.append(entry.name + ("" if param is None else f" (parameter {param})")
+                     + f" nu={entry.nu}")
     _emit(args, {"rows": rows}, lines)
     return 0
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .scalars import Q, ZERO, _exact
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, _cleared, apply_columns, dense, solve
+from .linalg import Matrix, Subspace, _cleared, _solve, apply_columns, dense
 from .nice import check_nice, roots
 
 
@@ -174,23 +174,25 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     Restricts the defining trace condition to diagonal derivations and solves
     the Gram system G of their int kernel vectors (rescaling them leaves N
     unchanged); they are independent, so G is positive definite by the Gram
-    lemma (c^T G c = |sum_a c_a v_a|^2 > 0 at c != 0) and is not tested.  Its
-    solution, over one den, gives N = diag(w) / den, certified in ints on Der(g)_0,
-    which pre_einstein_general_check's lemma makes decide Der(g).
+    lemma (c^T G c = |sum_a c_a v_a|^2 > 0 at c != 0) and is not tested.  G is
+    solved in ints (linalg._solve): x over one den gives N = diag(w) / den, certified in
+    ints on Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
+    The only Fractions made are the matrix view's, which the spectrum reads.
     """
     if not check_nice(g):
         raise NotNiceBasis("defining basis is not nice")
     diag = derivation_space(g, range(g.dim)).system.int_kernel()
-    gram = Matrix([[sum(x * b.get(i, 0) for i, x in a.items()) for b in diag] for a in diag])
-    coeffs = solve(gram, [sum(v.values()) for v in diag])  # Tr(Dg(v)) = sum of entries
-    v, den = _cleared(dict(enumerate(coeffs)), "coefficient")
-    w = apply_columns(diag, v)
+    gram = [{b: x for b, u in enumerate(diag) if (x := sum(c * u.get(i, 0) for i, c in v.items()))}
+            for v in diag]
+    coeffs, den = _solve(gram, [sum(v.values()) for v in diag], len(diag))  # Tr(Dg(v)) = sum
+    w = apply_columns(diag, coeffs)
     w = [w.get(i, 0) for i in range(g.dim)]
     ok, bad = _certify(g, w, den)
     if not ok:
         raise RuntimeError(f"trace certification failed: {bad!r}")
     m = Matrix._of(g.dim, [{i: x} if x else {} for i, x in enumerate(w)], den)
-    return PreEinstein(m, tuple(sorted(c.get(i, ZERO) for i, c in enumerate(m.columns))))
+    view = m.columns  # read in the order of w, the spectrum's as den > 0
+    return PreEinstein(m, tuple(view[i].get(i, ZERO) for _, i in sorted(zip(w, range(g.dim)))))
 
 
 def pre_einstein_general_check(g: LieAlgebra, n_diag):

@@ -368,15 +368,29 @@ class Subspace:
 
 
 def solve(m: Matrix, rhs):
-    """One exact solution of m x = rhs, or None if inconsistent."""
+    """One exact solution of m x = rhs, or None if inconsistent: the Fraction door of
+    _solve, with the free unknowns 0.  For m = N / den and rhs = b / d, N x = den b."""
     if len(rhs) != m.rows:
         raise ValueError(f"right-hand side has {len(rhs)} entries, the matrix {m.rows} rows")
-    n = m.cols  # m = N / den: N x = den rhs
-    aug = Subspace(n + 1, ({**row, n: m.den * _exact(b, "right-hand side entry")}
-                           for row, b in zip(m.transpose().num, rhs)))
+    b, d = _cleared(dict(enumerate(rhs)), "right-hand side entry")
+    sol = _solve(m.transpose().num, [m.den * b.get(i, 0) for i in range(m.rows)], m.cols)
+    if sol is None:
+        return None
+    x, den = sol
+    return dense({p: Q(v, den * d) for p, v in x.items()}, m.cols)
+
+
+def _solve(rows, rhs, n):
+    """The int core of linear systems: (x, den) with x / den one solution of rows x = rhs
+    over n unknowns, the free ones 0, for rows sparse {unknown: int} dicts without zeros
+    and rhs ints; x a dict without zeros, den > 0.  None if inconsistent."""
+    aug = Subspace(n + 1)
+    for row, b in zip(rows, rhs):
+        aug._add({**row, n: b} if b else row)
     if n in aug.rows:
         return None
-    return dense({p: Q(row.get(n, 0), row[p]) for p, row in aug.rows.items()}, n)
+    den = math.lcm(*[row[p] for p, row in aug.rows.items()])
+    return {p: row[n] * (den // row[p]) for p, row in aug.rows.items() if n in row}, den
 
 
 def kernel_of(images) -> Subspace:

@@ -5,7 +5,8 @@ Fraction: always stored reduced with a positive denominator, and printed as
 "p/q" or "p", which is the serialization used everywhere (files, CLI
 output, reports).  The echelon core works on integer rows and meets Q only
 at its boundary (see linalg.Subspace).  The input files are read here too:
-one line reader and the strict number parsers that name the line they refuse.
+one line reader and the strict number parsers that name the line they refuse;
+parse_rat reads a value as an int, or as a Fraction only when written p/q.
 The monomial scales of nice._solve_scales are solved over _coprime_base, a coprime base
 of their ratios built by gcds and integer roots: no integer is factored.
 """
@@ -20,7 +21,7 @@ ZERO = Q(0)
 ONE = Q(1)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 # Largest dimension (matrix size, graph vertex count or class) any input
@@ -29,15 +30,12 @@ DIMENSION_CAP = 256
 
 
 def rat(value, den=None):
-    """Build a rational from an int, a string like "9/32", or a pair.
+    """Build a rational from an int, a string like "9/32" (read by _number), or a pair.
 
-    Strings must be plain "p" or "p/q" in ASCII digits; decimals and
-    exponents ("1.5", "1e999999999") are refused before any big integer is
-    built.  A zero denominator raises ValueError, like any other malformed
-    value.
+    A zero denominator raises ValueError, like any other malformed value.
     """
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
-        raise ValueError(f"not a rational p or p/q: {value!r}")
+    if isinstance(value, str):
+        value = _number(value)
     try:
         return Q(value) if den is None else Q(value, den)
     except ZeroDivisionError:
@@ -56,25 +54,40 @@ def lines(text: str):
             yield lineno, tokens
 
 
+def _number(token: str):
+    """The int of a token "p", or Fraction(p, q) of "p/q", in ASCII digits, read off one
+    _RATIONAL match; any other token ("1.5", "1e999999999") or a zero q is a ValueError."""
+    if not (m := _RATIONAL.fullmatch(token)):
+        raise ValueError(f"not a rational p or p/q: {token!r}")
+    try:
+        return int(m[1]) if m[2] is None else Q(int(m[1]), int(m[2]))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {token!r}") from None
+
+
 def parse_int(token: str, what: str, lineno: int, low=None) -> int:
     """Integer from a plain ASCII-digit token of line lineno.
 
     Any other token ("x", "1_000", "٣") raises ValueError "line N: <what>
     must be an integer"; given low, so does a value outside low..DIMENSION_CAP,
-    "line N: <what> must be between <low> and 256".
+    "line N: <what> must be between <low> and 256", and int's refusal of a long one.
     """
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"line {lineno}: {what} must be an integer, got {token!r}")
-    value = int(token)
+    try:
+        value = int(token)
+    except ValueError as err:
+        raise ValueError(f"line {lineno}: {err}") from None
     if low is not None and not low <= value <= DIMENSION_CAP:
         raise ValueError(f"line {lineno}: {what} must be between {low} and {DIMENSION_CAP}")
     return value
 
 
 def parse_rat(token: str, lineno: int):
-    """rat(token) for a token of line lineno; a refusal reads "line N: <rat's message>"."""
+    """_number(token), rat(token) but an int without "/", for a token of line lineno;
+    a refusal reads "line N: <rat's message>"."""
     try:
-        return rat(token)
+        return _number(token)
     except ValueError as err:
         raise ValueError(f"line {lineno}: {err}") from None
 

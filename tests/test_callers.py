@@ -21,6 +21,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"
 # name -> why it stays without a caller in src/
 ALLOWED = {
     "inverse": "perfbench/tracing.py traces Matrix.inverse as linalg.inverse",
+    "solve": "perfbench/tracing.py traces linalg.solve as linalg.echelon",
     "bracket": "perfbench/tracing.py counts LieAlgebra.bracket as lie.bracket",
     "quotient": "the public quotient algebra g / ideal, with its ideal and Jacobi checks",
 }

@@ -707,7 +707,11 @@ class TestIntPreEinstein:
         # 2N is a derivation that fails Tr(2N D) = Tr(D) at D = N, so a certificate
         # that is skipped or weakened lets it through
         g = PRE_EINSTEIN[name]()
-        real = derivations.solve
-        monkeypatch.setattr(derivations, "solve", lambda m, rhs: [2 * x for x in real(m, rhs)])
+        real = derivations._solve
+
+        def doubled(rows, rhs, n):
+            x, den = real(rows, rhs, n)
+            return {p: 2 * v for p, v in x.items()}, den
+        monkeypatch.setattr(derivations, "_solve", doubled)
         with pytest.raises(RuntimeError, match=r"^trace certification failed: \('trace', "):
             pre_einstein_nice(g)

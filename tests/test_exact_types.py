@@ -12,7 +12,7 @@ solve, inverse, the witness, the changed structure constants and the
 pre-Einstein matrix and spectrum) is a Fraction, never an int or a float.
 char_poly on the n = 8 family matrix creates no Fraction before its 129
 coefficients, its analysis one per divisor constant besides them and its
-witness none, and pre_einstein_nice on L_28 few more than its 28 entries.
+witness none, and pre_einstein_nice on L_28 none but its 28 entries.
 """
 
 import os
@@ -291,11 +291,12 @@ def test_family_analysis_makes_one_fraction_per_divisor_constant(monkeypatch):
 
 
 def test_pre_einstein_nice_makes_few_fractions(monkeypatch):
-    # N runs as int weights over one denominator from the Gram solve through its
-    # certificate; the Fractions made are the solve's and the matrix view's, which
-    # spectrum reads (171 while N stepped in Fractions)
+    # N runs as int weights over one denominator from the Gram solve, made in ints,
+    # through its certificate; the only Fractions made are the matrix view's, one per
+    # nonzero entry, which spectrum reads (171 while N stepped in Fractions, 30 while
+    # the Gram system was solved over Q)
     g = fixtures.standard_filiform(28)
     pe, made = fractions_made(monkeypatch, pre_einstein_nice, g)
-    assert made <= g.dim + 10
+    assert made <= g.dim
     d1, d2 = ln_closed_form(28)
     assert pe.spectrum == tuple(sorted([d1, d2] + [k * d1 + d2 for k in range(1, 27)]))
