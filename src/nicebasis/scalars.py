@@ -68,9 +68,9 @@ def _number(token: str):
 def parse_int(token: str, what: str, lineno: int, low=None) -> int:
     """Integer from a plain ASCII-digit token of line lineno.
 
-    Any other token ("x", "1_000", "٣") raises ValueError "line N: <what>
-    must be an integer"; given low, so does a value outside low..DIMENSION_CAP,
-    "line N: <what> must be between <low> and 256", and int's refusal of a long one.
+    Any other token ("x", "1_000", "٣") raises ValueError "line N: <what> must be an integer";
+    given low, so does a value outside low..DIMENSION_CAP, "line N: <what> must be between
+    <low> and 256", and one past int's digit limit, "line N: <int's message>".
     """
     if not _INTEGER.fullmatch(token):
         raise ValueError(f"line {lineno}: {what} must be an integer, got {token!r}")

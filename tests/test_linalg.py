@@ -1,11 +1,14 @@
 import itertools
+import os
 import random
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nicebasis import linalg
+from nicebasis import fixtures, linalg
+from nicebasis.derivations import derivation_space
+from nicebasis.lie import direct_sum, load_lie
 from nicebasis.linalg import (
     _convolve,
     Matrix,
@@ -30,6 +33,7 @@ from test_root_oracle import mul
 
 
 rationals = st.builds(Q, st.integers(-30, 30), st.integers(1, 12))
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
 
 
 def horner(p, m):
@@ -162,6 +166,64 @@ class TestSolve:
         # zip would cut the longer side: a short rhs dropped the second equation
         with pytest.raises(ValueError, match="right-hand side"):
             solve(Matrix.identity(2), rhs)
+
+
+def gram_system(g):
+    """pre_einstein_nice's Gram system of g: int rows without zeros, int rhs, unknowns."""
+    diag = derivation_space(g, range(g.dim)).system.int_kernel()
+    rows = [{b: x for b, u in enumerate(diag) if (x := sum(c * u.get(i, 0) for i, c in v.items()))}
+            for v in diag]
+    return rows, [sum(v.values()) for v in diag], len(diag)
+
+
+def assert_core_is_solve(rows, rhs, n):
+    """_solve's x / den is solve's answer on the same system, None for None."""
+    got = linalg._solve(rows, rhs, n)
+    want = solve(Matrix.from_columns([{i: r[j] for i, r in enumerate(rows) if j in r}
+                                      for j in range(n)], len(rows)), rhs)
+    if want is None:
+        assert got is None
+        return None
+    x, den = got
+    assert den > 0 and 0 not in x.values() and all(type(v) is int for v in x.values())
+    assert dense({p: Q(v, den) for p, v in x.items()}, n) == want
+    return x
+
+
+GRAM_ALGEBRAS = {
+    **{f"L{n}": (lambda n=n: fixtures.standard_filiform(n)) for n in range(3, 29)},
+    "L10+L12": lambda: direct_sum(fixtures.standard_filiform(10), fixtures.standard_filiform(12)),
+    "L12+L13": lambda: direct_sum(fixtures.standard_filiform(12), fixtures.standard_filiform(13)),
+    "n7_extension": lambda: load_lie(os.path.join(FIXTURES, "n7_extension.lie")),
+    "sl2": fixtures.sl2,
+    "so3": fixtures.so3,
+}
+
+
+class TestIntSolveCore:
+    """linalg._solve, the int core behind solve and pre_einstein_nice's Gram system,
+    against solve: the same solution, free unknowns 0, or None together."""
+
+    @pytest.mark.parametrize("name", GRAM_ALGEBRAS)
+    def test_gram_systems(self, name):
+        rows, rhs, n = gram_system(GRAM_ALGEBRAS[name]())
+        assert n == {"sl2": 1, "so3": 0}.get(name, n)  # so3's is the empty system
+        assert assert_core_is_solve(rows, rhs, n) is not None  # the Gram lemma
+
+    def test_seeded_random_systems(self):
+        rng, outcomes = random.Random(53), {"none": 0, "free": 0, "unique": 0}
+        for _ in range(400):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
+            dense_rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)]
+                          for _ in range(m)]
+            if dense_rows and rng.random() < 0.3:  # a repeated row makes a singular system
+                dense_rows.append(list(dense_rows[0]))
+            rows = [{j: x for j, x in enumerate(r) if x} for r in dense_rows]
+            rhs = [rng.choice((0, 1, -2, 7)) for _ in rows]
+            x = assert_core_is_solve(rows, rhs, n)
+            rank = Subspace(n, rows).dim
+            outcomes["none" if x is None else "free" if rank < n else "unique"] += 1
+        assert min(outcomes.values()) >= 25, outcomes  # 211 None, 147 with free unknowns
 
 
 class TestCharPoly:

@@ -16,6 +16,7 @@ from nicebasis.almost_abelian import parse_matrix
 from nicebasis.graphs import parse_graph
 from nicebasis.lie import parse_lie
 from nicebasis.scalars import parse_rat, rat
+from test_exact_types import fractions_made
 
 BIG = "1" * 4301  # one digit past the default limit of int(str)
 TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: value has 4301"
@@ -83,19 +84,6 @@ def test_parse_rat_is_rat_and_an_int_exactly_without_a_slash(token):
     value = parse_rat(token, 1)
     assert value == rat(token)
     assert type(value) is (Fraction if "/" in token else int)
-
-
-def fractions_made(monkeypatch, f, *args):
-    made = []
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    out = f(*args)
-    monkeypatch.undo()
-    return out, len(made)
 
 
 def test_integer_text_is_read_without_a_fraction(monkeypatch):
