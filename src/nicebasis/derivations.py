@@ -175,8 +175,8 @@ def pre_einstein_nice(g: LieAlgebra) -> PreEinstein:
     the Gram system G of their int kernel vectors (rescaling them leaves N
     unchanged); they are independent, so G is positive definite by the Gram
     lemma (c^T G c = |sum_a c_a v_a|^2 > 0 at c != 0) and is not tested.  G is
-    solved in ints (linalg._solve): x over one den gives N = diag(w) / den, certified in
-    ints on Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
+    solved in ints (linalg._solve): its coefficients over one den give N = diag(w) / den,
+    certified in ints on Der(g)_0, which pre_einstein_general_check's lemma makes decide Der(g).
     The only Fractions made are the matrix view's, which the spectrum reads.
     """
     if not check_nice(g):
