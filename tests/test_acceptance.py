@@ -5,6 +5,7 @@ pytest -s) and asserts the verdict.  Timing bounds live in the row declarations:
 a row over its bound fails itself, so the verdict holds the bound as well.
 """
 
+import hashlib
 import itertools
 import json
 from types import SimpleNamespace
@@ -121,3 +122,26 @@ def test_every_check_is_one_row_in_definition_order(capsys):
     assert len(set(names)) == len(names) == len(checks)
     assert cli.main(["reproduce", "--json"]) == 0
     assert [row["name"] for row in json.loads(capsys.readouterr().out)["rows"]] == names
+
+
+# the battery's stdout, recorded before the catalog rows were certified in one place
+REPRODUCE_LINES = [
+    "PASS filiform-pre-einstein-closed-form -- n=3..20 certified",
+    "PASS six-dim-certificate -- diagonal (9/32)(1,2,3,3,4,5) certified; basis violates condition 2",
+    "PASS filiform-spectra -- disjoint from the six-dim spectrum for n=3..50; 27/32 < d2 < 9/8 for n>=7",
+    "PASS almost-abelian-counts -- five reference counts plus family n=2..5",
+    "PASS cube-root-of-64-witness -- constructed and reference cyclic witnesses both verify",
+    "PASS three-dim-catalog -- R^3=1; h3=1; aa(A_-1)=2; aa(A_lambda=-1/2)=1; aa(A_lambda=0)=1; aa(A_lambda=1/2)=1; aa(A_lambda=1)=1; aa(D)=0; aa(E_0)=1; aa(E_mu=1)=0; aa(E_mu=2)=0; sl2=2; so3=1",
+    "PASS graph-sweep -- 4396 (graph, class) pairs agree with the weight multiplicities; path dims 10 and 20",
+    "PASS free-nilpotent-dimensions -- 91 (generators, class) pairs match",
+    "PASS structure-facts -- adaptedness, diagonal derivations, abelian extensions",
+]
+REPRODUCE_JSON_SHA256 = "5688130a7a7962473917c47e8a3bcab29f01d94808e6c217c562f8fc0309cff4"
+
+
+def test_reproduce_stdout_is_pinned(capsys):
+    assert cli.main(["reproduce"]) == 0
+    assert capsys.readouterr().out.splitlines() == REPRODUCE_LINES
+    assert cli.main(["reproduce", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_JSON_SHA256
