@@ -2,7 +2,11 @@
 
 Solvable entries are almost abelian R f + R^2 over a 2x2 matrix and their
 counts are recomputed by count_nice, never hardcoded.  The two simple
-entries carry theorem-backed counts with every listed basis re-verified.
+entries carry theorem-backed counts.  Every row is certified once, as it is
+built, by CatalogEntry.verify's checks: each listed basis maps g to a nice
+tensor, and there are nu of them.  A simple row also checks, on the same
+tensors, the cyclic sign pattern of its last basis (mixed for sl2, uniform
+for so3) and, for sl2, that no monomial map joins its two bases.
 
 classify3 reads the R^2 of a solvable row off a lemma: a 3-dimensional g
 with degenerate Killing form and [g, g] not central has the abelian ideal
@@ -18,7 +22,7 @@ from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
 from .lie import LieAlgebra
 from .linalg import Matrix, char_poly, is_positive_definite, rational_roots
-from .nice import check_nice, monomial_equivalent
+from .nice import check_nice, _monomial_search
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
 
@@ -31,21 +35,28 @@ class CatalogEntry(NamedTuple):
     parameter: object = None
 
     def verify(self):
-        for b in self.nice_bases:
-            if not check_nice(self.algebra.change_basis(b)):
-                raise RuntimeError(f"catalog basis for {self.name} is not nice")
-        if len(self.nice_bases) != self.nu:
-            raise RuntimeError(f"catalog entry {self.name} lists wrong basis count")
+        """The row, once each listed basis maps the algebra to a nice tensor
+        and there are nu of them; RuntimeError otherwise."""
+        self._mapped()
         return self
+
+    def _mapped(self):
+        # the tensors of the listed bases, each mapped and checked once
+        tensors = []
+        for b in self.nice_bases:
+            tensors.append(self.algebra.change_basis(b))
+            if not check_nice(tensors[-1]):
+                raise RuntimeError(f"catalog basis for {self.name} is not nice")
+        if len(tensors) != self.nu:
+            raise RuntimeError(f"catalog entry {self.name} lists wrong basis count")
+        return tensors
 
 
 def _aa_entry(name, m, bases, parameter=None):
     nu = count_nice(m)
     if nu is None:
         raise RuntimeError(f"unexpected unknown count for {name}")
-    return CatalogEntry(
-        name, m, build(m).compiled, nu, tuple(bases), parameter
-    ).verify()
+    return CatalogEntry(name, m, build(m).compiled, nu, tuple(bases), parameter).verify()
 
 
 _I3 = Matrix.identity(3)
@@ -64,9 +75,18 @@ def _e_mu_row(mu):
 
 
 def _simple_row(name):
-    """sl2 or so3 with its theorem-backed count, 2 or 1."""
-    alg, nu = (fixtures.sl2(), 2) if name == "sl2" else (fixtures.so3(), 1)
-    return CatalogEntry(name, None, alg, nu, tuple(simple_nice_bases(name))).verify()
+    """sl2 or so3 with its theorem-backed count, 2 or 1, certified as the
+    module docstring says: an sl2 basis is never in so3's uniform-sign class."""
+    sl2 = name == "sl2"
+    alg, nu, bases = (fixtures.sl2(), 2, _A_MINUS1_BASES) if sl2 else (fixtures.so3(), 1, (_I3,))
+    entry = CatalogEntry(name, None, alg, nu, bases)
+    tensors = entry._mapped()
+    if sl2 and _monomial_search(*tensors) is not None:
+        raise RuntimeError("sl2 bases unexpectedly equivalent")
+    signs = cyclic_sign_pattern(tensors[-1])
+    if signs is None or (len(set(signs)) == 1) == sl2:
+        raise RuntimeError(f"{name} sign pattern check failed")
+    return entry
 
 
 def catalog():
@@ -86,30 +106,9 @@ def catalog():
 def simple_nice_bases(which: str):
     """Verified nice bases of sl2 (two, mutually non-monomially-equivalent)
     or so3 (one)."""
-    if which == "sl2":
-        alg = fixtures.sl2()
-        first, second = _A_MINUS1_BASES
-        for b in (first, second):
-            if not check_nice(alg.change_basis(b)):
-                raise RuntimeError("sl2 basis failed the nice check")
-        if monomial_equivalent(alg, first, second) is not None:
-            raise RuntimeError("sl2 bases unexpectedly equivalent")
-        # the second basis is of cyclic type with mixed bracket signs, so it
-        # cannot be in the uniform-sign class (which is so3's)
-        signs = cyclic_sign_pattern(alg.change_basis(second))
-        if signs is None or len(set(signs)) == 1:
-            raise RuntimeError("sl2 sign pattern check failed")
-        return [first, second]
-    if which == "so3":
-        alg = fixtures.so3()
-        first = _I3
-        if not check_nice(alg.change_basis(first)):
-            raise RuntimeError("so3 basis failed the nice check")
-        signs = cyclic_sign_pattern(alg.change_basis(first))
-        if signs is None or len(set(signs)) != 1:
-            raise RuntimeError("so3 sign pattern check failed")
-        return [first]
-    raise ValueError("which must be 'sl2' or 'so3'")
+    if which not in ("sl2", "so3"):
+        raise ValueError("which must be 'sl2' or 'so3'")
+    return list(_simple_row(which).nice_bases)
 
 
 def cyclic_sign_pattern(g: LieAlgebra):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from nicebasis import (
+    catalog3,
+    nice,
     Matrix,
     build,
     reproduce,
@@ -80,6 +82,85 @@ class TestReproduceCheck:
         assert name == "three-dim-catalog"
         assert not ok
         assert detail == "sl2: count 2, paper 1"
+
+    def test_a_basis_that_fails_verification_fails_the_row(self, monkeypatch):
+        # the row reports the broken basis and the battery runs its other rows
+        real = catalog3.check_nice
+        monkeypatch.setattr(catalog3, "check_nice", lambda t: bool(t.brackets) and real(t))
+        name, ok, detail, _ = reproduce.check_catalog_counts()
+        assert (name, ok, detail) == ("three-dim-catalog", False,
+                                      "catalog basis for R^3 is not nice")
+        rows = reproduce.run_all()
+        assert len(rows) == 9
+        assert [r[0] for r in rows if not r[1]] == ["three-dim-catalog"]
+
+
+def counted(monkeypatch, owner, attr, calls):
+    real = getattr(owner, attr)
+
+    def wrapper(*args):
+        calls.append(attr)
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+class TestWork:
+    """Each listed basis is mapped and checked once, in CatalogEntry.verify."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        counted(monkeypatch, LieAlgebra, "change_basis", calls)
+        for module in (catalog3, nice):
+            counted(monkeypatch, module, "check_nice", calls)
+        return calls
+
+    def test_one_catalog_call(self, calls):
+        rows = catalog()
+        assert sum(len(e.nice_bases) for e in rows) == 12
+        assert calls.count("change_basis") == 12
+        assert calls.count("check_nice") == 12
+
+    def test_the_reproduce_row_adds_no_change_of_basis(self, calls):
+        assert reproduce.check_catalog_counts()[1]
+        assert calls.count("change_basis") == 12
+
+
+class TestCertificatesBite:
+    """Every certificate of a row still rejects a broken row."""
+
+    @pytest.fixture
+    def h3(self, entries):
+        return entries["h3"]
+
+    def test_a_basis_that_is_not_nice(self, h3):
+        with pytest.raises(RuntimeError, match="catalog basis for h3 is not nice"):
+            h3._replace(nice_bases=(SHUFFLE,)).verify()
+
+    def test_one_basis_too_many(self, h3):
+        with pytest.raises(RuntimeError, match="wrong basis count"):
+            h3._replace(nice_bases=h3.nice_bases * 2).verify()
+
+    @pytest.mark.parametrize("pattern", [(1, 1, -1), None], ids=["mixed", "none"])
+    def test_so3_sign_pattern(self, monkeypatch, pattern):
+        monkeypatch.setattr(catalog3, "cyclic_sign_pattern", lambda g: pattern)
+        with pytest.raises(RuntimeError, match="so3 sign pattern"):
+            simple_nice_bases("so3")
+        with pytest.raises(RuntimeError):
+            catalog()
+
+    @pytest.mark.parametrize("replaced", [1, 0], ids=["second", "first"])
+    def test_sl2_bases_monomially_equivalent(self, monkeypatch, replaced):
+        # a nice rescaling of the other basis; replacing the first keeps the
+        # mixed signs of the second, so only the monomial search can tell
+        bases = list(catalog3._A_MINUS1_BASES)
+        other = bases[1 - replaced]
+        bases[replaced] = other * Matrix.diagonal([rat(2), rat(-3), rat(5)])
+        assert check_nice(fixtures.sl2().change_basis(bases[replaced]))
+        monkeypatch.setattr(catalog3, "_A_MINUS1_BASES", tuple(bases))
+        with pytest.raises(RuntimeError, match="sl2 bases unexpectedly equivalent"):
+            simple_nice_bases("sl2")
 
 
 class TestSignPattern:
