@@ -75,8 +75,7 @@ def _e_mu_row(mu):
 
 
 def _simple_row(name):
-    """sl2 or so3 with its theorem-backed count, 2 or 1, certified as the
-    module docstring says: an sl2 basis is never in so3's uniform-sign class."""
+    """sl2 or so3 with its theorem-backed count, 2 or 1, certified as above."""
     sl2 = name == "sl2"
     alg, nu, bases = (fixtures.sl2(), 2, _A_MINUS1_BASES) if sl2 else (fixtures.so3(), 1, (_I3,))
     entry = CatalogEntry(name, None, alg, nu, bases)
