@@ -112,7 +112,7 @@ def cmd_pre_einstein(args):
         print(f"error: {err}", file=sys.stderr)
         return 1
     diag = [fmt(c.get(i, 0)) for i, c in enumerate(pe.matrix.columns)]
-    spectrum = [[fmt(v), m] for v, m in sorted(pe.multiplicities().items())]
+    spectrum = [[fmt(v), m] for v, m in pe.multiplicities().items()]
     lines = ["diagonal " + " ".join(diag),
              "spectrum " + " ".join(f"{v}:{m}" for v, m in spectrum)]
     _emit(args, {"diagonal": diag, "spectrum": spectrum}, lines, [args.file])
@@ -132,7 +132,7 @@ def cmd_nu_product(args):
         parts.append((pe, nu))
         factors.append({
             "file": str(path),
-            "spectrum": [[fmt(v), m] for v, m in sorted(pe.multiplicities().items())],
+            "spectrum": [[fmt(v), m] for v, m in pe.multiplicities().items()],
             "nu": nu,
         })
     result = nu_product_rule(parts)

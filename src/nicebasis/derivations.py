@@ -15,7 +15,7 @@ Gram matrix G of linearly independent v_1..v_k is positive definite, as c^T G c
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 from typing import NamedTuple
@@ -26,32 +26,19 @@ from .linalg import Matrix, Subspace, _cleared, _solve, apply_columns, dense
 from .nice import check_nice, roots
 
 
-class DerivationSpace:
+class DerivationSpace(NamedTuple):
     unknowns: dict  # entry (m, i) of D solved for -> its number, in row-major order
     system: Subspace  # the eliminated equations over the numbered unknowns
 
-    def __init__(self, unknowns, system):  # a frozen record, but with a __dict__ for basis
-        self.__dict__.update(unknowns=unknowns, system=system)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, DerivationSpace) and (self.unknowns, self.system) == (
-            other.unknowns, other.system)
-
-    def __repr__(self):
-        return f"DerivationSpace(unknowns={self.unknowns!r}, system={self.system!r})"
-
-    @cached_property
+    @property
     def basis(self):
-        """Sparse {(row, col): value} maps spanning the space, built on first read:
+        """Sparse {(row, col): value} maps spanning the space, built on each read:
         each int_kernel vector over Q, divided by its free entry (its last)."""
         keys = list(self.unknowns)
         return tuple({keys[v]: Q(x, vec[f]) for v, x in vec.items()}
                      for vec in self.system.int_kernel() for f in [max(vec)])
 
-    def __len__(self):
+    def __len__(self):  # the dimension of the space; shadows tuple.__len__
         return len(self.unknowns) - self.system.dim
 
 
@@ -60,6 +47,7 @@ class PreEinstein(NamedTuple):
     spectrum: tuple  # diagonal entries, sorted, with multiplicity
 
     def multiplicities(self):
+        """{value: multiplicity} in increasing order: a Counter keeps the sorted spectrum's."""
         return Counter(self.spectrum)
 
 
@@ -73,7 +61,7 @@ def derivation_space(g: LieAlgebra, weights=None) -> DerivationSpace:
     Unknowns are the n^2 entries of D or, given weights w, those D[m][i]
     with w_m = w_i (Der(g)_0, the derivations commuting with diag(w)),
     numbered densely in row-major order, with _equations's system eliminated
-    in ints; the basis, built on first read, is the canonical one: a vector
+    in ints; the basis, built on each read, is the canonical one: a vector
     per free unknown, in order, 1 there.  w matters only through its
     blocks of equal weight, labelled by their first index; the last space
     built is kept for its (g, labels), so the result is shared: read-only.

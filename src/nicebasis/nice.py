@@ -60,14 +60,16 @@ def check_adapted(g: LieAlgebra):
     """Is each term of both central series spanned by basis vectors it contains?
 
     Returns (True, None) or (False, info) where info names the failing series
-    term and its dimension versus the number of basis vectors inside it.
+    term and its dimension versus the number of basis vectors inside it.  Lemma:
+    e_i lies in a term iff the term's row at pivot i is the unit row {i: 1}: the rows are
+    fully reduced, so e_i's residue is e_i off the pivots, else row i's others over -row[i].
     """
     for label, series in (
         ("lower", g.lower_central_series()),
         ("upper", g.upper_central_series()),
     ):
         for idx, s in enumerate(series):
-            inside = sum(1 for i in range(g.dim) if s.contains({i: ONE}))
+            inside = sum(1 for p, row in s.rows.items() if row == {p: 1})
             if inside != s.dim:
                 return False, {
                     "series": label,

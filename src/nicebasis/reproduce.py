@@ -1,12 +1,12 @@
 """Self-contained verification battery for the library's headline results.
 
 Each row is a check_* function declared once, by _row(name, bound): its body
-returns the row's detail or raises _Fail with it, and the declaration makes it
-return a (name, ok, detail, seconds) row, timed once, and appends it to
-ALL_CHECKS.  run_all() executes the whole battery; the command line front end
-and the test suite both call into this module so there is a single source of
-truth for what "reproduced" means.  Details hold no timings, so name, ok and
-detail are deterministic; a passing row whose seconds reach bound fails.
+returns the row's detail or raises a RuntimeError with it (_Fail, or a failed
+library certificate's), and the declaration makes it return a (name, ok, detail,
+seconds) row, timed once, and appends it to ALL_CHECKS.  run_all() runs them all;
+the command line front end and the test suite both call into this module, the
+single source of truth for what "reproduced" means.  Details hold no timings, so
+name, ok and detail are deterministic; a passing row whose seconds reach bound fails.
 """
 
 import functools
@@ -45,7 +45,7 @@ from . import fixtures
 ALL_CHECKS = []  # the declared rows, in definition order
 
 
-class _Fail(Exception):
+class _Fail(RuntimeError):
     """A failing row, raised with its detail."""
 
 
@@ -57,7 +57,7 @@ def _row(name, bound=None):
             t0 = time.perf_counter()
             try:
                 ok, detail = True, check()
-            except _Fail as fail:
+            except RuntimeError as fail:
                 ok, detail = False, str(fail)
             dt = time.perf_counter() - t0
             if ok and bound is not None and dt >= bound:
@@ -203,10 +203,7 @@ def check_catalog_counts():
     """Every entry of the three-dimensional catalog verifies (catalog()
     certifies each row as it builds it) and its count matches the paper's
     table."""
-    try:
-        rows = catalog()
-    except RuntimeError as err:
-        raise _Fail(str(err))
+    rows = catalog()
     if sorted(e.name for e in rows) != sorted(CATALOG_NU):
         raise _Fail("catalog rows differ from the paper's table")
     for entry in rows:

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from nicebasis import cli, derivations
+from nicebasis import cli, derivations, graphs, reproduce
 from nicebasis.almost_abelian import build, load_matrix
 from nicebasis.cli import main
 from nicebasis.linalg import Matrix
-from nicebasis.nice import check_nice
+from nicebasis.nice import NiceVerdict, check_nice
 from nicebasis.scalars import Q
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,6 +262,29 @@ class TestCatalog3:
         by_name = {row["name"]: row for row in rep["rows"]}
         assert by_name["sl2"]["nu"] == 2
         assert by_name["aa(D)"]["nu"] == 0
+
+
+class TestReproduce:
+    """A library certificate that fails fails its battery row; the battery runs on."""
+
+    def test_a_rejected_graph_basis_fails_the_graph_sweep_row(self, capsys, monkeypatch):
+        real = graphs.check_nice
+        monkeypatch.setattr(graphs, "check_nice",
+                            lambda alg: NiceVerdict(False, ()) if alg.dim == 3 else real(alg))
+        rows = reproduce.run_all()
+        assert len(rows) == 9
+        assert [(name, detail) for name, ok, detail, _ in rows if not ok] == [
+            ("graph-sweep", "defining basis is not nice: ()")]
+        code, out, err = run(capsys, "reproduce")
+        assert code == 1 and "Traceback" not in err
+        assert "FAIL graph-sweep -- defining basis is not nice: ()" in out.splitlines()
+
+    def test_a_failed_trace_certificate_fails_its_rows(self, monkeypatch):
+        monkeypatch.setattr(derivations, "_certify", lambda g, w, den: (False, ("trace", None)))
+        rows = {name: (ok, detail) for name, ok, detail, _ in reproduce.run_all()}
+        assert rows["filiform-pre-einstein-closed-form"] == (
+            False, "trace certification failed: ('trace', None)")
+        assert rows["six-dim-certificate"] == (False, "certification: trace")
 
 
 class TestUsage:

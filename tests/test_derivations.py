@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -18,6 +19,7 @@ from nicebasis.derivations import (
     spectra_disjoint,
     nu_product_rule,
     simple_spectrum_unique,
+    DerivationSpace,
     NotNiceBasis,
     PreEinstein,
 )
@@ -28,6 +30,7 @@ from nicebasis.linalg import Matrix, Subspace, dense, is_positive_definite, solv
 from nicebasis.nice import check_nice, roots
 from nicebasis.scalars import Q, ZERO, rat
 from nicebasis import derivations, fixtures, linalg
+from test_certification_oracle import refuse_basis
 from test_integer_table import LIE_ALGEBRAS, bracket_basis, rational_tables, sparse_kernel
 
 
@@ -161,22 +164,23 @@ class TestDerivationSpace:
         for d in space.basis:
             assert is_derivation(g, d)
 
-    def test_the_system_vanishes_exactly_on_the_space(self):
+    def test_the_system_vanishes_exactly_on_the_space(self, monkeypatch):
         g = fixtures.heisenberg3()
         space = derivation_space(g)
+        # the system is read without building a basis
+        monkeypatch.setattr(DerivationSpace, "basis", property(refuse_basis))
         assert system_vanishes(space, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(2)})
         assert not system_vanishes(space, {(0, 0): rat(1), (1, 1): rat(1), (2, 2): rat(1)})
         assert not system_vanishes(space, {(0, 0): rat(1)})
-        assert "basis" not in space.__dict__  # the system is read without building a basis
 
-    def test_the_weighted_system_leaves_out_other_weights(self):
+    def test_the_weighted_system_leaves_out_other_weights(self, monkeypatch):
         g = fixtures.standard_filiform(5)
         space = derivation_space(g, [1, 2, 3, 4, 5])  # Der(g)_0: the diagonal
+        monkeypatch.setattr(DerivationSpace, "basis", property(refuse_basis))
         ad_e1 = {(2, 1): 1, (3, 2): 1, (4, 3): 1}  # a derivation of weight 1, outside the blocks
         assert is_derivation(g, ad_e1) and not system_vanishes(space, ad_e1)
         assert system_vanishes(space, {(i, i): i + 1 for i in range(5)})
         assert not system_vanishes(space, {(0, 0): 1})
-        assert "basis" not in space.__dict__
 
     @pytest.mark.parametrize("d,message", [
         ({(5, 5): 1}, r"entry \(5, 5\) out of range 0..2"),
@@ -227,6 +231,19 @@ class TestPreEinstein:
     def test_requires_nice_basis(self):
         with pytest.raises(NotNiceBasis):
             pre_einstein_nice(fixtures.n6())
+
+    def test_multiplicities_count_the_spectrum_in_increasing_order(self):
+        accepted = 0
+        for path in sorted(FIXTURES.glob("*.lie")):
+            try:
+                pe = pre_einstein_nice(load_lie(path))
+            except NotNiceBasis:
+                continue
+            accepted += 1
+            mult = pe.multiplicities()
+            assert mult == Counter(pe.spectrum)
+            assert list(mult) == sorted(mult)
+        assert accepted == 12  # all but n6
 
     def test_general_check_accepts_known_diagonal(self):
         ok, why = pre_einstein_general_check(

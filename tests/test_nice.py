@@ -1,7 +1,10 @@
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nicebasis.lie import LieAlgebra, direct_sum, abelian
+from nicebasis.lie import LieAlgebra, direct_sum, abelian, load_lie
 from nicebasis.linalg import Matrix
 from nicebasis.nice import (
     check_nice,
@@ -13,6 +16,34 @@ from nicebasis.nice import (
 from nicebasis.scalars import Q, rat
 from nicebasis import fixtures
 from nicebasis.almost_abelian import build
+
+LIE_FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.lie"))
+
+
+def rational_conjugate(g, seed):
+    """g in a seeded basis: the identity with random rational scales on the diagonal
+    and a few random rational entries off it, so some series terms stay adapted."""
+    rng = random.Random(seed)
+    n = g.dim
+    cols = [{i: Q(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 5)))} for i in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        r, c = rng.sample(range(n), 2)
+        cols[c][r] = Q(rng.randint(-3, 3), rng.choice((1, 2, 7)))
+    while not Matrix.from_columns(cols, n).det():  # rare: an off-diagonal pair cancels
+        cols[rng.randrange(n)] = {rng.randrange(n): Q(1)}
+    return g.change_basis(Matrix.from_columns(cols, n))
+
+
+def reference_adapted(g):
+    """check_adapted as it was: e_i inside a term when its residue there is zero."""
+    for label, series in (("lower", g.lower_central_series()),
+                          ("upper", g.upper_central_series())):
+        for idx, s in enumerate(series):
+            inside = sum(1 for i in range(g.dim) if s.contains({i: Q(1)}))
+            if inside != s.dim:
+                return False, {"series": label, "term": idx, "subspace_dim": s.dim,
+                               "basis_vectors_inside": inside}
+    return True, None
 
 
 class TestCheckNice:
@@ -60,6 +91,21 @@ class TestAdapted:
         p = Matrix.from_columns([{0: rat(1)}, {1: rat(1)}, {0: rat(1), 2: rat(1)}], 3)
         assert check_adapted(fixtures.heisenberg3().change_basis(p)) == (False, {
             "series": "lower", "term": 1, "subspace_dim": 1, "basis_vectors_inside": 0})
+
+    def test_unit_rows_count_the_basis_vectors_inside_each_term(self):
+        # check_adapted's lemma: e_i is in s iff row i of s is the unit row {i: 1}
+        seen = set()  # (series, is the term adapted), over every term met
+        for path in LIE_FIXTURES:
+            for seed in range(6):
+                h = rational_conjugate(load_lie(path), f"{path.stem}-{seed}")
+                for label, series in (("lower", h.lower_central_series()),
+                                      ("upper", h.upper_central_series())):
+                    for s in series:
+                        inside = {i for i in range(h.dim) if s.contains({i: Q(1)})}
+                        assert {p for p, row in s.rows.items() if row == {p: 1}} == inside
+                        seen.add((label, len(inside) == s.dim))
+                assert check_adapted(h) == reference_adapted(h)
+        assert seen == {(label, ok) for label in ("lower", "upper") for ok in (True, False)}
 
     @given(st.permutations(list(range(4))),
            st.lists(st.sampled_from([1, 2, -1, 3]), min_size=4, max_size=4))

@@ -1,10 +1,14 @@
-"""The result records: ten immutable NamedTuples and DerivationSpace, a plain class.
+"""The result records: eleven immutable NamedTuples.
 
 Each keeps its field names and order, compares and hashes by its fields, refuses
 assignment to a field and prints as ClassName(field=value, ...).  NiceVerdict and
 ExistsVerdict read as their verdict; an equal GraphSpec is served by the quotient
-cache; DerivationSpace builds its basis once.
+cache; DerivationSpace, whose unknowns are a dict, refuses hash, gives its
+dimension as len() and builds its basis on each read.
 """
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from nicebasis.scalars import Q
 
 A = Matrix([[1, 0], [0, -1]])
 FACTORS = BinomialFactorization.of([(1, 1), (1, -1)])
+H3_DIAGONAL = derivation_space(fixtures.heisenberg3(), range(3))
 
 # type -> (its field names in their old order, field values for one record)
 RECORDS = {
@@ -41,32 +46,25 @@ RECORDS = {
                     ("yes", Matrix.identity(3), None, FACTORS)),
     Analysis: (("a", "nilpotent", "semisimple", "factorizations", "irrational"),
                (A, False, True, (FACTORS,), False)),
+    DerivationSpace: (("unknowns", "system"), (H3_DIAGONAL.unknowns, H3_DIAGONAL.system)),
 }
-TYPES = list(RECORDS) + [DerivationSpace]
 
 
 def record(cls):
-    """A record of cls with fresh field values where they compare by value."""
-    if cls is DerivationSpace:
-        return derivation_space(fixtures.heisenberg3(), range(3))
     return cls(*RECORDS[cls][1])
 
 
 def fields(cls):
-    return RECORDS[cls][0] if cls in RECORDS else ("unknowns", "system")
+    return RECORDS[cls][0]
 
 
-@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_fields_keep_their_order(cls):
     assert cls._fields == fields(cls)
     assert tuple(record(cls)) == RECORDS[cls][1]
 
 
-def test_derivation_space_fields_keep_their_order():
-    assert tuple(DerivationSpace.__annotations__) == fields(DerivationSpace)
-
-
-@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_equal_fields_give_equal_records(cls):
     r, s = record(cls), record(cls)
     assert r is not s and r == s and not r != s
@@ -77,7 +75,7 @@ def test_equal_fields_give_equal_records(cls):
         assert hash(r) == hash(s) == hash(tuple(getattr(r, f) for f in fields(cls)))
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_a_field_cannot_be_assigned(cls):
     r = record(cls)
     for f in fields(cls):
@@ -87,7 +85,7 @@ def test_a_field_cannot_be_assigned(cls):
         assert getattr(r, f) is before
 
 
-@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
 def test_repr_names_each_field(cls):
     r = record(cls)
     body = ", ".join(f"{f}={getattr(r, f)!r}" for f in fields(cls))
@@ -136,8 +134,26 @@ def test_an_equal_spec_is_served_by_the_quotient_cache():
     assert graphs._quotient.cache_info().hits == 1
 
 
-def test_the_derivation_space_basis_is_built_once():
+def test_the_derivation_space_basis_is_built_on_each_read():
     s = derivation_space(fixtures.heisenberg3())
-    assert "basis" not in vars(s)
-    assert s.basis is s.basis
-    assert len(s.basis) == len(s) == 6
+    assert s.basis == s.basis
+    assert len(s) == len(s.basis) == 6
+    assert s == tuple(s) == (s.unknowns, s.system)  # a plain tuple of its fields
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"
+
+
+def classes_with_fields():
+    """(module, class, its bases) for each class in src/ whose body annotates a field."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.AnnAssign) for item in node.body):
+                yield path.stem, node.name, [ast.unparse(b) for b in node.bases]
+
+
+def test_every_record_is_a_named_tuple():
+    found = list(classes_with_fields())
+    assert {name for _, name, _ in found} == {cls.__name__ for cls in RECORDS}
+    assert [(m, name) for m, name, bases in found if bases != ["NamedTuple"]] == []
