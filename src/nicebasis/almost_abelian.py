@@ -27,6 +27,7 @@ import math
 from typing import NamedTuple
 
 from .scalars import Q, ONE, fmt, lines, parse_int, parse_rat
+from . import fixtures
 from .lie import LieAlgebra
 from .linalg import (
     Matrix,
@@ -35,11 +36,10 @@ from .linalg import (
     _convolve,
     _divide,
     _int_roots,
+    _radical,
     _scaled,
-    _sturm,
     apply_columns,
     char_poly,
-    count_real_roots,
     int_gcd,
     kernel_chain,
     minimal_polynomial,
@@ -111,9 +111,9 @@ def _binomial_divisors(p: Poly):
         g = functools.reduce(lambda g, cls: int_gcd(g, cls) if len(g) > 1 else g,
                              reversed(classes.values()))
         if len(g) > 1:
-            roots = _int_roots(g)
+            roots, real = _int_roots(g)
             divisors += [(d, Q(num, den)) for num, den, _ in roots if num]
-            irrational |= count_real_roots(g) > len(roots)  # on the chain _int_roots built
+            irrational |= real > len(roots)
     return sorted(divisors), irrational
 
 
@@ -235,9 +235,9 @@ class Analysis(NamedTuple):
 
 def _squarefree_part(p: Poly):
     """(q = p / x^k, whether q is squarefree) for monic p, x^k the highest power of x dividing
-    p: iff its squarefree part, the head of _sturm(q), which _binomial_divisors reuses, is q."""
+    p: iff q's _radical, whose chain _binomial_divisors reuses, has q's degree."""
     q = p.ints[next(k for k, x in enumerate(p.ints) if x):]
-    return _scaled(q, 1), len(_sturm(q)[1][0]) == len(q)
+    return _scaled(q, 1), len(_radical(q)) == len(q)
 
 
 @functools.lru_cache(maxsize=1)  # count_nice(a) then exists_nice(a) share one
@@ -280,7 +280,7 @@ def _witness_basis(a: Matrix, fact):
     Nilpotent part: Jordan chains w, Aw, ... (subdiagonal-ones blocks), none when
     fact has degree n (A invertible).  Factor f_i = x^d - r of q, the product of
     fact: a cyclic chain w, Aw, ..., A^(d-1)w for w = g_i(A) v, g_i = x^k rad(q) / f_i
-    (k = n - deg q, rad(q) = q / gcd(q, q') up to sign, the head of q's _sturm chain, and
+    (k = n - deg q, rad(q) = q / gcd(q, q') up to sign, q's _radical, and
     rad(q) = q when they are pairwise coprime (_clashes), as for a squarefree q), read
     off the int Krylov sequence of the candidate v, one per call for all factors,
     and added to the one span of the chains by _cyclic_chain.  No power of A and
@@ -305,7 +305,7 @@ def _witness_basis(a: Matrix, fact):
         scale = math.lcm(*(r.denominator for _, r in fact.factors))
         scaled = [(d, r.numerator * scale**d // r.denominator) for d, r in fact.factors]
         if any(mask & (mask - 1) for mask in _clashes(scaled)):  # two factors share a root
-            rad = _sturm(tuple(q))[1][0]
+            rad = _radical(q)
         krylov = {}  # candidate number -> v, Nv, ...: kept for this call only
         for (d, _), f in zip(fact.factors, binomials):
             g = [0] * (n - fact.degree) + _divide(rad, f)
@@ -380,34 +380,26 @@ def indecomposable_family(n: int) -> AlmostAbelian:
         raise ValueError("need n >= 2")
     if n > 8:
         raise ValueError("family capped at n = 8 (matrix size 128)")
-    size = 2 ** (n - 1)  # e_j -> e_(j+1), the last back to e_1
-    return build(Matrix._of(size, [{(j + 1) % size: 1} for j in range(size)]))
+    return build(fixtures.matrix_cyclic(2 ** (n - 1)))
 
 
 def iso_test_almost_abelian(a: Matrix, b: Matrix):
     """Sufficient isomorphism test: is a similar to c*b for some rational c?
 
-    Candidate scalars come from ratios of characteristic coefficients, and
-    each is decided by the exact similarity test.  Only rational c are
-    tried, so a None result means "not established", not "not isomorphic".
+    Each candidate scalar is decided by the exact similarity test.  A valid c
+    has c^k = a_k / b_k at every k (a_k, b_k the coefficients of x^(n-k) in the
+    characteristic polynomials), so the nonzero rational roots of one binomial,
+    at b's first b_k != 0, hold them all; with none, c = 1 is tried, which for
+    a nilpotent b decides, as scaling preserves Jordan type.  Only rational c
+    are tried, so a None result means "not established", not "not isomorphic".
     """
     if a.rows != b.rows:
         return None
-    n = a.rows
-    pa, pb = char_poly(a), char_poly(b)
-    candidates = set()
-    for k in range(1, n + 1):
-        ca, cb = pa.coeffs[n - k], pb.coeffs[n - k]
-        if (ca == 0) != (cb == 0):
-            return None
-        if cb != 0:
-            for root, _ in rational_roots(Poly.binomial(k, ca / cb)):
-                if root != 0:
-                    candidates.add(root)
-    if not candidates:
-        candidates = {ONE}  # both nilpotent: scaling preserves Jordan type
+    n, pa, pb = a.rows, char_poly(a).coeffs, char_poly(b).coeffs
+    k = next((k for k in range(1, n + 1) if pb[n - k]), None)
+    roots = rational_roots(Poly.binomial(k, pa[n - k] / pb[n - k])) if k else []
     # positive scalars first, then by magnitude, for a stable simplest witness
-    for c in sorted(candidates, key=lambda x: (x < 0, abs(x))):
+    for c in sorted((r for r, _ in roots if r), key=lambda x: (x < 0, abs(x))) or [ONE]:
         if similar(a, b * c):
             return c, "similar"
     return None

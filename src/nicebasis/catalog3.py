@@ -15,13 +15,12 @@ C([g, g]) of codimension 1; with [g, g] central and nonzero, g is h3.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .scalars import Q, ZERO, ONE, sign
 from . import fixtures
 from .lie import LieAlgebra
-from .linalg import Matrix, char_poly, is_positive_definite, rational_roots
+from .linalg import Matrix, Poly, char_poly, is_positive_definite, rational_roots
 from .nice import check_nice, _monomial_search
 from .almost_abelian import build, count_nice, iso_test_almost_abelian
 
@@ -175,12 +174,9 @@ def _match_2x2(a: Matrix):
     tr, det = p.coeffs[1] * -1, p.coeffs[0]
     disc = tr * tr - 4 * det
     if disc > 0 or (disc == 0 and _is_scalar(a)):
-        roots = rational_roots(p)
-        if sum(m for _, m in roots) != 2:
+        eigs = [r for r, m in rational_roots(p) for _ in range(m)]
+        if len(eigs) != 2:
             return None  # irrational real eigenvalues: outside the catalog samples
-        eigs = []
-        for r, m in roots:
-            eigs.extend([r] * m)
         e1, e2 = sorted(eigs, key=lambda x: -abs(x))
         # |lam| <= 1, nonzero denominator since not nilpotent
         entry = _a_lambda_row(e2 / e1)
@@ -188,21 +184,14 @@ def _match_2x2(a: Matrix):
         # repeated nonzero eigenvalue, not diagonalizable
         entry = _aa_entry("aa(D)", fixtures.matrix_d(), [])
     else:
-        # complex pair alpha +- beta i with beta != 0; mu = |alpha/beta|
-        alpha = tr / 2
-        beta_sq = -disc / 4  # beta^2
-        mu = _rational_sqrt(alpha * alpha / beta_sq)
-        if mu is None:
+        # complex pair alpha +- beta i, beta != 0: mu = |alpha / beta|, the root >= 0 of
+        # x^2 - alpha^2 / beta^2 = x^2 - tr^2 / -disc
+        roots = rational_roots(Poly.binomial(2, tr * tr / -disc))
+        if not roots:
             return None
-        entry = _e_mu_row(mu)
+        entry = _e_mu_row(roots[-1][0])
     return entry if iso_test_almost_abelian(a, entry.matrix) is not None else None
 
 
 def _is_scalar(a: Matrix):
     return a[0, 1] == 0 and a[1, 0] == 0 and a[0, 0] == a[1, 1]
-
-
-def _rational_sqrt(q):
-    """The rational square root of q >= 0, or None when it is irrational."""
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    return Q(rn, rd) if rn * rn == q.numerator and rd * rd == q.denominator else None

@@ -38,7 +38,8 @@ class DerivationSpace(NamedTuple):
         return tuple({keys[v]: Q(x, vec[f]) for v, x in vec.items()}
                      for vec in self.system.int_kernel() for f in [max(vec)])
 
-    def __len__(self):  # the dimension of the space; shadows tuple.__len__
+    @property
+    def dim(self):
         return len(self.unknowns) - self.system.dim
 
 

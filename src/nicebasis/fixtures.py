@@ -76,12 +76,8 @@ def matrix_e(mu) -> Matrix:
 
 
 def matrix_cyclic(size: int) -> Matrix:
-    """Cyclic shift matrix (companion of x^size - 1)."""
-    m = [[0] * size for _ in range(size)]
-    for i in range(1, size):
-        m[i][i - 1] = 1
-    m[0][size - 1] = 1
-    return Matrix(m)
+    """Cyclic shift matrix (companion of x^size - 1): e_j -> e_(j+1), the last back to e_1."""
+    return Matrix._of(size, [{(j + 1) % size: 1} for j in range(size)])
 
 
 def matrix_root64() -> Matrix:

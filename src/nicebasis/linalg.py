@@ -12,9 +12,9 @@ tests stable.  The characteristic and minimal polynomials are read off tagged
 int Krylov vectors in a Subspace, as the primitive int list that a Poly keeps
 beside its Fractions.  Polynomial work runs on int coefficient lists (products,
 exact quotients by the one division _divide, almost_abelian's walk included,
-primitive pseudo-remainders, and one Sturm chain that counts and isolates real roots).
-The one elimination over Z, solve_integer_system (extended-gcd column
-echelon form), solves the scale exponents of monomial equivalence.
+primitive pseudo-remainders, and one Sturm chain, read by _int_roots for real roots and by
+_radical for the squarefree part).  The one elimination over Z, solve_integer_system
+(extended-gcd column echelon form), solves the scale exponents of monomial equivalence.
 """
 
 from __future__ import annotations
@@ -560,7 +560,7 @@ def int_gcd(a, b) -> list:
     return a
 
 
-@functools.lru_cache(maxsize=1)  # _binomial_divisors reads roots and count off one chain
+@functools.lru_cache(maxsize=1)  # analyze's squarefree test, then _binomial_divisors at d = 1
 def _sturm(c):
     """(k, chain) for the nonzero int tuple c = x^k c0: c0, c0', negated int_prems to a constant
     or to a gcd g, then each over primitive(g), the Sturm chain of c0's squarefree part s."""
@@ -592,16 +592,18 @@ def _variations(chain, m, a):
 
 
 def _int_roots(c):
-    """Rational roots of the nonzero int list c, [(num, den, mult)] in lowest terms sorted by den,
-    then num: past c's x-power, bisection of (-b, b] on _sturm's chain, b = a + max |s_i| with
-    a = |lc(s)|.  A rational root is y / a, y an integer and |y| < b (Cauchy), so halves with no
-    variation change go, and at width 1 hi / a is a root iff s(hi / a) = 0.  A squarefree c has
-    multiplicities 1; else c is divided by den x - num while exact."""
+    """(roots, real) for the nonzero int list c: its rational roots, [(num, den, mult)] in lowest
+    terms sorted by den, then num, and its count of distinct real roots, V(-inf) - V(inf) on
+    _sturm's chain, plus 1 if 0 is a root.  Past c's x-power the roots come by bisection of
+    (-b, b] on the chain, b = a + max |s_i| with a = |lc(s)|.  A rational root is y / a, y an
+    integer and |y| < b (Cauchy), so halves with no variation change go, and at width 1 hi / a
+    is a root iff s(hi / a) = 0.  A squarefree c has multiplicities 1; else c is divided by
+    den x - num while exact."""
     k, chain = _sturm(c := tuple(c))
     c, s, roots = c[k:], chain[0], [(0, 1, k)] if k else []
     a, squarefree = abs(s[-1]), len(s) == len(c)
     b = a + max(map(abs, s))
-    todo = [(-b, _variations(chain, -1, 0), b, _variations(chain, 1, 0))]
+    todo = [(-b, bottom := _variations(chain, -1, 0), b, top := _variations(chain, 1, 0))]
     while todo:
         lo, v, hi, w = todo.pop()
         if v != w and hi - lo > 1:
@@ -614,7 +616,14 @@ def _int_roots(c):
                 c, mult = q, mult + 1
             roots.append((num, den, mult))
     roots.sort(key=lambda t: (t[1], t[0]))
-    return roots
+    return roots, bottom - top + (k > 0)
+
+
+def _radical(c):
+    """The squarefree part of the nonzero int list c = x^k c0, c0(0) != 0: the head of
+    _sturm's chain, c0 / gcd(c0, c0') up to sign, times x if k > 0."""
+    k, chain = _sturm(tuple(c))
+    return [0] * min(k, 1) + list(chain[0])
 
 
 def rational_roots(p: Poly):
@@ -622,13 +631,7 @@ def rational_roots(p: Poly):
     denominator, then value: _int_roots on p.ints."""
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root set")
-    return [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)]
-
-
-def count_real_roots(c) -> int:
-    """Distinct real roots of the nonzero int list c: 0 if a root, + V(-inf) - V(inf) on _sturm."""
-    k, chain = _sturm(tuple(c))
-    return _variations(chain, -1, 0) - _variations(chain, 1, 0) + (k > 0)
+    return [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)[0]]
 
 
 def _divide(c, g):
@@ -722,8 +725,7 @@ def similar(a: Matrix, b: Matrix) -> bool:
     if phi != char_poly(b).ints or (
             (mu := minimal_polynomial(a).ints) != minimal_polynomial(b).ints):
         return False
-    k, chain = _sturm(tuple(cofactor := _divide(phi, mu)))  # squarefree: x^k chain[0], k <= 1
-    if k <= 1 and len(chain[0]) + k == len(cofactor):
+    if len(_radical(cofactor := _divide(phi, mu))) == len(cofactor):  # squarefree
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)
 

@@ -10,7 +10,8 @@ each definition of every such name the reason it stays.
 Outside linalg.py, the int core of a Subspace (_reduce, _add) is called only
 where CORE_CALLERS names the caller with its reason.  Only linalg._cleared reads
 .denominator to clear denominators; DENOMINATOR_READS names each other read
-with its reason.
+with its reason.  Only linalg.py reads the Sturm chain _sturm: roots, real-root counts
+and squarefree parts come through _int_roots, rational_roots and _radical.
 """
 
 import ast
@@ -39,6 +40,13 @@ SHARED = {
             "_witness_basis builds no nilpotent chains when it equals n",
         "linalg.py:Poly.degree": "the degree that _enumerate's factorizations sum to",
     },
+    "dim": {
+        "derivations.py:DerivationSpace.dim":
+            "no caller in src/: the dimension of Der(g) or Der(g)_0 for callers outside, "
+            "named as a Subspace's",
+        "linalg.py:Subspace.dim": "a span's rank, which _intertwiners, _witness_basis and "
+                                  "classify3 read",
+    },
 }
 
 # module:function -> why it calls Subspace._reduce or _add, which take int vectors
@@ -64,7 +72,6 @@ DENOMINATOR_READS = {
         "x^d - r is den x^d - num as a primitive int binomial, and L^d r an int for _clashes",
     "scalars.py:_coprime_base":
         "refines the denominators with the numerators into one coprime base",
-    "catalog3.py:_rational_sqrt": "takes the square root of numerator and denominator apart",
 }
 
 
@@ -161,6 +168,13 @@ def attribute_reads(*attrs):
 
 def test_only_cleared_and_the_allowed_sites_read_denominators():
     assert attribute_reads("denominator") == {"linalg.py:_cleared", *DENOMINATOR_READS}
+
+
+def test_only_linalg_reads_the_sturm_chain():
+    # the chain's layout (k, [s, s', ...]) is linalg's to change
+    readers = {p.name for p in PACKAGE.glob("*.py")
+               if any(name == "_sturm" for name, _ in references(ast.parse(p.read_text())))}
+    assert readers == {"linalg.py"}
 
 
 def test_each_caller_of_the_subspace_core_outside_linalg_has_its_reason():

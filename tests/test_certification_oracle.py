@@ -441,7 +441,7 @@ class TestZeroWeightSpace:
                        for d in space.basis for (r, c), x in d.items())
             mine = Subspace(n * n, [{r * n + c: x for (r, c), x in d.items()}
                                     for d in space.basis])
-            assert mine.dim == len(space)
+            assert mine.dim == space.dim
             assert mine == zero_weight_part(g, weights)
 
     @pytest.mark.parametrize("name", sorted(FILIFORM))
@@ -499,7 +499,7 @@ class TestSameAsZeroWeightReference:
             space = derivation_space(g, weights)
             ref = reference_weighted_derivation_space(g, weights).basis
             assert [ordered(d) for d in space.basis] == [ordered(d) for d in ref]
-            assert len(space) == len(ref)
+            assert space.dim == len(ref)
 
     @pytest.mark.parametrize("name", sorted(ALGEBRAS))
     def test_verdicts_and_counterexamples_equal(self, name):

@@ -4,7 +4,7 @@ Each keeps its field names and order, compares and hashes by its fields, refuses
 assignment to a field and prints as ClassName(field=value, ...).  NiceVerdict and
 ExistsVerdict read as their verdict; an equal GraphSpec is served by the quotient
 cache; DerivationSpace, whose unknowns are a dict, refuses hash, gives its
-dimension as len() and builds its basis on each read.
+dimension as dim, so that _replace and _make work, and builds its basis on each read.
 """
 
 import ast
@@ -23,7 +23,7 @@ from nicebasis.almost_abelian import (
 from nicebasis.catalog3 import CatalogEntry
 from nicebasis.derivations import DerivationSpace, PreEinstein, derivation_space
 from nicebasis.graphs import GraphSpec, LyndonBasis, graph_algebra
-from nicebasis.linalg import Matrix
+from nicebasis.linalg import Matrix, Subspace
 from nicebasis.nice import MonomialMap, NiceVerdict, check_nice
 from nicebasis.scalars import Q
 
@@ -137,8 +137,17 @@ def test_an_equal_spec_is_served_by_the_quotient_cache():
 def test_the_derivation_space_basis_is_built_on_each_read():
     s = derivation_space(fixtures.heisenberg3())
     assert s.basis == s.basis
-    assert len(s) == len(s.basis) == 6
+    assert s.dim == len(s.basis) == 6
     assert s == tuple(s) == (s.unknowns, s.system)  # a plain tuple of its fields
+
+
+def test_a_derivation_space_round_trips_through_replace_and_make():
+    # both count the fields with len(), which a dimension-valued __len__ broke
+    s = derivation_space(fixtures.heisenberg3())
+    unsolved = s._replace(system=Subspace(len(s.unknowns)))
+    assert unsolved.unknowns is s.unknowns and unsolved.dim == len(s.unknowns) == 9
+    assert unsolved._replace(system=s.system) == s
+    assert DerivationSpace._make([s.unknowns, s.system]) == s
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nicebasis"

@@ -1,7 +1,7 @@
 """The integer root routines and almost abelian analysis against the Fraction
 code that they replaced.
 
-rational_roots, count_real_roots and _binomial_divisors now run on Python
+rational_roots, _int_roots's real-root count and _binomial_divisors run on Python
 ints (primitive pseudo-remainders, exact synthetic division, bisection on one
 integer Sturm chain), and _enumerate works on the monic integer transform, by
 pairwise coprime sets for a squarefree polynomial and else with a memo of
@@ -46,8 +46,8 @@ from nicebasis.linalg import (
     _convolve,
     _divide,
     _int_roots,
+    _radical,
     char_poly,
-    count_real_roots,
     int_gcd,
     int_prem,
     primitive,
@@ -350,7 +350,7 @@ class TestRootsVsFractionReference:
     @settings(max_examples=80, deadline=None)
     @given(inputs)
     def test_real_root_count(self, p):
-        got = count_real_roots(p.ints)
+        got = _int_roots(p.ints)[1]
         assert got == reference_count_real_roots(p)
         assert got == sympy_real_root_count(p)
 
@@ -366,7 +366,14 @@ class TestRootsVsFractionReference:
                 linear_factor = Poly([rng.randint(-4, 4), rng.randint(1, 3)])
                 f = rng.choice([linear_factor, linear_factor, *QUADRATICS])
                 p = mul(p, *[f] * rng.randint(1, 3))
-            assert count_real_roots(p.ints) == sympy_poly(p).sqf_part().count_roots()
+            assert _int_roots(p.ints)[1] == sympy_poly(p).sqf_part().count_roots()
+
+    @settings(max_examples=80, deadline=None)
+    @given(inputs)
+    def test_radical_vs_sympy(self, p):
+        # the squarefree part up to a scalar, x once when x divides p
+        got = sympy.Poly(list(reversed(_radical(p.ints))), X, domain="QQ")
+        assert got.monic() == sympy_poly(p).sqf_part().monic()
 
     @settings(max_examples=60, deadline=None)
     @given(inputs)
@@ -537,11 +544,11 @@ class TestSturmRootFinder:
 
     def test_int_roots_match_reference_on_char_polys(self):
         for p in finder_corpus():
-            got = [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)]
+            got = [(Q(num, den), mult) for num, den, mult in _int_roots(p.ints)[0]]
             assert got == reference_rational_roots(p), p
 
     def test_zero_polynomial_is_refused(self):
-        for finder in (_int_roots, count_real_roots):
+        for finder in (_int_roots, _radical):
             with pytest.raises(ValueError):
                 finder([])
 
@@ -549,7 +556,7 @@ class TestSturmRootFinder:
         rng = random.Random(9)
         for _ in range(100):
             c, want = planted(rng)
-            assert _int_roots(c) == want, c
+            assert _int_roots(c)[0] == want, c
 
 
 # --- Analysis.count is the number of factorizations -------------------------
