@@ -26,7 +26,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .scalars import Q, ONE, fmt, lines, parse_int, parse_rat
+from .scalars import DIMENSION_CAP, ONE, Q, fmt, lines, parse_int, parse_rat
 from . import fixtures
 from .lie import LieAlgebra
 from .linalg import (
@@ -118,19 +118,17 @@ def _binomial_divisors(p: Poly):
 
 
 def _clashes(binomials):
-    """For each x^a - r of binomials (a, r), the mask of the x^b - s that share a root
-    with it, itself included: r^(b/g) = s^(a/g) (the lemma in _enumerate), tested on
-    the ints L^a r for one L != 0, which scales both sides by L^(ab/g)."""
-    return [sum(1 << j for j, (b, s) in enumerate(binomials)
-                if r ** (b // math.gcd(a, b)) == s ** (a // math.gcd(a, b)))
-            for a, r in binomials]
+    """For each den x^a - num of binomials (a, num, den), the mask of those sharing a root
+    with it, itself included: r^u = s^v for g = gcd(a, b), u = b/g, v = a/g (the lemma in
+    _enumerate), cross-multiplied in ints."""
+    return [sum(1 << j for j, (b, m, e) in enumerate(binomials)
+                if num ** (u := b // (g := math.gcd(a, b))) * e ** (v := a // g) == m**v * den**u)
+            for a, num, den in binomials]
 
 
 def _enumerate(p: Poly, divisors, squarefree):
-    """Factorizations of monic p over divisors (sorted, every binomial dividing p)
-    as sorted tuples, each once, in lexicographic order of divisor indices.  The
-    walk runs on the monic integer L^n p(y/L), L the lcm of the denominators of
-    p.ints / p.ints[-1], where x^d - r becomes y^d - L^d r, integral by Gauss's lemma.
+    """Factorizations of monic p over divisors (sorted (d, r), each x^d - r dividing p) as
+    sorted tuples, each once, in lexicographic order of divisor indices.
 
     Lemma: for r, s != 0 and g = gcd(a, b), x^a - r and x^b - s share a root iff
     r^(b/g) = s^(a/g), and then their gcd is x^g - t, t = r^u s^v, ua + vb = g: a
@@ -139,41 +137,40 @@ def _enumerate(p: Poly, divisors, squarefree):
     coprime divisors whose degrees sum to deg p, which sets(i, left, banned) lists
     from index i on by one clash mask per divisor (_clashes), dividing nothing.  Otherwise
     factors may share a root, as x^2 - 1 and x^3 - 1 do in their product: walk(c, i)
-    lists, once per call, the factorizations of the quotient c by divisors i on, each
-    next quotient by y^d - L^d r taken with _divide, the one division in Z[x].
+    lists, once per call, the factorizations of the quotient c, from p.ints, by divisors
+    i on, each next quotient by the primitive den x^d - num, r = num / den in lowest terms,
+    taken with _divide, the one division in Z[x]: exact there iff in Q[x], both being
+    primitive (Gauss's lemma).
     """
-    n, lead = p.degree, p.ints[-1]
-    scale = math.lcm(*(lead // math.gcd(x, lead) for x in p.ints))
-    binomials = [(d, r.numerator * scale**d // r.denominator) for d, r in divisors]
+    binomials = [(d, r.numerator, r.denominator) for d, r in divisors]
     if squarefree:
         clash = _clashes(binomials)
 
         def sets(start, left, banned):
             if not left:
                 yield ()
-            for i, (d, _) in enumerate(binomials[start:], start):
+            for i, (d, _) in enumerate(divisors[start:], start):
                 if d > left:
                     break
                 if not banned >> i & 1:
                     yield from ((i,) + t for t in sets(i + 1, left - d, banned | clash[i]))
 
-        return [tuple(divisors[i] for i in t) for t in sets(0, n, 0)]
+        return [tuple(divisors[i] for i in t) for t in sets(0, p.degree, 0)]
 
     @functools.cache
     def walk(c, start):
         if len(c) == 1:
             return [()]
         out = []
-        for i, (d, r) in enumerate(binomials[start:], start):
+        for i, (d, num, den) in enumerate(binomials[start:], start):
             if d >= len(c):
                 break
-            q = _divide(c, [-r] + [0] * (d - 1) + [1])
+            q = _divide(c, [-num] + [0] * (d - 1) + [den])
             if q is not None:
                 out.extend((i,) + t for t in walk(tuple(q), i))
         return out
 
-    top = tuple(x * scale ** (n - k) // lead for k, x in enumerate(p.ints))
-    return [tuple(divisors[i] for i in t) for t in walk(top, 0)]
+    return [tuple(divisors[i] for i in t) for t in walk(p.ints, 0)]
 
 
 class ExistsVerdict(NamedTuple):
@@ -300,11 +297,10 @@ def _witness_basis(a: Matrix, fact):
     n = a.rows
     chains, span = ([], Subspace(n)) if fact and fact.degree == n else _nilpotent_chains(a)
     if fact is not None:
-        binomials = [[-r.numerator] + [0] * (d - 1) + [r.denominator] for d, r in fact.factors]
+        triples = [(d, r.numerator, r.denominator) for d, r in fact.factors]
+        binomials = [[-num] + [0] * (d - 1) + [den] for d, num, den in triples]
         rad = q = functools.reduce(_convolve, binomials)
-        scale = math.lcm(*(r.denominator for _, r in fact.factors))
-        scaled = [(d, r.numerator * scale**d // r.denominator) for d, r in fact.factors]
-        if any(mask & (mask - 1) for mask in _clashes(scaled)):  # two factors share a root
+        if any(mask & (mask - 1) for mask in _clashes(triples)):  # two factors share a root
             rad = _radical(q)
         krylov = {}  # candidate number -> v, Nv, ...: kept for this call only
         for (d, _), f in zip(fact.factors, binomials):
@@ -378,8 +374,9 @@ def indecomposable_family(n: int) -> AlmostAbelian:
     """Cyclic 2^(n-1) x 2^(n-1) matrix whose algebra has exactly n nice bases."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if n > 8:
-        raise ValueError("family capped at n = 8 (matrix size 128)")
+    if n > (DIMENSION_CAP - 1).bit_length():  # 2^(n-1) + 1 > DIMENSION_CAP, with no power formed
+        size = 2 ** (n - 1) + 1 if n <= DIMENSION_CAP else f"2^{n - 1} + 1"
+        raise ValueError(f"dimension {size} exceeds {DIMENSION_CAP}")
     return build(fixtures.matrix_cyclic(2 ** (n - 1)))
 
 
@@ -421,10 +418,8 @@ def parse_matrix(text: str) -> Matrix:
 
 
 def serialize_matrix(a: Matrix) -> str:
-    lines = [str(a.rows)]
-    for row in a.data:
-        lines.append(" ".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = [str(a.rows)] + [" ".join(fmt(x) for x in row) for row in a.data]
+    return "\n".join(rows) + "\n"
 
 
 def load_matrix(path) -> Matrix:

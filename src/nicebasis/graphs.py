@@ -199,29 +199,24 @@ def _vertex_sets(supports, nbr):
 
 
 def graph_algebra(g: GraphSpec):
-    """(LieAlgebra, kept Lyndon words) of the graph quotient.
+    """(LieAlgebra, kept Lyndon words) of the graph quotient, by the lemma and the two
+    vertex-set facts of the module docstring.
 
     Edgeless graphs short-circuit to the abelian algebra (the ideal is
     everything past degree 1) so high classes stay cheap.  The result is
     shared with the next call on an equal spec: read-only.
 
     The Lyndon words are grouped by their vertex set S, disjoint sets of
-    coordinates, and the module's lemma decides each group (block):
-    - G[S] disconnected: the whole block lies in I;
-    - S a clique: I meets the block in 0;
-    - otherwise the block is undecided: I_alpha = sum [v_a, I_(alpha-e_a)].
-    So the reduced echelon of I is the sum of the per-block echelons: the
-    unit rows of the disconnected blocks and the rows of one Subspace that
-    holds only the undecided blocks, filled degree by degree from the
-    previous degree's ideal vectors (unit vectors of disconnected blocks,
-    vectors added for undecided ones) bracketed with each v_a.  Kept are the
-    clique blocks and the non-pivots of the undecided ones.  Kept pairs, walked along each
-    kept word's table row, bracket to 0 if their joint set is disconnected, to the free
+    coordinates, and the lemma decides each group (block), so the reduced
+    echelon of I is the sum of the per-block echelons: the unit rows of the
+    disconnected blocks and the rows of one Subspace that holds only the
+    undecided blocks, filled degree by degree from the previous degree's ideal
+    vectors (unit vectors of disconnected blocks, vectors added for undecided
+    ones) bracketed with each v_a.  Kept are the clique blocks and the
+    non-pivots of the undecided ones.  Kept pairs, walked along each kept word's
+    table row, bracket to 0 if their joint set is disconnected, to the free
     bracket if it is a clique, else to its residue by the Subspace's int core.
-    Only the vertex sets of words are decided, never all 2^d subsets, in one
-    increasing pass by the module's two facts: S is a clique iff S - t is one
-    and t is adjacent to all of it; S is connected iff it is one vertex or S - t
-    is connected and t has a neighbour in it, for some t in S.
+    Only the vertex sets of words are decided, never all 2^d subsets.
     """
     if not g.edges or g.c == 1:
         words = tuple((v,) for v in range(g.vertex_count))

@@ -306,14 +306,14 @@ def _form(v):
     return frozenset((k, x // g) for k, x in v.items()), g
 
 
-def direct_sum(*algebras, names=None):
+def direct_sum(*algebras):
     den, offset, rows = math.lcm(*[g.den for g in algebras]), 0, {}
     for g in algebras:
         for i, j in g.pairs:
             row = {k + offset: x * (den // g.den) for k, x in g.table[i][j].items()}
             rows[(i + offset, j + offset)] = row, 1
         offset += g.dim
-    return LieAlgebra._from_table(offset, rows, den, names)
+    return LieAlgebra._from_table(offset, rows, den)
 
 
 def abelian(dim):

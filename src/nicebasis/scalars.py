@@ -24,8 +24,11 @@ ONE = Q(1)
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-# Largest dimension (matrix size, graph vertex count or class) any input
-# file or constructed algebra may have; larger inputs are refused up front.
+# Largest size an input file may give (Lie algebra dimension, matrix size n,
+# graph vertex count or class) and largest dimension of free_nilpotent and
+# indecomposable_family; larger inputs are refused up front.  It bounds a
+# matrix's size n, and the almost abelian algebra of that matrix then has
+# dimension n + 1.
 DIMENSION_CAP = 256
 
 

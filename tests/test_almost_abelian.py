@@ -1,9 +1,14 @@
 import itertools
+import math
+import random
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from nicebasis import almost_abelian
 from nicebasis.almost_abelian import (
+    _clashes,
     build,
     BinomialFactorization,
     exists_nice,
@@ -180,6 +185,59 @@ class TestFamily:
             indecomposable_family(1)
         with pytest.raises(ValueError):
             indecomposable_family(9)
+
+    def test_refusal_names_the_predicted_dimension_and_the_cap(self):
+        with pytest.raises(ValueError, match="dimension 257 exceeds 256"):
+            indecomposable_family(9)
+        # no power 2^(n-1) is formed for a huge n
+        with pytest.raises(ValueError, match=r"dimension 2\^99999 \+ 1 exceeds 256"):
+            indecomposable_family(100000)
+
+    def test_refusal_follows_the_cap(self, monkeypatch):
+        monkeypatch.setattr(almost_abelian, "DIMENSION_CAP", 64)
+        with pytest.raises(ValueError, match="dimension 65 exceeds 64"):
+            indecomposable_family(7)
+        assert indecomposable_family(6).a.rows == 32
+
+
+X = sympy.Symbol("x")
+
+
+def triple(a, num, den):
+    """(a, num, den) for den x^a - num made primitive, den > 0."""
+    g = math.gcd(num, den)
+    return a, num // g, den // g
+
+
+def share_a_root(s, t):
+    """sympy's verdict: gcd(x^a - r, x^b - s) has positive degree."""
+    (a, num, den), (b, m, e) = s, t
+    return bool(sympy.degree(sympy.gcd(den * X**a - num, e * X**b - m), X) > 0)
+
+
+# negative constants at even and odd degrees, and roots shared across degrees
+CLASHING = [(2, -1, 1), (4, 1, 1), (1, -1, 1), (3, -1, 1), (1, 1, 1), (2, 4, 9), (1, 2, 3),
+            (1, -2, 3), (3, -8, 27), (6, 64, 729), (2, -4, 1), (4, 16, 1), (3, 8, 27), (5, -1, 1)]
+
+
+def seeded_binomials(seed, size=6):
+    rng = random.Random(seed)
+    return [triple(rng.randint(1, 6), rng.choice([k for k in range(-12, 13) if k]),
+                   rng.randint(1, 6)) for _ in range(size)]
+
+
+class TestClashes:
+    @pytest.mark.parametrize("binomials", [CLASHING] + [seeded_binomials(seed) for seed in range(24)])
+    def test_masks_match_sympy_gcd(self, binomials):
+        # the diagonal holds each binomial against itself
+        masks = _clashes(binomials)
+        assert [[mask >> j & 1 for j in range(len(binomials))] for mask in masks] == \
+            [[int(share_a_root(s, t)) for t in binomials] for s in binomials]
+
+    def test_corpus_holds_clashes_and_coprime_pairs(self):
+        masks = _clashes(CLASHING)
+        assert any(mask & ~(1 << i) for i, mask in enumerate(masks))
+        assert any(mask != (1 << len(CLASHING)) - 1 for mask in masks)
 
 
 class TestIsoTest:

@@ -67,9 +67,11 @@ CORE_CALLERS = {
 DENOMINATOR_READS = {
     "linalg.py:__mul__": "the Matrix scalar product multiplies den by the scalar's",
     "almost_abelian.py:_enumerate":
-        "the divisor constants as int pairs, for the clash masks and the monic transform",
+        "the divisor constants as (d, num, den) triples, for the clash masks and the "
+        "primitive binomials den x^d - num that the walk divides by",
     "almost_abelian.py:_witness_basis":
-        "x^d - r is den x^d - num as a primitive int binomial, and L^d r an int for _clashes",
+        "the factors as (d, num, den) triples, for _clashes and the primitive binomials "
+        "den x^d - num",
     "scalars.py:_coprime_base":
         "refines the denominators with the numerators into one coprime base",
 }

@@ -110,6 +110,7 @@ class TestDirectSum:
     def test_dims_and_blocks(self):
         g = direct_sum(fixtures.heisenberg3(), abelian(2))
         assert g.dim == 5
+        assert g.names == ["e1", "e2", "e3", "e4", "e5"]
         assert g.brackets[(0, 1)] == {2: rat(1)}
         assert center(g).dim == 3
 
