@@ -11,7 +11,7 @@ All arithmetic is exact over the rationals.
 """
 
 from .scalars import Q, rat, fmt
-from .linalg import Matrix, Poly, Subspace, rational_roots
+from .linalg import Matrix, Poly, Subspace, rational_roots, similar
 from .lie import (
     LieAlgebra,
     direct_sum,

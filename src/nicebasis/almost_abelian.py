@@ -38,13 +38,13 @@ from .linalg import (
     _int_roots,
     _radical,
     _scaled,
+    _similar,
     apply_columns,
     char_poly,
     int_gcd,
     kernel_chain,
     minimal_polynomial,
     rational_roots,
-    similar,
 )
 from .nice import check_nice
 
@@ -392,12 +392,13 @@ def iso_test_almost_abelian(a: Matrix, b: Matrix):
     """
     if a.rows != b.rows:
         return None
-    n, pa, pb = a.rows, char_poly(a).coeffs, char_poly(b).coeffs
+    n, phi, pb = a.rows, char_poly(a), char_poly(b).coeffs
     k = next((k for k in range(1, n + 1) if pb[n - k]), None)
-    roots = rational_roots(Poly.binomial(k, pa[n - k] / pb[n - k])) if k else []
+    roots = rational_roots(Poly.binomial(k, phi.coeffs[n - k] / pb[n - k])) if k else []
+    mu = functools.cache(lambda: minimal_polynomial(a).ints)  # a's invariants, once per call
     # positive scalars first, then by magnitude, for a stable simplest witness
     for c in sorted((r for r, _ in roots if r), key=lambda x: (x < 0, abs(x))) or [ONE]:
-        if similar(a, b * c):
+        if _similar(a, phi.ints, mu, b * c):
             return c, "similar"
     return None
 

@@ -40,10 +40,11 @@ class CatalogEntry(NamedTuple):
         return self
 
     def _mapped(self):
-        # the tensors of the listed bases, each mapped and checked once
-        tensors = []
+        # the tensors of the listed bases, each mapped and checked once; the identity
+        # maps the algebra to itself
+        tensors, identity = [], Matrix.identity(self.algebra.dim)
         for b in self.nice_bases:
-            tensors.append(self.algebra.change_basis(b))
+            tensors.append(self.algebra if b == identity else self.algebra.change_basis(b))
             if not check_nice(tensors[-1]):
                 raise RuntimeError(f"catalog basis for {self.name} is not nice")
         if len(tensors) != self.nu:

@@ -8,6 +8,9 @@ diagnostics go to standard error.
 Exit codes: 0 for a positive verdict, 1 for a negative one (not nice,
 no nice basis, rule inapplicable, a failing reproduction row), 2 for
 usage or input errors.
+
+The parser is built once per process; main calls a subcommand by name, through
+this module's binding of its cmd_* function, so a wrapper set on the module runs.
 """
 
 import argparse
@@ -274,7 +277,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code = args.func(args)
+        code = globals()[args.func.__name__](args)  # the module's binding, as patched
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -10,7 +10,8 @@ once by linalg._cleared, which refuses floats; the builders (free_nilpotent,
 graph_algebra, quotient, change_basis) hand over ints; the one setup puts them
 all over one lcm; change_basis checks p invertible (a monomial p is as it stands) for its
 core _rebased, which re-indexes the table for a monomial p, else looks up each image that
-is a multiple of one column; _witness_basis, whose span proves its p invertible, calls the
+is a multiple of one column among the columns of its support (_Index), confirmed by
+cross-multiplied ratios; _witness_basis, whose span proves its p invertible, calls the
 core itself.
 Every structural routine (central series, the upper one starting at the center,
 centralizers, quotients) reads the table; brackets, {(i, j): {k: c}} over Q, is
@@ -267,13 +268,12 @@ class LieAlgebra:
                         img = images.setdefault(key, {})
                         for k, c in comps.items():
                             img[k] = img.get(k, 0) + f * c
-        single = {form: (k, g) for k, col in enumerate(cols) for form, g in [_form(col)]}
+        index = _Index(cols)
         rows, tagged = {}, None
         for key in sorted(images):
             if img := {k: x for k, x in images[key].items() if x}:
-                form, h = _form(img)
-                if form in single:  # img = h / g P_k; unique, as p is invertible
-                    k, g = single[form]
+                if (hit := index.find(img)) is not None:  # img = h / g P_k; unique, p invertible
+                    k, h, g = hit
                     rows[key] = {k: h}, g
                 else:
                     if tagged is None:
@@ -300,10 +300,35 @@ def _refuse(dim, rows):
             raise ValueError(f"bracket target out of range: {bad[0]}")
 
 
-def _form(v):
-    """(form, g), v = g form for a nonzero int vector v and the primitive form > 0 first."""
-    g = math.gcd(*v.values()) * (1 if v[min(v)] > 0 else -1)
-    return frozenset((k, x // g) for k, x in v.items()), g
+class _Index:
+    """The columns of p by support, for _rebased's lookup of an image that is a multiple of
+    one: columns that share a support, as in a dense p, are keyed by it and the ratio of their
+    entries at its least and greatest index, so that a lookup stays one dict probe.  A
+    candidate is confirmed by cross-multiplied ratios, with no division."""
+
+    def __init__(self, cols):
+        self.cols, self.keys = cols, {}
+        for k, col in enumerate(cols):
+            self.keys.setdefault(frozenset(col), []).append(k)
+        self.shared = {s for s, ks in self.keys.items() if len(ks) > 1}
+        for s in self.shared:
+            for k in self.keys.pop(s):
+                self.keys.setdefault((s, _ratio(cols[k], s)), []).append(k)
+
+    def find(self, v):
+        """(k, h, g) with v = h / g P_k for the first such column k, else None."""
+        s = frozenset(v)
+        for k in self.keys.get((s, _ratio(v, s)) if s in self.shared else s, ()):
+            a = next(iter(col := self.cols[k]))
+            if all(v[b] * col[a] == v[a] * x for b, x in col.items()):
+                return k, v[a], col[a]
+
+
+def _ratio(v, support):
+    """v_lo : v_hi at the least and greatest index of support, in lowest terms, v_lo > 0."""
+    lo, hi = v[min(support)], v[max(support)]
+    g = math.gcd(lo, hi) * (1 if lo > 0 else -1)
+    return lo // g, hi // g
 
 
 def direct_sum(*algebras):

@@ -12,8 +12,9 @@ tests stable.  The characteristic and minimal polynomials are read off tagged
 int Krylov vectors in a Subspace, as the primitive int list that a Poly keeps
 beside its Fractions.  Polynomial work runs on int coefficient lists (products,
 exact quotients by the one division _divide, almost_abelian's walk included,
-primitive pseudo-remainders, and one Sturm chain, read by _int_roots for real roots and by
-_radical for the squarefree part).  The one elimination over Z, solve_integer_system
+primitive pseudo-remainders, and the roots and squarefree part that _int_roots and
+_radical read: of a binomial by a two-term rule, of any other polynomial off one Sturm
+chain).  The one elimination over Z, solve_integer_system
 (extended-gcd column echelon form), solves the scale exponents of monomial equivalence.
 """
 
@@ -23,7 +24,7 @@ import functools
 import itertools
 import math
 
-from .scalars import Q, ZERO, _exact, fmt
+from .scalars import Q, ZERO, _exact, _iroot, fmt
 
 
 class Matrix:
@@ -593,12 +594,15 @@ def _variations(chain, m, a):
 
 def _int_roots(c):
     """(roots, real) for the nonzero int list c: its rational roots, [(num, den, mult)] in lowest
-    terms sorted by den, then num, and its count of distinct real roots, V(-inf) - V(inf) on
-    _sturm's chain, plus 1 if 0 is a root.  Past c's x-power the roots come by bisection of
-    (-b, b] on the chain, b = a + max |s_i| with a = |lc(s)|.  A rational root is y / a, y an
-    integer and |y| < b (Cauchy), so halves with no variation change go, and at width 1 hi / a
-    is a root iff s(hi / a) = 0.  A squarefree c has multiplicities 1; else c is divided by
-    den x - num while exact."""
+    terms sorted by den, then num, and its count of distinct real roots, plus 1 if 0 is a root.
+    A binomial c = x^k (a x^m - b), a, b != 0, is read by _binomial_roots, with no chain.  Any
+    other c is read off _sturm's chain: real is V(-inf) - V(inf), and past c's x-power the roots
+    come by bisection of (-b, b] on the chain, b = a + max |s_i| with a = |lc(s)|.  A rational
+    root is y / a, y an integer and |y| < b (Cauchy), so halves with no variation change go, and
+    at width 1 hi / a is a root iff s(hi / a) = 0.  A squarefree c has multiplicities 1; else c
+    is divided by den x - num while exact."""
+    if len(terms := [i for i, x in enumerate(c) if x]) == 2:
+        return _binomial_roots(c, *terms)
     k, chain = _sturm(c := tuple(c))
     c, s, roots = c[k:], chain[0], [(0, 1, k)] if k else []
     a, squarefree = abs(s[-1]), len(s) == len(c)
@@ -619,10 +623,29 @@ def _int_roots(c):
     return roots, bottom - top + (k > 0)
 
 
+def _binomial_roots(c, k, top):
+    """_int_roots of c = x^k (a x^m - b), m = top - k, a = c[top], b = -c[k]: x^m = b / a.  With
+    g = gcd(a, b), a rational root num / den in lowest terms has den^m = |a| / g and
+    num^m = |b| / g, so one integer m-th root of each (_iroot) decides; the roots are
+    +-num / den for b / a > 0 and even m, the one of b / a's sign for odd m, and none else.
+    Distinct real roots: 1 for odd m, 2 or 0 for even m by the sign of b / a.  A nonzero
+    constant makes a x^m - b squarefree, so each nonzero root is simple."""
+    m, a, b = top - k, c[top], -c[k]
+    g, odd, positive = math.gcd(a, b), m % 2, (a > 0) == (b > 0)
+    lead, const, roots = abs(a) // g, abs(b) // g, [(0, 1, k)] if k else []
+    if (odd or positive) and (den := _iroot(lead, m)) ** m == lead and (
+            num := _iroot(const, m)) ** m == const:
+        roots += [(num if positive else -num, den, 1)] if odd else [(-num, den, 1), (num, den, 1)]
+        roots.sort(key=lambda t: (t[1], t[0]))
+    return roots, (1 if odd else 2 * positive) + (k > 0)
+
+
 def _radical(c):
-    """The squarefree part of the nonzero int list c = x^k c0, c0(0) != 0: the head of
-    _sturm's chain, c0 / gcd(c0, c0') up to sign, times x if k > 0."""
-    k, chain = _sturm(tuple(c))
+    """The squarefree part of the nonzero int list c = x^k c0, c0(0) != 0: c0 / gcd(c0, c0') up
+    to sign, times x if k > 0.  A binomial c0 is squarefree and kept as it is; any other c0
+    gives the head of _sturm's chain."""
+    two = len(terms := [i for i, x in enumerate(c) if x]) == 2
+    k, chain = (terms[0], [c[terms[0]:]]) if two else _sturm(tuple(c))
     return [0] * min(k, 1) + list(chain[0])
 
 
@@ -721,11 +744,18 @@ def similar(a: Matrix, b: Matrix) -> bool:
     """
     if a.rows != b.rows or not a.is_square() or not b.is_square():
         return False
-    phi = char_poly(a).ints  # monic polynomials are equal iff their ints are
-    if phi != char_poly(b).ints or (
-            (mu := minimal_polynomial(a).ints) != minimal_polynomial(b).ints):
+    return _similar(a, char_poly(a).ints, lambda: minimal_polynomial(a).ints, b)
+
+
+def _similar(a: Matrix, phi, mu, b: Matrix) -> bool:
+    """similar(a, b) for square a and b of one size, given a's invariants: phi, the ints of
+    char_poly(a), and mu(), those of minimal_polynomial(a), called only once the
+    characteristic polynomials agree, so a caller that tries many b computes each once."""
+    if phi != char_poly(b).ints:  # monic polynomials are equal iff their ints are
         return False
-    if len(_radical(cofactor := _divide(phi, mu))) == len(cofactor):  # squarefree
+    if (m := mu()) != minimal_polynomial(b).ints:
+        return False
+    if len(_radical(cofactor := _divide(phi, m))) == len(cofactor):  # squarefree
         return True
     return _intertwiners(a, a) == _intertwiners(a, b) == _intertwiners(b, b)
 

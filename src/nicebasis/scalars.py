@@ -131,7 +131,8 @@ def _coprime_base(ratios) -> list:
     (Bach, Driscoll and Shallit, J. Algorithms 15, 1993) builds the base from the numerators
     and denominators by gcds alone: while some pending v shares a gcd g > 1 with a base
     element b, the two make way for v / g, b / g and g.  Each element b is then replaced by its
-    least root r, b = r^k for the largest such k (_iroot), and its exponents multiplied by k."""
+    least root r, b = r^k for the largest such k (_least_root), and its exponents multiplied
+    by k."""
     base, pending = [], [x for q in ratios for x in (abs(q.numerator), q.denominator) if x > 1]
     while pending:
         v = pending.pop()
@@ -145,8 +146,23 @@ def _coprime_base(ratios) -> list:
     def exponent(x, b):  # of b > 1 in x != 0, so below x's bit length
         return next(e for e in range(x.bit_length()) if x % b ** (e + 1))
 
-    roots = {b: (r, k) for b in base for k in range(1, b.bit_length())  # the last k is the largest
-             if (r := _iroot(b, k)) ** k == b}
+    roots = {b: _least_root(b) for b in base}
     return [(sign(q), {r: e for b, (r, k) in roots.items()
                        if (e := k * (exponent(q.numerator, b) - exponent(q.denominator, b)))})
             for q in ratios]
+
+
+def _least_root(b):
+    """(r, k) with b = r^k, r no perfect power, for an int b > 1, by prime exponents only: r
+    starts at b, and each prime p < r's bit length (so 2^p <= r), sieved on the way, replaces r
+    by its p-th root while that is exact (_iroot), k gaining a factor p each time.  A prime that
+    fails is not tried again: a p-th power s^p of a root s of r would make r one too."""
+    r, k, n, composite = b, 1, b.bit_length(), set()
+    for p in range(2, n):
+        if p >= r.bit_length():
+            break
+        if p not in composite:
+            composite.update(range(p * p, n, p))
+            while (s := _iroot(r, p)) ** p == r:
+                r, k = s, k * p
+    return r, k

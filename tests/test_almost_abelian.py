@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from nicebasis import almost_abelian
+from nicebasis import almost_abelian, linalg
 from nicebasis.almost_abelian import (
     _clashes,
     build,
@@ -262,6 +262,30 @@ class TestIsoTest:
         a = Matrix.diagonal([rat(1), rat(2)])
         b = fixtures.matrix_d()
         assert iso_test_almost_abelian(a, b) is None
+
+    # a 3x3 a with b = 2a, one candidate c = 1/2; and J_2(1) + (-1) + (-1) with b = -2a,
+    # where c = 1/2 gives -a, of a's characteristic but not its minimal polynomial, and
+    # c = -1/2 gives a
+    INVARIANTS_ONCE = {
+        "3x3-b=2a": (Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), 2, Q(1, 2), 3),
+        "4x4-b=-2a": (Matrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]), -2,
+                      Q(-1, 2), 4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVARIANTS_ONCE))
+    def test_the_invariants_of_a_are_computed_once(self, monkeypatch, name):
+        a, scale, c, char_polys = self.INVARIANTS_ONCE[name]
+        calls = []
+        for module in (almost_abelian, linalg):
+            for attr in ("char_poly", "minimal_polynomial"):
+                def wrapper(m, real=getattr(linalg, attr), attr=attr):
+                    calls.append((attr, m is a))
+                    return real(m)
+                monkeypatch.setattr(module, attr, wrapper, raising=False)
+        assert iso_test_almost_abelian(a, a * scale) == (c, "similar")
+        assert calls.count(("char_poly", True)) == 1
+        assert calls.count(("minimal_polynomial", True)) == 1
+        assert sum(attr == "char_poly" for attr, _ in calls) == char_polys
 
 
 class TestMatrixIO:

@@ -18,8 +18,10 @@ with two columns on one row or a zero column must still be refused.  The
 door checks p; its core _rebased, which _witness_basis calls on a basis that
 its span proves invertible, must give the door's table, den and pairs on
 every invertible p here, monomial ones included, and the door must refuse
-the bad p before the core is reached.  _form, the key of the lookup, must
-match the division formula.
+the bad p before the core is reached.  The lookup keys a column by its
+support, and by the ratio of two of its entries when columns share a
+support, so dense bases whose columns all share one support are run too,
+two of their columns sharing that ratio as well.
 """
 
 import math
@@ -41,7 +43,7 @@ from nicebasis import (
     load_lie,
 )
 from nicebasis.almost_abelian import _witness_basis, analyze, build
-from nicebasis.lie import LieAlgebra, _form, abelian, direct_sum
+from nicebasis.lie import LieAlgebra, abelian, direct_sum
 from nicebasis.linalg import Matrix, Subspace
 from nicebasis.nice import check_nice
 from nicebasis.scalars import Q, ONE
@@ -243,25 +245,6 @@ def test_the_door_refuses_before_the_core(monkeypatch, name):
         g.change_basis(p)
 
 
-def division_form(v):
-    """_form by its formula: v over its content, signed positive at the least index."""
-    g = math.gcd(*v.values())
-    g = -g if v[min(v)] < 0 else g
-    return frozenset((k, x // g) for k, x in v.items()), g
-
-
-def test_form_matches_the_division_formula():
-    rng = random.Random(49)
-    primitive = 0
-    for _ in range(2000):
-        keys = rng.sample(range(12), rng.randint(1, 6))
-        v = {k: rng.choice((-1, 1)) * rng.randint(1, 9) * rng.choice((1, 1, 2, 6)) for k in keys}
-        v = {k: x * rng.choice((1, 1, -4, 15)) for k, x in v.items()} if rng.random() < 0.3 else v
-        assert _form(v) == division_form(v)
-        primitive += division_form(v)[1] == 1
-    assert primitive > 200  # vectors of content 1 were met too
-
-
 # --- both sides of the one-column lookup ---
 
 
@@ -347,6 +330,54 @@ def test_negative_and_fractional_multiples_hit(monkeypatch):
     # the images were negative and fractional multiples of their columns
     assert any(x < 0 and x.denominator > 1 for x in values)
     assert any(x > 0 and x.denominator > 1 for x in values)
+
+
+# --- columns that share a support ------------------------------------------------
+
+
+def dense_basis(n, rng):
+    """A random invertible n x n int matrix, n >= 3, with no zero entry, so that all its
+    columns share one support; columns 0 and 1 also share the ratio 1 : 2 of their first
+    and last entries, so that the lookup must tell them apart by the other entries."""
+    while True:
+        rows = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        rows[0][:2], rows[-1][:2] = [1, 2], [2, 4]
+        if (q := Matrix(rows)).det():
+            return q
+
+
+# the dense tables of the larger graph algebras make the all-pairs reference slow
+SMALL = [(label, g, p) for label, g, p in NICE if g.dim <= 10]
+
+
+@pytest.mark.parametrize("label, g, p", SMALL, ids=[label for label, _, _ in SMALL])
+def test_dense_bases_hit_by_support_and_ratio(monkeypatch, label, g, p):
+    # h is g's nice tensor t written in the basis q^-1, so in q's columns h is t again:
+    # every image is a multiple of one column, and every column has the same support
+    t, rng = g.change_basis(p), random.Random(label)
+    hit_and_missed = 0
+    for _ in range(2):
+        q = dense_basis(g.dim, rng)
+        h = t.change_basis(q.inverse())
+        got, missed = images_missed(monkeypatch, h, q)
+        assert missed == 0
+        assert got.brackets == t.brackets
+        for r in neighbour_sums(q):
+            got, missed = images_missed(monkeypatch, h, r)
+            hit_and_missed += bool(missed and len(got.pairs) - missed)
+    assert hit_and_missed
+
+
+def test_columns_with_one_support_and_ratio_are_told_apart(monkeypatch):
+    # R + h3, [f1, f2] = f3, in a basis whose last two columns share their support
+    # {0, 1, 2} and the ratio 1 : 1 of their entries at 0 and 2: the image of
+    # [q1, q2] is q3, the second column under that key
+    t = direct_sum(abelian(1), h3())
+    q = Matrix.from_columns([{3: 1}, {0: 1}, {0: 1, 1: 2, 2: 1}, {0: 2, 1: 1, 2: 2}], 4)
+    h = t.change_basis(q.inverse())
+    got, missed = images_missed(monkeypatch, h, q)
+    assert missed == 0
+    assert got.brackets == t.brackets
 
 
 

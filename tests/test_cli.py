@@ -287,6 +287,26 @@ class TestReproduce:
         assert rows["six-dim-certificate"] == (False, "certification: trace")
 
 
+class TestDispatch:
+    """main calls a subcommand through the module's binding of its cmd_*, so a function
+    patched onto the module, as a tracer wraps it, is the one that runs."""
+
+    @pytest.mark.parametrize("argv, name", [(["check", FIX / "h3.lie"], "cmd_check"),
+                                            (["catalog3"], "cmd_catalog3")])
+    def test_main_calls_the_patched_command(self, capsys, monkeypatch, argv, name):
+        real, seen = getattr(cli, name), []
+
+        def patched(args):
+            seen.append(args.subcommand)
+            return real(args)
+
+        monkeypatch.setattr(cli, name, patched)
+        code, out, _ = run(capsys, *argv)
+        assert seen == [argv[0]]
+        monkeypatch.undo()
+        assert (code, out) == run(capsys, *argv)[:2]
+
+
 class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", FIX / "does_not_exist.lie")

@@ -29,7 +29,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 import nicebasis
-from nicebasis import almost_abelian
+from nicebasis import almost_abelian, linalg
 from nicebasis.almost_abelian import (
     BinomialFactorization,
     _binomial_divisors,
@@ -341,14 +341,36 @@ def factor_products(draw):
 inputs = st.one_of(random_polys, factor_products())
 
 
+@st.composite
+def binomials(draw, bits):
+    """x^k (a x^m - b), k in 0..3 and m in 1..6, signs drawn for a and b: a and b either
+    random below 2^bits or a common content times perfect m-th powers below about 2^bits,
+    whose roots are rational.  Past 64 bits, a and b are drawn above 2^(bits - 8) so that
+    each is wide.  _int_roots and _radical read these by the two-term rule, with no chain."""
+    k, m, wide = draw(st.integers(0, 3)), draw(st.integers(1, 6)), bits > 64
+    if draw(st.booleans()):
+        root = st.integers(2 ** (bits // m - 1) if wide else 1, 2 ** (bits // m))
+        content = draw(st.sampled_from([1, 1, 2, 6] + [2**61 - 1] * wide))
+        a, b = content * draw(root) ** m, content * draw(root) ** m
+    else:
+        value = st.integers(2 ** (bits - 8) if wide else 1, 2**bits)
+        a, b = draw(value), draw(value)
+    a, b = draw(st.sampled_from([a, -a])), draw(st.sampled_from([b, -b]))
+    return Poly([0] * k + [-b] + [0] * (m - 1) + [a])
+
+
+# the references divide by trial up to a square root, so their binomials stay narrow
+root_inputs = st.one_of(random_polys, factor_products(), binomials(12))
+
+
 class TestRootsVsFractionReference:
     @settings(max_examples=80, deadline=None)
-    @given(inputs)
+    @given(root_inputs)
     def test_rational_roots(self, p):
         assert rational_roots(p) == reference_rational_roots(p)
 
     @settings(max_examples=80, deadline=None)
-    @given(inputs)
+    @given(root_inputs)
     def test_real_root_count(self, p):
         got = _int_roots(p.ints)[1]
         assert got == reference_count_real_roots(p)
@@ -369,14 +391,14 @@ class TestRootsVsFractionReference:
             assert _int_roots(p.ints)[1] == sympy_poly(p).sqf_part().count_roots()
 
     @settings(max_examples=80, deadline=None)
-    @given(inputs)
+    @given(root_inputs)
     def test_radical_vs_sympy(self, p):
         # the squarefree part up to a scalar, x once when x divides p
         got = sympy.Poly(list(reversed(_radical(p.ints))), X, domain="QQ")
         assert got.monic() == sympy_poly(p).sqf_part().monic()
 
     @settings(max_examples=60, deadline=None)
-    @given(inputs)
+    @given(root_inputs)
     def test_binomial_divisors(self, p):
         assert _binomial_divisors(p) == reference_binomial_divisors(p)
 
@@ -386,6 +408,18 @@ class TestRootsVsFractionReference:
     def test_binomial_divisors_of_binomial_products(self, factors, scale):
         p = mul(*(Poly.binomial(d, Q(r, scale**d)) for d, r in factors))
         assert _binomial_divisors(p) == reference_binomial_divisors(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(binomials(80))
+    def test_wide_binomials_vs_sympy(self, p):
+        # constants over 64 bits: roots, real-root counts and the squarefree part
+        sp = sympy_poly(p)
+        want = sorted(((Q(int(r.p), int(r.q)), mult) for r, mult in sp.ground_roots().items()),
+                      key=lambda t: (t[0].denominator, t[0]))
+        assert rational_roots(p) == want
+        assert _int_roots(p.ints)[1] == sp.count_roots()
+        got = sympy.Poly(list(reversed(_radical(p.ints))), X, domain="QQ")
+        assert got.monic() == sp.sqf_part().monic()
 
     def test_irrational_flag(self):
         # x^2 - 2 splits only over R; x^2 + 1 not at all
@@ -551,6 +585,19 @@ class TestSturmRootFinder:
         for finder in (_int_roots, _radical):
             with pytest.raises(ValueError):
                 finder([])
+
+    def test_binomials_and_the_family_build_no_chain(self, monkeypatch):
+        # x^k (a x^m - b) is read by the two-term rule; every residue-class gcd that
+        # _binomial_divisors takes of x^(2^(n-1)) - 1 is a binomial too
+        def refused(c):
+            raise AssertionError("_sturm called")
+
+        monkeypatch.setattr(linalg, "_sturm", refused)
+        for c in ([-1, 0, 0, 1], [0, 0, 8, 0, -27], [0, 5, 3], [-2**70, 0, 1], [1, 0, 1]):
+            assert _int_roots(c)[1] == sympy_poly(Poly(c)).count_roots()
+            assert _radical(c) == [0] * (c[0] == 0) + c[min(i for i, x in enumerate(c) if x):]
+        for n in range(2, 9):
+            assert count_nice(indecomposable_family(n).a) == n
 
     def test_planted_roots_with_multiplicities(self):
         rng = random.Random(9)

@@ -98,10 +98,10 @@ def test_family_witness_adds_size_vectors_and_skips_the_door(monkeypatch, n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_monomial_family_witness_is_reindexed_by_the_core(monkeypatch, n):
     # the last factorization's witness is monomial: the core re-indexes its table, as
-    # the door did, and looks up no image by its primitive form
+    # the door did, and looks up no image among its columns
     a = indecomposable_family(n).a
     fact = analyze(a).factorizations[-1]
-    monkeypatch.setattr(lie, "_form", refuse("lie._form"))
+    monkeypatch.setattr(lie, "_Index", refuse("lie._Index"))
     assert is_monomial(_witness_basis(a, fact))
 
 
