@@ -242,7 +242,7 @@ class LieAlgebra:
         e_s(j), is re-indexed: for t = s^-1, den [e_a, e_b] goes to (t a, t b) times x_ta x_tb
         and c_k e_k to c_k / x_tk on column t k.  Otherwise den D^2 [p_i, p_j] = den D sum c_k
         P_k, summed over the pairs p_ai p_bj != 0 of the int table, is looked up by its
-        primitive form if it is a multiple of one P_k, as in a nice basis, and else reduced
+        support (_Index) if it is a multiple of one P_k, as in a nice basis, and else reduced
         to -den D sum c_k e_(n+k) in one Subspace of the P_j tagged with n + j."""
         n, cols = self.dim, p.num
         t = {a: j for j, col in enumerate(cols) for a in col if len(col) == 1}

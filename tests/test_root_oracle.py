@@ -3,7 +3,9 @@ code that they replaced.
 
 rational_roots, _int_roots's real-root count and _binomial_divisors run on Python
 ints (primitive pseudo-remainders, exact synthetic division, bisection on one
-integer Sturm chain), and _enumerate works on the monic integer transform, by
+integer Sturm chain, and for a binomial one integer root in place of the chain,
+so binomials, narrow ones among the references' inputs and wide ones against
+sympy, are inputs too), and _enumerate works on the monic integer transform, by
 pairwise coprime sets for a squarefree polynomial and else with a memo of
 quotients.  The reference_* functions below are the Fraction versions they
 replaced, kept verbatim apart from evaluating p through a helper, spelling Poly
