@@ -1,26 +1,23 @@
 """Command line front end.
 
-Subcommands: check, pre-einstein, nu-product, aa, graph, catalog3,
-reproduce. Every subcommand accepts --json. Reports go to standard
-output and are deterministic for identical inputs; timing and other
-diagnostics go to standard error.
+COMMANDS names the subcommands and their arguments, parse_argv reads argv by it, and main
+calls the subcommand through this module's binding of its cmd_* function, so a wrapper
+set on the module runs.  Reports go to standard output and are deterministic for
+identical inputs; timing and other diagnostics go to standard error.
 
 Exit codes: 0 for a positive verdict, 1 for a negative one (not nice,
 no nice basis, rule inapplicable, a failing reproduction row), 2 for
 usage or input errors.
-
-The parser is built once per process; main calls a subcommand by name, through
-this module's binding of its cmd_* function, so a wrapper set on the module runs.
 """
 
-import argparse
-import functools
+import io
 import json
 import sys
 import time
+import types
 
 from .scalars import fmt
-from .lie import load_lie, save_lie
+from .lie import parse_lie, save_lie
 from .nice import check_nice
 from .derivations import (
     pre_einstein_nice,
@@ -29,9 +26,9 @@ from .derivations import (
     spectra_disjoint,
     NotNiceBasis,
 )
-from .almost_abelian import analyze, load_matrix
+from .almost_abelian import analyze, parse_matrix
 from .graphs import (
-    load_graph,
+    parse_graph,
     graph_algebra,
     nice_predicate,
     construct_nice_basis,
@@ -44,35 +41,33 @@ class UsageError(Exception):
     pass
 
 
-def _digest(path):
-    """The file's SHA-256 hex digest; only --json reports hash, so hashlib loads here."""
-    import hashlib
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _emit(args, payload, lines, inputs=()):
-    """Print the text lines or, under --json, the report: the payload in the common
-    envelope of the command and the SHA-256 digest of each input file."""
+def _emit(args, payload, lines, inputs):
+    """Print the text lines or, under --json, the report: the payload in the common envelope
+    of the command and the SHA-256 digest of each input, given as {path: the bytes read}."""
     if args.json:
-        report = {"command": args.subcommand, "inputs": {str(p): _digest(p) for p in inputs}}
+        import hashlib  # only --json reports hash
+        digests = {str(p): hashlib.sha256(raw).hexdigest() for p, raw in inputs.items()}
+        report = {"command": args.subcommand, "inputs": digests}
         print(json.dumps({**report, **payload}, indent=2, sort_keys=True))
     else:
         for line in lines:
             print(line)
 
 
-def _loader(read):
-    """read(path), with an unreadable or malformed file raised as a UsageError."""
+def _loader(parse):
+    """load(path): the file's bytes, read once, parsed as open(path).read() decodes them, and
+    the bytes; an unreadable or malformed file raises a UsageError."""
     def load(path):
         try:
-            return read(path)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            return parse(io.TextIOWrapper(io.BytesIO(raw)).read()), raw
         except (OSError, ValueError) as err:
             raise UsageError(f"{path}: {err}")
     return load
 
 
-_load_lie, _load_matrix, _load_graph = map(_loader, (load_lie, load_matrix, load_graph))
+_load_lie, _load_matrix, _load_graph = map(_loader, (parse_lie, parse_matrix, parse_graph))
 
 
 def _json_violation(v):
@@ -96,19 +91,19 @@ def _fmt_violation(v):
 
 
 def cmd_check(args):
-    g = _load_lie(args.file)
+    g, raw = _load_lie(args.file)
     verdict = check_nice(g)
     lines = ["nice" if verdict.is_nice else "not nice"]
     lines += [_fmt_violation(v) for v in verdict.violations]
     _emit(args, {
         "nice": verdict.is_nice,
         "violations": [_json_violation(v) for v in verdict.violations],
-    }, lines, [args.file])
+    }, lines, {args.file: raw})
     return 0 if verdict.is_nice else 1
 
 
 def cmd_pre_einstein(args):
-    g = _load_lie(args.file)
+    g, raw = _load_lie(args.file)
     try:
         pe = pre_einstein_nice(g)
     except NotNiceBasis as err:
@@ -118,16 +113,18 @@ def cmd_pre_einstein(args):
     spectrum = [[fmt(v), m] for v, m in pe.multiplicities().items()]
     lines = ["diagonal " + " ".join(diag),
              "spectrum " + " ".join(f"{v}:{m}" for v, m in spectrum)]
-    _emit(args, {"diagonal": diag, "spectrum": spectrum}, lines, [args.file])
+    _emit(args, {"diagonal": diag, "spectrum": spectrum}, lines, {args.file: raw})
     return 0
 
 
 def cmd_nu_product(args):
     parts = []
     factors = []
+    inputs = {}
     for path in args.files:
+        g, inputs[path] = _load_lie(path)
         try:
-            pe = pre_einstein_nice(_load_lie(path))
+            pe = pre_einstein_nice(g)
         except NotNiceBasis as err:
             print(f"error: {path}: {err}", file=sys.stderr)
             return 1
@@ -152,12 +149,12 @@ def cmd_nu_product(args):
         "factors": factors,
         "nu": result,
         "outcome": outcome,
-    }, [outcome], args.files)
+    }, [outcome], inputs)
     return code
 
 
 def cmd_aa(args):
-    a = _load_matrix(args.file)
+    a, raw = _load_matrix(args.file)
     data = analyze(a)
     verdict = data.exists()
     nu = data.count()
@@ -177,12 +174,12 @@ def cmd_aa(args):
         "factorizations": facts,
         "nu": nu,
         "witness": witness,
-    }, lines, [args.file])
+    }, lines, {args.file: raw})
     return 0 if verdict.status == "yes" else 1
 
 
 def cmd_graph(args):
-    g = _load_graph(args.file)
+    g, raw = _load_graph(args.file)
     ok, tag = nice_predicate(g)
     lines = [("nice" if ok else "not nice") + f" ({tag})"]
     payload = {"nice": ok, "tag": tag}
@@ -203,7 +200,7 @@ def cmd_graph(args):
         except OSError as err:
             raise UsageError(f"{args.emit_algebra}: {err}") from None
         print(f"wrote {args.emit_algebra}", file=sys.stderr)
-    _emit(args, payload, lines, [args.file])
+    _emit(args, payload, lines, {args.file: raw})
     return 0 if ok else 1
 
 
@@ -215,7 +212,7 @@ def cmd_catalog3(args):
         rows.append({"name": entry.name, "parameter": param, "nu": entry.nu})
         lines.append(entry.name + ("" if param is None else f" (parameter {param})")
                      + f" nu={entry.nu}")
-    _emit(args, {"rows": rows}, lines)
+    _emit(args, {"rows": rows}, lines, {})
     return 0
 
 
@@ -229,55 +226,67 @@ def cmd_reproduce(args):
              for name, ok, detail, _ in rows]
     _emit(args, {
         "rows": [{"name": n, "ok": ok, "detail": d} for n, ok, d, _ in rows],
-    }, lines)
+    }, lines, {})
     return 0 if all(row[1] for row in rows) else 1
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The nicebase argument parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="nicebase",
-        description="decide, construct and count nice bases of rational"
-                    " Lie algebras")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# subcommand -> (its cmd_* function, its positional: "file", "files" (one or more) or None,
+# its options besides --json: "--flag" or "--option VALUE", also read as --option=VALUE)
+COMMANDS = {
+    "check": (cmd_check, "file", ()),
+    "pre-einstein": (cmd_pre_einstein, "file", ()),
+    "nu-product": (cmd_nu_product, "files", ()),
+    "aa": (cmd_aa, "file", ()),
+    "graph": (cmd_graph, "file", ("--nice", "--emit-algebra OUT")),
+    "catalog3": (cmd_catalog3, None, ()),
+    "reproduce": (cmd_reproduce, None, ()),
+}
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine readable report")
-        p.set_defaults(func=func)
-        return p
 
-    p = add("check", cmd_check, "test whether a defining basis is nice")
-    p.add_argument("file")
-    p = add("pre-einstein", cmd_pre_einstein,
-            "distinguished diagonal derivation of a nicely based algebra")
-    p.add_argument("file")
-    p = add("nu-product", cmd_nu_product,
-            "count nice bases of a direct sum via spectrum disjointness")
-    p.add_argument("files", nargs="+")
-    p = add("aa", cmd_aa,
-            "nice basis existence and count for an almost abelian algebra")
-    p.add_argument("file")
-    p = add("graph", cmd_graph, "nice basis test for a graph algebra")
-    p.add_argument("file")
-    p.add_argument("--nice", action="store_true",
-                   help="print a verified nice basis when one exists")
-    p.add_argument("--emit-algebra", metavar="OUT",
-                   help="write the structure constants to OUT")
-    add("catalog3", cmd_catalog3,
-        "table of three dimensional algebras with their counts")
-    add("reproduce", cmd_reproduce, "run the verification battery")
-    return parser
+def parse_argv(argv):
+    """The attributes the commands read from argv, or UsageError for a bad argv; the
+    README's "Command line" gives the grammar."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise UsageError(f"{got}; choose one of {', '.join(COMMANDS)}")
+    name, tokens = argv[0], iter(argv[1:])
+    _, positional, options = COMMANDS[name]
+    takes = {o.split()[0]: " " in o for o in ("--json",) + options}  # does it take a value?
+    args = {o[2:].replace("-", "_"): None if v else False for o, v in takes.items()}
+    found, after = [], False  # the positionals; has an option followed them?
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if token == "-" or not token.startswith("-"):
+            if after or not positional or found and positional == "file":
+                raise UsageError(f"{name}: unexpected argument {token!r}")
+            found.append(token)
+            continue
+        if option not in takes or eq and not takes[option]:
+            raise UsageError(f"{name}: unknown option {token!r}")
+        if takes[option] and not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                raise UsageError(f"{name}: {option} needs a value")
+        args[option[2:].replace("-", "_")] = value if takes[option] else True
+        after = bool(found)
+    if positional and not found:
+        raise UsageError(f"{name}: missing FILE")
+    if positional:
+        args[positional] = found if positional == "files" else found[0]
+    return types.SimpleNamespace(subcommand=name, **args)
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:  # the synopsis, read off COMMANDS
+        files = {"file": " FILE", "files": " FILE [FILE ...]", None: ""}
+        print("usage:", *(f"  nicebase {name} " + " ".join(f"[{o}]" for o in ("--json", *opts))
+                          + files[p] for name, (_, p, opts) in COMMANDS.items()), sep="\n")
+        return 0
     try:
-        code = globals()[args.func.__name__](args)  # the module's binding, as patched
+        args = parse_argv(argv)
+        t0 = time.perf_counter()
+        code = globals()[COMMANDS[args.subcommand][0].__name__](args)  # as patched
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

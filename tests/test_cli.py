@@ -1,5 +1,7 @@
 """End-to-end command line checks, driving cli.main directly."""
 
+import builtins
+import hashlib
 import json
 import os
 import random
@@ -255,6 +257,54 @@ class TestGraph:
         assert load_lie(out_file).dim == 5
 
 
+class TestInputs:
+    """Each input is read once, as bytes: the loader parses their text as open(path).read()
+    decodes it, and --json hashes those bytes."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_the_loader_parses_what_open_reads(self, tmp_path, newline):
+        load = cli._loader(lambda text: text)
+        for fixture in sorted(FIX.iterdir()):
+            path = tmp_path / fixture.name
+            path.write_bytes(fixture.read_bytes().replace(b"\n", newline.encode()))
+            with open(path) as fh:
+                assert load(path) == (fh.read(), path.read_bytes())
+
+    def test_a_crlf_file_reports_as_its_lf_twin_with_the_digest_of_its_bytes(self, capsys,
+                                                                            tmp_path):
+        path = tmp_path / "n6.lie"
+        path.write_bytes((FIX / "n6.lie").read_bytes().replace(b"\n", b"\r\n"))
+        code, rep, _ = run_json(capsys, "check", path)
+        twin_code, twin, _ = run_json(capsys, "check", FIX / "n6.lie")
+        assert rep.pop("inputs") == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+        twin.pop("inputs")
+        assert (code, rep) == (twin_code, twin)
+
+    def test_json_opens_each_input_once(self, capsys, monkeypatch):
+        opened, real_open = [], builtins.open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert run(capsys, "check", FIX / "h3.lie", "--json")[0] == 0
+        assert run(capsys, "graph", FIX / "p3_c3.graph", "--nice", "--json")[0] == 0
+        assert opened == [str(FIX / "h3.lie"), str(FIX / "p3_c3.graph")]
+
+    @pytest.mark.parametrize("content", [b"dim 1\n\xff\n", None], ids=["not-utf8", "directory"])
+    def test_a_read_error_is_the_one_line_open_gives(self, capsys, tmp_path, content):
+        path = tmp_path / "input.lie"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises((OSError, ValueError)) as exc:
+            with open(path) as fh:
+                fh.read()
+        assert run(capsys, "check", path, "--json") == (2, "", f"error: {path}: {exc.value}\n")
+
+
 class TestCatalog3:
     def test_table(self, capsys):
         code, rep, _ = run_json(capsys, "catalog3")
@@ -318,9 +368,32 @@ class TestUsage:
         assert code == 2
 
     def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        code, out, err = run(capsys, "frobnicate")
+        assert (code, out) == (2, "")
+        assert err == ("error: unknown subcommand 'frobnicate'; choose one of check, "
+                       "pre-einstein, nu-product, aa, graph, catalog3, reproduce\n")
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "no subcommand; choose one of check, pre-einstein, nu-product, aa, graph, "
+             "catalog3, reproduce"),
+        (["check"], "check: missing FILE"),
+        (["nu-product", "--json"], "nu-product: missing FILE"),
+        (["check", FIX / "h3.lie", "l3.lie"], "check: unexpected argument 'l3.lie'"),
+        (["catalog3", "x"], "catalog3: unexpected argument 'x'"),
+        (["check", "--jsn", FIX / "h3.lie"], "check: unknown option '--jsn'"),
+        (["graph", FIX / "p3_c3.graph", "--emit-algebra"], "graph: --emit-algebra needs a value"),
+    ], ids=["no-argv", "missing-positional", "missing-files", "extra-positional",
+            "positional-to-none", "unknown-option", "emit-algebra-no-value"])
+    def test_bad_argv_exits_2_with_one_line(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["nicebase", "check", str(FIX / "h3.lie")])
+        assert main() == 0
+        assert capsys.readouterr().out == "nice\n"
+        monkeypatch.setattr(sys, "argv", ["nicebase"])
+        assert main() == 2
 
 
 class TestDeterminism:
@@ -340,8 +413,7 @@ class TestDeterminism:
         assert first == second
 
     def test_shared_parser_keeps_no_state(self, capsys):
-        # main builds its parser once per process; options of one call
-        # (--nice, --json) must not leak into the next
+        # options of one call (--nice, --json) must not leak into the next
         plain = [FIX / "p3_c3.graph"]
         _, first, _ = run(capsys, "graph", *plain)
         run(capsys, "graph", "--nice", "--json", *plain)

@@ -6,6 +6,8 @@ attribute chain) or lists it in __all__.
 
 No module imports dataclasses: the records are NamedTuples, so importing the
 package and its CLI loads neither dataclasses nor the inspect it pulls in.
+The CLI reads argv by its own table, so neither argparse nor the gettext that
+argparse pulls in loads either.
 Nor does it load hashlib, which only --json digests need, or the reproduce
 battery, which the package loads on first access to reproduce or run_all.
 """
@@ -69,9 +71,10 @@ def test_the_import_scan_sees_typing():
     assert "typing" in set(imported_modules(ast.parse((PACKAGE / "nice.py").read_text())))
 
 
-def test_importing_the_package_and_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_package_and_cli_loads_no_dataclasses_inspect_argparse_or_gettext():
     code = ("import sys, nicebasis, nicebasis.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'nicebasis.cli'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'nicebasis.cli'}"
+            " & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
