@@ -55,8 +55,8 @@ def _emit(args, payload, lines, inputs):
 
 
 def _loader(parse):
-    """load(path): the file's bytes, read once, parsed as open(path).read() decodes them, and
-    the bytes; an unreadable or malformed file raises a UsageError."""
+    """load(path): (parse(text), the file's bytes), the bytes read once and decoded to text
+    as open(path).read() decodes them; an unreadable or malformed file raises a UsageError."""
     def load(path):
         try:
             with open(path, "rb") as fh:
@@ -244,7 +244,7 @@ COMMANDS = {
 
 
 def parse_argv(argv):
-    """The attributes the commands read from argv, or UsageError for a bad argv; the
+    """The attributes the commands read, from argv; a bad argv raises UsageError.  The
     README's "Command line" gives the grammar."""
     if not argv or argv[0] not in COMMANDS:
         got = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
